@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .config import T1Config, T2Config, T3Config, TableConfig, TbConfig, TcConfig
 from .errors import DataError, NumericalError, ToolkitError
 from .estimators import (
+    FAILURE_CLASSES,
     Estimate,
     EstimatorConfig,
     estimate_ratio_ta,
@@ -22,6 +23,7 @@ from .estimators import (
     estimate_tc,
     estimate_usual,
     evaluate,
+    evaluate_batch,
     resolve_config,
 )
 from .montecarlo import (
@@ -39,6 +41,7 @@ from .population import (
     PopulationFrame,
     PopulationParams,
     SampleStats,
+    batch_stats,
     central_moment,
     compute_population_params,
     sample_stats,

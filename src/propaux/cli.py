@@ -165,8 +165,7 @@ def _cmd_simulate(args) -> int:
     if args.t3:
         configs = [EstimatorConfig(kind="t3", t3=_parse_config(T3Config, args.t3))
                    if cfg.kind == "t3" else cfg for cfg in configs]
-    report = run_experiment(frame, args.n, configs, reps=args.reps, seed=args.seed,
-                            workers=args.workers)
+    report = run_experiment(frame, args.n, configs, reps=args.reps, seed=args.seed)
     document = io.build_report_document(
         input_digest=io.file_digest(args.input),
         configurations={"n": args.n, "reps": args.reps, "seed": args.seed,
@@ -256,7 +255,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--tc", default=None)
     p.add_argument("--t3", default=None)
     p.add_argument("--output", required=True)

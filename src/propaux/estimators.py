@@ -5,16 +5,26 @@ sample, the known auxiliary population parameters, and a configuration to a
 single number. Constants left as ``None`` in a configuration are resolved to
 their population-optimal values and the resolved configuration is returned
 with the estimate. All functions are pure.
+
+Every family has one array kernel. ``evaluate_batch`` runs it over many
+samples at once and reports a failure code per sample; ``evaluate`` and the
+``estimate_*`` functions run it on a batch of one and raise the error that
+code names.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import theory
 from .config import T1Config, T2Config, T3Config, TbConfig, TcConfig
 from .errors import (
+    DataError,
     InvalidConfig,
     NonpositiveBase,
     NonpositiveTransform,
@@ -140,27 +150,192 @@ def resolve_config(cfg: EstimatorConfig, pop: PopulationParams, f: float) -> Est
     return cfg
 
 
+# Failure codes of ``evaluate_batch``: 0 is success, and every other code
+# indexes the error class and message that the scalar path raises for it.
+_FAILURES: tuple[tuple[type[DataError], str] | None, ...] = (
+    None,
+    (ZeroSampleMean, "sample auxiliary mean is zero"),
+    (NonpositiveTransform,
+     "a*mean + b must stay positive (population {pop_t}, sample {smp_t})"),
+    (NonpositiveBase, "mean ratio must be positive, sample mean {xbar_s}"),
+    (NonpositiveBase, "sample auxiliary variance must be positive, got {sx2_s}"),
+    (NonpositiveBase, "shifted mean must stay positive, got {shifted}"),
+    (NonpositiveBase, "sum of auxiliary variances must be positive"),
+    (SchemaError, "estimate is not finite: {value}"),
+)
+(ZERO_MEAN, NONPOSITIVE_TRANSFORM, MEAN_RATIO, SAMPLE_VARIANCE, SHIFTED_MEAN,
+ VARIANCE_SUM, NOT_FINITE) = range(1, len(_FAILURES))
+
+#: The error class each nonzero failure code of ``evaluate_batch`` stands for.
+FAILURE_CLASSES: tuple[type[DataError] | None, ...] = tuple(
+    entry and entry[0] for entry in _FAILURES)
+
+
+class _Rows:
+    """Failure codes of a batch; the first precondition a row fails wins.
+
+    ``detail`` keeps the quantities the failure messages quote.
+    """
+
+    def __init__(self, size: int):
+        self.codes = np.zeros(size, dtype=np.int8)
+        self.detail: dict[str, object] = {}
+
+    def fail(self, mask: np.ndarray, code: int, **detail) -> None:
+        self.codes[mask & (self.codes == 0)] = code
+        self.detail.update(detail)
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.codes == 0
+
+
+def _libm(ok: np.ndarray, fn, *args) -> np.ndarray:
+    """``fn`` over the rows of ``ok`` as Python floats, 1.0 elsewhere.
+
+    numpy's SIMD ``power`` and ``exp`` differ from libm in the last bit on a
+    few percent of inputs; float ``**`` and ``math.exp`` call libm, as the
+    scalar arithmetic always has, and overflow raises ``OverflowError`` as
+    it always has. Rows that failed a precondition are skipped.
+    """
+    out = np.ones(ok.shape)
+    out[ok] = np.fromiter(map(fn, *args), dtype=np.float64, count=int(ok.sum()))
+    return out
+
+
+def _pow(base: np.ndarray, exponent: float, ok: np.ndarray) -> np.ndarray:
+    return _libm(ok, operator.pow, base[ok].tolist(), itertools.repeat(exponent))
+
+
+def _exp(arg: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    return _libm(ok, math.exp, arg[ok].tolist())
+
+
+def _usual(cfg, pop, rows, p, xbar_s, sx2_s):
+    return p
+
+
+def _ta(cfg, pop, rows, p, xbar_s, sx2_s):
+    rows.fail(xbar_s == 0.0, ZERO_MEAN)
+    # grouping p * (xbar/xbar_s) keeps the power-transform reduction bit-exact
+    return p * (pop.xbar / xbar_s)
+
+
+def _tb(cfg, pop, rows, p, xbar_s, sx2_s):
+    return p + cfg.tb.h1 * (xbar_s / pop.xbar - 1.0)
+
+
+def _tc(cfg, pop, rows, p, xbar_s, sx2_s):
+    tc = cfg.tc
+    pop_t = tc.a * pop.xbar + tc.b
+    smp_t = tc.a * xbar_s + tc.b
+    rows.fail((pop_t <= 0.0) | (smp_t <= 0.0), NONPOSITIVE_TRANSFORM,
+              pop_t=pop_t, smp_t=smp_t)
+    ok = rows.ok
+    return ((tc.q1 * p + tc.q2 * (pop.xbar - xbar_s))
+            * _pow(pop_t / smp_t, tc.alpha, ok)
+            * _exp(tc.beta * (pop_t - smp_t) / (pop_t + smp_t), ok))
+
+
+def _t1(cfg, pop, rows, p, xbar_s, sx2_s):
+    mean_ratio = pop.xbar / xbar_s
+    rows.fail((xbar_s <= 0.0) | (mean_ratio <= 0.0), MEAN_RATIO, xbar_s=xbar_s)
+    rows.fail(sx2_s <= 0.0, SAMPLE_VARIANCE, sx2_s=sx2_s)
+    ok = rows.ok
+    return (p * _pow(mean_ratio, cfg.t1.alpha, ok)
+            * _pow(pop.sx2 / sx2_s, cfg.t1.beta, ok))
+
+
+def _t2(cfg, pop, rows, p, xbar_s, sx2_s):
+    u = xbar_s / pop.xbar
+    v = sx2_s / pop.sx2
+    return p + cfg.t2.h1 * (u - 1.0) + cfg.t2.h2 * (v - 1.0)
+
+
+def _t3(cfg, pop, rows, p, xbar_s, sx2_s):
+    t3 = cfg.t3
+    shifted = t3.gamma * xbar_s + (1.0 - t3.gamma) * pop.xbar
+    base = pop.xbar / shifted
+    rows.fail((shifted <= 0.0) | (base <= 0.0), SHIFTED_MEAN, shifted=shifted)
+    rows.fail(pop.sx2 + sx2_s <= 0.0, VARIANCE_SUM)
+    ok = rows.ok
+    return (t3.m1 * p * _pow(base, t3.g, ok)
+            + t3.m2 * p * _exp(t3.delta * (pop.sx2 - sx2_s) / (pop.sx2 + sx2_s), ok))
+
+
+_KERNELS = {"usual": _usual, "ta": _ta, "tb": _tb, "tc": _tc,
+            "t1": _t1, "t2": _t2, "t3": _t3}
+
+
+def _kernel(cfg: EstimatorConfig, pop: PopulationParams | None, p: np.ndarray,
+            xbar_s: np.ndarray, sx2_s: np.ndarray) -> tuple[np.ndarray, _Rows]:
+    rows = _Rows(p.size)
+    with np.errstate(all="ignore"):
+        values = _KERNELS[cfg.kind](cfg, pop, rows, p, xbar_s, sx2_s)
+    rows.fail(~np.isfinite(values), NOT_FINITE, value=values)
+    return np.where(rows.ok, values, np.nan), rows
+
+
+def evaluate_batch(cfg: EstimatorConfig, pop: PopulationParams, p: np.ndarray,
+                   xbar_s: np.ndarray, sx2_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One estimator over many samples given as equally long arrays of
+    sufficient statistics.
+
+    ``cfg`` must already be resolved (see ``resolve_config``). Returns the
+    estimates and a per-row failure code: 0 where the estimate exists,
+    otherwise a code whose ``FAILURE_CLASSES`` entry is the error the scalar
+    path raises for that sample. Failed rows hold NaN.
+    """
+    sub = getattr(cfg, cfg.kind, None)
+    if sub is not None and None in vars(sub).values():
+        raise InvalidConfig(f"the {cfg.kind} configuration has unresolved constants")
+    values, rows = _kernel(cfg, pop, np.asarray(p, dtype=np.float64),
+                           np.asarray(xbar_s, dtype=np.float64),
+                           np.asarray(sx2_s, dtype=np.float64))
+    return values, rows.codes
+
+
+def _estimate(s: SampleStats, pop: PopulationParams | None,
+              cfg: EstimatorConfig) -> Estimate:
+    """A batch of one: the estimate, or the error its failure code names."""
+    values, rows = _kernel(cfg, pop, np.array([s.p]), np.array([s.xbar_s]),
+                           np.array([s.sx2_s]))
+    code = rows.codes[0]
+    if code:
+        cls, template = _FAILURES[code]
+        detail = {key: float(np.asarray(value).reshape(-1)[0])
+                  for key, value in rows.detail.items()}
+        raise cls(template.format(**detail))
+    return Estimate(value=float(values[0]), config_used=cfg)
+
+
+def _expect_kind(cfg: EstimatorConfig, kind: Kind) -> None:
+    if cfg.kind != kind:
+        raise InvalidConfig(f"expected a {kind} configuration, got kind {cfg.kind!r}")
+
+
 def estimate_usual(s: SampleStats) -> Estimate:
     """The sample proportion itself."""
-    return Estimate(value=s.p, config_used=EstimatorConfig(kind="usual"))
+    return _estimate(s, None, EstimatorConfig(kind="usual"))
 
 
 def estimate_ratio_ta(s: SampleStats, pop: PopulationParams) -> Estimate:
     """Plain ratio estimate p * xbar / xbar_s."""
-    if s.xbar_s == 0.0:
-        raise ZeroSampleMean("sample auxiliary mean is zero")
-    # grouping p * (xbar/xbar_s) keeps the power-transform reduction bit-exact
-    return Estimate(value=s.p * (pop.xbar / s.xbar_s),
-                    config_used=EstimatorConfig(kind="ta"))
+    return _estimate(s, pop, EstimatorConfig(kind="ta"))
 
 
 def estimate_regression_tb(s: SampleStats, pop: PopulationParams,
                            cfg: EstimatorConfig | None = None) -> Estimate:
     """Minimum-MSE linear member p + h1*(xbar_s/xbar - 1)."""
     cfg = cfg or EstimatorConfig(kind="tb")
-    cfg = resolve_config(cfg, pop, 0.0)
-    value = s.p + cfg.tb.h1 * (s.xbar_s / pop.xbar - 1.0)
-    return Estimate(value=value, config_used=cfg)
+    _expect_kind(cfg, "tb")
+    return _estimate(s, pop, resolve_config(cfg, pop, 0.0))
+
+
+def _estimate_resolved(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig,
+                       kind: Kind) -> Estimate:
+    _expect_kind(cfg, kind)
+    return _estimate(s, pop, resolve_config(cfg, pop, sampling_fraction(s.n, pop.N)))
 
 
 def estimate_tc(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> Estimate:
@@ -170,38 +345,12 @@ def estimate_tc(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> 
             * ((a*xbar + b)/(a*xbar_s + b))**alpha
             * exp(beta * ((a*xbar+b) - (a*xbar_s+b)) / ((a*xbar+b) + (a*xbar_s+b)))
     """
-    if cfg.kind != "tc":
-        raise InvalidConfig(f"expected a tc configuration, got kind {cfg.kind!r}")
-    f = sampling_fraction(s.n, pop.N)
-    cfg = resolve_config(cfg, pop, f)
-    tc = cfg.tc
-    pop_t = tc.a * pop.xbar + tc.b
-    smp_t = tc.a * s.xbar_s + tc.b
-    if pop_t <= 0.0 or smp_t <= 0.0:
-        raise NonpositiveTransform(
-            f"a*mean + b must stay positive (population {pop_t}, sample {smp_t})"
-        )
-    value = (
-        (tc.q1 * s.p + tc.q2 * (pop.xbar - s.xbar_s))
-        * (pop_t / smp_t) ** tc.alpha
-        * math.exp(tc.beta * (pop_t - smp_t) / (pop_t + smp_t))
-    )
-    return Estimate(value=value, config_used=cfg)
+    return _estimate_resolved(s, pop, cfg, "tc")
 
 
 def estimate_t1(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> Estimate:
     """Power-transform estimate p * (xbar/xbar_s)**alpha * (sx2/sx2_s)**beta."""
-    if cfg.kind != "t1":
-        raise InvalidConfig(f"expected a t1 configuration, got kind {cfg.kind!r}")
-    cfg = resolve_config(cfg, pop, sampling_fraction(s.n, pop.N))
-    if s.xbar_s <= 0.0 or pop.xbar / s.xbar_s <= 0.0:
-        raise NonpositiveBase(f"mean ratio must be positive, sample mean {s.xbar_s}")
-    if s.sx2_s <= 0.0:
-        raise NonpositiveBase(f"sample auxiliary variance must be positive, got {s.sx2_s}")
-    value = (s.p
-             * (pop.xbar / s.xbar_s) ** cfg.t1.alpha
-             * (pop.sx2 / s.sx2_s) ** cfg.t1.beta)
-    return Estimate(value=value, config_used=cfg)
+    return _estimate_resolved(s, pop, cfg, "t1")
 
 
 def estimate_t2(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> Estimate:
@@ -210,13 +359,7 @@ def estimate_t2(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> 
     ``u`` and ``v`` are the sample/population ratios of the auxiliary mean and
     variance.
     """
-    if cfg.kind != "t2":
-        raise InvalidConfig(f"expected a t2 configuration, got kind {cfg.kind!r}")
-    cfg = resolve_config(cfg, pop, sampling_fraction(s.n, pop.N))
-    u = s.xbar_s / pop.xbar
-    v = s.sx2_s / pop.sx2
-    value = s.p + cfg.t2.h1 * (u - 1.0) + cfg.t2.h2 * (v - 1.0)
-    return Estimate(value=value, config_used=cfg)
+    return _estimate_resolved(s, pop, cfg, "t2")
 
 
 def estimate_t3(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> Estimate:
@@ -225,19 +368,7 @@ def estimate_t3(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> 
     value = m1 * p * (xbar / (gamma*xbar_s + (1-gamma)*xbar))**g
             + m2 * p * exp(delta * (sx2 - sx2_s) / (sx2 + sx2_s))
     """
-    if cfg.kind != "t3":
-        raise InvalidConfig(f"expected a t3 configuration, got kind {cfg.kind!r}")
-    cfg = resolve_config(cfg, pop, sampling_fraction(s.n, pop.N))
-    t3 = cfg.t3
-    shifted = t3.gamma * s.xbar_s + (1.0 - t3.gamma) * pop.xbar
-    if shifted <= 0.0 or pop.xbar / shifted <= 0.0:
-        raise NonpositiveBase(f"shifted mean must stay positive, got {shifted}")
-    if pop.sx2 + s.sx2_s <= 0.0:
-        raise NonpositiveBase("sum of auxiliary variances must be positive")
-    value = (t3.m1 * s.p * (pop.xbar / shifted) ** t3.g
-             + t3.m2 * s.p * math.exp(
-                 t3.delta * (pop.sx2 - s.sx2_s) / (pop.sx2 + s.sx2_s)))
-    return Estimate(value=value, config_used=cfg)
+    return _estimate_resolved(s, pop, cfg, "t3")
 
 
 def evaluate(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> Estimate:
@@ -248,12 +379,6 @@ def evaluate(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> Est
         return estimate_ratio_ta(s, pop)
     if cfg.kind == "tb":
         return estimate_regression_tb(s, pop, cfg)
-    if cfg.kind == "tc":
-        return estimate_tc(s, pop, cfg)
-    if cfg.kind == "t1":
-        return estimate_t1(s, pop, cfg)
-    if cfg.kind == "t2":
-        return estimate_t2(s, pop, cfg)
-    if cfg.kind == "t3":
-        return estimate_t3(s, pop, cfg)
+    if cfg.kind in ("tc", "t1", "t2", "t3"):
+        return _estimate_resolved(s, pop, cfg, cfg.kind)
     raise InvalidConfig(f"unknown estimator kind {cfg.kind!r}")

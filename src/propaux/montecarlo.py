@@ -4,11 +4,13 @@ Determinism contract
 --------------------
 Every replicate draws from its own random stream, derived only from the
 experiment seed and the replicate index (``SeedSequence(seed, spawn_key=(0, i))``
-feeding a PCG64 generator). Aggregation runs over replicates in index order
-after all replicates finish, so a report is a pure function of
-``(population, n, configs, reps, seed)`` regardless of how many workers
-computed it. Synthetic-population generation uses the disjoint spawn keys
-``(1, attempt)`` so a shared seed never aliases replicate streams.
+feeding a PCG64 generator). Replicates and subsets are evaluated in chunks of
+``CHUNK_ELEMENTS`` sample indices (at least one sample), each chunk through
+one batch sufficient-statistics pass and one kernel call per estimator, and
+aggregation runs over all of them in index order. A report is therefore a pure function
+of ``(population, n, configs, reps, seed)``, independent of the chunking.
+Synthetic-population generation uses the disjoint spawn keys ``(1, attempt)``
+so a shared seed never aliases replicate streams.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,12 +31,12 @@ from .errors import (
     InvalidDesign,
     TooLarge,
 )
-from .estimators import EstimatorConfig, evaluate, resolve_config
+from .estimators import EstimatorConfig, evaluate_batch, resolve_config
 from .population import (
     PopulationFrame,
     PopulationParams,
+    batch_stats,
     compute_population_params,
-    sample_stats,
     sampling_fraction,
 )
 
@@ -44,6 +45,9 @@ _LOGGER = logging.getLogger(__name__)
 RNG_SCHEME = "pcg64:SeedSequence(seed, spawn_key=(0, replicate))"
 
 ENUMERATION_LIMIT = 10**7
+
+#: Sample indices evaluated per chunk; bounds the working memory of a run.
+CHUNK_ELEMENTS = 65536
 
 #: Estimator set used when a caller does not pass explicit configurations.
 DEFAULT_CONFIGS: tuple[EstimatorConfig, ...] = (
@@ -239,6 +243,28 @@ def _aggregate(names: list[str], resolved: Sequence[EstimatorConfig],
     return rows
 
 
+def _evaluate(frame: PopulationFrame, n: int, pop: PopulationParams,
+              resolved: Sequence[EstimatorConfig], total: int,
+              draw: Callable[[int, int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Values and failure flags of every estimator on samples ``0..total-1``.
+
+    The samples are taken in order, in chunks of ``CHUNK_ELEMENTS`` indices
+    (at least one sample): ``draw(start, stop)`` returns the index rows of
+    samples ``start..stop-1``.
+    """
+    values = np.zeros((len(resolved), total))
+    failed = np.zeros((len(resolved), total), dtype=bool)
+    rows = max(1, CHUNK_ELEMENTS // n)
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
+        stats = batch_stats(frame, draw(start, stop))
+        for j, cfg in enumerate(resolved):
+            chunk_values, codes = evaluate_batch(cfg, pop, *stats)
+            values[j, start:stop] = chunk_values
+            failed[j, start:stop] = codes != 0
+    return values, failed
+
+
 def enumerate_exact(frame: PopulationFrame, n: int,
                     configs: Sequence[EstimatorConfig] | None = None) -> SimulationReport:
     """Exact expectation and MSE of each estimator over every n-subset.
@@ -258,15 +284,14 @@ def enumerate_exact(frame: PopulationFrame, n: int,
     f = sampling_fraction(n, frame.size)
     resolved = [resolve_config(cfg, pop, f) for cfg in configs]
 
-    values = np.zeros((len(resolved), total))
-    failed = np.zeros((len(resolved), total), dtype=bool)
-    for k, subset in enumerate(itertools.combinations(range(frame.size), n)):
-        stats = sample_stats(frame, np.array(subset, dtype=np.int64))
-        for j, cfg in enumerate(resolved):
-            try:
-                values[j, k] = evaluate(stats, pop, cfg).value
-            except DataError:
-                failed[j, k] = True
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(frame.size), n))
+
+    def draw(start: int, stop: int) -> np.ndarray:
+        size = (stop - start) * n
+        flat = np.fromiter(itertools.islice(subsets, size), dtype=np.intp, count=size)
+        return flat.reshape(stop - start, n)
+
+    values, failed = _evaluate(frame, n, pop, resolved, total, draw)
     weights = np.ones(total)
     rows = _aggregate(names, resolved, values, failed, pop, f, pop.P,
                       weights=weights, exact=True)
@@ -278,13 +303,12 @@ def enumerate_exact(frame: PopulationFrame, n: int,
 
 def run_experiment(frame: PopulationFrame, n: int,
                    configs: Sequence[EstimatorConfig] | None = None,
-                   reps: int = 1000, seed: int = 0,
-                   workers: int = 1) -> SimulationReport:
+                   reps: int = 1000, seed: int = 0) -> SimulationReport:
     """Seeded Monte Carlo over independent SRSWOR replicates.
 
-    The report is bit-identical for a given seed whatever ``workers`` is:
-    replicate ``i`` always consumes the stream derived from ``(seed, i)`` and
-    the final reduction runs in replicate order.
+    The report is bit-identical for a given seed: replicate ``i`` always
+    consumes the stream derived from ``(seed, i)`` and the final reduction
+    runs in replicate order.
     """
     if reps < 100:
         raise InvalidConfig(f"need at least 100 replicates, got {reps}")
@@ -296,29 +320,11 @@ def run_experiment(frame: PopulationFrame, n: int,
     f = sampling_fraction(n, frame.size)
     resolved = [resolve_config(cfg, pop, f) for cfg in configs]
 
-    values = np.zeros((len(resolved), reps))
-    failed = np.zeros((len(resolved), reps), dtype=bool)
+    def draw(start: int, stop: int) -> np.ndarray:
+        return np.array([draw_srswor(frame, n, replicate_rng(seed, i))
+                         for i in range(start, stop)])
 
-    def run_chunk(start: int, stop: int) -> None:
-        for i in range(start, stop):
-            rng = replicate_rng(seed, i)
-            stats = sample_stats(frame, draw_srswor(frame, n, rng))
-            for j, cfg in enumerate(resolved):
-                try:
-                    values[j, i] = evaluate(stats, pop, cfg).value
-                except DataError:
-                    failed[j, i] = True
-
-    if workers <= 1:
-        run_chunk(0, reps)
-    else:
-        chunk = -(-reps // workers)
-        bounds = [(k * chunk, min((k + 1) * chunk, reps)) for k in range(workers)]
-        bounds = [(a, b) for a, b in bounds if a < b]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(run_chunk, a, b) for a, b in bounds]:
-                future.result()
-
+    values, failed = _evaluate(frame, n, pop, resolved, reps, draw)
     rows = _aggregate(names, resolved, values, failed, pop, f, pop.P)
     return SimulationReport(
         n=n, population_size=frame.size, sampling_fraction=f, true_p=pop.P,

@@ -151,15 +151,22 @@ class SampleStats:
     sx2_s: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InvalidDesign("a sample needs at least 2 units")
-        if not 0.0 <= self.p <= 1.0:
-            raise SchemaError(f"sample proportion must lie in [0, 1], got {self.p}")
-        a = self.p * self.n
-        if abs(a - round(a)) > 1e-9:
-            raise SchemaError(f"p*n = {a} is not an integer attribute count")
-        if self.sx2_s < 0.0 or not math.isfinite(self.sx2_s):
-            raise SchemaError("sample auxiliary variance must be finite and nonnegative")
+        _check_stats(self.n, np.array([self.p]), np.array([self.sx2_s]))
+
+
+def _check_stats(n: int, p: np.ndarray, sx2_s: np.ndarray) -> None:
+    """The preconditions of ``SampleStats``, over every row of a batch."""
+    if n < 2:
+        raise InvalidDesign("a sample needs at least 2 units")
+    bad = ~((0.0 <= p) & (p <= 1.0))
+    if bad.any():
+        raise SchemaError(f"sample proportion must lie in [0, 1], got {float(p[bad][0])}")
+    a = p * n
+    bad = np.abs(a - np.round(a)) > 1e-9
+    if bad.any():
+        raise SchemaError(f"p*n = {float(a[bad][0])} is not an integer attribute count")
+    if not np.all(np.isfinite(sx2_s) & (sx2_s >= 0.0)):
+        raise SchemaError("sample auxiliary variance must be finite and nonnegative")
 
 
 def central_moment(frame: PopulationFrame, r: int, s: int) -> float:
@@ -229,26 +236,48 @@ def sampling_fraction(n: int, N: int) -> float:
     return 1.0 / n - 1.0 / N
 
 
-def sample_stats(frame: PopulationFrame, indices: Sequence[int]) -> SampleStats:
-    """Sufficient statistics of the sample addressed by ``indices``.
+def batch_stats(frame: PopulationFrame,
+                indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sufficient statistics ``(p, xbar_s, sx2_s)`` of every row of an R×n
+    index matrix, one sample per row.
 
-    Indices must be distinct and in range; order is irrelevant.
+    Indices must be integer-valued, distinct within a row and in range; order
+    within a row is irrelevant. Every row must satisfy the ``SampleStats``
+    preconditions.
     """
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1 or idx.size < 2:
+    idx = np.asarray(indices)
+    if idx.ndim != 2 or idx.shape[1] < 2:
         raise InvalidDesign("a sample needs at least 2 distinct indices")
-    if idx.size != np.unique(idx).size:
+    if idx.dtype.kind == "f":
+        if not np.all(np.isfinite(idx) & (idx == np.floor(idx))):
+            raise SchemaError("sample indices must be integers")
+    elif idx.dtype.kind not in "iu":
+        raise SchemaError(f"sample indices must be integers, got dtype {idx.dtype}")
+    if (np.diff(np.sort(idx, axis=1), axis=1) == 0).any():
         raise DuplicateIndex("sample indices must be distinct")
-    if idx.min() < 0 or idx.max() >= frame.size:
+    if idx.size and (idx.min() < 0 or idx.max() >= frame.size):
         raise IndexOutOfRange(
             f"indices must lie in [0, {frame.size - 1}], got range "
             f"[{idx.min()}, {idx.max()}]"
         )
-    n = int(idx.size)
+    idx = idx.astype(np.intp, copy=False)
+    n = idx.shape[1]
     xs = frame.x[idx]
-    return SampleStats(
-        n=n,
-        p=float(frame.phi[idx].mean()),
-        xbar_s=float(xs.mean()),
-        sx2_s=float(xs.var(ddof=1)),
-    )
+    p = frame.phi[idx].mean(axis=1)
+    sx2_s = xs.var(axis=1, ddof=1)
+    _check_stats(n, p, sx2_s)
+    return p, xs.mean(axis=1), sx2_s
+
+
+def sample_stats(frame: PopulationFrame, indices: Sequence[int]) -> SampleStats:
+    """Sufficient statistics of the sample addressed by ``indices``.
+
+    Indices must be integer-valued, distinct and in range; order is
+    irrelevant.
+    """
+    idx = np.asarray(indices)
+    if idx.ndim != 1:
+        raise InvalidDesign("a sample needs at least 2 distinct indices")
+    p, xbar_s, sx2_s = batch_stats(frame, idx[np.newaxis, :])
+    return SampleStats(n=int(idx.size), p=float(p[0]), xbar_s=float(xbar_s[0]),
+                       sx2_s=float(sx2_s[0]))

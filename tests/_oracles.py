@@ -3,11 +3,15 @@
 Everything here recomputes expected values through a route separate from the
 package: exact rational arithmetic for the closed forms, plain Python loops
 for moments, finite differences for stationarity, and grid search for optima.
+The one exception is ``loop_report``, which reproduces the batched oracles of
+``propaux.montecarlo`` through the package's scalar path, one sample at a time.
 """
 
 from fractions import Fraction as F
 import itertools
 import math
+
+import numpy as np
 
 # Reference summary statistics used throughout the suite (survey of 40 units,
 # samples of 11, home-ownership attribute against income in thousands).
@@ -152,3 +156,40 @@ def grid_min(fn, center, rel_span=0.5, steps=101):
 
 def binomial_se(count, total, p):
     return math.sqrt(total * p * (1.0 - p))
+
+
+def loop_report(frame, n, configs=None, reps=None, seed=None):
+    """``enumerate_exact`` (``reps`` None) or ``run_experiment`` by the scalar
+    path: ``sample_stats`` and ``evaluate`` on one subset or replicate at a
+    time."""
+    from propaux import (compute_population_params, draw_srswor, evaluate,
+                         replicate_rng, resolve_config, sample_stats, sampling_fraction)
+    from propaux.errors import DataError
+    from propaux.montecarlo import (DEFAULT_CONFIGS, RNG_SCHEME, SimulationReport,
+                                    _aggregate)
+
+    configs = tuple(configs) if configs is not None else DEFAULT_CONFIGS
+    pop = compute_population_params(frame)
+    f = sampling_fraction(n, frame.size)
+    resolved = [resolve_config(cfg, pop, f) for cfg in configs]
+    exact = reps is None
+    if exact:
+        samples = list(itertools.combinations(range(frame.size), n))
+    else:
+        samples = [draw_srswor(frame, n, replicate_rng(seed, i)) for i in range(reps)]
+    values = np.zeros((len(resolved), len(samples)))
+    failed = np.zeros((len(resolved), len(samples)), dtype=bool)
+    for k, subset in enumerate(samples):
+        stats = sample_stats(frame, np.array(subset, dtype=np.int64))
+        for j, cfg in enumerate(resolved):
+            try:
+                values[j, k] = evaluate(stats, pop, cfg).value
+            except DataError:
+                failed[j, k] = True
+    rows = _aggregate([cfg.name for cfg in configs], resolved, values, failed, pop, f,
+                      pop.P, weights=np.ones(len(samples)), exact=exact)
+    return SimulationReport(
+        n=n, population_size=frame.size, sampling_fraction=f, true_p=pop.P,
+        replicates=len(samples), exact=exact, seed=None if exact else seed,
+        rng=None if exact else RNG_SCHEME, rows=tuple(rows),
+    )

@@ -18,6 +18,7 @@ from propaux import (
     PopulationFrame,
     compute_population_params,
     enumerate_exact,
+    montecarlo,
     run_experiment,
     theory,
 )
@@ -180,7 +181,7 @@ class TestCriterion4Stationarity:
 
 
 class TestCriterion5Properties:
-    def test_property_suite(self):
+    def test_property_suite(self, monkeypatch):
         with criterion("5 property suite"):
             rng = np.random.default_rng(5)
             for _ in range(1000):
@@ -201,10 +202,12 @@ class TestCriterion5Properties:
                 first = theory.comparison_conditions(pop, f)[0]
                 assert first.holds is True
 
-            # determinism: worker count cannot change a seeded report
+            # determinism: chunking cannot change a seeded report
             frame = random_frame(np.random.default_rng(99), size=300)
-            serial = run_experiment(frame, 30, reps=600, seed=123, workers=1)
-            threaded = run_experiment(frame, 30, reps=600, seed=123, workers=4)
-            assert serial == threaded
-            repeat = run_experiment(frame, 30, reps=600, seed=123, workers=2)
+            serial = run_experiment(frame, 30, reps=600, seed=123)
+            for rows in (1, 7, 600):
+                monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", rows * 30)
+                assert run_experiment(frame, 30, reps=600, seed=123) == serial
+            monkeypatch.undo()
+            repeat = run_experiment(frame, 30, reps=600, seed=123)
             assert repeat == serial

@@ -153,13 +153,18 @@ class TestSimulateCommand:
     def test_report_structure(self, pop_csv, tmp_path):
         out = tmp_path / "r.json"
         assert main(["simulate", "--input", str(pop_csv), "--n", "6",
-                     "--reps", "200", "--seed", "1", "--workers", "2",
+                     "--reps", "200", "--seed", "1",
                      "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         sim = doc["simulation"]
         assert sim["replicates"] == 200
         assert {row["name"] for row in sim["rows"]} == {
             "p", "ta", "tb", "tc", "t1", "t2", "t3"}
+
+    def test_workers_flag_is_rejected(self, pop_csv, tmp_path):
+        assert main(["simulate", "--input", str(pop_csv), "--n", "6",
+                     "--reps", "200", "--seed", "1", "--workers", "2",
+                     "--output", str(tmp_path / "r.json")]) == 1
 
 
 class TestGenerateCommand:

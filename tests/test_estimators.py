@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from propaux import (
+    FAILURE_CLASSES,
     EstimatorConfig,
     PopulationFrame,
     SampleStats,
@@ -13,18 +16,22 @@ from propaux import (
     estimate_t3,
     estimate_tc,
     estimate_usual,
+    batch_stats,
     evaluate,
+    evaluate_batch,
     resolve_config,
     sample_stats,
     sampling_fraction,
     theory,
 )
-from propaux.config import T1Config, T2Config, T3Config, TcConfig
+from propaux.config import T1Config, T2Config, T3Config, TbConfig, TcConfig
 from propaux.errors import (
+    DataError,
     InvalidConfig,
     NonpositiveBase,
     NonpositiveTransform,
     ZeroSampleMean,
+    ToolkitError,
 )
 
 
@@ -223,6 +230,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             estimate_tc(stats, pop, cfg)
 
+    def test_batch_needs_resolved_constants(self, pop):
+        with pytest.raises(InvalidConfig):
+            evaluate_batch(EstimatorConfig(kind="t1"), pop, [0.5], [pop.xbar], [pop.sx2])
+
     def test_resolution_is_idempotent(self, pop):
         f = sampling_fraction(10, pop.N)
         for kind in ("usual", "ta", "tb", "tc", "t1", "t2", "t3"):
@@ -259,3 +270,94 @@ class TestCensusInertness:
         assert estimate_t2(stats, params, EstimatorConfig(kind="t2")).value == p
         cfg3 = EstimatorConfig(kind="t3", t3=T3Config(g=0.0, delta=0.0, m1=0.5, m2=0.5))
         assert estimate_t3(stats, params, cfg3).value == p
+
+
+_CONSTANT = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+_SUBCONFIGS = {"tb": (TbConfig, ("h1",)),
+               "tc": (TcConfig, ("a", "b", "alpha", "beta", "q1", "q2")),
+               "t1": (T1Config, ("alpha", "beta")),
+               "t2": (T2Config, ("h1", "h2")),
+               "t3": (T3Config, ("gamma", "g", "delta", "m1", "m2"))}
+
+
+@st.composite
+def configs(draw):
+    """Every estimator kind, with default (optimal) or explicit constants."""
+    kind = draw(st.sampled_from(("usual", "ta", "tb", "tc", "t1", "t2", "t3")))
+    if kind not in _SUBCONFIGS or draw(st.booleans()):
+        return EstimatorConfig(kind=kind)
+    cls, names = _SUBCONFIGS[kind]
+    return EstimatorConfig(kind=kind, **{kind: cls(**{name: draw(_CONSTANT)
+                                                      for name in names})})
+
+
+def assert_rows_match_evaluate(samples, pop, cfg, resolved):
+    """Each batch row is bit-equal to ``evaluate``, or fails with its class.
+
+    A power or exponential that overflows raises ``OverflowError`` on either
+    path, for the whole batch.
+    """
+    p, xbar_s, sx2_s = (np.array([getattr(s, name) for s in samples])
+                        for name in ("p", "xbar_s", "sx2_s"))
+    try:
+        values, codes = evaluate_batch(resolved, pop, p, xbar_s, sx2_s)
+    except OverflowError:
+        overflows = 0
+        for sample in samples:
+            try:
+                evaluate(sample, pop, cfg)
+            except OverflowError:
+                overflows += 1
+            except DataError:
+                pass
+        assert overflows
+        return
+    for sample, code, value in zip(samples, codes, values):
+        if code == 0:
+            assert value == evaluate(sample, pop, cfg).value
+        else:
+            with pytest.raises(DataError) as caught:
+                evaluate(sample, pop, cfg)
+            assert type(caught.value) is FAILURE_CLASSES[code]
+            assert np.isnan(value)
+
+
+class TestBatchMatchesScalar:
+    @given(x=st.lists(st.integers(-16, 48).map(lambda v: v / 4.0),
+                      min_size=6, max_size=30),
+           seed=st.integers(0, 2**32 - 1), cfg=configs())
+    @settings(max_examples=300, deadline=None)
+    def test_sampled_rows(self, x, seed, cfg):
+        # a mixed-sign auxiliary on quarter steps, which sum exactly, gives
+        # samples whose mean is zero or negative
+        rng = np.random.default_rng(seed)
+        phi = (rng.uniform(size=len(x)) < 0.5).astype(np.int64)
+        try:
+            frame = PopulationFrame(phi, np.array(x))
+            pop = compute_population_params(frame)
+            n = int(rng.integers(2, len(x) + 1))
+            resolved = resolve_config(cfg, pop, sampling_fraction(n, pop.N))
+        except ToolkitError:
+            assume(False)
+        indices = np.array([rng.choice(len(x), size=n, replace=False) for _ in range(20)])
+        samples = [sample_stats(frame, row) for row in indices]
+        assert np.array_equal(np.array([[s.p, s.xbar_s, s.sx2_s] for s in samples]).T,
+                              np.array(batch_stats(frame, indices)))
+        assert_rows_match_evaluate(samples, pop, cfg, resolved)
+
+    @given(means=st.lists(st.sampled_from((0.0, -1.0, 5e-324, -5e-324, 1e-300, 3.0))
+                          | st.floats(-20.0, 20.0), min_size=1, max_size=12),
+           variances=st.lists(st.sampled_from((0.0, 5e-324)) | st.floats(0.0, 50.0),
+                              min_size=12, max_size=12),
+           cfg=configs())
+    @settings(max_examples=300, deadline=None)
+    def test_edge_statistics(self, pop, means, variances, cfg):
+        # exact zeros, nonpositive and sub-normal means reach every failure class
+        n = 8
+        try:
+            resolved = resolve_config(cfg, pop, sampling_fraction(n, pop.N))
+        except ToolkitError:
+            assume(False)
+        samples = [SampleStats(n=n, p=k % (n + 1) / n, xbar_s=m, sx2_s=v)
+                   for k, (m, v) in enumerate(zip(means, variances))]
+        assert_rows_match_evaluate(samples, pop, cfg, resolved)

@@ -12,12 +12,13 @@ from propaux import (
     draw_srswor,
     enumerate_exact,
     generate_population,
+    montecarlo,
     replicate_rng,
     run_experiment,
 )
 from propaux.errors import DegenerateGeneration, InvalidConfig, InvalidDesign, TooLarge
 
-from _oracles import binomial_se
+from _oracles import binomial_se, loop_report
 
 
 TINY = PopulationFrame(np.array([1, 0, 0, 1, 0, 1]),
@@ -128,6 +129,35 @@ class TestEnumeration:
         assert report.row("ta").replicates == 28 - zero_mean
 
 
+class TestLoopEquivalence:
+    """The batched oracles equal the one-sample-at-a-time scalar loop exactly."""
+
+    FRAMES = (
+        TINY,
+        PopulationFrame(np.array([1, 0, 1, 0, 1, 0, 1, 0]),
+                        np.array([-5.0, -4.0, -3.0, 3.0, 4.0, 5.0, 6.0, 7.0])),
+        generate_population(SyntheticSpec(size=16, link_intercept=-3.0,
+                                          link_slope=3.0), seed=8),
+    )
+
+    @pytest.mark.parametrize("index", range(len(FRAMES)))
+    def test_enumeration_matches_loop(self, index):
+        frame = self.FRAMES[index]
+        assert enumerate_exact(frame, 4) == loop_report(frame, 4)
+
+    @pytest.mark.parametrize("index", range(len(FRAMES)))
+    def test_monte_carlo_matches_loop(self, index):
+        frame = self.FRAMES[index]
+        for seed in (0, 17):
+            assert (run_experiment(frame, 4, reps=300, seed=seed)
+                    == loop_report(frame, 4, reps=300, seed=seed))
+
+    def test_mean_near_zero_fails_some_subsets(self):
+        report = enumerate_exact(self.FRAMES[1], 4)
+        for name in ("tc", "t1", "t3"):
+            assert 0 < report.row(name).failures < report.replicates, name
+
+
 class TestRunExperiment:
     def test_census_replicates_are_constant(self):
         report = run_experiment(TINY, 6, reps=150, seed=4)
@@ -147,12 +177,16 @@ class TestRunExperiment:
         b = run_experiment(frame, 12, reps=300, seed=99)
         assert a == b
 
-    def test_worker_count_does_not_change_the_report(self, rng):
+    def test_chunk_size_does_not_change_the_report(self, rng, monkeypatch):
         from conftest import random_frame
         frame = random_frame(rng, size=80)
-        serial = run_experiment(frame, 12, reps=400, seed=5, workers=1)
-        threaded = run_experiment(frame, 12, reps=400, seed=5, workers=4)
-        assert serial == threaded
+        reports = []
+        for rows in (1, 7, 400):  # 400 rows hold every replicate and subset
+            monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", rows * 12)
+            mc = run_experiment(frame, 12, reps=400, seed=5)
+            monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", rows * 3)
+            reports.append((mc, enumerate_exact(TINY, 3)))
+        assert reports[0] == reports[1] == reports[2]
 
     def test_report_carries_rng_provenance(self):
         report = run_experiment(TINY, 3, reps=120, seed=8)

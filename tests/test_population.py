@@ -187,6 +187,13 @@ class TestSampleStats:
         with pytest.raises(InvalidDesign):
             sample_stats(self.FRAME, [2])
 
+    def test_non_integer_indices(self):
+        with pytest.raises(SchemaError):
+            sample_stats(self.FRAME, [0.9, 1.2, 2.7])
+        with pytest.raises(SchemaError):
+            sample_stats(self.FRAME, [True, False])
+        assert sample_stats(self.FRAME, [0.0, 1.0]) == sample_stats(self.FRAME, [0, 1])
+
     def test_non_integer_count_rejected(self):
         with pytest.raises(SchemaError):
             SampleStats(n=4, p=0.3, xbar_s=1.0, sx2_s=1.0)
