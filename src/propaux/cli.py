@@ -36,6 +36,10 @@ def _table_config(args) -> TableConfig:
         kwargs["tc"] = _parse_config(TcConfig, args.tc)
     if getattr(args, "t3", None):
         t3 = _parse_config(T3Config, args.t3)
+        fixed = [name for name in ("g", "delta", "m1", "m2")
+                 if getattr(t3, name) != getattr(T3Config(), name)]
+        if fixed:
+            raise CliUsageError(f"--t3 sets only gamma here; the table fixes {', '.join(fixed)}")
         kwargs["t3_gamma"] = t3.gamma
     return TableConfig(**kwargs)
 

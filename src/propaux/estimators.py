@@ -35,7 +35,7 @@ from .population import PopulationParams, SampleStats, sampling_fraction
 
 Kind = str
 _KINDS = ("usual", "ta", "tb", "tc", "t1", "t2", "t3")
-_SUBCONFIG = {"tb": "tb", "tc": "tc", "t1": "t1", "t2": "t2", "t3": "t3"}
+_SUBCONFIGS = {"tb": TbConfig, "tc": TcConfig, "t1": T1Config, "t2": T2Config, "t3": T3Config}
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,11 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidConfig(f"unknown estimator kind {self.kind!r}")
-        own = _SUBCONFIG.get(self.kind)
-        for slot in ("tb", "tc", "t1", "t2", "t3"):
+        for slot, default in _SUBCONFIGS.items():
             value = getattr(self, slot)
-            if slot == own:
+            if slot == self.kind:
                 if value is None:
-                    default = {"tb": TbConfig, "tc": TcConfig, "t1": T1Config,
-                               "t2": T2Config, "t3": T3Config}[slot]()
-                    object.__setattr__(self, slot, default)
+                    object.__setattr__(self, slot, default())
             elif value is not None:
                 raise InvalidConfig(
                     f"estimator kind {self.kind!r} does not take a {slot!r} configuration"
@@ -74,6 +71,11 @@ class EstimatorConfig:
     @property
     def name(self) -> str:
         return self.label or self.kind
+
+    @property
+    def subconfig(self) -> TbConfig | TcConfig | T1Config | T2Config | T3Config | None:
+        """The sub-configuration of ``kind``; None for ``usual`` and ``ta``."""
+        return getattr(self, self.kind, None)
 
 
 @dataclass(frozen=True)
@@ -109,45 +111,9 @@ def resolve_config(cfg: EstimatorConfig, pop: PopulationParams, f: float) -> Est
                 m1=cfg.t3.m1 if cfg.t3.m1 is not None else 0.5,
                 m2=cfg.t3.m2 if cfg.t3.m2 is not None else 0.5,
             ))
-    if cfg.kind == "tb":
-        if cfg.tb.h1 is None:
-            return replace(cfg, tb=replace(cfg.tb, h1=theory.tb_optimal_h1(pop)))
-    elif cfg.kind == "tc":
-        if cfg.tc.q1 is None or cfg.tc.q2 is None:
-            constants = theory.tc_constants(pop, f, cfg.tc.a, cfg.tc.b,
-                                            cfg.tc.alpha, cfg.tc.beta)
-            q1, q2 = theory.tc_optimal_q(constants)
-            return replace(cfg, tc=replace(
-                cfg.tc,
-                q1=cfg.tc.q1 if cfg.tc.q1 is not None else q1,
-                q2=cfg.tc.q2 if cfg.tc.q2 is not None else q2,
-            ))
-    elif cfg.kind == "t1":
-        if cfg.t1.alpha is None or cfg.t1.beta is None:
-            alpha, beta = theory.t1_optimal(pop)
-            return replace(cfg, t1=replace(
-                cfg.t1,
-                alpha=cfg.t1.alpha if cfg.t1.alpha is not None else alpha,
-                beta=cfg.t1.beta if cfg.t1.beta is not None else beta,
-            ))
-    elif cfg.kind == "t2":
-        if cfg.t2.h1 is None or cfg.t2.h2 is None:
-            h1, h2 = theory.t2_optimal(pop)
-            return replace(cfg, t2=replace(
-                cfg.t2,
-                h1=cfg.t2.h1 if cfg.t2.h1 is not None else h1,
-                h2=cfg.t2.h2 if cfg.t2.h2 is not None else h2,
-            ))
-    elif cfg.kind == "t3":
-        if cfg.t3.m1 is None or cfg.t3.m2 is None:
-            constants = theory.t3_constants(pop, f, cfg.t3.gamma, cfg.t3.g, cfg.t3.delta)
-            m1, m2 = theory.t3_optimal_m(constants)
-            return replace(cfg, t3=replace(
-                cfg.t3,
-                m1=cfg.t3.m1 if cfg.t3.m1 is not None else m1,
-                m2=cfg.t3.m2 if cfg.t3.m2 is not None else m2,
-            ))
-    return cfg
+    sub = cfg.subconfig
+    resolved = theory.FAMILIES[cfg.kind].resolve(sub, pop, f)
+    return cfg if resolved is sub else replace(cfg, **{cfg.kind: resolved})
 
 
 # Failure codes of ``evaluate_batch``: 0 is success, and every other code
@@ -286,7 +252,7 @@ def evaluate_batch(cfg: EstimatorConfig, pop: PopulationParams, p: np.ndarray,
     otherwise a code whose ``FAILURE_CLASSES`` entry is the error the scalar
     path raises for that sample. Failed rows hold NaN.
     """
-    sub = getattr(cfg, cfg.kind, None)
+    sub = cfg.subconfig
     if sub is not None and None in vars(sub).values():
         raise InvalidConfig(f"the {cfg.kind} configuration has unresolved constants")
     values, rows = _kernel(cfg, pop, np.asarray(p, dtype=np.float64),

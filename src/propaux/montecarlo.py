@@ -178,27 +178,6 @@ class SimulationReport:
         raise KeyError(name)
 
 
-def _theory_mse(cfg: EstimatorConfig, pop: PopulationParams, f: float) -> float:
-    """First-order MSE at exactly the constants the simulation uses."""
-    if cfg.kind == "usual":
-        return theory.var_usual(pop, f)
-    if cfg.kind == "ta":
-        return theory.mse_ta(pop, f)
-    if cfg.kind == "tb":
-        return theory.t2_mse(pop, f, cfg.tb.h1, 0.0)
-    if cfg.kind == "tc":
-        constants = theory.tc_constants(pop, f, cfg.tc.a, cfg.tc.b, cfg.tc.alpha, cfg.tc.beta)
-        return theory.tc_mse(constants, pop, cfg.tc.q1, cfg.tc.q2)
-    if cfg.kind == "t1":
-        return theory.t1_mse(pop, f, cfg.t1.alpha, cfg.t1.beta)
-    if cfg.kind == "t2":
-        return theory.t2_mse(pop, f, cfg.t2.h1, cfg.t2.h2)
-    if cfg.kind == "t3":
-        constants = theory.t3_constants(pop, f, cfg.t3.gamma, cfg.t3.g, cfg.t3.delta)
-        return theory.t3_mse(constants, pop, cfg.t3.m1, cfg.t3.m2)
-    raise InvalidConfig(f"unknown estimator kind {cfg.kind!r}")
-
-
 def _unique_names(configs: Sequence[EstimatorConfig]) -> list[str]:
     names = [cfg.name for cfg in configs]
     if len(set(names)) != len(names):
@@ -228,7 +207,7 @@ def _aggregate(names: list[str], resolved: Sequence[EstimatorConfig],
             mean = float(v.mean())
             mse = float(np.mean(err**2))
             se = float(np.std(err**2, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-        tmse = _theory_mse(cfg, pop, f)
+        tmse = theory.FAMILIES[cfg.kind].mse(cfg.subconfig, pop, f)
         rows.append(EstimatorRun(
             name=name,
             replicates=count,

@@ -22,6 +22,7 @@ All values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -190,7 +191,8 @@ def compute_population_params(frame: PopulationFrame) -> PopulationParams:
     DegenerateAttribute
         If every unit has (or lacks) the attribute.
     DegenerateAuxiliary
-        If the auxiliary variable is constant.
+        If the auxiliary variable is constant, or so nearly constant that its
+        standardized moments underflow.
     ZeroMean
         If the auxiliary mean is zero.
     """
@@ -201,8 +203,10 @@ def compute_population_params(frame: PopulationFrame) -> PopulationParams:
     P = A / N
     xbar = float(frame.x.mean())
     mu02 = central_moment(frame, 0, 2)
-    if mu02 == 0.0:
-        raise DegenerateAuxiliary("auxiliary variable is constant")
+    # the kurtosis divides by mu02^2, which underflows for a sub-normal spread
+    if mu02**2 < sys.float_info.min:
+        raise DegenerateAuxiliary("auxiliary variable is constant or too nearly constant "
+                                  f"to standardize (variance {mu02})")
     if xbar == 0.0:
         raise ZeroMean("auxiliary mean is zero")
     mu20 = central_moment(frame, 2, 0)

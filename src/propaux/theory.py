@@ -1,16 +1,23 @@
 """First-order bias/MSE theory, optimal constants, efficiency, and conditioning.
 
 Every expression here is a first-order Taylor approximation in the relative
-deviations of (p, xbar_s, sx2_s) around their population values, with second
-moments
+deviations of (p, xbar_s, sx2_s) around their population values (the delta
+method; Cochran, *Sampling Techniques*, 1977, ch. 6-7). Their second moments
+form one 3x3 matrix, Sigma = f*C with ``f = 1/n - 1/N`` and
 
-    E[((p-P)/P)^2]            = f*cp^2
-    E[((xbar_s-X)/X)^2]       = f*cx^2
-    E[((sx2_s-S)/S)^2]        = f*(lambda04 - 1)
-    E[cross terms]            = f*rho_pb*cp*cx, f*cp*lambda12, f*cx*lambda03
+        | cp^2            rho_pb*cp*cx    cp*lambda12  |
+    C = | rho_pb*cp*cx    cx^2            cx*lambda03  |
+        | cp*lambda12     cx*lambda03     lambda04 - 1 |
 
-where ``f = 1/n - 1/N``. A negative computed MSE is always reported as an
-error, never as a value.
+C is the single source of every moment below. The MSEs of ``ta``, ``tb``,
+``t1`` and ``t2`` are quadratic forms in it; the optima of ``tb``, ``t1`` and
+``t2`` regress the proportion channel on its auxiliary block, and the shared
+``t1``/``t2`` minimum is the Schur complement of that block. The ``tc`` and
+``t3`` expansion constants read their moments from C and share one
+two-weight solver. ``FAMILIES`` is the one place that says which formula
+belongs to which estimator kind.
+
+A negative computed MSE is always reported as an error, never as a value.
 """
 
 from __future__ import annotations
@@ -18,12 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
-from .config import T3Config, TableConfig
+from .config import T1Config, T2Config, T3Config, TableConfig, TbConfig
 from .errors import (
     DataError,
-    DegenerateAuxiliary,
     DegenerateMoments,
     InvalidConfig,
     NegativeMse,
@@ -47,6 +54,36 @@ def _check_mse(value: float, scale: float, what: str) -> float:
     return max(value, 0.0)
 
 
+# --- the moment matrix ----------------------------------------------------------
+
+
+def _moments(pop: PopulationParams) -> tuple[float, float, float, float, float, float]:
+    """The upper triangle ``(c00, c01, c02, c11, c12, c22)`` of C = Sigma/f."""
+    cp, cx = pop.cp, pop.cx
+    return (cp**2, pop.rho_pb * cp * cx, cp * pop.lambda12,
+            cx**2, cx * pop.lambda03, pop.lambda04 - 1.0)
+
+
+def _form(c: tuple[float, ...], w0: float, w1: float, w2: float) -> float:
+    """The quadratic form w'Cw at w = (w0, w1, w2)."""
+    c00, c01, c02, c11, c12, c22 = c
+    return (w0 * w0 * c00 + w1 * w1 * c11 + w2 * w2 * c22
+            + 2.0 * (w0 * w1 * c01 + w0 * w2 * c02 + w1 * w2 * c12))
+
+
+def _regression(pop: PopulationParams) -> tuple[float, float, tuple[float, ...]]:
+    """Coefficients ``(alpha, beta)`` of the proportion channel regressed on the
+    auxiliary block of C, and C itself."""
+    c = _moments(pop)
+    _, c01, c02, c11, c12, c22 = c
+    det = c11 * c22 - c12**2
+    if det <= 0.0:
+        raise DegenerateMoments(
+            f"(lambda04 - 1) - lambda03^2 must be positive, got {det / c11}"
+        )
+    return (c22 * c01 - c12 * c02) / det, (c11 * c02 - c12 * c01) / det, c
+
+
 # --- usual estimator ------------------------------------------------------------
 
 
@@ -60,12 +97,13 @@ def var_usual(pop: PopulationParams, f: float) -> float:
 
 def bias_ta(pop: PopulationParams, f: float) -> float:
     """First-order bias of the plain ratio estimate, f*P*(cx^2 - rho_pb*cp*cx)."""
-    return f * pop.P * (pop.cx**2 - pop.rho_pb * pop.cp * pop.cx)
+    c = _moments(pop)
+    return f * pop.P * (c[3] - c[1])
 
 
 def mse_ta(pop: PopulationParams, f: float) -> float:
-    """First-order MSE of the plain ratio estimate, f*P^2*(cp^2+cx^2-2*rho*cp*cx)."""
-    value = f * pop.P**2 * (pop.cp**2 + pop.cx**2 - 2.0 * pop.rho_pb * pop.cp * pop.cx)
+    """First-order MSE of the plain ratio estimate, f*P^2*w'Cw at w = (1, -1, 0)."""
+    value = f * pop.P**2 * _form(_moments(pop), 1.0, -1.0, 0.0)
     return _check_mse(value, var_usual(pop, f), "ratio-estimator MSE")
 
 
@@ -74,16 +112,14 @@ def mse_ta(pop: PopulationParams, f: float) -> float:
 
 def tb_optimal_h1(pop: PopulationParams) -> float:
     """Optimal slope of the linear regression-type member, -P*rho_pb*cp/cx."""
-    if pop.cx == 0.0:
-        raise DegenerateAuxiliary("cx must be nonzero to regress on the auxiliary mean")
-    return -pop.P * pop.rho_pb * pop.cp / pop.cx
+    c = _moments(pop)
+    return -pop.P * c[1] / c[3]
 
 
 def min_mse_tb(pop: PopulationParams, f: float) -> float:
     """Class minimum MSE over mean-only transforms, f*P^2*cp^2*(1 - rho_pb^2)."""
-    if pop.cx == 0.0:
-        raise DegenerateAuxiliary("cx must be nonzero to regress on the auxiliary mean")
-    value = f * pop.P**2 * pop.cp**2 * (1.0 - pop.rho_pb**2)
+    c = _moments(pop)
+    value = f * pop.P**2 * (c[0] - c[1] / c[3] * c[1])
     return _check_mse(value, var_usual(pop, f), "regression-class minimum MSE")
 
 
@@ -96,6 +132,38 @@ def class_bias_tb(pop: PopulationParams, f: float, h2: float, h3: float, h4: flo
     return f * (pop.P * pop.rho_pb * pop.cp * pop.cx * h3
                 + pop.cx**2 * h2
                 + pop.P**2 * pop.cp**2 * h4)
+
+
+# --- the two-weight solver of the tc and t3 families ------------------------------
+#
+# Both families have an MSE whose weight-dependent part is w'Aw - 2*b'w for a
+# weight pair w, with A = [[a11, a12], [a12, a22]] and b = (b1, b2); ``pair``
+# names the weights in error messages.
+
+
+def _det(a11: float, a12: float, a22: float, pair: str) -> float:
+    det = a11 * a22 - a12**2
+    if abs(det) <= _SINGULAR_RTOL * max(abs(a11 * a22), a12**2, 1e-300):
+        raise SingularSystem(f"the {pair} optimality system is singular "
+                             "(the two channels are indistinguishable)")
+    return det
+
+
+def _stationary(a11: float, a12: float, a22: float, b1: float, b2: float,
+                pair: str) -> tuple[float, float]:
+    """The weight pair A^-1 b where the gradient vanishes."""
+    det = _det(a11, a12, a22, pair)
+    return (b1 * a22 - a12 * b2) / det, (a11 * b2 - b1 * a12) / det
+
+
+def _reduction(a11: float, a12: float, a22: float, b1: float, b2: float,
+               pair: str) -> float:
+    """b'A^-1 b, what the optimal weights take off the MSE; only a positive
+    definite A has a minimum."""
+    det = _det(a11, a12, a22, pair)
+    if det < 0.0:
+        raise SingularSystem(f"the {pair} quadratic form is indefinite")
+    return (b1**2 * a22 - 2.0 * b1 * a12 * b2 + a11 * b2**2) / det
 
 
 # --- weighted transform family (q1, q2) -----------------------------------------
@@ -126,6 +194,9 @@ class TcConstants:
     delta4: float
     delta5: float
 
+    def _system(self) -> tuple[float, float, float, float, float, str]:
+        return self.delta1, self.delta2, self.delta3, self.delta4, self.delta5, "(q1, q2)"
+
 
 def tc_constants(pop: PopulationParams, f: float, a: float, b: float,
                  alpha: float, beta: float) -> TcConstants:
@@ -138,8 +209,7 @@ def tc_constants(pop: PopulationParams, f: float, a: float, b: float,
     ac = theta**2 * (alpha * (alpha + 1.0) / 2.0 + alpha * beta / 2.0
                      + beta**2 / 8.0 + beta / 4.0)
     P, X = pop.P, pop.xbar
-    cp2, cx2 = pop.cp**2, pop.cx**2
-    rcx = pop.rho_pb * pop.cp * pop.cx
+    cp2, rcx, _, cx2, _, _ = _moments(pop)
     m1 = P**2 * f * (cp2 + bc**2 * cx2 - 2.0 * bc * rcx)
     m2 = X**2 * f * cx2
     m3 = P**2 * f * (ac * cx2 - 2.0 * bc * rcx)
@@ -156,14 +226,6 @@ def tc_constants(pop: PopulationParams, f: float, a: float, b: float,
     )
 
 
-def _tc_det(tc: TcConstants) -> float:
-    det = tc.delta1 * tc.delta3 - tc.delta2**2
-    scale = max(abs(tc.delta1 * tc.delta3), tc.delta2**2)
-    if abs(det) <= _SINGULAR_RTOL * max(scale, 1e-300):
-        raise SingularSystem("the (q1, q2) optimality system is singular")
-    return det
-
-
 def tc_mse(tc: TcConstants, pop: PopulationParams, q1: float, q2: float) -> float:
     """MSE quadratic form of the family at an arbitrary weight pair."""
     return (pop.P**2
@@ -173,17 +235,12 @@ def tc_mse(tc: TcConstants, pop: PopulationParams, q1: float, q2: float) -> floa
 
 def tc_optimal_q(tc: TcConstants) -> tuple[float, float]:
     """Stationary weight pair of the MSE quadratic form."""
-    det = _tc_det(tc)
-    q1 = (tc.delta3 * tc.delta4 - tc.delta2 * tc.delta5) / det
-    q2 = (tc.delta1 * tc.delta5 - tc.delta2 * tc.delta4) / det
-    return q1, q2
+    return _stationary(*tc._system())
 
 
 def tc_min_mse(tc: TcConstants, pop: PopulationParams) -> float:
-    """Minimum MSE of the family, P^2 - (d1*d5^2 + d3*d4^2 - 2*d2*d4*d5)/det."""
-    det = _tc_det(tc)
-    value = pop.P**2 - (tc.delta1 * tc.delta5**2 + tc.delta3 * tc.delta4**2
-                        - 2.0 * tc.delta2 * tc.delta4 * tc.delta5) / det
+    """Minimum MSE of the family, P^2 - (d4^2*d3 - 2*d4*d2*d5 + d1*d5^2)/det."""
+    value = pop.P**2 - _reduction(*tc._system())
     if value < 0.0:
         raise NegativeMse(f"family minimum MSE evaluated negative ({value})")
     return value
@@ -192,21 +249,12 @@ def tc_min_mse(tc: TcConstants, pop: PopulationParams) -> float:
 def tc_bias(pop: PopulationParams, f: float, tc: TcConstants, q1: float, q2: float) -> float:
     """First-order bias of the family at a weight pair."""
     P, X = pop.P, pop.xbar
-    return (P * (q1 - 1.0)
-            + f * ((q2 * X * tc.bc + q1 * P * tc.ac) * pop.cx**2
-                   - q1 * P * tc.bc * pop.rho_pb * pop.cp * pop.cx))
+    _, rcx, _, cx2, _, _ = _moments(pop)
+    return P * (q1 - 1.0) + f * ((q2 * X * tc.bc + q1 * P * tc.ac) * cx2
+                                 - q1 * P * tc.bc * rcx)
 
 
 # --- power-transform estimator (alpha, beta) -------------------------------------
-
-
-def _lambda_gap(pop: PopulationParams) -> float:
-    gap = (pop.lambda04 - 1.0) - pop.lambda03**2
-    if gap <= 0.0:
-        raise DegenerateMoments(
-            f"(lambda04 - 1) - lambda03^2 must be positive, got {gap}"
-        )
-    return gap
 
 
 def t1_optimal(pop: PopulationParams) -> tuple[float, float]:
@@ -214,47 +262,37 @@ def t1_optimal(pop: PopulationParams) -> tuple[float, float]:
 
     alpha* = cp*(rho*(lambda04-1) - lambda03*lambda12) / (cx*gap) and
     beta*  = cp*(lambda12 - rho*lambda03) / gap, with
-    gap = (lambda04-1) - lambda03^2.
+    gap = (lambda04-1) - lambda03^2: the regression coefficients of the
+    proportion channel on the auxiliary block of C.
     """
-    gap = _lambda_gap(pop)
-    if pop.cx == 0.0:
-        raise DegenerateAuxiliary("cx must be nonzero")
-    l3, l4, l12, rho = pop.lambda03, pop.lambda04, pop.lambda12, pop.rho_pb
-    alpha = pop.cp * (rho * (l4 - 1.0) - l3 * l12) / (pop.cx * gap)
-    beta = pop.cp * (l12 - rho * l3) / gap
+    alpha, beta, _ = _regression(pop)
     return alpha, beta
 
 
 def t1_mse(pop: PopulationParams, f: float, alpha: float, beta: float) -> float:
-    """First-order MSE of the power-transform estimator at given exponents."""
-    value = f * pop.P**2 * (
-        pop.cp**2
-        + alpha**2 * pop.cx**2
-        + beta**2 * (pop.lambda04 - 1.0)
-        - 2.0 * alpha * pop.rho_pb * pop.cp * pop.cx
-        - 2.0 * beta * pop.cp * pop.lambda12
-        + 2.0 * alpha * beta * pop.cx * pop.lambda03
-    )
+    """First-order MSE of the power-transform estimator, f*P^2*w'Cw at
+    w = (1, -alpha, -beta)."""
+    value = f * pop.P**2 * _form(_moments(pop), 1.0, -alpha, -beta)
     return _check_mse(value, var_usual(pop, f), "power-transform MSE")
 
 
 def t1_min_mse(pop: PopulationParams, f: float) -> float:
-    """Minimum MSE, f*P^2*cp^2*(1 - rho^2 - (lambda03*rho - lambda12)^2/gap)."""
-    gap = _lambda_gap(pop)
-    bracket = (1.0 - pop.rho_pb**2
-               - (pop.lambda03 * pop.rho_pb - pop.lambda12)**2 / gap)
-    return _check_mse(f * pop.P**2 * pop.cp**2 * bracket, var_usual(pop, f),
-                      "power-transform minimum MSE")
+    """Minimum MSE, f*P^2*cp^2*(1 - rho^2 - (lambda03*rho - lambda12)^2/gap):
+    f*P^2 times the Schur complement of the auxiliary block of C."""
+    alpha, beta, c = _regression(pop)
+    return _check_mse(f * pop.P**2 * (c[0] - (alpha * c[1] + beta * c[2])),
+                      var_usual(pop, f), "power-transform minimum MSE")
 
 
 def t1_bias(pop: PopulationParams, f: float, alpha: float, beta: float) -> float:
     """First-order bias of the power-transform estimator at given exponents."""
+    _, c01, c02, c11, c12, c22 = _moments(pop)
     return f * pop.P * (
-        alpha * (alpha + 1.0) / 2.0 * pop.cx**2
-        + beta * (beta + 1.0) / 2.0 * (pop.lambda04 - 1.0)
-        + alpha * beta * pop.cx * pop.lambda03
-        - alpha * pop.rho_pb * pop.cp * pop.cx
-        - beta * pop.cp * pop.lambda12
+        alpha * (alpha + 1.0) / 2.0 * c11
+        + beta * (beta + 1.0) / 2.0 * c22
+        + alpha * beta * c12
+        - alpha * c01
+        - beta * c02
     )
 
 
@@ -272,15 +310,8 @@ def t2_optimal(pop: PopulationParams) -> tuple[float, float]:
 
 
 def t2_mse(pop: PopulationParams, f: float, h1: float, h2: float) -> float:
-    """MSE quadratic form of the two-channel linear member at given offsets."""
-    value = f * (
-        pop.P**2 * pop.cp**2
-        + h1**2 * pop.cx**2
-        + h2**2 * (pop.lambda04 - 1.0)
-        + 2.0 * pop.P * h1 * pop.rho_pb * pop.cp * pop.cx
-        + 2.0 * pop.P * h2 * pop.cp * pop.lambda12
-        + 2.0 * h1 * h2 * pop.cx * pop.lambda03
-    )
+    """MSE of the two-channel linear member, f*w'Cw at w = (P, h1, h2)."""
+    value = f * _form(_moments(pop), pop.P, h1, h2)
     return _check_mse(value, var_usual(pop, f), "two-channel linear MSE")
 
 
@@ -321,6 +352,9 @@ class T3Constants:
     d: float
     e: float
 
+    def _system(self) -> tuple[float, float, float, float, float, str]:
+        return self.a, self.d, self.c, self.b, self.e, "(m1, m2)"
+
 
 def t3_constants(pop: PopulationParams, f: float, gamma: float, g: float,
                  delta: float) -> T3Constants:
@@ -330,11 +364,7 @@ def t3_constants(pop: PopulationParams, f: float, gamma: float, g: float,
     ``b`` with the mean channel (rho_pb*cp*cx, cx^2), ``e`` with the variance
     channel (cp*lambda12, lambda04 - 1).
     """
-    cp2, cx2 = pop.cp**2, pop.cx**2
-    rcx = pop.rho_pb * pop.cp * pop.cx
-    l4m1 = pop.lambda04 - 1.0
-    cl12 = pop.cp * pop.lambda12
-    cl03 = pop.cx * pop.lambda03
+    cp2, rcx, cl12, cx2, cl03, l4m1 = _moments(pop)
     a = 1.0 + f * (cp2 - 4.0 * gamma * g * rcx + gamma**2 * g * (2.0 * g + 1.0) * cx2)
     b = 1.0 - gamma * g * f * rcx + g * (g + 1.0) / 2.0 * gamma**2 * f * cx2
     c = 1.0 + f * (cp2 - 2.0 * delta * cl12
@@ -344,15 +374,6 @@ def t3_constants(pop: PopulationParams, f: float, gamma: float, g: float,
                    + g * (g + 1.0) / 2.0 * gamma**2 * cx2)
     e = 1.0 - delta / 2.0 * f * cl12 + delta * (delta + 2.0) / 8.0 * f * l4m1
     return T3Constants(a=a, b=b, c=c, d=d, e=e)
-
-
-def _t3_det(t3c: T3Constants) -> float:
-    det = t3c.a * t3c.c - t3c.d**2
-    scale = max(abs(t3c.a * t3c.c), t3c.d**2)
-    if abs(det) <= _SINGULAR_RTOL * max(scale, 1e-300):
-        raise SingularSystem("the (m1, m2) optimality system is singular "
-                             "(the two channels are indistinguishable)")
-    return det
 
 
 def t3_mse(t3c: T3Constants, pop: PopulationParams, m1: float, m2: float) -> float:
@@ -369,22 +390,12 @@ def t3_bias(t3c: T3Constants, pop: PopulationParams, m1: float, m2: float) -> fl
 
 def t3_optimal_m(t3c: T3Constants) -> tuple[float, float]:
     """Stationary weight pair, ((bc - de)/det, (ae - bd)/det)."""
-    det = _t3_det(t3c)
-    m1 = (t3c.b * t3c.c - t3c.d * t3c.e) / det
-    m2 = (t3c.a * t3c.e - t3c.b * t3c.d) / det
-    return m1, m2
-
-
-def _t3_reduction(t3c: T3Constants) -> float:
-    det = _t3_det(t3c)
-    if det < 0.0:
-        raise SingularSystem("the (m1, m2) quadratic form is indefinite")
-    return (t3c.b**2 * t3c.c - 2.0 * t3c.b * t3c.d * t3c.e + t3c.a * t3c.e**2) / det
+    return _stationary(*t3c._system())
 
 
 def t3_min_mse(t3c: T3Constants, pop: PopulationParams) -> float:
     """Minimum MSE of the family, P^2*(1 - (b^2*c - 2*b*d*e + a*e^2)/det)."""
-    value = pop.P**2 * (1.0 - _t3_reduction(t3c))
+    value = pop.P**2 * (1.0 - _reduction(*t3c._system()))
     if value < 0.0:
         raise NegativeMse(f"two-term family minimum MSE evaluated negative ({value})")
     return value
@@ -396,7 +407,67 @@ def t3_bias_min(t3c: T3Constants, pop: PopulationParams) -> float:
     This equals ``-min_mse/P``: at the stationary pair the quadratic form
     collapses so that the first-order bias and MSE share one bracket.
     """
-    return -pop.P * (1.0 - _t3_reduction(t3c))
+    return -pop.P * (1.0 - _reduction(*t3c._system()))
+
+
+# --- the per-family table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """The first-order theory of one estimator kind.
+
+    ``constants`` names the fields of the kind's configuration that have a
+    population-optimal value. Every function takes that configuration (None
+    for ``usual`` and ``ta``), the population and the design factor: ``mse``
+    returns the MSE at the constants the configuration holds, ``min_mse`` the
+    MSE at the optimum, and ``optimum`` the optimal values of ``constants``.
+    """
+
+    mse: Callable[..., float]
+    min_mse: Callable[..., float]
+    constants: tuple[str, ...] = ()
+    optimum: Callable[..., tuple[float, ...]] = lambda cfg, pop, f: ()
+
+    def resolve(self, cfg, pop: PopulationParams, f: float):
+        """``cfg`` with every ``None`` constant replaced by its optimum."""
+        given = [getattr(cfg, name) for name in self.constants]
+        if None not in given:
+            return cfg
+        optimum = self.optimum(cfg, pop, f)
+        return replace(cfg, **{name: best if value is None else value
+                               for name, value, best in zip(self.constants, given, optimum)})
+
+
+def _tc(cfg, pop: PopulationParams, f: float) -> TcConstants:
+    return tc_constants(pop, f, cfg.a, cfg.b, cfg.alpha, cfg.beta)
+
+
+def _t3(cfg, pop: PopulationParams, f: float) -> T3Constants:
+    return t3_constants(pop, f, cfg.gamma, cfg.g, cfg.delta)
+
+
+FAMILIES: dict[str, Family] = {
+    "usual": Family(lambda cfg, pop, f: var_usual(pop, f),
+                    lambda cfg, pop, f: var_usual(pop, f)),
+    "ta": Family(lambda cfg, pop, f: mse_ta(pop, f),
+                 lambda cfg, pop, f: mse_ta(pop, f)),
+    "tb": Family(lambda cfg, pop, f: t2_mse(pop, f, cfg.h1, 0.0),
+                 lambda cfg, pop, f: min_mse_tb(pop, f),
+                 ("h1",), lambda cfg, pop, f: (tb_optimal_h1(pop),)),
+    "tc": Family(lambda cfg, pop, f: tc_mse(_tc(cfg, pop, f), pop, cfg.q1, cfg.q2),
+                 lambda cfg, pop, f: tc_min_mse(_tc(cfg, pop, f), pop),
+                 ("q1", "q2"), lambda cfg, pop, f: tc_optimal_q(_tc(cfg, pop, f))),
+    "t1": Family(lambda cfg, pop, f: t1_mse(pop, f, cfg.alpha, cfg.beta),
+                 lambda cfg, pop, f: t1_min_mse(pop, f),
+                 ("alpha", "beta"), lambda cfg, pop, f: t1_optimal(pop)),
+    "t2": Family(lambda cfg, pop, f: t2_mse(pop, f, cfg.h1, cfg.h2),
+                 lambda cfg, pop, f: t2_min_mse(pop, f),
+                 ("h1", "h2"), lambda cfg, pop, f: t2_optimal(pop)),
+    "t3": Family(lambda cfg, pop, f: t3_mse(_t3(cfg, pop, f), pop, cfg.m1, cfg.m2),
+                 lambda cfg, pop, f: t3_min_mse(_t3(cfg, pop, f), pop),
+                 ("m1", "m2"), lambda cfg, pop, f: t3_optimal_m(_t3(cfg, pop, f))),
+}
 
 
 # --- efficiency ------------------------------------------------------------------
@@ -443,6 +514,13 @@ def _t3_label(cfg: T3Config) -> str:
     return f"t3(g={fmt(cfg.g)},d={fmt(cfg.delta)})"
 
 
+def _table(config: TableConfig) -> list[tuple[str, str, object]]:
+    """Name, kind and configuration of every row of an efficiency table."""
+    return [("p", "usual", None), ("ta", "ta", None), ("tb", "tb", TbConfig()),
+            ("tc", "tc", config.tc), ("t1", "t1", T1Config()), ("t2", "t2", T2Config()),
+            *((_t3_label(cfg), "t3", cfg) for cfg in config.t3_configs())]
+
+
 def theory_report(pop: PopulationParams, design: Design,
                   config: TableConfig | None = None) -> TheoryReport:
     """Bias, MSE, optimal constants and efficiency for the whole estimator set.
@@ -465,13 +543,15 @@ def theory_report(pop: PopulationParams, design: Design,
             formulas={**formulas, "pre": "100*mse(p)/mse"},
         ))
 
-    add("p", 0.0, baseline, {},
+    def minimum(kind: str, cfg=None) -> float:
+        return FAMILIES[kind].min_mse(cfg, pop, f)
+
+    add("p", 0.0, minimum("usual"), {},
         {"mse": "var_usual: f*P^2*cp^2", "bias": "0 (exactly unbiased)"})
-    add("ta", bias_ta(pop, f), mse_ta(pop, f), {},
+    add("ta", bias_ta(pop, f), minimum("ta"), {},
         {"mse": "mse_ta: f*P^2*(cp^2+cx^2-2*rho_pb*cp*cx)",
          "bias": "bias_ta: f*P*(cx^2-rho_pb*cp*cx)"})
-    h1_star = tb_optimal_h1(pop)
-    add("tb", 0.0, min_mse_tb(pop, f), {"h1": h1_star},
+    add("tb", 0.0, minimum("tb"), {"h1": tb_optimal_h1(pop)},
         {"mse": "min_mse_tb: f*P^2*cp^2*(1-rho_pb^2)",
          "bias": "0 (linear member is first-order unbiased)"})
 
@@ -479,26 +559,22 @@ def theory_report(pop: PopulationParams, design: Design,
         add("tc", 0.0, 0.0, {}, {"mse": "census: f=0 collapses every first-order MSE",
                                  "bias": "census"})
     else:
-        tcc = tc_constants(pop, f, config.tc.a, config.tc.b, config.tc.alpha, config.tc.beta)
-        q1, q2 = tc_optimal_q(tcc)
-        if config.tc.q1 is not None:
-            q1 = config.tc.q1
-        if config.tc.q2 is not None:
-            q2 = config.tc.q2
+        tcc = _tc(config.tc, pop, f)
+        tc = FAMILIES["tc"].resolve(config.tc, pop, f)
         optimal = config.tc.q1 is None and config.tc.q2 is None
-        mse_c = tc_min_mse(tcc, pop) if optimal else tc_mse(tcc, pop, q1, q2)
-        add("tc", tc_bias(pop, f, tcc, q1, q2), mse_c,
-            {"q1": q1, "q2": q2, "theta": tcc.theta, "bc": tcc.bc, "ac": tcc.ac},
+        mse_c = minimum("tc", config.tc) if optimal else FAMILIES["tc"].mse(tc, pop, f)
+        add("tc", tc_bias(pop, f, tcc, tc.q1, tc.q2), mse_c,
+            {"q1": tc.q1, "q2": tc.q2, "theta": tcc.theta, "bc": tcc.bc, "ac": tcc.ac},
             {"mse": "tc_min_mse: P^2-(d1*d5^2+d3*d4^2-2*d2*d4*d5)/(d1*d3-d2^2)",
              "bias": "tc_bias: P*(q1-1)+f*((q2*X*bc+q1*P*ac)*cx^2-q1*P*bc*rho_pb*cp*cx)"})
 
     alpha, beta = t1_optimal(pop)
-    add("t1", t1_bias(pop, f, alpha, beta), t1_min_mse(pop, f),
+    add("t1", t1_bias(pop, f, alpha, beta), minimum("t1"),
         {"alpha": alpha, "beta": beta},
         {"mse": "t1_min_mse: f*P^2*cp^2*(1-rho^2-(lambda03*rho-lambda12)^2/gap)",
          "bias": "t1_bias at the optimal exponents"})
     h1, h2 = t2_optimal(pop)
-    add("t2", 0.0, t2_min_mse(pop, f), {"h1": h1, "h2": h2},
+    add("t2", 0.0, minimum("t2"), {"h1": h1, "h2": h2},
         {"mse": "t2_min_mse == t1_min_mse (identical closed forms)",
          "bias": "0 (linear member is first-order unbiased)"})
 
@@ -507,16 +583,9 @@ def theory_report(pop: PopulationParams, design: Design,
         if census:
             add(name, 0.0, 0.0, {}, {"mse": "census", "bias": "census"})
             continue
-        t3c = t3_constants(pop, f, cfg.gamma, cfg.g, cfg.delta)
+        t3c = _t3(cfg, pop, f)
         m1, m2 = t3_optimal_m(t3c)
-        if cfg.m1 is not None:
-            m1 = cfg.m1
-        if cfg.m2 is not None:
-            m2 = cfg.m2
-        optimal = cfg.m1 is None and cfg.m2 is None
-        mse_3 = t3_min_mse(t3c, pop) if optimal else t3_mse(t3c, pop, m1, m2)
-        bias_3 = t3_bias_min(t3c, pop) if optimal else t3_bias(t3c, pop, m1, m2)
-        add(name, bias_3, mse_3,
+        add(name, t3_bias_min(t3c, pop), minimum("t3", cfg),
             {"gamma": cfg.gamma, "g": cfg.g, "delta": cfg.delta, "m1": m1, "m2": m2,
              "a": t3c.a, "b": t3c.b, "c": t3c.c, "d": t3c.d, "e": t3c.e},
             {"mse": "t3_min_mse: P^2*(1-(b^2*c-2*b*d*e+a*e^2)/(a*c-d^2))",
@@ -577,28 +646,19 @@ def comparison_conditions(pop: PopulationParams, f: float,
 
     def first_guarantee() -> bool | None:
         try:
-            gap = _lambda_gap(pop)
+            alpha, beta, c = _regression(pop)
         except DegenerateMoments:
             return None
-        subtracted = f * pop.P**2 * pop.cp**2 * (
-            pop.rho_pb**2 + (pop.lambda03 * pop.rho_pb - pop.lambda12)**2 / gap
-        )
-        return subtracted >= -tol
+        return f * pop.P**2 * (alpha * c[1] + beta * c[2]) >= -tol
 
-    def t3_min() -> float:
-        t3c = t3_constants(pop, f, config.t3_gamma, *config.t3_variants[0])
-        return t3_min_mse(t3c, pop)
-
-    def tc_min() -> float:
-        tcc = tc_constants(pop, f, config.tc.a, config.tc.b,
-                           config.tc.alpha, config.tc.beta)
-        return tc_min_mse(tcc, pop)
+    t1_min = partial(FAMILIES["t1"].min_mse, None, pop, f)
+    t3_min = partial(FAMILIES["t3"].min_mse, config.t3_configs()[0], pop, f)
+    tc_min = partial(FAMILIES["tc"].min_mse, config.tc, pop, f)
 
     return (
-        build("t1_t2_vs_usual", lambda: t1_min_mse(pop, f), lambda: v,
-              guaranteed=first_guarantee()),
+        build("t1_t2_vs_usual", t1_min, lambda: v, guaranteed=first_guarantee()),
         build("t3_vs_usual", t3_min, lambda: v),
-        build("t3_vs_t2", t3_min, lambda: t1_min_mse(pop, f)),
+        build("t3_vs_t2", t3_min, t1_min),
         build("t3_vs_tc", t3_min, tc_min),
     )
 
@@ -651,20 +711,9 @@ def _scan_points(digits: int) -> list[tuple[float, ...]]:
 
 
 def _perturbed(pop: PopulationParams, offsets: tuple[float, ...]) -> PopulationParams:
-    values = dict(zip(_SCAN_FIELDS, offsets))
-    cp = pop.cp + values["cp"]
-    cx = pop.cx + values["cx"]
-    return replace(
-        pop,
-        cp=cp,
-        cx=cx,
-        rho_pb=pop.rho_pb + values["rho_pb"],
-        lambda03=pop.lambda03 + values["lambda03"],
-        lambda04=pop.lambda04 + values["lambda04"],
-        lambda12=pop.lambda12 + values["lambda12"],
-        sp2=(cp * pop.P) ** 2,
-        sx2=(cx * pop.xbar) ** 2,
-    )
+    moved = {name: getattr(pop, name) + d for name, d in zip(_SCAN_FIELDS, offsets)}
+    return replace(pop, **moved, sp2=(moved["cp"] * pop.P) ** 2,
+                   sx2=(moved["cx"] * pop.xbar) ** 2)
 
 
 def sensitivity(pop: PopulationParams, f: float, config: TableConfig | None = None,
@@ -675,55 +724,33 @@ def sensitivity(pop: PopulationParams, f: float, config: TableConfig | None = No
     plus/minus half a unit of its last reported digit (``0.5 * 10**-digits``),
     independently (axis points) and jointly (corners). Points where a theory
     expression fails (negative MSE, singular system, invalid moments) are
-    counted as unstable rather than aborting the scan.
+    counted as unstable rather than aborting the scan; a point whose
+    perturbed parameters are invalid is unstable for every estimator.
     """
     if not isinstance(digits, int) or digits < 1:
         raise InvalidConfig(f"digits must be an integer >= 1, got {digits!r}")
-    config = config or TableConfig()
-
-    def mse_tc(q: PopulationParams) -> float:
-        tcc = tc_constants(q, f, config.tc.a, config.tc.b, config.tc.alpha, config.tc.beta)
-        return tc_min_mse(tcc, q)
-
-    def mse_t3(cfg: T3Config):
-        def inner(q: PopulationParams) -> float:
-            return t3_min_mse(t3_constants(q, f, cfg.gamma, cfg.g, cfg.delta), q)
-        return inner
-
-    targets = [
-        ("ta", lambda q: mse_ta(q, f)),
-        ("tb", lambda q: min_mse_tb(q, f)),
-        ("tc", mse_tc),
-        ("t1", lambda q: t1_min_mse(q, f)),
-        ("t2", lambda q: t2_min_mse(q, f)),
-    ]
-    targets.extend((_t3_label(cfg), mse_t3(cfg)) for cfg in config.t3_configs())
-
+    rows = _table(config or TableConfig())[1:]  # p, the baseline, is 100 everywhere
     points = _scan_points(digits)
-    intervals = []
-    for name, mse_fn in targets:
-        point_value: float | None = None
-        low = math.inf
-        high = -math.inf
-        unstable = 0
-        for k, offsets in enumerate(points):
+    found: list[list[float]] = [[] for _ in rows]
+    center: list[float | None] = [None] * len(rows)
+    for k, offsets in enumerate(points):
+        try:
+            q = _perturbed(pop, offsets)
+        except ToolkitError:
+            continue
+        baseline = var_usual(q, f)
+        for j, (_, kind, cfg) in enumerate(rows):
             try:
-                q = _perturbed(pop, offsets)
-                value = pre(var_usual(q, f), mse_fn(q))
+                value = pre(baseline, FAMILIES[kind].min_mse(cfg, q, f))
             except ToolkitError:
-                unstable += 1
                 continue
+            found[j].append(value)
             if k == 0:
-                point_value = value
-            low = min(low, value)
-            high = max(high, value)
-        intervals.append(PreInterval(
-            name=name,
-            point=point_value,
-            low=None if math.isinf(low) else low,
-            high=None if math.isinf(high) else high,
-            unstable=unstable,
-            points=len(points),
-        ))
-    return SensitivityReport(digits=digits, step=0.5 * 10.0**-digits,
-                             intervals=tuple(intervals))
+                center[j] = value
+    return SensitivityReport(
+        digits=digits, step=0.5 * 10.0**-digits,
+        intervals=tuple(
+            PreInterval(name=name, point=point,
+                        low=min(values, default=None), high=max(values, default=None),
+                        unstable=len(points) - len(values), points=len(points))
+            for (name, _, _), point, values in zip(rows, center, found)))

@@ -10,6 +10,7 @@ The one exception is ``loop_report``, which reproduces the batched oracles of
 from fractions import Fraction as F
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,15 +22,30 @@ REF = {
     "lambda03": -0.153,
 }
 
-_P = F("0.525")
-_X = F("14.4")
-_RHO = F("0.897")
-_CP = F("0.963")
-_CX = F("0.308")
-_L12 = F("-0.118")
-_L04 = F("1.75")
-_L03 = F("-0.153")
-_F = F(1, 11) - F(1, 40)
+class Moments(NamedTuple):
+    """Exact rational values of a parameter vector and its design factor."""
+
+    P: F
+    X: F
+    RHO: F
+    CP: F
+    CX: F
+    L12: F
+    L04: F
+    L03: F
+    F: F
+
+
+REF_MOMENTS = Moments(P=F("0.525"), X=F("14.4"), RHO=F("0.897"), CP=F("0.963"),
+                      CX=F("0.308"), L12=F("-0.118"), L04=F("1.75"), L03=F("-0.153"),
+                      F=F(1, 11) - F(1, 40))
+
+
+def rational_moments(pop, f):
+    """The exact values of the floats of a ``PopulationParams`` and of ``f``."""
+    return Moments(P=F(pop.P), X=F(pop.xbar), RHO=F(pop.rho_pb), CP=F(pop.cp),
+                   CX=F(pop.cx), L12=F(pop.lambda12), L04=F(pop.lambda04),
+                   L03=F(pop.lambda03), F=F(f))
 
 
 def loop_moment(phi, x, r, s):
@@ -40,70 +56,70 @@ def loop_moment(phi, x, r, s):
     return sum((a - pbar) ** r * (b - xbar) ** s for a, b in zip(phi, x)) / n
 
 
-def rational_var_usual():
-    return _F * _P**2 * _CP**2
+def rational_var_usual(m=REF_MOMENTS):
+    return m.F * m.P**2 * m.CP**2
 
 
-def rational_mse_ta():
-    return _F * _P**2 * (_CP**2 + _CX**2 - 2 * _RHO * _CP * _CX)
+def rational_mse_ta(m=REF_MOMENTS):
+    return m.F * m.P**2 * (m.CP**2 + m.CX**2 - 2 * m.RHO * m.CP * m.CX)
 
 
-def rational_min_mse_tb():
-    return _F * _P**2 * _CP**2 * (1 - _RHO**2)
+def rational_min_mse_tb(m=REF_MOMENTS):
+    return m.F * m.P**2 * m.CP**2 * (1 - m.RHO**2)
 
 
-def rational_t1_min_mse():
-    gap = (_L04 - 1) - _L03**2
-    return _F * _P**2 * _CP**2 * (1 - _RHO**2 - (_L03 * _RHO - _L12) ** 2 / gap)
+def rational_t1_min_mse(m=REF_MOMENTS):
+    gap = (m.L04 - 1) - m.L03**2
+    return m.F * m.P**2 * m.CP**2 * (1 - m.RHO**2 - (m.L03 * m.RHO - m.L12) ** 2 / gap)
 
 
-def rational_tc_deltas(a=F(1), b=F(0), alpha=F(1), beta=F(0)):
-    theta = a * _X / (a * _X + b)
+def rational_tc_deltas(a=F(1), b=F(0), alpha=F(1), beta=F(0), m=REF_MOMENTS):
+    theta = a * m.X / (a * m.X + b)
     bc = theta * (alpha + beta / 2)
     ac = theta**2 * (alpha * (alpha + 1) / 2 + alpha * beta / 2 + beta**2 / 8 + beta / 4)
-    rcx = _RHO * _CP * _CX
-    m1 = _P**2 * _F * (_CP**2 + bc**2 * _CX**2 - 2 * bc * rcx)
-    m2 = _X**2 * _F * _CX**2
-    m3 = _P**2 * _F * (ac * _CX**2 - 2 * bc * rcx)
-    m4 = _P * _X * _F * (-bc * _CX**2 + rcx)
-    m5 = _X * _P * _F * (-bc * _CX**2)
+    rcx = m.RHO * m.CP * m.CX
+    m1 = m.P**2 * m.F * (m.CP**2 + bc**2 * m.CX**2 - 2 * bc * rcx)
+    m2 = m.X**2 * m.F * m.CX**2
+    m3 = m.P**2 * m.F * (ac * m.CX**2 - 2 * bc * rcx)
+    m4 = m.P * m.X * m.F * (-bc * m.CX**2 + rcx)
+    m5 = m.X * m.P * m.F * (-bc * m.CX**2)
     return {
         "theta": theta, "bc": bc, "ac": ac,
         "m1": m1, "m2": m2, "m3": m3, "m4": m4, "m5": m5,
-        "delta1": _P**2 + m1 + 2 * m3,
+        "delta1": m.P**2 + m1 + 2 * m3,
         "delta2": -m4 - m5,
         "delta3": m2,
-        "delta4": _P**2 + m3,
+        "delta4": m.P**2 + m3,
         "delta5": -m5,
     }
 
 
-def rational_tc_min_mse():
-    d = rational_tc_deltas()
+def rational_tc_min_mse(m=REF_MOMENTS):
+    d = rational_tc_deltas(m=m)
     det = d["delta1"] * d["delta3"] - d["delta2"] ** 2
     num = (d["delta1"] * d["delta5"] ** 2 + d["delta3"] * d["delta4"] ** 2
            - 2 * d["delta2"] * d["delta4"] * d["delta5"])
-    return _P**2 - num / det
+    return m.P**2 - num / det
 
 
-def rational_t3_constants(gamma=F(1), g=F(1), delta=F(1)):
-    rcx = _RHO * _CP * _CX
-    l4m1 = _L04 - 1
-    a = 1 + _F * (_CP**2 - 4 * gamma * g * rcx + gamma**2 * g * (2 * g + 1) * _CX**2)
-    b = 1 - gamma * g * _F * rcx + g * (g + 1) * gamma**2 * _F * _CX**2 / 2
-    c = 1 + _F * (_CP**2 - 2 * delta * _CP * _L12
-                  + (delta**2 + delta * (delta + 2)) * l4m1 / 4)
-    d = 1 + _F * (_CP**2 - delta * _CP * _L12 + delta * (delta + 2) * l4m1 / 8
-                  - 2 * gamma * g * rcx + gamma * delta * g * _CX * _L03 / 2
-                  + g * (g + 1) * gamma**2 * _CX**2 / 2)
-    e = 1 - delta * _F * _CP * _L12 / 2 + delta * (delta + 2) * _F * l4m1 / 8
+def rational_t3_constants(gamma=F(1), g=F(1), delta=F(1), m=REF_MOMENTS):
+    rcx = m.RHO * m.CP * m.CX
+    l4m1 = m.L04 - 1
+    a = 1 + m.F * (m.CP**2 - 4 * gamma * g * rcx + gamma**2 * g * (2 * g + 1) * m.CX**2)
+    b = 1 - gamma * g * m.F * rcx + g * (g + 1) * gamma**2 * m.F * m.CX**2 / 2
+    c = 1 + m.F * (m.CP**2 - 2 * delta * m.CP * m.L12
+                   + (delta**2 + delta * (delta + 2)) * l4m1 / 4)
+    d = 1 + m.F * (m.CP**2 - delta * m.CP * m.L12 + delta * (delta + 2) * l4m1 / 8
+                   - 2 * gamma * g * rcx + gamma * delta * g * m.CX * m.L03 / 2
+                   + g * (g + 1) * gamma**2 * m.CX**2 / 2)
+    e = 1 - delta * m.F * m.CP * m.L12 / 2 + delta * (delta + 2) * m.F * l4m1 / 8
     return a, b, c, d, e
 
 
-def rational_t3_min_mse(gamma=F(1), g=F(1), delta=F(1)):
-    a, b, c, d, e = rational_t3_constants(gamma, g, delta)
+def rational_t3_min_mse(gamma=F(1), g=F(1), delta=F(1), m=REF_MOMENTS):
+    a, b, c, d, e = rational_t3_constants(gamma, g, delta, m)
     det = a * c - d * d
-    return _P**2 * (1 - (b * b * c - 2 * b * d * e + a * e * e) / det)
+    return m.P**2 * (1 - (b * b * c - 2 * b * d * e + a * e * e) / det)
 
 
 def fd_gradient(fn, point, rel_h=1e-5):

@@ -232,6 +232,32 @@ class TestExitCodes:
         out = tmp_path / "o.json"
         assert main(["theory", "--params", str(path), "--output", str(out)]) == 3
 
+    def test_impossible_moments_are_data_error(self, tmp_path, capsys):
+        # rho_pb and lambda12 this large leave the correlation matrix of the
+        # relative deviations indefinite (smallest eigenvalue -0.484)
+        data = dict(REF, rho_pb=0.99, lambda12=0.9)
+        path = tmp_path / "impossible.json"
+        path.write_text(json.dumps(data))
+        assert main(["pre", "--params", str(path)]) == 2
+        assert "not the moments of any population" in capsys.readouterr().err
+
+    def test_subnormal_auxiliary_spread_is_data_error(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("phi,x\n1,0\n0,0\n1,0\n0,0\n1,0\n0,2e-92\n")
+        assert main(["params", "--input", str(path),
+                     "--output", str(tmp_path / "o.json")]) == 2
+
+    def test_table_t3_flag_takes_only_gamma(self, ref_params_path, tmp_path):
+        out = str(tmp_path / "o.json")
+        fixed = "gamma=1,g=0,delta=-1,m1=0.3,m2=0.2"
+        assert main(["pre", "--params", str(ref_params_path), "--t3", fixed]) == 1
+        assert main(["theory", "--params", str(ref_params_path), "--t3", "g=0",
+                     "--output", out]) == 1
+        assert main(["sensitivity", "--params", str(ref_params_path), "--digits", "3",
+                     "--t3", "m1=0.5", "--output", out]) == 1
+        assert main(["pre", "--params", str(ref_params_path),
+                     "--t3", "gamma=0.5,g=1,delta=1,m1=optimal"]) == 0
+
     def test_invalid_kv_is_usage_error(self, ref_params_path):
         assert main(["pre", "--params", str(ref_params_path),
                      "--tc", "nope=1"]) == 1

@@ -97,6 +97,12 @@ class TestPopulationParams:
             compute_population_params(
                 PopulationFrame(np.array([1, 0, 1]), np.array([2.0, 2.0, 2.0])))
 
+    def test_subnormal_auxiliary_spread(self):
+        # the variance is about 5.6e-185, so its square underflows to zero
+        with pytest.raises(DegenerateAuxiliary):
+            compute_population_params(PopulationFrame(
+                np.array([1, 0, 1, 0, 1, 0]), np.array([0.0, 0.0, 0.0, 0.0, 0.0, 2e-92])))
+
     def test_zero_mean(self):
         with pytest.raises(ZeroMean):
             compute_population_params(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,13 +16,14 @@ from propaux.errors import (
 )
 from propaux.population import Design, PopulationParams
 
-from conftest import random_frame, random_params
+from conftest import random_frame, random_params, well_posed_params
 from propaux.population import compute_population_params
 from _oracles import (
     assert_stationary,
     fd_gradient,
     grid_min,
     rational_min_mse_tb,
+    rational_moments,
     rational_mse_ta,
     rational_t1_min_mse,
     rational_t3_constants,
@@ -186,6 +188,15 @@ class TestTcFamily:
                                 delta4=0.5, delta5=0.5)
         with pytest.raises(SingularSystem):
             theory.tc_optimal_q(tc)
+
+    def test_indefinite_form_has_no_minimum(self, ref_pop):
+        # d1*d3 - d2^2 = -3: the stationary pair is a saddle point
+        tc = theory.TcConstants(theta=1.0, bc=1.0, ac=1.0, m1=0.0, m2=0.0, m3=0.0,
+                                m4=0.0, m5=0.0, delta1=1.0, delta2=2.0, delta3=1.0,
+                                delta4=0.5, delta5=0.5)
+        assert theory.tc_optimal_q(tc) == pytest.approx((1 / 6, 1 / 6), rel=1e-15)
+        with pytest.raises(SingularSystem):
+            theory.tc_min_mse(tc, ref_pop)
 
     def test_ratio_config_bias_reduction(self, ref_pop, ref_design):
         f = ref_design.f
@@ -531,6 +542,41 @@ class TestSensitivity:
         interval = report.interval("t1")
         assert interval.unstable > 0
         assert interval.points == 77
+
+    def test_invalid_parameters_are_unstable_for_every_estimator(self, plain_pop):
+        # rho_pb + h exceeds 1 on the +rho axis point and 32 corners, where
+        # the perturbed parameter vector itself is rejected
+        pop = dataclasses.replace(plain_pop, rho_pb=1.0)
+        report = theory.sensitivity(pop, F_PLAIN, digits=3)
+        assert report.interval("ta").unstable == 33
+        for interval in report.intervals:
+            assert interval.unstable >= 33
+
+
+class TestRationalMinima:
+    def test_every_family_on_random_vectors(self, rng):
+        # exact arithmetic on the same floats; each bound is set by the scale
+        # the minimum cancels from: var_usual for the forms in C, and P^2
+        # times the condition of the weight system for tc and t3
+        for _ in range(60):
+            pop, f = well_posed_params(rng)
+            m = rational_moments(pop, f)
+            scale = rational_var_usual(m)
+            for value, exact in ((theory.mse_ta(pop, f), rational_mse_ta(m)),
+                                 (theory.min_mse_tb(pop, f), rational_min_mse_tb(m)),
+                                 (theory.t1_min_mse(pop, f), rational_t1_min_mse(m)),
+                                 (theory.t2_min_mse(pop, f), rational_t1_min_mse(m))):
+                assert abs(Fraction(value) - exact) <= Fraction(1e-12) * scale
+            tc = theory.tc_constants(pop, f, 1.0, 0.0, 1.0, 0.0)
+            t3c = theory.t3_constants(pop, f, 1.0, 1.0, 1.0)
+            for value, exact, (a11, a12, a22) in (
+                    (theory.tc_min_mse(tc, pop), rational_tc_min_mse(m),
+                     (tc.delta1, tc.delta2, tc.delta3)),
+                    (theory.t3_min_mse(t3c, pop), rational_t3_min_mse(m=m),
+                     (t3c.a, t3c.d, t3c.c))):
+                condition = abs(a11 * a22) / (a11 * a22 - a12**2)
+                assert abs(Fraction(value) - exact) <= (
+                    Fraction(1e-14) * Fraction(pop.P)**2 * Fraction(condition))
 
 
 class TestStationaritySweep:
