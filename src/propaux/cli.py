@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 from . import io, montecarlo, theory
-from .config import T3Config, TableConfig, TcConfig, T1Config, T2Config
+from .config import T3Config, TableConfig, TcConfig
 from .errors import DataError, NumericalError, ParseError
-from .estimators import EstimatorConfig, evaluate
+from .estimators import _SUBCONFIGS, EstimatorConfig, evaluate
 from .montecarlo import SyntheticSpec, generate_population, run_experiment
 from .population import Design, compute_population_params, sample_stats
 
@@ -54,8 +54,7 @@ def _parse_config(cls, text: str):
 def _estimator_config(args) -> EstimatorConfig:
     kind = args.estimator
     kwargs = {}
-    for slot, cls in (("tc", TcConfig), ("t1", T1Config), ("t2", T2Config),
-                      ("t3", T3Config)):
+    for slot, cls in _SUBCONFIGS.items():
         text = getattr(args, slot, None)
         if text:
             if slot != kind:
@@ -75,6 +74,12 @@ def _parse_indices(spec: str) -> list[int]:
         return [int(part) for part in parts]
     except ValueError:
         raise ParseError(f"cannot parse sample indices from {spec!r}") from None
+
+
+def _table_configurations(config: TableConfig, **leading) -> dict:
+    """The ``configurations`` of a report on an efficiency table."""
+    return {**leading, "tc": vars(config.tc), "t3_gamma": config.t3_gamma,
+            "t3_variants": list(config.t3_variants)}
 
 
 def _census_dash(value) -> str:
@@ -104,8 +109,7 @@ def _cmd_theory(args) -> int:
             theory.comparison_conditions(doc.params, doc.design.f, config))
     document = io.build_report_document(
         input_digest=io.file_digest(args.params),
-        configurations={"tc": vars(config.tc), "t3_gamma": config.t3_gamma,
-                        "t3_variants": list(config.t3_variants)},
+        configurations=_table_configurations(config),
         sections={"theory": io.theory_report_dict(report),
                   "comparison_conditions": conditions},
     )
@@ -152,12 +156,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _config_dict(cfg: EstimatorConfig) -> dict:
-    out = {"kind": cfg.kind}
-    for slot in ("tb", "tc", "t1", "t2", "t3"):
-        sub = getattr(cfg, slot)
-        if sub is not None:
-            out[slot] = vars(sub)
-    return out
+    sub = cfg.subconfig
+    return {"kind": cfg.kind} if sub is None else {"kind": cfg.kind, cfg.kind: vars(sub)}
 
 
 def _cmd_simulate(args) -> int:
@@ -207,9 +207,7 @@ def _cmd_sensitivity(args) -> int:
     report = theory.sensitivity(doc.params, doc.design.f, config, digits=args.digits)
     document = io.build_report_document(
         input_digest=io.file_digest(args.params),
-        configurations={"digits": args.digits, "tc": vars(config.tc),
-                        "t3_gamma": config.t3_gamma,
-                        "t3_variants": list(config.t3_variants)},
+        configurations=_table_configurations(config, digits=args.digits),
         sections={"sensitivity": io.sensitivity_report_dict(report)},
     )
     io.write_report_json(args.output, document)
@@ -247,7 +245,7 @@ def build_parser() -> _Parser:
     p.add_argument("--indices", required=True,
                    help="file of indices, or inline like '0,3,5'")
     p.add_argument("--estimator", required=True,
-                   choices=("usual", "ta", "tb", "tc", "t1", "t2", "t3"))
+                   choices=tuple(theory.FAMILIES))
     p.add_argument("--tc", default=None)
     p.add_argument("--t1", default=None)
     p.add_argument("--t2", default=None)

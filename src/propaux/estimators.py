@@ -34,7 +34,6 @@ from .errors import (
 from .population import PopulationParams, SampleStats, sampling_fraction
 
 Kind = str
-_KINDS = ("usual", "ta", "tb", "tc", "t1", "t2", "t3")
 _SUBCONFIGS = {"tb": TbConfig, "tc": TcConfig, "t1": T1Config, "t2": T2Config, "t3": T3Config}
 
 
@@ -56,7 +55,7 @@ class EstimatorConfig:
     label: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in theory.FAMILIES:
             raise InvalidConfig(f"unknown estimator kind {self.kind!r}")
         for slot, default in _SUBCONFIGS.items():
             value = getattr(self, slot)
@@ -91,26 +90,9 @@ class Estimate:
 
 
 def resolve_config(cfg: EstimatorConfig, pop: PopulationParams, f: float) -> EstimatorConfig:
-    """Replace every ``None`` constant with its population-optimal value.
-
-    Under a census design (f = 0) the weight systems of the ``tc`` and ``t3``
-    families are singular (there is no auxiliary contrast to weigh), so their
-    census limits are used: (q1, q2) = (1, 0) and (m1, m2) = (1/2, 1/2), both
-    of which reproduce the sample proportion exactly.
-    """
-    if f == 0.0:
-        if cfg.kind == "tc" and (cfg.tc.q1 is None or cfg.tc.q2 is None):
-            return replace(cfg, tc=replace(
-                cfg.tc,
-                q1=cfg.tc.q1 if cfg.tc.q1 is not None else 1.0,
-                q2=cfg.tc.q2 if cfg.tc.q2 is not None else 0.0,
-            ))
-        if cfg.kind == "t3" and (cfg.t3.m1 is None or cfg.t3.m2 is None):
-            return replace(cfg, t3=replace(
-                cfg.t3,
-                m1=cfg.t3.m1 if cfg.t3.m1 is not None else 0.5,
-                m2=cfg.t3.m2 if cfg.t3.m2 is not None else 0.5,
-            ))
+    """Replace every ``None`` constant with its population-optimal value, or
+    with its census limit under a census design (f = 0; see
+    ``theory.Family``)."""
     sub = cfg.subconfig
     resolved = theory.FAMILIES[cfg.kind].resolve(sub, pop, f)
     return cfg if resolved is sub else replace(cfg, **{cfg.kind: resolved})
@@ -338,13 +320,5 @@ def estimate_t3(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> 
 
 
 def evaluate(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> Estimate:
-    """Dispatch on the configured estimator kind."""
-    if cfg.kind == "usual":
-        return estimate_usual(s)
-    if cfg.kind == "ta":
-        return estimate_ratio_ta(s, pop)
-    if cfg.kind == "tb":
-        return estimate_regression_tb(s, pop, cfg)
-    if cfg.kind in ("tc", "t1", "t2", "t3"):
-        return _estimate_resolved(s, pop, cfg, cfg.kind)
-    raise InvalidConfig(f"unknown estimator kind {cfg.kind!r}")
+    """The estimate of the configured kind, with its constants resolved."""
+    return _estimate(s, pop, resolve_config(cfg, pop, sampling_fraction(s.n, pop.N)))

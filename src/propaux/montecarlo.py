@@ -187,9 +187,7 @@ def _unique_names(configs: Sequence[EstimatorConfig]) -> list[str]:
 
 def _aggregate(names: list[str], resolved: Sequence[EstimatorConfig],
                values: np.ndarray, failed: np.ndarray, pop: PopulationParams,
-               f: float, true_p: float,
-               weights: np.ndarray | None = None,
-               exact: bool = False) -> list[EstimatorRun]:
+               f: float, true_p: float, exact: bool = False) -> list[EstimatorRun]:
     rows = []
     for j, (name, cfg) in enumerate(zip(names, resolved)):
         ok = ~failed[j]
@@ -199,7 +197,7 @@ def _aggregate(names: list[str], resolved: Sequence[EstimatorConfig],
             raise DataError(f"estimator {name} failed on every replicate")
         err = v - true_p
         if exact:
-            w = weights[ok] / weights[ok].sum()
+            w = np.full(count, 1.0 / count)
             mean = float(np.dot(w, v))
             mse = float(np.dot(w, err**2))
             se = 0.0
@@ -222,15 +220,23 @@ def _aggregate(names: list[str], resolved: Sequence[EstimatorConfig],
     return rows
 
 
-def _evaluate(frame: PopulationFrame, n: int, pop: PopulationParams,
-              resolved: Sequence[EstimatorConfig], total: int,
-              draw: Callable[[int, int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Values and failure flags of every estimator on samples ``0..total-1``.
+def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] | None,
+            total: int, draw: Callable[[int, int], np.ndarray],
+            seed: int | None = None) -> SimulationReport:
+    """Every estimator of ``configs`` over samples ``0..total-1``, aggregated
+    exactly over equally weighted subsets when ``seed`` is None, else as
+    Monte Carlo replicates of that seed.
 
     The samples are taken in order, in chunks of ``CHUNK_ELEMENTS`` indices
     (at least one sample): ``draw(start, stop)`` returns the index rows of
     samples ``start..stop-1``.
     """
+    configs = tuple(configs) if configs is not None else DEFAULT_CONFIGS
+    names = _unique_names(configs)
+    pop = compute_population_params(frame)
+    f = sampling_fraction(n, frame.size)
+    resolved = [resolve_config(cfg, pop, f) for cfg in configs]
+
     values = np.zeros((len(resolved), total))
     failed = np.zeros((len(resolved), total), dtype=bool)
     rows = max(1, CHUNK_ELEMENTS // n)
@@ -241,7 +247,13 @@ def _evaluate(frame: PopulationFrame, n: int, pop: PopulationParams,
             chunk_values, codes = evaluate_batch(cfg, pop, *stats)
             values[j, start:stop] = chunk_values
             failed[j, start:stop] = codes != 0
-    return values, failed
+
+    exact = seed is None
+    return SimulationReport(
+        n=n, population_size=frame.size, sampling_fraction=f, true_p=pop.P,
+        replicates=total, exact=exact, seed=seed, rng=None if exact else RNG_SCHEME,
+        rows=tuple(_aggregate(names, resolved, values, failed, pop, f, pop.P, exact)),
+    )
 
 
 def enumerate_exact(frame: PopulationFrame, n: int,
@@ -257,12 +269,6 @@ def enumerate_exact(frame: PopulationFrame, n: int,
     total = math.comb(frame.size, n)
     if total > ENUMERATION_LIMIT:
         raise TooLarge(f"{total} subsets exceed the enumeration limit {ENUMERATION_LIMIT}")
-    configs = tuple(configs) if configs is not None else DEFAULT_CONFIGS
-    names = _unique_names(configs)
-    pop = compute_population_params(frame)
-    f = sampling_fraction(n, frame.size)
-    resolved = [resolve_config(cfg, pop, f) for cfg in configs]
-
     subsets = itertools.chain.from_iterable(itertools.combinations(range(frame.size), n))
 
     def draw(start: int, stop: int) -> np.ndarray:
@@ -270,14 +276,7 @@ def enumerate_exact(frame: PopulationFrame, n: int,
         flat = np.fromiter(itertools.islice(subsets, size), dtype=np.intp, count=size)
         return flat.reshape(stop - start, n)
 
-    values, failed = _evaluate(frame, n, pop, resolved, total, draw)
-    weights = np.ones(total)
-    rows = _aggregate(names, resolved, values, failed, pop, f, pop.P,
-                      weights=weights, exact=True)
-    return SimulationReport(
-        n=n, population_size=frame.size, sampling_fraction=f, true_p=pop.P,
-        replicates=total, exact=True, seed=None, rng=None, rows=tuple(rows),
-    )
+    return _report(frame, n, configs, total, draw)
 
 
 def run_experiment(frame: PopulationFrame, n: int,
@@ -293,19 +292,9 @@ def run_experiment(frame: PopulationFrame, n: int,
         raise InvalidConfig(f"need at least 100 replicates, got {reps}")
     if not 2 <= n <= frame.size:
         raise InvalidDesign(f"need 2 <= n <= N, got n={n}, N={frame.size}")
-    configs = tuple(configs) if configs is not None else DEFAULT_CONFIGS
-    names = _unique_names(configs)
-    pop = compute_population_params(frame)
-    f = sampling_fraction(n, frame.size)
-    resolved = [resolve_config(cfg, pop, f) for cfg in configs]
 
     def draw(start: int, stop: int) -> np.ndarray:
         return np.array([draw_srswor(frame, n, replicate_rng(seed, i))
                          for i in range(start, stop)])
 
-    values, failed = _evaluate(frame, n, pop, resolved, reps, draw)
-    rows = _aggregate(names, resolved, values, failed, pop, f, pop.P)
-    return SimulationReport(
-        n=n, population_size=frame.size, sampling_fraction=f, true_p=pop.P,
-        replicates=reps, exact=False, seed=seed, rng=RNG_SCHEME, rows=tuple(rows),
-    )
+    return _report(frame, n, configs, reps, draw, seed)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -422,21 +422,44 @@ class Family:
     for ``usual`` and ``ta``), the population and the design factor: ``mse``
     returns the MSE at the constants the configuration holds, ``min_mse`` the
     MSE at the optimum, and ``optimum`` the optimal values of ``constants``.
+
+    ``census`` holds the limits of ``constants`` under a census design
+    (f = 0), where a family whose weight system is then singular (there is no
+    auxiliary contrast to weigh) has no optimum; both limits reproduce the
+    sample proportion exactly. An efficiency table reports ``bias`` and
+    ``shown`` at the resolved configuration, quoting ``formulas``, or
+    ``census_formulas`` for a census row of a family with census limits.
     """
 
     mse: Callable[..., float]
     min_mse: Callable[..., float]
     constants: tuple[str, ...] = ()
     optimum: Callable[..., tuple[float, ...]] = lambda cfg, pop, f: ()
+    census: tuple[float, ...] = ()
+    bias: Callable[..., float] = lambda cfg, pop, f: 0.0
+    shown: Callable[..., dict[str, float]] = (
+        lambda cfg, pop, f: {} if cfg is None else dict(vars(cfg)))
+    formulas: dict[str, str] = field(default_factory=dict)
+    census_formulas: dict[str, str] = field(default_factory=dict)
 
     def resolve(self, cfg, pop: PopulationParams, f: float):
-        """``cfg`` with every ``None`` constant replaced by its optimum."""
+        """``cfg`` with every ``None`` constant replaced by its optimum, or by
+        its census limit when f = 0."""
         given = [getattr(cfg, name) for name in self.constants]
         if None not in given:
             return cfg
-        optimum = self.optimum(cfg, pop, f)
-        return replace(cfg, **{name: best if value is None else value
-                               for name, value, best in zip(self.constants, given, optimum)})
+        best = self.census if f == 0.0 and self.census else self.optimum(cfg, pop, f)
+        return replace(cfg, **{name: limit if value is None else value
+                               for name, value, limit in zip(self.constants, given, best)})
+
+    def table_mse(self, cfg) -> Callable[[PopulationParams, float], float]:
+        """The MSE an efficiency table reports for ``cfg``, as a function of
+        the population and the design factor: the minimum when every constant
+        is free, else the MSE at the given constants (the free ones at their
+        optimum)."""
+        if all(getattr(cfg, name) is None for name in self.constants):
+            return partial(self.min_mse, cfg)
+        return lambda pop, f: self.mse(self.resolve(cfg, pop, f), pop, f)
 
 
 def _tc(cfg, pop: PopulationParams, f: float) -> TcConstants:
@@ -447,26 +470,61 @@ def _t3(cfg, pop: PopulationParams, f: float) -> T3Constants:
     return t3_constants(pop, f, cfg.gamma, cfg.g, cfg.delta)
 
 
+def _tc_shown(cfg, pop: PopulationParams, f: float) -> dict[str, float]:
+    tcc = _tc(cfg, pop, f)
+    return {"q1": cfg.q1, "q2": cfg.q2, "theta": tcc.theta, "bc": tcc.bc, "ac": tcc.ac}
+
+
+_UNBIASED_LINEAR = "0 (linear member is first-order unbiased)"
+
 FAMILIES: dict[str, Family] = {
     "usual": Family(lambda cfg, pop, f: var_usual(pop, f),
-                    lambda cfg, pop, f: var_usual(pop, f)),
+                    lambda cfg, pop, f: var_usual(pop, f),
+                    formulas={"mse": "var_usual: f*P^2*cp^2",
+                              "bias": "0 (exactly unbiased)"}),
     "ta": Family(lambda cfg, pop, f: mse_ta(pop, f),
-                 lambda cfg, pop, f: mse_ta(pop, f)),
+                 lambda cfg, pop, f: mse_ta(pop, f),
+                 bias=lambda cfg, pop, f: bias_ta(pop, f),
+                 formulas={"mse": "mse_ta: f*P^2*(cp^2+cx^2-2*rho_pb*cp*cx)",
+                           "bias": "bias_ta: f*P*(cx^2-rho_pb*cp*cx)"}),
     "tb": Family(lambda cfg, pop, f: t2_mse(pop, f, cfg.h1, 0.0),
                  lambda cfg, pop, f: min_mse_tb(pop, f),
-                 ("h1",), lambda cfg, pop, f: (tb_optimal_h1(pop),)),
+                 ("h1",), lambda cfg, pop, f: (tb_optimal_h1(pop),),
+                 formulas={"mse": "min_mse_tb: f*P^2*cp^2*(1-rho_pb^2)",
+                           "bias": _UNBIASED_LINEAR}),
     "tc": Family(lambda cfg, pop, f: tc_mse(_tc(cfg, pop, f), pop, cfg.q1, cfg.q2),
                  lambda cfg, pop, f: tc_min_mse(_tc(cfg, pop, f), pop),
-                 ("q1", "q2"), lambda cfg, pop, f: tc_optimal_q(_tc(cfg, pop, f))),
+                 ("q1", "q2"), lambda cfg, pop, f: tc_optimal_q(_tc(cfg, pop, f)),
+                 census=(1.0, 0.0),
+                 bias=lambda cfg, pop, f: tc_bias(pop, f, _tc(cfg, pop, f), cfg.q1, cfg.q2),
+                 shown=_tc_shown,
+                 formulas={"mse": "tc_min_mse: P^2-(d1*d5^2+d3*d4^2-2*d2*d4*d5)/(d1*d3-d2^2)",
+                           "bias": "tc_bias: P*(q1-1)+f*((q2*X*bc+q1*P*ac)*cx^2"
+                                   "-q1*P*bc*rho_pb*cp*cx)"},
+                 census_formulas={"mse": "census: f=0 collapses every first-order MSE",
+                                  "bias": "census"}),
     "t1": Family(lambda cfg, pop, f: t1_mse(pop, f, cfg.alpha, cfg.beta),
                  lambda cfg, pop, f: t1_min_mse(pop, f),
-                 ("alpha", "beta"), lambda cfg, pop, f: t1_optimal(pop)),
+                 ("alpha", "beta"), lambda cfg, pop, f: t1_optimal(pop),
+                 bias=lambda cfg, pop, f: t1_bias(pop, f, cfg.alpha, cfg.beta),
+                 formulas={"mse": "t1_min_mse: f*P^2*cp^2*(1-rho^2-(lambda03*rho-lambda12)^2/gap)",
+                           "bias": "t1_bias at the optimal exponents"}),
     "t2": Family(lambda cfg, pop, f: t2_mse(pop, f, cfg.h1, cfg.h2),
                  lambda cfg, pop, f: t2_min_mse(pop, f),
-                 ("h1", "h2"), lambda cfg, pop, f: t2_optimal(pop)),
+                 ("h1", "h2"), lambda cfg, pop, f: t2_optimal(pop),
+                 formulas={"mse": "t2_min_mse == t1_min_mse (identical closed forms)",
+                           "bias": _UNBIASED_LINEAR}),
+    # A table cannot fix the t3 weights (TableConfig builds them free), so
+    # its rows sit at the optimum, where bias and MSE share one bracket.
     "t3": Family(lambda cfg, pop, f: t3_mse(_t3(cfg, pop, f), pop, cfg.m1, cfg.m2),
                  lambda cfg, pop, f: t3_min_mse(_t3(cfg, pop, f), pop),
-                 ("m1", "m2"), lambda cfg, pop, f: t3_optimal_m(_t3(cfg, pop, f))),
+                 ("m1", "m2"), lambda cfg, pop, f: t3_optimal_m(_t3(cfg, pop, f)),
+                 census=(0.5, 0.5),
+                 bias=lambda cfg, pop, f: t3_bias_min(_t3(cfg, pop, f), pop),
+                 shown=lambda cfg, pop, f: {**vars(cfg), **vars(_t3(cfg, pop, f))},
+                 formulas={"mse": "t3_min_mse: P^2*(1-(b^2*c-2*b*d*e+a*e^2)/(a*c-d^2))",
+                           "bias": "t3_bias_min: -P*(1-(b^2*c-2*b*d*e+a*e^2)/(a*c-d^2))"},
+                 census_formulas={"mse": "census", "bias": "census"}),
 }
 
 
@@ -528,68 +586,25 @@ def theory_report(pop: PopulationParams, design: Design,
     Under a census design (f = 0) every first-order MSE collapses to zero and
     efficiencies are undefined (reported as None).
     """
-    config = config or TableConfig()
     f = design.f
     census = f == 0.0
     baseline = var_usual(pop, f)
     entries: list[EstimatorTheory] = []
-
-    def add(name: str, bias: float, mse: float, constants: dict[str, float],
-            formulas: dict[str, str]) -> None:
+    for name, kind, cfg in _table(config or TableConfig()):
+        family = FAMILIES[kind]
+        if census and family.census:
+            bias, mse, constants, formulas = 0.0, 0.0, {}, family.census_formulas
+        else:
+            resolved = family.resolve(cfg, pop, f)
+            bias = family.bias(resolved, pop, f)
+            mse = family.table_mse(cfg)(pop, f)
+            constants, formulas = family.shown(resolved, pop, f), family.formulas
         entries.append(EstimatorTheory(
             name=name, bias=bias, mse=mse,
             pre=None if census else pre(baseline, mse),
             constants=constants,
             formulas={**formulas, "pre": "100*mse(p)/mse"},
         ))
-
-    def minimum(kind: str, cfg=None) -> float:
-        return FAMILIES[kind].min_mse(cfg, pop, f)
-
-    add("p", 0.0, minimum("usual"), {},
-        {"mse": "var_usual: f*P^2*cp^2", "bias": "0 (exactly unbiased)"})
-    add("ta", bias_ta(pop, f), minimum("ta"), {},
-        {"mse": "mse_ta: f*P^2*(cp^2+cx^2-2*rho_pb*cp*cx)",
-         "bias": "bias_ta: f*P*(cx^2-rho_pb*cp*cx)"})
-    add("tb", 0.0, minimum("tb"), {"h1": tb_optimal_h1(pop)},
-        {"mse": "min_mse_tb: f*P^2*cp^2*(1-rho_pb^2)",
-         "bias": "0 (linear member is first-order unbiased)"})
-
-    if census:
-        add("tc", 0.0, 0.0, {}, {"mse": "census: f=0 collapses every first-order MSE",
-                                 "bias": "census"})
-    else:
-        tcc = _tc(config.tc, pop, f)
-        tc = FAMILIES["tc"].resolve(config.tc, pop, f)
-        optimal = config.tc.q1 is None and config.tc.q2 is None
-        mse_c = minimum("tc", config.tc) if optimal else FAMILIES["tc"].mse(tc, pop, f)
-        add("tc", tc_bias(pop, f, tcc, tc.q1, tc.q2), mse_c,
-            {"q1": tc.q1, "q2": tc.q2, "theta": tcc.theta, "bc": tcc.bc, "ac": tcc.ac},
-            {"mse": "tc_min_mse: P^2-(d1*d5^2+d3*d4^2-2*d2*d4*d5)/(d1*d3-d2^2)",
-             "bias": "tc_bias: P*(q1-1)+f*((q2*X*bc+q1*P*ac)*cx^2-q1*P*bc*rho_pb*cp*cx)"})
-
-    alpha, beta = t1_optimal(pop)
-    add("t1", t1_bias(pop, f, alpha, beta), minimum("t1"),
-        {"alpha": alpha, "beta": beta},
-        {"mse": "t1_min_mse: f*P^2*cp^2*(1-rho^2-(lambda03*rho-lambda12)^2/gap)",
-         "bias": "t1_bias at the optimal exponents"})
-    h1, h2 = t2_optimal(pop)
-    add("t2", 0.0, minimum("t2"), {"h1": h1, "h2": h2},
-        {"mse": "t2_min_mse == t1_min_mse (identical closed forms)",
-         "bias": "0 (linear member is first-order unbiased)"})
-
-    for cfg in config.t3_configs():
-        name = _t3_label(cfg)
-        if census:
-            add(name, 0.0, 0.0, {}, {"mse": "census", "bias": "census"})
-            continue
-        t3c = _t3(cfg, pop, f)
-        m1, m2 = t3_optimal_m(t3c)
-        add(name, t3_bias_min(t3c, pop), minimum("t3", cfg),
-            {"gamma": cfg.gamma, "g": cfg.g, "delta": cfg.delta, "m1": m1, "m2": m2,
-             "a": t3c.a, "b": t3c.b, "c": t3c.c, "d": t3c.d, "e": t3c.e},
-            {"mse": "t3_min_mse: P^2*(1-(b^2*c-2*b*d*e+a*e^2)/(a*c-d^2))",
-             "bias": "t3_bias_min: -P*(1-(b^2*c-2*b*d*e+a*e^2)/(a*c-d^2))"})
     return TheoryReport(design=design, entries=tuple(entries))
 
 
@@ -618,6 +633,8 @@ def comparison_conditions(pop: PopulationParams, f: float,
                           config: TableConfig | None = None) -> tuple[ConditionResult, ...]:
     """Numeric evaluation of the pairwise dominance conditions.
 
+    Each side is the MSE the efficiency table reports for that row
+    (``Family.table_mse``), so fixed ``tc`` weights are compared as given.
     The first condition (power-transform/two-channel class against the usual
     estimator) carries an analytic guarantee: its slack equals
     ``f*P^2*cp^2*(rho^2 + (lambda03*rho - lambda12)^2/gap)``, a sum of squares
@@ -651,15 +668,15 @@ def comparison_conditions(pop: PopulationParams, f: float,
             return None
         return f * pop.P**2 * (alpha * c[1] + beta * c[2]) >= -tol
 
-    t1_min = partial(FAMILIES["t1"].min_mse, None, pop, f)
-    t3_min = partial(FAMILIES["t3"].min_mse, config.t3_configs()[0], pop, f)
-    tc_min = partial(FAMILIES["tc"].min_mse, config.tc, pop, f)
+    mse_t1 = partial(FAMILIES["t1"].table_mse(T1Config()), pop, f)
+    mse_t3 = partial(FAMILIES["t3"].table_mse(config.t3_configs()[0]), pop, f)
+    mse_tc = partial(FAMILIES["tc"].table_mse(config.tc), pop, f)
 
     return (
-        build("t1_t2_vs_usual", t1_min, lambda: v, guaranteed=first_guarantee()),
-        build("t3_vs_usual", t3_min, lambda: v),
-        build("t3_vs_t2", t3_min, t1_min),
-        build("t3_vs_tc", t3_min, tc_min),
+        build("t1_t2_vs_usual", mse_t1, lambda: v, guaranteed=first_guarantee()),
+        build("t3_vs_usual", mse_t3, lambda: v),
+        build("t3_vs_t2", mse_t3, mse_t1),
+        build("t3_vs_tc", mse_t3, mse_tc),
     )
 
 
@@ -722,14 +739,16 @@ def sensitivity(pop: PopulationParams, f: float, config: TableConfig | None = No
 
     Each of (cp, cx, rho_pb, lambda03, lambda04, lambda12) is perturbed within
     plus/minus half a unit of its last reported digit (``0.5 * 10**-digits``),
-    independently (axis points) and jointly (corners). Points where a theory
-    expression fails (negative MSE, singular system, invalid moments) are
-    counted as unstable rather than aborting the scan; a point whose
+    independently (axis points) and jointly (corners). Each point takes the
+    MSE the efficiency table reports (``Family.table_mse``). Points where a
+    theory expression fails (negative MSE, singular system, invalid moments)
+    are counted as unstable rather than aborting the scan; a point whose
     perturbed parameters are invalid is unstable for every estimator.
     """
     if not isinstance(digits, int) or digits < 1:
         raise InvalidConfig(f"digits must be an integer >= 1, got {digits!r}")
     rows = _table(config or TableConfig())[1:]  # p, the baseline, is 100 everywhere
+    mses = [FAMILIES[kind].table_mse(cfg) for _, kind, cfg in rows]
     points = _scan_points(digits)
     found: list[list[float]] = [[] for _ in rows]
     center: list[float | None] = [None] * len(rows)
@@ -739,9 +758,9 @@ def sensitivity(pop: PopulationParams, f: float, config: TableConfig | None = No
         except ToolkitError:
             continue
         baseline = var_usual(q, f)
-        for j, (_, kind, cfg) in enumerate(rows):
+        for j, mse in enumerate(mses):
             try:
-                value = pre(baseline, FAMILIES[kind].min_mse(cfg, q, f))
+                value = pre(baseline, mse(q, f))
             except ToolkitError:
                 continue
             found[j].append(value)

@@ -204,6 +204,15 @@ class TestSensitivityCommand:
         assert rows["tb"]["high"] - rows["tb"]["low"] < 5.0
         assert rows["t3(g=1,d=1)"]["low"] <= rows["t3(g=1,d=1)"]["point"]
 
+    def test_fixed_tc_weights_are_scanned(self, ref_params_path, tmp_path):
+        # q1=1, q2=0 is the plain ratio estimator; pre prints 189.21 for it
+        out = tmp_path / "sens.json"
+        assert main(["sensitivity", "--params", str(ref_params_path), "--digits", "3",
+                     "--tc", "q1=1,q2=0", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        rows = {row["name"]: row for row in doc["sensitivity"]["intervals"]}
+        assert f"{rows['tc']['point']:.2f}" == "189.21"
+
 
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, capsys):

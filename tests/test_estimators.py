@@ -28,6 +28,7 @@ from propaux.config import T1Config, T2Config, T3Config, TbConfig, TcConfig
 from propaux.errors import (
     DataError,
     InvalidConfig,
+    InvalidDesign,
     NonpositiveBase,
     NonpositiveTransform,
     ZeroSampleMean,
@@ -229,6 +230,16 @@ class TestConfigValidation:
         assert evaluate(stats, pop, cfg).value == stats.p
         with pytest.raises(InvalidConfig):
             estimate_tc(stats, pop, cfg)
+
+    def test_evaluate_keeps_the_label_of_every_kind(self, pop):
+        stats = balanced_sample(pop)
+        for kind in theory.FAMILIES:
+            cfg = EstimatorConfig(kind=kind, label="L")
+            assert evaluate(stats, pop, cfg).config_used.name == "L"
+            # every kind reads the design factor, so a sample larger than
+            # the population is rejected whatever the kind
+            with pytest.raises(InvalidDesign):
+                evaluate(balanced_sample(pop, n=pop.N + 1, p=0.0), pop, cfg)
 
     def test_batch_needs_resolved_constants(self, pop):
         with pytest.raises(InvalidConfig):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from propaux import theory
 from propaux.config import TableConfig, TcConfig
@@ -493,6 +495,16 @@ class TestTheoryReport:
             assert entry.mse == 0.0
             assert entry.bias == 0.0
             assert entry.pre is None
+        # the weight systems of tc and t3 are singular at f = 0: their rows
+        # show no constants and say why
+        assert report.entry("tc").constants == {}
+        assert report.entry("tc").formulas == {
+            "mse": "census: f=0 collapses every first-order MSE",
+            "bias": "census", "pre": "100*mse(p)/mse"}
+        for entry in report.entries[6:]:
+            assert entry.constants == {}
+            assert entry.formulas == {"mse": "census", "bias": "census",
+                                      "pre": "100*mse(p)/mse"}
 
     def test_fixed_constants_are_respected(self, ref_pop, ref_design):
         config = TableConfig(tc=TcConfig(q1=1.0, q2=0.0))
@@ -503,6 +515,30 @@ class TestTheoryReport:
         # with q1=1, q2=0 and the plain ratio transform the family reduces to
         # the plain ratio estimator, so its first-order MSE must match
         assert entry.mse == pytest.approx(theory.mse_ta(ref_pop, ref_design.f), rel=1e-12)
+
+
+_TC_WEIGHT = st.one_of(st.none(), st.floats(min_value=-1.0, max_value=2.0))
+
+
+class TestOneTableMse:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), q1=_TC_WEIGHT, q2=_TC_WEIGHT)
+    def test_every_consumer_reads_the_table_mse(self, seed, q1, q2):
+        # free, half-fixed and fixed tc weights: the sensitivity point and
+        # the t3_vs_tc reference are the MSE the theory report prints
+        pop, f = well_posed_params(np.random.default_rng(seed))
+        design = Design(n=max(5, pop.N // 6), N=pop.N)
+        config = TableConfig(tc=TcConfig(q1=q1, q2=q2))
+        try:
+            report = theory.theory_report(pop, design, config)
+        except theory.ToolkitError:
+            assume(False)
+        for interval in theory.sensitivity(pop, design.f, config).intervals:
+            assert interval.point == report.entry(interval.name).pre
+        conditions = theory.comparison_conditions(pop, design.f, config)
+        assert conditions[3].name == "t3_vs_tc"
+        assert conditions[3].reference_mse == report.entry("tc").mse
+        assert conditions[3].candidate_mse == report.entries[6].mse
 
 
 class TestSensitivity:
