@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import io, montecarlo, theory
-from .config import T3Config, TableConfig, TcConfig
+from .config import T3_TABLE_VARIANTS, T3Config, TableConfig
 from .errors import DataError, NumericalError, ParseError
 from .estimators import _SUBCONFIGS, EstimatorConfig, evaluate
 from .montecarlo import SyntheticSpec, generate_population, run_experiment
@@ -31,11 +31,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _table_config(args) -> TableConfig:
-    kwargs = {}
-    if getattr(args, "tc", None):
-        kwargs["tc"] = _parse_config(TcConfig, args.tc)
-    if getattr(args, "t3", None):
-        t3 = _parse_config(T3Config, args.t3)
+    kwargs = _subconfigs(args)
+    if "t3" in kwargs:
+        t3 = kwargs.pop("t3")
         fixed = [name for name in ("g", "delta", "m1", "m2")
                  if getattr(t3, name) != getattr(T3Config(), name)]
         if fixed:
@@ -44,23 +42,25 @@ def _table_config(args) -> TableConfig:
     return TableConfig(**kwargs)
 
 
-def _parse_config(cls, text: str):
-    try:
-        return cls.from_kv(text)
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from None
-
-
-def _estimator_config(args) -> EstimatorConfig:
-    kind = args.estimator
-    kwargs = {}
+def _subconfigs(args, kind: str | None = None) -> dict:
+    """The family configurations given as ``--tc``/``--t3``/... flags, parsed
+    in ``_SUBCONFIGS`` order; with ``kind``, a flag of any other family is a
+    usage error."""
+    given = {}
     for slot, cls in _SUBCONFIGS.items():
         text = getattr(args, slot, None)
         if text:
-            if slot != kind:
+            if kind is not None and slot != kind:
                 raise CliUsageError(f"--{slot} does not apply to estimator {kind!r}")
-            kwargs[slot] = _parse_config(cls, text)
-    return EstimatorConfig(kind=kind, **kwargs)
+            try:
+                given[slot] = cls.from_kv(text)
+            except ValueError as exc:
+                raise CliUsageError(str(exc)) from None
+    return given
+
+
+def _estimator_config(args) -> EstimatorConfig:
+    return EstimatorConfig(kind=args.estimator, **_subconfigs(args, args.estimator))
 
 
 def _parse_indices(spec: str) -> list[int]:
@@ -79,7 +79,14 @@ def _parse_indices(spec: str) -> list[int]:
 def _table_configurations(config: TableConfig, **leading) -> dict:
     """The ``configurations`` of a report on an efficiency table."""
     return {**leading, "tc": vars(config.tc), "t3_gamma": config.t3_gamma,
-            "t3_variants": list(config.t3_variants)}
+            "t3_variants": list(T3_TABLE_VARIANTS)}
+
+
+def _write_report(args, input_path: str, configurations: dict, sections: dict) -> None:
+    """Write the report envelope around ``sections`` to ``--output``."""
+    document = io.build_report_document(input_digest=io.file_digest(input_path),
+                                        configurations=configurations, sections=sections)
+    io.write_report_json(args.output, document)
 
 
 def _census_dash(value) -> str:
@@ -107,13 +114,9 @@ def _cmd_theory(args) -> int:
     if doc.design.f > 0.0:
         conditions = io.conditions_dict(
             theory.comparison_conditions(doc.params, doc.design.f, config))
-    document = io.build_report_document(
-        input_digest=io.file_digest(args.params),
-        configurations=_table_configurations(config),
-        sections={"theory": io.theory_report_dict(report),
-                  "comparison_conditions": conditions},
-    )
-    io.write_report_json(args.output, document)
+    _write_report(args, args.params, _table_configurations(config),
+                  {"theory": io.theory_report_dict(report),
+                   "comparison_conditions": conditions})
     return 0
 
 
@@ -162,31 +165,20 @@ def _config_dict(cfg: EstimatorConfig) -> dict:
 
 def _cmd_simulate(args) -> int:
     frame = io.read_population_csv(args.input)
-    configs = list(montecarlo.DEFAULT_CONFIGS)
-    if args.tc:
-        configs = [EstimatorConfig(kind="tc", tc=_parse_config(TcConfig, args.tc))
-                   if cfg.kind == "tc" else cfg for cfg in configs]
-    if args.t3:
-        configs = [EstimatorConfig(kind="t3", t3=_parse_config(T3Config, args.t3))
-                   if cfg.kind == "t3" else cfg for cfg in configs]
+    given = _subconfigs(args)
+    configs = [EstimatorConfig(kind=cfg.kind, **{cfg.kind: given[cfg.kind]})
+               if cfg.kind in given else cfg for cfg in montecarlo.DEFAULT_CONFIGS]
     report = run_experiment(frame, args.n, configs, reps=args.reps, seed=args.seed)
-    document = io.build_report_document(
-        input_digest=io.file_digest(args.input),
-        configurations={"n": args.n, "reps": args.reps, "seed": args.seed,
-                        "estimators": [_config_dict(cfg) for cfg in configs]},
-        sections={"simulation": io.simulation_report_dict(report)},
-    )
-    io.write_report_json(args.output, document)
+    _write_report(args, args.input,
+                  {"n": args.n, "reps": args.reps, "seed": args.seed,
+                   "estimators": [_config_dict(cfg) for cfg in configs]},
+                  {"simulation": io.simulation_report_dict(report)})
     return 0
 
 
 def _cmd_generate(args) -> int:
     if args.spec:
-        with open(args.spec, encoding="utf-8") as handle:
-            try:
-                raw = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{args.spec}: invalid JSON ({exc})") from None
+        raw = io.read_json(args.spec)
         if not isinstance(raw, dict):
             raise ParseError(f"{args.spec}: expected a JSON object")
         raw["size"] = args.size
@@ -205,12 +197,8 @@ def _cmd_sensitivity(args) -> int:
     doc = io.read_params_json(args.params)
     config = _table_config(args)
     report = theory.sensitivity(doc.params, doc.design.f, config, digits=args.digits)
-    document = io.build_report_document(
-        input_digest=io.file_digest(args.params),
-        configurations=_table_configurations(config, digits=args.digits),
-        sections={"sensitivity": io.sensitivity_report_dict(report)},
-    )
-    io.write_report_json(args.output, document)
+    _write_report(args, args.params, _table_configurations(config, digits=args.digits),
+                  {"sensitivity": io.sensitivity_report_dict(report)})
     return 0
 
 

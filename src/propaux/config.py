@@ -16,38 +16,38 @@ def _parse_value(raw: str) -> float | None:
     return float(raw)
 
 
-def _from_kv(cls, text: str):
-    """Build a config from ``key=value,key=value`` text (CLI syntax)."""
-    kwargs = {}
-    allowed = {f.name for f in fields(cls)}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, raw = part.partition("=")
-        key = key.strip()
-        if not sep or key not in allowed:
-            raise ValueError(f"unknown or malformed option {part!r} for {cls.__name__}")
-        try:
-            kwargs[key] = _parse_value(raw)
-        except ValueError:
-            raise ValueError(f"cannot parse value in {part!r}") from None
-    return cls(**kwargs)
+class _FromKv:
+    """Mixin of the per-family configurations: parsing of CLI flag text."""
+
+    @classmethod
+    def from_kv(cls, text: str):
+        """Build a config from ``key=value,key=value`` text (CLI syntax)."""
+        kwargs = {}
+        allowed = {f.name for f in fields(cls)}
+        for part in text.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            key, sep, raw = part.partition("=")
+            key = key.strip()
+            if not sep or key not in allowed:
+                raise ValueError(f"unknown or malformed option {part!r} for {cls.__name__}")
+            try:
+                kwargs[key] = _parse_value(raw)
+            except ValueError:
+                raise ValueError(f"cannot parse value in {part!r}") from None
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
-class TbConfig:
+class TbConfig(_FromKv):
     """Linear regression-type member; ``h1 = None`` means the optimal slope."""
 
     h1: float | None = None
 
-    @classmethod
-    def from_kv(cls, text: str) -> "TbConfig":
-        return _from_kv(cls, text)
-
 
 @dataclass(frozen=True)
-class TcConfig:
+class TcConfig(_FromKv):
     """Ratio/exponential transform family.
 
     ``a``, ``b``, ``alpha``, ``beta`` pick the auxiliary transform; the
@@ -61,37 +61,25 @@ class TcConfig:
     q1: float | None = None
     q2: float | None = None
 
-    @classmethod
-    def from_kv(cls, text: str) -> "TcConfig":
-        return _from_kv(cls, text)
-
 
 @dataclass(frozen=True)
-class T1Config:
+class T1Config(_FromKv):
     """Power-transform estimator; exponents default to the optimal pair."""
 
     alpha: float | None = None
     beta: float | None = None
 
-    @classmethod
-    def from_kv(cls, text: str) -> "T1Config":
-        return _from_kv(cls, text)
-
 
 @dataclass(frozen=True)
-class T2Config:
+class T2Config(_FromKv):
     """Linear two-channel member; offsets default to the optimal pair."""
 
     h1: float | None = None
     h2: float | None = None
 
-    @classmethod
-    def from_kv(cls, text: str) -> "T2Config":
-        return _from_kv(cls, text)
-
 
 @dataclass(frozen=True)
-class T3Config:
+class T3Config(_FromKv):
     """Two-term weighted family.
 
     ``gamma`` shifts the ratio channel, ``g`` and ``delta`` switch the ratio
@@ -105,10 +93,6 @@ class T3Config:
     m1: float | None = None
     m2: float | None = None
 
-    @classmethod
-    def from_kv(cls, text: str) -> "T3Config":
-        return _from_kv(cls, text)
-
 
 #: (g, delta) switch pairs reported in the standard efficiency table.
 T3_TABLE_VARIANTS: tuple[tuple[float, float], ...] = ((1.0, 1.0), (1.0, -1.0), (0.0, 1.0))
@@ -120,7 +104,6 @@ class TableConfig:
 
     tc: TcConfig = TcConfig()
     t3_gamma: float = 1.0
-    t3_variants: tuple[tuple[float, float], ...] = T3_TABLE_VARIANTS
 
     def t3_configs(self) -> tuple[T3Config, ...]:
-        return tuple(T3Config(gamma=self.t3_gamma, g=g, delta=d) for g, d in self.t3_variants)
+        return tuple(T3Config(gamma=self.t3_gamma, g=g, delta=d) for g, d in T3_TABLE_VARIANTS)

@@ -269,21 +269,19 @@ def estimate_usual(s: SampleStats) -> Estimate:
 
 def estimate_ratio_ta(s: SampleStats, pop: PopulationParams) -> Estimate:
     """Plain ratio estimate p * xbar / xbar_s."""
-    return _estimate(s, pop, EstimatorConfig(kind="ta"))
+    return evaluate(s, pop, EstimatorConfig(kind="ta"))
 
 
 def estimate_regression_tb(s: SampleStats, pop: PopulationParams,
                            cfg: EstimatorConfig | None = None) -> Estimate:
     """Minimum-MSE linear member p + h1*(xbar_s/xbar - 1)."""
-    cfg = cfg or EstimatorConfig(kind="tb")
-    _expect_kind(cfg, "tb")
-    return _estimate(s, pop, resolve_config(cfg, pop, 0.0))
+    return _estimate_resolved(s, pop, cfg or EstimatorConfig(kind="tb"), "tb")
 
 
 def _estimate_resolved(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig,
                        kind: Kind) -> Estimate:
     _expect_kind(cfg, kind)
-    return _estimate(s, pop, resolve_config(cfg, pop, sampling_fraction(s.n, pop.N)))
+    return evaluate(s, pop, cfg)
 
 
 def estimate_tc(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> Estimate:

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ParseError, SchemaError
 from .montecarlo import SimulationReport
-from .population import _REL_TOL, Design, PopulationFrame, PopulationParams
+from .population import Design, PopulationFrame, PopulationParams, check_realizable
 from .theory import ConditionResult, SensitivityReport, TheoryReport
 
 _REQUIRED_KEYS = ("n", "n_population", "p", "xbar", "rho_pb", "cp", "cx",
@@ -128,36 +128,26 @@ class ParamsDocument:
             lambda04=numbers["lambda04"],
             lambda12=numbers["lambda12"],
         )
-        _check_realizable(params)
+        check_realizable(params)
         provenance = data.get("provenance", PROVENANCE_USER)
         return cls(params=params, design=Design(n=n, N=big_n), provenance=provenance)
 
 
-def _check_realizable(p: PopulationParams) -> None:
-    """Reject moments that no population has: the correlation matrix of the
-    relative deviations of (p, xbar_s, sx2_s) must be positive semidefinite.
-    With its auxiliary block positive definite (gap > 0), that holds exactly
-    when the block's Schur complement is nonnegative; a singular block is left
-    to the theory's DegenerateMoments."""
-    gap = p.lambda04 - 1.0 - p.lambda03**2
-    if gap > 0.0 and (1.0 - p.rho_pb**2 - (p.lambda12 - p.rho_pb * p.lambda03)**2 / gap
-                      < -_REL_TOL):
-        raise SchemaError("rho_pb, lambda03, lambda04 and lambda12 are not the moments of "
-                          "any population: their correlation matrix is not positive "
-                          "semidefinite")
+def read_json(path: str | Path):
+    """The JSON value of a file; malformed JSON is a ``ParseError``."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON ({exc})") from None
 
 
 def read_params_json(path: str | Path) -> ParamsDocument:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    return ParamsDocument.from_dict(data)
+    return ParamsDocument.from_dict(read_json(path))
 
 
 def write_params_json(path: str | Path, doc: ParamsDocument) -> None:
-    Path(path).write_text(json.dumps(doc.to_dict(), indent=2) + "\n", encoding="utf-8")
+    write_report_json(path, doc.to_dict())
 
 
 def file_digest(path: str | Path) -> str:
@@ -202,4 +192,5 @@ def build_report_document(*, input_digest: str, configurations: dict,
 
 
 def write_report_json(path: str | Path, document: dict) -> None:
+    """Write a JSON document: two-space indent and a final newline."""
     Path(path).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")

@@ -28,7 +28,6 @@ from .errors import (
     DataError,
     DegenerateGeneration,
     InvalidConfig,
-    InvalidDesign,
     TooLarge,
 )
 from .estimators import EstimatorConfig, evaluate_batch, resolve_config
@@ -61,23 +60,20 @@ DEFAULT_CONFIGS: tuple[EstimatorConfig, ...] = (
 )
 
 
+def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
+    )
+
+
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     """The deterministic random stream of one replicate."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0, replicate)))
-    )
-
-
-def _generation_rng(seed: int, attempt: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1, attempt)))
-    )
+    return _stream(seed, 0, replicate)
 
 
 def draw_srswor(frame: PopulationFrame, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a uniformly distributed n-subset of unit indices (sorted)."""
-    if not 2 <= n <= frame.size:
-        raise InvalidDesign(f"need 2 <= n <= N, got n={n}, N={frame.size}")
+    sampling_fraction(n, frame.size)
     return np.sort(rng.choice(frame.size, size=n, replace=False))
 
 
@@ -90,7 +86,7 @@ class SyntheticSpec:
     ``symmetric`` is normal with mean ``aux_location`` and standard deviation
     ``aux_scale``. The attribute is 1 with probability
     ``logistic(link_intercept + link_slope * x)``, drawn by thresholding one
-    uniform variate per unit. ``target_rho`` is a recorded hint only.
+    uniform variate per unit.
     """
 
     size: int
@@ -99,7 +95,6 @@ class SyntheticSpec:
     aux_location: float = 0.0
     link_intercept: float = -8.0
     link_slope: float = 8.0
-    target_rho: float | None = None
     max_retries: int = 100
 
     def __post_init__(self):
@@ -118,7 +113,7 @@ def generate_population(spec: SyntheticSpec, seed: int) -> PopulationFrame:
     constant; the retry count and the achieved moment ratios are logged.
     """
     for attempt in range(spec.max_retries):
-        rng = _generation_rng(seed, attempt)
+        rng = _stream(seed, 1, attempt)
         if spec.aux_shape == "skewed-positive":
             x = rng.lognormal(mean=spec.aux_location, sigma=spec.aux_scale, size=spec.size)
         else:
@@ -132,10 +127,9 @@ def generate_population(spec: SyntheticSpec, seed: int) -> PopulationFrame:
             achieved = compute_population_params(frame)
             _LOGGER.info(
                 "generated population: size=%d attempt=%d P=%.4f rho_pb=%.4f "
-                "lambda03=%.4f lambda04=%.4f lambda12=%.4f (target rho %s)",
+                "lambda03=%.4f lambda04=%.4f lambda12=%.4f",
                 spec.size, attempt, achieved.P, achieved.rho_pb,
                 achieved.lambda03, achieved.lambda04, achieved.lambda12,
-                spec.target_rho,
             )
             return frame
     raise DegenerateGeneration(
@@ -264,8 +258,7 @@ def enumerate_exact(frame: PopulationFrame, n: int,
     where an estimator's precondition fails are tallied per estimator and the
     moments are taken over the remaining subsets.
     """
-    if not 2 <= n <= frame.size:
-        raise InvalidDesign(f"need 2 <= n <= N, got n={n}, N={frame.size}")
+    sampling_fraction(n, frame.size)
     total = math.comb(frame.size, n)
     if total > ENUMERATION_LIMIT:
         raise TooLarge(f"{total} subsets exceed the enumeration limit {ENUMERATION_LIMIT}")
@@ -290,8 +283,7 @@ def run_experiment(frame: PopulationFrame, n: int,
     """
     if reps < 100:
         raise InvalidConfig(f"need at least 100 replicates, got {reps}")
-    if not 2 <= n <= frame.size:
-        raise InvalidDesign(f"need 2 <= n <= N, got n={n}, N={frame.size}")
+    sampling_fraction(n, frame.size)
 
     def draw(start: int, stop: int) -> np.ndarray:
         return np.array([draw_srswor(frame, n, replicate_rng(seed, i))

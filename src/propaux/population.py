@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,19 +127,35 @@ class PopulationParams:
             )
 
 
+def check_realizable(p: PopulationParams) -> None:
+    """Reject moments that no population has: the correlation matrix of the
+    relative deviations of (p, xbar_s, sx2_s) must be positive semidefinite.
+
+    With its auxiliary block positive definite (gap > 0), that holds exactly
+    when the block's Schur complement is nonnegative. A singular block
+    (gap <= 0) is PSD only when ``d = lambda12 - rho_pb*lambda03`` is zero:
+    the direction ``(-d, -lambda03, 1)`` has the quadratic form ``-d^2``.
+    Either slack is rejected below ``-_REL_TOL``.
+    """
+    gap = p.lambda04 - 1.0 - p.lambda03**2
+    d = p.lambda12 - p.rho_pb * p.lambda03
+    slack = 1.0 - p.rho_pb**2 - d**2 / gap if gap > 0.0 else -d**2
+    if slack < -_REL_TOL:
+        raise SchemaError("rho_pb, lambda03, lambda04 and lambda12 are not the moments of "
+                          "any population: their correlation matrix is not positive "
+                          "semidefinite")
+
+
 @dataclass(frozen=True)
 class Design:
     """SRSWOR design: sample size, population size, and the factor f."""
 
     n: int
     N: int
-    f: float = None  # type: ignore[assignment]  # derived in __post_init__
+    f: float = field(init=False)
 
     def __post_init__(self):
-        f = sampling_fraction(self.n, self.N)
-        if self.f is not None and not math.isclose(self.f, f, rel_tol=0, abs_tol=1e-15):
-            raise InvalidDesign(f"inconsistent design factor: got {self.f}, expected {f}")
-        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "f", sampling_fraction(self.n, self.N))
 
 
 @dataclass(frozen=True)

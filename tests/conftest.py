@@ -110,7 +110,7 @@ def experiment():
     """The arbitration experiment: synthetic population, n=50, 20000 replicates."""
     from propaux import SyntheticSpec, generate_population, run_experiment
 
-    frame = generate_population(SyntheticSpec(size=2000, target_rho=0.65), seed=42)
+    frame = generate_population(SyntheticSpec(size=2000), seed=42)
     params = compute_population_params(frame)
     report = run_experiment(frame, 50, reps=20000, seed=20240811)
     return params, report

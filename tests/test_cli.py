@@ -193,6 +193,15 @@ class TestGenerateCommand:
         assert main(["generate", "--size", "40", "--seed", "3", "--spec", str(spec),
                      "--output", str(out)]) == 0
 
+    def test_spec_with_unknown_key_is_data_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"target_rho": 0.65}))
+        out = tmp_path / "pop.csv"
+        assert main(["generate", "--size", "40", "--seed", "3", "--spec", str(spec),
+                     "--output", str(out)]) == 2
+        assert "target_rho" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSensitivityCommand:
     def test_writes_intervals(self, ref_params_path, tmp_path):
@@ -231,15 +240,26 @@ class TestExitCodes:
         assert main(["params", "--input", str(bad), "--output", str(out)]) == 2
 
     def test_numerical_error_exit_code(self, tmp_path):
-        # a two-point auxiliary marginal has zero moment gap: the optimal
-        # exponents do not exist
-        data = dict(REF)
-        data["lambda03"] = 0.0
-        data["lambda04"] = 1.0
+        # a symmetric two-point auxiliary marginal has zero moment gap and
+        # lambda12 = rho_pb*lambda03 = 0: a realizable document whose
+        # optimal exponents do not exist
+        data = dict(REF, lambda03=0.0, lambda04=1.0, lambda12=0.0)
         path = tmp_path / "degenerate.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "o.json"
         assert main(["theory", "--params", str(path), "--output", str(out)]) == 3
+
+    def test_impossible_singular_moments_are_data_error(self, tmp_path, capsys):
+        # zero moment gap ties sx2_s to xbar_s, so lambda12 must equal
+        # rho_pb*lambda03 = 0; -0.118 leaves an eigenvalue of -0.049
+        data = dict(REF, lambda03=0.0, lambda04=1.0)
+        path = tmp_path / "impossible.json"
+        path.write_text(json.dumps(data))
+        out = str(tmp_path / "o.json")
+        assert main(["theory", "--params", str(path), "--output", out]) == 2
+        assert main(["sensitivity", "--params", str(path), "--digits", "3",
+                     "--output", out]) == 2
+        assert "not the moments of any population" in capsys.readouterr().err
 
     def test_impossible_moments_are_data_error(self, tmp_path, capsys):
         # rho_pb and lambda12 this large leave the correlation matrix of the

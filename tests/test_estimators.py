@@ -241,6 +241,15 @@ class TestConfigValidation:
             with pytest.raises(InvalidDesign):
                 evaluate(balanced_sample(pop, n=pop.N + 1, p=0.0), pop, cfg)
 
+    def test_single_estimates_check_the_design(self, pop):
+        # the plain ratio and regression entry points validate n against N
+        # like every other kind
+        too_large = balanced_sample(pop, n=pop.N + 1, p=0.0)
+        with pytest.raises(InvalidDesign):
+            estimate_ratio_ta(too_large, pop)
+        with pytest.raises(InvalidDesign):
+            estimate_regression_tb(too_large, pop)
+
     def test_batch_needs_resolved_constants(self, pop):
         with pytest.raises(InvalidConfig):
             evaluate_batch(EstimatorConfig(kind="t1"), pop, [0.5], [pop.xbar], [pop.sx2])

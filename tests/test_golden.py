@@ -1,0 +1,63 @@
+"""The CLI contract bytes of `theory`, `sensitivity` and `pre` on the README
+parameter document, pinned against files under ``tests/golden/``.
+
+Every number on these paths is pure-Python float arithmetic, so the bytes
+are portable. After a deliberate change to the output, rewrite the files with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from propaux.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: The README document, byte for byte: the reports record its sha256.
+DOCUMENT = """{
+  "n": 11, "n_population": 40,
+  "p": 0.525, "xbar": 14.4, "rho_pb": 0.897,
+  "cp": 0.963, "cx": 0.308,
+  "lambda12": -0.118, "lambda04": 1.75, "lambda03": -0.153
+}
+"""
+
+FLAGS = {"": [], "_tc_q1_1_q2_0": ["--tc", "q1=1,q2=0"]}
+COMMANDS = {
+    "theory.json": ["theory"],
+    "sensitivity.json": ["sensitivity", "--digits", "3"],
+    "pre.csv": ["pre", "--format", "csv"],
+}
+CASES = {f"{Path(name).stem}{suffix}{Path(name).suffix}": command + flags
+         for name, command in COMMANDS.items() for suffix, flags in FLAGS.items()}
+
+
+def run(argv: list[str]) -> bytes:
+    """The bytes a command writes: its ``--output`` file, else its stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        params = Path(tmp) / "params.json"
+        params.write_text(DOCUMENT, encoding="utf-8")
+        out = Path(tmp) / "out.json"
+        argv = [argv[0], "--params", str(params), *argv[1:]]
+        if argv[0] != "pre":
+            argv += ["--output", str(out)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        return out.read_bytes() if out.exists() else stdout.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_output_matches_golden_file(name):
+    assert run(CASES[name]) == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN / name).write_bytes(run(argv))
+        print(f"wrote {GOLDEN / name}")

@@ -244,3 +244,9 @@ class TestGeneratePopulation:
             SyntheticSpec(size=5)
         with pytest.raises(InvalidConfig):
             SyntheticSpec(size=100, aux_shape="uniform")
+
+    def test_no_correlation_target(self):
+        # the attribute/auxiliary link is set by link_intercept/link_slope;
+        # there is no separate correlation setting to ignore
+        with pytest.raises(TypeError):
+            SyntheticSpec(size=100, target_rho=0.65)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from propaux import (
+    Design,
     PopulationFrame,
     SampleStats,
     central_moment,
@@ -23,6 +25,7 @@ from propaux.errors import (
     SchemaError,
     ZeroMean,
 )
+from propaux.population import check_realizable
 
 from conftest import random_frame
 from _oracles import loop_moment
@@ -150,6 +153,35 @@ class TestSamplingFraction:
     def test_rejects_non_integers(self):
         with pytest.raises(InvalidDesign):
             sampling_fraction(2.5, 10)
+
+
+class TestCheckRealizable:
+    def test_two_point_auxiliaries_pass_and_their_neighbours_fail(self, rng):
+        # a two-point auxiliary has a singular (p, xbar_s, sx2_s) block, so
+        # its lambda12 is pinned to rho_pb*lambda03 up to rounding
+        checked = 0
+        while checked < 200:
+            size = int(rng.integers(4, 300))
+            x = np.where(rng.random(size) < rng.uniform(0.1, 0.9),
+                         rng.uniform(-5.0, 5.0), rng.uniform(5.0, 50.0))
+            phi = (rng.random(size) < 0.5).astype(np.int64)
+            if phi.sum() in (0, size) or np.unique(x).size < 2:
+                continue
+            params = compute_population_params(PopulationFrame(phi, x))
+            check_realizable(params)
+            with pytest.raises(SchemaError):
+                check_realizable(replace(params, lambda12=params.lambda12 + 1e-3))
+            checked += 1
+
+
+class TestDesign:
+    def test_factor_is_derived_only(self):
+        design = Design(n=11, N=40)
+        assert design.f == sampling_fraction(11, 40)
+        assert design == Design(n=11, N=40)
+        assert repr(design) == f"Design(n=11, N=40, f={design.f!r})"
+        with pytest.raises(TypeError):
+            Design(n=11, N=40, f=design.f)
 
 
 class TestSampleStats:
