@@ -30,10 +30,11 @@ from .montecarlo import (
     DEFAULT_CONFIGS,
     SimulationReport,
     SyntheticSpec,
+    block_rng,
+    draw_replicates,
     draw_srswor,
     enumerate_exact,
     generate_population,
-    replicate_rng,
     run_experiment,
 )
 from .population import (

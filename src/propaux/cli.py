@@ -181,9 +181,11 @@ def _cmd_generate(args) -> int:
         raw = io.read_json(args.spec)
         if not isinstance(raw, dict):
             raise ParseError(f"{args.spec}: expected a JSON object")
-        raw["size"] = args.size
+        if "size" in raw:
+            raise ParseError(f"{args.spec}: the population size is set by --size, "
+                             "not by a 'size' key")
         try:
-            spec = SyntheticSpec(**raw)
+            spec = SyntheticSpec(size=args.size, **raw)
         except TypeError as exc:
             raise ParseError(f"{args.spec}: {exc}") from None
     else:

@@ -2,13 +2,17 @@
 
 Determinism contract
 --------------------
-Every replicate draws from its own random stream, derived only from the
-experiment seed and the replicate index (``SeedSequence(seed, spawn_key=(0, i))``
-feeding a PCG64 generator). Replicates and subsets are evaluated in chunks of
-``CHUNK_ELEMENTS`` sample indices (at least one sample), each chunk through
-one batch sufficient-statistics pass and one kernel call per estimator, and
-aggregation runs over all of them in index order. A report is therefore a pure function
-of ``(population, n, configs, reps, seed)``, independent of the chunking.
+Replicates fall into fixed blocks of ``max(1, BLOCK_ELEMENTS // n)`` rows;
+block ``b`` draws from its own random stream,
+``SeedSequence(seed, spawn_key=(2, b))`` feeding a PCG64 generator, with one
+vectorized Floyd draw for all of its rows. A shorter draw from a block
+stream gives a prefix of the rows of a longer one, so the sample of
+replicate ``i`` depends only on ``(seed, i, N, n)``. Replicates and subsets
+are evaluated in chunks of ``CHUNK_ELEMENTS`` sample indices (at least one
+sample), each chunk through one batch sufficient-statistics pass and one
+kernel call per estimator, and aggregation runs over all of them in index
+order. A report is therefore a pure function of
+``(population, n, configs, reps, seed)``, independent of the chunking.
 Synthetic-population generation uses the disjoint spawn keys ``(1, attempt)``
 so a shared seed never aliases replicate streams.
 """
@@ -18,6 +22,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,12 +47,17 @@ from .population import (
 
 _LOGGER = logging.getLogger(__name__)
 
-RNG_SCHEME = "pcg64:SeedSequence(seed, spawn_key=(0, replicate))"
-
 ENUMERATION_LIMIT = 10**7
 
 #: Sample indices evaluated per chunk; bounds the working memory of a run.
 CHUNK_ELEMENTS = 65536
+
+#: Sample indices per random stream. Part of the RNG scheme: changing it
+#: changes every seeded report.
+BLOCK_ELEMENTS = 65536
+
+RNG_SCHEME = ("pcg64:SeedSequence(seed, spawn_key=(2, replicate // max(1, "
+              f"{BLOCK_ELEMENTS} // n))):floyd-int64")
 
 #: Estimator set used when a caller does not pass explicit configurations.
 DEFAULT_CONFIGS: tuple[EstimatorConfig, ...] = (
@@ -66,15 +77,72 @@ def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
     )
 
 
-def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    """The deterministic random stream of one replicate."""
-    return _stream(seed, 0, replicate)
+def block_rng(seed: int, block: int) -> np.random.Generator:
+    """The deterministic random stream of one block of replicates."""
+    return _stream(seed, 2, block)
+
+
+def _floyd(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
+    """``rows`` uniformly distributed n-subsets of ``range(N)``, one sorted row each.
+
+    Floyd's algorithm (Bentley & Floyd, "A sample of brilliance", CACM 30(9),
+    1987) on every row at once: draw ``k`` is uniform on ``0..N-n+k`` and is
+    kept unless the row already holds it, in which case ``N-n+k`` is kept.
+    The draws are consumed row by row, so fewer rows give a prefix of more.
+    Needs ``2 * n * N < 2**63``.
+    """
+    base = N - n
+    step = np.arange(n)
+    draws = rng.integers(0, np.arange(base + 1, N + 1), size=(rows, n))
+    flat = draws.ravel()
+    # Draw k collides when its row already holds its value. It does when an
+    # earlier draw had that value: sorted by one key that packs (value, draw
+    # index), such a draw follows one of equal value ...
+    shift = int(n).bit_length()
+    key = draws << shift
+    key |= step
+    key.sort(axis=1)
+    repeat = key[:, 1:] ^ key[:, :-1]
+    repeat >>= shift
+    row, pos = np.nonzero(repeat == 0)
+    collided = np.zeros(rows * n, dtype=bool)
+    collided[row * n + (key[row, pos + 1] & ((1 << shift) - 1))] = True
+    del key, repeat  # one block-sized array fewer at the peak
+    # ... and it does when its value is N-n+v, v < k, and draw v collided and
+    # so took N-n+v. Pointer jumping ORs the flags along each chain k -> v -> ...
+    link = np.arange(rows * n)
+    top = np.flatnonzero(flat >= base)
+    link[top] += flat[top] - base - top % n
+    while True:
+        parent = link[top]
+        collided[top] |= collided[parent]
+        jump = link[parent]
+        if np.array_equal(jump, parent):
+            break
+        link[top] = jump
+    np.copyto(draws, base + step, where=collided.reshape(rows, n))
+    draws.sort(axis=1)
+    return draws
 
 
 def draw_srswor(frame: PopulationFrame, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a uniformly distributed n-subset of unit indices (sorted)."""
     sampling_fraction(n, frame.size)
-    return np.sort(rng.choice(frame.size, size=n, replace=False))
+    return _floyd(rng, frame.size, n, 1)[0]
+
+
+def draw_replicates(frame: PopulationFrame, n: int, seed: int,
+                    start: int, stop: int) -> np.ndarray:
+    """The samples of replicates ``start..stop-1`` of the experiment ``seed``
+    (as ``run_experiment`` draws them), one sorted row of unit indices each."""
+    sampling_fraction(n, frame.size)
+    rows = max(1, BLOCK_ELEMENTS // n)
+    parts = []
+    for block in range(start // rows, -(-stop // rows)):
+        first = block * rows
+        drawn = _floyd(block_rng(seed, block), frame.size, n, min(stop, first + rows) - first)
+        parts.append(drawn[max(start - first, 0):])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -98,8 +166,20 @@ class SyntheticSpec:
     max_retries: int = 100
 
     def __post_init__(self):
+        for name in ("size", "max_retries"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+        for name in ("aux_scale", "aux_location", "link_intercept", "link_slope"):
+            value = getattr(self, name)
+            # the comparison also rejects NaN and ints beyond the float range
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not abs(value) <= sys.float_info.max):
+                raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
         if self.size < 10:
             raise InvalidConfig("synthetic population size must be at least 10")
+        if self.max_retries < 1:
+            raise InvalidConfig("max_retries must be at least 1")
         if self.aux_shape not in ("skewed-positive", "symmetric"):
             raise InvalidConfig(f"unknown aux_shape {self.aux_shape!r}")
         if self.aux_scale <= 0.0:
@@ -278,15 +358,14 @@ def run_experiment(frame: PopulationFrame, n: int,
     """Seeded Monte Carlo over independent SRSWOR replicates.
 
     The report is bit-identical for a given seed: replicate ``i`` always
-    consumes the stream derived from ``(seed, i)`` and the final reduction
-    runs in replicate order.
+    takes the sample ``draw_replicates(frame, n, seed, i, i + 1)`` and the
+    final reduction runs in replicate order.
     """
     if reps < 100:
         raise InvalidConfig(f"need at least 100 replicates, got {reps}")
     sampling_fraction(n, frame.size)
 
     def draw(start: int, stop: int) -> np.ndarray:
-        return np.array([draw_srswor(frame, n, replicate_rng(seed, i))
-                         for i in range(start, stop)])
+        return draw_replicates(frame, n, seed, start, stop)
 
     return _report(frame, n, configs, reps, draw, seed)

@@ -4,7 +4,8 @@ Everything here recomputes expected values through a route separate from the
 package: exact rational arithmetic for the closed forms, plain Python loops
 for moments, finite differences for stationarity, and grid search for optima.
 The one exception is ``loop_report``, which reproduces the batched oracles of
-``propaux.montecarlo`` through the package's scalar path, one sample at a time.
+``propaux.montecarlo`` through the package's scalar path, one sample at a time;
+``floyd_loop`` is the textbook sampler that the vectorized draw must equal.
 """
 
 from fractions import Fraction as F
@@ -174,12 +175,23 @@ def binomial_se(count, total, p):
     return math.sqrt(total * p * (1.0 - p))
 
 
+def floyd_loop(rng, N, n):
+    """One sorted n-subset of ``range(N)`` by Floyd's algorithm, one Python
+    set insertion per step, drawing ``rng.integers(0, j + 1)`` for each
+    ``j`` in ``N-n..N-1``."""
+    subset = set()
+    for j in range(N - n, N):
+        t = int(rng.integers(0, j + 1))
+        subset.add(j if t in subset else t)
+    return sorted(subset)
+
+
 def loop_report(frame, n, configs=None, reps=None, seed=None):
     """``enumerate_exact`` (``reps`` None) or ``run_experiment`` by the scalar
     path: ``sample_stats`` and ``evaluate`` on one subset or replicate at a
-    time."""
-    from propaux import (compute_population_params, draw_srswor, evaluate,
-                         replicate_rng, resolve_config, sample_stats, sampling_fraction)
+    time, the replicates' samples taken from ``draw_replicates``."""
+    from propaux import (compute_population_params, draw_replicates, evaluate,
+                         resolve_config, sample_stats, sampling_fraction)
     from propaux.errors import DataError
     from propaux.montecarlo import (DEFAULT_CONFIGS, RNG_SCHEME, SimulationReport,
                                     _aggregate)
@@ -192,7 +204,7 @@ def loop_report(frame, n, configs=None, reps=None, seed=None):
     if exact:
         samples = list(itertools.combinations(range(frame.size), n))
     else:
-        samples = [draw_srswor(frame, n, replicate_rng(seed, i)) for i in range(reps)]
+        samples = draw_replicates(frame, n, seed, 0, reps)
     values = np.zeros((len(resolved), len(samples)))
     failed = np.zeros((len(resolved), len(samples)), dtype=bool)
     for k, subset in enumerate(samples):

@@ -202,6 +202,29 @@ class TestGenerateCommand:
         assert "target_rho" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("link_slope", "x"), ("link_intercept", None), ("aux_location", [1.0]),
+        ("aux_scale", "wide"), ("link_slope", 1e999), ("max_retries", "3"),
+        ("max_retries", 2.5), ("max_retries", 0), ("max_retries", True),
+    ])
+    def test_spec_with_bad_number_is_data_error(self, tmp_path, capsys, field, value):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({field: value}))
+        out = tmp_path / "pop.csv"
+        assert main(["generate", "--size", "40", "--seed", "3", "--spec", str(spec),
+                     "--output", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spec_with_size_key_is_data_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"size": 5}))
+        out = tmp_path / "pop.csv"
+        assert main(["generate", "--size", "40", "--seed", "3", "--spec", str(spec),
+                     "--output", str(out)]) == 2
+        assert "--size" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSensitivityCommand:
     def test_writes_intervals(self, ref_params_path, tmp_path):

@@ -1,8 +1,11 @@
 """The CLI contract bytes of `theory`, `sensitivity` and `pre` on the README
-parameter document, pinned against files under ``tests/golden/``.
+parameter document, and of a seeded `simulate` on a small fixed population,
+pinned against files under ``tests/golden/``.
 
-Every number on these paths is pure-Python float arithmetic, so the bytes
-are portable. After a deliberate change to the output, rewrite the files with
+Every number of `theory`, `sensitivity` and `pre` is pure-Python float
+arithmetic, so those bytes are portable. The `simulate` file also pins the
+random draws: a change to them must come with a new ``RNG_SCHEME``, which the
+file records. After a deliberate change to the output, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
@@ -26,6 +29,26 @@ DOCUMENT = """{
 }
 """
 
+#: A 16-unit population, byte for byte: the simulate report records its sha256.
+POPULATION = """phi,x
+1,14.2
+0,6.1
+1,17.8
+0,8.4
+1,12.9
+0,9.7
+1,21.3
+0,5.2
+0,11.0
+1,15.6
+0,7.3
+1,19.4
+0,10.2
+1,13.1
+0,4.8
+1,16.7
+"""
+
 FLAGS = {"": [], "_tc_q1_1_q2_0": ["--tc", "q1=1,q2=0"]}
 COMMANDS = {
     "theory.json": ["theory"],
@@ -34,15 +57,20 @@ COMMANDS = {
 }
 CASES = {f"{Path(name).stem}{suffix}{Path(name).suffix}": command + flags
          for name, command in COMMANDS.items() for suffix, flags in FLAGS.items()}
+CASES["simulate.json"] = ["simulate", "--n", "5", "--reps", "300", "--seed", "42"]
 
 
 def run(argv: list[str]) -> bytes:
     """The bytes a command writes: its ``--output`` file, else its stdout."""
     with tempfile.TemporaryDirectory() as tmp:
-        params = Path(tmp) / "params.json"
-        params.write_text(DOCUMENT, encoding="utf-8")
+        if argv[0] == "simulate":
+            source = ["--input", str(Path(tmp) / "population.csv")]
+            Path(source[1]).write_text(POPULATION, encoding="utf-8")
+        else:
+            source = ["--params", str(Path(tmp) / "params.json")]
+            Path(source[1]).write_text(DOCUMENT, encoding="utf-8")
         out = Path(tmp) / "out.json"
-        argv = [argv[0], "--params", str(params), *argv[1:]]
+        argv = [argv[0], *source, *argv[1:]]
         if argv[0] != "pre":
             argv += ["--output", str(out)]
         stdout = io.StringIO()

@@ -1,24 +1,28 @@
 import itertools
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from propaux import (
     EstimatorConfig,
     PopulationFrame,
     SyntheticSpec,
+    block_rng,
     compute_population_params,
+    draw_replicates,
     draw_srswor,
     enumerate_exact,
     generate_population,
     montecarlo,
-    replicate_rng,
     run_experiment,
 )
 from propaux.errors import DegenerateGeneration, InvalidConfig, InvalidDesign, TooLarge
 
-from _oracles import binomial_se, loop_report
+from _oracles import binomial_se, floyd_loop, loop_report
 
 
 TINY = PopulationFrame(np.array([1, 0, 0, 1, 0, 1]),
@@ -27,18 +31,18 @@ TINY = PopulationFrame(np.array([1, 0, 0, 1, 0, 1]),
 
 class TestDraw:
     def test_census_draw_is_full_index_set(self):
-        rng = replicate_rng(0, 0)
+        rng = block_rng(0, 0)
         assert draw_srswor(TINY, 6, rng).tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_indices_are_distinct_and_sorted(self):
-        rng = replicate_rng(5, 1)
+        rng = block_rng(5, 1)
         for _ in range(50):
             idx = draw_srswor(TINY, 3, rng)
             assert len(set(idx.tolist())) == 3
             assert idx.tolist() == sorted(idx.tolist())
 
     def test_invalid_sizes(self):
-        rng = replicate_rng(0, 0)
+        rng = block_rng(0, 0)
         with pytest.raises(InvalidDesign):
             draw_srswor(TINY, 1, rng)
         with pytest.raises(InvalidDesign):
@@ -50,7 +54,7 @@ class TestDraw:
         draws = 60_000
         counts: dict[tuple[int, int], int] = {}
         for i in range(draws):
-            idx = tuple(draw_srswor(frame, 2, replicate_rng(123, i)).tolist())
+            idx = tuple(draw_srswor(frame, 2, block_rng(123, i)).tolist())
             counts[idx] = counts.get(idx, 0) + 1
         assert len(counts) == 6
         expect = draws / 6
@@ -59,9 +63,85 @@ class TestDraw:
             assert abs(count - expect) <= allow, (subset, count)
 
     def test_fixed_seed_reproduces_subset_sequence(self):
-        first = [draw_srswor(TINY, 3, replicate_rng(9, i)).tolist() for i in range(40)]
-        second = [draw_srswor(TINY, 3, replicate_rng(9, i)).tolist() for i in range(40)]
+        first = [draw_srswor(TINY, 3, block_rng(9, i)).tolist() for i in range(40)]
+        second = [draw_srswor(TINY, 3, block_rng(9, i)).tolist() for i in range(40)]
         assert first == second
+
+
+def _frame(size: int) -> PopulationFrame:
+    return PopulationFrame(np.arange(size) % 2, np.arange(1.0, size + 1.0))
+
+
+class TestBlockDraw:
+    """The vectorized block draw against the textbook sampler, and the
+    determinism contract of block streams."""
+
+    @pytest.mark.parametrize("size", (6, 40, 300))
+    @pytest.mark.parametrize("shape", ("n=2", "n=N-1", "census"))
+    def test_block_draw_equals_scalar_floyd(self, monkeypatch, size, shape):
+        n = {"n=2": 2, "n=N-1": size - 1, "census": size}[shape]
+        rows, reps = 7, 31  # four full blocks and a partial fifth
+        monkeypatch.setattr(montecarlo, "BLOCK_ELEMENTS", rows * n)
+        expect = []
+        for block in range(5):
+            rng = block_rng(11, block)
+            expect += [floyd_loop(rng, size, n) for _ in range(min(rows, reps - block * rows))]
+        assert draw_replicates(_frame(size), n, 11, 0, reps).tolist() == expect
+
+    @pytest.mark.parametrize("n", (2, 50, 1000, 1999))
+    def test_single_draw_is_a_batch_of_one(self, n):
+        frame = _frame(2000)
+        for block in range(5):
+            drawn = draw_srswor(frame, n, block_rng(3, block))
+            assert drawn.tolist() == floyd_loop(block_rng(3, block), 2000, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), k=st.integers(1, 60), block_rows=st.integers(1, 25),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fewer_replicates_draw_a_prefix(self, n, k, block_rows, seed):
+        frame = _frame(12)
+        with patch.object(montecarlo, "BLOCK_ELEMENTS", block_rows * n):
+            short = draw_replicates(frame, n, seed, 0, k)
+            long = draw_replicates(frame, n, seed, 0, 5 * k)
+            middle = draw_replicates(frame, n, seed, k, 3 * k)
+        assert np.array_equal(long[:k], short)
+        assert np.array_equal(long[k:3 * k], middle)
+
+    def test_prefix_across_default_blocks(self):
+        # 30,000 replicates of n=3 span two blocks of 21,845 rows
+        frame = _frame(6)
+        short = draw_replicates(frame, 3, 8, 0, 30_000)
+        assert np.array_equal(draw_replicates(frame, 3, 8, 0, 150_000)[:30_000], short)
+
+    @settings(max_examples=25, deadline=None)
+    @given(which=st.sampled_from((1, 2)), block_rows=st.integers(1, 60),
+           chunk_rows=st.integers(1, 250), reps=st.integers(100, 250),
+           seed=st.integers(0, 2**32 - 1))
+    @example(which=2, block_rows=50, chunk_rows=7, reps=230, seed=5)
+    @example(which=2, block_rows=7, chunk_rows=50, reps=230, seed=5)
+    @example(which=1, block_rows=40, chunk_rows=40, reps=100, seed=0)
+    def test_report_does_not_depend_on_chunking(self, which, block_rows, chunk_rows, reps,
+                                                 seed):
+        # chunks smaller and larger than a block, straddling block edges, and
+        # a partial last block; the report must equal the one-chunk run
+        frame = TestLoopEquivalence.FRAMES[which]
+        with patch.object(montecarlo, "BLOCK_ELEMENTS", block_rows * 4):
+            with patch.object(montecarlo, "CHUNK_ELEMENTS", reps * 4):
+                whole = run_experiment(frame, 4, reps=reps, seed=seed)
+            with patch.object(montecarlo, "CHUNK_ELEMENTS", chunk_rows * 4):
+                assert run_experiment(frame, 4, reps=reps, seed=seed) == whole
+
+    def test_subsets_are_uniform_across_blocks(self):
+        # all C(6,3) = 20 subsets; 70,000 replicates fill three blocks of
+        # 21,845 rows and part of a fourth
+        reps = 70_000
+        assert reps > 3 * (montecarlo.BLOCK_ELEMENTS // 3)
+        drawn = draw_replicates(_frame(6), 3, 2024, 0, reps)
+        _, counts = np.unique((1 << drawn).sum(axis=1), return_counts=True)
+        assert counts.size == 20
+        expect = reps / 20
+        chi2 = float(((counts - expect) ** 2 / expect).sum())
+        assert chi2 < 43.82, chi2  # the 0.999 quantile of chi-square, 19 df
 
 
 class TestEnumeration:
