@@ -15,13 +15,6 @@ from .estimators import (
     FAILURE_CLASSES,
     Estimate,
     EstimatorConfig,
-    estimate_ratio_ta,
-    estimate_regression_tb,
-    estimate_t1,
-    estimate_t2,
-    estimate_t3,
-    estimate_tc,
-    estimate_usual,
     evaluate,
     evaluate_batch,
     resolve_config,
@@ -30,9 +23,7 @@ from .montecarlo import (
     DEFAULT_CONFIGS,
     SimulationReport,
     SyntheticSpec,
-    block_rng,
     draw_replicates,
-    draw_srswor,
     enumerate_exact,
     generate_population,
     run_experiment,

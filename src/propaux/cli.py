@@ -59,10 +59,6 @@ def _subconfigs(args, kind: str | None = None) -> dict:
     return given
 
 
-def _estimator_config(args) -> EstimatorConfig:
-    return EstimatorConfig(kind=args.estimator, **_subconfigs(args, args.estimator))
-
-
 def _parse_indices(spec: str) -> list[int]:
     path = Path(spec)
     if path.exists():
@@ -145,7 +141,7 @@ def _cmd_estimate(args) -> int:
     frame = io.read_population_csv(args.input)
     pop = compute_population_params(frame)
     stats = sample_stats(frame, _parse_indices(args.indices))
-    cfg = _estimator_config(args)
+    cfg = EstimatorConfig(kind=args.estimator, **_subconfigs(args, args.estimator))
     estimate = evaluate(stats, pop, cfg)
     payload = {
         "estimator": estimate.config_used.name,

@@ -1,15 +1,14 @@
 """Point evaluation of every estimator of the population proportion.
 
-Each ``estimate_*`` function maps the sufficient statistics of one SRSWOR
-sample, the known auxiliary population parameters, and a configuration to a
-single number. Constants left as ``None`` in a configuration are resolved to
-their population-optimal values and the resolved configuration is returned
-with the estimate. All functions are pure.
-
-Every family has one array kernel. ``evaluate_batch`` runs it over many
-samples at once and reports a failure code per sample; ``evaluate`` and the
-``estimate_*`` functions run it on a batch of one and raise the error that
-code names.
+An estimator maps the sufficient statistics of an SRSWOR sample, the known
+auxiliary population parameters, and a configuration of one kind to a single
+number. Every kind has one array kernel. ``evaluate_batch`` runs it over many
+samples at once, with the configuration already resolved, and reports a
+failure code per sample. ``evaluate`` is the single-sample entry point: it
+resolves the constants left as ``None`` to their population-optimal values,
+runs the kernel on a batch of one, and returns the estimate with the
+resolved configuration or raises the error the failure code names. All
+functions are pure.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .errors import (
 )
 from .population import PopulationParams, SampleStats, sampling_fraction
 
-Kind = str
 _SUBCONFIGS = {"tb": TbConfig, "tc": TcConfig, "t1": T1Config, "t2": T2Config, "t3": T3Config}
 
 
@@ -46,7 +44,7 @@ class EstimatorConfig:
     which is useful when several variants of one family run side by side.
     """
 
-    kind: Kind
+    kind: str
     tb: TbConfig | None = None
     tc: TcConfig | None = None
     t1: T1Config | None = None
@@ -99,7 +97,7 @@ def resolve_config(cfg: EstimatorConfig, pop: PopulationParams, f: float) -> Est
 
 
 # Failure codes of ``evaluate_batch``: 0 is success, and every other code
-# indexes the error class and message that the scalar path raises for it.
+# indexes the error class and message that ``evaluate`` raises for it.
 _FAILURES: tuple[tuple[type[DataError], str] | None, ...] = (
     None,
     (ZeroSampleMean, "sample auxiliary mean is zero"),
@@ -174,6 +172,8 @@ def _tb(cfg, pop, rows, p, xbar_s, sx2_s):
 
 
 def _tc(cfg, pop, rows, p, xbar_s, sx2_s):
+    # (q1*p + q2*(xbar - xbar_s)) * (T/t)**alpha * exp(beta*(T - t)/(T + t))
+    # with T = a*xbar + b and t = a*xbar_s + b
     tc = cfg.tc
     pop_t = tc.a * pop.xbar + tc.b
     smp_t = tc.a * xbar_s + tc.b
@@ -201,6 +201,8 @@ def _t2(cfg, pop, rows, p, xbar_s, sx2_s):
 
 
 def _t3(cfg, pop, rows, p, xbar_s, sx2_s):
+    # m1*p*(xbar/(gamma*xbar_s + (1-gamma)*xbar))**g
+    #   + m2*p*exp(delta*(sx2 - sx2_s)/(sx2 + sx2_s))
     t3 = cfg.t3
     shifted = t3.gamma * xbar_s + (1.0 - t3.gamma) * pop.xbar
     base = pop.xbar / shifted
@@ -215,7 +217,7 @@ _KERNELS = {"usual": _usual, "ta": _ta, "tb": _tb, "tc": _tc,
             "t1": _t1, "t2": _t2, "t3": _t3}
 
 
-def _kernel(cfg: EstimatorConfig, pop: PopulationParams | None, p: np.ndarray,
+def _kernel(cfg: EstimatorConfig, pop: PopulationParams, p: np.ndarray,
             xbar_s: np.ndarray, sx2_s: np.ndarray) -> tuple[np.ndarray, _Rows]:
     rows = _Rows(p.size)
     with np.errstate(all="ignore"):
@@ -231,8 +233,8 @@ def evaluate_batch(cfg: EstimatorConfig, pop: PopulationParams, p: np.ndarray,
 
     ``cfg`` must already be resolved (see ``resolve_config``). Returns the
     estimates and a per-row failure code: 0 where the estimate exists,
-    otherwise a code whose ``FAILURE_CLASSES`` entry is the error the scalar
-    path raises for that sample. Failed rows hold NaN.
+    otherwise a code whose ``FAILURE_CLASSES`` entry is the error ``evaluate``
+    raises for that sample. Failed rows hold NaN.
     """
     sub = cfg.subconfig
     if sub is not None and None in vars(sub).values():
@@ -243,9 +245,10 @@ def evaluate_batch(cfg: EstimatorConfig, pop: PopulationParams, p: np.ndarray,
     return values, rows.codes
 
 
-def _estimate(s: SampleStats, pop: PopulationParams | None,
-              cfg: EstimatorConfig) -> Estimate:
-    """A batch of one: the estimate, or the error its failure code names."""
+def evaluate(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> Estimate:
+    """The estimate of the configured kind, with its constants resolved: a
+    batch of one, or the error its failure code names."""
+    cfg = resolve_config(cfg, pop, sampling_fraction(s.n, pop.N))
     values, rows = _kernel(cfg, pop, np.array([s.p]), np.array([s.xbar_s]),
                            np.array([s.sx2_s]))
     code = rows.codes[0]
@@ -255,68 +258,3 @@ def _estimate(s: SampleStats, pop: PopulationParams | None,
                   for key, value in rows.detail.items()}
         raise cls(template.format(**detail))
     return Estimate(value=float(values[0]), config_used=cfg)
-
-
-def _expect_kind(cfg: EstimatorConfig, kind: Kind) -> None:
-    if cfg.kind != kind:
-        raise InvalidConfig(f"expected a {kind} configuration, got kind {cfg.kind!r}")
-
-
-def estimate_usual(s: SampleStats) -> Estimate:
-    """The sample proportion itself."""
-    return _estimate(s, None, EstimatorConfig(kind="usual"))
-
-
-def estimate_ratio_ta(s: SampleStats, pop: PopulationParams) -> Estimate:
-    """Plain ratio estimate p * xbar / xbar_s."""
-    return evaluate(s, pop, EstimatorConfig(kind="ta"))
-
-
-def estimate_regression_tb(s: SampleStats, pop: PopulationParams,
-                           cfg: EstimatorConfig | None = None) -> Estimate:
-    """Minimum-MSE linear member p + h1*(xbar_s/xbar - 1)."""
-    return _estimate_resolved(s, pop, cfg or EstimatorConfig(kind="tb"), "tb")
-
-
-def _estimate_resolved(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig,
-                       kind: Kind) -> Estimate:
-    _expect_kind(cfg, kind)
-    return evaluate(s, pop, cfg)
-
-
-def estimate_tc(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> Estimate:
-    """Weighted ratio/exponential transform family.
-
-    value = (q1*p + q2*(xbar - xbar_s))
-            * ((a*xbar + b)/(a*xbar_s + b))**alpha
-            * exp(beta * ((a*xbar+b) - (a*xbar_s+b)) / ((a*xbar+b) + (a*xbar_s+b)))
-    """
-    return _estimate_resolved(s, pop, cfg, "tc")
-
-
-def estimate_t1(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> Estimate:
-    """Power-transform estimate p * (xbar/xbar_s)**alpha * (sx2/sx2_s)**beta."""
-    return _estimate_resolved(s, pop, cfg, "t1")
-
-
-def estimate_t2(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> Estimate:
-    """Two-channel linear member p + h1*(u - 1) + h2*(v - 1).
-
-    ``u`` and ``v`` are the sample/population ratios of the auxiliary mean and
-    variance.
-    """
-    return _estimate_resolved(s, pop, cfg, "t2")
-
-
-def estimate_t3(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> Estimate:
-    """Two-term weighted estimate.
-
-    value = m1 * p * (xbar / (gamma*xbar_s + (1-gamma)*xbar))**g
-            + m2 * p * exp(delta * (sx2 - sx2_s) / (sx2 + sx2_s))
-    """
-    return _estimate_resolved(s, pop, cfg, "t3")
-
-
-def evaluate(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> Estimate:
-    """The estimate of the configured kind, with its constants resolved."""
-    return _estimate(s, pop, resolve_config(cfg, pop, sampling_fraction(s.n, pop.N)))

@@ -77,11 +77,6 @@ def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
     )
 
 
-def block_rng(seed: int, block: int) -> np.random.Generator:
-    """The deterministic random stream of one block of replicates."""
-    return _stream(seed, 2, block)
-
-
 def _floyd(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
     """``rows`` uniformly distributed n-subsets of ``range(N)``, one sorted row each.
 
@@ -125,12 +120,6 @@ def _floyd(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
     return draws
 
 
-def draw_srswor(frame: PopulationFrame, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a uniformly distributed n-subset of unit indices (sorted)."""
-    sampling_fraction(n, frame.size)
-    return _floyd(rng, frame.size, n, 1)[0]
-
-
 def draw_replicates(frame: PopulationFrame, n: int, seed: int,
                     start: int, stop: int) -> np.ndarray:
     """The samples of replicates ``start..stop-1`` of the experiment ``seed``
@@ -140,7 +129,7 @@ def draw_replicates(frame: PopulationFrame, n: int, seed: int,
     parts = []
     for block in range(start // rows, -(-stop // rows)):
         first = block * rows
-        drawn = _floyd(block_rng(seed, block), frame.size, n, min(stop, first + rows) - first)
+        drawn = _floyd(_stream(seed, 2, block), frame.size, n, min(stop, first + rows) - first)
         parts.append(drawn[max(start - first, 0):])
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -270,15 +259,9 @@ def _aggregate(names: list[str], resolved: Sequence[EstimatorConfig],
         if count == 0:
             raise DataError(f"estimator {name} failed on every replicate")
         err = v - true_p
-        if exact:
-            w = np.full(count, 1.0 / count)
-            mean = float(np.dot(w, v))
-            mse = float(np.dot(w, err**2))
-            se = 0.0
-        else:
-            mean = float(v.mean())
-            mse = float(np.mean(err**2))
-            se = float(np.std(err**2, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+        mean = float(v.mean())
+        mse = float(np.mean(err**2))
+        se = 0.0 if exact or count == 1 else float(np.std(err**2, ddof=1) / math.sqrt(count))
         tmse = theory.FAMILIES[cfg.kind].mse(cfg.subconfig, pop, f)
         rows.append(EstimatorRun(
             name=name,

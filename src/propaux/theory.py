@@ -427,8 +427,9 @@ class Family:
     (f = 0), where a family whose weight system is then singular (there is no
     auxiliary contrast to weigh) has no optimum; both limits reproduce the
     sample proportion exactly. An efficiency table reports ``bias`` and
-    ``shown`` at the resolved configuration, quoting ``formulas``, or
-    ``census_formulas`` for a census row of a family with census limits.
+    ``shown`` at the resolved configuration, quoting ``formulas`` (see
+    ``table_formulas``), or ``census_formulas`` for a census row of a family
+    with census limits.
     """
 
     mse: Callable[..., float]
@@ -440,6 +441,7 @@ class Family:
     shown: Callable[..., dict[str, float]] = (
         lambda cfg, pop, f: {} if cfg is None else dict(vars(cfg)))
     formulas: dict[str, str] = field(default_factory=dict)
+    fixed_formulas: dict[str, str] = field(default_factory=dict)
     census_formulas: dict[str, str] = field(default_factory=dict)
 
     def resolve(self, cfg, pop: PopulationParams, f: float):
@@ -452,14 +454,23 @@ class Family:
         return replace(cfg, **{name: limit if value is None else value
                                for name, value, limit in zip(self.constants, given, best)})
 
+    def _free(self, cfg) -> bool:
+        return all(getattr(cfg, name) is None for name in self.constants)
+
     def table_mse(self, cfg) -> Callable[[PopulationParams, float], float]:
         """The MSE an efficiency table reports for ``cfg``, as a function of
         the population and the design factor: the minimum when every constant
         is free, else the MSE at the given constants (the free ones at their
         optimum)."""
-        if all(getattr(cfg, name) is None for name in self.constants):
+        if self._free(cfg):
             return partial(self.min_mse, cfg)
         return lambda pop, f: self.mse(self.resolve(cfg, pop, f), pop, f)
+
+    def table_formulas(self, cfg) -> dict[str, str]:
+        """The formulas a table row for ``cfg`` quotes: ``formulas``, updated
+        by ``fixed_formulas`` when ``table_mse`` reports the MSE at given
+        constants."""
+        return self.formulas if self._free(cfg) else {**self.formulas, **self.fixed_formulas}
 
 
 def _tc(cfg, pop: PopulationParams, f: float) -> TcConstants:
@@ -501,6 +512,9 @@ FAMILIES: dict[str, Family] = {
                  formulas={"mse": "tc_min_mse: P^2-(d1*d5^2+d3*d4^2-2*d2*d4*d5)/(d1*d3-d2^2)",
                            "bias": "tc_bias: P*(q1-1)+f*((q2*X*bc+q1*P*ac)*cx^2"
                                    "-q1*P*bc*rho_pb*cp*cx)"},
+                 # the one family whose table weights can be fixed (--tc)
+                 fixed_formulas={"mse": "tc_mse: P^2+q1^2*d1+q2^2*d3+2*q1*q2*d2"
+                                        "-2*q1*d4-2*q2*d5"},
                  census_formulas={"mse": "census: f=0 collapses every first-order MSE",
                                   "bias": "census"}),
     "t1": Family(lambda cfg, pop, f: t1_mse(pop, f, cfg.alpha, cfg.beta),
@@ -598,7 +612,7 @@ def theory_report(pop: PopulationParams, design: Design,
             resolved = family.resolve(cfg, pop, f)
             bias = family.bias(resolved, pop, f)
             mse = family.table_mse(cfg)(pop, f)
-            constants, formulas = family.shown(resolved, pop, f), family.formulas
+            constants, formulas = family.shown(resolved, pop, f), family.table_formulas(cfg)
         entries.append(EstimatorTheory(
             name=name, bias=bias, mse=mse,
             pre=None if census else pre(baseline, mse),

@@ -73,6 +73,21 @@ class TestTheoryCommand:
         assert doc["configurations"]["tc"]["b"] == 0.5
         assert doc["configurations"]["t3_gamma"] == 0.5
 
+    @pytest.mark.parametrize("flags, label", [
+        ([], "tc_min_mse: "),
+        (["--tc", "q1=1,q2=0"], "tc_mse: "),
+        (["--tc", "q2=0"], "tc_mse: "),
+    ], ids=("free", "fixed", "half-fixed"))
+    def test_tc_row_quotes_the_mse_it_reports(self, ref_params_path, tmp_path, flags, label):
+        # free weights report the family minimum; a fixed weight reports the
+        # quadratic form at the given weights, and names that form
+        out = tmp_path / "report.json"
+        assert main(["theory", "--params", str(ref_params_path), *flags,
+                     "--output", str(out)]) == 0
+        entries = json.loads(out.read_text())["theory"]["entries"]
+        tc = next(entry for entry in entries if entry["name"] == "tc")
+        assert tc["formulas"]["mse"].startswith(label)
+
 
 class TestPreCommand:
     def test_table_prints_regression_cell(self, ref_params_path, capsys):

@@ -9,13 +9,6 @@ from propaux import (
     PopulationFrame,
     SampleStats,
     compute_population_params,
-    estimate_ratio_ta,
-    estimate_regression_tb,
-    estimate_t1,
-    estimate_t2,
-    estimate_t3,
-    estimate_tc,
-    estimate_usual,
     batch_stats,
     evaluate,
     evaluate_batch,
@@ -52,9 +45,9 @@ def balanced_sample(pop, n=10, p=0.5):
 
 
 class TestUsual:
-    def test_identity(self):
+    def test_identity(self, pop):
         stats = SampleStats(n=8, p=0.625, xbar_s=3.0, sx2_s=1.0)
-        assert estimate_usual(stats).value == 0.625
+        assert evaluate(stats, pop, EstimatorConfig(kind="usual")).value == 0.625
 
     def test_census_returns_population_proportion(self, rng):
         x = rng.lognormal(size=25)
@@ -64,40 +57,41 @@ class TestUsual:
         frame = PopulationFrame(phi, x)
         params = compute_population_params(frame)
         stats = sample_stats(frame, np.arange(25))
-        assert estimate_usual(stats).value == params.P
+        assert evaluate(stats, params, EstimatorConfig(kind="usual")).value == params.P
 
 
 class TestRatio:
     def test_balanced_sample_returns_p(self, pop):
         stats = balanced_sample(pop)
-        assert estimate_ratio_ta(stats, pop).value == stats.p
+        assert evaluate(stats, pop, EstimatorConfig(kind="ta")).value == stats.p
 
     def test_direct_arithmetic(self, pop):
         import dataclasses
         pop10 = dataclasses.replace(pop, xbar=10.0, sx2=(pop.cx * 10.0) ** 2)
         stats = SampleStats(n=4, p=0.5, xbar_s=8.0, sx2_s=2.0)
-        assert estimate_ratio_ta(stats, pop10).value == pytest.approx(0.625, rel=1e-15)
+        assert evaluate(stats, pop10, EstimatorConfig(kind="ta")).value == pytest.approx(
+            0.625, rel=1e-15)
 
     def test_zero_sample_mean(self, pop):
         stats = SampleStats(n=4, p=0.5, xbar_s=0.0, sx2_s=2.0)
         with pytest.raises(ZeroSampleMean):
-            estimate_ratio_ta(stats, pop)
+            evaluate(stats, pop, EstimatorConfig(kind="ta"))
 
 
 class TestRegression:
     def test_balanced_sample_returns_p(self, pop):
         stats = balanced_sample(pop)
-        assert estimate_regression_tb(stats, pop).value == stats.p
+        assert evaluate(stats, pop, EstimatorConfig(kind="tb")).value == stats.p
 
     def test_zero_correlation_is_inert(self, pop):
         import dataclasses
         pop0 = dataclasses.replace(pop, rho_pb=0.0)
         stats = SampleStats(n=10, p=0.3, xbar_s=pop0.xbar * 1.3, sx2_s=pop0.sx2)
-        assert estimate_regression_tb(stats, pop0).value == stats.p
+        assert evaluate(stats, pop0, EstimatorConfig(kind="tb")).value == stats.p
 
     def test_records_resolved_slope(self, pop):
         stats = balanced_sample(pop)
-        estimate = estimate_regression_tb(stats, pop)
+        estimate = evaluate(stats, pop, EstimatorConfig(kind="tb"))
         assert estimate.config_used.tb.h1 == pytest.approx(
             theory.tb_optimal_h1(pop), rel=1e-15)
 
@@ -107,29 +101,30 @@ class TestTcFamily:
         cfg = EstimatorConfig(kind="tc", tc=TcConfig(a=1.0, b=0.0, alpha=1.0,
                                                      beta=0.0, q1=1.0, q2=0.0))
         stats = SampleStats(n=10, p=0.4, xbar_s=0.8 * pop.xbar, sx2_s=pop.sx2)
-        assert estimate_tc(stats, pop, cfg).value == estimate_ratio_ta(stats, pop).value
+        assert evaluate(stats, pop, cfg).value == evaluate(
+            stats, pop, EstimatorConfig(kind="ta")).value
 
     def test_fully_inert_transform_returns_p(self, pop):
         cfg = EstimatorConfig(kind="tc", tc=TcConfig(a=1.0, b=0.0, alpha=0.0,
                                                      beta=0.0, q1=1.0, q2=0.0))
         stats = SampleStats(n=10, p=0.4, xbar_s=0.8 * pop.xbar, sx2_s=pop.sx2)
-        assert estimate_tc(stats, pop, cfg).value == 0.4
+        assert evaluate(stats, pop, cfg).value == 0.4
 
     def test_balanced_sample_gives_q1_p(self, pop):
         cfg = EstimatorConfig(kind="tc", tc=TcConfig(q1=0.9, q2=4.2))
         stats = balanced_sample(pop, p=0.4)
-        assert estimate_tc(stats, pop, cfg).value == pytest.approx(0.9 * 0.4, rel=1e-15)
+        assert evaluate(stats, pop, cfg).value == pytest.approx(0.9 * 0.4, rel=1e-15)
 
     def test_nonpositive_transform(self, pop):
         cfg = EstimatorConfig(kind="tc", tc=TcConfig(q1=1.0, q2=0.0))
         stats = SampleStats(n=4, p=0.5, xbar_s=-1.0, sx2_s=1.0)
         with pytest.raises(NonpositiveTransform):
-            estimate_tc(stats, pop, cfg)
+            evaluate(stats, pop, cfg)
 
     def test_optimal_weights_resolved_and_recorded(self, pop):
         cfg = EstimatorConfig(kind="tc")
         stats = balanced_sample(pop)
-        estimate = estimate_tc(stats, pop, cfg)
+        estimate = evaluate(stats, pop, cfg)
         f = sampling_fraction(stats.n, pop.N)
         constants = theory.tc_constants(pop, f, 1.0, 0.0, 1.0, 0.0)
         q1, q2 = theory.tc_optimal_q(constants)
@@ -141,42 +136,43 @@ class TestT1:
     def test_zero_exponents_return_p(self, pop):
         cfg = EstimatorConfig(kind="t1", t1=T1Config(alpha=0.0, beta=0.0))
         stats = SampleStats(n=10, p=0.7, xbar_s=0.5 * pop.xbar, sx2_s=2.0 * pop.sx2)
-        assert estimate_t1(stats, pop, cfg).value == 0.7
+        assert evaluate(stats, pop, cfg).value == 0.7
 
     def test_balanced_sample_returns_p_for_any_exponents(self, pop):
         cfg = EstimatorConfig(kind="t1", t1=T1Config(alpha=2.7, beta=-1.3))
         stats = balanced_sample(pop, p=0.3)
-        assert estimate_t1(stats, pop, cfg).value == 0.3
+        assert evaluate(stats, pop, cfg).value == 0.3
 
     def test_reduces_to_ratio_estimator(self, pop):
         cfg = EstimatorConfig(kind="t1", t1=T1Config(alpha=1.0, beta=0.0))
         stats = SampleStats(n=10, p=0.4, xbar_s=0.8 * pop.xbar, sx2_s=0.5 * pop.sx2)
-        assert estimate_t1(stats, pop, cfg).value == estimate_ratio_ta(stats, pop).value
+        assert evaluate(stats, pop, cfg).value == evaluate(
+            stats, pop, EstimatorConfig(kind="ta")).value
 
     def test_nonpositive_bases(self, pop):
         cfg = EstimatorConfig(kind="t1", t1=T1Config(alpha=0.5, beta=0.5))
         with pytest.raises(NonpositiveBase):
-            estimate_t1(SampleStats(n=4, p=0.5, xbar_s=-2.0, sx2_s=1.0), pop, cfg)
+            evaluate(SampleStats(n=4, p=0.5, xbar_s=-2.0, sx2_s=1.0), pop, cfg)
         with pytest.raises(NonpositiveBase):
-            estimate_t1(SampleStats(n=4, p=0.5, xbar_s=2.0, sx2_s=0.0), pop, cfg)
+            evaluate(SampleStats(n=4, p=0.5, xbar_s=2.0, sx2_s=0.0), pop, cfg)
 
 
 class TestT2:
     def test_balanced_sample_returns_p(self, pop):
         cfg = EstimatorConfig(kind="t2")
         stats = balanced_sample(pop, p=0.4)
-        assert estimate_t2(stats, pop, cfg).value == 0.4
+        assert evaluate(stats, pop, cfg).value == 0.4
 
     def test_nests_the_regression_member(self, pop):
         h1 = theory.tb_optimal_h1(pop)
         cfg = EstimatorConfig(kind="t2", t2=T2Config(h1=h1, h2=0.0))
         stats = SampleStats(n=10, p=0.4, xbar_s=1.2 * pop.xbar, sx2_s=0.7 * pop.sx2)
-        assert estimate_t2(stats, pop, cfg).value == estimate_regression_tb(
-            stats, pop).value
+        assert evaluate(stats, pop, cfg).value == evaluate(
+            stats, pop, EstimatorConfig(kind="tb")).value
 
     def test_optimal_offsets_recorded(self, pop):
         stats = balanced_sample(pop)
-        estimate = estimate_t2(stats, pop, EstimatorConfig(kind="t2"))
+        estimate = evaluate(stats, pop, EstimatorConfig(kind="t2"))
         h1, h2 = theory.t2_optimal(pop)
         assert estimate.config_used.t2.h1 == pytest.approx(h1, rel=1e-15)
         assert estimate.config_used.t2.h2 == pytest.approx(h2, rel=1e-15)
@@ -187,23 +183,23 @@ class TestT3:
         cfg = EstimatorConfig(kind="t3", t3=T3Config(gamma=1.0, g=0.0, delta=0.0,
                                                      m1=0.5, m2=0.5))
         stats = SampleStats(n=10, p=0.6, xbar_s=0.4 * pop.xbar, sx2_s=3.0 * pop.sx2)
-        assert estimate_t3(stats, pop, cfg).value == 0.6
+        assert evaluate(stats, pop, cfg).value == 0.6
 
     def test_balanced_sample_gives_weight_sum_times_p(self, pop):
         cfg = EstimatorConfig(kind="t3", t3=T3Config(m1=0.7, m2=0.4))
         stats = balanced_sample(pop, p=0.5)
-        assert estimate_t3(stats, pop, cfg).value == pytest.approx(
+        assert evaluate(stats, pop, cfg).value == pytest.approx(
             (0.7 + 0.4) * 0.5, rel=1e-15)
 
     def test_nonpositive_shifted_mean(self, pop):
         cfg = EstimatorConfig(kind="t3", t3=T3Config(gamma=2.0, m1=0.5, m2=0.5))
         stats = SampleStats(n=4, p=0.5, xbar_s=-pop.xbar, sx2_s=pop.sx2)
         with pytest.raises(NonpositiveBase):
-            estimate_t3(stats, pop, cfg)
+            evaluate(stats, pop, cfg)
 
     def test_optimal_weights_recorded(self, pop):
         stats = balanced_sample(pop)
-        estimate = estimate_t3(stats, pop, EstimatorConfig(kind="t3"))
+        estimate = evaluate(stats, pop, EstimatorConfig(kind="t3"))
         f = sampling_fraction(stats.n, pop.N)
         constants = theory.t3_constants(pop, f, 1.0, 1.0, 1.0)
         m1, m2 = theory.t3_optimal_m(constants)
@@ -228,8 +224,6 @@ class TestConfigValidation:
         stats = balanced_sample(pop)
         cfg = EstimatorConfig(kind="t1")
         assert evaluate(stats, pop, cfg).value == stats.p
-        with pytest.raises(InvalidConfig):
-            estimate_tc(stats, pop, cfg)
 
     def test_evaluate_keeps_the_label_of_every_kind(self, pop):
         stats = balanced_sample(pop)
@@ -240,15 +234,6 @@ class TestConfigValidation:
             # the population is rejected whatever the kind
             with pytest.raises(InvalidDesign):
                 evaluate(balanced_sample(pop, n=pop.N + 1, p=0.0), pop, cfg)
-
-    def test_single_estimates_check_the_design(self, pop):
-        # the plain ratio and regression entry points validate n against N
-        # like every other kind
-        too_large = balanced_sample(pop, n=pop.N + 1, p=0.0)
-        with pytest.raises(InvalidDesign):
-            estimate_ratio_ta(too_large, pop)
-        with pytest.raises(InvalidDesign):
-            estimate_regression_tb(too_large, pop)
 
     def test_batch_needs_resolved_constants(self, pop):
         with pytest.raises(InvalidConfig):
@@ -280,16 +265,16 @@ class TestCensusInertness:
         params = compute_population_params(frame)
         stats = sample_stats(frame, np.arange(30))
         p = params.P
-        assert estimate_usual(stats).value == p
-        assert estimate_ratio_ta(stats, params).value == p
-        assert estimate_regression_tb(stats, params).value == p
+        assert evaluate(stats, params, EstimatorConfig(kind="usual")).value == p
+        assert evaluate(stats, params, EstimatorConfig(kind="ta")).value == p
+        assert evaluate(stats, params, EstimatorConfig(kind="tb")).value == p
         inert_tc = EstimatorConfig(kind="tc", tc=TcConfig(q1=1.0, q2=0.0))
-        assert estimate_tc(stats, params, inert_tc).value == p
+        assert evaluate(stats, params, inert_tc).value == p
         cfg1 = EstimatorConfig(kind="t1", t1=T1Config(alpha=1.4, beta=-0.2))
-        assert estimate_t1(stats, params, cfg1).value == p
-        assert estimate_t2(stats, params, EstimatorConfig(kind="t2")).value == p
+        assert evaluate(stats, params, cfg1).value == p
+        assert evaluate(stats, params, EstimatorConfig(kind="t2")).value == p
         cfg3 = EstimatorConfig(kind="t3", t3=T3Config(g=0.0, delta=0.0, m1=0.5, m2=0.5))
-        assert estimate_t3(stats, params, cfg3).value == p
+        assert evaluate(stats, params, cfg3).value == p
 
 
 _CONSTANT = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)

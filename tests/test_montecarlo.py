@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
@@ -11,10 +12,8 @@ from propaux import (
     EstimatorConfig,
     PopulationFrame,
     SyntheticSpec,
-    block_rng,
     compute_population_params,
     draw_replicates,
-    draw_srswor,
     enumerate_exact,
     generate_population,
     montecarlo,
@@ -29,33 +28,32 @@ TINY = PopulationFrame(np.array([1, 0, 0, 1, 0, 1]),
                        np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
 
 
+def _block_stream(seed: int, block: int) -> np.random.Generator:
+    """The random stream of block ``block`` as ``RNG_SCHEME`` spells it."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(2, block))))
+
+
 class TestDraw:
     def test_census_draw_is_full_index_set(self):
-        rng = block_rng(0, 0)
-        assert draw_srswor(TINY, 6, rng).tolist() == [0, 1, 2, 3, 4, 5]
+        assert draw_replicates(TINY, 6, 0, 0, 1).tolist() == [[0, 1, 2, 3, 4, 5]]
 
     def test_indices_are_distinct_and_sorted(self):
-        rng = block_rng(5, 1)
-        for _ in range(50):
-            idx = draw_srswor(TINY, 3, rng)
+        for idx in draw_replicates(TINY, 3, 5, 0, 50):
             assert len(set(idx.tolist())) == 3
             assert idx.tolist() == sorted(idx.tolist())
 
     def test_invalid_sizes(self):
-        rng = block_rng(0, 0)
         with pytest.raises(InvalidDesign):
-            draw_srswor(TINY, 1, rng)
+            draw_replicates(TINY, 1, 0, 0, 1)
         with pytest.raises(InvalidDesign):
-            draw_srswor(TINY, 7, rng)
+            draw_replicates(TINY, 7, 0, 0, 1)
 
     def test_subset_frequencies_are_uniform(self):
-        # all 6 pairs from a population of 4; each replicate uses its own stream
+        # all 6 pairs from a population of 4, over two block streams
         frame = PopulationFrame(np.array([1, 0, 1, 0]), np.array([1.0, 2.0, 3.0, 4.0]))
         draws = 60_000
-        counts: dict[tuple[int, int], int] = {}
-        for i in range(draws):
-            idx = tuple(draw_srswor(frame, 2, block_rng(123, i)).tolist())
-            counts[idx] = counts.get(idx, 0) + 1
+        counts = Counter(map(tuple, draw_replicates(frame, 2, 123, 0, draws).tolist()))
         assert len(counts) == 6
         expect = draws / 6
         allow = 3.0 * binomial_se(None, draws, 1.0 / 6.0)
@@ -63,8 +61,8 @@ class TestDraw:
             assert abs(count - expect) <= allow, (subset, count)
 
     def test_fixed_seed_reproduces_subset_sequence(self):
-        first = [draw_srswor(TINY, 3, block_rng(9, i)).tolist() for i in range(40)]
-        second = [draw_srswor(TINY, 3, block_rng(9, i)).tolist() for i in range(40)]
+        first = draw_replicates(TINY, 3, 9, 0, 40).tolist()
+        second = draw_replicates(TINY, 3, 9, 0, 40).tolist()
         assert first == second
 
 
@@ -84,16 +82,17 @@ class TestBlockDraw:
         monkeypatch.setattr(montecarlo, "BLOCK_ELEMENTS", rows * n)
         expect = []
         for block in range(5):
-            rng = block_rng(11, block)
+            rng = _block_stream(11, block)
             expect += [floyd_loop(rng, size, n) for _ in range(min(rows, reps - block * rows))]
         assert draw_replicates(_frame(size), n, 11, 0, reps).tolist() == expect
 
     @pytest.mark.parametrize("n", (2, 50, 1000, 1999))
-    def test_single_draw_is_a_batch_of_one(self, n):
-        frame = _frame(2000)
-        for block in range(5):
-            drawn = draw_srswor(frame, n, block_rng(3, block))
-            assert drawn.tolist() == floyd_loop(block_rng(3, block), 2000, n)
+    def test_single_draw_is_a_batch_of_one(self, monkeypatch, n):
+        # one-row blocks: each replicate is a single draw from its own stream
+        monkeypatch.setattr(montecarlo, "BLOCK_ELEMENTS", n)
+        drawn = draw_replicates(_frame(2000), n, 3, 0, 5)
+        assert drawn.tolist() == [floyd_loop(_block_stream(3, block), 2000, n)
+                                  for block in range(5)]
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 12), k=st.integers(1, 60), block_rows=st.integers(1, 25),
