@@ -44,33 +44,24 @@ from .theory import (
     T3Constants,
     TcConstants,
     TheoryReport,
-    bias_ta,
     class_bias_t2,
     class_bias_tb,
     comparison_conditions,
     min_mse_tb,
-    mse_ta,
     pre,
     sensitivity,
     t1_bias,
     t1_min_mse,
     t1_mse,
     t1_optimal,
-    t2_min_mse,
     t2_mse,
     t2_optimal,
     t3_bias,
     t3_bias_min,
     t3_constants,
-    t3_min_mse,
-    t3_mse,
-    t3_optimal_m,
     tb_optimal_h1,
     tc_bias,
     tc_constants,
-    tc_min_mse,
-    tc_mse,
-    tc_optimal_q,
     theory_report,
     var_usual,
 )

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import io, montecarlo, theory
 from .config import T3_TABLE_VARIANTS, T3Config, TableConfig
 from .errors import DataError, NumericalError, ParseError
-from .estimators import _SUBCONFIGS, EstimatorConfig, evaluate
+from .estimators import _PARAMS, EstimatorConfig, evaluate
 from .montecarlo import SyntheticSpec, generate_population, run_experiment
 from .population import Design, compute_population_params, sample_stats
 
@@ -44,10 +44,10 @@ def _table_config(args) -> TableConfig:
 
 def _subconfigs(args, kind: str | None = None) -> dict:
     """The family configurations given as ``--tc``/``--t3``/... flags, parsed
-    in ``_SUBCONFIGS`` order; with ``kind``, a flag of any other family is a
+    in ``_PARAMS`` order; with ``kind``, a flag of any other family is a
     usage error."""
     given = {}
-    for slot, cls in _SUBCONFIGS.items():
+    for slot, cls in _PARAMS.items():
         text = getattr(args, slot, None)
         if text:
             if kind is not None and slot != kind:
@@ -141,7 +141,8 @@ def _cmd_estimate(args) -> int:
     frame = io.read_population_csv(args.input)
     pop = compute_population_params(frame)
     stats = sample_stats(frame, _parse_indices(args.indices))
-    cfg = EstimatorConfig(kind=args.estimator, **_subconfigs(args, args.estimator))
+    cfg = EstimatorConfig(kind=args.estimator,
+                          params=_subconfigs(args, args.estimator).get(args.estimator))
     estimate = evaluate(stats, pop, cfg)
     payload = {
         "estimator": estimate.config_used.name,
@@ -155,14 +156,15 @@ def _cmd_estimate(args) -> int:
 
 
 def _config_dict(cfg: EstimatorConfig) -> dict:
-    sub = cfg.subconfig
-    return {"kind": cfg.kind} if sub is None else {"kind": cfg.kind, cfg.kind: vars(sub)}
+    if cfg.params is None:
+        return {"kind": cfg.kind}
+    return {"kind": cfg.kind, cfg.kind: vars(cfg.params)}
 
 
 def _cmd_simulate(args) -> int:
     frame = io.read_population_csv(args.input)
     given = _subconfigs(args)
-    configs = [EstimatorConfig(kind=cfg.kind, **{cfg.kind: given[cfg.kind]})
+    configs = [EstimatorConfig(kind=cfg.kind, params=given[cfg.kind])
                if cfg.kind in given else cfg for cfg in montecarlo.DEFAULT_CONFIGS]
     report = run_experiment(frame, args.n, configs, reps=args.reps, seed=args.seed)
     _write_report(args, args.input,

@@ -7,13 +7,18 @@ population-optimal value when the population parameters are known".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
 def _parse_value(raw: str) -> float | None:
+    """A finite number, or None for ``optimal``; anything else is a ValueError."""
     if raw.strip().lower() == "optimal":
         return None
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
 
 
 class _FromKv:

@@ -32,47 +32,38 @@ from .errors import (
 )
 from .population import PopulationParams, SampleStats, sampling_fraction
 
-_SUBCONFIGS = {"tb": TbConfig, "tc": TcConfig, "t1": T1Config, "t2": T2Config, "t3": T3Config}
+#: The parameter class of every kind that has one; ``usual`` and ``ta`` have none.
+_PARAMS = {"tb": TbConfig, "tc": TcConfig, "t1": T1Config, "t2": T2Config, "t3": T3Config}
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Tagged per-family configuration.
+    """An estimator kind and its parameters.
 
-    Exactly the sub-configuration matching ``kind`` may be present; it is
-    created with defaults when omitted. ``label`` overrides the report name,
-    which is useful when several variants of one family run side by side.
+    ``params`` must be an instance of the kind's ``_PARAMS`` class, and is
+    created with defaults when omitted; ``usual`` and ``ta`` take none.
+    ``label`` overrides the report name, which is useful when several
+    variants of one family run side by side.
     """
 
     kind: str
-    tb: TbConfig | None = None
-    tc: TcConfig | None = None
-    t1: T1Config | None = None
-    t2: T2Config | None = None
-    t3: T3Config | None = None
+    params: TbConfig | TcConfig | T1Config | T2Config | T3Config | None = None
     label: str | None = None
 
     def __post_init__(self):
         if self.kind not in theory.FAMILIES:
             raise InvalidConfig(f"unknown estimator kind {self.kind!r}")
-        for slot, default in _SUBCONFIGS.items():
-            value = getattr(self, slot)
-            if slot == self.kind:
-                if value is None:
-                    object.__setattr__(self, slot, default())
-            elif value is not None:
-                raise InvalidConfig(
-                    f"estimator kind {self.kind!r} does not take a {slot!r} configuration"
-                )
+        cls = _PARAMS.get(self.kind)
+        if self.params is None:
+            if cls is not None:
+                object.__setattr__(self, "params", cls())
+        elif cls is None or not isinstance(self.params, cls):
+            raise InvalidConfig(f"estimator kind {self.kind!r} does not take a "
+                                f"{type(self.params).__name__} configuration")
 
     @property
     def name(self) -> str:
         return self.label or self.kind
-
-    @property
-    def subconfig(self) -> TbConfig | TcConfig | T1Config | T2Config | T3Config | None:
-        """The sub-configuration of ``kind``; None for ``usual`` and ``ta``."""
-        return getattr(self, self.kind, None)
 
 
 @dataclass(frozen=True)
@@ -91,9 +82,8 @@ def resolve_config(cfg: EstimatorConfig, pop: PopulationParams, f: float) -> Est
     """Replace every ``None`` constant with its population-optimal value, or
     with its census limit under a census design (f = 0; see
     ``theory.Family``)."""
-    sub = cfg.subconfig
-    resolved = theory.FAMILIES[cfg.kind].resolve(sub, pop, f)
-    return cfg if resolved is sub else replace(cfg, **{cfg.kind: resolved})
+    resolved = theory.FAMILIES[cfg.kind].resolve(cfg.params, pop, f)
+    return cfg if resolved is cfg.params else replace(cfg, params=resolved)
 
 
 # Failure codes of ``evaluate_batch``: 0 is success, and every other code
@@ -168,13 +158,13 @@ def _ta(cfg, pop, rows, p, xbar_s, sx2_s):
 
 
 def _tb(cfg, pop, rows, p, xbar_s, sx2_s):
-    return p + cfg.tb.h1 * (xbar_s / pop.xbar - 1.0)
+    return p + cfg.params.h1 * (xbar_s / pop.xbar - 1.0)
 
 
 def _tc(cfg, pop, rows, p, xbar_s, sx2_s):
     # (q1*p + q2*(xbar - xbar_s)) * (T/t)**alpha * exp(beta*(T - t)/(T + t))
     # with T = a*xbar + b and t = a*xbar_s + b
-    tc = cfg.tc
+    tc = cfg.params
     pop_t = tc.a * pop.xbar + tc.b
     smp_t = tc.a * xbar_s + tc.b
     rows.fail((pop_t <= 0.0) | (smp_t <= 0.0), NONPOSITIVE_TRANSFORM,
@@ -190,20 +180,20 @@ def _t1(cfg, pop, rows, p, xbar_s, sx2_s):
     rows.fail((xbar_s <= 0.0) | (mean_ratio <= 0.0), MEAN_RATIO, xbar_s=xbar_s)
     rows.fail(sx2_s <= 0.0, SAMPLE_VARIANCE, sx2_s=sx2_s)
     ok = rows.ok
-    return (p * _pow(mean_ratio, cfg.t1.alpha, ok)
-            * _pow(pop.sx2 / sx2_s, cfg.t1.beta, ok))
+    return (p * _pow(mean_ratio, cfg.params.alpha, ok)
+            * _pow(pop.sx2 / sx2_s, cfg.params.beta, ok))
 
 
 def _t2(cfg, pop, rows, p, xbar_s, sx2_s):
     u = xbar_s / pop.xbar
     v = sx2_s / pop.sx2
-    return p + cfg.t2.h1 * (u - 1.0) + cfg.t2.h2 * (v - 1.0)
+    return p + cfg.params.h1 * (u - 1.0) + cfg.params.h2 * (v - 1.0)
 
 
 def _t3(cfg, pop, rows, p, xbar_s, sx2_s):
     # m1*p*(xbar/(gamma*xbar_s + (1-gamma)*xbar))**g
     #   + m2*p*exp(delta*(sx2 - sx2_s)/(sx2 + sx2_s))
-    t3 = cfg.t3
+    t3 = cfg.params
     shifted = t3.gamma * xbar_s + (1.0 - t3.gamma) * pop.xbar
     base = pop.xbar / shifted
     rows.fail((shifted <= 0.0) | (base <= 0.0), SHIFTED_MEAN, shifted=shifted)
@@ -236,8 +226,7 @@ def evaluate_batch(cfg: EstimatorConfig, pop: PopulationParams, p: np.ndarray,
     otherwise a code whose ``FAILURE_CLASSES`` entry is the error ``evaluate``
     raises for that sample. Failed rows hold NaN.
     """
-    sub = cfg.subconfig
-    if sub is not None and None in vars(sub).values():
+    if cfg.params is not None and None in vars(cfg.params).values():
         raise InvalidConfig(f"the {cfg.kind} configuration has unresolved constants")
     values, rows = _kernel(cfg, pop, np.asarray(p, dtype=np.float64),
                            np.asarray(xbar_s, dtype=np.float64),

@@ -74,6 +74,14 @@ def write_population_csv(path: str | Path, frame: PopulationFrame) -> None:
             writer.writerow([phi, repr(x)])
 
 
+def _integer(data: dict, key: str) -> int:
+    """An integral size; ``int`` alone would read 11.9 as 11 and true as 1."""
+    value = data[key]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise SchemaError(f"parameter document field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ParamsDocument:
     """Population parameters, design, and where the numbers came from."""
@@ -108,8 +116,7 @@ class ParamsDocument:
         if missing:
             raise SchemaError(f"parameter document is missing keys: {', '.join(missing)}")
         try:
-            n = int(data["n"])
-            big_n = int(data["n_population"])
+            n, big_n = _integer(data, "n"), _integer(data, "n_population")
             numbers = {key: float(data[key]) for key in _REQUIRED_KEYS[2:]}
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"parameter document has a non-numeric field: {exc}") from None

@@ -262,7 +262,7 @@ def _aggregate(names: list[str], resolved: Sequence[EstimatorConfig],
         mean = float(v.mean())
         mse = float(np.mean(err**2))
         se = 0.0 if exact or count == 1 else float(np.std(err**2, ddof=1) / math.sqrt(count))
-        tmse = theory.FAMILIES[cfg.kind].mse(cfg.subconfig, pop, f)
+        tmse = theory.FAMILIES[cfg.kind].mse(cfg.params, pop, f)
         rows.append(EstimatorRun(
             name=name,
             replicates=count,

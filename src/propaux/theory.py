@@ -12,10 +12,11 @@ form one 3x3 matrix, Sigma = f*C with ``f = 1/n - 1/N`` and
 C is the single source of every moment below. The MSEs of ``ta``, ``tb``,
 ``t1`` and ``t2`` are quadratic forms in it; the optima of ``tb``, ``t1`` and
 ``t2`` regress the proportion channel on its auxiliary block, and the shared
-``t1``/``t2`` minimum is the Schur complement of that block. The ``tc`` and
-``t3`` expansion constants read their moments from C and share one
-two-weight solver. ``FAMILIES`` is the one place that says which formula
-belongs to which estimator kind.
+``t1``/``t2`` minimum is the Schur complement of that block; ``ta`` is ``t1``
+at (alpha, beta) = (1, 0). The ``tc`` and ``t3`` expansion constants read
+their moments from C and share one two-weight MSE form (``_TwoWeight``).
+``FAMILIES`` is the one place that says which formula belongs to which
+estimator kind.
 
 A negative computed MSE is always reported as an error, never as a value.
 """
@@ -26,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 from .config import T1Config, T2Config, T3Config, TableConfig, TbConfig
@@ -92,21 +94,6 @@ def var_usual(pop: PopulationParams, f: float) -> float:
     return f * pop.P**2 * pop.cp**2
 
 
-# --- ratio estimator ------------------------------------------------------------
-
-
-def bias_ta(pop: PopulationParams, f: float) -> float:
-    """First-order bias of the plain ratio estimate, f*P*(cx^2 - rho_pb*cp*cx)."""
-    c = _moments(pop)
-    return f * pop.P * (c[3] - c[1])
-
-
-def mse_ta(pop: PopulationParams, f: float) -> float:
-    """First-order MSE of the plain ratio estimate, f*P^2*w'Cw at w = (1, -1, 0)."""
-    value = f * pop.P**2 * _form(_moments(pop), 1.0, -1.0, 0.0)
-    return _check_mse(value, var_usual(pop, f), "ratio-estimator MSE")
-
-
 # --- regression-type class ------------------------------------------------------
 
 
@@ -134,48 +121,71 @@ def class_bias_tb(pop: PopulationParams, f: float, h2: float, h3: float, h4: flo
                 + pop.P**2 * pop.cp**2 * h4)
 
 
-# --- the two-weight solver of the tc and t3 families ------------------------------
-#
-# Both families have an MSE whose weight-dependent part is w'Aw - 2*b'w for a
-# weight pair w, with A = [[a11, a12], [a12, a22]] and b = (b1, b2); ``pair``
-# names the weights in error messages.
+# --- the two-weight MSE form of the tc and t3 families ----------------------------
 
 
-def _det(a11: float, a12: float, a22: float, pair: str) -> float:
-    det = a11 * a22 - a12**2
-    if abs(det) <= _SINGULAR_RTOL * max(abs(a11 * a22), a12**2, 1e-300):
-        raise SingularSystem(f"the {pair} optimality system is singular "
-                             "(the two channels are indistinguishable)")
-    return det
+class _TwoWeight:
+    """The MSE of a family with a weight pair w = (w1, w2),
 
+        scale * (const + w'Aw - 2*b'w),  A = [[a11, a12], [a12, a22]],  b = (b1, b2).
 
-def _stationary(a11: float, a12: float, a22: float, b1: float, b2: float,
-                pair: str) -> tuple[float, float]:
-    """The weight pair A^-1 b where the gradient vanishes."""
-    det = _det(a11, a12, a22, pair)
-    return (b1 * a22 - a12 * b2) / det, (a11 * b2 - b1 * a12) / det
+    A subclass reads (a11, a12, a22, b1, b2) off an instance with
+    ``_terms``, and names its weights (``_pair``) and itself (``_family``)
+    for error messages. When ``_relative``, its constants are relative to
+    P^2: scale = P^2 and const = 1; otherwise scale = 1 and const = P^2.
+    """
 
+    def _scale_const(self, pop: PopulationParams) -> tuple[float, float]:
+        return (pop.P**2, 1.0) if self._relative else (1.0, pop.P**2)
 
-def _reduction(a11: float, a12: float, a22: float, b1: float, b2: float,
-               pair: str) -> float:
-    """b'A^-1 b, what the optimal weights take off the MSE; only a positive
-    definite A has a minimum."""
-    det = _det(a11, a12, a22, pair)
-    if det < 0.0:
-        raise SingularSystem(f"the {pair} quadratic form is indefinite")
-    return (b1**2 * a22 - 2.0 * b1 * a12 * b2 + a11 * b2**2) / det
+    def _system(self) -> tuple[float, ...]:
+        """(a11, a12, a22, b1, b2, det A); a singular A has no stationary pair."""
+        a11, a12, a22, b1, b2 = self._terms(self)
+        det = a11 * a22 - a12**2
+        if abs(det) <= _SINGULAR_RTOL * max(abs(a11 * a22), a12**2, 1e-300):
+            raise SingularSystem(f"the {self._pair} optimality system is singular "
+                                 "(the two channels are indistinguishable)")
+        return a11, a12, a22, b1, b2, det
+
+    def mse(self, pop: PopulationParams, w1: float, w2: float) -> float:
+        """The MSE at an arbitrary weight pair."""
+        a11, a12, a22, b1, b2 = self._terms(self)
+        scale, const = self._scale_const(pop)
+        return scale * (const + w1**2 * a11 + w2**2 * a22 + 2.0 * w1 * w2 * a12
+                        - 2.0 * w1 * b1 - 2.0 * w2 * b2)
+
+    def optimum(self) -> tuple[float, float]:
+        """The stationary weight pair A^-1 b, where the gradient vanishes."""
+        a11, a12, a22, b1, b2, det = self._system()
+        return (b1 * a22 - a12 * b2) / det, (a11 * b2 - b1 * a12) / det
+
+    def _reduction(self) -> float:
+        """b'A^-1 b, what the optimal weights take off the MSE bracket; only a
+        positive definite A has a minimum."""
+        a11, a12, a22, b1, b2, det = self._system()
+        if det < 0.0:
+            raise SingularSystem(f"the {self._pair} quadratic form is indefinite")
+        return (b1**2 * a22 - 2.0 * b1 * a12 * b2 + a11 * b2**2) / det
+
+    def min_mse(self, pop: PopulationParams) -> float:
+        """The minimum MSE, scale * (const - b'A^-1 b)."""
+        scale, const = self._scale_const(pop)
+        value = scale * (const - self._reduction())
+        if value < 0.0:
+            raise NegativeMse(f"{self._family} minimum MSE evaluated negative ({value})")
+        return value
 
 
 # --- weighted transform family (q1, q2) -----------------------------------------
 
 
 @dataclass(frozen=True)
-class TcConstants:
+class TcConstants(_TwoWeight):
     """Expansion constants of the weighted ratio/exponential transform family.
 
     ``theta`` locates the transform, ``bc``/``ac`` are its first/second-order
-    expansion coefficients, ``m1..m5`` the building blocks, and
-    ``delta1..delta5`` the coefficients of the MSE quadratic form
+    expansion coefficients, and ``delta1..delta5`` the coefficients of the
+    MSE quadratic form
 
         mse(q1, q2) = P^2 + q1^2*d1 + q2^2*d3 + 2*q1*q2*d2 - 2*q1*d4 - 2*q2*d5.
     """
@@ -183,19 +193,14 @@ class TcConstants:
     theta: float
     bc: float
     ac: float
-    m1: float
-    m2: float
-    m3: float
-    m4: float
-    m5: float
     delta1: float
     delta2: float
     delta3: float
     delta4: float
     delta5: float
 
-    def _system(self) -> tuple[float, float, float, float, float, str]:
-        return self.delta1, self.delta2, self.delta3, self.delta4, self.delta5, "(q1, q2)"
+    _terms = attrgetter("delta1", "delta2", "delta3", "delta4", "delta5")
+    _pair, _family, _relative = "(q1, q2)", "family", False
 
 
 def tc_constants(pop: PopulationParams, f: float, a: float, b: float,
@@ -217,33 +222,12 @@ def tc_constants(pop: PopulationParams, f: float, a: float, b: float,
     m5 = X * P * f * (-bc * cx2)
     return TcConstants(
         theta=theta, bc=bc, ac=ac,
-        m1=m1, m2=m2, m3=m3, m4=m4, m5=m5,
         delta1=P**2 + m1 + 2.0 * m3,
         delta2=-m4 - m5,
         delta3=m2,
         delta4=P**2 + m3,
         delta5=-m5,
     )
-
-
-def tc_mse(tc: TcConstants, pop: PopulationParams, q1: float, q2: float) -> float:
-    """MSE quadratic form of the family at an arbitrary weight pair."""
-    return (pop.P**2
-            + q1**2 * tc.delta1 + q2**2 * tc.delta3 + 2.0 * q1 * q2 * tc.delta2
-            - 2.0 * q1 * tc.delta4 - 2.0 * q2 * tc.delta5)
-
-
-def tc_optimal_q(tc: TcConstants) -> tuple[float, float]:
-    """Stationary weight pair of the MSE quadratic form."""
-    return _stationary(*tc._system())
-
-
-def tc_min_mse(tc: TcConstants, pop: PopulationParams) -> float:
-    """Minimum MSE of the family, P^2 - (d4^2*d3 - 2*d4*d2*d5 + d1*d5^2)/det."""
-    value = pop.P**2 - _reduction(*tc._system())
-    if value < 0.0:
-        raise NegativeMse(f"family minimum MSE evaluated negative ({value})")
-    return value
 
 
 def tc_bias(pop: PopulationParams, f: float, tc: TcConstants, q1: float, q2: float) -> float:
@@ -315,11 +299,6 @@ def t2_mse(pop: PopulationParams, f: float, h1: float, h2: float) -> float:
     return _check_mse(value, var_usual(pop, f), "two-channel linear MSE")
 
 
-def t2_min_mse(pop: PopulationParams, f: float) -> float:
-    """Class minimum MSE; identical to the power-transform minimum."""
-    return t1_min_mse(pop, f)
-
-
 def class_bias_t2(pop: PopulationParams, f: float, h3: float, h4: float, h5: float,
                   h6: float, h7: float, h8: float) -> float:
     """First-order class bias as a linear form in six second-derivative values."""
@@ -337,7 +316,7 @@ def class_bias_t2(pop: PopulationParams, f: float, h3: float, h4: float, h5: flo
 
 
 @dataclass(frozen=True)
-class T3Constants:
+class T3Constants(_TwoWeight):
     """Quadratic-form coefficients of the two-term weighted family.
 
     ``a`` and ``c`` are the second moments of the ratio and exponential
@@ -352,8 +331,8 @@ class T3Constants:
     d: float
     e: float
 
-    def _system(self) -> tuple[float, float, float, float, float, str]:
-        return self.a, self.d, self.c, self.b, self.e, "(m1, m2)"
+    _terms = attrgetter("a", "d", "c", "b", "e")
+    _pair, _family, _relative = "(m1, m2)", "two-term family", True
 
 
 def t3_constants(pop: PopulationParams, f: float, gamma: float, g: float,
@@ -376,29 +355,9 @@ def t3_constants(pop: PopulationParams, f: float, gamma: float, g: float,
     return T3Constants(a=a, b=b, c=c, d=d, e=e)
 
 
-def t3_mse(t3c: T3Constants, pop: PopulationParams, m1: float, m2: float) -> float:
-    """MSE quadratic form of the two-term family at an arbitrary weight pair."""
-    value = pop.P**2 * (1.0 + m1**2 * t3c.a + m2**2 * t3c.c + 2.0 * m1 * m2 * t3c.d
-                        - 2.0 * m1 * t3c.b - 2.0 * m2 * t3c.e)
-    return _check_mse(value, pop.P**2, "two-term family MSE")
-
-
 def t3_bias(t3c: T3Constants, pop: PopulationParams, m1: float, m2: float) -> float:
     """First-order bias of the two-term family, -P*(1 - m1*b - m2*e)."""
     return -pop.P * (1.0 - m1 * t3c.b - m2 * t3c.e)
-
-
-def t3_optimal_m(t3c: T3Constants) -> tuple[float, float]:
-    """Stationary weight pair, ((bc - de)/det, (ae - bd)/det)."""
-    return _stationary(*t3c._system())
-
-
-def t3_min_mse(t3c: T3Constants, pop: PopulationParams) -> float:
-    """Minimum MSE of the family, P^2*(1 - (b^2*c - 2*b*d*e + a*e^2)/det)."""
-    value = pop.P**2 * (1.0 - _reduction(*t3c._system()))
-    if value < 0.0:
-        raise NegativeMse(f"two-term family minimum MSE evaluated negative ({value})")
-    return value
 
 
 def t3_bias_min(t3c: T3Constants, pop: PopulationParams) -> float:
@@ -407,7 +366,7 @@ def t3_bias_min(t3c: T3Constants, pop: PopulationParams) -> float:
     This equals ``-min_mse/P``: at the stationary pair the quadratic form
     collapses so that the first-order bias and MSE share one bracket.
     """
-    return -pop.P * (1.0 - _reduction(*t3c._system()))
+    return -pop.P * (1.0 - t3c._reduction())
 
 
 # --- the per-family table ----------------------------------------------------------
@@ -493,9 +452,10 @@ FAMILIES: dict[str, Family] = {
                     lambda cfg, pop, f: var_usual(pop, f),
                     formulas={"mse": "var_usual: f*P^2*cp^2",
                               "bias": "0 (exactly unbiased)"}),
-    "ta": Family(lambda cfg, pop, f: mse_ta(pop, f),
-                 lambda cfg, pop, f: mse_ta(pop, f),
-                 bias=lambda cfg, pop, f: bias_ta(pop, f),
+    # the ratio estimate is t1 at (alpha, beta) = (1, 0)
+    "ta": Family(lambda cfg, pop, f: t1_mse(pop, f, 1.0, 0.0),
+                 lambda cfg, pop, f: t1_mse(pop, f, 1.0, 0.0),
+                 bias=lambda cfg, pop, f: t1_bias(pop, f, 1.0, 0.0),
                  formulas={"mse": "mse_ta: f*P^2*(cp^2+cx^2-2*rho_pb*cp*cx)",
                            "bias": "bias_ta: f*P*(cx^2-rho_pb*cp*cx)"}),
     "tb": Family(lambda cfg, pop, f: t2_mse(pop, f, cfg.h1, 0.0),
@@ -503,9 +463,9 @@ FAMILIES: dict[str, Family] = {
                  ("h1",), lambda cfg, pop, f: (tb_optimal_h1(pop),),
                  formulas={"mse": "min_mse_tb: f*P^2*cp^2*(1-rho_pb^2)",
                            "bias": _UNBIASED_LINEAR}),
-    "tc": Family(lambda cfg, pop, f: tc_mse(_tc(cfg, pop, f), pop, cfg.q1, cfg.q2),
-                 lambda cfg, pop, f: tc_min_mse(_tc(cfg, pop, f), pop),
-                 ("q1", "q2"), lambda cfg, pop, f: tc_optimal_q(_tc(cfg, pop, f)),
+    "tc": Family(lambda cfg, pop, f: _tc(cfg, pop, f).mse(pop, cfg.q1, cfg.q2),
+                 lambda cfg, pop, f: _tc(cfg, pop, f).min_mse(pop),
+                 ("q1", "q2"), lambda cfg, pop, f: _tc(cfg, pop, f).optimum(),
                  census=(1.0, 0.0),
                  bias=lambda cfg, pop, f: tc_bias(pop, f, _tc(cfg, pop, f), cfg.q1, cfg.q2),
                  shown=_tc_shown,
@@ -524,15 +484,16 @@ FAMILIES: dict[str, Family] = {
                  formulas={"mse": "t1_min_mse: f*P^2*cp^2*(1-rho^2-(lambda03*rho-lambda12)^2/gap)",
                            "bias": "t1_bias at the optimal exponents"}),
     "t2": Family(lambda cfg, pop, f: t2_mse(pop, f, cfg.h1, cfg.h2),
-                 lambda cfg, pop, f: t2_min_mse(pop, f),
+                 lambda cfg, pop, f: t1_min_mse(pop, f),
                  ("h1", "h2"), lambda cfg, pop, f: t2_optimal(pop),
                  formulas={"mse": "t2_min_mse == t1_min_mse (identical closed forms)",
                            "bias": _UNBIASED_LINEAR}),
     # A table cannot fix the t3 weights (TableConfig builds them free), so
     # its rows sit at the optimum, where bias and MSE share one bracket.
-    "t3": Family(lambda cfg, pop, f: t3_mse(_t3(cfg, pop, f), pop, cfg.m1, cfg.m2),
-                 lambda cfg, pop, f: t3_min_mse(_t3(cfg, pop, f), pop),
-                 ("m1", "m2"), lambda cfg, pop, f: t3_optimal_m(_t3(cfg, pop, f)),
+    "t3": Family(lambda cfg, pop, f: _check_mse(_t3(cfg, pop, f).mse(pop, cfg.m1, cfg.m2),
+                                                pop.P**2, "two-term family MSE"),
+                 lambda cfg, pop, f: _t3(cfg, pop, f).min_mse(pop),
+                 ("m1", "m2"), lambda cfg, pop, f: _t3(cfg, pop, f).optimum(),
                  census=(0.5, 0.5),
                  bias=lambda cfg, pop, f: t3_bias_min(_t3(cfg, pop, f), pop),
                  shown=lambda cfg, pop, f: {**vars(cfg), **vars(_t3(cfg, pop, f))},

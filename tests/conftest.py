@@ -89,11 +89,11 @@ def well_posed_params(rng: np.random.Generator) -> tuple[PopulationParams, float
             t3c = theory.t3_constants(pop, f, 1.0, 1.0, 1.0)
             if t3c.a * t3c.c - t3c.d**2 <= 1e-6:
                 continue
-            theory.t3_optimal_m(t3c)
-            theory.t3_min_mse(t3c, pop)
+            t3c.optimum()
+            t3c.min_mse(pop)
             tcc = theory.tc_constants(pop, f, 1.0, 0.0, 1.0, 0.0)
-            theory.tc_optimal_q(tcc)
-            theory.tc_min_mse(tcc, pop)
+            tcc.optimum()
+            tcc.min_mse(pop)
             theory.t1_optimal(pop)
         except theory.ToolkitError:
             continue

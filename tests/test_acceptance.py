@@ -22,6 +22,7 @@ from propaux import (
     run_experiment,
     theory,
 )
+from propaux.config import T2Config
 
 from conftest import random_frame, random_params, well_posed_params
 from _oracles import assert_stationary, grid_min
@@ -60,7 +61,7 @@ class TestCriterion1ExactIdentities:
                 pop = random_params(rng)
                 fv = 1 / max(2, pop.N // 10) - 1 / pop.N
                 t1 = theory.t1_min_mse(pop, fv)
-                t2 = theory.t2_min_mse(pop, fv)
+                t2 = theory.FAMILIES["t2"].min_mse(T2Config(), pop, fv)
                 assert t2 == pytest.approx(t1, rel=1e-12)
 
             # self-efficiency is exactly 100
@@ -78,16 +79,17 @@ class TestCriterion2TableReproduction:
             pre_tb = theory.pre(baseline, theory.min_mse_tb(ref_pop, f))
             assert pre_tb == pytest.approx(511.79, abs=0.05)
 
-            pre_ta = theory.pre(baseline, theory.mse_ta(ref_pop, f))
+            pre_ta = theory.pre(baseline, theory.FAMILIES["ta"].mse(None, ref_pop, f))
             assert abs(pre_ta - 189.38) <= 1.0
 
             pre_t1 = theory.pre(baseline, theory.t1_min_mse(ref_pop, f))
-            pre_t2 = theory.pre(baseline, theory.t2_min_mse(ref_pop, f))
+            pre_t2 = theory.pre(baseline,
+                                 theory.FAMILIES["t2"].min_mse(T2Config(), ref_pop, f))
             assert abs(pre_t1 - 513.92) <= 1.5
             assert abs(pre_t2 - 513.92) <= 1.5
 
             constants = theory.tc_constants(ref_pop, f, 1.0, 0.0, 1.0, 0.0)
-            pre_tc = theory.pre(baseline, theory.tc_min_mse(constants, ref_pop))
+            pre_tc = theory.pre(baseline, constants.min_mse(ref_pop))
             assert 505.0 <= pre_tc <= 525.0
 
     def test_t3_sensitivity_interval(self, ref_doc, tmp_path):
@@ -162,13 +164,13 @@ class TestCriterion4Stationarity:
                                   [h1, h2])
 
                 constants = theory.tc_constants(pop, f, 1.0, 0.0, 1.0, 0.0)
-                q1, q2 = theory.tc_optimal_q(constants)
-                assert_stationary(lambda v: theory.tc_mse(constants, pop, v[0], v[1]),
+                q1, q2 = constants.optimum()
+                assert_stationary(lambda v: constants.mse(pop, v[0], v[1]),
                                   [q1, q2])
 
                 t3c = theory.t3_constants(pop, f, 1.0, 1.0, 1.0)
-                m1, m2 = theory.t3_optimal_m(t3c)
-                assert_stationary(lambda v: theory.t3_mse(t3c, pop, v[0], v[1]),
+                m1, m2 = t3c.optimum()
+                assert_stationary(lambda v: t3c.mse(pop, v[0], v[1]),
                                   [m1, m2])
 
             # the closed-form minimum dominates a dense grid around it

@@ -328,3 +328,28 @@ class TestExitCodes:
     def test_invalid_kv_is_usage_error(self, ref_params_path):
         assert main(["pre", "--params", str(ref_params_path),
                      "--tc", "nope=1"]) == 1
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (["theory"], "--tc", "q1=nan,q2=0"),
+        (["theory"], "--tc", "alpha=inf"),
+        (["pre"], "--tc", "q1=-inf"),
+        (["pre"], "--t3", "gamma=NaN"),
+        (["sensitivity", "--digits", "3"], "--t3", "gamma=nan"),
+    ])
+    def test_non_finite_flag_value_is_usage_error(self, ref_params_path, tmp_path,
+                                                  capsys, command, flag, value):
+        out = tmp_path / "o.json"
+        argv = [command[0], "--params", str(ref_params_path), *command[1:], flag, value]
+        if command[0] != "pre":
+            argv += ["--output", str(out)]
+        assert main(argv) == 1
+        assert "cannot parse value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 11.9), ("n_population", 40.5), ("n", True), ("n_population", float("inf"))])
+    def test_non_integral_size_is_data_error(self, tmp_path, capsys, field, value):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(dict(REF, **{field: value})))
+        assert main(["pre", "--params", str(path)]) == 2
+        assert "must be an integer" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -92,31 +94,31 @@ class TestRegression:
     def test_records_resolved_slope(self, pop):
         stats = balanced_sample(pop)
         estimate = evaluate(stats, pop, EstimatorConfig(kind="tb"))
-        assert estimate.config_used.tb.h1 == pytest.approx(
+        assert estimate.config_used.params.h1 == pytest.approx(
             theory.tb_optimal_h1(pop), rel=1e-15)
 
 
 class TestTcFamily:
     def test_reduces_to_ratio_estimator(self, pop):
-        cfg = EstimatorConfig(kind="tc", tc=TcConfig(a=1.0, b=0.0, alpha=1.0,
+        cfg = EstimatorConfig(kind="tc", params=TcConfig(a=1.0, b=0.0, alpha=1.0,
                                                      beta=0.0, q1=1.0, q2=0.0))
         stats = SampleStats(n=10, p=0.4, xbar_s=0.8 * pop.xbar, sx2_s=pop.sx2)
         assert evaluate(stats, pop, cfg).value == evaluate(
             stats, pop, EstimatorConfig(kind="ta")).value
 
     def test_fully_inert_transform_returns_p(self, pop):
-        cfg = EstimatorConfig(kind="tc", tc=TcConfig(a=1.0, b=0.0, alpha=0.0,
+        cfg = EstimatorConfig(kind="tc", params=TcConfig(a=1.0, b=0.0, alpha=0.0,
                                                      beta=0.0, q1=1.0, q2=0.0))
         stats = SampleStats(n=10, p=0.4, xbar_s=0.8 * pop.xbar, sx2_s=pop.sx2)
         assert evaluate(stats, pop, cfg).value == 0.4
 
     def test_balanced_sample_gives_q1_p(self, pop):
-        cfg = EstimatorConfig(kind="tc", tc=TcConfig(q1=0.9, q2=4.2))
+        cfg = EstimatorConfig(kind="tc", params=TcConfig(q1=0.9, q2=4.2))
         stats = balanced_sample(pop, p=0.4)
         assert evaluate(stats, pop, cfg).value == pytest.approx(0.9 * 0.4, rel=1e-15)
 
     def test_nonpositive_transform(self, pop):
-        cfg = EstimatorConfig(kind="tc", tc=TcConfig(q1=1.0, q2=0.0))
+        cfg = EstimatorConfig(kind="tc", params=TcConfig(q1=1.0, q2=0.0))
         stats = SampleStats(n=4, p=0.5, xbar_s=-1.0, sx2_s=1.0)
         with pytest.raises(NonpositiveTransform):
             evaluate(stats, pop, cfg)
@@ -127,30 +129,30 @@ class TestTcFamily:
         estimate = evaluate(stats, pop, cfg)
         f = sampling_fraction(stats.n, pop.N)
         constants = theory.tc_constants(pop, f, 1.0, 0.0, 1.0, 0.0)
-        q1, q2 = theory.tc_optimal_q(constants)
-        assert estimate.config_used.tc.q1 == pytest.approx(q1, rel=1e-15)
-        assert estimate.config_used.tc.q2 == pytest.approx(q2, rel=1e-15)
+        q1, q2 = constants.optimum()
+        assert estimate.config_used.params.q1 == pytest.approx(q1, rel=1e-15)
+        assert estimate.config_used.params.q2 == pytest.approx(q2, rel=1e-15)
 
 
 class TestT1:
     def test_zero_exponents_return_p(self, pop):
-        cfg = EstimatorConfig(kind="t1", t1=T1Config(alpha=0.0, beta=0.0))
+        cfg = EstimatorConfig(kind="t1", params=T1Config(alpha=0.0, beta=0.0))
         stats = SampleStats(n=10, p=0.7, xbar_s=0.5 * pop.xbar, sx2_s=2.0 * pop.sx2)
         assert evaluate(stats, pop, cfg).value == 0.7
 
     def test_balanced_sample_returns_p_for_any_exponents(self, pop):
-        cfg = EstimatorConfig(kind="t1", t1=T1Config(alpha=2.7, beta=-1.3))
+        cfg = EstimatorConfig(kind="t1", params=T1Config(alpha=2.7, beta=-1.3))
         stats = balanced_sample(pop, p=0.3)
         assert evaluate(stats, pop, cfg).value == 0.3
 
     def test_reduces_to_ratio_estimator(self, pop):
-        cfg = EstimatorConfig(kind="t1", t1=T1Config(alpha=1.0, beta=0.0))
+        cfg = EstimatorConfig(kind="t1", params=T1Config(alpha=1.0, beta=0.0))
         stats = SampleStats(n=10, p=0.4, xbar_s=0.8 * pop.xbar, sx2_s=0.5 * pop.sx2)
         assert evaluate(stats, pop, cfg).value == evaluate(
             stats, pop, EstimatorConfig(kind="ta")).value
 
     def test_nonpositive_bases(self, pop):
-        cfg = EstimatorConfig(kind="t1", t1=T1Config(alpha=0.5, beta=0.5))
+        cfg = EstimatorConfig(kind="t1", params=T1Config(alpha=0.5, beta=0.5))
         with pytest.raises(NonpositiveBase):
             evaluate(SampleStats(n=4, p=0.5, xbar_s=-2.0, sx2_s=1.0), pop, cfg)
         with pytest.raises(NonpositiveBase):
@@ -165,7 +167,7 @@ class TestT2:
 
     def test_nests_the_regression_member(self, pop):
         h1 = theory.tb_optimal_h1(pop)
-        cfg = EstimatorConfig(kind="t2", t2=T2Config(h1=h1, h2=0.0))
+        cfg = EstimatorConfig(kind="t2", params=T2Config(h1=h1, h2=0.0))
         stats = SampleStats(n=10, p=0.4, xbar_s=1.2 * pop.xbar, sx2_s=0.7 * pop.sx2)
         assert evaluate(stats, pop, cfg).value == evaluate(
             stats, pop, EstimatorConfig(kind="tb")).value
@@ -174,25 +176,25 @@ class TestT2:
         stats = balanced_sample(pop)
         estimate = evaluate(stats, pop, EstimatorConfig(kind="t2"))
         h1, h2 = theory.t2_optimal(pop)
-        assert estimate.config_used.t2.h1 == pytest.approx(h1, rel=1e-15)
-        assert estimate.config_used.t2.h2 == pytest.approx(h2, rel=1e-15)
+        assert estimate.config_used.params.h1 == pytest.approx(h1, rel=1e-15)
+        assert estimate.config_used.params.h2 == pytest.approx(h2, rel=1e-15)
 
 
 class TestT3:
     def test_inert_switches_with_half_weights(self, pop):
-        cfg = EstimatorConfig(kind="t3", t3=T3Config(gamma=1.0, g=0.0, delta=0.0,
+        cfg = EstimatorConfig(kind="t3", params=T3Config(gamma=1.0, g=0.0, delta=0.0,
                                                      m1=0.5, m2=0.5))
         stats = SampleStats(n=10, p=0.6, xbar_s=0.4 * pop.xbar, sx2_s=3.0 * pop.sx2)
         assert evaluate(stats, pop, cfg).value == 0.6
 
     def test_balanced_sample_gives_weight_sum_times_p(self, pop):
-        cfg = EstimatorConfig(kind="t3", t3=T3Config(m1=0.7, m2=0.4))
+        cfg = EstimatorConfig(kind="t3", params=T3Config(m1=0.7, m2=0.4))
         stats = balanced_sample(pop, p=0.5)
         assert evaluate(stats, pop, cfg).value == pytest.approx(
             (0.7 + 0.4) * 0.5, rel=1e-15)
 
     def test_nonpositive_shifted_mean(self, pop):
-        cfg = EstimatorConfig(kind="t3", t3=T3Config(gamma=2.0, m1=0.5, m2=0.5))
+        cfg = EstimatorConfig(kind="t3", params=T3Config(gamma=2.0, m1=0.5, m2=0.5))
         stats = SampleStats(n=4, p=0.5, xbar_s=-pop.xbar, sx2_s=pop.sx2)
         with pytest.raises(NonpositiveBase):
             evaluate(stats, pop, cfg)
@@ -202,9 +204,9 @@ class TestT3:
         estimate = evaluate(stats, pop, EstimatorConfig(kind="t3"))
         f = sampling_fraction(stats.n, pop.N)
         constants = theory.t3_constants(pop, f, 1.0, 1.0, 1.0)
-        m1, m2 = theory.t3_optimal_m(constants)
-        assert estimate.config_used.t3.m1 == pytest.approx(m1, rel=1e-15)
-        assert estimate.config_used.t3.m2 == pytest.approx(m2, rel=1e-15)
+        m1, m2 = constants.optimum()
+        assert estimate.config_used.params.m1 == pytest.approx(m1, rel=1e-15)
+        assert estimate.config_used.params.m2 == pytest.approx(m2, rel=1e-15)
 
 
 class TestConfigValidation:
@@ -214,11 +216,23 @@ class TestConfigValidation:
 
     def test_mismatched_subconfig(self):
         with pytest.raises(InvalidConfig):
-            EstimatorConfig(kind="t1", t3=T3Config())
+            EstimatorConfig(kind="t1", params=T3Config())
 
     def test_plain_kinds_take_no_subconfig(self):
         with pytest.raises(InvalidConfig):
-            EstimatorConfig(kind="usual", tc=TcConfig())
+            EstimatorConfig(kind="usual", params=TcConfig())
+
+    def test_params_must_be_a_config(self):
+        with pytest.raises(InvalidConfig):
+            EstimatorConfig(kind="tc", params={"q1": 1.0})
+        with pytest.raises(InvalidConfig):
+            EstimatorConfig(kind="ta", params=T1Config())
+
+    def test_one_parameter_slot(self):
+        assert [f.name for f in dataclasses.fields(EstimatorConfig)] == [
+            "kind", "params", "label"]
+        assert EstimatorConfig(kind="t3").params == T3Config()
+        assert EstimatorConfig(kind="usual").params is None
 
     def test_dispatcher_and_kind_guards(self, pop):
         stats = balanced_sample(pop)
@@ -268,12 +282,12 @@ class TestCensusInertness:
         assert evaluate(stats, params, EstimatorConfig(kind="usual")).value == p
         assert evaluate(stats, params, EstimatorConfig(kind="ta")).value == p
         assert evaluate(stats, params, EstimatorConfig(kind="tb")).value == p
-        inert_tc = EstimatorConfig(kind="tc", tc=TcConfig(q1=1.0, q2=0.0))
+        inert_tc = EstimatorConfig(kind="tc", params=TcConfig(q1=1.0, q2=0.0))
         assert evaluate(stats, params, inert_tc).value == p
-        cfg1 = EstimatorConfig(kind="t1", t1=T1Config(alpha=1.4, beta=-0.2))
+        cfg1 = EstimatorConfig(kind="t1", params=T1Config(alpha=1.4, beta=-0.2))
         assert evaluate(stats, params, cfg1).value == p
         assert evaluate(stats, params, EstimatorConfig(kind="t2")).value == p
-        cfg3 = EstimatorConfig(kind="t3", t3=T3Config(g=0.0, delta=0.0, m1=0.5, m2=0.5))
+        cfg3 = EstimatorConfig(kind="t3", params=T3Config(g=0.0, delta=0.0, m1=0.5, m2=0.5))
         assert evaluate(stats, params, cfg3).value == p
 
 
@@ -292,8 +306,8 @@ def configs(draw):
     if kind not in _SUBCONFIGS or draw(st.booleans()):
         return EstimatorConfig(kind=kind)
     cls, names = _SUBCONFIGS[kind]
-    return EstimatorConfig(kind=kind, **{kind: cls(**{name: draw(_CONSTANT)
-                                                      for name in names})})
+    return EstimatorConfig(kind=kind, params=cls(**{name: draw(_CONSTANT)
+                                                    for name in names}))
 
 
 def assert_rows_match_evaluate(samples, pop, cfg, resolved):

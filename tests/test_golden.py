@@ -1,6 +1,7 @@
 """The CLI contract bytes of `theory`, `sensitivity` and `pre` on the README
-parameter document, and of a seeded `simulate` on a small fixed population,
-pinned against files under ``tests/golden/``.
+parameter document, and of a seeded `simulate` and single-sample `estimate`
+runs on a small fixed population, pinned against files under
+``tests/golden/``.
 
 Every number of `theory`, `sensitivity` and `pre` is pure-Python float
 arithmetic, so those bytes are portable. The `simulate` file also pins the
@@ -57,13 +58,26 @@ COMMANDS = {
 }
 CASES = {f"{Path(name).stem}{suffix}{Path(name).suffix}": command + flags
          for name, command in COMMANDS.items() for suffix, flags in FLAGS.items()}
+#: A non-default transform and t3 shift on the table commands.
+TRANSFORM = ["--tc", "a=2,b=1,alpha=2,beta=1", "--t3", "gamma=0.5"]
+CASES["theory_transform.json"] = ["theory", *TRANSFORM]
+CASES["pre_transform.csv"] = ["pre", "--format", "csv", *TRANSFORM]
 CASES["simulate.json"] = ["simulate", "--n", "5", "--reps", "300", "--seed", "42"]
+#: Single-sample estimates on the 16-unit population, printed to stdout.
+SAMPLE = ["--indices", "0,1,2,3,4,5"]
+KINDS = ("usual", "ta", "tb", "tc", "t1", "t2", "t3")
+CASES.update({f"estimate_{kind}.json": ["estimate", *SAMPLE, "--estimator", kind]
+              for kind in KINDS})
+CASES["estimate_tc_q1_1_q2_0.json"] = ["estimate", *SAMPLE, "--estimator", "tc",
+                                       "--tc", "q1=1,q2=0"]
+CASES["estimate_t3_fixed.json"] = ["estimate", *SAMPLE, "--estimator", "t3",
+                                   "--t3", "g=1,delta=-1,m1=0.5,m2=0.5"]
 
 
 def run(argv: list[str]) -> bytes:
     """The bytes a command writes: its ``--output`` file, else its stdout."""
     with tempfile.TemporaryDirectory() as tmp:
-        if argv[0] == "simulate":
+        if argv[0] in ("simulate", "estimate"):
             source = ["--input", str(Path(tmp) / "population.csv")]
             Path(source[1]).write_text(POPULATION, encoding="utf-8")
         else:
@@ -71,7 +85,7 @@ def run(argv: list[str]) -> bytes:
             Path(source[1]).write_text(DOCUMENT, encoding="utf-8")
         out = Path(tmp) / "out.json"
         argv = [argv[0], *source, *argv[1:]]
-        if argv[0] != "pre":
+        if argv[0] not in ("pre", "estimate"):
             argv += ["--output", str(out)]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):

@@ -90,6 +90,10 @@ class TestParamsDocument:
         with pytest.raises(SchemaError):
             ParamsDocument.from_dict(data)
 
+    def test_integral_float_size_reads(self):
+        doc = ParamsDocument.from_dict(dict(REF, n=11.0, n_population=40.0))
+        assert doc == ParamsDocument.from_dict(dict(REF))
+
     def test_round_trip(self, tmp_path):
         doc = ParamsDocument.from_dict(dict(REF))
         path = tmp_path / "ref.json"

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from propaux import theory
-from propaux.config import TableConfig, TcConfig
+from propaux.config import T2Config, TableConfig, TcConfig
 from propaux.errors import (
     DegenerateMoments,
     InvalidConfig,
@@ -60,23 +60,23 @@ class TestVarUsual:
 
 class TestRatio:
     def test_reference_mse(self, ref_pop, ref_design):
-        assert theory.mse_ta(ref_pop, ref_design.f) == pytest.approx(
+        assert theory.FAMILIES["ta"].mse(None, ref_pop, ref_design.f) == pytest.approx(
             float(rational_mse_ta()), rel=1e-13)
 
     def test_reference_pre_band(self, ref_pop, ref_design):
         value = theory.pre(theory.var_usual(ref_pop, ref_design.f),
-                           theory.mse_ta(ref_pop, ref_design.f))
+                           theory.FAMILIES["ta"].mse(None, ref_pop, ref_design.f))
         assert value == pytest.approx(189.21, abs=0.01)
 
     def test_breakeven_correlation(self, plain_pop):
         # at rho = cx/(2*cp) the ratio estimate ties the usual one
         pop = dataclasses.replace(plain_pop, rho_pb=plain_pop.cx / (2 * plain_pop.cp))
-        assert theory.mse_ta(pop, F_PLAIN) == pytest.approx(
+        assert theory.FAMILIES["ta"].mse(None, pop, F_PLAIN) == pytest.approx(
             theory.var_usual(pop, F_PLAIN), rel=1e-12)
 
     def test_inert_auxiliary_bias(self, plain_pop):
         pop = dataclasses.replace(plain_pop, rho_pb=0.0)
-        bias = theory.bias_ta(pop, F_PLAIN)
+        bias = theory.FAMILIES["ta"].bias(None, pop, F_PLAIN)
         assert bias == pytest.approx(F_PLAIN * pop.P * pop.cx**2, rel=1e-12)
 
 
@@ -127,34 +127,34 @@ class TestTcFamily:
         tc = theory.tc_constants(ref_pop, ref_design.f, 1.0, 0.0, 0.0, 0.0)
         assert tc.bc == 0.0
         assert tc.ac == 0.0
-        assert tc.m1 == pytest.approx(
+        # m1 = P^2*f*cp^2 is all that delta1 adds to P^2 here
+        assert tc.delta1 - ref_pop.P**2 == pytest.approx(
             ref_pop.P**2 * ref_design.f * ref_pop.cp**2, rel=1e-13)
 
     def test_reference_deltas_match_rational_oracle(self, ref_pop, ref_design):
         tc = theory.tc_constants(ref_pop, ref_design.f, 1.0, 0.0, 1.0, 0.0)
         expect = rational_tc_deltas()
-        for name in ("m1", "m2", "m3", "m4", "m5",
-                     "delta1", "delta2", "delta3", "delta4", "delta5"):
+        for name in ("delta1", "delta2", "delta3", "delta4", "delta5"):
             assert getattr(tc, name) == pytest.approx(float(expect[name]), rel=1e-12), name
 
     def test_reference_min_mse_and_pre(self, ref_pop, ref_design):
         tc = theory.tc_constants(ref_pop, ref_design.f, 1.0, 0.0, 1.0, 0.0)
-        mse = theory.tc_min_mse(tc, ref_pop)
+        mse = tc.min_mse(ref_pop)
         assert mse == pytest.approx(float(rational_tc_min_mse()), rel=1e-12)
         value = theory.pre(theory.var_usual(ref_pop, ref_design.f), mse)
         assert 505.0 <= value <= 525.0
 
     def test_optimal_q_is_stationary(self, ref_pop, ref_design):
         tc = theory.tc_constants(ref_pop, ref_design.f, 1.0, 0.0, 1.0, 0.0)
-        q1, q2 = theory.tc_optimal_q(tc)
-        fn = lambda q: theory.tc_mse(tc, ref_pop, q[0], q[1])
+        q1, q2 = tc.optimum()
+        fn = lambda q: tc.mse(ref_pop, q[0], q[1])
         assert_stationary(fn, [q1, q2])
         assert all(abs(g) <= 1e-8 for g in fd_gradient(fn, [q1, q2]))
 
     def test_optimal_q_beats_grid(self, ref_pop, ref_design):
         tc = theory.tc_constants(ref_pop, ref_design.f, 1.0, 0.0, 1.0, 0.0)
-        q1, q2 = theory.tc_optimal_q(tc)
-        best = theory.tc_min_mse(tc, ref_pop)
+        q1, q2 = tc.optimum()
+        best = tc.min_mse(ref_pop)
         # 401x401 grid spanning half the optimum in each coordinate
         q1s = np.linspace(q1 - 0.5 * abs(q1), q1 + 0.5 * abs(q1), 401)
         q2s = np.linspace(q2 - 0.5 * abs(q2), q2 + 0.5 * abs(q2), 401)
@@ -166,39 +166,35 @@ class TestTcFamily:
 
     def test_substitution_closure(self, ref_pop, ref_design):
         tc = theory.tc_constants(ref_pop, ref_design.f, 1.0, 0.0, 1.0, 0.0)
-        q1, q2 = theory.tc_optimal_q(tc)
-        assert theory.tc_mse(tc, ref_pop, q1, q2) == pytest.approx(
-            theory.tc_min_mse(tc, ref_pop), rel=1e-10)
+        q1, q2 = tc.optimum()
+        assert tc.mse(ref_pop, q1, q2) == pytest.approx(
+            tc.min_mse(ref_pop), rel=1e-10)
 
     def test_decoupled_system(self, ref_pop):
-        tc = theory.TcConstants(theta=1.0, bc=1.0, ac=1.0, m1=0.0, m2=0.0, m3=0.0,
-                                m4=0.0, m5=0.0, delta1=2.0, delta2=0.0, delta3=1.5,
+        tc = theory.TcConstants(theta=1.0, bc=1.0, ac=1.0, delta1=2.0, delta2=0.0, delta3=1.5,
                                 delta4=0.5, delta5=0.0)
-        q1, q2 = theory.tc_optimal_q(tc)
+        q1, q2 = tc.optimum()
         assert q1 == pytest.approx(0.5 / 2.0, rel=1e-15)
         assert q2 == 0.0
 
     def test_no_linear_terms_gives_p_squared(self, ref_pop):
-        tc = theory.TcConstants(theta=1.0, bc=1.0, ac=1.0, m1=0.0, m2=0.0, m3=0.0,
-                                m4=0.0, m5=0.0, delta1=2.0, delta2=0.1, delta3=1.5,
+        tc = theory.TcConstants(theta=1.0, bc=1.0, ac=1.0, delta1=2.0, delta2=0.1, delta3=1.5,
                                 delta4=0.0, delta5=0.0)
-        assert theory.tc_min_mse(tc, ref_pop) == pytest.approx(ref_pop.P**2, rel=1e-15)
+        assert tc.min_mse(ref_pop) == pytest.approx(ref_pop.P**2, rel=1e-15)
 
     def test_singular_system(self, ref_pop):
-        tc = theory.TcConstants(theta=1.0, bc=1.0, ac=1.0, m1=0.0, m2=0.0, m3=0.0,
-                                m4=0.0, m5=0.0, delta1=1.0, delta2=1.0, delta3=1.0,
+        tc = theory.TcConstants(theta=1.0, bc=1.0, ac=1.0, delta1=1.0, delta2=1.0, delta3=1.0,
                                 delta4=0.5, delta5=0.5)
         with pytest.raises(SingularSystem):
-            theory.tc_optimal_q(tc)
+            tc.optimum()
 
     def test_indefinite_form_has_no_minimum(self, ref_pop):
         # d1*d3 - d2^2 = -3: the stationary pair is a saddle point
-        tc = theory.TcConstants(theta=1.0, bc=1.0, ac=1.0, m1=0.0, m2=0.0, m3=0.0,
-                                m4=0.0, m5=0.0, delta1=1.0, delta2=2.0, delta3=1.0,
+        tc = theory.TcConstants(theta=1.0, bc=1.0, ac=1.0, delta1=1.0, delta2=2.0, delta3=1.0,
                                 delta4=0.5, delta5=0.5)
-        assert theory.tc_optimal_q(tc) == pytest.approx((1 / 6, 1 / 6), rel=1e-15)
+        assert tc.optimum() == pytest.approx((1 / 6, 1 / 6), rel=1e-15)
         with pytest.raises(SingularSystem):
-            theory.tc_min_mse(tc, ref_pop)
+            tc.min_mse(ref_pop)
 
     def test_ratio_config_bias_reduction(self, ref_pop, ref_design):
         f = ref_design.f
@@ -287,22 +283,22 @@ class TestT1:
 
 class TestT2:
     def test_minimum_identical_to_t1(self, ref_pop, ref_design):
-        assert theory.t2_min_mse(ref_pop, ref_design.f) == theory.t1_min_mse(
-            ref_pop, ref_design.f)
+        assert theory.FAMILIES["t2"].min_mse(T2Config(), ref_pop, ref_design.f) == (
+            theory.t1_min_mse(ref_pop, ref_design.f))
 
     def test_identity_on_random_vectors(self, rng):
         for _ in range(50):
             pop = random_params(rng)
             f = 1 / 30 - 1 / pop.N if pop.N > 30 else 1 / 2 - 1 / pop.N
             t1 = theory.t1_min_mse(pop, f)
-            t2 = theory.t2_min_mse(pop, f)
+            t2 = theory.FAMILIES["t2"].min_mse(T2Config(), pop, f)
             assert t2 == pytest.approx(t1, rel=1e-12)
 
     def test_inert_variance_channel(self, plain_pop):
         pop = dataclasses.replace(plain_pop, lambda03=0.0, lambda12=0.0)
         h1, h2 = theory.t2_optimal(pop)
         assert h2 == 0.0
-        assert theory.t2_min_mse(pop, F_PLAIN) == pytest.approx(
+        assert theory.FAMILIES["t2"].min_mse(T2Config(), pop, F_PLAIN) == pytest.approx(
             theory.min_mse_tb(pop, F_PLAIN), rel=1e-12)
 
     def test_offsets_are_negative_p_times_exponents(self, ref_pop):
@@ -357,33 +353,33 @@ class TestT3:
 
     def test_reference_min_mse_matches_rational_oracle(self, ref_pop, ref_design):
         c = theory.t3_constants(ref_pop, ref_design.f, 1.0, 1.0, 1.0)
-        assert theory.t3_min_mse(c, ref_pop) == pytest.approx(
+        assert c.min_mse(ref_pop) == pytest.approx(
             float(rational_t3_min_mse()), rel=1e-11)
 
     def test_optimal_m_is_stationary(self, ref_pop, ref_design):
         c = theory.t3_constants(ref_pop, ref_design.f, 1.0, 1.0, 1.0)
-        m1, m2 = theory.t3_optimal_m(c)
-        fn = lambda v: theory.t3_mse(c, ref_pop, v[0], v[1])
+        m1, m2 = c.optimum()
+        fn = lambda v: c.mse(ref_pop, v[0], v[1])
         assert_stationary(fn, [m1, m2])
         assert all(abs(g) <= 1e-8 for g in fd_gradient(fn, [m1, m2]))
 
     def test_bias_at_optimum_equals_negative_mse_over_p(self, ref_pop, ref_design):
         c = theory.t3_constants(ref_pop, ref_design.f, 1.0, 1.0, 1.0)
-        mse = theory.t3_min_mse(c, ref_pop)
+        mse = c.min_mse(ref_pop)
         bias = theory.t3_bias_min(c, ref_pop)
         assert bias == pytest.approx(-mse / ref_pop.P, rel=1e-12)
-        m1, m2 = theory.t3_optimal_m(c)
+        m1, m2 = c.optimum()
         assert theory.t3_bias(c, ref_pop, m1, m2) == pytest.approx(bias, rel=1e-10)
 
     def test_rank_deficient_system(self):
         c = theory.T3Constants(a=1.2, b=0.9, c=1.2, d=1.2, e=0.9)
         with pytest.raises(SingularSystem):
-            theory.t3_optimal_m(c)
+            c.optimum()
 
     def test_inert_case_is_flagged_singular(self, ref_pop, ref_design):
         c = theory.t3_constants(ref_pop, ref_design.f, 1.0, 0.0, 0.0)
         with pytest.raises(SingularSystem):
-            theory.t3_optimal_m(c)
+            c.optimum()
 
     def test_inert_case_shrinkage_line(self, ref_pop, ref_design):
         # with both channels inert any split of the optimal total weight
@@ -393,7 +389,7 @@ class TestT3:
         total = 1.0 / shrink
         expect = ref_pop.P**2 * ref_design.f * ref_pop.cp**2 / shrink
         for m1 in (-0.25, 0.0, 0.4, total, 1.0):
-            value = theory.t3_mse(c, ref_pop, m1, total - m1)
+            value = c.mse(ref_pop, m1, total - m1)
             assert value == pytest.approx(expect, rel=1e-9)
 
     def test_inert_routes_agree(self, ref_pop, ref_design):
@@ -402,7 +398,7 @@ class TestT3:
         c = theory.T3Constants(a=shrink, b=1.0, c=shrink, d=shrink, e=1.0)
         total = 1.0 / shrink
         expect = ref_pop.P**2 * ref_design.f * ref_pop.cp**2 / shrink
-        assert theory.t3_mse(c, ref_pop, total, 0.0) == pytest.approx(expect, rel=1e-12)
+        assert c.mse(ref_pop, total, 0.0) == pytest.approx(expect, rel=1e-12)
 
 
 class TestPre:
@@ -514,7 +510,7 @@ class TestTheoryReport:
         assert entry.constants["q2"] == 0.0
         # with q1=1, q2=0 and the plain ratio transform the family reduces to
         # the plain ratio estimator, so its first-order MSE must match
-        assert entry.mse == pytest.approx(theory.mse_ta(ref_pop, ref_design.f), rel=1e-12)
+        assert entry.mse == pytest.approx(theory.FAMILIES["ta"].mse(None, ref_pop, ref_design.f), rel=1e-12)
 
 
 _TC_WEIGHT = st.one_of(st.none(), st.floats(min_value=-1.0, max_value=2.0))
@@ -598,17 +594,18 @@ class TestRationalMinima:
             pop, f = well_posed_params(rng)
             m = rational_moments(pop, f)
             scale = rational_var_usual(m)
-            for value, exact in ((theory.mse_ta(pop, f), rational_mse_ta(m)),
+            for value, exact in ((theory.FAMILIES["ta"].mse(None, pop, f), rational_mse_ta(m)),
                                  (theory.min_mse_tb(pop, f), rational_min_mse_tb(m)),
                                  (theory.t1_min_mse(pop, f), rational_t1_min_mse(m)),
-                                 (theory.t2_min_mse(pop, f), rational_t1_min_mse(m))):
+                                 (theory.FAMILIES["t2"].min_mse(T2Config(), pop, f),
+                                  rational_t1_min_mse(m))):
                 assert abs(Fraction(value) - exact) <= Fraction(1e-12) * scale
             tc = theory.tc_constants(pop, f, 1.0, 0.0, 1.0, 0.0)
             t3c = theory.t3_constants(pop, f, 1.0, 1.0, 1.0)
             for value, exact, (a11, a12, a22) in (
-                    (theory.tc_min_mse(tc, pop), rational_tc_min_mse(m),
+                    (tc.min_mse(pop), rational_tc_min_mse(m),
                      (tc.delta1, tc.delta2, tc.delta3)),
-                    (theory.t3_min_mse(t3c, pop), rational_t3_min_mse(m=m),
+                    (t3c.min_mse(pop), rational_t3_min_mse(m=m),
                      (t3c.a, t3c.d, t3c.c))):
                 condition = abs(a11 * a22) / (a11 * a22 - a12**2)
                 assert abs(Fraction(value) - exact) <= (
@@ -628,11 +625,11 @@ class TestStationaritySweep:
             assert_stationary(lambda v: theory.t2_mse(pop, f, v[0], v[1]), [h1, h2])
             if pop.xbar > 0:
                 tc = theory.tc_constants(pop, f, 1.0, 0.0, 1.0, 0.0)
-                q1, q2 = theory.tc_optimal_q(tc)
-                assert_stationary(lambda v: theory.tc_mse(tc, pop, v[0], v[1]),
+                q1, q2 = tc.optimum()
+                assert_stationary(lambda v: tc.mse(pop, v[0], v[1]),
                                   [q1, q2])
                 checked_tc += 1
             t3c = theory.t3_constants(pop, f, 1.0, 1.0, 1.0)
-            m1, m2 = theory.t3_optimal_m(t3c)
-            assert_stationary(lambda v: theory.t3_mse(t3c, pop, v[0], v[1]), [m1, m2])
+            m1, m2 = t3c.optimum()
+            assert_stationary(lambda v: t3c.mse(pop, v[0], v[1]), [m1, m2])
         assert checked_tc > 0
