@@ -1,7 +1,10 @@
 """File formats: population CSV, parameter documents, and JSON reports.
 
-Population CSV: UTF-8, header row exactly ``phi,x``, one record per line,
-``phi`` in {0, 1}, ``x`` a finite decimal (no thousands separators).
+Population CSV: UTF-8, header row ``phi,x``, then one record ``phi,x`` per
+line, ``phi`` in {0, 1} and ``x`` a finite ASCII decimal or exponent literal
+without ``_`` (``12.5``, ``-3``, ``1e-07``; no thousands separators). Lines
+end in LF, CRLF or CR. Blank lines are skipped but still counted in the line
+numbers of errors. Cells may be padded with spaces or double-quoted.
 
 Parameter document (JSON, lower-snake-case keys): the population summary
 statistics plus the design. A document computed from a frame carries every
@@ -19,7 +22,12 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
+from io import StringIO
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import ParseError, SchemaError
@@ -33,36 +41,151 @@ _REQUIRED_KEYS = ("n", "n_population", "p", "xbar", "rho_pb", "cp", "cx",
 PROVENANCE_FRAME = "computed-from-frame"
 PROVENANCE_USER = "user-supplied"
 
+_BINARY = frozenset(("0", "1"))
+
+
+class _PlainRecords:
+    """The records of a file without quotes, split as ``csv.reader`` splits
+    them: at every ``\\n``, ``\\r\\n`` or ``\\r``, then at every comma.
+
+    Line ends and commas are located with numpy over the UTF-8 bytes (neither
+    byte occurs inside a multi-byte character); no Python step runs per record.
+    """
+
+    def __init__(self, data: bytes):
+        head, _, body = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").partition(b"\n")
+        self.header = head.decode("utf-8").split(",")
+        if body and not body.endswith(b"\n"):
+            body += b"\n"
+        self.body = np.frombuffer(body, dtype=np.uint8)
+        self.ends = np.flatnonzero(self.body == ord("\n"))
+        lengths = np.diff(self.ends, prepend=-1) - 1
+        self.starts = self.ends - lengths
+        commas = np.flatnonzero(self.body == ord(","))
+        self.fields = np.diff(np.searchsorted(commas, self.ends), prepend=0) + 1
+        self.fields[lengths == 0] = 0
+
+    def cells(self, stop: int) -> tuple[list[str], list[str]]:
+        """The phi and x cells of the non-blank records before record ``stop``,
+        each of which has two fields."""
+        end = self.starts[stop] if stop < self.ends.size else self.body.size
+        blank = self.ends[:stop][self.fields[:stop] == 0]
+        text = np.delete(self.body[:end], blank).tobytes().decode("utf-8")
+        if not text:
+            return [], []
+        cells = text.replace("\n", ",").split(",")
+        cells.pop()  # after the last line end
+        return cells[0::2], cells[1::2]
+
+    def row(self, record: int) -> list[str]:
+        line = self.body[self.starts[record]:self.ends[record]]
+        return line.tobytes().decode("utf-8").split(",")
+
+
+class _QuotedRecords:
+    """The records of a file with quotes, which may hold commas and line
+    ends: only ``csv.reader`` splits them right."""
+
+    def __init__(self, text: str):
+        records = list(csv.reader(StringIO(text, newline="")))
+        self.header = records[0]
+        self.body = records[1:]
+        self.fields = np.fromiter(map(len, self.body), dtype=np.intp, count=len(self.body))
+
+    def cells(self, stop: int) -> tuple[list[str], list[str]]:
+        rows = list(filter(None, self.body[:stop]))
+        return list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
+
+    def row(self, record: int) -> list[str]:
+        return self.body[record]
+
+
+def _row_error(row: list[str], line: int) -> ParseError | None:
+    """The error a non-blank data row earns, if any: the one copy of the
+    per-row rules, which the column checks only locate."""
+    if len(row) != 2:
+        return ParseError(f"expected 2 fields, got {len(row)}", line=line)
+    raw_phi, raw_x = row[0].strip(), row[1].strip()
+    if raw_phi not in ("0", "1"):
+        return ParseError(f"attribute must be 0 or 1, got {raw_phi!r}", line=line)
+    try:
+        x = float(raw_x) if raw_x.isascii() and "_" not in raw_x else None
+    except ValueError:
+        x = None
+    if x is None:
+        return ParseError(f"cannot parse auxiliary value {raw_x!r}", line=line)
+    if not math.isfinite(x):
+        return ParseError(f"auxiliary value must be finite, got {raw_x!r}", line=line)
+    return None
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _columns(phi_cells: list[str], x_cells: list[str]) -> tuple[np.ndarray, np.ndarray] | int:
+    """The phi and x arrays of two-field rows, or the index of the first row
+    that ``_row_error`` rejects.
+
+    Each check runs over a whole column; a cell is stripped, or parsed a
+    second time, only in a column that fails its bulk check.
+    """
+    n = len(phi_cells)
+    good = np.ones(n, dtype=bool)
+    if not _BINARY.issuperset(phi_cells):
+        phi_cells = list(map(str.strip, phi_cells))
+        if not _BINARY.issuperset(phi_cells):
+            cells = np.array(phi_cells, dtype=object)
+            good &= (cells == "0") | (cells == "1")
+    x_text = "".join(x_cells)
+    if not x_text.isascii() or "_" in x_text:
+        stripped = list(map(str.strip, x_cells))
+        good &= np.fromiter(map(str.isascii, stripped), dtype=bool, count=n)
+        good &= np.fromiter(map(str.find, stripped, repeat("_")), dtype=np.intp, count=n) < 0
+    try:
+        x = np.fromiter(map(float, x_cells), dtype=np.float64, count=n)
+    except ValueError:
+        x = np.fromiter(map(_float_or_nan, x_cells), dtype=np.float64, count=n)
+    good &= np.isfinite(x)
+    if not good.all():
+        return int(np.argmin(good))
+    phi = np.frombuffer("".join(phi_cells).encode("ascii"), dtype=np.uint8) - ord("0")
+    return phi, x
+
 
 def read_population_csv(path: str | Path) -> PopulationFrame:
-    """Read a population frame, reporting failures with 1-based line numbers."""
-    records: list[tuple[int, float]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected header 'phi,x'") from None
-        if [cell.strip() for cell in header] != ["phi", "x"]:
-            raise SchemaError(f"{path}: expected header 'phi,x', got {','.join(header)!r}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", line=line)
-            raw_phi, raw_x = row[0].strip(), row[1].strip()
-            if raw_phi not in ("0", "1"):
-                raise ParseError(f"attribute must be 0 or 1, got {raw_phi!r}", line=line)
-            try:
-                x = float(raw_x)
-            except ValueError:
-                raise ParseError(f"cannot parse auxiliary value {raw_x!r}", line=line) from None
-            if not math.isfinite(x):
-                raise ParseError(f"auxiliary value must be finite, got {raw_x!r}", line=line)
-            records.append((int(raw_phi), x))
-    if len(records) < 2:
+    """Read a population frame, reporting failures with 1-based line numbers.
+
+    The file is checked and converted column by column. Only when a check
+    fails is its first bad row found, and ``_row_error`` words the error.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if not data:
+        raise SchemaError(f"{path}: empty file, expected header 'phi,x'")
+    records = (_QuotedRecords(data.decode("utf-8")) if b'"' in data
+               else _PlainRecords(data))
+    del data  # the records keep their own copy; freeing this one lowers the peak memory
+    if [cell.strip() for cell in records.header] != ["phi", "x"]:
+        raise SchemaError(f"{path}: expected header 'phi,x', "
+                          f"got {','.join(records.header)!r}")
+    fields = records.fields
+    filled = np.flatnonzero(fields)
+    misshapen = filled[fields[filled] != 2]
+    # the records before ``stop`` have two fields each, or none
+    stop = int(misshapen[0]) if misshapen.size else fields.size
+    columns = _columns(*records.cells(stop))
+    if isinstance(columns, int):  # an earlier record breaks a cell rule
+        stop = int(filled[columns])
+    if stop < fields.size:
+        # the line after the header is line 2; blank lines count
+        raise _row_error(records.row(stop), line=stop + 2)
+    if columns[0].size < 2:
         raise SchemaError(f"{path}: a population needs at least 2 records")
-    return PopulationFrame.from_records(records)
+    return PopulationFrame(*columns)
 
 
 def write_population_csv(path: str | Path, frame: PopulationFrame) -> None:

@@ -72,6 +72,10 @@ DEFAULT_CONFIGS: tuple[EstimatorConfig, ...] = (
 
 
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
+    """The generator of one stream of the experiment ``seed``; every seeded
+    draw starts here."""
+    if seed < 0:
+        raise InvalidConfig(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
     )

@@ -5,9 +5,12 @@ package: exact rational arithmetic for the closed forms, plain Python loops
 for moments, finite differences for stationarity, and grid search for optima.
 The one exception is ``loop_report``, which reproduces the batched oracles of
 ``propaux.montecarlo`` through the package's scalar path, one sample at a time;
-``floyd_loop`` is the textbook sampler that the vectorized draw must equal.
+``floyd_loop`` is the textbook sampler that the vectorized draw must equal,
+and ``csv_loop`` the row-at-a-time population CSV reader that the columnar
+``read_population_csv`` must agree with.
 """
 
+import csv
 from fractions import Fraction as F
 import itertools
 import math
@@ -184,6 +187,43 @@ def floyd_loop(rng, N, n):
         t = int(rng.integers(0, j + 1))
         subset.add(j if t in subset else t)
     return sorted(subset)
+
+
+def csv_loop(path):
+    """A population CSV read one ``csv.reader`` row at a time: the reference
+    for ``propaux.io.read_population_csv``, which accepts the same files
+    except that ``x`` must also be ASCII and free of ``_``."""
+    from propaux import PopulationFrame
+    from propaux.errors import ParseError, SchemaError
+
+    records = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, expected header 'phi,x'") from None
+        if [cell.strip() for cell in header] != ["phi", "x"]:
+            raise SchemaError(f"{path}: expected header 'phi,x', got {','.join(header)!r}")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ParseError(f"expected 2 fields, got {len(row)}", line=line)
+            raw_phi, raw_x = row[0].strip(), row[1].strip()
+            if raw_phi not in ("0", "1"):
+                raise ParseError(f"attribute must be 0 or 1, got {raw_phi!r}", line=line)
+            try:
+                x = float(raw_x)
+            except ValueError:
+                raise ParseError(f"cannot parse auxiliary value {raw_x!r}", line=line) from None
+            if not math.isfinite(x):
+                raise ParseError(f"auxiliary value must be finite, got {raw_x!r}", line=line)
+            records.append((int(raw_phi), x))
+    if len(records) < 2:
+        raise SchemaError(f"{path}: a population needs at least 2 records")
+    phi, x = zip(*records)
+    return PopulationFrame(np.array(phi), np.array(x))
 
 
 def loop_report(frame, n, configs=None, reps=None, seed=None):

@@ -277,6 +277,20 @@ class TestExitCodes:
         out = tmp_path / "o.json"
         assert main(["params", "--input", str(bad), "--output", str(out)]) == 2
 
+    def test_negative_simulate_seed_is_data_error(self, pop_csv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["simulate", "--input", str(pop_csv), "--n", "6", "--reps", "200",
+                     "--seed", "-1", "--output", str(out)]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_generate_seed_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "pop.csv"
+        assert main(["generate", "--size", "20", "--seed", "-5",
+                     "--output", str(out)]) == 2
+        assert "seed must be a non-negative integer, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_error_exit_code(self, tmp_path):
         # a symmetric two-point auxiliary marginal has zero moment gap and
         # lambda12 = rho_pb*lambda03 = 0: a realizable document whose

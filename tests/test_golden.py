@@ -1,6 +1,6 @@
 """The CLI contract bytes of `theory`, `sensitivity` and `pre` on the README
-parameter document, and of a seeded `simulate` and single-sample `estimate`
-runs on a small fixed population, pinned against files under
+parameter document, and of `params`, a seeded `simulate` and single-sample
+`estimate` runs on a small fixed population, pinned against files under
 ``tests/golden/``.
 
 Every number of `theory`, `sensitivity` and `pre` is pure-Python float
@@ -49,6 +49,8 @@ POPULATION = """phi,x
 0,4.8
 1,16.7
 """
+#: The same population with CRLF line ends, as ``write_population_csv`` writes.
+POPULATION_CRLF = POPULATION.replace("\n", "\r\n")
 
 FLAGS = {"": [], "_tc_q1_1_q2_0": ["--tc", "q1=1,q2=0"]}
 COMMANDS = {
@@ -72,14 +74,22 @@ CASES["estimate_tc_q1_1_q2_0.json"] = ["estimate", *SAMPLE, "--estimator", "tc",
                                        "--tc", "q1=1,q2=0"]
 CASES["estimate_t3_fixed.json"] = ["estimate", *SAMPLE, "--estimator", "t3",
                                    "--t3", "g=1,delta=-1,m1=0.5,m2=0.5"]
+#: Population moments, as a census and for samples of 6, from either line end.
+POPULATIONS = {}
+for ends, text in (("", POPULATION), ("_crlf", POPULATION_CRLF)):
+    for suffix, flags in (("", []), ("_n_6", ["--n", "6"])):
+        CASES[f"params{ends}{suffix}.json"] = ["params", *flags]
+        POPULATIONS[f"params{ends}{suffix}.json"] = text
 
 
-def run(argv: list[str]) -> bytes:
-    """The bytes a command writes: its ``--output`` file, else its stdout."""
+def run(name: str) -> bytes:
+    """The bytes the command of case ``name`` writes: its ``--output`` file,
+    else its stdout."""
+    argv = CASES[name]
     with tempfile.TemporaryDirectory() as tmp:
-        if argv[0] in ("simulate", "estimate"):
+        if argv[0] in ("params", "simulate", "estimate"):
             source = ["--input", str(Path(tmp) / "population.csv")]
-            Path(source[1]).write_text(POPULATION, encoding="utf-8")
+            Path(source[1]).write_bytes(POPULATIONS.get(name, POPULATION).encode("utf-8"))
         else:
             source = ["--params", str(Path(tmp) / "params.json")]
             Path(source[1]).write_text(DOCUMENT, encoding="utf-8")
@@ -95,11 +105,11 @@ def run(argv: list[str]) -> bytes:
 
 @pytest.mark.parametrize("name", CASES)
 def test_output_matches_golden_file(name):
-    assert run(CASES[name]) == (GOLDEN / name).read_bytes()
+    assert run(name) == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        (GOLDEN / name).write_bytes(run(argv))
+    for name in CASES:
+        (GOLDEN / name).write_bytes(run(name))
         print(f"wrote {GOLDEN / name}")

@@ -1,7 +1,15 @@
+import ast
 import json
+import math
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import propaux
 from propaux import SyntheticSpec, generate_population, theory
 from propaux.errors import ParseError, SchemaError
 from propaux.io import (
@@ -18,7 +26,7 @@ from propaux.io import (
 )
 from propaux.montecarlo import run_experiment
 
-from _oracles import REF
+from _oracles import REF, csv_loop
 
 
 class TestPopulationCsv:
@@ -65,6 +73,186 @@ class TestPopulationCsv:
         path = tmp_path / "generated.csv"
         write_population_csv(path, frame)
         assert read_population_csv(path) == frame
+
+
+PACKAGE = str(Path(propaux.__file__).parent)
+
+
+def outcome(reader, path):
+    """What a reader makes of a file: its frame's arrays, or its error's
+    class, line and message."""
+    try:
+        frame = reader(path)
+    except Exception as exc:  # the reference may fail outside the package's errors
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return frame.phi.tolist(), frame.x.tobytes()
+
+
+def read_both(text: str):
+    """The outcomes of the columnar reader and of the row loop on one file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pop.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return outcome(read_population_csv, path), outcome(csv_loop, path)
+
+
+def rejects_plain_x_only(new, old) -> bool:
+    """Whether the columnar reader rejected an ``x`` cell that holds ``_`` or a
+    non-ASCII character but that ``float`` reads, and the row loop, which
+    accepts it, failed on no earlier line."""
+    if len(new) != 3 or new[0] is not ParseError:
+        return False
+    prefix = f"line {new[1]}: cannot parse auxiliary value "
+    if not new[2].startswith(prefix):
+        return False
+    cell = ast.literal_eval(new[2][len(prefix):])
+    if cell.isascii() and "_" not in cell:
+        return False
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return len(old) == 2 or (old[1] or math.inf) > new[1]
+
+
+#: Files on which the columnar reader and the row loop must agree exactly.
+PARITY = {
+    "lf": "phi,x\n1,2.5\n0,1.0\n",
+    "crlf": "phi,x\r\n1,2.5\r\n0,1.0\r\n",
+    "cr": "phi,x\r1,2.5\r0,1.0\r",
+    "mixed-ends": "phi,x\r1,2.5\n0,1.0\r\n1,3\r",
+    "cr-then-crlf": "phi,x\n1,2\r\r\n0,3\n",
+    "no-final-newline": "phi,x\n1,2.5\n0,1.0",
+    "crlf-no-final-newline": "phi,x\r\n1,2.5\r\n0,1.0",
+    "blank-middle": "phi,x\n1,2.5\n\n\n0,1.0\n",
+    "blank-end": "phi,x\n1,2.5\n0,1.0\n\n\n",
+    "blank-crlf": "phi,x\r\n\r\n1,2.5\r\n\r\n0,1.0\r\n\r\n",
+    "blank-then-error": "phi,x\n1,2.5\n\n\n0,abc\n",
+    "blank-first-line": "\nphi,x\n1,2\n0,3\n",
+    "whitespace-line": "phi,x\n1,2.5\n  \n0,1.0\n",
+    "padded": "phi , x\n 1 , 2.5 \n0,\t1.0\n1,3\x0b\n",
+    "unicode-padded": "phi,x\n\xa01\u2003,\xa02.5\u3000\n0,1\n",
+    "quoted": 'phi,x\n"1","2.5"\n0,"1.0"\n',
+    "quoted-header": '"phi","x"\n1,2\n0,3\n',
+    "quoted-padded": 'phi,x\n" 1",2\n0," 3 "\n',
+    "quoted-comma": 'phi,x\n1,"2,5"\n0,1\n',
+    "quoted-line-end": 'phi,x\n1,"2\n5"\n0,1\n',
+    "quoted-line-end-counts-one-line": 'phi,x\n1,"2\r\n"\n0,abc\n',
+    "quoted-three-fields": 'phi,x\n1,"2",3\n0,1\n',
+    "quoted-blank": 'phi,x\n1,"2"\n\n0,abc\n',
+    "unclosed-quote": 'phi,x\n1,"2\n0,1\n',
+    "one-field": "phi,x\n1\n0,1.0\n",
+    "three-fields": "phi,x\n1,2.5,3\n0,1\n",
+    "trailing-comma": "phi,x\n1,2.5,\n0,1\n",
+    "phi-2": "phi,x\n1,2\n2,2.5\n0,1\n",
+    "phi-1.0": "phi,x\n1.0,2.5\n0,1\n",
+    "phi-empty": "phi,x\n,2.5\n0,1\n",
+    "x-abc": "phi,x\n1,2.0\n0,abc\n",
+    "x-empty": "phi,x\n1,\n0,1\n",
+    "x-inf": "phi,x\n1,inf\n0,1.0\n",
+    "x-nan": "phi,x\n1,2\n0, nan\n",
+    "x-1e999": "phi,x\n1,2\n0,1e999\n",
+    "x-hex": "phi,x\n1,2\n0,0x10\n",
+    "x-inner-space": "phi,x\n1,2\n0,1 2\n",
+    "x-literals": "phi,x\n1,+.5\n0,5.\n1,1E3\n0,-0\n1,-0.0\n",
+    "repr-round-trip": ("phi,x\n1,1e-07\n0,0.1\n1,5e-324\n0,1.7976931348623157e+308\n"
+                        "1,123456789.12345679\n0,-2.2250738585072014e-308\n"),
+    "first-bad-row-wins-x": "phi,x\n1,abc\n1,2,3\n",
+    "first-bad-row-wins-phi": "phi,x\n1,2\n5,1\n0,abc\n",
+    "first-bad-row-wins-fields": "phi,x\n0,1\n1,2,3\n2,1\n",
+    "phi-before-x-in-a-row": "phi,x\n7,abc\n",
+    "one-record": "phi,x\n1,2.5\n",
+    "header-only": "phi,x\n",
+    "header-only-no-newline": "phi,x",
+    "empty": "",
+    "only-line-ends": "\r\n\r\n",
+    "wrong-header": "x,phi\n1.0,1\n0,2\n",
+    "header-three-fields": "phi,x,z\n1,2\n0,3\n",
+    "byte-order-mark": "\ufeffphi,x\n1,2\n0,3\n",
+}
+
+#: Files that only the columnar reader rejects: ``x`` with a digit separator
+#: or non-ASCII digits, which ``float`` reads. The row, and the cell as the
+#: error quotes it.
+PLAIN_X_ONLY = {
+    "underscore": ("phi,x\n1,1_0\n0,2\n", 2, "'1_0'"),
+    "padded-underscore": ("phi,x\n0,2\n1, 1_000 \n", 3, "'1_000'"),
+    "fullwidth-digits": ("phi,x\n1,\uff11\uff12\n0,2\n", 2, "'\uff11\uff12'"),
+    "arabic-indic-digits": ("phi,x\n1,2\n0,\u0661.\u0665\n", 3, "'\u0661.\u0665'"),
+    "quoted-underscore": ('phi,x\n1,"1_0"\n0,2\n', 2, "'1_0'"),
+    "before-a-later-error": ("phi,x\n1,1_0\n0,abc\n", 2, "'1_0'"),
+}
+
+
+#: Rows either reader accepts, and rows of cells from both grammars and none.
+WELL_FORMED_ROW = st.tuples(
+    st.sampled_from(["0", "1", " 1", "0 ", '"1"', "\xa00"]),
+    st.one_of(st.sampled_from(["2.5", " 3e2 ", '"-0.5"', "1e-07", "+.5", "5.", "7\t"]),
+              st.floats(allow_nan=False, allow_infinity=False).map(repr)),
+).map(",".join)
+ANY_ROW = st.lists(st.one_of(
+    st.sampled_from(["0", "1", " 1", "2", "", "1.0", "2.5", "abc", "inf", "nan", "1e999",
+                     "1_0", "\uff12", "\xa07", '"1"', '"2,5"', '"4\n"', "+.5"]),
+    st.text(alphabet='01 .,e-_"\r\n5\xa0', max_size=5),
+), max_size=3).map(",".join)
+
+
+class TestColumnarReader:
+    @pytest.mark.parametrize("text", PARITY.values(), ids=PARITY)
+    def test_agrees_with_row_loop(self, text):
+        new, old = read_both(text)
+        assert new == old
+
+    @pytest.mark.parametrize("text, line, cell", PLAIN_X_ONLY.values(), ids=PLAIN_X_ONLY)
+    def test_rejects_separators_and_non_ascii_digits(self, text, line, cell):
+        new, old = read_both(text)
+        assert new == (ParseError, line, f"line {line}: cannot parse auxiliary value {cell}")
+        assert len(old) == 2 or old[1] > line
+        assert rejects_plain_x_only(new, old)
+
+    @settings(max_examples=300, deadline=None)
+    @given(header=st.sampled_from(["phi,x", "phi,x", "phi,x", " phi , x", '"phi",x', "x,phi"]),
+           rows=st.lists(st.one_of(WELL_FORMED_ROW, WELL_FORMED_ROW, WELL_FORMED_ROW, ANY_ROW),
+                         max_size=8),
+           ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=10, max_size=10),
+           final=st.booleans())
+    def test_agrees_with_row_loop_on_generated_files(self, header, rows, ends, final):
+        lines = [header, *rows]
+        text = "".join(line + ends[k % len(ends)] for k, line in enumerate(lines))
+        if not final:
+            text = text[:-len(ends[(len(lines) - 1) % len(ends)])]
+        new, old = read_both(text)
+        assert new == old or rejects_plain_x_only(new, old)
+
+    @pytest.mark.parametrize("header, block", [
+        ("phi,x\n", "1,2.5\n0,1.0\n"),
+        ("phi,x\r\n", "1,2.5\r\n\r\n 0 ,1e3\r\n"),
+        ("phi,x\n", '1,"2.5"\n0,1.0\n'),
+        ("phi,x\n", "1,\xa02.5\n0,1.0\n"),
+    ], ids=("lf", "crlf-blank-padded", "quoted", "unicode-padded"))
+    def test_success_runs_no_python_line_per_row(self, tmp_path, header, block):
+        """The package runs as many lines of Python for 500 blocks of rows as for 5."""
+        def lines_run(blocks: int) -> int:
+            path = tmp_path / "pop.csv"
+            path.write_bytes((header + block * blocks).encode("utf-8"))
+            count = 0
+
+            def trace(frame, event, arg):
+                # lines of the package only: a garbage collection can run
+                # finalizers of other tests' objects in between
+                nonlocal count
+                count += event == "line" and frame.f_code.co_filename.startswith(PACKAGE)
+                return trace
+
+            sys.settrace(trace)
+            try:
+                read_population_csv(path)
+            finally:
+                sys.settrace(None)
+            return count
+
+        lines_run(1)  # a first call may run one-time setup
+        assert lines_run(500) == lines_run(5)
 
 
 class TestParamsDocument:

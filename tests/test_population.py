@@ -49,7 +49,7 @@ class TestFrame:
 
     def test_records_round_trip(self):
         records = [(1, 2.5), (0, 1.25), (1, -3.0)]
-        frame = PopulationFrame.from_records(records)
+        frame = PopulationFrame(np.array([1, 0, 1]), np.array([2.5, 1.25, -3.0]))
         assert frame.records() == records
 
     def test_arrays_are_immutable(self):
