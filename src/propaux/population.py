@@ -186,12 +186,9 @@ def central_moment(frame: PopulationFrame, r: int, s: int) -> float:
     """
     if r < 0 or s < 0 or r + s > 4:
         raise ValueError(f"moment order ({r}, {s}) outside the supported range")
-    dphi, dx = _deviations(frame)
+    dphi = frame.phi - frame.phi.mean()
+    dx = frame.x - frame.x.mean()
     return float(np.mean(dphi**r * dx**s))
-
-
-def _deviations(frame: PopulationFrame) -> tuple[np.ndarray, np.ndarray]:
-    return frame.phi - frame.phi.mean(), frame.x - frame.x.mean()
 
 
 def compute_population_params(frame: PopulationFrame) -> PopulationParams:
@@ -213,23 +210,18 @@ def compute_population_params(frame: PopulationFrame) -> PopulationParams:
         raise DegenerateAttribute(f"attribute count {A} of {N} leaves no variation")
     P = A / N
     xbar = float(frame.x.mean())
-    # the same products as ``central_moment``'s, bit for bit: a factor
-    # ``d**0`` is exactly 1, and ``dx**3``, ``dx**4`` stay powers, which
-    # repeated multiplication does not round the same
-    dphi, dx = _deviations(frame)
-    dx2 = dx**2
-    mu02 = float(np.mean(dx2))
+    mu02 = central_moment(frame, 0, 2)
     # the kurtosis divides by mu02^2, which underflows for a sub-normal spread
     if mu02**2 < sys.float_info.min:
         raise DegenerateAuxiliary("auxiliary variable is constant or too nearly constant "
                                   f"to standardize (variance {mu02})")
     if xbar == 0.0:
         raise ZeroMean("auxiliary mean is zero")
-    mu20 = float(np.mean(dphi**2))
-    mu11 = float(np.mean(dphi * dx))
-    mu03 = float(np.mean(dx**3))
-    mu04 = float(np.mean(dx**4))
-    mu12 = float(np.mean(dphi * dx2))
+    mu20 = central_moment(frame, 2, 0)
+    mu11 = central_moment(frame, 1, 1)
+    mu03 = central_moment(frame, 0, 3)
+    mu04 = central_moment(frame, 0, 4)
+    mu12 = central_moment(frame, 1, 2)
     sx2 = mu02 * N / (N - 1)
     sp2 = mu20 * N / (N - 1)
     return PopulationParams(
