@@ -16,7 +16,7 @@ from pathlib import Path
 from . import io, montecarlo, theory
 from .config import T3_TABLE_VARIANTS, T3Config, TableConfig
 from .errors import DataError, NumericalError, ParseError
-from .estimators import _PARAMS, EstimatorConfig, evaluate
+from .estimators import EstimatorConfig, evaluate
 from .montecarlo import SyntheticSpec, generate_population, run_experiment
 from .population import Design, compute_population_params, sample_stats
 
@@ -34,8 +34,8 @@ def _table_config(args) -> TableConfig:
     kwargs = _subconfigs(args)
     if "t3" in kwargs:
         t3 = kwargs.pop("t3")
-        fixed = [name for name in ("g", "delta", "m1", "m2")
-                 if getattr(t3, name) != getattr(T3Config(), name)]
+        default = vars(T3Config(gamma=t3.gamma))
+        fixed = [name for name, value in vars(t3).items() if value != default[name]]
         if fixed:
             raise CliUsageError(f"--t3 sets only gamma here; the table fixes {', '.join(fixed)}")
         kwargs["t3_gamma"] = t3.gamma
@@ -44,16 +44,16 @@ def _table_config(args) -> TableConfig:
 
 def _subconfigs(args, kind: str | None = None) -> dict:
     """The family configurations given as ``--tc``/``--t3``/... flags, parsed
-    in ``_PARAMS`` order; with ``kind``, a flag of any other family is a
-    usage error."""
+    in ``theory.FAMILIES`` order into each kind's parameter class; with
+    ``kind``, a flag of any other family is a usage error."""
     given = {}
-    for slot, cls in _PARAMS.items():
+    for slot, family in theory.FAMILIES.items():
         text = getattr(args, slot, None)
         if text:
             if kind is not None and slot != kind:
                 raise CliUsageError(f"--{slot} does not apply to estimator {kind!r}")
             try:
-                given[slot] = cls.from_kv(text)
+                given[slot] = family.params.from_kv(text)
             except ValueError as exc:
                 raise CliUsageError(str(exc)) from None
     return given

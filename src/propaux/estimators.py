@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import theory
-from .config import T1Config, T2Config, T3Config, TbConfig, TcConfig
 from .errors import (
     DataError,
     InvalidConfig,
@@ -32,28 +31,25 @@ from .errors import (
 )
 from .population import PopulationParams, SampleStats, sampling_fraction
 
-#: The parameter class of every kind that has one; ``usual`` and ``ta`` have none.
-_PARAMS = {"tb": TbConfig, "tc": TcConfig, "t1": T1Config, "t2": T2Config, "t3": T3Config}
-
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     """An estimator kind and its parameters.
 
-    ``params`` must be an instance of the kind's ``_PARAMS`` class, and is
-    created with defaults when omitted; ``usual`` and ``ta`` take none.
+    ``params`` must be an instance of ``theory.FAMILIES[kind].params``, and
+    is created with defaults when omitted; ``usual`` and ``ta`` take none.
     ``label`` overrides the report name, which is useful when several
     variants of one family run side by side.
     """
 
     kind: str
-    params: TbConfig | TcConfig | T1Config | T2Config | T3Config | None = None
+    params: object | None = None
     label: str | None = None
 
     def __post_init__(self):
         if self.kind not in theory.FAMILIES:
             raise InvalidConfig(f"unknown estimator kind {self.kind!r}")
-        cls = _PARAMS.get(self.kind)
+        cls = theory.FAMILIES[self.kind].params
         if self.params is None:
             if cls is not None:
                 object.__setattr__(self, "params", cls())
@@ -131,12 +127,23 @@ def _libm(ok: np.ndarray, fn, *args) -> np.ndarray:
 
     numpy's SIMD ``power`` and ``exp`` differ from libm in the last bit on a
     few percent of inputs; float ``**`` and ``math.exp`` call libm, as the
-    scalar arithmetic always has, and overflow raises ``OverflowError`` as
-    it always has. Rows that failed a precondition are skipped.
+    scalar arithmetic always has. Both raise ``OverflowError``; only then is
+    each row evaluated on its own, an overflowed one as ``inf``, which fails
+    it as not finite. Rows that failed a precondition are skipped.
     """
     out = np.ones(ok.shape)
-    out[ok] = np.fromiter(map(fn, *args), dtype=np.float64, count=int(ok.sum()))
+    try:
+        out[ok] = np.fromiter(map(fn, *args), dtype=np.float64, count=int(ok.sum()))
+    except OverflowError:
+        out[ok] = [_inf_on_overflow(fn, *row) for row in zip(*args)]
     return out
+
+
+def _inf_on_overflow(fn, *args) -> float:
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
 
 
 def _pow(base: np.ndarray, exponent: float, ok: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from io import StringIO
 from itertools import repeat
 from operator import itemgetter
@@ -37,6 +37,10 @@ from .theory import ConditionResult, SensitivityReport, TheoryReport
 
 _REQUIRED_KEYS = ("n", "n_population", "p", "xbar", "rho_pb", "cp", "cx",
                   "lambda12", "lambda04", "lambda03")
+
+#: The document key of each ``PopulationParams`` field, in field order.
+_PARAM_KEYS = tuple((f.name, {"N": "n_population", "P": "p"}.get(f.name, f.name))
+                    for f in fields(PopulationParams))
 
 PROVENANCE_FRAME = "computed-from-frame"
 PROVENANCE_USER = "user-supplied"
@@ -89,7 +93,11 @@ class _QuotedRecords:
     ends: only ``csv.reader`` splits them right."""
 
     def __init__(self, text: str):
-        records = list(csv.reader(StringIO(text, newline="")))
+        reader = csv.reader(StringIO(text, newline=""))
+        try:
+            records = list(reader)
+        except csv.Error as exc:  # such as a cell over ``csv.field_size_limit()``
+            raise ParseError(str(exc), line=reader.line_num) from None
         self.header = records[0]
         self.body = records[1:]
         self.fields = np.fromiter(map(len, self.body), dtype=np.intp, count=len(self.body))
@@ -168,21 +176,28 @@ def read_population_csv(path: str | Path) -> PopulationFrame:
         data = handle.read()
     if not data:
         raise SchemaError(f"{path}: empty file, expected header 'phi,x'")
+    try:
+        if not data.isascii():
+            data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # named at the line of the first bad byte
+        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError(f"{path} is not valid UTF-8 ({exc.reason})",
+                         line=head.count(b"\n") + 1) from None
     records = (_QuotedRecords(data.decode("utf-8")) if b'"' in data
                else _PlainRecords(data))
     del data  # the records keep their own copy; freeing this one lowers the peak memory
     if [cell.strip() for cell in records.header] != ["phi", "x"]:
         raise SchemaError(f"{path}: expected header 'phi,x', "
                           f"got {','.join(records.header)!r}")
-    fields = records.fields
-    filled = np.flatnonzero(fields)
-    misshapen = filled[fields[filled] != 2]
+    counts = records.fields
+    filled = np.flatnonzero(counts)
+    misshapen = filled[counts[filled] != 2]
     # the records before ``stop`` have two fields each, or none
-    stop = int(misshapen[0]) if misshapen.size else fields.size
+    stop = int(misshapen[0]) if misshapen.size else counts.size
     columns = _columns(*records.cells(stop))
     if isinstance(columns, int):  # an earlier record breaks a cell rule
         stop = int(filled[columns])
-    if stop < fields.size:
+    if stop < counts.size:
         # the line after the header is line 2; blank lines count
         raise _row_error(records.row(stop), line=stop + 2)
     if columns[0].size < 2:
@@ -193,10 +208,8 @@ def read_population_csv(path: str | Path) -> PopulationFrame:
 def write_population_csv(path: str | Path, frame: PopulationFrame) -> None:
     """Write a frame; auxiliary values keep full precision (repr round-trip)."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["phi", "x"])
-        for phi, x in frame.records():
-            writer.writerow([phi, repr(x)])
+        handle.write("phi,x\r\n")
+        handle.writelines(map("{},{!r}\r\n".format, frame.phi.tolist(), frame.x.tolist()))
 
 
 def _integer(data: dict, key: str) -> int:
@@ -216,22 +229,8 @@ class ParamsDocument:
     provenance: str = PROVENANCE_USER
 
     def to_dict(self) -> dict:
-        p = self.params
-        return {
-            "provenance": self.provenance,
-            "n": self.design.n,
-            "n_population": p.N,
-            "p": p.P,
-            "xbar": p.xbar,
-            "sx2": p.sx2,
-            "sp2": p.sp2,
-            "cp": p.cp,
-            "cx": p.cx,
-            "rho_pb": p.rho_pb,
-            "lambda03": p.lambda03,
-            "lambda04": p.lambda04,
-            "lambda12": p.lambda12,
-        }
+        return {"provenance": self.provenance, "n": self.design.n,
+                **{key: getattr(self.params, name) for name, key in _PARAM_KEYS}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParamsDocument":
@@ -241,28 +240,17 @@ class ParamsDocument:
         if missing:
             raise SchemaError(f"parameter document is missing keys: {', '.join(missing)}")
         try:
-            n, big_n = _integer(data, "n"), _integer(data, "n_population")
-            numbers = {key: float(data[key]) for key in _REQUIRED_KEYS[2:]}
+            n = _integer(data, "n")
+            values = {name: _integer(data, key) if name == "N" else float(data[key])
+                      for name, key in _PARAM_KEYS if key in data}
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"parameter document has a non-numeric field: {exc}") from None
-        sx2 = float(data["sx2"]) if "sx2" in data else (numbers["cx"] * numbers["xbar"]) ** 2
-        sp2 = float(data["sp2"]) if "sp2" in data else (numbers["cp"] * numbers["p"]) ** 2
-        params = PopulationParams(
-            N=big_n,
-            P=numbers["p"],
-            xbar=numbers["xbar"],
-            sx2=sx2,
-            sp2=sp2,
-            cp=numbers["cp"],
-            cx=numbers["cx"],
-            rho_pb=numbers["rho_pb"],
-            lambda03=numbers["lambda03"],
-            lambda04=numbers["lambda04"],
-            lambda12=numbers["lambda12"],
-        )
+        values.setdefault("sx2", (values["cx"] * values["xbar"]) ** 2)
+        values.setdefault("sp2", (values["cp"] * values["P"]) ** 2)
+        params = PopulationParams(**values)
         check_realizable(params)
         provenance = data.get("provenance", PROVENANCE_USER)
-        return cls(params=params, design=Design(n=n, N=big_n), provenance=provenance)
+        return cls(params=params, design=Design(n=n, N=params.N), provenance=provenance)
 
 
 def read_json(path: str | Path):

@@ -59,16 +59,9 @@ BLOCK_ELEMENTS = 65536
 RNG_SCHEME = ("pcg64:SeedSequence(seed, spawn_key=(2, replicate // max(1, "
               f"{BLOCK_ELEMENTS} // n))):floyd-int64")
 
-#: Estimator set used when a caller does not pass explicit configurations.
-DEFAULT_CONFIGS: tuple[EstimatorConfig, ...] = (
-    EstimatorConfig(kind="usual", label="p"),
-    EstimatorConfig(kind="ta"),
-    EstimatorConfig(kind="tb"),
-    EstimatorConfig(kind="tc"),
-    EstimatorConfig(kind="t1"),
-    EstimatorConfig(kind="t2"),
-    EstimatorConfig(kind="t3"),
-)
+#: Every kind at its default configuration; used when a caller passes none.
+DEFAULT_CONFIGS: tuple[EstimatorConfig, ...] = tuple(
+    EstimatorConfig(kind=kind, label=family.label) for kind, family in theory.FAMILIES.items())
 
 
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:

@@ -94,9 +94,8 @@ class PopulationParams:
     lambda12: float
 
     def __post_init__(self):
-        for name in ("P", "xbar", "sx2", "sp2", "cp", "cx", "rho_pb",
-                     "lambda03", "lambda04", "lambda12"):
-            if not math.isfinite(getattr(self, name)):
+        for name, value in vars(self).items():
+            if name != "N" and not math.isfinite(value):
                 raise SchemaError(f"population parameter {name} must be finite")
         if self.N < 2:
             raise SchemaError("population size must be at least 2")

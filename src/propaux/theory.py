@@ -15,8 +15,8 @@ C is the single source of every moment below. The MSEs of ``ta``, ``tb``,
 ``t1``/``t2`` minimum is the Schur complement of that block; ``ta`` is ``t1``
 at (alpha, beta) = (1, 0). The ``tc`` and ``t3`` expansion constants read
 their moments from C and share one two-weight MSE form (``_TwoWeight``).
-``FAMILIES`` is the one place that says which formula belongs to which
-estimator kind.
+``FAMILIES`` is the registry of estimator kinds: each kind's parameter class,
+report name and formulas.
 
 A negative computed MSE is always reported as an error, never as a value.
 """
@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from operator import attrgetter
 from typing import Callable
 
-from .config import T1Config, T2Config, T3Config, TableConfig, TbConfig
+from .config import T1Config, T2Config, T3Config, TableConfig, TbConfig, TcConfig
 from .errors import (
     DataError,
     DegenerateMoments,
@@ -374,13 +374,15 @@ def t3_bias_min(t3c: T3Constants, pop: PopulationParams) -> float:
 
 @dataclass(frozen=True)
 class Family:
-    """The first-order theory of one estimator kind.
+    """One estimator kind: its configuration class ``params`` (None for
+    ``usual`` and ``ta``), its report name ``label`` where that is not the
+    kind, and its first-order theory.
 
-    ``constants`` names the fields of the kind's configuration that have a
-    population-optimal value. Every function takes that configuration (None
-    for ``usual`` and ``ta``), the population and the design factor: ``mse``
-    returns the MSE at the constants the configuration holds, ``min_mse`` the
-    MSE at the optimum, and ``optimum`` the optimal values of ``constants``.
+    ``constants`` names the fields of ``params`` that default to None, which
+    have a population-optimal value. Every function takes a configuration,
+    the population and the design factor: ``mse`` returns the MSE at the
+    constants the configuration holds, ``min_mse`` the MSE at the optimum,
+    and ``optimum`` the optimal values of ``constants``.
 
     ``census`` holds the limits of ``constants`` under a census design
     (f = 0), where a family whose weight system is then singular (there is no
@@ -393,7 +395,8 @@ class Family:
 
     mse: Callable[..., float]
     min_mse: Callable[..., float]
-    constants: tuple[str, ...] = ()
+    params: type | None = None
+    label: str | None = None
     optimum: Callable[..., tuple[float, ...]] = lambda cfg, pop, f: ()
     census: tuple[float, ...] = ()
     bias: Callable[..., float] = lambda cfg, pop, f: 0.0
@@ -402,6 +405,11 @@ class Family:
     formulas: dict[str, str] = field(default_factory=dict)
     fixed_formulas: dict[str, str] = field(default_factory=dict)
     census_formulas: dict[str, str] = field(default_factory=dict)
+    constants: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "constants", () if self.params is None else tuple(
+            f.name for f in fields(self.params) if f.default is None))
 
     def resolve(self, cfg, pop: PopulationParams, f: float):
         """``cfg`` with every ``None`` constant replaced by its optimum, or by
@@ -449,7 +457,7 @@ _UNBIASED_LINEAR = "0 (linear member is first-order unbiased)"
 
 FAMILIES: dict[str, Family] = {
     "usual": Family(lambda cfg, pop, f: var_usual(pop, f),
-                    lambda cfg, pop, f: var_usual(pop, f),
+                    lambda cfg, pop, f: var_usual(pop, f), label="p",
                     formulas={"mse": "var_usual: f*P^2*cp^2",
                               "bias": "0 (exactly unbiased)"}),
     # the ratio estimate is t1 at (alpha, beta) = (1, 0)
@@ -460,12 +468,12 @@ FAMILIES: dict[str, Family] = {
                            "bias": "bias_ta: f*P*(cx^2-rho_pb*cp*cx)"}),
     "tb": Family(lambda cfg, pop, f: t2_mse(pop, f, cfg.h1, 0.0),
                  lambda cfg, pop, f: min_mse_tb(pop, f),
-                 ("h1",), lambda cfg, pop, f: (tb_optimal_h1(pop),),
+                 TbConfig, optimum=lambda cfg, pop, f: (tb_optimal_h1(pop),),
                  formulas={"mse": "min_mse_tb: f*P^2*cp^2*(1-rho_pb^2)",
                            "bias": _UNBIASED_LINEAR}),
     "tc": Family(lambda cfg, pop, f: _tc(cfg, pop, f).mse(pop, cfg.q1, cfg.q2),
                  lambda cfg, pop, f: _tc(cfg, pop, f).min_mse(pop),
-                 ("q1", "q2"), lambda cfg, pop, f: _tc(cfg, pop, f).optimum(),
+                 TcConfig, optimum=lambda cfg, pop, f: _tc(cfg, pop, f).optimum(),
                  census=(1.0, 0.0),
                  bias=lambda cfg, pop, f: tc_bias(pop, f, _tc(cfg, pop, f), cfg.q1, cfg.q2),
                  shown=_tc_shown,
@@ -479,13 +487,13 @@ FAMILIES: dict[str, Family] = {
                                   "bias": "census"}),
     "t1": Family(lambda cfg, pop, f: t1_mse(pop, f, cfg.alpha, cfg.beta),
                  lambda cfg, pop, f: t1_min_mse(pop, f),
-                 ("alpha", "beta"), lambda cfg, pop, f: t1_optimal(pop),
+                 T1Config, optimum=lambda cfg, pop, f: t1_optimal(pop),
                  bias=lambda cfg, pop, f: t1_bias(pop, f, cfg.alpha, cfg.beta),
                  formulas={"mse": "t1_min_mse: f*P^2*cp^2*(1-rho^2-(lambda03*rho-lambda12)^2/gap)",
                            "bias": "t1_bias at the optimal exponents"}),
     "t2": Family(lambda cfg, pop, f: t2_mse(pop, f, cfg.h1, cfg.h2),
                  lambda cfg, pop, f: t1_min_mse(pop, f),
-                 ("h1", "h2"), lambda cfg, pop, f: t2_optimal(pop),
+                 T2Config, optimum=lambda cfg, pop, f: t2_optimal(pop),
                  formulas={"mse": "t2_min_mse == t1_min_mse (identical closed forms)",
                            "bias": _UNBIASED_LINEAR}),
     # A table cannot fix the t3 weights (TableConfig builds them free), so
@@ -493,7 +501,7 @@ FAMILIES: dict[str, Family] = {
     "t3": Family(lambda cfg, pop, f: _check_mse(_t3(cfg, pop, f).mse(pop, cfg.m1, cfg.m2),
                                                 pop.P**2, "two-term family MSE"),
                  lambda cfg, pop, f: _t3(cfg, pop, f).min_mse(pop),
-                 ("m1", "m2"), lambda cfg, pop, f: _t3(cfg, pop, f).optimum(),
+                 T3Config, optimum=lambda cfg, pop, f: _t3(cfg, pop, f).optimum(),
                  census=(0.5, 0.5),
                  bias=lambda cfg, pop, f: t3_bias_min(_t3(cfg, pop, f), pop),
                  shown=lambda cfg, pop, f: {**vars(cfg), **vars(_t3(cfg, pop, f))},
@@ -548,10 +556,13 @@ def _t3_label(cfg: T3Config) -> str:
 
 
 def _table(config: TableConfig) -> list[tuple[str, str, object]]:
-    """Name, kind and configuration of every row of an efficiency table."""
-    return [("p", "usual", None), ("ta", "ta", None), ("tb", "tb", TbConfig()),
-            ("tc", "tc", config.tc), ("t1", "t1", T1Config()), ("t2", "t2", T2Config()),
-            *((_t3_label(cfg), "t3", cfg) for cfg in config.t3_configs())]
+    """Name, kind and configuration of every row of an efficiency table: one
+    row per kind at its default configuration, except that ``tc`` takes
+    ``config.tc`` and ``t3`` has one row per switch variant."""
+    given = {"tc": (config.tc,), "t3": config.t3_configs()}
+    return [(_t3_label(cfg) if kind == "t3" else family.label or kind, kind, cfg)
+            for kind, family in FAMILIES.items()
+            for cfg in given.get(kind, (family.params and family.params(),))]
 
 
 def theory_report(pop: PopulationParams, design: Design,

@@ -6,8 +6,9 @@ for moments, finite differences for stationarity, and grid search for optima.
 The one exception is ``loop_report``, which reproduces the batched oracles of
 ``propaux.montecarlo`` through the package's scalar path, one sample at a time;
 ``floyd_loop`` is the textbook sampler that the vectorized draw must equal,
-and ``csv_loop`` the row-at-a-time population CSV reader that the columnar
-``read_population_csv`` must agree with.
+``csv_loop`` the row-at-a-time population CSV reader that the columnar
+``read_population_csv`` must agree with, and ``csv_writer_loop`` the
+row-at-a-time writer whose bytes ``write_population_csv`` must reproduce.
 """
 
 import csv
@@ -224,6 +225,15 @@ def csv_loop(path):
         raise SchemaError(f"{path}: a population needs at least 2 records")
     phi, x = zip(*records)
     return PopulationFrame(np.array(phi), np.array(x))
+
+
+def csv_writer_loop(path, frame):
+    """A population CSV written through one ``csv.writer`` call per record."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["phi", "x"])
+        for phi, x in frame.records():
+            writer.writerow([phi, repr(x)])
 
 
 def loop_report(frame, n, configs=None, reps=None, seed=None):

@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from propaux.cli import main
+from propaux import theory
+from propaux.cli import build_parser, main
 from propaux.io import write_params_json, ParamsDocument
 
 from _oracles import REF
@@ -367,3 +369,66 @@ class TestExitCodes:
         path.write_text(json.dumps(dict(REF, **{field: value})))
         assert main(["pre", "--params", str(path)]) == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    def test_estimate_overflow_is_data_error(self, tmp_path, capsys):
+        pop = tmp_path / "pop.csv"
+        assert main(["generate", "--size", "40", "--seed", "3", "--output", str(pop)]) == 0
+        assert main(["estimate", "--input", str(pop), "--indices", "0,1,2,3,4,5,6,7,8,9,10",
+                     "--estimator", "t3", "--t3", "delta=5000,g=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: estimate is not finite") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_simulate_counts_overflowed_replicates(self, tmp_path):
+        pop, out = tmp_path / "pop.csv", tmp_path / "sim.json"
+        assert main(["generate", "--size", "40", "--seed", "3", "--output", str(pop)]) == 0
+        assert main(["simulate", "--input", str(pop), "--n", "5", "--reps", "200",
+                     "--seed", "1", "--tc", "alpha=3000", "--output", str(out)]) == 0
+        rows = {row["name"]: row for row in json.loads(out.read_text())["simulation"]["rows"]}
+        assert 0 < rows["tc"]["failures"] < 200
+        assert rows["p"]["failures"] == 0
+
+    @pytest.mark.parametrize("data, message", [
+        (b"phi,x\n1,2\n0,\xff3\n", "not valid UTF-8"),
+        (b'phi,x\n1,"' + b"1" * 140_000 + b'"\n0,2\n', "field larger than field limit"),
+    ])
+    def test_undecodable_csv_is_data_error(self, tmp_path, capsys, data, message):
+        bad, out = tmp_path / "bad.csv", tmp_path / "o.json"
+        bad.write_bytes(data)
+        assert main(["params", "--input", str(bad), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
+
+
+def _commands() -> dict:
+    """The parser of every subcommand, by name."""
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+#: (subcommand, kind) of every ``--<kind>`` option the parser declares.
+FAMILY_OPTIONS = [(name, option[2:]) for name, sub in _commands().items()
+                  for action in sub._actions for option in action.option_strings
+                  if option[2:] in theory.FAMILIES]
+
+
+class TestFamilyFlags:
+    def test_flags_are_found(self):
+        assert {("estimate", "t1"), ("simulate", "tc"), ("pre", "t3")} <= set(FAMILY_OPTIONS)
+
+    @pytest.mark.parametrize("command, kind", FAMILY_OPTIONS)
+    def test_every_family_flag_is_parsed(self, pop_csv, ref_params_path, tmp_path,
+                                         capsys, command, kind):
+        """A malformed value of any family flag is a usage error, so no such
+        flag is silently ignored."""
+        values = {"input": str(pop_csv), "params": str(ref_params_path),
+                  "output": str(tmp_path / "out.json"), "n": "6", "reps": "200",
+                  "seed": "1", "digits": "3", "indices": "0,1,2,3,4", "estimator": kind}
+        argv = [command]
+        for action in _commands()[command]._actions:
+            if action.required:
+                argv += [action.option_strings[0], values[action.dest]]
+        assert main([*argv, f"--{kind}", "bogus=1"]) == 1
+        assert "bogus=1" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()

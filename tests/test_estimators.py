@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from propaux import (
     FAILURE_CLASSES,
+    estimators,
+    montecarlo,
     EstimatorConfig,
     PopulationFrame,
     SampleStats,
@@ -26,9 +28,11 @@ from propaux.errors import (
     InvalidDesign,
     NonpositiveBase,
     NonpositiveTransform,
+    SchemaError,
     ZeroSampleMean,
     ToolkitError,
 )
+from propaux.estimators import NOT_FINITE
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +270,55 @@ class TestConfigValidation:
             TcConfig.from_kv("bogus=1")
         with pytest.raises(ValueError):
             T3Config.from_kv("gamma=x")
+
+
+class TestRegistry:
+    def test_kernels_follow_the_families(self):
+        assert list(estimators._KERNELS) == list(theory.FAMILIES)
+
+    def test_constants_are_the_none_defaults_of_the_parameter_class(self):
+        for kind, family in theory.FAMILIES.items():
+            free = () if family.params is None else tuple(
+                name for name, value in vars(family.params()).items() if value is None)
+            assert family.constants == free, kind
+            assert EstimatorConfig(kind=kind).params == (family.params and family.params())
+
+    def test_default_configs_cover_every_kind_under_its_report_name(self):
+        assert [(cfg.kind, cfg.name) for cfg in montecarlo.DEFAULT_CONFIGS] == [
+            (kind, family.label or kind) for kind, family in theory.FAMILIES.items()]
+
+
+class TestOverflow:
+    """float ``**`` and ``math.exp`` raise on overflow; such a row fails as
+    not finite, and the other rows of its batch keep their values."""
+
+    CASES = [
+        (EstimatorConfig(kind="tc", params=TcConfig(alpha=3000.0, q1=1.0, q2=0.0)),
+         lambda pop: ([pop.xbar, 0.5 * pop.xbar, 1.1 * pop.xbar], [pop.sx2] * 3)),
+        (EstimatorConfig(kind="t3", params=T3Config(delta=5000.0, m1=0.5, m2=0.5)),
+         lambda pop: ([pop.xbar] * 3, [pop.sx2, 0.5 * pop.sx2, 1.5 * pop.sx2])),
+    ]
+
+    @pytest.mark.parametrize("cfg, stats", CASES)
+    def test_overflowed_row_fails_alone(self, pop, cfg, stats):
+        xbar_s, sx2_s = stats(pop)
+        p = [0.5, 0.5, 0.5]
+        values, codes = evaluate_batch(cfg, pop, p, xbar_s, sx2_s)
+        assert codes.tolist() == [0, NOT_FINITE, 0]
+        assert FAILURE_CLASSES[NOT_FINITE] is SchemaError
+        assert np.isnan(values[1])
+        keep = [0, 2]
+        alone, alone_codes = evaluate_batch(cfg, pop, np.take(p, keep),
+                                            np.take(xbar_s, keep), np.take(sx2_s, keep))
+        assert alone_codes.tolist() == [0, 0]
+        assert values[keep].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("cfg, stats", CASES)
+    def test_scalar_overflow_is_not_finite(self, pop, cfg, stats):
+        xbar_s, sx2_s = stats(pop)
+        sample = SampleStats(n=10, p=0.5, xbar_s=xbar_s[1], sx2_s=sx2_s[1])
+        with pytest.raises(SchemaError, match="estimate is not finite"):
+            evaluate(sample, pop, cfg)
 
 
 class TestCensusInertness:

@@ -1,16 +1,18 @@
 import ast
+import csv
 import json
 import math
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import propaux
-from propaux import SyntheticSpec, generate_population, theory
+from propaux import PopulationFrame, SyntheticSpec, generate_population, theory
 from propaux.errors import ParseError, SchemaError
 from propaux.io import (
     ParamsDocument,
@@ -26,7 +28,8 @@ from propaux.io import (
 )
 from propaux.montecarlo import run_experiment
 
-from _oracles import REF, csv_loop
+from _oracles import REF, csv_loop, csv_writer_loop
+from test_golden import POPULATION
 
 
 class TestPopulationCsv:
@@ -73,6 +76,55 @@ class TestPopulationCsv:
         path = tmp_path / "generated.csv"
         write_population_csv(path, frame)
         assert read_population_csv(path) == frame
+
+    @pytest.mark.parametrize("data, line", [
+        (b"phi,x\n1,2\n0,\xff3\n", 3),
+        (b"phi,x\r\n1,2\r\n\r\n0,\"3\xc3\"\r\n", 4),
+        (b"phi,x\r1,\xe92\r0,3\r", 2),
+        (b"ph\x80i,x\n1,2\n0,3\n", 1),
+    ])
+    def test_invalid_utf8_reports_file_and_line(self, tmp_path, data, line):
+        path = tmp_path / "pop.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="not valid UTF-8") as info:
+            read_population_csv(path)
+        assert info.value.line == line
+        assert str(path) in str(info.value)
+
+    def test_quoted_cell_over_the_csv_field_limit(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "pop.csv"
+        path.write_text(f'phi,x\n1,2\n\n0,"{"1" * (limit + 1)}"\n1,3\n')
+        with pytest.raises(ParseError, match="field larger than field limit") as info:
+            read_population_csv(path)
+        assert info.value.line == 4
+        assert csv.field_size_limit() == limit
+
+
+class TestPopulationCsvWriter:
+    @staticmethod
+    def assert_same_bytes(tmp_path, frame):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_population_csv(new, frame)
+        csv_writer_loop(old, frame)
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_golden_population(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text(POPULATION)
+        self.assert_same_bytes(tmp_path, read_population_csv(path))
+
+    def test_generated_population(self, tmp_path):
+        self.assert_same_bytes(tmp_path, generate_population(SyntheticSpec(size=500), seed=8))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=2, max_size=20))
+    def test_any_finite_values(self, records):
+        phi, x = zip(*records)
+        with tempfile.TemporaryDirectory() as tmp:
+            self.assert_same_bytes(Path(tmp), PopulationFrame(np.array(phi), np.array(x)))
 
 
 PACKAGE = str(Path(propaux.__file__).parent)
@@ -277,6 +329,17 @@ class TestParamsDocument:
         data["cp"] = "big"
         with pytest.raises(SchemaError):
             ParamsDocument.from_dict(data)
+
+    @pytest.mark.parametrize("key", ["sx2", "sp2"])
+    def test_non_numeric_optional_variance(self, key):
+        with pytest.raises(SchemaError, match="non-numeric"):
+            ParamsDocument.from_dict(dict(REF, **{key: "big"}))
+
+    def test_keys_follow_the_population_fields(self, ref_pop, ref_design):
+        doc = ParamsDocument(params=ref_pop, design=ref_design).to_dict()
+        assert list(doc) == ["provenance", "n", "n_population", "p", "xbar", "sx2", "sp2",
+                             "cp", "cx", "rho_pb", "lambda03", "lambda04", "lambda12"]
+        assert (doc["n_population"], doc["p"]) == (ref_pop.N, ref_pop.P)
 
     def test_integral_float_size_reads(self):
         doc = ParamsDocument.from_dict(dict(REF, n=11.0, n_population=40.0))

@@ -19,6 +19,7 @@ from propaux import (
     montecarlo,
     run_experiment,
 )
+from propaux.config import TcConfig
 from propaux.errors import DegenerateGeneration, InvalidConfig, InvalidDesign, TooLarge
 
 from _oracles import binomial_se, floyd_loop, loop_report
@@ -244,6 +245,21 @@ class TestRunExperiment:
         for row in report.rows:
             assert row.mse == pytest.approx(0.0, abs=1e-28)
             assert row.failures == 0
+
+    # the aggregates of the replicates that did not overflow can themselves
+    # overflow; making them finite is a separate open item
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_replicates_count_as_failures(self):
+        frame = generate_population(SyntheticSpec(size=40), seed=3)
+        configs = [EstimatorConfig(kind="usual", label="p"),
+                   EstimatorConfig(kind="tc", params=TcConfig(alpha=3000.0))]
+        report = run_experiment(frame, 5, configs, reps=200, seed=1)
+        loop = loop_report(frame, 5, configs, reps=200, seed=1)
+        tc = report.row("tc")
+        assert 0 < tc.failures < 200
+        assert tc.failures == loop.row("tc").failures
+        assert tc.replicates + tc.failures == 200
+        assert report.row("p") == loop.row("p")
 
     def test_rejects_tiny_replicate_counts(self):
         with pytest.raises(InvalidConfig):
