@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 error (singular optimality system, negative MSE). Diagnostics go to stderr;
 reports written with ``--output`` ending in ``.json`` are valid JSON.
+
+The table commands (``theory``, ``pre``, ``sensitivity``) need no numpy; the
+commands that read or make a population import its modules when they run.
 """
 
 from __future__ import annotations
@@ -12,13 +15,15 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import io, montecarlo, theory
+from . import documents, theory
 from .config import T3_TABLE_VARIANTS, T3Config, TableConfig
 from .errors import DataError, NumericalError, ParseError
-from .estimators import EstimatorConfig, evaluate
-from .montecarlo import SyntheticSpec, generate_population, run_experiment
-from .population import Design, compute_population_params, sample_stats
+from .model import Design
+
+if TYPE_CHECKING:
+    from .estimators import EstimatorConfig
 
 
 class CliUsageError(Exception):
@@ -80,9 +85,10 @@ def _table_configurations(config: TableConfig, **leading) -> dict:
 
 def _write_report(args, input_path: str, configurations: dict, sections: dict) -> None:
     """Write the report envelope around ``sections`` to ``--output``."""
-    document = io.build_report_document(input_digest=io.file_digest(input_path),
-                                        configurations=configurations, sections=sections)
-    io.write_report_json(args.output, document)
+    document = documents.build_report_document(
+        input_digest=documents.file_digest(input_path),
+        configurations=configurations, sections=sections)
+    documents.write_report_json(args.output, document)
 
 
 def _census_dash(value) -> str:
@@ -93,31 +99,34 @@ def _census_dash(value) -> str:
 
 
 def _cmd_params(args) -> int:
-    frame = io.read_population_csv(args.input)
+    from .io import read_population_csv
+    from .population import compute_population_params
+
+    frame = read_population_csv(args.input)
     params = compute_population_params(frame)
     n = args.n if args.n is not None else frame.size
-    doc = io.ParamsDocument(params=params, design=Design(n=n, N=frame.size),
-                            provenance=io.PROVENANCE_FRAME)
-    io.write_params_json(args.output, doc)
+    doc = documents.ParamsDocument(params=params, design=Design(n=n, N=frame.size),
+                                   provenance=documents.PROVENANCE_FRAME)
+    documents.write_params_json(args.output, doc)
     return 0
 
 
 def _cmd_theory(args) -> int:
-    doc = io.read_params_json(args.params)
+    doc = documents.read_params_json(args.params)
     config = _table_config(args)
     report = theory.theory_report(doc.params, doc.design, config)
     conditions = None
     if doc.design.f > 0.0:
-        conditions = io.conditions_dict(
+        conditions = documents.conditions_dict(
             theory.comparison_conditions(doc.params, doc.design.f, config))
     _write_report(args, args.params, _table_configurations(config),
-                  {"theory": io.theory_report_dict(report),
+                  {"theory": documents.theory_report_dict(report),
                    "comparison_conditions": conditions})
     return 0
 
 
 def _cmd_pre(args) -> int:
-    doc = io.read_params_json(args.params)
+    doc = documents.read_params_json(args.params)
     config = _table_config(args)
     report = theory.theory_report(doc.params, doc.design, config)
     names = [entry.name for entry in report.entries]
@@ -138,7 +147,11 @@ def _cmd_pre(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    frame = io.read_population_csv(args.input)
+    from .estimators import EstimatorConfig, evaluate
+    from .io import read_population_csv
+    from .population import compute_population_params, sample_stats
+
+    frame = read_population_csv(args.input)
     pop = compute_population_params(frame)
     stats = sample_stats(frame, _parse_indices(args.indices))
     cfg = EstimatorConfig(kind=args.estimator,
@@ -162,21 +175,28 @@ def _config_dict(cfg: EstimatorConfig) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    frame = io.read_population_csv(args.input)
+    from .estimators import EstimatorConfig
+    from .io import read_population_csv
+    from .montecarlo import DEFAULT_CONFIGS, run_experiment
+
+    frame = read_population_csv(args.input)
     given = _subconfigs(args)
     configs = [EstimatorConfig(kind=cfg.kind, params=given[cfg.kind])
-               if cfg.kind in given else cfg for cfg in montecarlo.DEFAULT_CONFIGS]
+               if cfg.kind in given else cfg for cfg in DEFAULT_CONFIGS]
     report = run_experiment(frame, args.n, configs, reps=args.reps, seed=args.seed)
     _write_report(args, args.input,
                   {"n": args.n, "reps": args.reps, "seed": args.seed,
                    "estimators": [_config_dict(cfg) for cfg in configs]},
-                  {"simulation": io.simulation_report_dict(report)})
+                  {"simulation": documents.simulation_report_dict(report)})
     return 0
 
 
 def _cmd_generate(args) -> int:
+    from .io import write_population_csv
+    from .montecarlo import SyntheticSpec, generate_population
+
     if args.spec:
-        raw = io.read_json(args.spec)
+        raw = documents.read_json(args.spec)
         if not isinstance(raw, dict):
             raise ParseError(f"{args.spec}: expected a JSON object")
         if "size" in raw:
@@ -189,16 +209,16 @@ def _cmd_generate(args) -> int:
     else:
         spec = SyntheticSpec(size=args.size)
     frame = generate_population(spec, seed=args.seed)
-    io.write_population_csv(args.output, frame)
+    write_population_csv(args.output, frame)
     return 0
 
 
 def _cmd_sensitivity(args) -> int:
-    doc = io.read_params_json(args.params)
+    doc = documents.read_params_json(args.params)
     config = _table_config(args)
     report = theory.sensitivity(doc.params, doc.design.f, config, digits=args.digits)
     _write_report(args, args.params, _table_configurations(config, digits=args.digits),
-                  {"sensitivity": io.sensitivity_report_dict(report)})
+                  {"sensitivity": documents.sensitivity_report_dict(report)})
     return 0
 
 

@@ -29,7 +29,8 @@ from .errors import (
     SchemaError,
     ZeroSampleMean,
 )
-from .population import PopulationParams, SampleStats, sampling_fraction
+from .model import PopulationParams, sampling_fraction
+from .population import SampleStats
 
 
 @dataclass(frozen=True)

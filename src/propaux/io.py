@@ -6,22 +6,14 @@ without ``_`` (``12.5``, ``-3``, ``1e-07``; no thousands separators). Lines
 end in LF, CRLF or CR. Blank lines are skipped but still counted in the line
 numbers of errors. Cells may be padded with spaces or double-quoted.
 
-Parameter document (JSON, lower-snake-case keys): the population summary
-statistics plus the design. A document computed from a frame carries every
-field; a hand-written document needs only
-
-    n, n_population, p, xbar, rho_pb, cp, cx, lambda12, lambda04, lambda03
-
-with ``sx2 = (cx*xbar)^2`` and ``sp2 = (cp*p)^2`` derived.
+Parameter documents and JSON reports are read and written by ``documents``,
+which does not import numpy; each of its names is re-exported here.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 import math
-from dataclasses import asdict, dataclass, fields
 from io import StringIO
 from itertools import repeat
 from operator import itemgetter
@@ -29,21 +21,23 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from .documents import (  # noqa: F401  (re-exported)
+    PROVENANCE_FRAME,
+    PROVENANCE_USER,
+    ParamsDocument,
+    build_report_document,
+    conditions_dict,
+    file_digest,
+    read_json,
+    read_params_json,
+    sensitivity_report_dict,
+    simulation_report_dict,
+    theory_report_dict,
+    write_params_json,
+    write_report_json,
+)
 from .errors import ParseError, SchemaError
-from .montecarlo import SimulationReport
-from .population import Design, PopulationFrame, PopulationParams, check_realizable
-from .theory import ConditionResult, SensitivityReport, TheoryReport
-
-_REQUIRED_KEYS = ("n", "n_population", "p", "xbar", "rho_pb", "cp", "cx",
-                  "lambda12", "lambda04", "lambda03")
-
-#: The document key of each ``PopulationParams`` field, in field order.
-_PARAM_KEYS = tuple((f.name, {"N": "n_population", "P": "p"}.get(f.name, f.name))
-                    for f in fields(PopulationParams))
-
-PROVENANCE_FRAME = "computed-from-frame"
-PROVENANCE_USER = "user-supplied"
+from .population import PopulationFrame
 
 _BINARY = frozenset(("0", "1"))
 
@@ -210,107 +204,3 @@ def write_population_csv(path: str | Path, frame: PopulationFrame) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("phi,x\r\n")
         handle.writelines(map("{},{!r}\r\n".format, frame.phi.tolist(), frame.x.tolist()))
-
-
-def _integer(data: dict, key: str) -> int:
-    """An integral size; ``int`` alone would read 11.9 as 11 and true as 1."""
-    value = data[key]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise SchemaError(f"parameter document field {key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
-@dataclass(frozen=True)
-class ParamsDocument:
-    """Population parameters, design, and where the numbers came from."""
-
-    params: PopulationParams
-    design: Design
-    provenance: str = PROVENANCE_USER
-
-    def to_dict(self) -> dict:
-        return {"provenance": self.provenance, "n": self.design.n,
-                **{key: getattr(self.params, name) for name, key in _PARAM_KEYS}}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ParamsDocument":
-        if not isinstance(data, dict):
-            raise SchemaError("parameter document must be a JSON object")
-        missing = [key for key in _REQUIRED_KEYS if key not in data]
-        if missing:
-            raise SchemaError(f"parameter document is missing keys: {', '.join(missing)}")
-        try:
-            n = _integer(data, "n")
-            values = {name: _integer(data, key) if name == "N" else float(data[key])
-                      for name, key in _PARAM_KEYS if key in data}
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"parameter document has a non-numeric field: {exc}") from None
-        values.setdefault("sx2", (values["cx"] * values["xbar"]) ** 2)
-        values.setdefault("sp2", (values["cp"] * values["P"]) ** 2)
-        params = PopulationParams(**values)
-        check_realizable(params)
-        provenance = data.get("provenance", PROVENANCE_USER)
-        return cls(params=params, design=Design(n=n, N=params.N), provenance=provenance)
-
-
-def read_json(path: str | Path):
-    """The JSON value of a file; malformed JSON is a ``ParseError``."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from None
-
-
-def read_params_json(path: str | Path) -> ParamsDocument:
-    return ParamsDocument.from_dict(read_json(path))
-
-
-def write_params_json(path: str | Path, doc: ParamsDocument) -> None:
-    write_report_json(path, doc.to_dict())
-
-
-def file_digest(path: str | Path) -> str:
-    """sha256 of the raw input bytes, recorded in every report."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def theory_report_dict(report: TheoryReport) -> dict:
-    return {
-        "design": {"n": report.design.n, "n_population": report.design.N,
-                   "f": report.design.f},
-        "entries": [asdict(entry) for entry in report.entries],
-    }
-
-
-def simulation_report_dict(report: SimulationReport) -> dict:
-    return asdict(report) | {"rows": [asdict(row) for row in report.rows]}
-
-
-def sensitivity_report_dict(report: SensitivityReport) -> dict:
-    return {
-        "digits": report.digits,
-        "step": report.step,
-        "intervals": [asdict(interval) for interval in report.intervals],
-    }
-
-
-def conditions_dict(conditions: tuple[ConditionResult, ...]) -> list[dict]:
-    return [asdict(result) for result in conditions]
-
-
-def build_report_document(*, input_digest: str, configurations: dict,
-                          sections: dict) -> dict:
-    """Assemble the self-describing report envelope."""
-    return {
-        "tool": "propaux",
-        "tool_version": __version__,
-        "input_digest": input_digest,
-        "configurations": configurations,
-        **sections,
-    }
-
-
-def write_report_json(path: str | Path, document: dict) -> None:
-    """Write a JSON document: two-space indent and a final newline."""
-    Path(path).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")

@@ -37,13 +37,8 @@ from .errors import (
     TooLarge,
 )
 from .estimators import EstimatorConfig, evaluate_batch, resolve_config
-from .population import (
-    PopulationFrame,
-    PopulationParams,
-    batch_stats,
-    compute_population_params,
-    sampling_fraction,
-)
+from .model import PopulationParams, sampling_fraction
+from .population import PopulationFrame, batch_stats, compute_population_params
 
 _LOGGER = logging.getLogger(__name__)
 

@@ -42,7 +42,7 @@ from .errors import (
     SingularSystem,
     ToolkitError,
 )
-from .population import Design, PopulationParams
+from .model import Design, PopulationParams
 
 _SINGULAR_RTOL = 1e-12
 _MSE_NEG_RTOL = 1e-12

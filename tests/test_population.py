@@ -11,6 +11,7 @@ from propaux import (
     Design,
     PopulationFrame,
     SampleStats,
+    batch_stats,
     central_moment,
     compute_population_params,
     sample_stats,
@@ -235,6 +236,33 @@ class TestSampleStats:
     def test_non_integer_count_rejected(self):
         with pytest.raises(SchemaError):
             SampleStats(n=4, p=0.3, xbar_s=1.0, sx2_s=1.0)
+
+
+class TestBatchStats:
+    def test_duplicate_in_an_unsorted_row(self, rng):
+        frame = random_frame(rng, size=30)
+        rows = np.sort(rng.permuted(np.tile(np.arange(30), (5, 1)), axis=1)[:, :8], axis=1)
+        rows[3] = [9, 2, 17, 2, 25, 0, 11, 4]
+        with pytest.raises(DuplicateIndex):
+            batch_stats(frame, rows)
+
+    def test_unsorted_rows_do_not_change_the_bits(self, rng):
+        """A batch with an unsorted row takes the sorting duplicate check; the
+        statistics of its other rows keep their bits. Reordering a row itself
+        may move ``xbar_s`` and ``sx2_s`` in the last bit: their sums run in
+        row order."""
+        frame = random_frame(rng, size=40)
+        rows = np.sort(rng.permuted(np.tile(np.arange(40), (200, 1)), axis=1)[:, :11], axis=1)
+        shuffled = rng.permuted(rows, axis=1)
+        assert not (shuffled[:, 1:] > shuffled[:, :-1]).all(axis=1).any()
+        fast = batch_stats(frame, rows)
+        mixed = batch_stats(frame, np.concatenate([rows, shuffled]))
+        for alone, beside in zip(fast, mixed):
+            assert alone.tobytes() == beside[:200].tobytes()
+        p, xbar_s, sx2_s = batch_stats(frame, shuffled)
+        assert p.tobytes() == fast[0].tobytes()
+        np.testing.assert_allclose(xbar_s, fast[1], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(sx2_s, fast[2], rtol=1e-14, atol=0)
 
 
 @st.composite
