@@ -26,20 +26,10 @@ from .theory import (
     class_bias_t2,
     class_bias_tb,
     comparison_conditions,
-    min_mse_tb,
     pre,
     sensitivity,
-    t1_bias,
-    t1_min_mse,
-    t1_mse,
-    t1_optimal,
-    t2_mse,
-    t2_optimal,
     t3_bias,
-    t3_bias_min,
     t3_constants,
-    tb_optimal_h1,
-    tc_bias,
     tc_constants,
     theory_report,
     var_usual,

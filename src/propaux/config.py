@@ -26,21 +26,28 @@ class _FromKv:
 
     @classmethod
     def from_kv(cls, text: str):
-        """Build a config from ``key=value,key=value`` text (CLI syntax)."""
+        """Build a config from ``key=value,key=value`` text (CLI syntax).
+
+        ``optimal`` is accepted only for the fields that default to None,
+        which have a population-optimal value."""
         kwargs = {}
-        allowed = {f.name for f in fields(cls)}
+        defaults = {f.name: f.default for f in fields(cls)}
         for part in text.split(","):
             part = part.strip()
             if not part:
                 continue
             key, sep, raw = part.partition("=")
             key = key.strip()
-            if not sep or key not in allowed:
+            if not sep or key not in defaults:
                 raise ValueError(f"unknown or malformed option {part!r} for {cls.__name__}")
             try:
                 kwargs[key] = _parse_value(raw)
             except ValueError:
                 raise ValueError(f"cannot parse value in {part!r}") from None
+            if kwargs[key] is None and defaults[key] is not None:
+                optimal = ", ".join(name for name, value in defaults.items() if value is None)
+                raise ValueError(f"{key} has no optimal value in {part!r}; "
+                                 f"{cls.__name__} resolves only {optimal}")
         return cls(**kwargs)
 
 

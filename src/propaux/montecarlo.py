@@ -242,7 +242,7 @@ def _unique_names(configs: Sequence[EstimatorConfig]) -> list[str]:
 
 def _aggregate(names: list[str], resolved: Sequence[EstimatorConfig],
                values: np.ndarray, failed: np.ndarray, pop: PopulationParams,
-               f: float, true_p: float, exact: bool = False) -> list[EstimatorRun]:
+               f: float, exact: bool = False) -> list[EstimatorRun]:
     rows = []
     for j, (name, cfg) in enumerate(zip(names, resolved)):
         ok = ~failed[j]
@@ -250,7 +250,7 @@ def _aggregate(names: list[str], resolved: Sequence[EstimatorConfig],
         count = int(ok.sum())
         if count == 0:
             raise DataError(f"estimator {name} failed on every replicate")
-        err = v - true_p
+        err = v - pop.P
         mean = float(v.mean())
         mse = float(np.mean(err**2))
         se = 0.0 if exact or count == 1 else float(np.std(err**2, ddof=1) / math.sqrt(count))
@@ -260,7 +260,7 @@ def _aggregate(names: list[str], resolved: Sequence[EstimatorConfig],
             replicates=count,
             failures=int(failed[j].sum()),
             mean=mean,
-            bias=mean - true_p,
+            bias=mean - pop.P,
             mse=mse,
             mse_se=se,
             theory_mse=tmse,
@@ -301,7 +301,7 @@ def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] |
     return SimulationReport(
         n=n, population_size=frame.size, sampling_fraction=f, true_p=pop.P,
         replicates=total, exact=exact, seed=seed, rng=None if exact else RNG_SCHEME,
-        rows=tuple(_aggregate(names, resolved, values, failed, pop, f, pop.P, exact)),
+        rows=tuple(_aggregate(names, resolved, values, failed, pop, f, exact)),
     )
 
 

@@ -13,10 +13,17 @@ C is the single source of every moment below. The MSEs of ``ta``, ``tb``,
 ``t1`` and ``t2`` are quadratic forms in it; the optima of ``tb``, ``t1`` and
 ``t2`` regress the proportion channel on its auxiliary block, and the shared
 ``t1``/``t2`` minimum is the Schur complement of that block; ``ta`` is ``t1``
-at (alpha, beta) = (1, 0). The ``tc`` and ``t3`` expansion constants read
-their moments from C and share one two-weight MSE form (``_TwoWeight``).
-``FAMILIES`` is the registry of estimator kinds: each kind's parameter class,
-report name and formulas.
+at (alpha, beta) = (1, 0), and ``tb`` is ``t2`` at h2 = 0. The ``tc`` and
+``t3`` expansion constants read their moments from C and share one
+two-weight MSE form (``_TwoWeight``).
+
+``FAMILIES`` is the registry of estimator kinds and the theory API: each
+kind's parameter class, report name, and its ``mse``, ``min_mse``,
+``optimum`` and ``bias``, each called as ``(cfg, pop, f)``. The per-kind
+helpers behind them are private. ``tc_constants``, ``t3_constants`` and
+``t3_bias`` take the same ``(cfg, pop, f)``; ``var_usual`` is the baseline of
+``pre``, and ``class_bias_tb``/``class_bias_t2`` take second-derivative
+values.
 
 A negative computed MSE is always reported as an error, never as a value.
 """
@@ -75,7 +82,13 @@ def _form(c: tuple[float, ...], w0: float, w1: float, w2: float) -> float:
 
 def _regression(pop: PopulationParams) -> tuple[float, float, tuple[float, ...]]:
     """Coefficients ``(alpha, beta)`` of the proportion channel regressed on the
-    auxiliary block of C, and C itself."""
+    auxiliary block of C, and C itself. They are the optimal ``t1`` exponents,
+
+        alpha* = cp*(rho*(lambda04-1) - lambda03*lambda12) / (cx*gap),
+        beta*  = cp*(lambda12 - rho*lambda03) / gap,
+
+    with gap = (lambda04-1) - lambda03^2; the optimal ``t2`` offsets are -P
+    times them, so the two families share one minimum."""
     c = _moments(pop)
     _, c01, c02, c11, c12, c22 = c
     det = c11 * c22 - c12**2
@@ -94,16 +107,54 @@ def var_usual(pop: PopulationParams, f: float) -> float:
     return f * pop.P**2 * pop.cp**2
 
 
-# --- regression-type class ------------------------------------------------------
+# --- power-transform form (alpha, beta): t1, and ta at (1, 0) --------------------
 
 
-def tb_optimal_h1(pop: PopulationParams) -> float:
+def _power_mse(cfg, pop: PopulationParams, f: float) -> float:
+    """First-order MSE of the power-transform estimator, f*P^2*w'Cw at
+    w = (1, -alpha, -beta)."""
+    value = f * pop.P**2 * _form(_moments(pop), 1.0, -cfg.alpha, -cfg.beta)
+    return _check_mse(value, var_usual(pop, f), "power-transform MSE")
+
+
+def _power_bias(cfg, pop: PopulationParams, f: float) -> float:
+    """First-order bias of the power-transform estimator at given exponents."""
+    alpha, beta = cfg.alpha, cfg.beta
+    _, c01, c02, c11, c12, c22 = _moments(pop)
+    return f * pop.P * (
+        alpha * (alpha + 1.0) / 2.0 * c11
+        + beta * (beta + 1.0) / 2.0 * c22
+        + alpha * beta * c12
+        - alpha * c01
+        - beta * c02
+    )
+
+
+def _schur_min_mse(cfg, pop: PopulationParams, f: float) -> float:
+    """Minimum MSE of ``t1`` and ``t2``,
+    f*P^2*cp^2*(1 - rho^2 - (lambda03*rho - lambda12)^2/gap):
+    f*P^2 times the Schur complement of the auxiliary block of C."""
+    alpha, beta, c = _regression(pop)
+    return _check_mse(f * pop.P**2 * (c[0] - (alpha * c[1] + beta * c[2])),
+                      var_usual(pop, f), "power-transform minimum MSE")
+
+
+# --- linear form (h1, h2): t2, and tb at h2 = 0 -----------------------------------
+
+
+def _linear_mse(cfg, pop: PopulationParams, f: float) -> float:
+    """MSE of the two-channel linear member, f*w'Cw at w = (P, h1, h2)."""
+    value = f * _form(_moments(pop), pop.P, cfg.h1, cfg.h2)
+    return _check_mse(value, var_usual(pop, f), "two-channel linear MSE")
+
+
+def _tb_optimum(cfg, pop: PopulationParams, f: float) -> tuple[float]:
     """Optimal slope of the linear regression-type member, -P*rho_pb*cp/cx."""
     c = _moments(pop)
-    return -pop.P * c[1] / c[3]
+    return (-pop.P * c[1] / c[3],)
 
 
-def min_mse_tb(pop: PopulationParams, f: float) -> float:
+def _tb_min_mse(cfg, pop: PopulationParams, f: float) -> float:
     """Class minimum MSE over mean-only transforms, f*P^2*cp^2*(1 - rho_pb^2)."""
     c = _moments(pop)
     value = f * pop.P**2 * (c[0] - c[1] / c[3] * c[1])
@@ -119,6 +170,19 @@ def class_bias_tb(pop: PopulationParams, f: float, h2: float, h3: float, h4: flo
     return f * (pop.P * pop.rho_pb * pop.cp * pop.cx * h3
                 + pop.cx**2 * h2
                 + pop.P**2 * pop.cp**2 * h4)
+
+
+def class_bias_t2(pop: PopulationParams, f: float, h3: float, h4: float, h5: float,
+                  h6: float, h7: float, h8: float) -> float:
+    """First-order class bias as a linear form in six second-derivative values."""
+    return f * (
+        pop.P * pop.cp**2 * h3
+        + pop.cx**2 * h4
+        + (pop.lambda04 - 1.0) * h5
+        + pop.P * pop.rho_pb * pop.cp * pop.cx * h6
+        + pop.cx * pop.lambda03 * h7
+        + pop.P * pop.cp * pop.lambda12 * h8
+    )
 
 
 # --- the two-weight MSE form of the tc and t3 families ----------------------------
@@ -203,9 +267,10 @@ class TcConstants(_TwoWeight):
     _pair, _family, _relative = "(q1, q2)", "family", False
 
 
-def tc_constants(pop: PopulationParams, f: float, a: float, b: float,
-                 alpha: float, beta: float) -> TcConstants:
-    """Expansion constants for the transform ((a*X+b)/(a*x+b))^alpha * exp-tilt^beta."""
+def tc_constants(cfg: TcConfig, pop: PopulationParams, f: float) -> TcConstants:
+    """Expansion constants for the transform ((a*X+b)/(a*x+b))^alpha * exp-tilt^beta
+    that ``cfg`` picks; its weights are not read."""
+    a, b, alpha, beta = cfg.a, cfg.b, cfg.alpha, cfg.beta
     base = a * pop.xbar + b
     if base <= 0.0:
         raise NonpositiveTransform(f"a*xbar + b must be positive, got {base}")
@@ -230,86 +295,19 @@ def tc_constants(pop: PopulationParams, f: float, a: float, b: float,
     )
 
 
-def tc_bias(pop: PopulationParams, f: float, tc: TcConstants, q1: float, q2: float) -> float:
+def _tc_bias(cfg, pop: PopulationParams, f: float) -> float:
     """First-order bias of the family at a weight pair."""
+    tc = tc_constants(cfg, pop, f)
+    q1, q2 = cfg.q1, cfg.q2
     P, X = pop.P, pop.xbar
     _, rcx, _, cx2, _, _ = _moments(pop)
     return P * (q1 - 1.0) + f * ((q2 * X * tc.bc + q1 * P * tc.ac) * cx2
                                  - q1 * P * tc.bc * rcx)
 
 
-# --- power-transform estimator (alpha, beta) -------------------------------------
-
-
-def t1_optimal(pop: PopulationParams) -> tuple[float, float]:
-    """Optimal exponent pair of the power-transform estimator.
-
-    alpha* = cp*(rho*(lambda04-1) - lambda03*lambda12) / (cx*gap) and
-    beta*  = cp*(lambda12 - rho*lambda03) / gap, with
-    gap = (lambda04-1) - lambda03^2: the regression coefficients of the
-    proportion channel on the auxiliary block of C.
-    """
-    alpha, beta, _ = _regression(pop)
-    return alpha, beta
-
-
-def t1_mse(pop: PopulationParams, f: float, alpha: float, beta: float) -> float:
-    """First-order MSE of the power-transform estimator, f*P^2*w'Cw at
-    w = (1, -alpha, -beta)."""
-    value = f * pop.P**2 * _form(_moments(pop), 1.0, -alpha, -beta)
-    return _check_mse(value, var_usual(pop, f), "power-transform MSE")
-
-
-def t1_min_mse(pop: PopulationParams, f: float) -> float:
-    """Minimum MSE, f*P^2*cp^2*(1 - rho^2 - (lambda03*rho - lambda12)^2/gap):
-    f*P^2 times the Schur complement of the auxiliary block of C."""
-    alpha, beta, c = _regression(pop)
-    return _check_mse(f * pop.P**2 * (c[0] - (alpha * c[1] + beta * c[2])),
-                      var_usual(pop, f), "power-transform minimum MSE")
-
-
-def t1_bias(pop: PopulationParams, f: float, alpha: float, beta: float) -> float:
-    """First-order bias of the power-transform estimator at given exponents."""
-    _, c01, c02, c11, c12, c22 = _moments(pop)
-    return f * pop.P * (
-        alpha * (alpha + 1.0) / 2.0 * c11
-        + beta * (beta + 1.0) / 2.0 * c22
-        + alpha * beta * c12
-        - alpha * c01
-        - beta * c02
-    )
-
-
-# --- two-channel linear class (h1, h2) -------------------------------------------
-
-
-def t2_optimal(pop: PopulationParams) -> tuple[float, float]:
-    """Optimal absolute offsets of the linear two-channel member.
-
-    Equal to ``-P`` times the optimal power-transform exponents, so the two
-    families share one minimum.
-    """
-    alpha, beta = t1_optimal(pop)
-    return -pop.P * alpha, -pop.P * beta
-
-
-def t2_mse(pop: PopulationParams, f: float, h1: float, h2: float) -> float:
-    """MSE of the two-channel linear member, f*w'Cw at w = (P, h1, h2)."""
-    value = f * _form(_moments(pop), pop.P, h1, h2)
-    return _check_mse(value, var_usual(pop, f), "two-channel linear MSE")
-
-
-def class_bias_t2(pop: PopulationParams, f: float, h3: float, h4: float, h5: float,
-                  h6: float, h7: float, h8: float) -> float:
-    """First-order class bias as a linear form in six second-derivative values."""
-    return f * (
-        pop.P * pop.cp**2 * h3
-        + pop.cx**2 * h4
-        + (pop.lambda04 - 1.0) * h5
-        + pop.P * pop.rho_pb * pop.cp * pop.cx * h6
-        + pop.cx * pop.lambda03 * h7
-        + pop.P * pop.cp * pop.lambda12 * h8
-    )
+def _tc_shown(cfg, pop: PopulationParams, f: float) -> dict[str, float]:
+    tcc = tc_constants(cfg, pop, f)
+    return {"q1": cfg.q1, "q2": cfg.q2, "theta": tcc.theta, "bc": tcc.bc, "ac": tcc.ac}
 
 
 # --- two-term weighted family (m1, m2) --------------------------------------------
@@ -335,14 +333,15 @@ class T3Constants(_TwoWeight):
     _pair, _family, _relative = "(m1, m2)", "two-term family", True
 
 
-def t3_constants(pop: PopulationParams, f: float, gamma: float, g: float,
-                 delta: float) -> T3Constants:
-    """Expansion constants of the two-term family at switches (gamma, g, delta).
+def t3_constants(cfg: T3Config, pop: PopulationParams, f: float) -> T3Constants:
+    """Expansion constants of the two-term family at the switches (gamma, g,
+    delta) of ``cfg``; its weights are not read.
 
     Each channel mean pairs with the moments of its own deviation channel:
     ``b`` with the mean channel (rho_pb*cp*cx, cx^2), ``e`` with the variance
     channel (cp*lambda12, lambda04 - 1).
     """
+    gamma, g, delta = cfg.gamma, cfg.g, cfg.delta
     cp2, rcx, cl12, cx2, cl03, l4m1 = _moments(pop)
     a = 1.0 + f * (cp2 - 4.0 * gamma * g * rcx + gamma**2 * g * (2.0 * g + 1.0) * cx2)
     b = 1.0 - gamma * g * f * rcx + g * (g + 1.0) / 2.0 * gamma**2 * f * cx2
@@ -355,18 +354,11 @@ def t3_constants(pop: PopulationParams, f: float, gamma: float, g: float,
     return T3Constants(a=a, b=b, c=c, d=d, e=e)
 
 
-def t3_bias(t3c: T3Constants, pop: PopulationParams, m1: float, m2: float) -> float:
-    """First-order bias of the two-term family, -P*(1 - m1*b - m2*e)."""
-    return -pop.P * (1.0 - m1 * t3c.b - m2 * t3c.e)
-
-
-def t3_bias_min(t3c: T3Constants, pop: PopulationParams) -> float:
-    """Bias at the optimal weights, -P*(1 - (b^2*c - 2*b*d*e + a*e^2)/det).
-
-    This equals ``-min_mse/P``: at the stationary pair the quadratic form
-    collapses so that the first-order bias and MSE share one bracket.
-    """
-    return -pop.P * (1.0 - t3c._reduction())
+def t3_bias(cfg: T3Config, pop: PopulationParams, f: float) -> float:
+    """First-order bias of the two-term family at the weights of a resolved
+    ``cfg``, -P*(1 - m1*b - m2*e)."""
+    t3c = t3_constants(cfg, pop, f)
+    return -pop.P * (1.0 - cfg.m1 * t3c.b - cfg.m2 * t3c.e)
 
 
 # --- the per-family table ----------------------------------------------------------
@@ -440,19 +432,7 @@ class Family:
         return self.formulas if self._free(cfg) else {**self.formulas, **self.fixed_formulas}
 
 
-def _tc(cfg, pop: PopulationParams, f: float) -> TcConstants:
-    return tc_constants(pop, f, cfg.a, cfg.b, cfg.alpha, cfg.beta)
-
-
-def _t3(cfg, pop: PopulationParams, f: float) -> T3Constants:
-    return t3_constants(pop, f, cfg.gamma, cfg.g, cfg.delta)
-
-
-def _tc_shown(cfg, pop: PopulationParams, f: float) -> dict[str, float]:
-    tcc = _tc(cfg, pop, f)
-    return {"q1": cfg.q1, "q2": cfg.q2, "theta": tcc.theta, "bc": tcc.bc, "ac": tcc.ac}
-
-
+_RATIO = T1Config(alpha=1.0, beta=0.0)  # the ratio estimate ta is t1 at (1, 0)
 _UNBIASED_LINEAR = "0 (linear member is first-order unbiased)"
 
 FAMILIES: dict[str, Family] = {
@@ -460,23 +440,19 @@ FAMILIES: dict[str, Family] = {
                     lambda cfg, pop, f: var_usual(pop, f), label="p",
                     formulas={"mse": "var_usual: f*P^2*cp^2",
                               "bias": "0 (exactly unbiased)"}),
-    # the ratio estimate is t1 at (alpha, beta) = (1, 0)
-    "ta": Family(lambda cfg, pop, f: t1_mse(pop, f, 1.0, 0.0),
-                 lambda cfg, pop, f: t1_mse(pop, f, 1.0, 0.0),
-                 bias=lambda cfg, pop, f: t1_bias(pop, f, 1.0, 0.0),
+    "ta": Family(lambda cfg, pop, f: _power_mse(_RATIO, pop, f),
+                 lambda cfg, pop, f: _power_mse(_RATIO, pop, f),
+                 bias=lambda cfg, pop, f: _power_bias(_RATIO, pop, f),
                  formulas={"mse": "mse_ta: f*P^2*(cp^2+cx^2-2*rho_pb*cp*cx)",
                            "bias": "bias_ta: f*P*(cx^2-rho_pb*cp*cx)"}),
-    "tb": Family(lambda cfg, pop, f: t2_mse(pop, f, cfg.h1, 0.0),
-                 lambda cfg, pop, f: min_mse_tb(pop, f),
-                 TbConfig, optimum=lambda cfg, pop, f: (tb_optimal_h1(pop),),
+    "tb": Family(lambda cfg, pop, f: _linear_mse(T2Config(h1=cfg.h1, h2=0.0), pop, f),
+                 _tb_min_mse, TbConfig, optimum=_tb_optimum,
                  formulas={"mse": "min_mse_tb: f*P^2*cp^2*(1-rho_pb^2)",
                            "bias": _UNBIASED_LINEAR}),
-    "tc": Family(lambda cfg, pop, f: _tc(cfg, pop, f).mse(pop, cfg.q1, cfg.q2),
-                 lambda cfg, pop, f: _tc(cfg, pop, f).min_mse(pop),
-                 TcConfig, optimum=lambda cfg, pop, f: _tc(cfg, pop, f).optimum(),
-                 census=(1.0, 0.0),
-                 bias=lambda cfg, pop, f: tc_bias(pop, f, _tc(cfg, pop, f), cfg.q1, cfg.q2),
-                 shown=_tc_shown,
+    "tc": Family(lambda cfg, pop, f: tc_constants(cfg, pop, f).mse(pop, cfg.q1, cfg.q2),
+                 lambda cfg, pop, f: tc_constants(cfg, pop, f).min_mse(pop),
+                 TcConfig, optimum=lambda cfg, pop, f: tc_constants(cfg, pop, f).optimum(),
+                 census=(1.0, 0.0), bias=_tc_bias, shown=_tc_shown,
                  formulas={"mse": "tc_min_mse: P^2-(d1*d5^2+d3*d4^2-2*d2*d4*d5)/(d1*d3-d2^2)",
                            "bias": "tc_bias: P*(q1-1)+f*((q2*X*bc+q1*P*ac)*cx^2"
                                    "-q1*P*bc*rho_pb*cp*cx)"},
@@ -485,26 +461,25 @@ FAMILIES: dict[str, Family] = {
                                         "-2*q1*d4-2*q2*d5"},
                  census_formulas={"mse": "census: f=0 collapses every first-order MSE",
                                   "bias": "census"}),
-    "t1": Family(lambda cfg, pop, f: t1_mse(pop, f, cfg.alpha, cfg.beta),
-                 lambda cfg, pop, f: t1_min_mse(pop, f),
-                 T1Config, optimum=lambda cfg, pop, f: t1_optimal(pop),
-                 bias=lambda cfg, pop, f: t1_bias(pop, f, cfg.alpha, cfg.beta),
+    "t1": Family(_power_mse, _schur_min_mse, T1Config,
+                 optimum=lambda cfg, pop, f: _regression(pop)[:2],
+                 bias=_power_bias,
                  formulas={"mse": "t1_min_mse: f*P^2*cp^2*(1-rho^2-(lambda03*rho-lambda12)^2/gap)",
                            "bias": "t1_bias at the optimal exponents"}),
-    "t2": Family(lambda cfg, pop, f: t2_mse(pop, f, cfg.h1, cfg.h2),
-                 lambda cfg, pop, f: t1_min_mse(pop, f),
-                 T2Config, optimum=lambda cfg, pop, f: t2_optimal(pop),
+    "t2": Family(_linear_mse, _schur_min_mse, T2Config,
+                 optimum=lambda cfg, pop, f: tuple(-pop.P * w for w in _regression(pop)[:2]),
                  formulas={"mse": "t2_min_mse == t1_min_mse (identical closed forms)",
                            "bias": _UNBIASED_LINEAR}),
     # A table cannot fix the t3 weights (TableConfig builds them free), so
-    # its rows sit at the optimum, where bias and MSE share one bracket.
-    "t3": Family(lambda cfg, pop, f: _check_mse(_t3(cfg, pop, f).mse(pop, cfg.m1, cfg.m2),
+    # its rows sit at the optimum, where the bias -P*(1 - b'A^-1 b) is
+    # -min_mse/P: bias and MSE share one bracket.
+    "t3": Family(lambda cfg, pop, f: _check_mse(t3_constants(cfg, pop, f).mse(pop, cfg.m1, cfg.m2),
                                                 pop.P**2, "two-term family MSE"),
-                 lambda cfg, pop, f: _t3(cfg, pop, f).min_mse(pop),
-                 T3Config, optimum=lambda cfg, pop, f: _t3(cfg, pop, f).optimum(),
+                 lambda cfg, pop, f: t3_constants(cfg, pop, f).min_mse(pop),
+                 T3Config, optimum=lambda cfg, pop, f: t3_constants(cfg, pop, f).optimum(),
                  census=(0.5, 0.5),
-                 bias=lambda cfg, pop, f: t3_bias_min(_t3(cfg, pop, f), pop),
-                 shown=lambda cfg, pop, f: {**vars(cfg), **vars(_t3(cfg, pop, f))},
+                 bias=lambda cfg, pop, f: -pop.P * (1.0 - t3_constants(cfg, pop, f)._reduction()),
+                 shown=lambda cfg, pop, f: {**vars(cfg), **vars(t3_constants(cfg, pop, f))},
                  formulas={"mse": "t3_min_mse: P^2*(1-(b^2*c-2*b*d*e+a*e^2)/(a*c-d^2))",
                            "bias": "t3_bias_min: -P*(1-(b^2*c-2*b*d*e+a*e^2)/(a*c-d^2))"},
                  census_formulas={"mse": "census", "bias": "census"}),

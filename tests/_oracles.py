@@ -265,7 +265,7 @@ def loop_report(frame, n, configs=None, reps=None, seed=None):
             except DataError:
                 failed[j, k] = True
     rows = _aggregate([cfg.name for cfg in configs], resolved, values, failed, pop, f,
-                      pop.P, exact=exact)
+                      exact=exact)
     return SimulationReport(
         n=n, population_size=frame.size, sampling_fraction=f, true_p=pop.P,
         replicates=len(samples), exact=exact, seed=None if exact else seed,

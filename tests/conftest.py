@@ -80,21 +80,21 @@ def well_posed_params(rng: np.random.Generator) -> tuple[PopulationParams, float
     indefinite, in which case its optimum is deliberately an error; draws are
     repeated until every family is well posed.
     """
-    from propaux import theory
+    from propaux import T1Config, T3Config, TcConfig, theory
 
     while True:
         pop = random_params(rng)
         f = 1 / max(5, pop.N // 6) - 1 / pop.N
         try:
-            t3c = theory.t3_constants(pop, f, 1.0, 1.0, 1.0)
+            t3c = theory.t3_constants(T3Config(), pop, f)
             if t3c.a * t3c.c - t3c.d**2 <= 1e-6:
                 continue
             t3c.optimum()
             t3c.min_mse(pop)
-            tcc = theory.tc_constants(pop, f, 1.0, 0.0, 1.0, 0.0)
+            tcc = theory.tc_constants(TcConfig(), pop, f)
             tcc.optimum()
             tcc.min_mse(pop)
-            theory.t1_optimal(pop)
+            theory.FAMILIES["t1"].optimum(T1Config(), pop, f)
         except theory.ToolkitError:
             continue
         return pop, f

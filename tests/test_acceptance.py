@@ -22,10 +22,12 @@ from propaux import (
     run_experiment,
     theory,
 )
-from propaux.config import T2Config
+from propaux.config import T1Config, T2Config, T3Config, TbConfig, TcConfig
 
 from conftest import random_frame, random_params, well_posed_params
 from _oracles import assert_stationary, grid_min
+
+TB, T1, T2 = (theory.FAMILIES[kind] for kind in ("tb", "t1", "t2"))
 
 
 @contextmanager
@@ -60,7 +62,7 @@ class TestCriterion1ExactIdentities:
             for _ in range(1000):
                 pop = random_params(rng)
                 fv = 1 / max(2, pop.N // 10) - 1 / pop.N
-                t1 = theory.t1_min_mse(pop, fv)
+                t1 = T1.min_mse(T1Config(), pop, fv)
                 t2 = theory.FAMILIES["t2"].min_mse(T2Config(), pop, fv)
                 assert t2 == pytest.approx(t1, rel=1e-12)
 
@@ -76,19 +78,19 @@ class TestCriterion2TableReproduction:
             f = ref_design.f
             baseline = theory.var_usual(ref_pop, f)
 
-            pre_tb = theory.pre(baseline, theory.min_mse_tb(ref_pop, f))
+            pre_tb = theory.pre(baseline, TB.min_mse(TbConfig(), ref_pop, f))
             assert pre_tb == pytest.approx(511.79, abs=0.05)
 
             pre_ta = theory.pre(baseline, theory.FAMILIES["ta"].mse(None, ref_pop, f))
             assert abs(pre_ta - 189.38) <= 1.0
 
-            pre_t1 = theory.pre(baseline, theory.t1_min_mse(ref_pop, f))
+            pre_t1 = theory.pre(baseline, T1.min_mse(T1Config(), ref_pop, f))
             pre_t2 = theory.pre(baseline,
                                  theory.FAMILIES["t2"].min_mse(T2Config(), ref_pop, f))
             assert abs(pre_t1 - 513.92) <= 1.5
             assert abs(pre_t2 - 513.92) <= 1.5
 
-            constants = theory.tc_constants(ref_pop, f, 1.0, 0.0, 1.0, 0.0)
+            constants = theory.tc_constants(TcConfig(), ref_pop, f)
             pre_tc = theory.pre(baseline, constants.min_mse(ref_pop))
             assert 505.0 <= pre_tc <= 525.0
 
@@ -155,29 +157,29 @@ class TestCriterion4Stationarity:
             for _ in range(100):
                 pop, f = well_posed_params(rng)
 
-                alpha, beta = theory.t1_optimal(pop)
-                assert_stationary(lambda v: theory.t1_mse(pop, f, v[0], v[1]),
+                alpha, beta = T1.optimum(T1Config(), pop, f)
+                assert_stationary(lambda v: T1.mse(T1Config(v[0], v[1]), pop, f),
                                   [alpha, beta])
 
-                h1, h2 = theory.t2_optimal(pop)
-                assert_stationary(lambda v: theory.t2_mse(pop, f, v[0], v[1]),
+                h1, h2 = T2.optimum(T2Config(), pop, f)
+                assert_stationary(lambda v: T2.mse(T2Config(v[0], v[1]), pop, f),
                                   [h1, h2])
 
-                constants = theory.tc_constants(pop, f, 1.0, 0.0, 1.0, 0.0)
+                constants = theory.tc_constants(TcConfig(), pop, f)
                 q1, q2 = constants.optimum()
                 assert_stationary(lambda v: constants.mse(pop, v[0], v[1]),
                                   [q1, q2])
 
-                t3c = theory.t3_constants(pop, f, 1.0, 1.0, 1.0)
+                t3c = theory.t3_constants(T3Config(), pop, f)
                 m1, m2 = t3c.optimum()
                 assert_stationary(lambda v: t3c.mse(pop, v[0], v[1]),
                                   [m1, m2])
 
             # the closed-form minimum dominates a dense grid around it
-            alpha, beta = theory.t1_optimal(ref_pop)
-            best = theory.t1_min_mse(ref_pop, ref_design.f)
+            alpha, beta = T1.optimum(T1Config(), ref_pop, ref_design.f)
+            best = T1.min_mse(T1Config(), ref_pop, ref_design.f)
             lowest = grid_min(
-                lambda v: theory.t1_mse(ref_pop, ref_design.f, v[0], v[1]),
+                lambda v: T1.mse(T1Config(v[0], v[1]), ref_pop, ref_design.f),
                 [alpha, beta], rel_span=0.5, steps=101)
             assert lowest >= best - 1e-12
 
@@ -196,8 +198,8 @@ class TestCriterion5Properties:
                 n = max(2, pop.N // 5)
                 f = 1 / n - 1 / pop.N
                 v = theory.var_usual(pop, f)
-                t1 = theory.t1_min_mse(pop, f)
-                tb = theory.min_mse_tb(pop, f)
+                t1 = T1.min_mse(T1Config(), pop, f)
+                tb = TB.min_mse(TbConfig(), pop, f)
                 assert t1 <= tb + 1e-12 * v
                 assert tb <= v + 1e-12 * v
 

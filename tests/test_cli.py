@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 
 import pytest
@@ -413,6 +414,26 @@ FAMILY_OPTIONS = [(name, option[2:]) for name, sub in _commands().items()
                   if option[2:] in theory.FAMILIES]
 
 
+#: (subcommand, kind, field) of every ``--<kind>`` field without a population
+#: optimum, which ``optimal`` cannot name.
+FIXED_FIELDS = [(command, kind, field.name) for command, kind in FAMILY_OPTIONS
+                for field in dataclasses.fields(theory.FAMILIES[kind].params)
+                if field.name not in theory.FAMILIES[kind].constants]
+
+
+def _required_argv(command: str, kind: str, pop_csv, ref_params_path, tmp_path) -> list[str]:
+    """``command`` with a value for each of its required options; ``estimate``
+    evaluates ``kind``, and any report goes to ``tmp_path/out.json``."""
+    values = {"input": str(pop_csv), "params": str(ref_params_path),
+              "output": str(tmp_path / "out.json"), "n": "6", "reps": "200",
+              "seed": "1", "digits": "3", "indices": "0,1,2,3,4", "estimator": kind}
+    argv = [command]
+    for action in _commands()[command]._actions:
+        if action.required:
+            argv += [action.option_strings[0], values[action.dest]]
+    return argv
+
+
 class TestFamilyFlags:
     def test_flags_are_found(self):
         assert {("estimate", "t1"), ("simulate", "tc"), ("pre", "t3")} <= set(FAMILY_OPTIONS)
@@ -422,13 +443,23 @@ class TestFamilyFlags:
                                          capsys, command, kind):
         """A malformed value of any family flag is a usage error, so no such
         flag is silently ignored."""
-        values = {"input": str(pop_csv), "params": str(ref_params_path),
-                  "output": str(tmp_path / "out.json"), "n": "6", "reps": "200",
-                  "seed": "1", "digits": "3", "indices": "0,1,2,3,4", "estimator": kind}
-        argv = [command]
-        for action in _commands()[command]._actions:
-            if action.required:
-                argv += [action.option_strings[0], values[action.dest]]
+        argv = _required_argv(command, kind, pop_csv, ref_params_path, tmp_path)
         assert main([*argv, f"--{kind}", "bogus=1"]) == 1
         assert "bogus=1" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_fixed_fields_are_found(self):
+        assert {("pre", "tc", "alpha"), ("simulate", "t3", "gamma"),
+                ("estimate", "tc", "a")} <= set(FIXED_FIELDS)
+
+    @pytest.mark.parametrize("command, kind, name", FIXED_FIELDS)
+    def test_optimal_names_only_constants(self, pop_csv, ref_params_path, tmp_path,
+                                          capsys, command, kind, name):
+        """``optimal`` for a field without a population optimum is a one-line
+        usage error, not a crash."""
+        argv = _required_argv(command, kind, pop_csv, ref_params_path, tmp_path)
+        assert main([*argv, f"--{kind}", f"{name}=optimal"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert f"{name}=optimal" in err and "Traceback" not in err
         assert not (tmp_path / "out.json").exists()

@@ -45,6 +45,9 @@ def pop():
     return compute_population_params(frame)
 
 
+TB, T2 = theory.FAMILIES["tb"], theory.FAMILIES["t2"]
+
+
 def balanced_sample(pop, n=10, p=0.5):
     """A sample whose auxiliary statistics equal the population values."""
     return SampleStats(n=n, p=p, xbar_s=pop.xbar, sx2_s=pop.sx2)
@@ -99,7 +102,7 @@ class TestRegression:
         stats = balanced_sample(pop)
         estimate = evaluate(stats, pop, EstimatorConfig(kind="tb"))
         assert estimate.config_used.params.h1 == pytest.approx(
-            theory.tb_optimal_h1(pop), rel=1e-15)
+            TB.optimum(TbConfig(), pop, sampling_fraction(stats.n, pop.N))[0], rel=1e-15)
 
 
 class TestTcFamily:
@@ -132,7 +135,7 @@ class TestTcFamily:
         stats = balanced_sample(pop)
         estimate = evaluate(stats, pop, cfg)
         f = sampling_fraction(stats.n, pop.N)
-        constants = theory.tc_constants(pop, f, 1.0, 0.0, 1.0, 0.0)
+        constants = theory.tc_constants(TcConfig(), pop, f)
         q1, q2 = constants.optimum()
         assert estimate.config_used.params.q1 == pytest.approx(q1, rel=1e-15)
         assert estimate.config_used.params.q2 == pytest.approx(q2, rel=1e-15)
@@ -170,7 +173,7 @@ class TestT2:
         assert evaluate(stats, pop, cfg).value == 0.4
 
     def test_nests_the_regression_member(self, pop):
-        h1 = theory.tb_optimal_h1(pop)
+        h1 = TB.optimum(TbConfig(), pop, sampling_fraction(10, pop.N))[0]
         cfg = EstimatorConfig(kind="t2", params=T2Config(h1=h1, h2=0.0))
         stats = SampleStats(n=10, p=0.4, xbar_s=1.2 * pop.xbar, sx2_s=0.7 * pop.sx2)
         assert evaluate(stats, pop, cfg).value == evaluate(
@@ -179,7 +182,7 @@ class TestT2:
     def test_optimal_offsets_recorded(self, pop):
         stats = balanced_sample(pop)
         estimate = evaluate(stats, pop, EstimatorConfig(kind="t2"))
-        h1, h2 = theory.t2_optimal(pop)
+        h1, h2 = T2.optimum(T2Config(), pop, sampling_fraction(stats.n, pop.N))
         assert estimate.config_used.params.h1 == pytest.approx(h1, rel=1e-15)
         assert estimate.config_used.params.h2 == pytest.approx(h2, rel=1e-15)
 
@@ -207,7 +210,7 @@ class TestT3:
         stats = balanced_sample(pop)
         estimate = evaluate(stats, pop, EstimatorConfig(kind="t3"))
         f = sampling_fraction(stats.n, pop.N)
-        constants = theory.t3_constants(pop, f, 1.0, 1.0, 1.0)
+        constants = theory.t3_constants(T3Config(), pop, f)
         m1, m2 = constants.optimum()
         assert estimate.config_used.params.m1 == pytest.approx(m1, rel=1e-15)
         assert estimate.config_used.params.m2 == pytest.approx(m2, rel=1e-15)

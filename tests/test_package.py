@@ -20,18 +20,19 @@ import numpy as np
 import pytest
 
 import propaux
-from propaux import documents, io
+from propaux import documents, io, theory
 from propaux.errors import InvalidDesign
 
 from test_golden import DOCUMENT, GOLDEN
 
 PACKAGE = Path(propaux.__file__).parent
+README = Path(__file__).parent.parent / "README.md"
 
 #: The modules that load without numpy (``__init__`` is the package itself).
 NUMPY_FREE = ("__init__", "cli", "config", "documents", "errors", "model", "theory")
 
-#: Where each name of ``propaux.__all__`` lives, as the package exported it
-#: when it imported every module eagerly.
+#: Where each name of ``propaux.__all__`` lives. The per-kind theory
+#: functions are reached through ``theory.FAMILIES`` and are not exported.
 HOMES = {
     "config": ("T1Config", "T2Config", "T3Config", "TableConfig", "TbConfig", "TcConfig"),
     "errors": ("DataError", "NumericalError", "ToolkitError"),
@@ -43,11 +44,14 @@ HOMES = {
                    "batch_stats", "central_moment", "compute_population_params",
                    "sample_stats", "sampling_fraction"),
     "theory": ("SensitivityReport", "T3Constants", "TcConstants", "TheoryReport",
-               "class_bias_t2", "class_bias_tb", "comparison_conditions", "min_mse_tb",
-               "pre", "sensitivity", "t1_bias", "t1_min_mse", "t1_mse", "t1_optimal",
-               "t2_mse", "t2_optimal", "t3_bias", "t3_bias_min", "t3_constants",
-               "tb_optimal_h1", "tc_bias", "tc_constants", "theory_report", "var_usual"),
+               "class_bias_t2", "class_bias_tb", "comparison_conditions", "pre",
+               "sensitivity", "t3_bias", "t3_constants", "tc_constants", "theory_report",
+               "var_usual"),
 }
+
+#: The per-kind closed forms that ``theory.FAMILIES`` is the only route to.
+REGISTRY_ONLY = ("min_mse_tb", "t1_bias", "t1_min_mse", "t1_mse", "t1_optimal", "t2_mse",
+                 "t2_optimal", "t3_bias_min", "tb_optimal_h1", "tc_bias")
 
 #: The names ``propaux.io`` defined when it held the JSON half too.
 IO_NAMES = ("PROVENANCE_FRAME", "PROVENANCE_USER", "ParamsDocument", "build_report_document",
@@ -153,6 +157,16 @@ class TestPublicSurface:
         module = importlib.import_module(f"propaux.{home}")
         for name in HOMES[home]:
             assert getattr(propaux, name) is getattr(module, name), name
+
+    def test_theory_has_one_entry_point_per_kind(self):
+        for name in REGISTRY_ONLY:
+            assert not hasattr(theory, name) and name not in propaux.__all__, name
+
+    def test_readme_library_example_runs(self):
+        """The README's Library code block runs as written, in a fresh
+        interpreter."""
+        library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+        fresh(library.split("```python\n", 1)[1].split("\n```", 1)[0])
 
     def test_submodules_resolve(self):
         for name in ("config", "errors", "estimators", "montecarlo", "population", "theory"):

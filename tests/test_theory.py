@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from propaux import theory
-from propaux.config import T2Config, TableConfig, TcConfig
+from propaux.config import T1Config, T2Config, T3Config, TableConfig, TbConfig, TcConfig
 from propaux.errors import (
     DegenerateMoments,
     InvalidConfig,
@@ -48,6 +48,8 @@ def plain_pop() -> PopulationParams:
 
 F_PLAIN = 1 / 20 - 1 / 100
 
+TB, T1, T2 = (theory.FAMILIES[kind] for kind in ("tb", "t1", "t2"))
+
 
 class TestVarUsual:
     def test_reference_value(self, ref_pop, ref_design):
@@ -82,21 +84,21 @@ class TestRatio:
 
 class TestRegressionClass:
     def test_reference_minimum_matches_rational_oracle(self, ref_pop, ref_design):
-        assert theory.min_mse_tb(ref_pop, ref_design.f) == pytest.approx(
+        assert TB.min_mse(TbConfig(), ref_pop, ref_design.f) == pytest.approx(
             float(rational_min_mse_tb()), rel=1e-13)
 
     def test_reference_pre(self, ref_pop, ref_design):
         value = theory.pre(theory.var_usual(ref_pop, ref_design.f),
-                           theory.min_mse_tb(ref_pop, ref_design.f))
+                           TB.min_mse(TbConfig(), ref_pop, ref_design.f))
         assert value == pytest.approx(511.79, abs=0.05)
 
     def test_zero_correlation_matches_usual(self, plain_pop):
         pop = dataclasses.replace(plain_pop, rho_pb=0.0)
-        assert theory.min_mse_tb(pop, F_PLAIN) == theory.var_usual(pop, F_PLAIN)
+        assert TB.min_mse(TbConfig(), pop, F_PLAIN) == theory.var_usual(pop, F_PLAIN)
 
     def test_perfect_correlation_vanishes(self, plain_pop):
         pop = dataclasses.replace(plain_pop, rho_pb=1.0)
-        assert theory.min_mse_tb(pop, F_PLAIN) == pytest.approx(0.0, abs=1e-15)
+        assert TB.min_mse(TbConfig(), pop, F_PLAIN) == pytest.approx(0.0, abs=1e-15)
 
     def test_class_bias_zeroes(self, plain_pop):
         assert theory.class_bias_tb(plain_pop, F_PLAIN, 0.0, 0.0, 0.0) == 0.0
@@ -118,13 +120,13 @@ class TestRegressionClass:
 
 class TestTcFamily:
     def test_plain_ratio_transform(self, ref_pop, ref_design):
-        tc = theory.tc_constants(ref_pop, ref_design.f, 1.0, 0.0, 1.0, 0.0)
+        tc = theory.tc_constants(TcConfig(), ref_pop, ref_design.f)
         assert tc.theta == 1.0
         assert tc.bc == 1.0
         assert tc.ac == 1.0
 
     def test_inert_transform(self, ref_pop, ref_design):
-        tc = theory.tc_constants(ref_pop, ref_design.f, 1.0, 0.0, 0.0, 0.0)
+        tc = theory.tc_constants(TcConfig(alpha=0.0), ref_pop, ref_design.f)
         assert tc.bc == 0.0
         assert tc.ac == 0.0
         # m1 = P^2*f*cp^2 is all that delta1 adds to P^2 here
@@ -132,27 +134,27 @@ class TestTcFamily:
             ref_pop.P**2 * ref_design.f * ref_pop.cp**2, rel=1e-13)
 
     def test_reference_deltas_match_rational_oracle(self, ref_pop, ref_design):
-        tc = theory.tc_constants(ref_pop, ref_design.f, 1.0, 0.0, 1.0, 0.0)
+        tc = theory.tc_constants(TcConfig(), ref_pop, ref_design.f)
         expect = rational_tc_deltas()
         for name in ("delta1", "delta2", "delta3", "delta4", "delta5"):
             assert getattr(tc, name) == pytest.approx(float(expect[name]), rel=1e-12), name
 
     def test_reference_min_mse_and_pre(self, ref_pop, ref_design):
-        tc = theory.tc_constants(ref_pop, ref_design.f, 1.0, 0.0, 1.0, 0.0)
+        tc = theory.tc_constants(TcConfig(), ref_pop, ref_design.f)
         mse = tc.min_mse(ref_pop)
         assert mse == pytest.approx(float(rational_tc_min_mse()), rel=1e-12)
         value = theory.pre(theory.var_usual(ref_pop, ref_design.f), mse)
         assert 505.0 <= value <= 525.0
 
     def test_optimal_q_is_stationary(self, ref_pop, ref_design):
-        tc = theory.tc_constants(ref_pop, ref_design.f, 1.0, 0.0, 1.0, 0.0)
+        tc = theory.tc_constants(TcConfig(), ref_pop, ref_design.f)
         q1, q2 = tc.optimum()
         fn = lambda q: tc.mse(ref_pop, q[0], q[1])
         assert_stationary(fn, [q1, q2])
         assert all(abs(g) <= 1e-8 for g in fd_gradient(fn, [q1, q2]))
 
     def test_optimal_q_beats_grid(self, ref_pop, ref_design):
-        tc = theory.tc_constants(ref_pop, ref_design.f, 1.0, 0.0, 1.0, 0.0)
+        tc = theory.tc_constants(TcConfig(), ref_pop, ref_design.f)
         q1, q2 = tc.optimum()
         best = tc.min_mse(ref_pop)
         # 401x401 grid spanning half the optimum in each coordinate
@@ -165,7 +167,7 @@ class TestTcFamily:
         assert surface.min() >= best - 1e-12
 
     def test_substitution_closure(self, ref_pop, ref_design):
-        tc = theory.tc_constants(ref_pop, ref_design.f, 1.0, 0.0, 1.0, 0.0)
+        tc = theory.tc_constants(TcConfig(), ref_pop, ref_design.f)
         q1, q2 = tc.optimum()
         assert tc.mse(ref_pop, q1, q2) == pytest.approx(
             tc.min_mse(ref_pop), rel=1e-10)
@@ -198,64 +200,64 @@ class TestTcFamily:
 
     def test_ratio_config_bias_reduction(self, ref_pop, ref_design):
         f = ref_design.f
-        tc = theory.tc_constants(ref_pop, f, 1.0, 0.0, 1.0, 0.0)
-        bias = theory.tc_bias(ref_pop, f, tc, 1.0, 0.0)
+        tc = theory.tc_constants(TcConfig(), ref_pop, f)
+        bias = theory.FAMILIES["tc"].bias(TcConfig(q1=1.0, q2=0.0), ref_pop, f)
         expect = f * ref_pop.P * (tc.ac * ref_pop.cx**2
                                   - tc.bc * ref_pop.rho_pb * ref_pop.cp * ref_pop.cx)
         assert bias == pytest.approx(expect, rel=1e-12)
 
     def test_nonpositive_transform(self, ref_pop, ref_design):
         with pytest.raises(theory.NonpositiveTransform):
-            theory.tc_constants(ref_pop, ref_design.f, -1.0, 0.0, 1.0, 0.0)
+            theory.tc_constants(TcConfig(a=-1.0), ref_pop, ref_design.f)
 
 
 class TestT1:
     def test_uncorrelated_variance_channel(self, plain_pop):
         pop = dataclasses.replace(plain_pop, lambda03=0.0, lambda12=0.0)
-        alpha, beta = theory.t1_optimal(pop)
+        alpha, beta = T1.optimum(T1Config(), pop, F_PLAIN)
         assert alpha == pytest.approx(pop.cp * pop.rho_pb / pop.cx, rel=1e-12)
         assert beta == 0.0
 
     def test_no_exploitable_correlation(self, plain_pop):
         pop = dataclasses.replace(plain_pop, rho_pb=0.0, lambda12=0.0)
-        alpha, beta = theory.t1_optimal(pop)
+        alpha, beta = T1.optimum(T1Config(), pop, F_PLAIN)
         assert alpha == pytest.approx(0.0, abs=1e-15)
         assert beta == pytest.approx(0.0, abs=1e-15)
 
     def test_reference_minimum_matches_rational_oracle(self, ref_pop, ref_design):
-        assert theory.t1_min_mse(ref_pop, ref_design.f) == pytest.approx(
+        assert T1.min_mse(T1Config(), ref_pop, ref_design.f) == pytest.approx(
             float(rational_t1_min_mse()), rel=1e-13)
 
     def test_reference_pre_band(self, ref_pop, ref_design):
         value = theory.pre(theory.var_usual(ref_pop, ref_design.f),
-                           theory.t1_min_mse(ref_pop, ref_design.f))
+                           T1.min_mse(T1Config(), ref_pop, ref_design.f))
         assert value == pytest.approx(513.13, abs=0.01)
 
     def test_zero_exponents_match_usual(self, ref_pop, ref_design):
-        assert theory.t1_mse(ref_pop, ref_design.f, 0.0, 0.0) == pytest.approx(
+        assert T1.mse(T1Config(0.0, 0.0), ref_pop, ref_design.f) == pytest.approx(
             theory.var_usual(ref_pop, ref_design.f), rel=1e-15)
 
     def test_substitution_closure(self, ref_pop, ref_design):
-        alpha, beta = theory.t1_optimal(ref_pop)
-        assert theory.t1_mse(ref_pop, ref_design.f, alpha, beta) == pytest.approx(
-            theory.t1_min_mse(ref_pop, ref_design.f), rel=1e-12)
+        alpha, beta = T1.optimum(T1Config(), ref_pop, ref_design.f)
+        assert T1.mse(T1Config(alpha, beta), ref_pop, ref_design.f) == pytest.approx(
+            T1.min_mse(T1Config(), ref_pop, ref_design.f), rel=1e-12)
 
     def test_optimum_is_stationary(self, ref_pop, ref_design):
-        alpha, beta = theory.t1_optimal(ref_pop)
-        fn = lambda v: theory.t1_mse(ref_pop, ref_design.f, v[0], v[1])
+        alpha, beta = T1.optimum(T1Config(), ref_pop, ref_design.f)
+        fn = lambda v: T1.mse(T1Config(v[0], v[1]), ref_pop, ref_design.f)
         assert_stationary(fn, [alpha, beta])
         assert all(abs(g) <= 1e-8 for g in fd_gradient(fn, [alpha, beta]))
 
     def test_mean_channel_only_recovers_regression_class(self, ref_pop, ref_design):
         # optimizing alpha alone (beta pinned at 0) lands on the regression minimum
         alpha = ref_pop.cp * ref_pop.rho_pb / ref_pop.cx
-        assert theory.t1_mse(ref_pop, ref_design.f, alpha, 0.0) == pytest.approx(
-            theory.min_mse_tb(ref_pop, ref_design.f), rel=1e-12)
+        assert T1.mse(T1Config(alpha, 0.0), ref_pop, ref_design.f) == pytest.approx(
+            TB.min_mse(TbConfig(), ref_pop, ref_design.f), rel=1e-12)
 
     def test_grid_domination(self, ref_pop, ref_design):
-        alpha, beta = theory.t1_optimal(ref_pop)
-        best = theory.t1_min_mse(ref_pop, ref_design.f)
-        worst = grid_min(lambda v: theory.t1_mse(ref_pop, ref_design.f, v[0], v[1]),
+        alpha, beta = T1.optimum(T1Config(), ref_pop, ref_design.f)
+        best = T1.min_mse(T1Config(), ref_pop, ref_design.f)
+        worst = grid_min(lambda v: T1.mse(T1Config(v[0], v[1]), ref_pop, ref_design.f),
                          [alpha, beta], steps=101)
         assert worst >= best - 1e-12
 
@@ -263,54 +265,53 @@ class TestT1:
         # two-point auxiliary marginal: kurtosis 1, no skewness, zero gap
         pop = dataclasses.replace(plain_pop, lambda03=0.0, lambda04=1.0)
         with pytest.raises(DegenerateMoments):
-            theory.t1_optimal(pop)
+            T1.optimum(T1Config(), pop, F_PLAIN)
 
     def test_unrealizable_parameters_raise_negative_mse(self, plain_pop):
         pop = dataclasses.replace(plain_pop, rho_pb=0.0, lambda03=0.0,
                                   lambda04=2.0, lambda12=1.5)
         with pytest.raises(NegativeMse):
-            theory.t1_min_mse(pop, F_PLAIN)
+            T1.min_mse(T1Config(), pop, F_PLAIN)
 
     def test_perturbing_optimum_never_improves(self, ref_pop, ref_design):
-        alpha, beta = theory.t1_optimal(ref_pop)
-        best = theory.t1_min_mse(ref_pop, ref_design.f)
+        alpha, beta = T1.optimum(T1Config(), ref_pop, ref_design.f)
+        best = T1.min_mse(T1Config(), ref_pop, ref_design.f)
         for da in (-0.1, 0.0, 0.1):
             for db in (-0.1, 0.0, 0.1):
-                value = theory.t1_mse(ref_pop, ref_design.f,
-                                      alpha * (1 + da), beta * (1 + db))
+                value = T1.mse(T1Config(alpha * (1 + da), beta * (1 + db)), ref_pop, ref_design.f)
                 assert value >= best - 1e-15
 
 
 class TestT2:
     def test_minimum_identical_to_t1(self, ref_pop, ref_design):
         assert theory.FAMILIES["t2"].min_mse(T2Config(), ref_pop, ref_design.f) == (
-            theory.t1_min_mse(ref_pop, ref_design.f))
+            T1.min_mse(T1Config(), ref_pop, ref_design.f))
 
     def test_identity_on_random_vectors(self, rng):
         for _ in range(50):
             pop = random_params(rng)
             f = 1 / 30 - 1 / pop.N if pop.N > 30 else 1 / 2 - 1 / pop.N
-            t1 = theory.t1_min_mse(pop, f)
+            t1 = T1.min_mse(T1Config(), pop, f)
             t2 = theory.FAMILIES["t2"].min_mse(T2Config(), pop, f)
             assert t2 == pytest.approx(t1, rel=1e-12)
 
     def test_inert_variance_channel(self, plain_pop):
         pop = dataclasses.replace(plain_pop, lambda03=0.0, lambda12=0.0)
-        h1, h2 = theory.t2_optimal(pop)
+        h1, h2 = T2.optimum(T2Config(), pop, F_PLAIN)
         assert h2 == 0.0
         assert theory.FAMILIES["t2"].min_mse(T2Config(), pop, F_PLAIN) == pytest.approx(
-            theory.min_mse_tb(pop, F_PLAIN), rel=1e-12)
+            TB.min_mse(TbConfig(), pop, F_PLAIN), rel=1e-12)
 
-    def test_offsets_are_negative_p_times_exponents(self, ref_pop):
-        alpha, beta = theory.t1_optimal(ref_pop)
-        h1, h2 = theory.t2_optimal(ref_pop)
+    def test_offsets_are_negative_p_times_exponents(self, ref_pop, ref_design):
+        alpha, beta = T1.optimum(T1Config(), ref_pop, ref_design.f)
+        h1, h2 = T2.optimum(T2Config(), ref_pop, ref_design.f)
         assert h1 == pytest.approx(-ref_pop.P * alpha, rel=1e-15)
         assert h2 == pytest.approx(-ref_pop.P * beta, rel=1e-15)
 
     def test_optimum_is_stationary(self, ref_pop, ref_design):
-        h1, h2 = theory.t2_optimal(ref_pop)
+        h1, h2 = T2.optimum(T2Config(), ref_pop, ref_design.f)
         assert_stationary(
-            lambda v: theory.t2_mse(ref_pop, ref_design.f, v[0], v[1]), [h1, h2])
+            lambda v: T2.mse(T2Config(v[0], v[1]), ref_pop, ref_design.f), [h1, h2])
 
     def test_class_bias_zeroes(self, plain_pop):
         assert theory.class_bias_t2(plain_pop, F_PLAIN, 0, 0, 0, 0, 0, 0) == 0.0
@@ -332,7 +333,7 @@ class TestT2:
 
 class TestT3:
     def test_inert_switches(self, ref_pop, ref_design):
-        c = theory.t3_constants(ref_pop, ref_design.f, 1.0, 0.0, 0.0)
+        c = theory.t3_constants(T3Config(g=0.0, delta=0.0), ref_pop, ref_design.f)
         shrink = 1.0 + ref_design.f * ref_pop.cp**2
         assert c.a == pytest.approx(shrink, rel=1e-15)
         assert c.c == pytest.approx(shrink, rel=1e-15)
@@ -341,35 +342,36 @@ class TestT3:
         assert c.e == 1.0
 
     def test_zero_gamma_kills_ratio_channel(self, ref_pop, ref_design):
-        c = theory.t3_constants(ref_pop, ref_design.f, 0.0, 1.0, 1.0)
+        c = theory.t3_constants(T3Config(gamma=0.0), ref_pop, ref_design.f)
         assert c.b == 1.0
         assert c.a == pytest.approx(1.0 + ref_design.f * ref_pop.cp**2, rel=1e-15)
 
     def test_reference_constants_match_rational_oracle(self, ref_pop, ref_design):
-        c = theory.t3_constants(ref_pop, ref_design.f, 1.0, 1.0, 1.0)
+        c = theory.t3_constants(T3Config(), ref_pop, ref_design.f)
         expect = rational_t3_constants()
         for value, target in zip((c.a, c.b, c.c, c.d, c.e), expect):
             assert value == pytest.approx(float(target), rel=1e-13)
 
     def test_reference_min_mse_matches_rational_oracle(self, ref_pop, ref_design):
-        c = theory.t3_constants(ref_pop, ref_design.f, 1.0, 1.0, 1.0)
+        c = theory.t3_constants(T3Config(), ref_pop, ref_design.f)
         assert c.min_mse(ref_pop) == pytest.approx(
             float(rational_t3_min_mse()), rel=1e-11)
 
     def test_optimal_m_is_stationary(self, ref_pop, ref_design):
-        c = theory.t3_constants(ref_pop, ref_design.f, 1.0, 1.0, 1.0)
+        c = theory.t3_constants(T3Config(), ref_pop, ref_design.f)
         m1, m2 = c.optimum()
         fn = lambda v: c.mse(ref_pop, v[0], v[1])
         assert_stationary(fn, [m1, m2])
         assert all(abs(g) <= 1e-8 for g in fd_gradient(fn, [m1, m2]))
 
     def test_bias_at_optimum_equals_negative_mse_over_p(self, ref_pop, ref_design):
-        c = theory.t3_constants(ref_pop, ref_design.f, 1.0, 1.0, 1.0)
+        c = theory.t3_constants(T3Config(), ref_pop, ref_design.f)
         mse = c.min_mse(ref_pop)
-        bias = theory.t3_bias_min(c, ref_pop)
+        bias = theory.FAMILIES["t3"].bias(T3Config(), ref_pop, ref_design.f)
         assert bias == pytest.approx(-mse / ref_pop.P, rel=1e-12)
         m1, m2 = c.optimum()
-        assert theory.t3_bias(c, ref_pop, m1, m2) == pytest.approx(bias, rel=1e-10)
+        assert theory.t3_bias(T3Config(m1=m1, m2=m2), ref_pop, ref_design.f) == pytest.approx(
+            bias, rel=1e-10)
 
     def test_rank_deficient_system(self):
         c = theory.T3Constants(a=1.2, b=0.9, c=1.2, d=1.2, e=0.9)
@@ -377,14 +379,14 @@ class TestT3:
             c.optimum()
 
     def test_inert_case_is_flagged_singular(self, ref_pop, ref_design):
-        c = theory.t3_constants(ref_pop, ref_design.f, 1.0, 0.0, 0.0)
+        c = theory.t3_constants(T3Config(g=0.0, delta=0.0), ref_pop, ref_design.f)
         with pytest.raises(SingularSystem):
             c.optimum()
 
     def test_inert_case_shrinkage_line(self, ref_pop, ref_design):
         # with both channels inert any split of the optimal total weight
         # m1 + m2 = 1/(1 + f*cp^2) reaches the same shrinkage MSE
-        c = theory.t3_constants(ref_pop, ref_design.f, 1.0, 0.0, 0.0)
+        c = theory.t3_constants(T3Config(g=0.0, delta=0.0), ref_pop, ref_design.f)
         shrink = 1.0 + ref_design.f * ref_pop.cp**2
         total = 1.0 / shrink
         expect = ref_pop.P**2 * ref_design.f * ref_pop.cp**2 / shrink
@@ -410,7 +412,7 @@ class TestPre:
 
     def test_reference_regression_pre(self, ref_pop, ref_design):
         assert theory.pre(theory.var_usual(ref_pop, ref_design.f),
-                          theory.min_mse_tb(ref_pop, ref_design.f)) == pytest.approx(
+                          TB.min_mse(TbConfig(), ref_pop, ref_design.f)) == pytest.approx(
             511.79, abs=0.05)
 
     def test_nonpositive_mse(self):
@@ -425,8 +427,8 @@ class TestPre:
 class TestOrderingChain:
     def test_reference(self, ref_pop, ref_design):
         f = ref_design.f
-        t1 = theory.t1_min_mse(ref_pop, f)
-        tb = theory.min_mse_tb(ref_pop, f)
+        t1 = T1.min_mse(T1Config(), ref_pop, f)
+        tb = TB.min_mse(TbConfig(), ref_pop, f)
         v = theory.var_usual(ref_pop, f)
         assert t1 <= tb + 1e-12 * v
         assert tb <= v + 1e-12 * v
@@ -436,8 +438,8 @@ class TestOrderingChain:
             pop = random_params(rng)
             f = 1 / 25 - 1 / pop.N if pop.N > 25 else 1 / 2 - 1 / pop.N
             v = theory.var_usual(pop, f)
-            t1 = theory.t1_min_mse(pop, f)
-            tb = theory.min_mse_tb(pop, f)
+            t1 = T1.min_mse(T1Config(), pop, f)
+            tb = TB.min_mse(TbConfig(), pop, f)
             assert t1 <= tb + 1e-12 * v
             assert tb <= v + 1e-12 * v
 
@@ -449,8 +451,8 @@ class TestComparisonConditions:
         first = by_name["t1_t2_vs_usual"]
         assert first.holds
         assert first.guaranteed
-        expect_slack = theory.var_usual(ref_pop, ref_design.f) - theory.t1_min_mse(
-            ref_pop, ref_design.f)
+        expect_slack = theory.var_usual(ref_pop, ref_design.f) - T1.min_mse(
+            T1Config(), ref_pop, ref_design.f)
         assert first.slack == pytest.approx(expect_slack, rel=1e-12)
         assert by_name["t3_vs_usual"].holds
 
@@ -480,7 +482,7 @@ class TestTheoryReport:
         assert report.entry("tb").pre == pytest.approx(511.79, abs=0.05)
         assert report.entry("t1").pre == pytest.approx(report.entry("t2").pre, rel=1e-12)
         assert report.entry("tb").constants["h1"] == pytest.approx(
-            theory.tb_optimal_h1(ref_pop), rel=1e-15)
+            TB.optimum(TbConfig(), ref_pop, ref_design.f)[0], rel=1e-15)
         for entry in report.entries:
             assert entry.mse >= 0.0
             assert "mse" in entry.formulas
@@ -595,13 +597,13 @@ class TestRationalMinima:
             m = rational_moments(pop, f)
             scale = rational_var_usual(m)
             for value, exact in ((theory.FAMILIES["ta"].mse(None, pop, f), rational_mse_ta(m)),
-                                 (theory.min_mse_tb(pop, f), rational_min_mse_tb(m)),
-                                 (theory.t1_min_mse(pop, f), rational_t1_min_mse(m)),
+                                 (TB.min_mse(TbConfig(), pop, f), rational_min_mse_tb(m)),
+                                 (T1.min_mse(T1Config(), pop, f), rational_t1_min_mse(m)),
                                  (theory.FAMILIES["t2"].min_mse(T2Config(), pop, f),
                                   rational_t1_min_mse(m))):
                 assert abs(Fraction(value) - exact) <= Fraction(1e-12) * scale
-            tc = theory.tc_constants(pop, f, 1.0, 0.0, 1.0, 0.0)
-            t3c = theory.t3_constants(pop, f, 1.0, 1.0, 1.0)
+            tc = theory.tc_constants(TcConfig(), pop, f)
+            t3c = theory.t3_constants(T3Config(), pop, f)
             for value, exact, (a11, a12, a22) in (
                     (tc.min_mse(pop), rational_tc_min_mse(m),
                      (tc.delta1, tc.delta2, tc.delta3)),
@@ -618,18 +620,18 @@ class TestStationaritySweep:
         checked_tc = 0
         for _ in range(30):
             pop, f = well_posed_params(rng)
-            alpha, beta = theory.t1_optimal(pop)
-            assert_stationary(lambda v: theory.t1_mse(pop, f, v[0], v[1]),
+            alpha, beta = T1.optimum(T1Config(), pop, f)
+            assert_stationary(lambda v: T1.mse(T1Config(v[0], v[1]), pop, f),
                               [alpha, beta])
-            h1, h2 = theory.t2_optimal(pop)
-            assert_stationary(lambda v: theory.t2_mse(pop, f, v[0], v[1]), [h1, h2])
+            h1, h2 = T2.optimum(T2Config(), pop, f)
+            assert_stationary(lambda v: T2.mse(T2Config(v[0], v[1]), pop, f), [h1, h2])
             if pop.xbar > 0:
-                tc = theory.tc_constants(pop, f, 1.0, 0.0, 1.0, 0.0)
+                tc = theory.tc_constants(TcConfig(), pop, f)
                 q1, q2 = tc.optimum()
                 assert_stationary(lambda v: tc.mse(pop, v[0], v[1]),
                                   [q1, q2])
                 checked_tc += 1
-            t3c = theory.t3_constants(pop, f, 1.0, 1.0, 1.0)
+            t3c = theory.t3_constants(T3Config(), pop, f)
             m1, m2 = t3c.optimum()
             assert_stationary(lambda v: t3c.mse(pop, v[0], v[1]), [m1, m2])
         assert checked_tc > 0
