@@ -9,13 +9,16 @@ resolves the constants left as ``None`` to their population-optimal values,
 runs the kernel on a batch of one, and returns the estimate with the
 resolved configuration or raises the error the failure code names. All
 functions are pure.
+
+The kernels give the bits of scalar float arithmetic, whose powers and
+exponentials call libm. Powers (``tc``, ``t1``, ``t3``) run as one
+``np.float_power`` call, whose loop is libm ``pow``; the exponentials of
+``tc`` and ``t3`` have no such numpy loop and call ``math.exp`` once per row.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,36 +126,38 @@ class _Rows:
         return self.codes == 0
 
 
-def _libm(ok: np.ndarray, fn, *args) -> np.ndarray:
-    """``fn`` over the rows of ``ok`` as Python floats, 1.0 elsewhere.
+def _pow(base: np.ndarray, exponent: float, ok: np.ndarray) -> np.ndarray:
+    """``base ** exponent`` over the rows of ``ok``, 1.0 elsewhere.
 
-    numpy's SIMD ``power`` and ``exp`` differ from libm in the last bit on a
-    few percent of inputs; float ``**`` and ``math.exp`` call libm, as the
-    scalar arithmetic always has. Both raise ``OverflowError``; only then is
+    numpy's float64 ``float_power`` loop calls C ``pow`` on each element and
+    has no SIMD variant, so it returns the bits of float ``**``, which calls
+    the same libm. ``power`` differs from libm in the last bit on a few
+    percent of inputs. An overflowed row comes out as ``inf``, which fails
+    it as not finite.
+    """
+    return np.where(ok, np.float_power(base, exponent), 1.0)
+
+
+def _exp(arg: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """``math.exp`` over the rows of ``ok`` as Python floats, 1.0 elsewhere.
+
+    numpy's SIMD ``exp`` differs from libm in the last bit on a few percent
+    of inputs, and has no plain libm loop; ``math.exp`` calls libm, as the
+    scalar arithmetic always has. It raises ``OverflowError``; only then is
     each row evaluated on its own, an overflowed one as ``inf``, which fails
     it as not finite. Rows that failed a precondition are skipped.
     """
     out = np.ones(ok.shape)
+    rows = arg[ok].tolist()
     try:
-        out[ok] = np.fromiter(map(fn, *args), dtype=np.float64, count=int(ok.sum()))
+        out[ok] = np.fromiter(map(math.exp, rows), dtype=np.float64, count=len(rows))
     except OverflowError:
-        out[ok] = [_inf_on_overflow(fn, *row) for row in zip(*args)]
+        for i, row in zip(np.flatnonzero(ok), rows):
+            try:
+                out[i] = math.exp(row)
+            except OverflowError:
+                out[i] = math.inf
     return out
-
-
-def _inf_on_overflow(fn, *args) -> float:
-    try:
-        return fn(*args)
-    except OverflowError:
-        return math.inf
-
-
-def _pow(base: np.ndarray, exponent: float, ok: np.ndarray) -> np.ndarray:
-    return _libm(ok, operator.pow, base[ok].tolist(), itertools.repeat(exponent))
-
-
-def _exp(arg: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    return _libm(ok, math.exp, arg[ok].tolist())
 
 
 def _usual(cfg, pop, rows, p, xbar_s, sx2_s):

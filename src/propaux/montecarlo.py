@@ -7,19 +7,21 @@ block ``b`` draws from its own random stream,
 ``SeedSequence(seed, spawn_key=(2, b))`` feeding a PCG64 generator, with one
 vectorized Floyd draw for all of its rows. A shorter draw from a block
 stream gives a prefix of the rows of a longer one, so the sample of
-replicate ``i`` depends only on ``(seed, i, N, n)``. Replicates and subsets
-are evaluated in chunks of ``CHUNK_ELEMENTS`` sample indices (at least one
-sample), each chunk through one batch sufficient-statistics pass and one
-kernel call per estimator, and aggregation runs over all of them in index
-order. A report is therefore a pure function of
-``(population, n, configs, reps, seed)``, independent of the chunking.
+replicate ``i`` depends only on ``(seed, i, N, n)``. Exact enumeration takes
+the subsets in lexicographic order, the order of ``itertools.combinations``;
+each chunk unranks its own range of ranks, so subset ``i`` also depends only
+on ``(i, N, n)``. Replicates and subsets are evaluated in chunks of
+``CHUNK_ELEMENTS`` sample indices (at least one sample), each chunk through
+one batch sufficient-statistics pass and one kernel call per estimator, and
+aggregation runs over all of them in index order. A report is therefore a
+pure function of ``(population, n, configs, reps, seed)``, independent of
+the chunking.
 Synthetic-population generation uses the disjoint spawn keys ``(1, attempt)``
 so a shared seed never aliases replicate streams.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import numbers
@@ -250,10 +252,10 @@ def _aggregate(names: list[str], resolved: Sequence[EstimatorConfig],
         count = int(ok.sum())
         if count == 0:
             raise DataError(f"estimator {name} failed on every replicate")
-        err = v - pop.P
+        sq_err = (v - pop.P)**2
         mean = float(v.mean())
-        mse = float(np.mean(err**2))
-        se = 0.0 if exact or count == 1 else float(np.std(err**2, ddof=1) / math.sqrt(count))
+        mse = float(np.mean(sq_err))
+        se = 0.0 if exact or count == 1 else float(np.std(sq_err, ddof=1) / math.sqrt(count))
         tmse = theory.FAMILIES[cfg.kind].mse(cfg.params, pop, f)
         rows.append(EstimatorRun(
             name=name,
@@ -305,6 +307,39 @@ def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] |
     )
 
 
+def _lex_subsets(N: int, n: int) -> Callable[[int, int], np.ndarray]:
+    """``draw(start, stop)``: the n-subsets of ``range(N)`` of lexicographic
+    ranks ``start..stop-1``, the order of ``itertools.combinations``, one
+    sorted row each.
+
+    Lexicographic rank r of subset c is colexicographic rank C(N, n)-1-r of
+    the reflected subset N-1-c, which the combinatorial number system
+    unranks greedily, largest element first (Knuth, TAOCP 7.2.1.3): that
+    gives c in ascending order. The search table is built once: row j-1
+    holds C(c, j) for c in j-1 .. j-1+N-n, so n * (N-n+1) entries, each at
+    most C(N-1, n) < C(N, n). Needs ``C(N, n) < 2**63``, which
+    ``enumerate_exact``'s ``ENUMERATION_LIMIT`` ensures.
+    """
+    last = math.comb(N, n) - 1
+    table = np.zeros((n, N - n + 1), dtype=np.int64)
+    table[0] = np.arange(N - n + 1)
+    for j in range(2, n + 1):
+        # C(j-1+t, j) is the sum of C(k, j-1) over k < j-1+t
+        np.cumsum(table[j - 2, 1:], out=table[j - 1, 1:])
+
+    def draw(start: int, stop: int) -> np.ndarray:
+        rank = np.arange(last - start, last - stop, -1, dtype=np.int64)
+        rows = np.empty((stop - start, n), dtype=np.intp)
+        for i in range(n):
+            step = table[n - 1 - i]
+            k = np.searchsorted(step, rank, side="right") - 1
+            rank -= step[k]
+            rows[:, i] = N - n + i - k
+        return rows
+
+    return draw
+
+
 def enumerate_exact(frame: PopulationFrame, n: int,
                     configs: Sequence[EstimatorConfig] | None = None) -> SimulationReport:
     """Exact expectation and MSE of each estimator over every n-subset.
@@ -317,14 +352,7 @@ def enumerate_exact(frame: PopulationFrame, n: int,
     total = math.comb(frame.size, n)
     if total > ENUMERATION_LIMIT:
         raise TooLarge(f"{total} subsets exceed the enumeration limit {ENUMERATION_LIMIT}")
-    subsets = itertools.chain.from_iterable(itertools.combinations(range(frame.size), n))
-
-    def draw(start: int, stop: int) -> np.ndarray:
-        size = (stop - start) * n
-        flat = np.fromiter(itertools.islice(subsets, size), dtype=np.intp, count=size)
-        return flat.reshape(stop - start, n)
-
-    return _report(frame, n, configs, total, draw)
+    return _report(frame, n, configs, total, _lex_subsets(frame.size, n))
 
 
 def run_experiment(frame: PopulationFrame, n: int,

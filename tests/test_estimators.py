@@ -1,8 +1,11 @@
 import dataclasses
+import math
+import operator
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from propaux import (
@@ -322,6 +325,50 @@ class TestOverflow:
         sample = SampleStats(n=10, p=0.5, xbar_s=xbar_s[1], sx2_s=sx2_s[1])
         with pytest.raises(SchemaError, match="estimate is not finite"):
             evaluate(sample, pop, cfg)
+
+
+def _libm_pow(base: float, exponent: float) -> float:
+    try:
+        return operator.pow(base, exponent)
+    except OverflowError:
+        return math.inf
+
+
+_EDGE_BASES = (5e-324, 1e-310, sys.float_info.min, 1.0, math.nextafter(1.0, 0.0),
+               math.nextafter(1.0, 2.0), sys.float_info.max, math.inf)
+_EDGE_EXPONENTS = (0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.37, 1.4, 3000.0, -3000.0, 1e300)
+
+
+class TestPow:
+    """The power kernel returns the bits of float ``**``: libm ``pow``."""
+
+    @given(base=st.lists(st.one_of(st.sampled_from(_EDGE_BASES),
+                                   st.floats(min_value=0.0, exclude_min=True)),
+                         min_size=1, max_size=40),
+           exponent=st.one_of(st.sampled_from(_EDGE_EXPONENTS),
+                              st.floats(min_value=-5000.0, max_value=5000.0)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(base=[1e300, 1.0001, 5e-324], exponent=3000.0, seed=0)
+    @example(base=[5e-324, sys.float_info.max, math.inf], exponent=-3000.0, seed=0)
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_operator_pow(self, base, exponent, seed):
+        # the drawn edge cases, then bulk bases of the kernels' scale, where
+        # numpy's SIMD power differs from libm in the last bit
+        rng = np.random.default_rng(seed)
+        base = np.concatenate((base, rng.lognormal(0.0, 0.5, 200)))
+        ok = rng.uniform(size=base.size) < 0.9
+        expect = [_libm_pow(b, exponent) if keep else 1.0
+                  for b, keep in zip(base.tolist(), ok)]
+        with np.errstate(all="ignore"):  # as in the kernels
+            got = estimators._pow(base, exponent, ok)
+        assert got.tobytes() == np.array(expect).tobytes()
+
+    def test_overflowed_row_is_inf(self):
+        with pytest.raises(OverflowError):
+            operator.pow(1e300, 3000.0)
+        with np.errstate(all="ignore"):
+            got = estimators._pow(np.array([1e300, 1.5]), 3000.0, np.array([True, False]))
+        assert got.tolist() == [math.inf, 1.0]
 
 
 class TestCensusInertness:

@@ -191,6 +191,42 @@ class TestEnumeration:
         for row in report.rows:
             assert 0.85 <= row.ratio <= 1.15, (row.name, row.ratio)
 
+    @pytest.mark.parametrize("N", range(2, 15))
+    def test_subset_rows_follow_combinations(self, N):
+        # every n, cut at random chunk edges: each chunk holds the subsets
+        # of its lexicographic ranks, in itertools.combinations order
+        rng = np.random.default_rng(N)
+        for n in range(2, N + 1):
+            total = math.comb(N, n)
+            draw = montecarlo._lex_subsets(N, n)
+            edges = np.unique(np.concatenate(([0, total], rng.integers(0, total + 1, 6))))
+            for start, stop in zip(edges[:-1].tolist(), edges[1:].tolist()):
+                expect = itertools.islice(itertools.combinations(range(N), n), start, stop)
+                assert draw(start, stop).tolist() == [list(c) for c in expect], (n, start)
+
+    def test_subset_rows_of_a_long_search_table(self):
+        # C(4473, 2) = 10,001,628 subsets, just past ENUMERATION_LIMIT: a
+        # 2 x 4472 search table whose last entry is C(4472, 2)
+        N, n, total = 4473, 2, math.comb(4473, 2)
+        draw = montecarlo._lex_subsets(N, n)
+        for start in (0, 4471, total // 2 - 7, total - 500):
+            expect = itertools.islice(itertools.combinations(range(N), n), start, start + 500)
+            assert draw(start, start + 500).tolist() == [list(c) for c in expect], start
+
+    @settings(max_examples=25, deadline=None)
+    @given(which=st.sampled_from((0, 1)), n=st.integers(2, 5),
+           chunk_rows=st.integers(1, 80))
+    @example(which=1, n=4, chunk_rows=1)
+    @example(which=2, n=4, chunk_rows=97)
+    def test_report_does_not_depend_on_chunking(self, which, n, chunk_rows):
+        # chunks of one subset, a partial last chunk, and subsets that fail
+        # preconditions; the report must equal the one-chunk run
+        frame = TestLoopEquivalence.FRAMES[which]
+        with patch.object(montecarlo, "CHUNK_ELEMENTS", math.comb(frame.size, n) * n):
+            whole = enumerate_exact(frame, n)
+        with patch.object(montecarlo, "CHUNK_ELEMENTS", chunk_rows * n):
+            assert enumerate_exact(frame, n) == whole
+
     def test_failure_tallies_match_hand_count(self):
         # mixed-sign auxiliary: some pairs have zero or negative means
         frame = PopulationFrame(
