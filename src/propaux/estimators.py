@@ -237,7 +237,8 @@ def evaluate_batch(cfg: EstimatorConfig, pop: PopulationParams, p: np.ndarray,
     ``cfg`` must already be resolved (see ``resolve_config``). Returns the
     estimates and a per-row failure code: 0 where the estimate exists,
     otherwise a code whose ``FAILURE_CLASSES`` entry is the error ``evaluate``
-    raises for that sample. Failed rows hold NaN.
+    raises for that sample. Failed rows hold NaN, and every other row is
+    finite.
     """
     if cfg.params is not None and None in vars(cfg.params).values():
         raise InvalidConfig(f"the {cfg.kind} configuration has unresolved constants")

@@ -12,8 +12,10 @@ the subsets in lexicographic order, the order of ``itertools.combinations``;
 each chunk unranks its own range of ranks, so subset ``i`` also depends only
 on ``(i, N, n)``. Replicates and subsets are evaluated in chunks of
 ``CHUNK_ELEMENTS`` sample indices (at least one sample), each chunk through
-one batch sufficient-statistics pass and one kernel call per estimator, and
-aggregation runs over all of them in index order. A report is therefore a
+one batch sufficient-statistics pass and one kernel call per estimator, into
+the run's one value matrix, a row per estimator and a column per sample. A
+failed sample is a NaN entry of that matrix; every other entry is finite.
+Aggregation runs over each row in index order. A report is therefore a
 pure function of ``(population, n, configs, reps, seed)``, independent of
 the chunking.
 Synthetic-population generation uses the disjoint spawn keys ``(1, attempt)``
@@ -22,6 +24,7 @@ so a shared seed never aliases replicate streams.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import numbers
@@ -98,17 +101,12 @@ def _floyd(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
     collided[row * n + (key[row, pos + 1] & ((1 << shift) - 1))] = True
     del key, repeat  # one block-sized array fewer at the peak
     # ... and it does when its value is N-n+v, v < k, and draw v collided and
-    # so took N-n+v. Pointer jumping ORs the flags along each chain k -> v -> ...
-    link = np.arange(rows * n)
+    # so took N-n+v. Each pass carries the flags one step along the chains
+    # k -> v -> ...; a chain runs to smaller draw indices, so it ends.
     top = np.flatnonzero(flat >= base)
-    link[top] += flat[top] - base - top % n
-    while True:
-        parent = link[top]
-        collided[top] |= collided[parent]
-        jump = link[parent]
-        if np.array_equal(jump, parent):
-            break
-        link[top] = jump
+    parent = top + (flat[top] - base - top % n)
+    while (new := collided[parent] & ~collided[top]).any():
+        collided[top[new]] = True
     np.copyto(draws, base + step, where=collided.reshape(rows, n))
     draws.sort(axis=1)
     return draws
@@ -229,38 +227,28 @@ class SimulationReport:
     rows: tuple[EstimatorRun, ...]
 
     def row(self, name: str) -> EstimatorRun:
-        for row in self.rows:
-            if row.name == name:
-                return row
-        raise KeyError(name)
+        return {row.name: row for row in self.rows}[name]
 
 
-def _unique_names(configs: Sequence[EstimatorConfig]) -> list[str]:
-    names = [cfg.name for cfg in configs]
-    if len(set(names)) != len(names):
-        raise InvalidConfig(f"estimator labels must be unique, got {names}")
-    return names
-
-
-def _aggregate(names: list[str], resolved: Sequence[EstimatorConfig],
-               values: np.ndarray, failed: np.ndarray, pop: PopulationParams,
-               f: float, exact: bool = False) -> list[EstimatorRun]:
+def _aggregate(resolved: Sequence[EstimatorConfig], values: np.ndarray,
+               pop: PopulationParams, f: float, exact: bool = False) -> list[EstimatorRun]:
+    """One row per estimator; row j of ``values`` holds its estimates, NaN
+    where the sample failed."""
     rows = []
-    for j, (name, cfg) in enumerate(zip(names, resolved)):
-        ok = ~failed[j]
-        v = values[j, ok]
-        count = int(ok.sum())
+    for cfg, row in zip(resolved, values):
+        v = row[~np.isnan(row)]
+        count = v.size
         if count == 0:
-            raise DataError(f"estimator {name} failed on every replicate")
+            raise DataError(f"estimator {cfg.name} failed on every replicate")
         sq_err = (v - pop.P)**2
         mean = float(v.mean())
         mse = float(np.mean(sq_err))
         se = 0.0 if exact or count == 1 else float(np.std(sq_err, ddof=1) / math.sqrt(count))
         tmse = theory.FAMILIES[cfg.kind].mse(cfg.params, pop, f)
         rows.append(EstimatorRun(
-            name=name,
+            name=cfg.name,
             replicates=count,
-            failures=int(failed[j].sum()),
+            failures=row.size - count,
             mean=mean,
             bias=mean - pop.P,
             mse=mse,
@@ -283,27 +271,26 @@ def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] |
     samples ``start..stop-1``.
     """
     configs = tuple(configs) if configs is not None else DEFAULT_CONFIGS
-    names = _unique_names(configs)
+    names = [cfg.name for cfg in configs]
+    if len(set(names)) != len(names):
+        raise InvalidConfig(f"estimator labels must be unique, got {names}")
     pop = compute_population_params(frame)
     f = sampling_fraction(n, frame.size)
     resolved = [resolve_config(cfg, pop, f) for cfg in configs]
 
-    values = np.zeros((len(resolved), total))
-    failed = np.zeros((len(resolved), total), dtype=bool)
+    values = np.empty((len(resolved), total))
     rows = max(1, CHUNK_ELEMENTS // n)
     for start in range(0, total, rows):
         stop = min(start + rows, total)
         stats = batch_stats(frame, draw(start, stop))
         for j, cfg in enumerate(resolved):
-            chunk_values, codes = evaluate_batch(cfg, pop, *stats)
-            values[j, start:stop] = chunk_values
-            failed[j, start:stop] = codes != 0
+            values[j, start:stop] = evaluate_batch(cfg, pop, *stats)[0]
 
     exact = seed is None
     return SimulationReport(
         n=n, population_size=frame.size, sampling_fraction=f, true_p=pop.P,
         replicates=total, exact=exact, seed=seed, rng=None if exact else RNG_SCHEME,
-        rows=tuple(_aggregate(names, resolved, values, failed, pop, f, exact)),
+        rows=tuple(_aggregate(resolved, values, pop, f, exact)),
     )
 
 
@@ -367,8 +354,5 @@ def run_experiment(frame: PopulationFrame, n: int,
     if reps < 100:
         raise InvalidConfig(f"need at least 100 replicates, got {reps}")
     sampling_fraction(n, frame.size)
-
-    def draw(start: int, stop: int) -> np.ndarray:
-        return draw_replicates(frame, n, seed, start, stop)
-
+    draw = functools.partial(draw_replicates, frame, n, seed)
     return _report(frame, n, configs, reps, draw, seed)

@@ -517,17 +517,11 @@ class TheoryReport:
     entries: tuple[EstimatorTheory, ...]
 
     def entry(self, name: str) -> EstimatorTheory:
-        for row in self.entries:
-            if row.name == name:
-                return row
-        raise KeyError(name)
+        return {row.name: row for row in self.entries}[name]
 
 
 def _t3_label(cfg: T3Config) -> str:
-    def fmt(v: float) -> str:
-        return str(int(v)) if float(v).is_integer() else f"{v:g}"
-
-    return f"t3(g={fmt(cfg.g)},d={fmt(cfg.delta)})"
+    return f"t3(g={cfg.g:g},d={cfg.delta:g})"
 
 
 def _table(config: TableConfig) -> list[tuple[str, str, object]]:
@@ -663,10 +657,7 @@ class SensitivityReport:
     intervals: tuple[PreInterval, ...]
 
     def interval(self, name: str) -> PreInterval:
-        for row in self.intervals:
-            if row.name == name:
-                return row
-        raise KeyError(name)
+        return {row.name: row for row in self.intervals}[name]
 
 
 _SCAN_FIELDS = ("cp", "cx", "rho_pb", "lambda03", "lambda04", "lambda12")

@@ -256,16 +256,14 @@ def loop_report(frame, n, configs=None, reps=None, seed=None):
     else:
         samples = draw_replicates(frame, n, seed, 0, reps)
     values = np.zeros((len(resolved), len(samples)))
-    failed = np.zeros((len(resolved), len(samples)), dtype=bool)
     for k, subset in enumerate(samples):
         stats = sample_stats(frame, np.array(subset, dtype=np.int64))
         for j, cfg in enumerate(resolved):
             try:
                 values[j, k] = evaluate(stats, pop, cfg).value
             except DataError:
-                failed[j, k] = True
-    rows = _aggregate([cfg.name for cfg in configs], resolved, values, failed, pop, f,
-                      exact=exact)
+                values[j, k] = np.nan
+    rows = _aggregate(resolved, values, pop, f, exact=exact)
     return SimulationReport(
         n=n, population_size=frame.size, sampling_fraction=f, true_p=pop.P,
         replicates=len(samples), exact=exact, seed=None if exact else seed,

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -153,6 +154,11 @@ class TestEstimateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["config_used"]["t3"]["m1"] == 0.5
 
+    def test_unparsable_indices_are_data_error(self, pop_csv, capsys):
+        assert main(["estimate", "--input", str(pop_csv), "--indices", "0,a,2",
+                     "--estimator", "usual"]) == 2
+        assert "cannot parse sample indices from '0,a,2'" in capsys.readouterr().err
+
     def test_flag_for_wrong_estimator_is_usage_error(self, pop_csv, capsys):
         assert main(["estimate", "--input", str(pop_csv), "--indices", "0,1",
                      "--estimator", "ta", "--t3", "gamma=1"]) == 1
@@ -224,6 +230,7 @@ class TestGenerateCommand:
         ("link_slope", "x"), ("link_intercept", None), ("aux_location", [1.0]),
         ("aux_scale", "wide"), ("link_slope", 1e999), ("max_retries", "3"),
         ("max_retries", 2.5), ("max_retries", 0), ("max_retries", True),
+        ("aux_scale", 0),
     ])
     def test_spec_with_bad_number_is_data_error(self, tmp_path, capsys, field, value):
         spec = tmp_path / "spec.json"
@@ -232,6 +239,15 @@ class TestGenerateCommand:
         assert main(["generate", "--size", "40", "--seed", "3", "--spec", str(spec),
                      "--output", str(out)]) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spec_that_is_not_an_object_is_data_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{"aux_scale": 1.0}]))
+        out = tmp_path / "pop.csv"
+        assert main(["generate", "--size", "40", "--seed", "3", "--spec", str(spec),
+                     "--output", str(out)]) == 2
+        assert "expected a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
     def test_spec_with_size_key_is_data_error(self, tmp_path, capsys):
@@ -370,6 +386,26 @@ class TestExitCodes:
         path.write_text(json.dumps(dict(REF, **{field: value})))
         assert main(["pre", "--params", str(path)]) == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document, message", [
+        (dict(REF, xbar=math.nan), "population parameter xbar must be finite"),
+        (dict(REF, n_population=1), "population size must be at least 2"),
+        (dict(REF, p=1.5), "proportion must lie strictly in (0, 1), got 1.5"),
+        (dict(REF, cx=0), "auxiliary variance must be strictly positive"),
+        (dict(REF, xbar=0, sx2=2.0), "auxiliary population mean must be nonzero"),
+        (dict(REF, cp=0), "attribute variance must be strictly positive"),
+        (dict(REF, lambda04=0.5), "lambda04 >= 1 + lambda03^2 must hold"),
+        ([REF], "parameter document must be a JSON object"),
+    ], ids=("nan-xbar", "one-unit", "p-above-one", "zero-cx", "zero-xbar", "zero-cp",
+            "small-lambda04", "array"))
+    def test_invalid_parameter_document_is_data_error(self, tmp_path, capsys,
+                                                      document, message):
+        # json writes NaN as a bare token, which json also reads back
+        path, out = tmp_path / "params.json", tmp_path / "o.json"
+        path.write_text(json.dumps(document))
+        assert main(["theory", "--params", str(path), "--output", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_estimate_overflow_is_data_error(self, tmp_path, capsys):
         pop = tmp_path / "pop.csv"

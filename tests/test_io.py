@@ -296,11 +296,14 @@ class TestColumnarReader:
                 count += event == "line" and frame.f_code.co_filename.startswith(PACKAGE)
                 return trace
 
+            # put back any tracer already running, such as coverage.py's or
+            # a debugger's, so that tracing goes on for the later tests
+            previous = sys.gettrace()
             sys.settrace(trace)
             try:
                 read_population_csv(path)
             finally:
-                sys.settrace(None)
+                sys.settrace(previous)
             return count
 
         lines_run(1)  # a first call may run one-time setup

@@ -20,7 +20,13 @@ from propaux import (
     run_experiment,
 )
 from propaux.config import TcConfig
-from propaux.errors import DegenerateGeneration, InvalidConfig, InvalidDesign, TooLarge
+from propaux.errors import (
+    DataError,
+    DegenerateGeneration,
+    InvalidConfig,
+    InvalidDesign,
+    TooLarge,
+)
 
 from _oracles import binomial_se, floyd_loop, loop_report
 
@@ -244,6 +250,12 @@ class TestEnumeration:
         assert report.row("t1").failures == nonpositive
         assert report.row("ta").replicates == 28 - zero_mean
 
+    def test_estimator_failing_every_subset_is_rejected(self):
+        frame = PopulationFrame(np.array([1, 0, 1, 0, 1, 0]),
+                                -np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.5]))
+        with pytest.raises(DataError, match="t1 failed on every replicate"):
+            enumerate_exact(frame, 3, [EstimatorConfig(kind="t1")])
+
 
 class TestLoopEquivalence:
     """The batched oracles equal the one-sample-at-a-time scalar loop exactly."""
@@ -324,6 +336,10 @@ class TestRunExperiment:
         assert report.seed == 8
         assert "pcg64" in report.rng.lower()
         assert not report.exact
+
+    def test_unknown_row_name(self):
+        with pytest.raises(KeyError):
+            run_experiment(TINY, 3, reps=120, seed=8).row("t4")
 
     def test_duplicate_labels_rejected(self):
         configs = (EstimatorConfig(kind="usual"), EstimatorConfig(kind="usual"))

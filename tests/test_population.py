@@ -40,6 +40,10 @@ class TestFrame:
         with pytest.raises(SchemaError):
             PopulationFrame(np.array([0, 2]), np.array([1.0, 2.0]))
 
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(SchemaError):
+            PopulationFrame(np.array([0, 1, 0]), np.array([1.0, 2.0]))
+
     def test_rejects_single_unit(self):
         with pytest.raises(SchemaError):
             PopulationFrame(np.array([1]), np.array([1.0]))
@@ -236,6 +240,20 @@ class TestSampleStats:
     def test_non_integer_count_rejected(self):
         with pytest.raises(SchemaError):
             SampleStats(n=4, p=0.3, xbar_s=1.0, sx2_s=1.0)
+
+    @pytest.mark.parametrize("fields, error", [
+        (dict(n=1, p=0.0), InvalidDesign),
+        (dict(p=1.2), SchemaError),
+        (dict(sx2_s=-1.0), SchemaError),
+        (dict(sx2_s=math.inf), SchemaError),
+    ])
+    def test_invalid_statistics_rejected(self, fields, error):
+        with pytest.raises(error):
+            SampleStats(**dict(dict(n=5, p=0.4, xbar_s=1.0, sx2_s=1.0), **fields))
+
+    def test_index_matrix_rejected(self):
+        with pytest.raises(InvalidDesign):
+            sample_stats(self.FRAME, [[0, 1], [2, 3]])
 
 
 class TestBatchStats:

@@ -16,11 +16,13 @@ from propaux.errors import (
     NonpositiveMse,
     SingularSystem,
 )
+from propaux.io import ParamsDocument
 from propaux.population import Design, PopulationParams
 
 from conftest import random_frame, random_params, well_posed_params
 from propaux.population import compute_population_params
 from _oracles import (
+    REF,
     assert_stationary,
     fd_gradient,
     grid_min,
@@ -470,6 +472,17 @@ class TestComparisonConditions:
             f = 1 / n - 1 / pop.N
             assert theory.comparison_conditions(pop, f)[0].holds
 
+    def test_singular_moments_record_the_error_on_the_t1_rows(self):
+        # zero moment gap: realizable moments without a t1 optimum; the rows
+        # that need it say why, and the first carries no guarantee
+        doc = ParamsDocument.from_dict(dict(REF, lambda03=0.0, lambda04=1.0, lambda12=0.0))
+        by_name = {r.name: r for r in theory.comparison_conditions(doc.params, doc.design.f)}
+        for name in ("t1_t2_vs_usual", "t3_vs_t2"):
+            assert by_name[name].holds is None
+            assert "must be positive" in by_name[name].error
+        assert by_name["t1_t2_vs_usual"].guaranteed is None
+        assert by_name["t3_vs_usual"].error is None
+
 
 class TestTheoryReport:
     def test_reference_report(self, ref_pop, ref_design):
@@ -513,6 +526,10 @@ class TestTheoryReport:
         # with q1=1, q2=0 and the plain ratio transform the family reduces to
         # the plain ratio estimator, so its first-order MSE must match
         assert entry.mse == pytest.approx(theory.FAMILIES["ta"].mse(None, ref_pop, ref_design.f), rel=1e-12)
+
+    def test_unknown_entry_name(self, ref_pop, ref_design):
+        with pytest.raises(KeyError):
+            theory.theory_report(ref_pop, ref_design).entry("t3")
 
 
 _TC_WEIGHT = st.one_of(st.none(), st.floats(min_value=-1.0, max_value=2.0))
@@ -566,6 +583,10 @@ class TestSensitivity:
     def test_invalid_digits(self, ref_pop, ref_design):
         with pytest.raises(InvalidConfig):
             theory.sensitivity(ref_pop, ref_design.f, digits=0)
+
+    def test_unknown_interval_name(self, ref_pop, ref_design):
+        with pytest.raises(KeyError):
+            theory.sensitivity(ref_pop, ref_design.f, digits=3).interval("t3")
 
     def test_unstable_corners_are_counted_not_fatal(self, plain_pop):
         # parameters sitting on the boundary of realizability go negative at
