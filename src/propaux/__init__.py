@@ -28,7 +28,6 @@ from .theory import (
     comparison_conditions,
     pre,
     sensitivity,
-    t3_bias,
     t3_constants,
     tc_constants,
     theory_report,

@@ -117,11 +117,7 @@ def simulation_report_dict(report: SimulationReport) -> dict:
 
 
 def sensitivity_report_dict(report: SensitivityReport) -> dict:
-    return {
-        "digits": report.digits,
-        "step": report.step,
-        "intervals": [asdict(interval) for interval in report.intervals],
-    }
+    return asdict(report) | {"intervals": [asdict(row) for row in report.intervals]}
 
 
 def conditions_dict(conditions: tuple[ConditionResult, ...]) -> list[dict]:

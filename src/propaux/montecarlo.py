@@ -49,7 +49,8 @@ _LOGGER = logging.getLogger(__name__)
 
 ENUMERATION_LIMIT = 10**7
 
-#: Sample indices evaluated per chunk; bounds the working memory of a run.
+#: Sample indices evaluated per chunk; bounds the per-chunk temporaries (the
+#: run's value matrix still holds every sample).
 CHUNK_ELEMENTS = 65536
 
 #: Sample indices per random stream. Part of the RNG scheme: changing it

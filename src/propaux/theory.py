@@ -19,13 +19,15 @@ two-weight MSE form (``_TwoWeight``).
 
 ``FAMILIES`` is the registry of estimator kinds and the theory API: each
 kind's parameter class, report name, and its ``mse``, ``min_mse``,
-``optimum`` and ``bias``, each called as ``(cfg, pop, f)``. The per-kind
-helpers behind them are private. ``tc_constants``, ``t3_constants`` and
-``t3_bias`` take the same ``(cfg, pop, f)``; ``var_usual`` is the baseline of
-``pre``, and ``class_bias_tb``/``class_bias_t2`` take second-derivative
-values.
+``optimum`` and ``bias``, each called as ``(cfg, pop, f)`` and each reading
+the constants ``cfg`` holds. The per-kind helpers behind them are private.
+``tc_constants`` and ``t3_constants`` take the same ``(cfg, pop, f)``;
+``var_usual`` is the baseline of ``pre``, and ``class_bias_tb``/
+``class_bias_t2`` take second-derivative values.
 
-A negative computed MSE is always reported as an error, never as a value.
+Every ``FAMILIES`` MSE that evaluates materially negative raises
+``NegativeMse``, except ``FAMILIES["tc"].mse`` at given weights, which
+returns its value unchecked.
 """
 
 from __future__ import annotations
@@ -223,18 +225,14 @@ class _TwoWeight:
         a11, a12, a22, b1, b2, det = self._system()
         return (b1 * a22 - a12 * b2) / det, (a11 * b2 - b1 * a12) / det
 
-    def _reduction(self) -> float:
-        """b'A^-1 b, what the optimal weights take off the MSE bracket; only a
-        positive definite A has a minimum."""
+    def min_mse(self, pop: PopulationParams) -> float:
+        """The minimum MSE, scale * (const - b'A^-1 b); only a positive
+        definite A has a minimum."""
         a11, a12, a22, b1, b2, det = self._system()
         if det < 0.0:
             raise SingularSystem(f"the {self._pair} quadratic form is indefinite")
-        return (b1**2 * a22 - 2.0 * b1 * a12 * b2 + a11 * b2**2) / det
-
-    def min_mse(self, pop: PopulationParams) -> float:
-        """The minimum MSE, scale * (const - b'A^-1 b)."""
         scale, const = self._scale_const(pop)
-        value = scale * (const - self._reduction())
+        value = scale * (const - (b1**2 * a22 - 2.0 * b1 * a12 * b2 + a11 * b2**2) / det)
         if value < 0.0:
             raise NegativeMse(f"{self._family} minimum MSE evaluated negative ({value})")
         return value
@@ -354,9 +352,9 @@ def t3_constants(cfg: T3Config, pop: PopulationParams, f: float) -> T3Constants:
     return T3Constants(a=a, b=b, c=c, d=d, e=e)
 
 
-def t3_bias(cfg: T3Config, pop: PopulationParams, f: float) -> float:
-    """First-order bias of the two-term family at the weights of a resolved
-    ``cfg``, -P*(1 - m1*b - m2*e)."""
+def _t3_bias(cfg, pop: PopulationParams, f: float) -> float:
+    """First-order bias of the two-term family at a weight pair,
+    -P*(1 - m1*b - m2*e)."""
     t3c = t3_constants(cfg, pop, f)
     return -pop.P * (1.0 - cfg.m1 * t3c.b - cfg.m2 * t3c.e)
 
@@ -470,18 +468,14 @@ FAMILIES: dict[str, Family] = {
                  optimum=lambda cfg, pop, f: tuple(-pop.P * w for w in _regression(pop)[:2]),
                  formulas={"mse": "t2_min_mse == t1_min_mse (identical closed forms)",
                            "bias": _UNBIASED_LINEAR}),
-    # A table cannot fix the t3 weights (TableConfig builds them free), so
-    # its rows sit at the optimum, where the bias -P*(1 - b'A^-1 b) is
-    # -min_mse/P: bias and MSE share one bracket.
     "t3": Family(lambda cfg, pop, f: _check_mse(t3_constants(cfg, pop, f).mse(pop, cfg.m1, cfg.m2),
                                                 pop.P**2, "two-term family MSE"),
                  lambda cfg, pop, f: t3_constants(cfg, pop, f).min_mse(pop),
                  T3Config, optimum=lambda cfg, pop, f: t3_constants(cfg, pop, f).optimum(),
-                 census=(0.5, 0.5),
-                 bias=lambda cfg, pop, f: -pop.P * (1.0 - t3_constants(cfg, pop, f)._reduction()),
+                 census=(0.5, 0.5), bias=_t3_bias,
                  shown=lambda cfg, pop, f: {**vars(cfg), **vars(t3_constants(cfg, pop, f))},
                  formulas={"mse": "t3_min_mse: P^2*(1-(b^2*c-2*b*d*e+a*e^2)/(a*c-d^2))",
-                           "bias": "t3_bias_min: -P*(1-(b^2*c-2*b*d*e+a*e^2)/(a*c-d^2))"},
+                           "bias": "t3_bias: -P*(1-m1*b-m2*e)"},
                  census_formulas={"mse": "census", "bias": "census"}),
 }
 

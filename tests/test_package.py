@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import propaux
-from propaux import documents, io, theory
+from propaux import cli, documents, io, theory
 from propaux.errors import InvalidDesign
 
 from test_golden import DOCUMENT, GOLDEN
@@ -45,13 +45,12 @@ HOMES = {
                    "sample_stats", "sampling_fraction"),
     "theory": ("SensitivityReport", "T3Constants", "TcConstants", "TheoryReport",
                "class_bias_t2", "class_bias_tb", "comparison_conditions", "pre",
-               "sensitivity", "t3_bias", "t3_constants", "tc_constants", "theory_report",
-               "var_usual"),
+               "sensitivity", "t3_constants", "tc_constants", "theory_report", "var_usual"),
 }
 
 #: The per-kind closed forms that ``theory.FAMILIES`` is the only route to.
 REGISTRY_ONLY = ("min_mse_tb", "t1_bias", "t1_min_mse", "t1_mse", "t1_optimal", "t2_mse",
-                 "t2_optimal", "t3_bias_min", "tb_optimal_h1", "tc_bias")
+                 "t2_optimal", "t3_bias", "t3_bias_min", "tb_optimal_h1", "tc_bias")
 
 #: The names ``propaux.io`` defined when it held the JSON half too.
 IO_NAMES = ("PROVENANCE_FRAME", "PROVENANCE_USER", "ParamsDocument", "build_report_document",
@@ -167,6 +166,17 @@ class TestPublicSurface:
         interpreter."""
         library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
         fresh(library.split("```python\n", 1)[1].split("\n```", 1)[0])
+
+    def test_readme_pre_table_is_the_commands_output(self, tmp_path, capsys):
+        """The README's ``pre`` table is what ``propaux pre`` prints for the
+        README's parameter document."""
+        section = README.read_text(encoding="utf-8").split("\n### Parameter document\n", 1)[1]
+        document = tmp_path / "params.json"
+        document.write_text(section.split("```json\n", 1)[1].split("\n```", 1)[0],
+                            encoding="utf-8")
+        table = section.split("```text\n", 1)[1].split("\n```", 1)[0]
+        assert cli.main(["pre", "--params", str(document)]) == 0
+        assert capsys.readouterr().out == table + "\n"
 
     def test_submodules_resolve(self):
         for name in ("config", "errors", "estimators", "montecarlo", "population", "theory"):

@@ -367,13 +367,20 @@ class TestT3:
         assert all(abs(g) <= 1e-8 for g in fd_gradient(fn, [m1, m2]))
 
     def test_bias_at_optimum_equals_negative_mse_over_p(self, ref_pop, ref_design):
-        c = theory.t3_constants(T3Config(), ref_pop, ref_design.f)
+        f = ref_design.f
+        t3 = theory.FAMILIES["t3"]
+        c = theory.t3_constants(T3Config(), ref_pop, f)
         mse = c.min_mse(ref_pop)
-        bias = theory.FAMILIES["t3"].bias(T3Config(), ref_pop, ref_design.f)
+        bias = t3.bias(t3.resolve(T3Config(), ref_pop, f), ref_pop, f)
         assert bias == pytest.approx(-mse / ref_pop.P, rel=1e-12)
         m1, m2 = c.optimum()
-        assert theory.t3_bias(T3Config(m1=m1, m2=m2), ref_pop, ref_design.f) == pytest.approx(
-            bias, rel=1e-10)
+        assert t3.bias(T3Config(m1=m1, m2=m2), ref_pop, f) == pytest.approx(bias, rel=1e-10)
+
+    def test_bias_at_given_weights(self, ref_pop, ref_design):
+        c = theory.t3_constants(T3Config(), ref_pop, ref_design.f)
+        bias = theory.FAMILIES["t3"].bias(T3Config(m1=0.6, m2=0.4), ref_pop, ref_design.f)
+        assert bias == pytest.approx(-ref_pop.P * (1.0 - 0.6 * c.b - 0.4 * c.e), rel=1e-15)
+        assert bias == pytest.approx(0.0011250, abs=5e-8)
 
     def test_rank_deficient_system(self):
         c = theory.T3Constants(a=1.2, b=0.9, c=1.2, d=1.2, e=0.9)
@@ -403,6 +410,18 @@ class TestT3:
         total = 1.0 / shrink
         expect = ref_pop.P**2 * ref_design.f * ref_pop.cp**2 / shrink
         assert c.mse(ref_pop, total, 0.0) == pytest.approx(expect, rel=1e-12)
+
+
+class TestBiasReadsItsConfiguration:
+    @pytest.mark.parametrize("kind", ["tc", "t1", "t3"])
+    def test_moving_a_constant_moves_the_bias(self, kind, ref_pop, ref_design):
+        f = ref_design.f
+        family = theory.FAMILIES[kind]
+        cfg = family.resolve(family.params(), ref_pop, f)
+        name = family.constants[0]
+        moved = dataclasses.replace(cfg, **{name: getattr(cfg, name) + 0.1})
+        assert family.bias(moved, ref_pop, f) != pytest.approx(
+            family.bias(cfg, ref_pop, f), rel=1e-6)
 
 
 class TestPre:
