@@ -27,7 +27,8 @@ class DegenerateAttribute(DataError):
 
 
 class DegenerateAuxiliary(DataError):
-    """The auxiliary variable has no variance."""
+    """The auxiliary variable has no variance, or too little or too much to
+    standardize."""
 
 
 class ZeroMean(DataError):

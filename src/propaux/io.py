@@ -53,7 +53,9 @@ class _PlainRecords:
     """
 
     def __init__(self, data: bytes):
-        head, _, body = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").partition(b"\n")
+        if b"\r" in data:  # each replace copies the whole file
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        head, _, body = data.partition(b"\n")
         self.header = head.decode("utf-8").split(",")
         if body and not body.endswith(b"\n"):
             body += b"\n"
@@ -70,7 +72,8 @@ class _PlainRecords:
         each of which has two fields."""
         end = self.starts[stop] if stop < self.ends.size else self.body.size
         blank = self.ends[:stop][self.fields[:stop] == 0]
-        text = np.delete(self.body[:end], blank).tobytes().decode("utf-8")
+        kept = np.delete(self.body[:end], blank) if blank.size else self.body[:end]
+        text = str(kept, "utf-8")  # decodes the array's own buffer, with no bytes copy
         if not text:
             return [], []
         cells = text.replace("\n", ",").split(",")

@@ -26,6 +26,7 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -106,29 +107,51 @@ def _check_stats(n: int, p: np.ndarray, sx2_s: np.ndarray) -> None:
         raise SchemaError("sample auxiliary variance must be finite and nonnegative")
 
 
+def _power(d: np.ndarray, k: int) -> np.ndarray | float:
+    """``d**k`` for ``0 <= k <= 4`` from IEEE products alone: ``d*d``,
+    ``(d*d)*d`` and ``(d*d)*(d*d)``. Unlike numpy's vectorized ``power``,
+    whose bits (and speed, for a negative base) vary with the SIMD target,
+    a product has the same bits on every CPU."""
+    if k == 0:
+        return 1.0
+    if k == 1:
+        return d
+    d2 = d * d
+    if k == 2:
+        return d2
+    return d2 * d if k == 3 else d2 * d2
+
+
 def central_moment(frame: PopulationFrame, r: int, s: int) -> float:
     """Divisor-N bivariate central moment ``mean((phi-P)^r * (x-xbar)^s)``.
 
-    Only orders with ``r + s <= 4`` are meaningful here; higher orders are a
-    contract violation.
+    Only integer orders with ``r + s <= 4`` are meaningful here; any other
+    order is a contract violation. The powers are the products of
+    ``_power``, so every moment ``compute_population_params`` uses has the
+    bits this function returns.
     """
+    if any(isinstance(k, bool) or not isinstance(k, Integral) for k in (r, s)):
+        raise ValueError(f"moment order ({r!r}, {s!r}) must be two integers")
     if r < 0 or s < 0 or r + s > 4:
         raise ValueError(f"moment order ({r}, {s}) outside the supported range")
     dphi = frame.phi - frame.phi.mean()
     dx = frame.x - frame.x.mean()
-    return float(np.mean(dphi**r * dx**s))
+    return float(np.mean(_power(dphi, r) * _power(dx, s)))
 
 
 def compute_population_params(frame: PopulationFrame) -> PopulationParams:
     """Compute the full summary-statistic vector of a population.
+
+    One pass forms the deviations and takes the six moments as means of
+    their products, with the bits of ``central_moment``.
 
     Raises
     ------
     DegenerateAttribute
         If every unit has (or lacks) the attribute.
     DegenerateAuxiliary
-        If the auxiliary variable is constant, or so nearly constant that its
-        standardized moments underflow.
+        If the auxiliary variable is constant, so nearly constant that its
+        standardized moments underflow, or so spread that they overflow.
     ZeroMean
         If the auxiliary mean is zero.
     """
@@ -137,19 +160,28 @@ def compute_population_params(frame: PopulationFrame) -> PopulationParams:
     if A == 0 or A == N:
         raise DegenerateAttribute(f"attribute count {A} of {N} leaves no variation")
     P = A / N
-    xbar = float(frame.x.mean())
-    mu02 = central_moment(frame, 0, 2)
-    # the kurtosis divides by mu02^2, which underflows for a sub-normal spread
+    # an overflow is reported below as a data error, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        xbar = float(frame.x.mean())
+        dphi = frame.phi - P
+        dx = frame.x - xbar
+        dx2 = dx * dx
+        mu02 = float(np.mean(dx2))
+        mu04 = float(np.mean(dx2 * dx2))
+    # the kurtosis divides by mu02^2 and mu04 holds dx^4: both overflow for
+    # too wide a spread, and mu02^2 underflows for a sub-normal one
+    if not math.isfinite(mu04) or math.isinf(mu02 * mu02):
+        raise DegenerateAuxiliary("auxiliary variable is too spread to standardize "
+                                  f"(variance {mu02})")
     if mu02**2 < sys.float_info.min:
         raise DegenerateAuxiliary("auxiliary variable is constant or too nearly constant "
                                   f"to standardize (variance {mu02})")
     if xbar == 0.0:
         raise ZeroMean("auxiliary mean is zero")
-    mu20 = central_moment(frame, 2, 0)
-    mu11 = central_moment(frame, 1, 1)
-    mu03 = central_moment(frame, 0, 3)
-    mu04 = central_moment(frame, 0, 4)
-    mu12 = central_moment(frame, 1, 2)
+    mu20 = float(np.mean(dphi * dphi))
+    mu11 = float(np.mean(dphi * dx))
+    mu03 = float(np.mean(dx2 * dx))
+    mu12 = float(np.mean(dphi * dx2))
     sx2 = mu02 * N / (N - 1)
     sp2 = mu20 * N / (N - 1)
     return PopulationParams(

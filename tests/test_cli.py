@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import warnings
 
 import pytest
 
@@ -346,6 +347,20 @@ class TestExitCodes:
         path.write_text("phi,x\n1,0\n0,0\n1,0\n0,0\n1,0\n0,2e-92\n")
         assert main(["params", "--input", str(path),
                      "--output", str(tmp_path / "o.json")]) == 2
+
+    @pytest.mark.parametrize("exponent", ["100", "170"])
+    def test_overflowing_auxiliary_spread_is_data_error(self, tmp_path, capsys, exponent):
+        # at 1e100 the fourth moment overflows, at 1e170 the variance too
+        path = tmp_path / "pop.csv"
+        path.write_text("phi,x\n" + "".join(f"{phi},{digit}e{exponent}\n" for phi, digit
+                                            in [(1, 1), (0, 3), (1, 2), (0, 5)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["params", "--input", str(path),
+                         "--output", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: auxiliary variable is too spread to standardize")
+        assert err.count("\n") == 1
 
     def test_table_t3_flag_takes_only_gamma(self, ref_params_path, tmp_path):
         out = str(tmp_path / "o.json")

@@ -6,18 +6,27 @@ parameter document, and of `params`, a seeded `simulate` and single-sample
 Every number of `theory`, `sensitivity` and `pre` is pure-Python float
 arithmetic, so those bytes are portable. The `simulate` file also pins the
 random draws: a change to them must come with a new ``RNG_SCHEME``, which the
-file records. After a deliberate change to the output, rewrite the files with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+file records. The `params` and `simulate` bytes must not depend on the SIMD
+target numpy dispatches to: a fresh interpreter runs them again with every
+target above the baseline disabled. After a deliberate change to the output,
+rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` and
+review the diff.
 """
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from propaux.cli import main
+
+from test_population import LOGNORMAL_X
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -106,6 +115,56 @@ def run(name: str) -> bytes:
 @pytest.mark.parametrize("name", CASES)
 def test_output_matches_golden_file(name):
     assert run(name) == (GOLDEN / name).read_bytes()
+
+
+def dispatch_targets() -> list[str]:
+    """The SIMD targets above the baseline that numpy dispatches to on this
+    CPU, by ``np.lib.introspect.opt_func_info()``; empty on a numpy without it."""
+    introspect = getattr(np.lib, "introspect", None)
+    if introspect is None:
+        return []
+    targets = set()
+    for signatures in introspect.opt_func_info().values():
+        for target in signatures.values():
+            targets.update(target["available"].split())
+    return sorted(target for target in targets if not target.startswith("baseline"))
+
+
+def cli_output(argv: list[str], population: str, **env: str) -> bytes:
+    """The ``--output`` bytes of ``propaux <argv>`` on ``population``, run in
+    a fresh interpreter with ``env`` added to a copy of this one's."""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    inherited = {key: value for key, value in os.environ.items()
+                 if key not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
+    env = inherited | {"PYTHONPATH": path} | env
+    with tempfile.TemporaryDirectory() as tmp:
+        source, out = Path(tmp) / "population.csv", Path(tmp) / "out.json"
+        source.write_text(population, encoding="utf-8")
+        done = subprocess.run([sys.executable, "-m", "propaux.cli", argv[0],
+                               "--input", str(source), *argv[1:], "--output", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and not done.stderr, done.stderr
+        return out.read_bytes()
+
+
+#: ``params`` on a frame where numpy's ``power`` loop changes its bits with the
+#: SIMD target, and the golden ``simulate`` case.
+DISPATCH_CASES = {
+    "params": (["params"], "phi,x\n" + "".join(
+        f"{int(x > 14.0)},{x!r}\n" for x in LOGNORMAL_X)),
+    "simulate": (CASES["simulate.json"], POPULATION),
+}
+
+
+@pytest.mark.parametrize("case", DISPATCH_CASES)
+def test_output_does_not_depend_on_simd_dispatch(case):
+    targets = dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to no SIMD target above its baseline here")
+    argv, population = DISPATCH_CASES[case]
+    assert (cli_output(argv, population)
+            == cli_output(argv, population, NPY_DISABLE_CPU_FEATURES=" ".join(targets)))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -33,6 +34,19 @@ from _oracles import loop_moment
 
 
 ALIGNED = PopulationFrame(np.array([1, 1, 0, 0]), np.array([2.0, 2.0, 1.0, 1.0]))
+
+#: ``x = round(exp(N(2.5, 0.6)), 4)`` from ``np.random.default_rng(21)``, with
+#: the attribute on ``x > 14``. On an AVX-512 host numpy's vectorized
+#: ``power`` gives ``mean(dx**3)`` other bits than ``mean((dx*dx)*dx)``, and
+#: other bits again under ``NPY_DISABLE_CPU_FEATURES``.
+LOGNORMAL_X = [
+    15.1086, 30.1567, 4.1712, 33.5142, 11.8415, 7.5384, 7.525, 6.3618, 10.6527, 20.0922,
+    17.2954, 17.8673, 4.4067, 4.7466, 30.9472, 21.7874, 45.1472, 25.176, 6.5888, 26.342,
+    17.7616, 13.8584, 7.449, 12.2028, 11.154, 20.8118, 13.1274, 31.5271, 7.6546, 16.162,
+    16.4332, 7.2529, 5.9969, 22.3796, 16.6176, 11.0507, 15.4347, 8.1238, 14.0554, 8.4733,
+]
+LOGNORMAL = PopulationFrame(np.array([int(v > 14.0) for v in LOGNORMAL_X]),
+                            np.array(LOGNORMAL_X))
 
 
 class TestFrame:
@@ -85,6 +99,44 @@ class TestCentralMoment:
         with pytest.raises(ValueError):
             central_moment(ALIGNED, -1, 0)
 
+    @pytest.mark.parametrize("r, s", [(0.5, 0), (1.0, 1), (True, 1), (0, False), ("1", 1)])
+    def test_rejects_orders_that_are_not_integers(self, r, s):
+        with pytest.raises(ValueError, match="must be two integers"):
+            central_moment(ALIGNED, r, s)
+
+    def test_accepts_numpy_integer_orders(self):
+        assert central_moment(ALIGNED, np.int64(1), np.uint8(1)) == 0.25
+
+
+class TestMomentRoute:
+    """The six moments are means of IEEE products of one set of deviations,
+    never numpy's vectorized ``power``, whose bits depend on the SIMD target."""
+
+    def test_skewness_and_kurtosis_are_product_means(self):
+        params = compute_population_params(LOGNORMAL)
+        dx = LOGNORMAL.x - LOGNORMAL.x.mean()
+        mu02 = float(np.mean(dx * dx))
+        assert params.lambda03 == float(np.mean((dx * dx) * dx)) / mu02**1.5
+        assert params.lambda04 == float(np.mean((dx * dx) * (dx * dx))) / mu02**2
+
+    @pytest.mark.parametrize("frame", [LOGNORMAL, ALIGNED], ids=["lognormal", "aligned"])
+    def test_central_moment_has_the_bits_the_params_use(self, frame):
+        mu = {(r, s): central_moment(frame, r, s)
+              for r, s in [(2, 0), (1, 1), (0, 2), (0, 3), (0, 4), (1, 2)]}
+        params = compute_population_params(frame)
+        N = frame.size
+        assert params.sp2 == mu[2, 0] * N / (N - 1)
+        assert params.sx2 == mu[0, 2] * N / (N - 1)
+        assert params.rho_pb == mu[1, 1] / math.sqrt(mu[2, 0] * mu[0, 2])
+        assert params.lambda03 == mu[0, 3] / mu[0, 2]**1.5
+        assert params.lambda04 == mu[0, 4] / mu[0, 2]**2
+        assert params.lambda12 == mu[1, 2] / (math.sqrt(mu[2, 0]) * mu[0, 2])
+
+    def test_powers_are_products(self):
+        dx = LOGNORMAL.x - LOGNORMAL.x.mean()
+        for s, power in [(2, dx * dx), (3, (dx * dx) * dx), (4, (dx * dx) * (dx * dx))]:
+            assert central_moment(LOGNORMAL, 0, s) == float(np.mean(power))
+
 
 class TestPopulationParams:
     def test_two_point_symmetric_auxiliary(self):
@@ -110,6 +162,20 @@ class TestPopulationParams:
         with pytest.raises(DegenerateAuxiliary):
             compute_population_params(PopulationFrame(
                 np.array([1, 0, 1, 0, 1, 0]), np.array([0.0, 0.0, 0.0, 0.0, 0.0, 2e-92])))
+
+    @pytest.mark.parametrize("exponent", [100, 170, 308])
+    def test_overflowing_auxiliary_spread(self, exponent):
+        # at 1e100 the fourth moment overflows, at 1e170 the variance too,
+        # and at 1e308 the sum behind the mean
+        x = np.array([1.0, 1.5, 1.7, 1.0]) * 10.0**exponent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateAuxiliary, match="too spread to standardize"):
+                compute_population_params(PopulationFrame(np.array([1, 0, 1, 0]), x))
+
+    def test_constant_zero_auxiliary_is_degenerate_before_zero_mean(self):
+        with pytest.raises(DegenerateAuxiliary):
+            compute_population_params(PopulationFrame(np.array([1, 0]), np.zeros(2)))
 
     def test_zero_mean(self):
         with pytest.raises(ZeroMean):
