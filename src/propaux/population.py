@@ -128,15 +128,21 @@ def central_moment(frame: PopulationFrame, r: int, s: int) -> float:
     Only integer orders with ``r + s <= 4`` are meaningful here; any other
     order is a contract violation. The powers are the products of
     ``_power``, so every moment ``compute_population_params`` uses has the
-    bits this function returns.
+    bits this function returns. A moment that overflows raises
+    ``DegenerateAuxiliary``, as ``compute_population_params`` does.
     """
     if any(isinstance(k, bool) or not isinstance(k, Integral) for k in (r, s)):
         raise ValueError(f"moment order ({r!r}, {s!r}) must be two integers")
     if r < 0 or s < 0 or r + s > 4:
         raise ValueError(f"moment order ({r}, {s}) outside the supported range")
-    dphi = frame.phi - frame.phi.mean()
-    dx = frame.x - frame.x.mean()
-    return float(np.mean(_power(dphi, r) * _power(dx, s)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dphi = frame.phi - frame.phi.mean()
+        dx = frame.x - frame.x.mean()
+        moment = float(np.mean(_power(dphi, r) * _power(dx, s)))
+    if not math.isfinite(moment):
+        raise DegenerateAuxiliary(f"auxiliary variable is too spread to standardize "
+                                  f"(moment ({r}, {s}) overflows)")
+    return moment
 
 
 def compute_population_params(frame: PopulationFrame) -> PopulationParams:

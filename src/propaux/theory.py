@@ -14,8 +14,8 @@ C is the single source of every moment below. The MSEs of ``ta``, ``tb``,
 ``t2`` regress the proportion channel on its auxiliary block, and the shared
 ``t1``/``t2`` minimum is the Schur complement of that block; ``ta`` is ``t1``
 at (alpha, beta) = (1, 0), and ``tb`` is ``t2`` at h2 = 0. The ``tc`` and
-``t3`` expansion constants read their moments from C and share one
-two-weight MSE form (``_TwoWeight``).
+``t3`` expansion constants are the moments of their two channels, read from
+C, and share one two-weight form for MSE and bias (``_TwoWeight``).
 
 ``FAMILIES`` is the registry of estimator kinds and the theory API: each
 kind's parameter class, report name, and its ``mse``, ``min_mse``,
@@ -191,14 +191,17 @@ def class_bias_t2(pop: PopulationParams, f: float, h3: float, h4: float, h5: flo
 
 
 class _TwoWeight:
-    """The MSE of a family with a weight pair w = (w1, w2),
+    """The first-order MSE and bias of the estimator w1*Y1 + w2*Y2,
 
-        scale * (const + w'Aw - 2*b'w),  A = [[a11, a12], [a12, a22]],  b = (b1, b2).
+        mse = scale * (const + w'Aw - 2*b'w),  A = [[a11, a12], [a12, a22]],  b = (b1, b2),
 
-    A subclass reads (a11, a12, a22, b1, b2) off an instance with
-    ``_terms``, and names its weights (``_pair``) and itself (``_family``)
-    for error messages. When ``_relative``, its constants are relative to
-    P^2: scale = P^2 and const = 1; otherwise scale = 1 and const = P^2.
+    where scale*A holds the second moments of the channels Y1, Y2 and
+    scale*b is P times their means, so the bias E[w'Y] - P is -gap*scale/P
+    with gap = const - b'w. A subclass reads (a11, a12, a22, b1, b2) off an
+    instance with ``_terms``, and names its weights (``_pair``) and itself
+    (``_family``) for error messages. When ``_relative``, its constants are
+    relative to P^2: scale = P^2 and const = 1, and the bias is -P*gap;
+    otherwise scale = 1, const = P^2 and the bias is -gap/P.
     """
 
     def _scale_const(self, pop: PopulationParams) -> tuple[float, float]:
@@ -219,6 +222,12 @@ class _TwoWeight:
         scale, const = self._scale_const(pop)
         return scale * (const + w1**2 * a11 + w2**2 * a22 + 2.0 * w1 * w2 * a12
                         - 2.0 * w1 * b1 - 2.0 * w2 * b2)
+
+    def bias(self, pop: PopulationParams, w1: float, w2: float) -> float:
+        """The bias at an arbitrary weight pair."""
+        _, _, _, b1, b2 = self._terms(self)
+        gap = self._scale_const(pop)[1] - w1 * b1 - w2 * b2
+        return -pop.P * gap if self._relative else -gap / pop.P
 
     def optimum(self) -> tuple[float, float]:
         """The stationary weight pair A^-1 b, where the gradient vanishes."""
@@ -245,9 +254,12 @@ class _TwoWeight:
 class TcConstants(_TwoWeight):
     """Expansion constants of the weighted ratio/exponential transform family.
 
-    ``theta`` locates the transform, ``bc``/``ac`` are its first/second-order
-    expansion coefficients, and ``delta1..delta5`` the coefficients of the
-    MSE quadratic form
+    ``theta`` locates the transform, and ``bc``/``ac`` are its first/second-order
+    expansion coefficients: the transform is R = 1 - bc*e1 + ac*e1^2 in the
+    relative deviation e1 of the sample mean. The estimator is q1*Y1 + q2*Y2
+    with the channels Y1 = p*R and Y2 = (X - xbar)*R, and ``delta1..delta5``
+    are their moments: d1 = E[Y1^2], d2 = E[Y1*Y2], d3 = E[Y2^2],
+    d4 = P*E[Y1] and d5 = P*E[Y2], so that
 
         mse(q1, q2) = P^2 + q1^2*d1 + q2^2*d3 + 2*q1*q2*d2 - 2*q1*d4 - 2*q2*d5.
     """
@@ -267,7 +279,8 @@ class TcConstants(_TwoWeight):
 
 def tc_constants(cfg: TcConfig, pop: PopulationParams, f: float) -> TcConstants:
     """Expansion constants for the transform ((a*X+b)/(a*x+b))^alpha * exp-tilt^beta
-    that ``cfg`` picks; its weights are not read."""
+    that ``cfg`` picks, as the first-order moments of the channels
+    Y1 = p*R and Y2 = (X - xbar)*R; its weights are not read."""
     a, b, alpha, beta = cfg.a, cfg.b, cfg.alpha, cfg.beta
     base = a * pop.xbar + b
     if base <= 0.0:
@@ -278,29 +291,14 @@ def tc_constants(cfg: TcConfig, pop: PopulationParams, f: float) -> TcConstants:
                      + beta**2 / 8.0 + beta / 4.0)
     P, X = pop.P, pop.xbar
     cp2, rcx, _, cx2, _, _ = _moments(pop)
-    m1 = P**2 * f * (cp2 + bc**2 * cx2 - 2.0 * bc * rcx)
-    m2 = X**2 * f * cx2
-    m3 = P**2 * f * (ac * cx2 - 2.0 * bc * rcx)
-    m4 = P * X * f * (-bc * cx2 + rcx)
-    m5 = X * P * f * (-bc * cx2)
     return TcConstants(
         theta=theta, bc=bc, ac=ac,
-        delta1=P**2 + m1 + 2.0 * m3,
-        delta2=-m4 - m5,
-        delta3=m2,
-        delta4=P**2 + m3,
-        delta5=-m5,
+        delta1=P**2 * (1.0 + f * (cp2 - 4.0 * bc * rcx + (bc**2 + 2.0 * ac) * cx2)),
+        delta2=P * X * f * (2.0 * bc * cx2 - rcx),
+        delta3=X**2 * f * cx2,
+        delta4=P**2 * (1.0 + f * (ac * cx2 - bc * rcx)),
+        delta5=P * X * f * bc * cx2,
     )
-
-
-def _tc_bias(cfg, pop: PopulationParams, f: float) -> float:
-    """First-order bias of the family at a weight pair."""
-    tc = tc_constants(cfg, pop, f)
-    q1, q2 = cfg.q1, cfg.q2
-    P, X = pop.P, pop.xbar
-    _, rcx, _, cx2, _, _ = _moments(pop)
-    return P * (q1 - 1.0) + f * ((q2 * X * tc.bc + q1 * P * tc.ac) * cx2
-                                 - q1 * P * tc.bc * rcx)
 
 
 def _tc_shown(cfg, pop: PopulationParams, f: float) -> dict[str, float]:
@@ -350,13 +348,6 @@ def t3_constants(cfg: T3Config, pop: PopulationParams, f: float) -> T3Constants:
                    + g * (g + 1.0) / 2.0 * gamma**2 * cx2)
     e = 1.0 - delta / 2.0 * f * cl12 + delta * (delta + 2.0) / 8.0 * f * l4m1
     return T3Constants(a=a, b=b, c=c, d=d, e=e)
-
-
-def _t3_bias(cfg, pop: PopulationParams, f: float) -> float:
-    """First-order bias of the two-term family at a weight pair,
-    -P*(1 - m1*b - m2*e)."""
-    t3c = t3_constants(cfg, pop, f)
-    return -pop.P * (1.0 - cfg.m1 * t3c.b - cfg.m2 * t3c.e)
 
 
 # --- the per-family table ----------------------------------------------------------
@@ -450,7 +441,8 @@ FAMILIES: dict[str, Family] = {
     "tc": Family(lambda cfg, pop, f: tc_constants(cfg, pop, f).mse(pop, cfg.q1, cfg.q2),
                  lambda cfg, pop, f: tc_constants(cfg, pop, f).min_mse(pop),
                  TcConfig, optimum=lambda cfg, pop, f: tc_constants(cfg, pop, f).optimum(),
-                 census=(1.0, 0.0), bias=_tc_bias, shown=_tc_shown,
+                 census=(1.0, 0.0), shown=_tc_shown,
+                 bias=lambda cfg, pop, f: tc_constants(cfg, pop, f).bias(pop, cfg.q1, cfg.q2),
                  formulas={"mse": "tc_min_mse: P^2-(d1*d5^2+d3*d4^2-2*d2*d4*d5)/(d1*d3-d2^2)",
                            "bias": "tc_bias: P*(q1-1)+f*((q2*X*bc+q1*P*ac)*cx^2"
                                    "-q1*P*bc*rho_pb*cp*cx)"},
@@ -472,7 +464,8 @@ FAMILIES: dict[str, Family] = {
                                                 pop.P**2, "two-term family MSE"),
                  lambda cfg, pop, f: t3_constants(cfg, pop, f).min_mse(pop),
                  T3Config, optimum=lambda cfg, pop, f: t3_constants(cfg, pop, f).optimum(),
-                 census=(0.5, 0.5), bias=_t3_bias,
+                 census=(0.5, 0.5),
+                 bias=lambda cfg, pop, f: t3_constants(cfg, pop, f).bias(pop, cfg.m1, cfg.m2),
                  shown=lambda cfg, pop, f: {**vars(cfg), **vars(t3_constants(cfg, pop, f))},
                  formulas={"mse": "t3_min_mse: P^2*(1-(b^2*c-2*b*d*e+a*e^2)/(a*c-d^2))",
                            "bias": "t3_bias: -P*(1-m1*b-m2*e)"},

@@ -85,7 +85,7 @@ def rational_tc_deltas(a=F(1), b=F(0), alpha=F(1), beta=F(0), m=REF_MOMENTS):
     rcx = m.RHO * m.CP * m.CX
     m1 = m.P**2 * m.F * (m.CP**2 + bc**2 * m.CX**2 - 2 * bc * rcx)
     m2 = m.X**2 * m.F * m.CX**2
-    m3 = m.P**2 * m.F * (ac * m.CX**2 - 2 * bc * rcx)
+    m3 = m.P**2 * m.F * (ac * m.CX**2 - bc * rcx)
     m4 = m.P * m.X * m.F * (-bc * m.CX**2 + rcx)
     m5 = m.X * m.P * m.F * (-bc * m.CX**2)
     return {

@@ -9,13 +9,16 @@ random draws: a change to them must come with a new ``RNG_SCHEME``, which the
 file records. The `params` and `simulate` bytes must not depend on the SIMD
 target numpy dispatches to: a fresh interpreter runs them again with every
 target above the baseline disabled. After a deliberate change to the output,
-rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` and
-review the diff.
+rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``, which
+prints for each file how many of its numbers changed and by how much at most,
+and review the diff.
 """
 
 import contextlib
 import io
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -167,8 +170,33 @@ def test_output_does_not_depend_on_simd_dispatch(case):
             == cli_output(argv, population, NPY_DISABLE_CPU_FEATURES=" ".join(targets)))
 
 
+#: A number standing on its own: not part of a name such as ``t3`` or of a digest.
+NUMBER = re.compile(rb"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def changes(old: bytes | None, new: bytes) -> str:
+    """What rewriting a golden file from ``old`` to ``new`` changed: how many
+    of its numbers moved and the largest relative move, and whether any
+    other text changed."""
+    if old is None:
+        return "new file"
+    if old == new:
+        return "unchanged"
+    before, after = NUMBER.findall(old), NUMBER.findall(new)
+    if len(before) != len(after):
+        return f"{len(before)} numbers became {len(after)}"
+    moved = [(float(a), float(b)) for a, b in zip(before, after) if a != b]
+    largest = max((abs(b - a) / abs(a) if a else math.inf for a, b in moved), default=0.0)
+    text = NUMBER.sub(b"#", old) != NUMBER.sub(b"#", new)
+    return (f"{len(moved)} of {len(before)} numbers changed, largest relative change "
+            f"{largest:.2e}" + (", and other text changed" if text else ""))
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name in CASES:
-        (GOLDEN / name).write_bytes(run(name))
-        print(f"wrote {GOLDEN / name}")
+        path = GOLDEN / name
+        old = path.read_bytes() if path.exists() else None
+        new = run(name)
+        path.write_bytes(new)
+        print(f"wrote {path}: {changes(old, new)}")

@@ -137,6 +137,16 @@ class TestMomentRoute:
         for s, power in [(2, dx * dx), (3, (dx * dx) * dx), (4, (dx * dx) * (dx * dx))]:
             assert central_moment(LOGNORMAL, 0, s) == float(np.mean(power))
 
+    @pytest.mark.parametrize("exponent", [100, 170, 308])
+    def test_overflowing_moment_is_degenerate(self, exponent):
+        # the frames compute_population_params rejects as too spread
+        frame = PopulationFrame(np.array([1, 0, 1, 0]),
+                                np.array([1.0, 1.5, 1.7, 1.0]) * 10.0**exponent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateAuxiliary, match="too spread to standardize"):
+                central_moment(frame, 0, 4)
+
 
 class TestPopulationParams:
     def test_two_point_symmetric_auxiliary(self):

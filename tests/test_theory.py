@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from propaux import theory
 from propaux.config import T1Config, T2Config, T3Config, TableConfig, TbConfig, TcConfig
+from propaux.estimators import EstimatorConfig, evaluate_batch
 from propaux.errors import (
     DegenerateMoments,
     InvalidConfig,
@@ -131,7 +133,7 @@ class TestTcFamily:
         tc = theory.tc_constants(TcConfig(alpha=0.0), ref_pop, ref_design.f)
         assert tc.bc == 0.0
         assert tc.ac == 0.0
-        # m1 = P^2*f*cp^2 is all that delta1 adds to P^2 here
+        # with R = 1, E[Y1^2] = E[p^2] = P^2*(1 + f*cp^2)
         assert tc.delta1 - ref_pop.P**2 == pytest.approx(
             ref_pop.P**2 * ref_design.f * ref_pop.cp**2, rel=1e-13)
 
@@ -422,6 +424,85 @@ class TestBiasReadsItsConfiguration:
         moved = dataclasses.replace(cfg, **{name: getattr(cfg, name) + 0.1})
         assert family.bias(moved, ref_pop, f) != pytest.approx(
             family.bias(cfg, ref_pop, f), rel=1e-6)
+
+
+#: Fixed constants of every kind; tc with two transforms and t3 with two
+#: switch sets, each at weights away from (1, 0).
+EXPANSION_CASES = {
+    "usual": None,
+    "ta": None,
+    "tb": TbConfig(h1=-1.2),
+    "tc": TcConfig(q1=1.2, q2=0.05),
+    "tc-transform": TcConfig(a=2.0, b=1.0, alpha=2.0, beta=1.0, q1=0.9, q2=0.03),
+    "t1": T1Config(alpha=0.8, beta=0.1),
+    "t2": T2Config(h1=-1.1, h2=0.05),
+    "t3": T3Config(m1=0.6, m2=0.4),
+    "t3-switched": T3Config(gamma=0.5, g=1.0, delta=-1.0, m1=0.7, m2=0.2),
+}
+
+
+def kernel_expansion(cfg: EstimatorConfig, pop: PopulationParams, h: float = 1e-4):
+    """``t0``, gradient ``g`` and Hessian ``H`` of the estimate that
+    ``evaluate_batch`` computes at (P(1+e0), X(1+e1), S^2(1+e2)), in e at
+    e = 0, by central differences on the 27-point grid of steps -h, 0, h."""
+    grid = np.array(list(itertools.product((-h, 0.0, h), repeat=3)))
+    values, codes = evaluate_batch(cfg, pop, pop.P * (1.0 + grid[:, 0]),
+                                   pop.xbar * (1.0 + grid[:, 1]), pop.sx2 * (1.0 + grid[:, 2]))
+    assert not codes.any()
+    t = values.reshape(3, 3, 3)
+
+    def at(*steps):
+        index = [1, 1, 1]
+        for axis, sign in steps:
+            index[axis] += sign
+        return t[tuple(index)]
+
+    g = np.array([(at((i, 1)) - at((i, -1))) / (2.0 * h) for i in range(3)])
+    hess = np.empty((3, 3))
+    for i in range(3):
+        hess[i, i] = (at((i, 1)) - 2.0 * at() + at((i, -1))) / h**2
+        for j in range(i + 1, 3):
+            corners = (at((i, 1), (j, 1)) - at((i, 1), (j, -1))
+                       - at((i, -1), (j, 1)) + at((i, -1), (j, -1)))
+            hess[i, j] = hess[j, i] = corners / (4.0 * h * h)
+    return at(), g, hess
+
+
+def moment_matrix(pop: PopulationParams) -> np.ndarray:
+    """C, the second moments of (e0, e1, e2) over f."""
+    cp, cx = pop.cp, pop.cx
+    return np.array([[cp**2, pop.rho_pb * cp * cx, cp * pop.lambda12],
+                     [pop.rho_pb * cp * cx, cx**2, cx * pop.lambda03],
+                     [cp * pop.lambda12, cx * pop.lambda03, pop.lambda04 - 1.0]])
+
+
+class TestTheoryIsTheKernelsExpansion:
+    """Each kind's first-order bias and MSE at fixed constants are the
+    second-order expansion of its kernel, E[e e'] = f*C:
+
+        bias = t0 - P + f/2*sum(H*C),
+        mse  = (t0 - P)^2 + f*(g'Cg + (t0 - P)*sum(H*C)).
+
+    Both agree within 1e-5 relative; a bias that is zero in theory (the
+    linear kinds) within 1e-8, the roundoff of the second differences."""
+
+    @pytest.mark.parametrize("case", EXPANSION_CASES)
+    @pytest.mark.parametrize("population", ["readme", 0, 1, 2])
+    def test_bias_and_mse(self, case, population, ref_pop, ref_design):
+        if population == "readme":
+            pop, f = ref_pop, ref_design.f
+        else:
+            pop, f = well_posed_params(np.random.default_rng(population))
+        params = EXPANSION_CASES[case]
+        kind = case.split("-")[0]
+        family = theory.FAMILIES[kind]
+        t0, g, hess = kernel_expansion(EstimatorConfig(kind=kind, params=params), pop)
+        c = moment_matrix(pop)
+        offset, curvature = t0 - pop.P, float(np.sum(hess * c))
+        assert family.bias(params, pop, f) == pytest.approx(
+            offset + f / 2.0 * curvature, rel=1e-5, abs=1e-8)
+        assert family.mse(params, pop, f) == pytest.approx(
+            offset**2 + f * (g @ c @ g + offset * curvature), rel=1e-5)
 
 
 class TestPre:
