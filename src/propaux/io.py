@@ -6,6 +6,20 @@ without ``_`` (``12.5``, ``-3``, ``1e-07``; no thousands separators). Lines
 end in LF, CRLF or CR. Blank lines are skipped but still counted in the line
 numbers of errors. Cells may be padded with spaces or double-quoted.
 
+A population CSV is read by one of two routes, which give the same frame:
+
+- the C route, for canonical files: ASCII bytes with no ``"``, ``_`` or NUL,
+  a first line of exactly ``phi,x``, every ``phi`` exactly ``0`` or ``1``,
+  every ``x`` finite and at least 2 records. numpy's ``loadtxt`` parses the
+  whole file in C (``_read_canonical``);
+- the checked route, for every other file: the records are split by
+  ``_PlainRecords`` or ``_QuotedRecords`` and converted column by column by
+  ``_columns``. It is the only route that reads quoted, padded or non-ASCII
+  cells, and the only one that words errors.
+
+On both routes ``x`` is converted by CPython's ``PyOS_string_to_double``, the
+correctly rounded routine behind ``float``, so the bits are the same.
+
 Parameter documents and JSON reports are read and written by ``documents``,
 which does not import numpy; each of its names is re-exported here.
 """
@@ -14,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from io import StringIO
 from itertools import repeat
 from operator import itemgetter
@@ -40,6 +55,8 @@ from .errors import ParseError, SchemaError
 from .population import PopulationFrame
 
 _BINARY = frozenset(("0", "1"))
+#: The 8 bytes of the ``U2`` cells ``0`` and ``1``, each read as one integer.
+_U2_ZERO, _U2_ONE = np.array(["0", "1"], dtype="U2").view(np.uint64)
 
 
 class _PlainRecords:
@@ -128,7 +145,9 @@ def _row_error(row: list[str], line: int) -> ParseError | None:
 
 def _float_or_nan(cell: str) -> float:
     try:
-        return float(cell)
+        # stripped as ``_row_error`` strips: ``float`` keeps ``\x1c``-``\x1f``
+        # padding in an ASCII cell, which ``str.strip`` drops
+        return float(cell.strip())
     except ValueError:
         return math.nan
 
@@ -163,14 +182,53 @@ def _columns(phi_cells: list[str], x_cells: list[str]) -> tuple[np.ndarray, np.n
     return phi, x
 
 
+def _read_canonical(path: str | Path, data: bytes) -> PopulationFrame | None:
+    """The frame of a canonical file (see the module docstring), parsed by
+    numpy's C reader, or None for any other file.
+
+    ``loadtxt`` is given the path, not ``data``: it streams a path in C
+    chunks but would read a file object line by line in Python. So the file
+    is opened a second time, as ``file_digest`` also does. The path is made
+    absolute, because numpy would fetch a relative one that parses as a URL,
+    and a name with a suffix numpy decompresses is left to the checked route.
+    The tokenizer requires two fields on every non-blank line, skips blank
+    lines and handles LF, CRLF and CR, as ``csv.reader`` splits such a file.
+    """
+    path = os.path.abspath(path)
+    # ``U2`` drops trailing NULs, so ``1\0`` would read as ``1``; a comma after
+    # the header means some line holds data, so ``loadtxt`` does not warn
+    if not (data.isascii() and data[:6] in (b"phi,x\n", b"phi,x\r")
+            and not path.endswith((".bz2", ".gz", ".lzma", ".xz"))
+            and data.find(b",", 6) > 0
+            and b'"' not in data and b"_" not in data and b"\0" not in data):
+        return None
+    try:
+        records = np.loadtxt(path, dtype=[("phi", "U2"), ("x", "f8")], delimiter=",",
+                             skiprows=1, comments=None, quotechar=None, encoding="ascii",
+                             ndmin=1)
+    except ValueError:
+        return None
+    cells = records["phi"].view(np.uint64)  # compared as integers: a string compare is 5x slower
+    one = cells == _U2_ONE
+    x = records["x"]  # strided; the frame keeps a C-contiguous copy
+    if records.size < 2 or not (one | (cells == _U2_ZERO)).all() or not np.isfinite(x).all():
+        return None
+    return PopulationFrame(one, x)
+
+
 def read_population_csv(path: str | Path) -> PopulationFrame:
     """Read a population frame, reporting failures with 1-based line numbers.
 
-    The file is checked and converted column by column. Only when a check
-    fails is its first bad row found, and ``_row_error`` words the error.
+    A canonical file is parsed in C by ``_read_canonical``. Any other file,
+    and any file that route turns down, is checked and converted column by
+    column. Only when a check fails is its first bad row found, and
+    ``_row_error`` words the error.
     """
     with open(path, "rb") as handle:
         data = handle.read()
+    frame = _read_canonical(path, data)
+    if frame is not None:
+        return frame
     if not data:
         raise SchemaError(f"{path}: empty file, expected header 'phi,x'")
     try:

@@ -45,14 +45,19 @@ from .model import Design, PopulationParams, check_realizable, sampling_fraction
 
 @dataclass(frozen=True, eq=False)
 class PopulationFrame:
-    """The full finite population: parallel arrays of ``phi`` and ``x``."""
+    """The full finite population: parallel arrays of ``phi`` and ``x``.
+
+    The frame keeps read-only, C-contiguous copies of what it is given, so
+    later writes to the caller's arrays do not reach it and the caller's own
+    arrays stay writable.
+    """
 
     phi: np.ndarray
     x: np.ndarray
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=np.int64)
-        x = np.asarray(self.x, dtype=np.float64)
+        phi = np.array(self.phi, dtype=np.int64, order="C")
+        x = np.array(self.x, dtype=np.float64, order="C")
         if phi.ndim != 1 or x.ndim != 1 or phi.shape != x.shape:
             raise SchemaError("phi and x must be one-dimensional and equally long")
         if phi.size < 2:

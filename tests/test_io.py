@@ -4,7 +4,9 @@ import json
 import math
 import sys
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import propaux
+import propaux.io
 from propaux import PopulationFrame, SyntheticSpec, generate_population, theory
 from propaux.errors import ParseError, SchemaError
 from propaux.io import (
@@ -221,6 +224,22 @@ PARITY = {
     "wrong-header": "x,phi\n1.0,1\n0,2\n",
     "header-three-fields": "phi,x,z\n1,2\n0,3\n",
     "byte-order-mark": "\ufeffphi,x\n1,2\n0,3\n",
+    # at the edges of the C route: cells its gates or checks turn down, padding
+    # that numpy strips as ``str.strip`` does, and CR-ended files
+    "phi-nul": "phi,x\n1,2\n1\x00,3\n",
+    "phi-01": "phi,x\n1,2\n01,3\n",
+    "phi-plus-1": "phi,x\n1,2\n+1,3\n",
+    "phi-minus-0": "phi,x\n1,2\n-0,3\n",
+    "phi-10": "phi,x\n1,2\n10,3\n",
+    "phi-trailing-space": "phi,x\n1,2\n1 ,3\n",
+    "phi-leading-space": "phi,x\n1,2\n 1,3\n",
+    "x-nul": "phi,x\n1,2\n0,3\x00\n",
+    "x-form-feed": "phi,x\n1,\x0c2\n0,3\x0c\n",
+    "x-file-separator": "phi,x\n1,\x1c2\n0,3\x1c\n",
+    "x-unit-separator-padded-phi": "phi,x\n 1,\x1f2\n0,3\x1c\n",
+    "cr-blank-lines": "phi,x\r\r1,2.5\r\r\r0,1e-07\r\r",
+    "header-only-cr": "phi,x\r",
+    "header-only-crlf": "phi,x\r\n",
 }
 
 #: Files that only the columnar reader rejects: ``x`` with a digit separator
@@ -241,6 +260,14 @@ WELL_FORMED_ROW = st.tuples(
     st.sampled_from(["0", "1", " 1", "0 ", '"1"', "\xa00"]),
     st.one_of(st.sampled_from(["2.5", " 3e2 ", '"-0.5"', "1e-07", "+.5", "5.", "7\t"]),
               st.floats(allow_nan=False, allow_infinity=False).map(repr)),
+).map(",".join)
+#: Records every cell of which the C route reads: ``x`` is the ``repr`` of
+#: any finite float, with subnormals, ``-0.0`` and 17-digit values drawn often.
+CANONICAL_ROW = st.tuples(
+    st.sampled_from(["0", "1"]),
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from([5e-324, -2.2250738585072009e-308, -0.0, 0.30000000000000004,
+                               1.7976931348623157e+308, 123456789.12345679])).map(repr),
 ).map(",".join)
 ANY_ROW = st.lists(st.one_of(
     st.sampled_from(["0", "1", " 1", "2", "", "1.0", "2.5", "abc", "inf", "nan", "1e999",
@@ -276,12 +303,60 @@ class TestColumnarReader:
         new, old = read_both(text)
         assert new == old or rejects_plain_x_only(new, old)
 
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.tuples(st.one_of(CANONICAL_ROW, CANONICAL_ROW, st.just("")),
+                                    st.sampled_from(["\n", "\r\n", "\r"])),
+                          max_size=12),
+           end=st.sampled_from(["\n", "\r\n", "\r"]),
+           final=st.booleans())
+    def test_canonical_files_agree_with_row_loop(self, lines, end, final):
+        """Each file is read bit for bit as the row loop reads it, and one with
+        at least 2 records never reaches the checked route."""
+        text = "phi,x" + end + "".join(line + ends for line, ends in lines)
+        if lines and not final:
+            text = text[:-len(lines[-1][1])]
+        if sum(bool(line) for line, _ in lines) < 2:
+            new, old = read_both(text)
+        else:
+            with mock.patch.object(propaux.io, "_PlainRecords",
+                                   side_effect=AssertionError("the checked route ran")):
+                new, old = read_both(text)
+        assert new == old
+
+    @pytest.mark.parametrize("name", [*PARITY, *PLAIN_X_ONLY])
+    def test_no_read_warns(self, name):
+        """Every read has its usual outcome with warnings turned into errors."""
+        text = PARITY[name] if name in PARITY else PLAIN_X_ONLY[name][0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new, old = read_both(text)
+        if name in PARITY:
+            assert new == old
+        else:
+            _, line, cell = PLAIN_X_ONLY[name]
+            assert new == (ParseError, line, f"line {line}: cannot parse auxiliary value {cell}")
+
+    @pytest.mark.parametrize("name", ["pop.csv.gz", "pop.csv.bz2", "pop.csv.xz", "pop.csv.lzma"])
+    def test_plain_file_with_a_compression_suffix(self, tmp_path, name):
+        """numpy would decompress these names; the file is read as it is."""
+        path = tmp_path / name
+        path.write_text(PARITY["lf"])
+        assert read_population_csv(path).records() == [(1, 2.5), (0, 1.0)]
+
+    def test_relative_path_that_parses_as_a_url(self, tmp_path, monkeypatch):
+        """numpy would fetch ``http://localhost/pop.csv``; the local file is read."""
+        (tmp_path / "http:" / "localhost").mkdir(parents=True)
+        (tmp_path / "http:" / "localhost" / "pop.csv").write_text(PARITY["lf"])
+        monkeypatch.chdir(tmp_path)
+        assert read_population_csv("http://localhost/pop.csv").records() == [(1, 2.5), (0, 1.0)]
+
     @pytest.mark.parametrize("header, block", [
         ("phi,x\n", "1,2.5\n0,1.0\n"),
+        ("phi,x\r", "1,2.5\r\r0,1e-07\r"),
         ("phi,x\r\n", "1,2.5\r\n\r\n 0 ,1e3\r\n"),
         ("phi,x\n", '1,"2.5"\n0,1.0\n'),
         ("phi,x\n", "1,\xa02.5\n0,1.0\n"),
-    ], ids=("lf", "crlf-blank-padded", "quoted", "unicode-padded"))
+    ], ids=("lf", "cr-blank", "crlf-blank-padded", "quoted", "unicode-padded"))
     def test_success_runs_no_python_line_per_row(self, tmp_path, header, block):
         """The package runs as many lines of Python for 500 blocks of rows as for 5."""
         def lines_run(blocks: int) -> int:

@@ -75,6 +75,23 @@ class TestFrame:
         with pytest.raises(ValueError):
             ALIGNED.phi[0] = 0
 
+    def test_callers_arrays_stay_writable(self):
+        phi, x = np.array([1, 0, 1]), np.array([2.5, 1.25, -3.0])
+        frame = PopulationFrame(phi, x)
+        assert frame.phi is not phi and frame.x is not x
+        x[0] = 7.0
+        phi[0] = 0
+        assert frame.records() == [(1, 2.5), (0, 1.25), (1, -3.0)]
+
+    def test_frame_of_a_column_owns_a_contiguous_copy(self):
+        a = np.array([[1.0, 1.0], [0.0, 2.0], [1.0, 4.0]])
+        frame = PopulationFrame(a[:, 0], a[:, 1])
+        a[0, 1] = 100.0
+        a[1, 0] = 5.0
+        assert frame.records() == [(1, 1.0), (0, 2.0), (1, 4.0)]
+        assert frame.phi.flags.c_contiguous and frame.x.flags.c_contiguous
+        assert frame.phi.flags.owndata and frame.x.flags.owndata
+
 
 class TestCentralMoment:
     def test_aligned_cross_moment(self):
