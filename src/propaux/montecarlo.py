@@ -5,19 +5,22 @@ Determinism contract
 Replicates fall into fixed blocks of ``max(1, BLOCK_ELEMENTS // n)`` rows;
 block ``b`` draws from its own random stream,
 ``SeedSequence(seed, spawn_key=(2, b))`` feeding a PCG64 generator, with one
-vectorized Floyd draw for all of its rows. A shorter draw from a block
-stream gives a prefix of the rows of a longer one, so the sample of
-replicate ``i`` depends only on ``(seed, i, N, n)``. Exact enumeration takes
-the subsets in lexicographic order, the order of ``itertools.combinations``;
-each chunk unranks its own range of ranks, so subset ``i`` also depends only
-on ``(i, N, n)``. Replicates and subsets are evaluated in chunks of
-``CHUNK_ELEMENTS`` sample indices (at least one sample), each chunk through
-one batch sufficient-statistics pass and one kernel call per estimator, into
-the run's one value matrix, a row per estimator and a column per sample. A
-failed sample is a NaN entry of that matrix; every other entry is finite.
-Aggregation runs over each row in index order. A report is therefore a
-pure function of ``(population, n, configs, reps, seed)``, independent of
-the chunking.
+vectorized Floyd draw for all of its rows. The draw's bounded integers are
+the bits of numpy's ``Generator.integers``, computed from the stream's raw
+words by numpy's own rule; a numpy release that changes its bounded-integer
+algorithm fails the contract test instead of silently moving seeded reports.
+A shorter draw from a block stream gives a prefix of the rows of a longer
+one, so the sample of replicate ``i`` depends only on ``(seed, i, N, n)``.
+Exact enumeration takes the subsets in lexicographic order, the order of
+``itertools.combinations``; each chunk unranks its own range of ranks, so
+subset ``i`` also depends only on ``(i, N, n)``. Replicates and subsets are
+evaluated in chunks of ``CHUNK_ELEMENTS`` sample indices (at least one
+sample), each chunk through one batch sufficient-statistics pass and one
+kernel call per estimator, into the run's one value matrix, a row per
+estimator and a column per sample. A failed sample is a NaN entry of that
+matrix; every other entry is finite. Aggregation runs over each row in index
+order. A report is therefore a pure function of ``(population, n, configs,
+reps, seed)``, independent of the chunking.
 Synthetic-population generation uses the disjoint spawn keys ``(1, attempt)``
 so a shared seed never aliases replicate streams.
 """
@@ -47,6 +50,9 @@ from .population import PopulationFrame, batch_stats, compute_population_params
 
 _LOGGER = logging.getLogger(__name__)
 
+#: Index of the low 32-bit half of a uint64 viewed as two uint32s.
+_LOW_HALF = 0 if sys.byteorder == "little" else 1
+
 ENUMERATION_LIMIT = 10**7
 
 #: Sample indices evaluated per chunk; bounds the per-chunk temporaries (the
@@ -57,6 +63,10 @@ CHUNK_ELEMENTS = 65536
 #: changes every seeded report.
 BLOCK_ELEMENTS = 65536
 
+#: Names the draw in every seeded report. The Floyd draws are numpy's
+#: ``integers`` bits taken from raw words (``_bounded``), so a numpy release
+#: that changes its bounded-integer algorithm fails the contract test
+#: rather than silently moving seeded reports under this name.
 RNG_SCHEME = ("pcg64:SeedSequence(seed, spawn_key=(2, replicate // max(1, "
               f"{BLOCK_ELEMENTS} // n))):floyd-int64")
 
@@ -75,18 +85,90 @@ def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
     )
 
 
+def _words(bitgen: np.random.BitGenerator, count: int) -> np.ndarray:
+    """The next ``count`` (rounded up to even) 32-bit words of ``bitgen``:
+    its raw outputs, the low half of each first, on any byte order."""
+    return bitgen.random_raw(-(-count // 2)).astype("<u8", copy=False).view("<u4")
+
+
+def _bounded(bitgen: np.random.BitGenerator, high: np.ndarray, rows: int) -> np.ndarray:
+    """``rows`` rows of entries uniform on ``0..high[k]-1`` in column ``k``:
+    the int64 values of ``Generator(bitgen).integers(0, high, size=(rows,
+    high.size))`` on a fresh ``bitgen``, bit for bit. Needs ``1 <= high <
+    2**32``.
+
+    numpy's 32-bit bounded draw (Lemire, "Fast random integer generation in
+    an interval", ACM TOMACS 2019), taken from ``random_raw`` words: the
+    entries, row by row, take the stream's 32-bit words, the low half of
+    each raw output first. An entry's value is ``(word * high) >> 32``; it
+    is rejected, and takes the next word instead, when the low 32 bits of
+    that product are below ``2**32 % high``, so each rejection shifts every
+    later entry by one word. An entry with ``high == 1`` is 0 and takes no
+    word. The products are formed in place in one uint64 buffer, and each
+    rejection recomputes entries after it in the same buffer, at most one
+    pass over the rows after it.
+    """
+    live = high > 1
+    if not live.all():
+        out = np.zeros((rows, high.size), dtype=np.int64)
+        if live.any():
+            out[:, live] = _bounded(bitgen, high[live], rows)
+        return out
+    high = high.astype(np.uint64)
+    m = high.size
+    total = rows * m
+    # each entry's two 32-bit halves side by side: the low one is compared
+    # with the entry's threshold, the high one with 0, which nothing is below
+    threshold = np.zeros(2 * m, dtype=np.uint32)
+    threshold[_LOW_HALF::2] = np.uint64(2**32) % high
+    # after a rejection, entries are recomputed one window at a time, of
+    # about the rows one rejection is expected in
+    window = max(1, 2**32 // max(1, int(threshold.sum(dtype=np.uint64))))
+    buf = np.empty(total, dtype=np.uint64)
+    product = buf.reshape(rows, m)
+    halves = buf.view(np.uint32).reshape(rows, 2 * m)
+    chunks = [_words(bitgen, total)]
+    pos = offset = 0  # entries before `pos` are final; entry e >= pos takes word e + offset
+    while pos < total:
+        row, col = divmod(pos, m)
+        stop = rows if offset == 0 else min(rows, row + window)
+        if sum(words.size for words in chunks) < stop * m + offset:
+            chunks.append(_words(bitgen, total // 8 + 16))
+        start = 0
+        for words in chunks:
+            lo, hi = max(pos + offset, start), min(stop * m + offset, start + words.size)
+            if lo < hi:
+                buf[lo - offset:hi - offset] = words[lo - start:hi - start]
+            start += words.size
+        product[row, col:] *= high[col:]
+        product[row + 1:stop] *= high
+        # the final entries of `row` before `col` were accepted, so the first
+        # rejection in these rows is the first at or after `pos`
+        rejected = (halves[row:stop] < threshold).ravel()
+        hit = int(rejected.argmax())
+        if rejected[hit]:
+            pos = row * m + hit // 2
+            offset += 1
+        else:
+            pos = stop * m
+    buf >>= 32
+    return product.view(np.int64)
+
+
 def _floyd(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
     """``rows`` uniformly distributed n-subsets of ``range(N)``, one sorted row each.
 
     Floyd's algorithm (Bentley & Floyd, "A sample of brilliance", CACM 30(9),
     1987) on every row at once: draw ``k`` is uniform on ``0..N-n+k`` and is
     kept unless the row already holds it, in which case ``N-n+k`` is kept.
-    The draws are consumed row by row, so fewer rows give a prefix of more.
-    Needs ``2 * n * N < 2**63``.
+    The draws are ``rng.integers(0, [N-n+1, ..., N], size=(rows, n))``,
+    taken by ``_bounded`` from the raw words of a fresh ``rng``, and are
+    consumed row by row, so fewer rows give a prefix of more. Needs
+    ``2 * n * N < 2**63`` and, for ``_bounded``, ``N < 2**32``.
     """
     base = N - n
     step = np.arange(n)
-    draws = rng.integers(0, np.arange(base + 1, N + 1), size=(rows, n))
+    draws = _bounded(rng.bit_generator, np.arange(base + 1, N + 1), rows)
     flat = draws.ravel()
     # Draw k collides when its row already holds its value. It does when an
     # earlier draw had that value: sorted by one key that packs (value, draw

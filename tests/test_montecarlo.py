@@ -150,6 +150,58 @@ class TestBlockDraw:
         assert chi2 < 43.82, chi2  # the 0.999 quantile of chi-square, 19 df
 
 
+# high vectors of the bounded draw: anywhere in its domain, in its top half,
+# where up to half of the words are rejected, and 3 * 2**30, which rejects
+# exactly a quarter
+_HIGHS = st.lists(st.one_of(st.integers(1, 2**32 - 1), st.integers(2**31, 2**32 - 1),
+                            st.just(3 * 2**30)), min_size=1, max_size=60)
+
+
+class TestBoundedDraw:
+    """``_bounded`` is ``Generator.integers(0, high, size=(rows, k))`` bit for
+    bit, and the block draw takes its integers from it alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 50), high=_HIGHS, leading_one=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), block=st.integers(0, 2**16))
+    @example(rows=7, high=[3 * 2**30] * 9, leading_one=False, seed=0, block=0)
+    @example(rows=13, high=[2**32 - 1, 2**31 + 1, 3 * 2**30, 5], leading_one=True,
+             seed=1, block=2)
+    @example(rows=50, high=[3 * 2**30] * 59, leading_one=True, seed=2, block=3)
+    @example(rows=1, high=[1], leading_one=False, seed=3, block=4)
+    def test_equals_numpy_integers(self, rows, high, leading_one, seed, block):
+        high = np.array([1] * leading_one + high, dtype=np.int64)
+        expect = montecarlo._stream(seed, 2, block).integers(0, high, size=(rows, high.size))
+        drawn = montecarlo._bounded(montecarlo._stream(seed, 2, block).bit_generator,
+                                    high, rows)
+        assert drawn.dtype == expect.dtype
+        assert np.array_equal(drawn, expect)
+
+    def test_block_with_a_rejection_equals_scalar_floyd(self):
+        # block 4 of the 1,310-row blocks of this seed rejects one word
+        drawn = draw_replicates(_frame(2000), 50, 2045767613, 5240, 6550)
+        rng = _block_stream(2045767613, 4)
+        assert drawn.tolist() == [floyd_loop(rng, 2000, 50) for _ in range(1310)]
+
+    def test_block_draw_calls_no_integers(self, monkeypatch):
+        class RawOnly:
+            def __init__(self, rng):
+                self.bit_generator = rng.bit_generator
+
+            def integers(self, *args, **kwargs):
+                raise AssertionError("the block draw called Generator.integers")
+
+        stream = montecarlo._stream
+        frame = _frame(300)
+        expect = (draw_replicates(frame, 40, 6, 0, 3000), run_experiment(frame, 40, seed=6),
+                  run_experiment(frame, 300, reps=100, seed=6))
+        monkeypatch.setattr(montecarlo, "_stream", lambda seed, *key: RawOnly(stream(seed, *key)))
+        drawn = (draw_replicates(frame, 40, 6, 0, 3000), run_experiment(frame, 40, seed=6),
+                 run_experiment(frame, 300, reps=100, seed=6))
+        assert np.array_equal(drawn[0], expect[0])
+        assert drawn[1:] == expect[1:]
+
+
 class TestEnumeration:
     def test_mean_of_p_is_exactly_the_proportion(self, rng):
         from conftest import random_frame
