@@ -5,10 +5,10 @@ Determinism contract
 Replicates fall into fixed blocks of ``max(1, BLOCK_ELEMENTS // n)`` rows;
 block ``b`` draws from its own random stream,
 ``SeedSequence(seed, spawn_key=(2, b))`` feeding a PCG64 generator, with one
-vectorized Floyd draw for all of its rows. Its bounded integers are numpy's
-``Generator.integers`` bits, from the raw words by numpy's rule where the
-block expects no rejection and by numpy's loop elsewhere; a census takes no
-words. A numpy release that changes that rule fails the contract test.
+vectorized Floyd draw for all of its rows. The draw's bounded integers are
+the bits of numpy's ``Generator.integers``, computed from the stream's raw
+words by numpy's own rule; a numpy release that changes its bounded-integer
+algorithm fails the contract test instead of silently moving seeded reports.
 A shorter draw from a block stream gives a prefix of the rows of a longer
 one, so the sample of replicate ``i`` depends only on ``(seed, i, N, n)``.
 Exact enumeration takes the subsets in lexicographic order, the order of
@@ -64,10 +64,9 @@ CHUNK_ELEMENTS = 65536
 BLOCK_ELEMENTS = 65536
 
 #: Names the draw in every seeded report. The Floyd draws are numpy's
-#: ``integers`` bits, from raw words where a block expects no rejection and
-#: from numpy's loop elsewhere (``_bounded``); a census takes no words. A
-#: numpy release that changes its bounded-integer algorithm fails the
-#: contract test rather than silently moving seeded reports under this name.
+#: ``integers`` bits taken from raw words (``_bounded``), so a numpy release
+#: that changes its bounded-integer algorithm fails the contract test
+#: rather than silently moving seeded reports under this name.
 RNG_SCHEME = ("pcg64:SeedSequence(seed, spawn_key=(2, replicate // max(1, "
               f"{BLOCK_ELEMENTS} // n))):floyd-int64")
 
@@ -85,7 +84,6 @@ def _integer(name: str, value) -> int:
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
     """The generator of one stream of the experiment ``seed``; every seeded
     draw starts here."""
-    seed = _integer("seed", seed)
     if seed < 0:
         raise InvalidConfig(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(
@@ -99,53 +97,63 @@ def _words(bitgen: np.random.BitGenerator, count: int) -> np.ndarray:
     return bitgen.random_raw(-(-count // 2)).astype("<u8", copy=False).view("<u4")
 
 
-def _raw_bounded(bitgen: np.random.BitGenerator, high: np.ndarray, rows: int) -> np.ndarray:
-    """``Generator(bitgen).integers(0, high, size=(rows, high.size))`` on a
-    fresh ``bitgen``, bit for bit, from its ``random_raw`` words. Needs ``2
-    <= high < 2**32``.
+def _bounded(bitgen: np.random.BitGenerator, high: np.ndarray, rows: int) -> np.ndarray:
+    """``rows`` rows of entries uniform on ``0..high[k]-1`` in column ``k``:
+    the int64 values of ``Generator(bitgen).integers(0, high, size=(rows,
+    high.size))`` on a fresh ``bitgen``, bit for bit. Needs ``1 <= high <
+    2**32``.
 
     numpy's 32-bit bounded draw (Lemire, "Fast random integer generation in
-    an interval", ACM TOMACS 2019): the entries, row by row, take the
-    stream's 32-bit words, the low half of each raw output first. An
-    entry's value is ``(word * high) >> 32``; it is rejected, and takes the
-    next word instead, when the low 32 bits of that product are below
-    ``2**32 % high``. Each rejection shifts every later entry by one word,
-    and one pass recomputes them in the same uint64 buffer.
+    an interval", ACM TOMACS 2019), taken from ``random_raw`` words: the
+    entries, row by row, take the stream's 32-bit words, the low half of
+    each raw output first. An entry's value is ``(word * high) >> 32``; it
+    is rejected, and takes the next word instead, when the low 32 bits of
+    that product are below ``2**32 % high``, so each rejection shifts every
+    later entry by one word. An entry with ``high == 1`` is 0 and takes no
+    word. The products are formed in place in one uint64 buffer, and each
+    rejection recomputes entries after it in the same buffer, at most one
+    pass over the rows after it.
     """
+    live = high > 1
+    if not live.all():
+        out = np.zeros((rows, high.size), dtype=np.int64)
+        if live.any():
+            out[:, live] = _bounded(bitgen, high[live], rows)
+        return out
     high = high.astype(np.uint64)
     m = high.size
     total = rows * m
     # each entry's two 32-bit halves side by side: the low one is compared
     # with the entry's threshold, the high one with 0, which nothing is below
     threshold = np.zeros(2 * m, dtype=np.uint32)
-    threshold[_LOW_HALF::2] = 2**32 % high
-    words = _words(bitgen, total)
-    buf = words[:total].astype(np.uint64)
+    threshold[_LOW_HALF::2] = np.uint64(2**32) % high
+    # after a rejection, entries are recomputed one window at a time, of
+    # about the rows one rejection is expected in
+    window = max(1, 2**32 // max(1, int(threshold.sum(dtype=np.uint64))))
+    buf = np.empty(total, dtype=np.uint64)
     product = buf.reshape(rows, m)
     halves = buf.view(np.uint32).reshape(rows, 2 * m)
-    product *= high
-    row = offset = 0  # entries before the last rejected one, in `row`, are final
-    while (rejected := (halves[row:] < threshold).ravel()).any():
-        pos = row * m + int(rejected.argmax()) // 2
-        offset += 1
-        if words.size < total + offset:
-            words = np.concatenate((words, _words(bitgen, 16)))
-        buf[pos:] = words[pos + offset:total + offset]
+    words = _words(bitgen, total)
+    pos = offset = 0  # entries before `pos` are final; entry e >= pos takes word e + offset
+    while pos < total:
         row, col = divmod(pos, m)
+        stop = rows if offset == 0 else min(rows, row + window)
+        if words.size < stop * m + offset:
+            words = np.concatenate((words, _words(bitgen, total // 8 + 16)))
+        buf[pos:stop * m] = words[pos + offset:stop * m + offset]
         product[row, col:] *= high[col:]
-        product[row + 1:] *= high
+        product[row + 1:stop] *= high
+        # the final entries of `row` before `col` were accepted, so the first
+        # rejection in these rows is the first at or after `pos`
+        rejected = (halves[row:stop] < threshold).ravel()
+        hit = int(rejected.argmax())
+        if rejected[hit]:
+            pos = row * m + hit // 2
+            offset += 1
+        else:
+            pos = stop * m
     buf >>= 32
     return product.view(np.int64)
-
-
-def _bounded(rng: np.random.Generator, high: np.ndarray, rows: int) -> np.ndarray:
-    """``rng.integers(0, high, size=(rows, high.size))`` on a fresh ``rng``:
-    from raw words (``_raw_bounded``) where the block expects no rejection,
-    ``rows * sum(2**32 % high) < 2**32``, and every ``high >= 2``, else by
-    numpy's own loop. Needs ``1 <= high < 2**32``."""
-    if high.min() < 2 or rows * int((2**32 % high.astype(np.uint64)).sum()) >= 2**32:
-        return rng.integers(0, high, size=(rows, high.size))
-    return _raw_bounded(rng.bit_generator, high, rows)
 
 
 def _floyd(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
@@ -154,16 +162,14 @@ def _floyd(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
     Floyd's algorithm (Bentley & Floyd, "A sample of brilliance", CACM 30(9),
     1987) on every row at once: draw ``k`` is uniform on ``0..N-n+k`` and is
     kept unless the row already holds it, in which case ``N-n+k`` is kept.
-    The draws are ``_bounded``'s ``rng.integers(0, [N-n+1, ..., N],
-    size=(rows, n))`` on a fresh ``rng``, consumed row by row, so fewer rows
-    give a prefix of more; a census takes none. Needs ``2 * n * N < 2**63``
-    and, for ``_bounded``, ``N < 2**32``.
+    The draws are ``rng.integers(0, [N-n+1, ..., N], size=(rows, n))``,
+    taken by ``_bounded`` from the raw words of a fresh ``rng``, and are
+    consumed row by row, so fewer rows give a prefix of more. Needs
+    ``2 * n * N < 2**63`` and, for ``_bounded``, ``N < 2**32``.
     """
-    if n == N:
-        return np.tile(np.arange(N), (rows, 1))
     base = N - n
     step = np.arange(n)
-    draws = _bounded(rng, np.arange(base + 1, N + 1), rows)
+    draws = _bounded(rng.bit_generator, np.arange(base + 1, N + 1), rows)
     flat = draws.ravel()
     # Draw k collides when its row already holds its value. It does when an
     # earlier draw had that value: sorted by one key that packs (value, draw

@@ -171,9 +171,8 @@ _HIGHS = st.lists(st.one_of(st.integers(1, 2**32 - 1), st.integers(2**31, 2**32 
 
 
 class TestBoundedDraw:
-    """``_bounded`` and its raw-word path ``_raw_bounded`` are
-    ``Generator.integers(0, high, size=(rows, k))`` bit for bit, and a block
-    draw that expects no rejection takes its integers from raw words alone."""
+    """``_bounded`` is ``Generator.integers(0, high, size=(rows, k))`` bit for
+    bit, and the block draw takes its integers from it alone."""
 
     @settings(max_examples=150, deadline=None)
     @given(rows=st.integers(1, 50), high=_HIGHS, leading_one=st.booleans(),
@@ -183,29 +182,19 @@ class TestBoundedDraw:
              seed=1, block=2)
     @example(rows=50, high=[3 * 2**30] * 59, leading_one=True, seed=2, block=3)
     @example(rows=1, high=[1], leading_one=False, seed=3, block=4)
-    # both sides of the switch: 2 rows of 2**31 + 1 expect just under one
-    # rejection and take raw words (this stream rejects six); 3 rows expect
-    # more and take numpy's loop
+    # this stream rejects six words, so the two entries need more words
+    # than the first draw took
     @example(rows=2, high=[2**31 + 1], leading_one=False, seed=1, block=0)
-    @example(rows=3, high=[2**31 + 1], leading_one=False, seed=1, block=0)
-    # raw words, two rejections inside the rows
+    # two rejections inside the rows
     @example(rows=5, high=[1_000_000_007, 12345, 99991, 65537, 3], leading_one=False,
              seed=29, block=0)
     def test_equals_numpy_integers(self, rows, high, leading_one, seed, block):
         high = np.array([1] * leading_one + high, dtype=np.int64)
         expect = montecarlo._stream(seed, 2, block).integers(0, high, size=(rows, high.size))
-        drawn = montecarlo._bounded(montecarlo._stream(seed, 2, block), high, rows)
+        drawn = montecarlo._bounded(montecarlo._stream(seed, 2, block).bit_generator,
+                                    high, rows)
         assert drawn.dtype == expect.dtype
         assert np.array_equal(drawn, expect)
-        # the raw-word path on its own, over every column it is defined for,
-        # however many rejections the block expects
-        live = high[high > 1]
-        if live.size:
-            expect = montecarlo._stream(seed, 2, block).integers(0, live, size=(rows, live.size))
-            drawn = montecarlo._raw_bounded(montecarlo._stream(seed, 2, block).bit_generator,
-                                            live, rows)
-            assert drawn.dtype == expect.dtype
-            assert np.array_equal(drawn, expect)
 
     def test_block_with_a_rejection_equals_scalar_floyd(self):
         # block 4 of the 1,310-row blocks of this seed rejects one word
@@ -223,36 +212,18 @@ class TestBoundedDraw:
 
         stream = montecarlo._stream
         frame = _frame(300)
-
-        def run():
-            # the last is the rejecting block above, which expects about
-            # 0.01 rejections and so stays on raw words
-            return (draw_replicates(frame, 40, 6, 0, 3000), run_experiment(frame, 40, seed=6),
-                    run_experiment(frame, 300, reps=100, seed=6),
-                    draw_replicates(_frame(2000), 50, 2045767613, 5240, 6550))
-
-        expect = run()
+        expect = (draw_replicates(frame, 40, 6, 0, 3000), run_experiment(frame, 40, seed=6),
+                  run_experiment(frame, 300, reps=100, seed=6))
         monkeypatch.setattr(montecarlo, "_stream", lambda seed, *key: RawOnly(stream(seed, *key)))
-        drawn = run()
+        drawn = (draw_replicates(frame, 40, 6, 0, 3000), run_experiment(frame, 40, seed=6),
+                 run_experiment(frame, 300, reps=100, seed=6))
         assert np.array_equal(drawn[0], expect[0])
-        assert drawn[1:3] == expect[1:3]
-        assert np.array_equal(drawn[3], expect[3])
+        assert drawn[1:] == expect[1:]
 
     def test_large_frame_block_equals_scalar_floyd(self):
         # N = 10**8 rejects about one word in 45, so 300 rows of n = 50
-        # expect hundreds of rejections and take numpy's loop
-        calls = []
-
-        class Spy:
-            def __init__(self, rng):
-                self.rng, self.bit_generator = rng, rng.bit_generator
-
-            def integers(self, *args, **kwargs):
-                calls.append(args)
-                return self.rng.integers(*args, **kwargs)
-
-        drawn = montecarlo._floyd(Spy(_block_stream(5, 7)), 10**8, 50, 300)
-        assert len(calls) == 1
+        # reject hundreds of words, about one a row
+        drawn = montecarlo._floyd(_block_stream(5, 7), 10**8, 50, 300)
         rng = _block_stream(5, 7)
         assert drawn.tolist() == [floyd_loop(rng, 10**8, 50) for _ in range(300)]
 
