@@ -113,11 +113,15 @@ def theory_report_dict(report: TheoryReport) -> dict:
 
 
 def simulation_report_dict(report: SimulationReport) -> dict:
-    return asdict(report) | {"rows": [asdict(row) for row in report.rows]}
+    payload = asdict(report)  # converts the rows too; JSON keeps them as a list
+    payload["rows"] = list(payload["rows"])
+    return payload
 
 
 def sensitivity_report_dict(report: SensitivityReport) -> dict:
-    return asdict(report) | {"intervals": [asdict(row) for row in report.intervals]}
+    payload = asdict(report)
+    payload["intervals"] = list(payload["intervals"])
+    return payload
 
 
 def conditions_dict(conditions: tuple[ConditionResult, ...]) -> list[dict]:

@@ -12,8 +12,10 @@ functions are pure.
 
 The kernels give the bits of scalar float arithmetic, whose powers and
 exponentials call libm. Powers (``tc``, ``t1``, ``t3``) run as one
-``np.float_power`` call, whose loop is libm ``pow``; the exponentials of
-``tc`` and ``t3`` have no such numpy loop and call ``math.exp`` once per row.
+``np.float_power`` call, whose loop is libm ``pow``, or none at exponent 1.
+The exponentials of ``tc`` and ``t3`` run as one complex ``np.exp`` call,
+whose loop is libm ``cexp``; only rows above 709 call ``math.exp`` one at a
+time.
 """
 
 from __future__ import annotations
@@ -133,30 +135,30 @@ def _pow(base: np.ndarray, exponent: float, ok: np.ndarray) -> np.ndarray:
     has no SIMD variant, so it returns the bits of float ``**``, which calls
     the same libm. ``power`` differs from libm in the last bit on a few
     percent of inputs. An overflowed row comes out as ``inf``, which fails
-    it as not finite.
+    it as not finite. ``pow(x, 1)`` is exactly ``x``, so exponent 1 (the
+    default ``tc`` and ``t3``) calls no ``pow``.
     """
-    return np.where(ok, np.float_power(base, exponent), 1.0)
+    power = base if exponent == 1.0 else np.float_power(base, exponent)
+    return np.where(ok, power, 1.0)
 
 
 def _exp(arg: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """``math.exp`` over the rows of ``ok`` as Python floats, 1.0 elsewhere.
+    """``math.exp`` over the rows of ``ok``, 1.0 elsewhere.
 
     numpy's SIMD ``exp`` differs from libm in the last bit on a few percent
-    of inputs, and has no plain libm loop; ``math.exp`` calls libm, as the
-    scalar arithmetic always has. It raises ``OverflowError``; only then is
-    each row evaluated on its own, an overflowed one as ``inf``, which fails
-    it as not finite. Rows that failed a precondition are skipped.
+    of inputs. Its ``complex128`` loop has no SIMD variant and calls libm
+    ``cexp``, which glibc computes at imaginary part 0 as the ``exp`` that
+    ``math.exp`` calls, up to 709; above that it rescales by ``exp(709)``.
+    Rows above 709, and NaN rows, call ``math.exp`` one at a time, an
+    overflowed one giving ``inf``, which fails it as not finite.
     """
-    out = np.ones(ok.shape)
-    rows = arg[ok].tolist()
-    try:
-        out[ok] = np.fromiter(map(math.exp, rows), dtype=np.float64, count=len(rows))
-    except OverflowError:
-        for i, row in zip(np.flatnonzero(ok), rows):
-            try:
-                out[i] = math.exp(row)
-            except OverflowError:
-                out[i] = math.inf
+    exact = arg <= 709.0
+    out = np.where(ok & exact, np.exp(arg.astype(np.complex128)).real, 1.0)
+    for i in np.flatnonzero(ok & ~exact):
+        try:
+            out[i] = math.exp(arg[i])
+        except OverflowError:
+            out[i] = math.inf
     return out
 
 

@@ -240,10 +240,15 @@ def batch_stats(frame: PopulationFrame,
     idx = idx.astype(np.intp, copy=False)
     n = idx.shape[1]
     xs = frame.x[idx]
-    p = frame.phi[idx].mean(axis=1)
-    sx2_s = xs.var(axis=1, ddof=1)
+    # an integer count of 0/1 values is exact, so p has the bits of the float
+    # mean; the variance takes np.var's steps in its order, reusing the mean
+    p = frame.phi[idx].sum(axis=1) / n
+    xbar_s = xs.mean(axis=1)
+    dev = xs - xbar_s[:, None]
+    dev *= dev
+    sx2_s = dev.sum(axis=1) / (n - 1)
     _check_stats(n, p, sx2_s)
-    return p, xs.mean(axis=1), sx2_s
+    return p, xbar_s, sx2_s
 
 
 def sample_stats(frame: PopulationFrame, indices: Sequence[int]) -> SampleStats:

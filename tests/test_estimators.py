@@ -355,6 +355,8 @@ class TestPow:
            seed=st.integers(0, 2**32 - 1))
     @example(base=[1e300, 1.0001, 5e-324], exponent=3000.0, seed=0)
     @example(base=[5e-324, sys.float_info.max, math.inf], exponent=-3000.0, seed=0)
+    @example(base=list(_EDGE_BASES), exponent=1.0, seed=0)
+    @example(base=[5e-324, 1e-310, sys.float_info.max, math.inf], exponent=1.0, seed=1)
     @settings(max_examples=300, deadline=None)
     def test_rows_match_operator_pow(self, base, exponent, seed):
         # the drawn edge cases, then bulk bases of the kernels' scale, where
@@ -374,6 +376,39 @@ class TestPow:
         with np.errstate(all="ignore"):
             got = estimators._pow(np.array([1e300, 1.5]), 3000.0, np.array([True, False]))
         assert got.tolist() == [math.inf, 1.0]
+
+
+def _libm_exp(arg: float) -> float:
+    try:
+        return math.exp(arg)
+    except OverflowError:
+        return math.inf
+
+
+# zero and subnormal results, both sides of the 709 gate, the overflow edge
+_EDGE_ARGS = (0.0, -0.0, -745.2, -708.5, 709.0, math.nextafter(709.0896, math.inf),
+              709.5, 709.78, 709.79, math.inf, -math.inf, math.nan)
+
+
+class TestExp:
+    """The exponential kernel returns the bits of ``math.exp``: libm ``exp``."""
+
+    @given(arg=st.lists(st.one_of(st.sampled_from(_EDGE_ARGS), st.floats()),
+                        min_size=1, max_size=40),
+           seed=st.integers(0, 2**32 - 1))
+    @example(arg=list(_EDGE_ARGS), seed=0)
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_math_exp(self, arg, seed):
+        # the drawn edge cases, bulk arguments of the kernels' scale, where
+        # numpy's SIMD exp differs from libm in the last bit, and arguments
+        # about the gate, where glibc's cexp rescales above 709
+        rng = np.random.default_rng(seed)
+        arg = np.concatenate((arg, rng.normal(0.0, 2.0, 200), rng.uniform(708.0, 710.0, 40)))
+        ok = rng.uniform(size=arg.size) < 0.9
+        expect = [_libm_exp(a) if keep else 1.0 for a, keep in zip(arg.tolist(), ok)]
+        with np.errstate(all="ignore"):  # as in the kernels
+            got = estimators._exp(arg, ok)
+        assert got.tobytes() == np.array(expect).tobytes()
 
 
 class TestCensusInertness:

@@ -375,6 +375,20 @@ class TestBatchStats:
         np.testing.assert_allclose(xbar_s, fast[1], rtol=1e-14, atol=0)
         np.testing.assert_allclose(sx2_s, fast[2], rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("n", [2, 6, 7, 8, 9, 50, 129])
+    def test_bits_of_numpy_mean_and_var(self, rng, n):
+        """The statistics have the bits of numpy's own ``mean`` and ``var``,
+        sorted rows and shuffled ones alike. The sizes include the block
+        edges of numpy's pairwise summation (8 and 128 terms)."""
+        frame = random_frame(rng, size=300)
+        rows = np.sort(rng.permuted(np.tile(np.arange(300), (40, 1)), axis=1)[:, :n], axis=1)
+        idx = np.concatenate([rows, rng.permuted(rows, axis=1)])
+        xs = frame.x[idx]
+        p, xbar_s, sx2_s = batch_stats(frame, idx)
+        assert p.tobytes() == frame.phi[idx].mean(axis=1).tobytes()
+        assert xbar_s.tobytes() == xs.mean(axis=1).tobytes()
+        assert sx2_s.tobytes() == xs.var(axis=1, ddof=1).tobytes()
+
 
 @st.composite
 def frames(draw):
