@@ -13,7 +13,9 @@ A shorter draw from a block stream gives a prefix of the rows of a longer
 one, so the sample of replicate ``i`` depends only on ``(seed, i, N, n)``.
 Exact enumeration takes the subsets in lexicographic order, the order of
 ``itertools.combinations``; each chunk unranks its own range of ranks, so
-subset ``i`` also depends only on ``(i, N, n)``. Replicates and subsets are
+subset ``i`` also depends only on ``(i, N, n)``. Its chunks are
+column-major, one contiguous run per sample position; the batch statistics
+have the same bits in either layout. Replicates and subsets are
 evaluated in chunks of ``CHUNK_ELEMENTS`` sample indices (at least one
 sample), each chunk through one batch sufficient-statistics pass and one
 kernel call per estimator, into the run's one value matrix, a row per
@@ -173,16 +175,18 @@ def _floyd(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
     flat = draws.ravel()
     # Draw k collides when its row already holds its value. It does when an
     # earlier draw had that value: sorted by one key that packs (value, draw
-    # index), such a draw follows one of equal value ...
+    # index), such a draw follows one of equal value in its row ...
     shift = int(n).bit_length()
     key = draws << shift
     key |= step
     key.sort(axis=1)
-    repeat = key[:, 1:] ^ key[:, :-1]
+    key = key.ravel()
+    repeat = key[1:] ^ key[:-1]
     repeat >>= shift
-    row, pos = np.nonzero(repeat == 0)
+    later = np.flatnonzero(repeat == 0) + 1
+    later = later[later % n != 0]  # not a pair straddling two rows
     collided = np.zeros(rows * n, dtype=bool)
-    collided[row * n + (key[row, pos + 1] & ((1 << shift) - 1))] = True
+    collided[later - later % n + (key[later] & ((1 << shift) - 1))] = True
     del key, repeat  # one block-sized array fewer at the peak
     # ... and it does when its value is N-n+v, v < k, and draw v collided and
     # so took N-n+v. Each pass carries the flags one step along the chains
@@ -384,7 +388,8 @@ def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] |
 def _lex_subsets(N: int, n: int) -> Callable[[int, int], np.ndarray]:
     """``draw(start, stop)``: the n-subsets of ``range(N)`` of lexicographic
     ranks ``start..stop-1``, the order of ``itertools.combinations``, one
-    sorted row each.
+    sorted row each. The rows are the transpose of a C-ordered n×R array,
+    so each sample position is one contiguous run.
 
     Lexicographic rank r of subset c is colexicographic rank C(N, n)-1-r of
     the reflected subset N-1-c, which the combinatorial number system
@@ -403,13 +408,13 @@ def _lex_subsets(N: int, n: int) -> Callable[[int, int], np.ndarray]:
 
     def draw(start: int, stop: int) -> np.ndarray:
         rank = np.arange(last - start, last - stop, -1, dtype=np.int64)
-        rows = np.empty((stop - start, n), dtype=np.intp)
+        cols = np.empty((n, stop - start), dtype=np.intp)
         for i in range(n):
             step = table[n - 1 - i]
             k = np.searchsorted(step, rank, side="right") - 1
             rank -= step[k]
-            rows[:, i] = N - n + i - k
-        return rows
+            np.subtract(N - n + i, k, out=cols[i])
+        return cols.T
 
     return draw
 

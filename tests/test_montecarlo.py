@@ -351,6 +351,13 @@ class TestLoopEquivalence:
         frame = self.FRAMES[index]
         assert enumerate_exact(frame, 4) == loop_report(frame, 4)
 
+    @pytest.mark.parametrize("size, n", [(12, 9), (131, 130)])
+    def test_enumeration_of_long_samples_matches_loop(self, size, n):
+        # numpy sums a row of 8 or more terms in 8 accumulators and one of
+        # more than 128 by halves; the column-major chunks take that order
+        frame = generate_population(SyntheticSpec(size=size), seed=size)
+        assert enumerate_exact(frame, n) == loop_report(frame, n)
+
     @pytest.mark.parametrize("index", range(len(FRAMES)))
     def test_monte_carlo_matches_loop(self, index):
         frame = self.FRAMES[index]
