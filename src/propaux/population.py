@@ -22,7 +22,6 @@ All values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -110,32 +109,6 @@ def _check_variance(sx2_s: np.ndarray) -> None:
     overflowed squared deviation makes one ``inf``."""
     if not np.all(np.isfinite(sx2_s) & (sx2_s >= 0.0)):
         raise SchemaError("sample auxiliary variance must be finite and nonnegative")
-
-
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(a, axis=1)`` for a float64 R×n ``a``, bit for bit,
-    taken column by column: fast when ``a.T`` is C-ordered.
-
-    numpy sums a contiguous row by its ``pairwise_sum`` rule: below 8 terms
-    left to right; up to 128 in 8 accumulators, combined pairwise, then the
-    tail; above 128 the two halves, split at a multiple of 8, each by the
-    rule. The sum is added to a +0.0 start, so -0.0 comes out as +0.0.
-    """
-    cols = a.T
-    n = len(cols)
-    if n < 8:
-        return np.add.reduce(cols, axis=0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sums(a[:, :half]) + _row_sums(a[:, half:])
-    r = cols[:8].copy()
-    for i in range(8, n - n % 8, 8):
-        r += cols[i:i + 8]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for tail in cols[n - n % 8:]:
-        total += tail
-    total += 0.0
-    return total
 
 
 def _power(d: np.ndarray, k: int) -> np.ndarray | float:
@@ -245,11 +218,12 @@ def batch_stats(frame: PopulationFrame,
     within a row is irrelevant. Every row must satisfy the ``SampleStats``
     preconditions.
 
-    The statistics have the bits of numpy's ``mean`` and ``var`` of each row
-    in any memory layout of ``indices``. A C-ordered batch (Floyd's draws) is
-    summed by numpy's row reductions; any other (exact enumeration's
-    column-major chunks) is gathered one sample position per contiguous
-    row and summed in numpy's row order by ``_row_sums``.
+    The statistics have the bits of numpy's ``mean`` and ``var`` of each
+    C-ordered row in any memory layout of ``indices``. numpy sums a row of
+    fewer than 8 terms left to right, the order it takes along the rows of a
+    column-major batch too, so exact enumeration's column-major chunks of
+    short samples keep their layout; a batch of longer samples is made
+    C-ordered first, where numpy sums it pairwise.
     """
     idx = np.asarray(indices)
     if idx.ndim != 2 or idx.shape[1] < 2:
@@ -271,18 +245,17 @@ def batch_stats(frame: PopulationFrame,
         )
     idx = idx.astype(np.intp, copy=False)
     n = idx.shape[1]
+    if n >= 8:  # numpy's sum order of 8 or more terms follows the layout
+        idx = np.ascontiguousarray(idx)
     # an integer count of 0/1 values is exact in any order, so p has the bits
     # of the float mean; the variance takes np.var's steps, reusing the mean
-    p = frame.phi[idx].sum(axis=1) / n
-    if idx.flags.c_contiguous:
-        xs, row_sums = frame.x[idx], functools.partial(np.add.reduce, axis=1)
-    else:
-        xs, row_sums = frame.x[idx.T].T, _row_sums
+    p =frame.phi[idx].sum(axis=1) / n
+    xs = frame.x[idx]
     with np.errstate(over="ignore", invalid="ignore"):  # _check_variance reports it
-        xbar_s = row_sums(xs) / n
+        xbar_s = xs.mean(axis=1)
         xs -= xbar_s[:, None]
         xs *= xs
-        sx2_s = row_sums(xs) / (n - 1)
+        sx2_s = xs.sum(axis=1) / (n - 1)
     _check_variance(sx2_s)
     return p, xbar_s, sx2_s
 

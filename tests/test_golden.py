@@ -8,11 +8,10 @@ arithmetic, so those bytes are portable. The `simulate` file also pins the
 random draws: a change to them must come with a new ``RNG_SCHEME``, which the
 file records. The `params` and `simulate` bytes must not depend on the SIMD
 target numpy dispatches to: a fresh interpreter runs them again with every
-target above the baseline disabled, and runs the contract test of the sample
-sums that ``batch_stats`` takes column by column. After a deliberate change
-to the output, rewrite the files with ``PYTHONPATH=src python
-tests/test_golden.py``, which prints for each file how many of its numbers
-changed and by how much at most, and review the diff.
+target above the baseline disabled. After a deliberate change to the output,
+rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``, which
+prints for each file how many of its numbers changed and by how much at most,
+and review the diff.
 """
 
 import contextlib
@@ -134,26 +133,20 @@ def dispatch_targets() -> list[str]:
     return sorted(target for target in targets if not target.startswith("baseline"))
 
 
-def fresh_env(**env: str) -> dict[str, str]:
-    """A copy of this interpreter's environment for a fresh one: ``src`` on
-    the path, numpy's CPU-feature settings dropped, and ``env`` added."""
+def cli_output(argv: list[str], population: str, **env: str) -> bytes:
+    """The ``--output`` bytes of ``propaux <argv>`` on ``population``, run in
+    a fresh interpreter with ``env`` added to a copy of this one's."""
     src = str(Path(__file__).parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     inherited = {key: value for key, value in os.environ.items()
                  if key not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
-    return inherited | {"PYTHONPATH": path} | env
-
-
-def cli_output(argv: list[str], population: str, **env: str) -> bytes:
-    """The ``--output`` bytes of ``propaux <argv>`` on ``population``, run in
-    a fresh interpreter with ``env`` added to a copy of this one's."""
+    env = inherited | {"PYTHONPATH": path} | env
     with tempfile.TemporaryDirectory() as tmp:
         source, out = Path(tmp) / "population.csv", Path(tmp) / "out.json"
         source.write_text(population, encoding="utf-8")
         done = subprocess.run([sys.executable, "-m", "propaux.cli", argv[0],
                                "--input", str(source), *argv[1:], "--output", str(out)],
-                              env=fresh_env(**env), capture_output=True, text=True,
-                              timeout=120)
+                              env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0 and not done.stderr, done.stderr
         return out.read_bytes()
 
@@ -175,23 +168,6 @@ def test_output_does_not_depend_on_simd_dispatch(case):
     argv, population = DISPATCH_CASES[case]
     assert (cli_output(argv, population)
             == cli_output(argv, population, NPY_DISABLE_CPU_FEATURES=" ".join(targets)))
-
-
-def test_row_sums_do_not_depend_on_simd_dispatch():
-    """The ``_row_sums`` contract test passes again in a fresh interpreter
-    with every SIMD target above the baseline disabled: numpy's row sums,
-    which ``batch_stats`` reproduces column by column, take the same
-    pairwise order under every target."""
-    targets = dispatch_targets()
-    if not targets:
-        pytest.skip("numpy dispatches to no SIMD target above its baseline here")
-    test = Path(__file__).parent / "test_population.py"
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{test}::TestRowSums::test_equals_numpy_add_reduce"],
-        env=fresh_env(NPY_DISABLE_CPU_FEATURES=" ".join(targets)),
-        capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0 and "1 passed" in done.stdout, done.stdout + done.stderr
 
 
 #: A number standing on its own: not part of a name such as ``t3`` or of a digest.

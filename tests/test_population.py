@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from propaux import (
@@ -27,7 +27,7 @@ from propaux.errors import (
     SchemaError,
     ZeroMean,
 )
-from propaux.population import _row_sums, check_realizable
+from propaux.population import check_realizable
 
 from conftest import random_frame
 from _oracles import loop_moment
@@ -407,42 +407,6 @@ class TestBatchStats:
         for arrange in self.LAYOUTS.values():
             with pytest.raises(SchemaError, match="variance"):
                 batch_stats(frame, arrange(np.array([[2, 3], [0, 1], [3, 2]])))
-
-
-def _summands(seed: int, rows: int, n: int) -> np.ndarray:
-    """A C-ordered rows×n float64 batch whose sums change bits with the
-    order of addition. Row kinds cycle: standard normals; values spanning
-    1e±150, each beside its negation elsewhere in the row; signed zeros
-    among small normals; and all -0.0, whose numpy sum is +0.0."""
-    gen = np.random.default_rng(seed)
-    a = gen.standard_normal((rows, n))
-    for row in a[1::4]:
-        wide = row[:n // 2] * 10.0 ** gen.integers(-150, 151, n // 2)
-        row[:] = gen.permutation(np.concatenate([wide, -wide, row[2 * (n // 2):]]))
-    for row in a[2::4]:
-        row *= 1e-300
-        row[gen.random(n) < 0.5] = 0.0
-        row[gen.random(n) < 0.5] = -0.0
-    a[3::4] = -0.0
-    return a
-
-
-class TestRowSums:
-    """``_row_sums`` is ``np.add.reduce(a, axis=1)`` bit for bit: numpy's
-    pairwise summation of a contiguous row, taken column by column. A numpy
-    release that changes its summation rule fails this test instead of
-    making ``batch_stats`` depend on the index layout."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8), n=st.integers(2, 300))
-    @example(seed=0, rows=4, n=8)
-    @example(seed=1, rows=4, n=128)
-    @example(seed=2, rows=4, n=129)
-    @example(seed=3, rows=4, n=256)
-    @example(seed=4, rows=4, n=9001)
-    def test_equals_numpy_add_reduce(self, seed, rows, n):
-        a = _summands(seed, rows, n)
-        assert _row_sums(a).tobytes() == np.add.reduce(a, axis=1).tobytes()
 
 
 @st.composite
