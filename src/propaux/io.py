@@ -12,10 +12,11 @@ A population CSV is read by one of two routes, which give the same frame:
   a first line of exactly ``phi,x``, every ``phi`` exactly ``0`` or ``1``,
   every ``x`` finite and at least 2 records. numpy's ``loadtxt`` parses the
   whole file in C (``_read_canonical``);
-- the checked route, for every other file: the records are split by
-  ``_PlainRecords`` or ``_QuotedRecords`` and converted column by column by
-  ``_columns``. It is the only route that reads quoted, padded or non-ASCII
-  cells, and the only one that words errors.
+- the checked route, for every other file: one ``csv.reader`` splits the
+  records, only at ``\\n``, ``\\r\\n`` or ``\\r`` and at commas outside quotes,
+  and ``_columns`` converts them column by column. It is the only route
+  that reads quoted, padded or non-ASCII cells, and the only one that words
+  errors. ``csv.reader`` caps every cell at ``csv.field_size_limit()``.
 
 On both routes ``x`` is converted by CPython's ``PyOS_string_to_double``, the
 correctly rounded routine behind ``float``, so the bits are the same.
@@ -57,71 +58,6 @@ from .population import PopulationFrame
 _BINARY = frozenset(("0", "1"))
 #: The 8 bytes of the ``U2`` cells ``0`` and ``1``, each read as one integer.
 _U2_ZERO, _U2_ONE = np.array(["0", "1"], dtype="U2").view(np.uint64)
-
-
-class _PlainRecords:
-    """The records of a file without quotes, split as ``csv.reader`` splits
-    them: at every ``\\n``, ``\\r\\n`` or ``\\r``, then at every comma.
-
-    Line ends and commas are located with numpy over the UTF-8 bytes (neither
-    byte occurs inside a multi-byte character); no Python step runs per record.
-    ``_QuotedRecords`` would split these files right too, but its one list
-    per record doubles the time of a large read and raises its peak memory.
-    """
-
-    def __init__(self, data: bytes):
-        if b"\r" in data:  # each replace copies the whole file
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        head, _, body = data.partition(b"\n")
-        self.header = head.decode("utf-8").split(",")
-        if body and not body.endswith(b"\n"):
-            body += b"\n"
-        self.body = np.frombuffer(body, dtype=np.uint8)
-        self.ends = np.flatnonzero(self.body == ord("\n"))
-        lengths = np.diff(self.ends, prepend=-1) - 1
-        self.starts = self.ends - lengths
-        commas = np.flatnonzero(self.body == ord(","))
-        self.fields = np.diff(np.searchsorted(commas, self.ends), prepend=0) + 1
-        self.fields[lengths == 0] = 0
-
-    def cells(self, stop: int) -> tuple[list[str], list[str]]:
-        """The phi and x cells of the non-blank records before record ``stop``,
-        each of which has two fields."""
-        end = self.starts[stop] if stop < self.ends.size else self.body.size
-        blank = self.ends[:stop][self.fields[:stop] == 0]
-        kept = np.delete(self.body[:end], blank) if blank.size else self.body[:end]
-        text = str(kept, "utf-8")  # decodes the array's own buffer, with no bytes copy
-        if not text:
-            return [], []
-        cells = text.replace("\n", ",").split(",")
-        cells.pop()  # after the last line end
-        return cells[0::2], cells[1::2]
-
-    def row(self, record: int) -> list[str]:
-        line = self.body[self.starts[record]:self.ends[record]]
-        return line.tobytes().decode("utf-8").split(",")
-
-
-class _QuotedRecords:
-    """The records of a file with quotes, which may hold commas and line
-    ends: only ``csv.reader`` splits them right."""
-
-    def __init__(self, text: str):
-        reader = csv.reader(StringIO(text, newline=""))
-        try:
-            records = list(reader)
-        except csv.Error as exc:  # such as a cell over ``csv.field_size_limit()``
-            raise ParseError(str(exc), line=reader.line_num) from None
-        self.header = records[0]
-        self.body = records[1:]
-        self.fields = np.fromiter(map(len, self.body), dtype=np.intp, count=len(self.body))
-
-    def cells(self, stop: int) -> tuple[list[str], list[str]]:
-        rows = list(filter(None, self.body[:stop]))
-        return list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
-
-    def row(self, record: int) -> list[str]:
-        return self.body[record]
 
 
 def _row_error(row: list[str], line: int) -> ParseError | None:
@@ -232,29 +168,32 @@ def read_population_csv(path: str | Path) -> PopulationFrame:
     if not data:
         raise SchemaError(f"{path}: empty file, expected header 'phi,x'")
     try:
-        if not data.isascii():
-            data.decode("utf-8")
+        stream = StringIO(data.decode("utf-8"), newline="")
     except UnicodeDecodeError as exc:  # named at the line of the first bad byte
         head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         raise ParseError(f"{path} is not valid UTF-8 ({exc.reason})",
                          line=head.count(b"\n") + 1) from None
-    records = (_QuotedRecords(data.decode("utf-8")) if b'"' in data
-               else _PlainRecords(data))
-    del data  # the records keep their own copy; freeing this one lowers the peak memory
-    if [cell.strip() for cell in records.header] != ["phi", "x"]:
-        raise SchemaError(f"{path}: expected header 'phi,x', "
-                          f"got {','.join(records.header)!r}")
-    counts = records.fields
+    del data  # the stream holds its own copy; freeing this one lowers the peak memory
+    reader = csv.reader(stream)
+    try:
+        header, *body = reader
+    except csv.Error as exc:  # such as a cell over ``csv.field_size_limit()``
+        raise ParseError(str(exc), line=reader.line_num) from None
+    stream.close()  # frees the stream's copy of the file, 4 bytes a character
+    if [cell.strip() for cell in header] != ["phi", "x"]:
+        raise SchemaError(f"{path}: expected header 'phi,x', got {','.join(header)!r}")
+    counts = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
     filled = np.flatnonzero(counts)
     misshapen = filled[counts[filled] != 2]
     # the records before ``stop`` have two fields each, or none
     stop = int(misshapen[0]) if misshapen.size else counts.size
-    columns = _columns(*records.cells(stop))
+    rows = list(filter(None, body[:stop]))
+    columns = _columns(list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows)))
     if isinstance(columns, int):  # an earlier record breaks a cell rule
         stop = int(filled[columns])
     if stop < counts.size:
         # the line after the header is line 2; blank lines count
-        raise _row_error(records.row(stop), line=stop + 2)
+        raise _row_error(body[stop], line=stop + 2)
     if columns[0].size < 2:
         raise SchemaError(f"{path}: a population needs at least 2 records")
     return PopulationFrame(*columns)

@@ -264,6 +264,7 @@ def generate_population(spec: SyntheticSpec, seed: int) -> PopulationFrame:
     Draws are retried with fresh attempt streams when the attribute comes out
     constant; the retry count and the achieved moment ratios are logged.
     """
+    seed = _integer("seed", seed)
     for attempt in range(spec.max_retries):
         rng = _stream(seed, 1, attempt)
         if spec.aux_shape == "skewed-positive":

@@ -103,6 +103,24 @@ class TestPopulationCsv:
         assert info.value.line == 4
         assert csv.field_size_limit() == limit
 
+    @pytest.mark.parametrize("head, canonical", [
+        ("phi,x\n 1,2\n", False), ('phi,x\n"1",2\n', False), ("phi,x\n1,2\n", True),
+    ], ids=("padded", "quoted-elsewhere", "canonical"))
+    def test_unquoted_cell_over_the_csv_field_limit(self, tmp_path, head, canonical):
+        """The limit holds for every cell of a file off the C route; the C
+        route reads a canonical file's long cell."""
+        cell = "1." + "0" * (csv.field_size_limit() - 1)
+        path = tmp_path / "pop.csv"
+        path.write_text(f"{head}0,{cell}\n")
+        if canonical:
+            with mock.patch.object(propaux.io, "_columns",
+                                   side_effect=AssertionError("the checked route ran")):
+                assert read_population_csv(path).records() == [(1, 2.0), (0, 1.0)]
+        else:
+            with pytest.raises(ParseError, match="field larger than field limit") as info:
+                read_population_csv(path)
+            assert info.value.line == 3
+
 
 class TestPopulationCsvWriter:
     @staticmethod
@@ -128,6 +146,19 @@ class TestPopulationCsvWriter:
         phi, x = zip(*records)
         with tempfile.TemporaryDirectory() as tmp:
             self.assert_same_bytes(Path(tmp), PopulationFrame(np.array(phi), np.array(x)))
+
+    def test_written_files_take_the_c_route(self, tmp_path):
+        """CRLF ends and ``repr`` values, signed zeros, subnormals and
+        17-digit values among them, read back without the checked route."""
+        frame = PopulationFrame(np.array([1, 0, 1, 0]),
+                                np.array([-0.0, 5e-324, 0.30000000000000004, 123456789.12345679]))
+        path = tmp_path / "pop.csv"
+        write_population_csv(path, frame)
+        with mock.patch.object(propaux.io, "_columns",
+                               side_effect=AssertionError("the checked route ran")):
+            back = read_population_csv(path)
+        assert back == frame
+        assert back.x.tobytes() == frame.x.tobytes()
 
 
 PACKAGE = str(Path(propaux.__file__).parent)
@@ -240,6 +271,12 @@ PARITY = {
     "cr-blank-lines": "phi,x\r\r1,2.5\r\r\r0,1e-07\r\r",
     "header-only-cr": "phi,x\r",
     "header-only-crlf": "phi,x\r\n",
+    # only ``\n``, ``\r`` and ``\r\n`` end a record; ``str.splitlines`` would
+    # also split at these
+    "line-separator": "phi,x\n1,2\u20280,3\n1,4\n",
+    "next-line": "phi,x\n1,2\x850,3\n1,4\n",
+    "record-separator": "phi,x\n1,2\x1e0,3\n1,4\n",
+    "form-feed-between-records": "phi,x\n1,2\x0c0,3\n1,4\n",
 }
 
 #: Files that only the columnar reader rejects: ``x`` with a digit separator
@@ -318,7 +355,7 @@ class TestColumnarReader:
         if sum(bool(line) for line, _ in lines) < 2:
             new, old = read_both(text)
         else:
-            with mock.patch.object(propaux.io, "_PlainRecords",
+            with mock.patch.object(propaux.io, "_columns",
                                    side_effect=AssertionError("the checked route ran")):
                 new, old = read_both(text)
         assert new == old

@@ -484,6 +484,15 @@ class TestGeneratePopulation:
         with pytest.raises(DegenerateGeneration):
             generate_population(spec, seed=0)
 
+    @pytest.mark.parametrize("seed", [True, 2.0, "3"])
+    def test_non_integer_seed_is_invalid(self, seed):
+        with pytest.raises(InvalidConfig, match="seed must be an integer"):
+            generate_population(SyntheticSpec(size=20), seed=seed)
+
+    def test_numpy_integer_seed_passes(self):
+        spec = SyntheticSpec(size=20)
+        assert generate_population(spec, np.int64(3)) == generate_population(spec, 3)
+
     def test_invalid_specs(self):
         with pytest.raises(InvalidConfig):
             SyntheticSpec(size=5)
