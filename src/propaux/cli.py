@@ -66,10 +66,7 @@ def _subconfigs(args, kind: str | None = None) -> dict:
 
 def _parse_indices(spec: str) -> list[int]:
     path = Path(spec)
-    if path.exists():
-        text = path.read_text(encoding="utf-8")
-    else:
-        text = spec
+    text = documents.decode_utf8(path.read_bytes(), spec) if path.exists() else spec
     parts = text.replace(",", " ").split()
     try:
         return [int(part) for part in parts]

@@ -41,12 +41,21 @@ PROVENANCE_FRAME = "computed-from-frame"
 PROVENANCE_USER = "user-supplied"
 
 
-def _integer(data: dict, key: str) -> int:
-    """An integral size; ``int`` alone would read 11.9 as 11 and true as 1."""
+def _number(data: dict, key: str, *, integral: bool = False) -> float | int:
+    """A JSON number field as a float, or as an int when ``integral``: a size,
+    which ``int`` alone would read from 11.9 as 11 and from true as 1. A
+    string or ``bool`` (which Python counts as an int) is no number."""
     value = data[key]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if integral and (isinstance(value, bool)
+                     or isinstance(value, float) and not value.is_integer()):
         raise SchemaError(f"parameter document field {key!r} must be an integer, got {value!r}")
-    return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"parameter document has a non-numeric field: {key!r} is {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal of over 308 digits
+        raise SchemaError(f"parameter document field {key!r} is out of range") from None
+    return int(value) if integral else number
 
 
 @dataclass(frozen=True)
@@ -68,12 +77,9 @@ class ParamsDocument:
         missing = [key for key in _REQUIRED_KEYS if key not in data]
         if missing:
             raise SchemaError(f"parameter document is missing keys: {', '.join(missing)}")
-        try:
-            n = _integer(data, "n")
-            values = {name: _integer(data, key) if name == "N" else float(data[key])
-                      for name, key in _PARAM_KEYS if key in data}
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"parameter document has a non-numeric field: {exc}") from None
+        n = _number(data, "n", integral=True)
+        values = {name: _number(data, key, integral=name == "N")
+                  for name, key in _PARAM_KEYS if key in data}
         values.setdefault("sx2", (values["cx"] * values["xbar"]) ** 2)
         values.setdefault("sp2", (values["cp"] * values["P"]) ** 2)
         params = PopulationParams(**values)
@@ -82,13 +88,26 @@ class ParamsDocument:
         return cls(params=params, design=Design(n=n, N=params.N), provenance=provenance)
 
 
+def decode_utf8(data: bytes, path: str | Path) -> str:
+    """The text of a file's bytes, or a ``ParseError`` at the line of the
+    first byte that is not UTF-8 (lines end in LF, CRLF or CR)."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError(f"{path} is not valid UTF-8 ({exc.reason})",
+                         line=head.count(b"\n") + 1) from None
+
+
 def read_json(path: str | Path):
-    """The JSON value of a file; malformed JSON is a ``ParseError``."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    """The JSON value of a file; a file that is not UTF-8 or not JSON, or
+    that ``json`` cannot read (an integer literal of over 4,300 digits, or
+    arrays nested past the recursion limit), is a ``ParseError``."""
+    text = decode_utf8(Path(path).read_bytes(), path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ``JSONDecodeError`` is a ``ValueError``
+        raise ParseError(f"{path}: invalid JSON ({exc})") from None
 
 
 def read_params_json(path: str | Path) -> ParamsDocument:

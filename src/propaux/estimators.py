@@ -10,6 +10,10 @@ runs the kernel on a batch of one, and returns the estimate with the
 resolved configuration or raises the error the failure code names. All
 functions are pure.
 
+A kernel records the precondition each row fails and computes every row
+anyway, under ``np.errstate(all="ignore")``; ``_kernel`` is the one place
+where a failed row becomes NaN.
+
 The kernels give the bits of scalar float arithmetic, whose powers and
 exponentials call libm. Powers (``tc``, ``t1``, ``t3``) run as one
 ``np.float_power`` call, whose loop is libm ``pow``, or none at exponent 1.
@@ -123,13 +127,9 @@ class _Rows:
         self.codes[mask & (self.codes == 0)] = code
         self.detail.update(detail)
 
-    @property
-    def ok(self) -> np.ndarray:
-        return self.codes == 0
 
-
-def _pow(base: np.ndarray, exponent: float, ok: np.ndarray) -> np.ndarray:
-    """``base ** exponent`` over the rows of ``ok``, 1.0 elsewhere.
+def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """``base ** exponent`` on every row.
 
     numpy's float64 ``float_power`` loop calls C ``pow`` on each element and
     has no SIMD variant, so it returns the bits of float ``**``, which calls
@@ -138,12 +138,11 @@ def _pow(base: np.ndarray, exponent: float, ok: np.ndarray) -> np.ndarray:
     it as not finite. ``pow(x, 1)`` is exactly ``x``, so exponent 1 (the
     default ``tc`` and ``t3``) calls no ``pow``.
     """
-    power = base if exponent == 1.0 else np.float_power(base, exponent)
-    return np.where(ok, power, 1.0)
+    return base if exponent == 1.0 else np.float_power(base, exponent)
 
 
-def _exp(arg: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """``math.exp`` over the rows of ``ok``, 1.0 elsewhere.
+def _exp(arg: np.ndarray) -> np.ndarray:
+    """``math.exp`` on every row.
 
     numpy's SIMD ``exp`` differs from libm in the last bit on a few percent
     of inputs. Its ``complex128`` loop has no SIMD variant and calls libm
@@ -153,8 +152,8 @@ def _exp(arg: np.ndarray, ok: np.ndarray) -> np.ndarray:
     overflowed one giving ``inf``, which fails it as not finite.
     """
     exact = arg <= 709.0
-    out = np.where(ok & exact, np.exp(arg.astype(np.complex128)).real, 1.0)
-    for i in np.flatnonzero(ok & ~exact):
+    out = np.exp(arg.astype(np.complex128)).real
+    for i in np.flatnonzero(~exact):
         try:
             out[i] = math.exp(arg[i])
         except OverflowError:
@@ -184,19 +183,16 @@ def _tc(cfg, pop, rows, p, xbar_s, sx2_s):
     smp_t = tc.a * xbar_s + tc.b
     rows.fail((pop_t <= 0.0) | (smp_t <= 0.0), NONPOSITIVE_TRANSFORM,
               pop_t=pop_t, smp_t=smp_t)
-    ok = rows.ok
     return ((tc.q1 * p + tc.q2 * (pop.xbar - xbar_s))
-            * _pow(pop_t / smp_t, tc.alpha, ok)
-            * _exp(tc.beta * (pop_t - smp_t) / (pop_t + smp_t), ok))
+            * _pow(pop_t / smp_t, tc.alpha)
+            * _exp(tc.beta * (pop_t - smp_t) / (pop_t + smp_t)))
 
 
 def _t1(cfg, pop, rows, p, xbar_s, sx2_s):
     mean_ratio = pop.xbar / xbar_s
     rows.fail((xbar_s <= 0.0) | (mean_ratio <= 0.0), MEAN_RATIO, xbar_s=xbar_s)
     rows.fail(sx2_s <= 0.0, SAMPLE_VARIANCE, sx2_s=sx2_s)
-    ok = rows.ok
-    return (p * _pow(mean_ratio, cfg.params.alpha, ok)
-            * _pow(pop.sx2 / sx2_s, cfg.params.beta, ok))
+    return p * _pow(mean_ratio, cfg.params.alpha) * _pow(pop.sx2 / sx2_s, cfg.params.beta)
 
 
 def _t2(cfg, pop, rows, p, xbar_s, sx2_s):
@@ -213,9 +209,8 @@ def _t3(cfg, pop, rows, p, xbar_s, sx2_s):
     base = pop.xbar / shifted
     rows.fail((shifted <= 0.0) | (base <= 0.0), SHIFTED_MEAN, shifted=shifted)
     rows.fail(pop.sx2 + sx2_s <= 0.0, VARIANCE_SUM)
-    ok = rows.ok
-    return (t3.m1 * p * _pow(base, t3.g, ok)
-            + t3.m2 * p * _exp(t3.delta * (pop.sx2 - sx2_s) / (pop.sx2 + sx2_s), ok))
+    return (t3.m1 * p * _pow(base, t3.g)
+            + t3.m2 * p * _exp(t3.delta * (pop.sx2 - sx2_s) / (pop.sx2 + sx2_s)))
 
 
 _KERNELS = {"usual": _usual, "ta": _ta, "tb": _tb, "tc": _tc,
@@ -228,7 +223,7 @@ def _kernel(cfg: EstimatorConfig, pop: PopulationParams, p: np.ndarray,
     with np.errstate(all="ignore"):
         values = _KERNELS[cfg.kind](cfg, pop, rows, p, xbar_s, sx2_s)
     rows.fail(~np.isfinite(values), NOT_FINITE, value=values)
-    return np.where(rows.ok, values, np.nan), rows
+    return np.where(rows.codes == 0, values, np.nan), rows
 
 
 def evaluate_batch(cfg: EstimatorConfig, pop: PopulationParams, p: np.ndarray,

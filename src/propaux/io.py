@@ -14,9 +14,15 @@ A population CSV is read by one of two routes, which give the same frame:
   whole file in C (``_read_canonical``);
 - the checked route, for every other file: one ``csv.reader`` splits the
   records, only at ``\\n``, ``\\r\\n`` or ``\\r`` and at commas outside quotes,
-  and ``_columns`` converts them column by column. It is the only route
-  that reads quoted, padded or non-ASCII cells, and the only one that words
-  errors. ``csv.reader`` caps every cell at ``csv.field_size_limit()``.
+  and ``_columns`` checks and converts them column by column. It is the
+  only route that reads quoted, padded or non-ASCII cells, and the only one
+  that words errors. ``csv.reader`` caps every cell at
+  ``csv.field_size_limit()``.
+
+``_columns`` applies ``_row_error``'s rules to whole columns and only
+decides whether every record keeps them. When one does not, the records are
+walked in file order, and ``_row_error`` alone locates and words the first
+that breaks a rule.
 
 On both routes ``x`` is converted by CPython's ``PyOS_string_to_double``, the
 correctly rounded routine behind ``float``, so the bits are the same.
@@ -31,7 +37,6 @@ import csv
 import math
 import os
 from io import StringIO
-from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -43,6 +48,7 @@ from .documents import (  # noqa: F401  (re-exported)
     ParamsDocument,
     build_report_document,
     conditions_dict,
+    decode_utf8,
     file_digest,
     read_json,
     read_params_json,
@@ -62,7 +68,7 @@ _U2_ZERO, _U2_ONE = np.array(["0", "1"], dtype="U2").view(np.uint64)
 
 def _row_error(row: list[str], line: int) -> ParseError | None:
     """The error a non-blank data row earns, if any: the one copy of the
-    per-row rules, which the column checks only locate."""
+    per-row rules, which ``_columns`` applies to whole columns."""
     if len(row) != 2:
         return ParseError(f"expected 2 fields, got {len(row)}", line=line)
     raw_phi, raw_x = row[0].strip(), row[1].strip()
@@ -79,41 +85,22 @@ def _row_error(row: list[str], line: int) -> ParseError | None:
     return None
 
 
-def _float_or_nan(cell: str) -> float:
-    try:
-        # stripped as ``_row_error`` strips: ``float`` keeps ``\x1c``-``\x1f``
-        # padding in an ASCII cell, which ``str.strip`` drops
-        return float(cell.strip())
-    except ValueError:
-        return math.nan
-
-
-def _columns(phi_cells: list[str], x_cells: list[str]) -> tuple[np.ndarray, np.ndarray] | int:
-    """The phi and x arrays of two-field rows, or the index of the first row
-    that ``_row_error`` rejects.
-
-    Each check runs over a whole column; a cell is stripped, or parsed a
-    second time, only in a column that fails its bulk check.
-    """
-    n = len(phi_cells)
-    good = np.ones(n, dtype=bool)
-    if not _BINARY.issuperset(phi_cells):
-        phi_cells = list(map(str.strip, phi_cells))
-        if not _BINARY.issuperset(phi_cells):
-            cells = np.array(phi_cells, dtype=object)
-            good &= (cells == "0") | (cells == "1")
+def _columns(rows: list[list[str]]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The phi and x arrays of non-blank records, or None if ``_row_error``
+    rejects any of them: its rules, each checked over a whole column."""
+    if not {2}.issuperset(map(len, rows)):
+        return None
+    phi_cells = list(map(str.strip, map(itemgetter(0), rows)))
+    x_cells = list(map(str.strip, map(itemgetter(1), rows)))
     x_text = "".join(x_cells)
-    if not x_text.isascii() or "_" in x_text:
-        stripped = list(map(str.strip, x_cells))
-        good &= np.fromiter(map(str.isascii, stripped), dtype=bool, count=n)
-        good &= np.fromiter(map(str.find, stripped, repeat("_")), dtype=np.intp, count=n) < 0
+    if not _BINARY.issuperset(phi_cells) or not x_text.isascii() or "_" in x_text:
+        return None
     try:
-        x = np.fromiter(map(float, x_cells), dtype=np.float64, count=n)
+        x = np.fromiter(map(float, x_cells), dtype=np.float64, count=len(x_cells))
     except ValueError:
-        x = np.fromiter(map(_float_or_nan, x_cells), dtype=np.float64, count=n)
-    good &= np.isfinite(x)
-    if not good.all():
-        return int(np.argmin(good))
+        return None
+    if not np.isfinite(x).all():
+        return None
     phi = np.frombuffer("".join(phi_cells).encode("ascii"), dtype=np.uint8) - ord("0")
     return phi, x
 
@@ -157,8 +144,8 @@ def read_population_csv(path: str | Path) -> PopulationFrame:
 
     A canonical file is parsed in C by ``_read_canonical``. Any other file,
     and any file that route turns down, is checked and converted column by
-    column. Only when a check fails is its first bad row found, and
-    ``_row_error`` words the error.
+    column. Only when a check fails are the records walked, one
+    ``_row_error`` call each, up to the first bad one.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -167,12 +154,7 @@ def read_population_csv(path: str | Path) -> PopulationFrame:
         return frame
     if not data:
         raise SchemaError(f"{path}: empty file, expected header 'phi,x'")
-    try:
-        stream = StringIO(data.decode("utf-8"), newline="")
-    except UnicodeDecodeError as exc:  # named at the line of the first bad byte
-        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        raise ParseError(f"{path} is not valid UTF-8 ({exc.reason})",
-                         line=head.count(b"\n") + 1) from None
+    stream = StringIO(decode_utf8(data, path), newline="")
     del data  # the stream holds its own copy; freeing this one lowers the peak memory
     reader = csv.reader(stream)
     try:
@@ -182,18 +164,11 @@ def read_population_csv(path: str | Path) -> PopulationFrame:
     stream.close()  # frees the stream's copy of the file, 4 bytes a character
     if [cell.strip() for cell in header] != ["phi", "x"]:
         raise SchemaError(f"{path}: expected header 'phi,x', got {','.join(header)!r}")
-    counts = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
-    filled = np.flatnonzero(counts)
-    misshapen = filled[counts[filled] != 2]
-    # the records before ``stop`` have two fields each, or none
-    stop = int(misshapen[0]) if misshapen.size else counts.size
-    rows = list(filter(None, body[:stop]))
-    columns = _columns(list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows)))
-    if isinstance(columns, int):  # an earlier record breaks a cell rule
-        stop = int(filled[columns])
-    if stop < counts.size:
+    columns = _columns(list(filter(None, body)))
+    if columns is None:  # the first record in file order that breaks a rule
         # the line after the header is line 2; blank lines count
-        raise _row_error(body[stop], line=stop + 2)
+        raise next(error for line, row in enumerate(body, start=2)
+                   if row and (error := _row_error(row, line)))
     if columns[0].size < 2:
         raise SchemaError(f"{path}: a population needs at least 2 records")
     return PopulationFrame(*columns)

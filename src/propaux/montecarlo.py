@@ -205,7 +205,7 @@ def draw_replicates(frame: PopulationFrame, n: int, seed: int,
     """The samples of replicates ``start..stop-1`` of the experiment ``seed``
     (as ``run_experiment`` draws them), one sorted int64 row of unit indices each."""
     sampling_fraction(n, frame.size)
-    seed = _integer("seed", seed)
+    seed, start, stop = _integer("seed", seed), _integer("start", start), _integer("stop", stop)
     if not 0 <= start <= stop:
         raise InvalidConfig(f"need 0 <= start <= stop, got start={start}, stop={stop}")
     if start == stop:

@@ -160,6 +160,32 @@ class TestEstimateCommand:
                      "--estimator", "usual"]) == 2
         assert "cannot parse sample indices from '0,a,2'" in capsys.readouterr().err
 
+    def test_indices_file_that_is_not_utf8(self, pop_csv, tmp_path, capsys):
+        idx = tmp_path / "indices.txt"
+        idx.write_bytes(b"0,1\xff,2")
+        assert main(["estimate", "--input", str(pop_csv), "--indices", str(idx),
+                     "--estimator", "usual"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 1: {idx} is not valid UTF-8 (invalid start byte)\n")
+
+    def _estimate(self, pop_csv, capsys, kind, *flags) -> dict:
+        assert main(["estimate", "--input", str(pop_csv), "--indices", "0,2,3,5,8",
+                     "--estimator", kind, *flags]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_t1_flag_at_alpha_1_beta_0_gives_ta(self, pop_csv, capsys):
+        ta = self._estimate(pop_csv, capsys, "ta")
+        t1 = self._estimate(pop_csv, capsys, "t1", "--t1", "alpha=1,beta=0")
+        assert t1["config_used"] == {"kind": "t1", "t1": {"alpha": 1.0, "beta": 0.0}}
+        assert t1["value"].hex() == ta["value"].hex()
+
+    def test_t2_flag_at_tb_slope_and_h2_0_gives_tb(self, pop_csv, capsys):
+        tb = self._estimate(pop_csv, capsys, "tb")
+        h1 = tb["config_used"]["tb"]["h1"]
+        t2 = self._estimate(pop_csv, capsys, "t2", "--t2", f"h1={h1!r},h2=0")
+        assert t2["config_used"] == {"kind": "t2", "t2": {"h1": h1, "h2": 0.0}}
+        assert t2["value"].hex() == tb["value"].hex()
+
     def test_flag_for_wrong_estimator_is_usage_error(self, pop_csv, capsys):
         assert main(["estimate", "--input", str(pop_csv), "--indices", "0,1",
                      "--estimator", "ta", "--t3", "gamma=1"]) == 1
@@ -451,6 +477,56 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
         assert not out.exists()
+
+
+_PARAMS_ARGV = ["theory", "--params", "{bad}", "--output", "{out}"]
+_SPEC_ARGV = ["generate", "--size", "20", "--seed", "1", "--spec", "{bad}", "--output", "{out}"]
+_CSV_ARGV = ["params", "--input", "{bad}", "--output", "{out}"]
+
+#: Malformed inputs at the command line's boundary: the arguments, and the
+#: bytes of the file ``{bad}``. ``{pop}`` is a valid population CSV and
+#: ``{out}`` an output path.
+BOUNDARY = {
+    "params-not-utf8": (_PARAMS_ARGV, b'{"n": 5, \xff}'),
+    "spec-not-utf8": (_SPEC_ARGV, b'{"aux_scale": 0.5,\n\xe9}'),
+    "indices-not-utf8": (["estimate", "--input", "{pop}", "--indices", "{bad}",
+                          "--estimator", "ta"], b"0,1\xff,2"),
+    "params-nested-deep": (_PARAMS_ARGV, b"[" * 100_000),
+    "spec-nested-deep": (_SPEC_ARGV, b'{"aux_scale": ' + b"[" * 100_000),
+    "params-5001-digits": (["pre", "--params", "{bad}"], b'{"xbar": 1' + b"0" * 5000 + b"}"),
+    **{f"{key}-401-digits": (["sensitivity", "--params", "{bad}", "--digits", "3",
+                              "--output", "{out}"],
+                             json.dumps(dict(REF, **{key: 10 ** 400})).encode())
+       for key in ("xbar", "n", "n_population")},
+    "p-string": (["pre", "--params", "{bad}"], json.dumps(dict(REF, p="0.5")).encode()),
+    "n-string": (_PARAMS_ARGV, json.dumps(dict(REF, n="16")).encode()),
+    "xbar-true": (_PARAMS_ARGV, json.dumps(dict(REF, xbar=True)).encode()),
+    "csv-not-utf8": (_CSV_ARGV, b"phi,x\n1,2\n0,\xff3\n"),
+    "csv-field-limit": (_CSV_ARGV, b'phi,x\n1,"' + b"1" * 140_000 + b'"\n0,2\n'),
+    "csv-empty": (_CSV_ARGV, b""),
+    "csv-wrong-header": (_CSV_ARGV, b"x,phi\n1.0,1\n0,2\n"),
+    "csv-one-record": (_CSV_ARGV, b"phi,x\n1,2.5\n"),
+    "csv-three-fields": (_CSV_ARGV, b"phi,x\n1,2.5,3\n0,1\n"),
+    "csv-phi-3": (_CSV_ARGV, b"phi,x\n3,1.0\n0,2\n"),
+    "csv-x-abc": (_CSV_ARGV, b"phi,x\n1,2.0\n\n0,abc\n"),
+    "csv-x-inf": (_CSV_ARGV, b"phi,x\n 1,inf\n0,1.0\n"),
+    "csv-x-underscore": (_CSV_ARGV, b"phi,x\n1,1_0\n0,2\n"),
+}
+
+
+@pytest.mark.parametrize("argv, data", BOUNDARY.values(), ids=BOUNDARY)
+def test_malformed_input_exits_2_with_one_error_line(pop_csv, tmp_path, capsys, argv, data):
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    bad.write_bytes(data)
+    paths = {"bad": bad, "pop": pop_csv, "out": out}
+    try:
+        code = main([arg.format(**paths) for arg in argv])
+    except Exception as exc:  # noqa: BLE001  (the point is that none escapes)
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
 
 
 def _commands() -> dict:

@@ -294,8 +294,9 @@ PLAIN_X_ONLY = {
 
 #: Rows either reader accepts, and rows of cells from both grammars and none.
 WELL_FORMED_ROW = st.tuples(
-    st.sampled_from(["0", "1", " 1", "0 ", '"1"', "\xa00"]),
-    st.one_of(st.sampled_from(["2.5", " 3e2 ", '"-0.5"', "1e-07", "+.5", "5.", "7\t"]),
+    st.sampled_from(["0", "1", " 1", "0 ", '"1"', "\xa00", "\x1c1"]),
+    st.one_of(st.sampled_from(["2.5", " 3e2 ", '"-0.5"', "1e-07", "+.5", "5.", "7\t",
+                               "\x1d2.5\x1f"]),
               st.floats(allow_nan=False, allow_infinity=False).map(repr)),
 ).map(",".join)
 #: Records every cell of which the C route reads: ``x`` is the ``repr`` of
@@ -306,11 +307,17 @@ CANONICAL_ROW = st.tuples(
               st.sampled_from([5e-324, -2.2250738585072009e-308, -0.0, 0.30000000000000004,
                                1.7976931348623157e+308, 123456789.12345679])).map(repr),
 ).map(",".join)
-ANY_ROW = st.lists(st.one_of(
+ANY_CELL = st.one_of(
     st.sampled_from(["0", "1", " 1", "2", "", "1.0", "2.5", "abc", "inf", "nan", "1e999",
-                     "1_0", "\uff12", "\xa07", '"1"', '"2,5"', '"4\n"', "+.5"]),
-    st.text(alphabet='01 .,e-_"\r\n5\xa0', max_size=5),
-), max_size=3).map(",".join)
+                     "1_0", "\uff12", "\xa07", '"1"', '"2,5"', '"4\n"', "+.5",
+                     "\x1c1", "0\x1f", "\x1d2.5", "3\x1e", "\x1f0\x1c"]),
+    st.text(alphabet='01 .,e-_"\r\n5\xa0\x1c\x1d\x1e\x1f', max_size=5),
+)
+#: Rows of up to three cells, three-field rows drawn often: ``\x1c``-``\x1f``
+#: padding, which ``str.strip`` drops and ``float`` keeps, reaches both the
+#: column checks and ``_row_error``.
+ANY_ROW = st.one_of(st.lists(ANY_CELL, max_size=3),
+                    st.lists(ANY_CELL, min_size=3, max_size=3)).map(",".join)
 
 
 class TestColumnarReader:
@@ -474,6 +481,36 @@ class TestParamsDocument:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ParseError):
+            read_params_json(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("p", "0.5"), ("n", "16"), ("xbar", True), ("lambda03", False), ("cx", None),
+        ("rho_pb", [0.5]), ("sx2", "2.0")])
+    def test_field_that_is_no_json_number(self, key, value):
+        with pytest.raises(SchemaError, match=f"non-numeric field: '{key}'"):
+            ParamsDocument.from_dict(dict(REF, **{key: value}))
+
+    @pytest.mark.parametrize("key", ["n", "n_population", "xbar", "sx2"])
+    def test_integer_beyond_the_float_range(self, key):
+        with pytest.raises(SchemaError, match=f"field '{key}' is out of range"):
+            ParamsDocument.from_dict(dict(REF, **{key: 10 ** 400}))
+
+    @pytest.mark.parametrize("data, line", [
+        (b'{"n": 5, \xff}', 1), (b'{\r\n"n": 5,\r\n"p": "\xc3"}', 3), (b'{\r\r\x80}', 3)])
+    def test_json_that_is_not_utf8(self, tmp_path, data, line):
+        path = tmp_path / "params.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="not valid UTF-8") as info:
+            read_params_json(path)
+        assert info.value.line == line
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000, '{"xbar": 1' + "0" * 5000 + "}"], ids=("deep", "5001-digits"))
+    def test_json_that_json_cannot_read(self, tmp_path, text):
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="invalid JSON"):
             read_params_json(path)
 
 

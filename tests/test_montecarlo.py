@@ -69,6 +69,16 @@ class TestDraw:
         with pytest.raises(InvalidConfig):
             draw_replicates(TINY, 3, 9, start, stop)
 
+    @pytest.mark.parametrize("start, stop, name", [
+        (0.5, 2, "start"), (True, 2, "start"), (0, 2.0, "stop"), (0, "2", "stop")])
+    def test_non_integer_range_is_invalid(self, start, stop, name):
+        with pytest.raises(InvalidConfig, match=f"{name} must be an integer"):
+            draw_replicates(TINY, 3, 9, start, stop)
+
+    def test_numpy_integer_range_reads_as_int(self):
+        drawn = draw_replicates(TINY, 3, 9, np.int64(1), np.uint8(4))
+        assert drawn.tolist() == draw_replicates(TINY, 3, 9, 1, 4).tolist()
+
     def test_subset_frequencies_are_uniform(self):
         # all 6 pairs from a population of 4, over two block streams
         frame = PopulationFrame(np.array([1, 0, 1, 0]), np.array([1.0, 2.0, 3.0, 4.0]))
