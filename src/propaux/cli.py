@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import documents, theory
-from .config import T3_TABLE_VARIANTS, T3Config, TableConfig
-from .errors import DataError, NumericalError, ParseError
+from .config import T3_TABLE_VARIANTS, T3Config, TableConfig, integer
+from .errors import DataError, IndexOutOfRange, NumericalError, ParseError
 from .model import Design
 
 if TYPE_CHECKING:
@@ -64,14 +65,20 @@ def _subconfigs(args, kind: str | None = None) -> dict:
     return given
 
 
-def _parse_indices(spec: str) -> list[int]:
+def _parse_indices(spec: str, size: int) -> list[int]:
+    """The indices in a file or inline text, each in [0, size)."""
     path = Path(spec)
     text = documents.decode_utf8(path.read_bytes(), spec) if path.exists() else spec
     parts = text.replace(",", " ").split()
     try:
-        return [int(part) for part in parts]
+        indices = [integer(part) for part in parts]
     except ValueError:
         raise ParseError(f"cannot parse sample indices from {spec!r}") from None
+    if indices and not 0 <= min(indices) <= max(indices) < size:
+        # checked here: numpy holds an index past int64 only as an object
+        raise IndexOutOfRange(f"indices must lie in [0, {size - 1}], got range "
+                              f"[{min(indices)}, {max(indices)}]")
+    return indices
 
 
 def _table_configurations(config: TableConfig, **leading) -> dict:
@@ -150,7 +157,7 @@ def _cmd_estimate(args) -> int:
 
     frame = read_population_csv(args.input)
     pop = compute_population_params(frame)
-    stats = sample_stats(frame, _parse_indices(args.indices))
+    stats = sample_stats(frame, _parse_indices(args.indices, frame.size))
     cfg = EstimatorConfig(kind=args.estimator,
                           params=_subconfigs(args, args.estimator).get(args.estimator))
     estimate = evaluate(stats, pop, cfg)
@@ -226,7 +233,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("params", help="compute a parameter document from a frame")
     p.add_argument("--input", required=True)
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=integer, default=None,
                    help="intended sample size (defaults to a census)")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_params)
@@ -259,24 +266,24 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo experiment")
     p.add_argument("--input", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--reps", type=integer, required=True)
+    p.add_argument("--seed", type=integer, required=True)
     p.add_argument("--tc", default=None)
     p.add_argument("--t3", default=None)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("generate", help="synthetic population")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--size", type=integer, required=True)
+    p.add_argument("--seed", type=integer, required=True)
     p.add_argument("--spec", default=None, help="JSON file of generator settings")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("sensitivity", help="efficiency intervals under input rounding")
     p.add_argument("--params", required=True)
-    p.add_argument("--digits", type=int, required=True)
+    p.add_argument("--digits", type=integer, required=True)
     p.add_argument("--tc", default=None)
     p.add_argument("--t3", default=None)
     p.add_argument("--output", required=True)
@@ -284,10 +291,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """``main``'s parser, built on its first call and kept for the process:
+    building one takes longer than the work of a table command."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -3,6 +3,9 @@
 Constants that admit a population-optimal value are declared as
 ``float | None`` and default to ``None``, which means "resolve to the
 population-optimal value when the population parameters are known".
+
+``ascii_number`` is the grammar of every number the command line reads:
+the configuration values here, the integer arguments and sample indices.
 """
 
 from __future__ import annotations
@@ -11,11 +14,27 @@ import math
 from dataclasses import dataclass, fields
 
 
+def ascii_number(text: str, number_type: type = float) -> float | int:
+    """``number_type(text)``, for ``float`` or ``int``, of text that is
+    ASCII and has no ``_``: the grammar of the population CSV's ``x`` cells,
+    which every number on the command line keeps too. Python's ``float`` and
+    ``int`` alone also read ``1_0`` and non-ASCII digits. Anything else is a
+    ``ValueError``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return number_type(text)
+
+
+def integer(text: str) -> int:
+    """An integer CLI argument in the ``ascii_number`` grammar."""
+    return ascii_number(text, int)
+
+
 def _parse_value(raw: str) -> float | None:
     """A finite number, or None for ``optimal``; anything else is a ValueError."""
     if raw.strip().lower() == "optimal":
         return None
-    value = float(raw)
+    value = ascii_number(raw)
     if not math.isfinite(value):
         raise ValueError(raw)
     return value

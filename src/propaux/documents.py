@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -123,28 +123,29 @@ def file_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+# The report rows are flat dataclasses, so a copy of each row's ``vars()``
+# has ``asdict``'s keys, in field order, and its values, without its deep
+# copy; an entry's ``constants`` and ``formulas`` dicts are shared, not copied.
+
+
 def theory_report_dict(report: TheoryReport) -> dict:
     return {
         "design": {"n": report.design.n, "n_population": report.design.N,
                    "f": report.design.f},
-        "entries": [asdict(entry) for entry in report.entries],
+        "entries": [dict(vars(entry)) for entry in report.entries],
     }
 
 
 def simulation_report_dict(report: SimulationReport) -> dict:
-    payload = asdict(report)  # converts the rows too; JSON keeps them as a list
-    payload["rows"] = list(payload["rows"])
-    return payload
+    return {**vars(report), "rows": [dict(vars(row)) for row in report.rows]}
 
 
 def sensitivity_report_dict(report: SensitivityReport) -> dict:
-    payload = asdict(report)
-    payload["intervals"] = list(payload["intervals"])
-    return payload
+    return {**vars(report), "intervals": [dict(vars(row)) for row in report.intervals]}
 
 
 def conditions_dict(conditions: tuple[ConditionResult, ...]) -> list[dict]:
-    return [asdict(result) for result in conditions]
+    return [dict(vars(result)) for result in conditions]
 
 
 def build_report_document(*, input_digest: str, configurations: dict,

@@ -42,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ascii_number
 from .documents import (  # noqa: F401  (re-exported)
     PROVENANCE_FRAME,
     PROVENANCE_USER,
@@ -75,10 +76,8 @@ def _row_error(row: list[str], line: int) -> ParseError | None:
     if raw_phi not in ("0", "1"):
         return ParseError(f"attribute must be 0 or 1, got {raw_phi!r}", line=line)
     try:
-        x = float(raw_x) if raw_x.isascii() and "_" not in raw_x else None
+        x = ascii_number(raw_x)
     except ValueError:
-        x = None
-    if x is None:
         return ParseError(f"cannot parse auxiliary value {raw_x!r}", line=line)
     if not math.isfinite(x):
         return ParseError(f"auxiliary value must be finite, got {raw_x!r}", line=line)

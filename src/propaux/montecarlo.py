@@ -57,6 +57,11 @@ _LOW_HALF = 0 if sys.byteorder == "little" else 1
 
 ENUMERATION_LIMIT = 10**7
 
+#: Largest ``SyntheticSpec.max_retries``. Each attempt draws a whole
+#: population, so this bounds the run time of a spec whose link saturates
+#: the attribute.
+MAX_RETRIES = 1000
+
 #: Sample indices evaluated per chunk; bounds the per-chunk temporaries (the
 #: run's value matrix still holds every sample).
 CHUNK_ELEMENTS = 65536
@@ -250,8 +255,9 @@ class SyntheticSpec:
                 raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
         if self.size < 10:
             raise InvalidConfig("synthetic population size must be at least 10")
-        if self.max_retries < 1:
-            raise InvalidConfig("max_retries must be at least 1")
+        if not 1 <= self.max_retries <= MAX_RETRIES:
+            raise InvalidConfig(f"max_retries must lie in [1, {MAX_RETRIES}], "
+                                f"got {self.max_retries}")
         if self.aux_shape not in ("skewed-positive", "symmetric"):
             raise InvalidConfig(f"unknown aux_shape {self.aux_shape!r}")
         if self.aux_scale <= 0.0:

@@ -667,9 +667,16 @@ def _scan_points(digits: int) -> list[tuple[float, ...]]:
 
 
 def _perturbed(pop: PopulationParams, offsets: tuple[float, ...]) -> PopulationParams:
-    moved = {name: getattr(pop, name) + d for name, d in zip(_SCAN_FIELDS, offsets)}
-    return replace(pop, **moved, sp2=(moved["cp"] * pop.P) ** 2,
-                   sx2=(moved["cx"] * pop.xbar) ** 2)
+    """``pop`` moved by ``offsets`` along ``_SCAN_FIELDS``, with ``sx2`` and
+    ``sp2`` derived from the moved ``cx`` and ``cp``. One constructor call
+    builds and validates the point, without ``dataclasses.replace``'s walk
+    over the fields."""
+    d_cp, d_cx, d_rho, d_03, d_04, d_12 = offsets
+    cp, cx = pop.cp + d_cp, pop.cx + d_cx
+    return PopulationParams(N=pop.N, P=pop.P, xbar=pop.xbar, sx2=(cx * pop.xbar) ** 2,
+                            sp2=(cp * pop.P) ** 2, cp=cp, cx=cx, rho_pb=pop.rho_pb + d_rho,
+                            lambda03=pop.lambda03 + d_03, lambda04=pop.lambda04 + d_04,
+                            lambda12=pop.lambda12 + d_12)
 
 
 def sensitivity(pop: PopulationParams, f: float, config: TableConfig | None = None,

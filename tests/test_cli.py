@@ -257,7 +257,7 @@ class TestGenerateCommand:
         ("link_slope", "x"), ("link_intercept", None), ("aux_location", [1.0]),
         ("aux_scale", "wide"), ("link_slope", 1e999), ("max_retries", "3"),
         ("max_retries", 2.5), ("max_retries", 0), ("max_retries", True),
-        ("aux_scale", 0),
+        ("max_retries", 1001), ("max_retries", 10**20), ("aux_scale", 0),
     ])
     def test_spec_with_bad_number_is_data_error(self, tmp_path, capsys, field, value):
         spec = tmp_path / "spec.json"
@@ -267,6 +267,13 @@ class TestGenerateCommand:
                      "--output", str(out)]) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    def test_spec_at_the_retry_cap_is_accepted(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"max_retries": 1000}))
+        out = tmp_path / "pop.csv"
+        assert main(["generate", "--size", "40", "--seed", "3", "--spec", str(spec),
+                     "--output", str(out)]) == 0
 
     def test_spec_that_is_not_an_object_is_data_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -511,6 +518,11 @@ BOUNDARY = {
     "csv-x-abc": (_CSV_ARGV, b"phi,x\n1,2.0\n\n0,abc\n"),
     "csv-x-inf": (_CSV_ARGV, b"phi,x\n 1,inf\n0,1.0\n"),
     "csv-x-underscore": (_CSV_ARGV, b"phi,x\n1,1_0\n0,2\n"),
+    **{f"index-{name}": (["estimate", "--input", "{pop}", "--indices", indices,
+                          "--estimator", "ta"], b"")
+       for name, indices in (("arabic-indic-digit", "0,1,\u0663"), ("underscore", "0,1_0"),
+                             ("past-int64", "0,1,99999999999999999999999"),
+                             ("past-the-frame", "0,1,12"), ("negative", "0,-1,1"))},
 }
 
 
@@ -527,6 +539,46 @@ def test_malformed_input_exits_2_with_one_error_line(pop_csv, tmp_path, capsys, 
     assert code == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == "" and not out.exists()
+
+
+_SIZE_ARGV = ["generate", "--seed", "3", "--output", "{out}", "--size"]
+
+#: Numbers that Python's ``int`` and ``float`` read, but that break the
+#: command line's grammar (ASCII, no ``_``): each flag is a usage error.
+NOT_ASCII_NUMBERS = {
+    "size-underscore": [*_SIZE_ARGV, "1_0"],
+    "seed-arabic-indic-digit": ["generate", "--size", "10", "--seed", "\u0663",
+                                "--output", "{out}"],
+    "size-fullwidth-digits": [*_SIZE_ARGV, "\uff11\uff10"],
+    "n-underscore": ["params", "--input", "{pop}", "--n", "1_0", "--output", "{out}"],
+    "reps-underscore": ["simulate", "--input", "{pop}", "--n", "5", "--reps", "1_000",
+                        "--seed", "1", "--output", "{out}"],
+    "digits-arabic-indic-digit": ["sensitivity", "--params", "{params}", "--digits",
+                                  "\u0663", "--output", "{out}"],
+    "tc-arabic-indic-digit": ["pre", "--params", "{params}", "--tc", "alpha=\u0661"],
+    "t3-underscore": ["theory", "--params", "{params}", "--t3", "gamma=1_0",
+                      "--output", "{out}"],
+    "t1-fullwidth-digit": ["estimate", "--input", "{pop}", "--indices", "0,1,2",
+                           "--estimator", "t1", "--t1", "alpha=\uff12"],
+}
+
+
+@pytest.mark.parametrize("argv", NOT_ASCII_NUMBERS.values(), ids=NOT_ASCII_NUMBERS)
+def test_number_outside_the_ascii_grammar_is_usage_error(pop_csv, ref_params_path, tmp_path,
+                                                         capsys, argv):
+    out = tmp_path / "out"
+    paths = {"pop": pop_csv, "params": ref_params_path, "out": out}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+def test_out_of_range_index_is_named_as_such(pop_csv, capsys):
+    assert main(["estimate", "--input", str(pop_csv), "--indices",
+                 "0,1,99999999999999999999999", "--estimator", "ta"]) == 2
+    assert capsys.readouterr().err == (
+        "error: indices must lie in [0, 11], got range [0, 99999999999999999999999]\n")
 
 
 def _commands() -> dict:

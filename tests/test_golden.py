@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from propaux import cli
 from propaux.cli import main
 
 from test_population import LOGNORMAL_X
@@ -118,6 +119,25 @@ def run(name: str) -> bytes:
 @pytest.mark.parametrize("name", CASES)
 def test_output_matches_golden_file(name):
     assert run(name) == (GOLDEN / name).read_bytes()
+
+
+def test_one_parser_serves_every_call_of_a_process(monkeypatch, tmp_path, capsys):
+    # main builds its parser on its first call and keeps it; a usage error
+    # and a data error in between leave the later calls' bytes unchanged
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    names = ["theory.json", "sensitivity.json", "pre.csv"]
+    first = [run(name) for name in names]
+    bad = tmp_path / "params.json"
+    bad.write_text('{"n": 5}')
+    assert main(["sensitivity", "--params", str(bad), "--digits", "x"]) == 1
+    assert main(["pre", "--params", str(bad)]) == 2
+    assert capsys.readouterr().err.count("\n") == 2
+    assert first == [run(name) for name in names] == [(GOLDEN / name).read_bytes()
+                                                      for name in names]
+    assert built == [1]
 
 
 def dispatch_targets() -> list[str]:

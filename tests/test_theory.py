@@ -17,6 +17,7 @@ from propaux.errors import (
     NegativeMse,
     NonpositiveMse,
     SingularSystem,
+    ToolkitError,
 )
 from propaux.io import ParamsDocument
 from propaux.population import Design, PopulationParams
@@ -697,6 +698,29 @@ class TestSensitivity:
         interval = report.interval("t1")
         assert interval.unstable > 0
         assert interval.points == 77
+
+    @given(seed=st.integers(0, 2**32 - 1), rho_pb=st.sampled_from((None, 1.0, -1.0)))
+    @settings(max_examples=30, deadline=None)
+    def test_scan_points_match_dataclasses_replace(self, seed, rho_pb):
+        # the construction _perturbed replaced, kept as the oracle; at
+        # |rho_pb| = 1, 33 of the 77 points are invalid and must raise alike
+        pop, _ = well_posed_params(np.random.default_rng(seed))
+        if rho_pb is not None:
+            pop = dataclasses.replace(pop, rho_pb=rho_pb)
+        for offsets in itertools.chain.from_iterable(map(theory._scan_points, (1, 2, 3))):
+            moved = {name: getattr(pop, name) + d
+                     for name, d in zip(theory._SCAN_FIELDS, offsets)}
+            try:
+                expected = dataclasses.replace(pop, **moved, sp2=(moved["cp"] * pop.P) ** 2,
+                                               sx2=(moved["cx"] * pop.xbar) ** 2)
+            except ToolkitError as exc:
+                with pytest.raises(ToolkitError) as raised:
+                    theory._perturbed(pop, offsets)
+                assert type(raised.value) is type(exc)
+                continue
+            got = theory._perturbed(pop, offsets)
+            assert [(k, repr(v)) for k, v in vars(got).items()] == [
+                (k, repr(v)) for k, v in vars(expected).items()]
 
     def test_invalid_parameters_are_unstable_for_every_estimator(self, plain_pop):
         # rho_pb + h exceeds 1 on the +rho axis point and 32 corners, where
