@@ -16,7 +16,6 @@ the population CSV format, re-exports every name.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -120,6 +119,7 @@ def write_params_json(path: str | Path, doc: ParamsDocument) -> None:
 
 def file_digest(path: str | Path) -> str:
     """sha256 of the raw input bytes, recorded in every report."""
+    import hashlib  # loads OpenSSL's _hashlib, which only a digest needs
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

@@ -19,7 +19,7 @@ exponentials call libm. Powers (``tc``, ``t1``, ``t3``) run as one
 ``np.float_power`` call, whose loop is libm ``pow``, or none at exponent 1.
 The exponentials of ``tc`` and ``t3`` run as one complex ``np.exp`` call,
 whose loop is libm ``cexp``; only rows above 709 call ``math.exp`` one at a
-time.
+time. ``tc`` at ``beta = 0`` calls none.
 """
 
 from __future__ import annotations
@@ -183,9 +183,10 @@ def _tc(cfg, pop, rows, p, xbar_s, sx2_s):
     smp_t = tc.a * xbar_s + tc.b
     rows.fail((pop_t <= 0.0) | (smp_t <= 0.0), NONPOSITIVE_TRANSFORM,
               pop_t=pop_t, smp_t=smp_t)
-    return ((tc.q1 * p + tc.q2 * (pop.xbar - xbar_s))
-            * _pow(pop_t / smp_t, tc.alpha)
-            * _exp(tc.beta * (pop_t - smp_t) / (pop_t + smp_t)))
+    value = (tc.q1 * p + tc.q2 * (pop.xbar - xbar_s)) * _pow(pop_t / smp_t, tc.alpha)
+    arg = tc.beta * (pop_t - smp_t) / (pop_t + smp_t)
+    # at beta = 0 (the default) each arg is ±0 or NaN, so exp(arg) is arg + 1
+    return value * (arg + 1.0 if tc.beta == 0.0 else _exp(arg))
 
 
 def _t1(cfg, pop, rows, p, xbar_s, sx2_s):

@@ -17,12 +17,14 @@ subset ``i`` also depends only on ``(i, N, n)``. Its chunks are
 column-major, one contiguous run per sample position; the batch statistics
 have the same bits in either layout. Replicates and subsets are
 evaluated in chunks of ``CHUNK_ELEMENTS`` sample indices (at least one
-sample), each chunk through one batch sufficient-statistics pass and one
-kernel call per estimator, into the run's one value matrix, a row per
-estimator and a column per sample. A failed sample is a NaN entry of that
-matrix; every other entry is finite. Aggregation runs over each row in index
-order. A report is therefore a pure function of ``(population, n, configs,
-reps, seed)``, independent of the chunking.
+sample), each chunk through one batch sufficient-statistics pass; each
+estimator kernel is called once per group of whole chunks, of at most
+``CHUNK_ELEMENTS // 4`` samples (at least one chunk), and works row by row.
+The estimates go into the run's one value matrix, a row per estimator and a
+column per sample. A failed sample is a NaN entry of that matrix; every
+other entry is finite. Aggregation runs over each row in index order. A
+report is therefore a pure function of ``(population, n, configs, reps,
+seed)``, independent of the chunking and the grouping.
 Synthetic-population generation uses the disjoint spawn keys ``(1, attempt)``
 so a shared seed never aliases replicate streams.
 """
@@ -164,35 +166,39 @@ def _bounded(bitgen: np.random.BitGenerator, high: np.ndarray, rows: int) -> np.
 
 
 def _floyd(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
-    """``rows`` uniformly distributed n-subsets of ``range(N)``, one sorted row each.
+    """``rows`` uniformly distributed n-subsets of ``range(N)``, one sorted
+    int64 row each.
 
     Floyd's algorithm (Bentley & Floyd, "A sample of brilliance", CACM 30(9),
     1987) on every row at once: draw ``k`` is uniform on ``0..N-n+k`` and is
     kept unless the row already holds it, in which case ``N-n+k`` is kept.
     The draws are ``rng.integers(0, [N-n+1, ..., N], size=(rows, n))``,
     taken by ``_bounded`` from the raw words of a fresh ``rng``, and are
-    consumed row by row, so fewer rows give a prefix of more. Needs
-    ``2 * n * N < 2**63`` and, for ``_bounded``, ``N < 2**32``.
+    consumed row by row, so fewer rows give a prefix of more. Needs ``N <
+    2**32`` for ``_bounded``. The collision pass and the sort run on int32
+    when ``N << n.bit_length() < 2**31``, which holds every key that packs a
+    value and a draw index, and on int64 otherwise, which needs that bound
+    below ``2**63``; an int32 row sorts in about half the time.
     """
     base = N - n
-    step = np.arange(n)
+    shift = int(n).bit_length()
+    dtype = np.int32 if N << shift < 2**31 else np.int64
+    step = np.arange(n, dtype=dtype)
     draws = _bounded(rng.bit_generator, np.arange(base + 1, N + 1), rows)
+    draws = draws.astype(dtype, copy=False)
     flat = draws.ravel()
     # Draw k collides when its row already holds its value. It does when an
     # earlier draw had that value: sorted by one key that packs (value, draw
     # index), such a draw follows one of equal value in its row ...
-    shift = int(n).bit_length()
     key = draws << shift
     key |= step
     key.sort(axis=1)
     key = key.ravel()
-    repeat = key[1:] ^ key[:-1]
-    repeat >>= shift
-    later = np.flatnonzero(repeat == 0) + 1
+    later = np.flatnonzero(key[1:] ^ key[:-1] < 1 << shift) + 1
     later = later[later % n != 0]  # not a pair straddling two rows
     collided = np.zeros(rows * n, dtype=bool)
     collided[later - later % n + (key[later] & ((1 << shift) - 1))] = True
-    del key, repeat  # one block-sized array fewer at the peak
+    del key  # one block-sized array fewer at the peak
     # ... and it does when its value is N-n+v, v < k, and draw v collided and
     # so took N-n+v. Each pass carries the flags one step along the chains
     # k -> v -> ...; a chain runs to smaller draw indices, so it ends.
@@ -202,7 +208,7 @@ def _floyd(rng: np.random.Generator, N: int, n: int, rows: int) -> np.ndarray:
         collided[top[new]] = True
     np.copyto(draws, base + step, where=collided.reshape(rows, n))
     draws.sort(axis=1)
-    return draws
+    return draws.astype(np.int64, copy=False)
 
 
 def draw_replicates(frame: PopulationFrame, n: int, seed: int,
@@ -366,7 +372,8 @@ def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] |
 
     The samples are taken in order, in chunks of ``CHUNK_ELEMENTS`` indices
     (at least one sample): ``draw(start, stop)`` returns the index rows of
-    samples ``start..stop-1``.
+    samples ``start..stop-1``. A group of one chunk hands its statistics to
+    the kernels as they are; a larger group copies them into one buffer.
     """
     configs = tuple(configs) if configs is not None else DEFAULT_CONFIGS
     names = [cfg.name for cfg in configs]
@@ -378,11 +385,21 @@ def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] |
 
     values = np.empty((len(resolved), total))
     rows = max(1, CHUNK_ELEMENTS // n)
-    for start in range(0, total, rows):
-        stop = min(start + rows, total)
-        stats = batch_stats(frame, draw(start, stop))
+    # each kernel call takes a group of whole chunks, of at most a quarter of
+    # CHUNK_ELEMENTS samples, so that its fixed cost spreads over more rows
+    span = rows * max(1, CHUNK_ELEMENTS // 4 // rows)
+    group = np.empty((3, min(span, total))) if span > rows else None
+    for first in range(0, total, span):
+        last = min(first + span, total)
+        if last - first <= rows:
+            stats = batch_stats(frame, draw(first, last))
+        else:
+            for start in range(first, last, rows):
+                stop = min(start + rows, last)
+                group[:, start - first:stop - first] = batch_stats(frame, draw(start, stop))
+            stats = group[:, :last - first]
         for j, cfg in enumerate(resolved):
-            values[j, start:stop] = evaluate_batch(cfg, pop, *stats)[0]
+            values[j, first:last] = evaluate_batch(cfg, pop, *stats)[0]
 
     exact = seed is None
     return SimulationReport(

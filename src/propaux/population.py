@@ -209,6 +209,21 @@ def compute_population_params(frame: PopulationFrame) -> PopulationParams:
     )
 
 
+def _increasing(idx: np.ndarray) -> bool:
+    """Whether every row of ``idx`` is strictly increasing.
+
+    A C-ordered batch is compared as one flat run, its pairs that straddle
+    two rows masked; a column-major one compares its contiguous columns,
+    which costs less than a flat copy would.
+    """
+    if not idx.flags.c_contiguous:
+        return bool((idx[:, 1:] > idx[:, :-1]).all())
+    flat = idx.ravel()
+    rising = flat[1:] > flat[:-1]
+    rising[idx.shape[1] - 1::idx.shape[1]] = True
+    return bool(rising.all())
+
+
 def batch_stats(frame: PopulationFrame,
                 indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sufficient statistics ``(p, xbar_s, sx2_s)`` of every row of an R×n
@@ -235,8 +250,7 @@ def batch_stats(frame: PopulationFrame,
         raise SchemaError(f"sample indices must be integers, got dtype {idx.dtype}")
     # drawn rows arrive sorted, and a strictly increasing row is distinct;
     # only a batch with some other row pays for the sort
-    if (not (idx[:, 1:] > idx[:, :-1]).all()
-            and (np.diff(np.sort(idx, axis=1), axis=1) == 0).any()):
+    if not _increasing(idx) and (np.diff(np.sort(idx, axis=1), axis=1) == 0).any():
         raise DuplicateIndex("sample indices must be distinct")
     if idx.size and (idx.min() < 0 or idx.max() >= frame.size):
         raise IndexOutOfRange(
@@ -249,7 +263,7 @@ def batch_stats(frame: PopulationFrame,
         idx = np.ascontiguousarray(idx)
     # an integer count of 0/1 values is exact in any order, so p has the bits
     # of the float mean; the variance takes np.var's steps, reusing the mean
-    p =frame.phi[idx].sum(axis=1) / n
+    p = frame.phi[idx].sum(axis=1) / n
     xs = frame.x[idx]
     with np.errstate(over="ignore", invalid="ignore"):  # _check_variance reports it
         xbar_s = xs.mean(axis=1)

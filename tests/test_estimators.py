@@ -508,3 +508,53 @@ class TestBatchMatchesScalar:
         samples = [SampleStats(n=n, p=k % (n + 1) / n, xbar_s=m, sx2_s=v)
                    for k, (m, v) in enumerate(zip(means, variances))]
         assert_rows_match_evaluate(samples, pop, cfg, resolved)
+
+
+def _tc_with_exp(cfg, pop, rows, p, xbar_s, sx2_s):
+    """The ``tc`` kernel with its exponential at every ``beta``: the
+    reference for ``estimators._tc``, which calls none at ``beta = 0``."""
+    tc = cfg.params
+    pop_t = tc.a * pop.xbar + tc.b
+    smp_t = tc.a * xbar_s + tc.b
+    rows.fail((pop_t <= 0.0) | (smp_t <= 0.0), estimators.NONPOSITIVE_TRANSFORM,
+              pop_t=pop_t, smp_t=smp_t)
+    return ((tc.q1 * p + tc.q2 * (pop.xbar - xbar_s))
+            * estimators._pow(pop_t / smp_t, tc.alpha)
+            * estimators._exp(tc.beta * (pop_t - smp_t) / (pop_t + smp_t)))
+
+
+def _no_exp(arg):
+    raise AssertionError("the tc kernel called _exp at beta = 0")
+
+
+class TestTcAtBetaZero:
+    """At ``beta = 0`` the ``tc`` kernel calls no exponential and keeps the
+    bits and failure codes of the kernel that does."""
+
+    @given(means=st.lists(st.sampled_from((0.0, -1.0, 5e-324, 1e10, math.inf, math.nan))
+                          | st.floats(-20.0, 20.0), min_size=1, max_size=12),
+           a=_CONSTANT | st.sampled_from((1e300, -1e300, 5e-324)),
+           b=_CONSTANT | st.sampled_from((1e300, -1e300)),
+           alpha=st.sampled_from((1.0, 0.0, 3000.0)) | _CONSTANT,
+           q1=_CONSTANT, q2=_CONSTANT, beta=st.sampled_from((0.0, -0.0)))
+    @example(means=[1e10, 2.0], a=1e300, b=0.0, alpha=1.0, q1=1.0, q2=0.0, beta=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_the_exponential_form(self, pop, means, a, b, alpha, q1, q2, beta):
+        # sample means that fail the transform check, overflow its sample
+        # side to inf (which passes it) or are not numbers at all
+        cfg = EstimatorConfig(kind="tc", params=TcConfig(a=a, b=b, alpha=alpha, beta=beta,
+                                                         q1=q1, q2=q2))
+        xbar_s = np.array(means)
+        p = np.linspace(0.0, 1.0, xbar_s.size)
+        sx2_s = np.full(xbar_s.size, pop.sx2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(estimators._KERNELS, "tc", _tc_with_exp)
+            expect, expect_rows = estimators._kernel(cfg, pop, p, xbar_s, sx2_s)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimators, "_exp", _no_exp)
+            got, got_rows = estimators._kernel(cfg, pop, p, xbar_s, sx2_s)
+        assert got.tobytes() == expect.tobytes()
+        assert got_rows.codes.tolist() == expect_rows.codes.tolist()
+        assert got_rows.detail.keys() == expect_rows.detail.keys()
+        for key, value in expect_rows.detail.items():
+            assert np.array_equal(got_rows.detail[key], value, equal_nan=True), key

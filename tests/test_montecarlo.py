@@ -22,6 +22,7 @@ from propaux import (
 )
 from propaux.config import TcConfig
 from propaux.documents import simulation_report_dict
+from propaux.estimators import evaluate_batch
 from propaux.errors import (
     DataError,
     DegenerateGeneration,
@@ -229,6 +230,16 @@ class TestBoundedDraw:
                  run_experiment(frame, 300, reps=100, seed=6))
         assert np.array_equal(drawn[0], expect[0])
         assert drawn[1:] == expect[1:]
+
+    @pytest.mark.parametrize("N", (2**25 - 1, 2**25, 2**26))
+    def test_block_equals_scalar_floyd_about_the_int32_keys(self, N):
+        # at n = 50 a key packs a value and a 6-bit draw index: int32 up to
+        # N = 2**25 - 1, int64 from N = 2**25 on; at 2**26 half the values
+        # would overflow an int32 key
+        drawn = montecarlo._floyd(_block_stream(4, 1), N, 50, 300)
+        rng = _block_stream(4, 1)
+        assert drawn.dtype == np.int64
+        assert drawn.tolist() == [floyd_loop(rng, N, 50) for _ in range(300)]
 
     def test_large_frame_block_equals_scalar_floyd(self):
         # N = 10**8 rejects about one word in 45, so 300 rows of n = 50
@@ -438,6 +449,25 @@ class TestRunExperiment:
             monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", rows * 3)
             reports.append((mc, enumerate_exact(TINY, 3)))
         assert reports[0] == reports[1] == reports[2]
+        # n = 50 groups 12 chunks a kernel call: 2,000 replicates in 7-row
+        # chunks end in a partial group, nine 7-row chunks and a 5-row one
+        monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", 2000 * 50)
+        whole = run_experiment(frame, 50, reps=2000, seed=5)
+        monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", 7 * 50)
+        assert run_experiment(frame, 50, reps=2000, seed=5) == whole
+
+    def test_kernels_run_once_per_group_of_chunks(self, monkeypatch):
+        # 20,000 replicates of n = 50 in chunks of 1,310: groups of 12
+        # chunks (15,720 samples), so two calls per estimator, not 16
+        calls = Counter()
+
+        def counted(cfg, *args):
+            calls[cfg.name] += 1
+            return evaluate_batch(cfg, *args)
+
+        monkeypatch.setattr(montecarlo, "evaluate_batch", counted)
+        run_experiment(_frame(2000), 50, reps=20_000, seed=1)
+        assert calls == {cfg.name: 2 for cfg in montecarlo.DEFAULT_CONFIGS}
 
     def test_report_carries_rng_provenance(self):
         report = run_experiment(TINY, 3, reps=120, seed=8)

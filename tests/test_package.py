@@ -87,6 +87,11 @@ class TestNumpyFreeCore:
         result = fresh("import propaux\nresult['numpy'] = 'numpy' in sys.modules")
         assert result == {"numpy": False}
 
+    def test_cli_import_loads_no_hashlib(self):
+        # hashlib loads OpenSSL, which only a report's input digest needs
+        result = fresh("import propaux.cli\nresult['hashlib'] = 'hashlib' in sys.modules")
+        assert result == {"hashlib": False}
+
     @pytest.mark.parametrize("command", TABLE_COMMANDS)
     def test_table_command(self, command, tmp_path):
         """The command on the golden census document and on the README

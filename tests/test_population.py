@@ -27,6 +27,7 @@ from propaux.errors import (
     SchemaError,
     ZeroMean,
 )
+from propaux import population
 from propaux.population import check_realizable
 
 from conftest import random_frame
@@ -45,6 +46,9 @@ LOGNORMAL_X = [
     17.7616, 13.8584, 7.449, 12.2028, 11.154, 20.8118, 13.1274, 31.5271, 7.6546, 16.162,
     16.4332, 7.2529, 5.9969, 22.3796, 16.6176, 11.0507, 15.4347, 8.1238, 14.0554, 8.4733,
 ]
+#: Thirty units with distinct auxiliary values, so any sample has a variance.
+_THIRTY = PopulationFrame(np.arange(30) % 2, np.arange(1.0, 31.0))
+
 LOGNORMAL = PopulationFrame(np.array([int(v > 14.0) for v in LOGNORMAL_X]),
                             np.array(LOGNORMAL_X))
 
@@ -400,6 +404,55 @@ class TestBatchStats:
             assert batch.flags.c_contiguous == (layout == "C")
             for name, got, want in zip(("p", "xbar_s", "sx2_s"), batch_stats(frame, batch), expect):
                 assert got.tobytes() == want.tobytes(), (layout, name)
+
+    #: Rows of three indices, each batch with whether every row is strictly
+    #: increasing and whether some row repeats an index. Every batch but the
+    #: last has a row whose first index is below the previous row's last.
+    ORDERS = {
+        "increasing": ([[3, 8, 20], [0, 1, 2], [4, 25, 29]], True, False),
+        "a repeat": ([[3, 8, 20], [0, 1, 1], [4, 25, 29]], False, True),
+        "a repeat first": ([[3, 8, 20], [0, 1, 2], [4, 4, 29]], False, True),
+        "a descending pair": ([[3, 8, 20], [0, 2, 1], [4, 25, 29]], False, False),
+        "a descending last pair": ([[3, 8, 20], [0, 1, 2], [4, 29, 25]], False, False),
+        "an equal pair across rows": ([[3, 8, 20], [20, 21, 22]], True, False),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_duplicate_check_in_every_layout(self, layout, order):
+        rows, increasing, repeats = self.ORDERS[order]
+        batch = self.LAYOUTS[layout](np.array(rows))
+        assert population._increasing(batch) == increasing
+        if repeats:
+            with pytest.raises(DuplicateIndex):
+                batch_stats(_THIRTY, batch)
+        else:
+            batch_stats(_THIRTY, batch)
+
+    @given(rows=st.integers(1, 6), n=st.integers(2, 9), seed=st.integers(0, 2**32 - 1),
+           flaws=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7),
+                                    st.sampled_from(("repeat", "descending"))), max_size=3),
+           layout=st.sampled_from(sorted(LAYOUTS)))
+    @settings(max_examples=200, deadline=None)
+    def test_duplicate_check_matches_the_row_sets(self, rows, n, seed, flaws, layout):
+        # sorted rows of distinct indices, a few pairs then made equal or
+        # swapped; DuplicateIndex exactly when some row's set is short
+        rng = np.random.default_rng(seed)
+        idx = np.sort(rng.permuted(np.tile(np.arange(30), (rows, 1)), axis=1)[:, :n], axis=1)
+        for row, pos, flaw in flaws:
+            row, pos = row % rows, pos % (n - 1)
+            if flaw == "repeat":
+                idx[row, pos + 1] = idx[row, pos]
+            else:
+                idx[row, [pos, pos + 1]] = idx[row, [pos + 1, pos]]
+        batch = self.LAYOUTS[layout](idx)
+        assert population._increasing(batch) == all(
+            row == sorted(set(row)) for row in idx.tolist())
+        if any(len(set(row)) < n for row in idx.tolist()):
+            with pytest.raises(DuplicateIndex):
+                batch_stats(_THIRTY, batch)
+        else:
+            batch_stats(_THIRTY, batch)
 
     def test_overflowed_variance_rejected(self):
         # the squared deviations of ±1e200 overflow to inf in every layout
