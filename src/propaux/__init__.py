@@ -23,8 +23,6 @@ from .theory import (
     T3Constants,
     TcConstants,
     TheoryReport,
-    class_bias_t2,
-    class_bias_tb,
     comparison_conditions,
     pre,
     sensitivity,

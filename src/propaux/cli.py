@@ -308,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except OverflowError as exc:  # float ``**`` raises where ``*`` gives inf
+        print(f"numerical error: overflow: {exc.args[-1]}", file=sys.stderr)
+        return 3
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,7 +60,8 @@ class NonpositiveBase(DataError):
 
 
 class TooLarge(DataError):
-    """Exact enumeration was requested for too many subsets."""
+    """Exact enumeration or Monte Carlo was asked for more samples than
+    ``montecarlo.ENUMERATION_LIMIT``."""
 
 
 class DegenerateGeneration(DataError):

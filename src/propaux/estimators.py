@@ -98,7 +98,7 @@ _FAILURES: tuple[tuple[type[DataError], str] | None, ...] = (
     None,
     (ZeroSampleMean, "sample auxiliary mean is zero"),
     (NonpositiveTransform,
-     "a*mean + b must stay positive (population {pop_t}, sample {smp_t})"),
+     "a*mean + b must stay positive and finite (population {pop_t}, sample {smp_t})"),
     (NonpositiveBase, "mean ratio must be positive, sample mean {xbar_s}"),
     (NonpositiveBase, "sample auxiliary variance must be positive, got {sx2_s}"),
     (NonpositiveBase, "shifted mean must stay positive, got {shifted}"),
@@ -181,11 +181,12 @@ def _tc(cfg, pop, rows, p, xbar_s, sx2_s):
     tc = cfg.params
     pop_t = tc.a * pop.xbar + tc.b
     smp_t = tc.a * xbar_s + tc.b
-    rows.fail((pop_t <= 0.0) | (smp_t <= 0.0), NONPOSITIVE_TRANSFORM,
-              pop_t=pop_t, smp_t=smp_t)
+    rows.fail(~((0.0 < pop_t) & (pop_t < math.inf) & (0.0 < smp_t) & (smp_t < math.inf)),
+              NONPOSITIVE_TRANSFORM, pop_t=pop_t, smp_t=smp_t)
     value = (tc.q1 * p + tc.q2 * (pop.xbar - xbar_s)) * _pow(pop_t / smp_t, tc.alpha)
     arg = tc.beta * (pop_t - smp_t) / (pop_t + smp_t)
-    # at beta = 0 (the default) each arg is ±0 or NaN, so exp(arg) is arg + 1
+    # at beta = 0 (the default) each arg is ±0, or NaN on a row that fails the
+    # check, so exp(arg) is arg + 1 on every row
     return value * (arg + 1.0 if tc.beta == 0.0 else _exp(arg))
 
 

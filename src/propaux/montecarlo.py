@@ -57,6 +57,7 @@ _LOGGER = logging.getLogger(__name__)
 #: Index of the low 32-bit half of a uint64 viewed as two uint32s.
 _LOW_HALF = 0 if sys.byteorder == "little" else 1
 
+#: The most samples one report takes: subsets to enumerate or replicates to draw.
 ENUMERATION_LIMIT = 10**7
 
 #: Largest ``SyntheticSpec.max_retries``. Each attempt draws a whole
@@ -470,6 +471,8 @@ def run_experiment(frame: PopulationFrame, n: int,
     reps, seed = _integer("reps", reps), _integer("seed", seed)
     if reps < 100:
         raise InvalidConfig(f"need at least 100 replicates, got {reps}")
+    if reps > ENUMERATION_LIMIT:
+        raise TooLarge(f"{reps} replicates exceed the sample limit {ENUMERATION_LIMIT}")
     sampling_fraction(n, frame.size)
     draw = functools.partial(draw_replicates, frame, n, seed)
     return _report(frame, n, configs, reps, draw, seed)

@@ -22,8 +22,7 @@ kind's parameter class, report name, and its ``mse``, ``min_mse``,
 ``optimum`` and ``bias``, each called as ``(cfg, pop, f)`` and each reading
 the constants ``cfg`` holds. The per-kind helpers behind them are private.
 ``tc_constants`` and ``t3_constants`` take the same ``(cfg, pop, f)``;
-``var_usual`` is the baseline of ``pre``, and ``class_bias_tb``/
-``class_bias_t2`` take second-derivative values.
+``var_usual`` is the baseline of ``pre``.
 
 Every ``FAMILIES`` MSE that evaluates materially negative raises
 ``NegativeMse``, except ``FAMILIES["tc"].mse`` at given weights, which
@@ -163,30 +162,6 @@ def _tb_min_mse(cfg, pop: PopulationParams, f: float) -> float:
     return _check_mse(value, var_usual(pop, f), "regression-class minimum MSE")
 
 
-def class_bias_tb(pop: PopulationParams, f: float, h2: float, h3: float, h4: float) -> float:
-    """First-order class bias as a linear form in the second-derivative values.
-
-    ``h2``, ``h3``, ``h4`` are half second derivatives of the class function at
-    the population point (pure auxiliary, mixed, pure proportion).
-    """
-    return f * (pop.P * pop.rho_pb * pop.cp * pop.cx * h3
-                + pop.cx**2 * h2
-                + pop.P**2 * pop.cp**2 * h4)
-
-
-def class_bias_t2(pop: PopulationParams, f: float, h3: float, h4: float, h5: float,
-                  h6: float, h7: float, h8: float) -> float:
-    """First-order class bias as a linear form in six second-derivative values."""
-    return f * (
-        pop.P * pop.cp**2 * h3
-        + pop.cx**2 * h4
-        + (pop.lambda04 - 1.0) * h5
-        + pop.P * pop.rho_pb * pop.cp * pop.cx * h6
-        + pop.cx * pop.lambda03 * h7
-        + pop.P * pop.cp * pop.lambda12 * h8
-    )
-
-
 # --- the two-weight MSE form of the tc and t3 families ----------------------------
 
 
@@ -283,8 +258,8 @@ def tc_constants(cfg: TcConfig, pop: PopulationParams, f: float) -> TcConstants:
     Y1 = p*R and Y2 = (X - xbar)*R; its weights are not read."""
     a, b, alpha, beta = cfg.a, cfg.b, cfg.alpha, cfg.beta
     base = a * pop.xbar + b
-    if base <= 0.0:
-        raise NonpositiveTransform(f"a*xbar + b must be positive, got {base}")
+    if not 0.0 < base < math.inf:
+        raise NonpositiveTransform(f"a*xbar + b must be positive and finite, got {base}")
     theta = a * pop.xbar / base
     bc = theta * (alpha + beta / 2.0)
     ac = theta**2 * (alpha * (alpha + 1.0) / 2.0 + alpha * beta / 2.0
@@ -478,7 +453,7 @@ FAMILIES: dict[str, Family] = {
 
 def pre(mse_baseline: float, mse: float) -> float:
     """Percent relative efficiency, 100 * mse_baseline / mse."""
-    if mse <= 0.0:
+    if not mse > 0.0:
         raise NonpositiveMse(f"efficiency needs a positive MSE, got {mse}")
     return 100.0 * (mse_baseline / mse)
 
@@ -594,7 +569,7 @@ def comparison_conditions(pop: PopulationParams, f: float,
         try:
             cand = candidate()
             ref = reference()
-        except (NumericalError, DataError) as exc:
+        except (NumericalError, DataError, OverflowError) as exc:
             return ConditionResult(name=name, candidate_mse=math.nan,
                                    reference_mse=math.nan, holds=None,
                                    slack=math.nan, guaranteed=guaranteed,
@@ -687,12 +662,13 @@ def sensitivity(pop: PopulationParams, f: float, config: TableConfig | None = No
     plus/minus half a unit of its last reported digit (``0.5 * 10**-digits``),
     independently (axis points) and jointly (corners). Each point takes the
     MSE the efficiency table reports (``Family.table_mse``). Points where a
-    theory expression fails (negative MSE, singular system, invalid moments)
-    are counted as unstable rather than aborting the scan; a point whose
-    perturbed parameters are invalid is unstable for every estimator.
+    theory expression fails (negative MSE, singular system, invalid moments,
+    overflow) are counted as unstable rather than aborting the scan; a point
+    whose perturbed parameters are invalid is unstable for every estimator.
     """
-    if not isinstance(digits, int) or digits < 1:
-        raise InvalidConfig(f"digits must be an integer >= 1, got {digits!r}")
+    if not isinstance(digits, int) or not 1 <= digits <= 323:
+        # from 324 digits on, the half step 0.5 * 10.0**-digits is 0.0
+        raise InvalidConfig(f"digits must be an integer from 1 to 323, got {digits!r}")
     rows = _table(config or TableConfig())[1:]  # p, the baseline, is 100 everywhere
     mses = [FAMILIES[kind].table_mse(cfg) for _, kind, cfg in rows]
     points = _scan_points(digits)
@@ -701,13 +677,13 @@ def sensitivity(pop: PopulationParams, f: float, config: TableConfig | None = No
     for k, offsets in enumerate(points):
         try:
             q = _perturbed(pop, offsets)
-        except ToolkitError:
+        except (ToolkitError, OverflowError):
             continue
         baseline = var_usual(q, f)
         for j, mse in enumerate(mses):
             try:
                 value = pre(baseline, mse(q, f))
-            except ToolkitError:
+            except (ToolkitError, OverflowError):
                 continue
             found[j].append(value)
             if k == 0:

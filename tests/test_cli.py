@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from propaux.cli import build_parser, main
 from propaux.io import write_params_json, ParamsDocument
 
 from _oracles import REF
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -489,6 +492,9 @@ class TestExitCodes:
 _PARAMS_ARGV = ["theory", "--params", "{bad}", "--output", "{out}"]
 _SPEC_ARGV = ["generate", "--size", "20", "--seed", "1", "--spec", "{bad}", "--output", "{out}"]
 _CSV_ARGV = ["params", "--input", "{bad}", "--output", "{out}"]
+_SIX_ROWS = b"phi,x\n1,22\n1,16\n0,12\n0,9\n1,18\n0,8\n"
+_TC_INFINITE_ARGV = ["estimate", "--input", "{bad}", "--indices", "4,5", "--estimator", "tc",
+                     "--tc", "a=1e308,b=-1e308,q1=1,q2=0"]
 
 #: Malformed inputs at the command line's boundary: the arguments, and the
 #: bytes of the file ``{bad}``. ``{pop}`` is a valid population CSV and
@@ -523,6 +529,16 @@ BOUNDARY = {
        for name, indices in (("arabic-indic-digit", "0,1,\u0663"), ("underscore", "0,1_0"),
                              ("past-int64", "0,1,99999999999999999999999"),
                              ("past-the-frame", "0,1,12"), ("negative", "0,-1,1"))},
+    **{f"digits-{name}": (["sensitivity", "--params", "{bad}", "--digits", digits,
+                           "--output", "{out}"], json.dumps(REF).encode())
+       for name, digits in (("324", "324"), ("401-digit-count", "1" + "0" * 400))},
+    **{f"reps-{name}": (["simulate", "--input", "{pop}", "--n", "5", "--reps", reps,
+                         "--seed", "1", "--output", "{out}"], b"")
+       for name, reps in (("1e12", "1" + "0" * 12), ("1e23", "1" + "0" * 23))},
+    "tc-transform-infinite-estimate": (_TC_INFINITE_ARGV, _SIX_ROWS),
+    "tc-transform-infinite-pre": (["pre", "--params", "{bad}", "--tc", "a=1e308,b=1e308",
+                                   "--format", "json"],
+                                  (GOLDEN / "params_n_6.json").read_bytes()),
 }
 
 
@@ -572,6 +588,63 @@ def test_number_outside_the_ascii_grammar_is_usage_error(pop_csv, ref_params_pat
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
     assert captured.out == "" and not out.exists()
+
+
+def test_infinite_transform_is_named_as_such(tmp_path, capsys):
+    # the sample mean of rows 4 and 5 is 13, so a*13 + b overflows to inf
+    bad = tmp_path / "bad"
+    bad.write_bytes(_SIX_ROWS)
+    assert main([arg.format(bad=bad) for arg in _TC_INFINITE_ARGV]) == 2
+    assert capsys.readouterr().err == (
+        "error: a*mean + b must stay positive and finite (population inf, sample inf)\n")
+
+
+#: First-order expressions that overflow: float ``**`` raises where ``*``
+#: would give inf. ``{params}`` is a parameter document, ``{frame}`` a
+#: 40-unit population CSV and ``{out}`` an output path.
+NUMERICAL = {
+    "pre-tc-alpha": ["pre", "--params", "{params}", "--tc", "alpha=1e200"],
+    "pre-t3-gamma": ["pre", "--params", "{params}", "--t3", "gamma=1e308"],
+    "theory-tc-q1": ["theory", "--params", "{params}", "--tc", "q1=1e200,q2=0",
+                     "--output", "{out}"],
+    "simulate-tc-alpha": ["simulate", "--input", "{frame}", "--n", "5", "--reps", "100",
+                          "--seed", "1", "--tc", "alpha=1e200", "--output", "{out}"],
+    "estimate-t3-gamma": ["estimate", "--input", "{frame}", "--indices", "0,1,2,3,4",
+                          "--estimator", "t3", "--t3", "gamma=1e200"],
+}
+
+
+@pytest.fixture(scope="module")
+def frame_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("frame") / "frame.csv"
+    assert main(["generate", "--size", "40", "--seed", "3", "--output", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("argv", NUMERICAL.values(), ids=NUMERICAL)
+def test_overflow_exits_3_with_one_error_line(frame_csv, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    paths = {"params": GOLDEN / "params_n_6.json", "frame": frame_csv, "out": out}
+    try:
+        code = main([arg.format(**paths) for arg in argv])
+    except Exception as exc:  # noqa: BLE001  (the point is that none escapes)
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("numerical error: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+def test_overflowing_scan_points_are_unstable(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(["sensitivity", "--params", str(GOLDEN / "params_n_6.json"), "--digits", "3",
+                 "--tc", "alpha=1e200", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "NaN" not in out.read_text()
+    rows = {row["name"]: row for row in json.loads(out.read_text())["sensitivity"]["intervals"]}
+    assert rows["tc"] == {"name": "tc", "point": None, "low": None, "high": None,
+                          "unstable": 77, "points": 77}
+    assert rows["t1"]["unstable"] == 0
 
 
 def test_out_of_range_index_is_named_as_such(pop_csv, capsys):

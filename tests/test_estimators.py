@@ -133,6 +133,17 @@ class TestTcFamily:
         with pytest.raises(NonpositiveTransform):
             evaluate(stats, pop, cfg)
 
+    @pytest.mark.parametrize("a, b, xbar_s", [
+        (1e300, 0.0, 1e10),        # the sample side overflows to inf
+        (1e308, 1e308, 1.0),       # the population side overflows to inf
+        (1.0, 0.0, math.nan),
+    ])
+    @pytest.mark.parametrize("beta", [0.0, 0.7])
+    def test_transform_that_is_not_finite(self, pop, a, b, xbar_s, beta):
+        cfg = EstimatorConfig(kind="tc", params=TcConfig(a=a, b=b, beta=beta, q1=1.0, q2=0.0))
+        with pytest.raises(NonpositiveTransform, match="positive and finite"):
+            evaluate(SampleStats(n=4, p=0.5, xbar_s=xbar_s, sx2_s=1.0), pop, cfg)
+
     def test_optimal_weights_resolved_and_recorded(self, pop):
         cfg = EstimatorConfig(kind="tc")
         stats = balanced_sample(pop)
@@ -516,8 +527,8 @@ def _tc_with_exp(cfg, pop, rows, p, xbar_s, sx2_s):
     tc = cfg.params
     pop_t = tc.a * pop.xbar + tc.b
     smp_t = tc.a * xbar_s + tc.b
-    rows.fail((pop_t <= 0.0) | (smp_t <= 0.0), estimators.NONPOSITIVE_TRANSFORM,
-              pop_t=pop_t, smp_t=smp_t)
+    rows.fail(~((0.0 < pop_t) & (pop_t < math.inf) & (0.0 < smp_t) & (smp_t < math.inf)),
+              estimators.NONPOSITIVE_TRANSFORM, pop_t=pop_t, smp_t=smp_t)
     return ((tc.q1 * p + tc.q2 * (pop.xbar - xbar_s))
             * estimators._pow(pop_t / smp_t, tc.alpha)
             * estimators._exp(tc.beta * (pop_t - smp_t) / (pop_t + smp_t)))
@@ -541,7 +552,7 @@ class TestTcAtBetaZero:
     @settings(max_examples=300, deadline=None)
     def test_rows_match_the_exponential_form(self, pop, means, a, b, alpha, q1, q2, beta):
         # sample means that fail the transform check, overflow its sample
-        # side to inf (which passes it) or are not numbers at all
+        # side to inf (which fails it too) or are not numbers at all
         cfg = EstimatorConfig(kind="tc", params=TcConfig(a=a, b=b, alpha=alpha, beta=beta,
                                                          q1=q1, q2=q2))
         xbar_s = np.array(means)

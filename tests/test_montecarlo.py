@@ -265,6 +265,15 @@ class TestEnumeration:
         assert report.row("p").mse == pytest.approx(expect, rel=1e-12)
         assert report.row("p").bias == pytest.approx(0.0, abs=1e-15)
 
+    def test_rejects_more_replicates_than_the_sample_limit(self):
+        # the bound is checked before any draw; no report is built
+        limit = montecarlo.ENUMERATION_LIMIT
+        with patch.object(montecarlo, "_report", lambda *args: args[3]):
+            assert run_experiment(TINY, 2, reps=limit) == limit
+            for reps in (limit + 1, 10**12, 10**23):
+                with pytest.raises(TooLarge):
+                    run_experiment(TINY, 2, reps=reps)
+
     def test_rejects_oversized_enumerations(self):
         rng = np.random.default_rng(0)
         x = rng.lognormal(size=40)

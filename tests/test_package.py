@@ -44,13 +44,15 @@ HOMES = {
                    "batch_stats", "central_moment", "compute_population_params",
                    "sample_stats", "sampling_fraction"),
     "theory": ("SensitivityReport", "T3Constants", "TcConstants", "TheoryReport",
-               "class_bias_t2", "class_bias_tb", "comparison_conditions", "pre",
-               "sensitivity", "t3_constants", "tc_constants", "theory_report", "var_usual"),
+               "comparison_conditions", "pre", "sensitivity", "t3_constants",
+               "tc_constants", "theory_report", "var_usual"),
 }
 
-#: The per-kind closed forms that ``theory.FAMILIES`` is the only route to.
-REGISTRY_ONLY = ("min_mse_tb", "t1_bias", "t1_min_mse", "t1_mse", "t1_optimal", "t2_mse",
-                 "t2_optimal", "t3_bias", "t3_bias_min", "tb_optimal_h1", "tc_bias")
+#: The per-kind closed forms that ``theory.FAMILIES`` is the only route to,
+#: and the class-bias forms, whose biases are the ``FAMILIES`` biases.
+REGISTRY_ONLY = ("class_bias_t2", "class_bias_tb", "min_mse_tb", "t1_bias", "t1_min_mse",
+                 "t1_mse", "t1_optimal", "t2_mse", "t2_optimal", "t3_bias", "t3_bias_min",
+                 "tb_optimal_h1", "tc_bias")
 
 #: The names ``propaux.io`` defined when it held the JSON half too.
 IO_NAMES = ("PROVENANCE_FRAME", "PROVENANCE_USER", "ParamsDocument", "build_report_document",

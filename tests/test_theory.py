@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -105,23 +106,6 @@ class TestRegressionClass:
         pop = dataclasses.replace(plain_pop, rho_pb=1.0)
         assert TB.min_mse(TbConfig(), pop, F_PLAIN) == pytest.approx(0.0, abs=1e-15)
 
-    def test_class_bias_zeroes(self, plain_pop):
-        assert theory.class_bias_tb(plain_pop, F_PLAIN, 0.0, 0.0, 0.0) == 0.0
-
-    def test_class_bias_single_term(self, plain_pop):
-        assert theory.class_bias_tb(plain_pop, F_PLAIN, 1.0, 0.0, 0.0) == pytest.approx(
-            F_PLAIN * plain_pop.cx**2, rel=1e-13)
-
-    def test_class_bias_random_h(self, plain_pop, rng):
-        for _ in range(20):
-            h2, h3, h4 = rng.normal(size=3)
-            expect = F_PLAIN * (
-                plain_pop.P * plain_pop.rho_pb * plain_pop.cp * plain_pop.cx * h3
-                + plain_pop.cx**2 * h2
-                + plain_pop.P**2 * plain_pop.cp**2 * h4)
-            assert theory.class_bias_tb(plain_pop, F_PLAIN, h2, h3, h4) == pytest.approx(
-                expect, rel=1e-12)
-
 
 class TestTcFamily:
     def test_plain_ratio_transform(self, ref_pop, ref_design):
@@ -214,6 +198,11 @@ class TestTcFamily:
     def test_nonpositive_transform(self, ref_pop, ref_design):
         with pytest.raises(theory.NonpositiveTransform):
             theory.tc_constants(TcConfig(a=-1.0), ref_pop, ref_design.f)
+
+    @pytest.mark.parametrize("a, b", [(1e308, 1e308), (math.inf, 0.0), (math.nan, 1.0)])
+    def test_transform_that_is_not_finite(self, ref_pop, ref_design, a, b):
+        with pytest.raises(theory.NonpositiveTransform, match="positive and finite"):
+            theory.tc_constants(TcConfig(a=a, b=b), ref_pop, ref_design.f)
 
 
 class TestT1:
@@ -317,23 +306,6 @@ class TestT2:
         h1, h2 = T2.optimum(T2Config(), ref_pop, ref_design.f)
         assert_stationary(
             lambda v: T2.mse(T2Config(v[0], v[1]), ref_pop, ref_design.f), [h1, h2])
-
-    def test_class_bias_zeroes(self, plain_pop):
-        assert theory.class_bias_t2(plain_pop, F_PLAIN, 0, 0, 0, 0, 0, 0) == 0.0
-
-    def test_class_bias_variance_term(self, plain_pop):
-        value = theory.class_bias_t2(plain_pop, F_PLAIN, 0, 0, 1.0, 0, 0, 0)
-        assert value == pytest.approx(F_PLAIN * (plain_pop.lambda04 - 1.0), rel=1e-13)
-
-    def test_class_bias_random_h(self, plain_pop, rng):
-        p = plain_pop
-        for _ in range(20):
-            h = rng.normal(size=6)
-            expect = F_PLAIN * (
-                p.P * p.cp**2 * h[0] + p.cx**2 * h[1] + (p.lambda04 - 1) * h[2]
-                + p.P * p.rho_pb * p.cp * p.cx * h[3] + p.cx * p.lambda03 * h[4]
-                + p.P * p.cp * p.lambda12 * h[5])
-            assert theory.class_bias_t2(p, F_PLAIN, *h) == pytest.approx(expect, rel=1e-12)
 
 
 class TestT3:
@@ -522,6 +494,10 @@ class TestPre:
         with pytest.raises(NonpositiveMse):
             theory.pre(0.01, 0.0)
 
+    def test_nan_mse(self):
+        with pytest.raises(NonpositiveMse):
+            theory.pre(0.01, math.nan)
+
     def test_antitone_in_mse(self):
         values = [theory.pre(1.0, m) for m in (0.5, 1.0, 2.0, 4.0)]
         assert values == sorted(values, reverse=True)
@@ -565,6 +541,15 @@ class TestComparisonConditions:
         first = results[0]
         assert first.holds
         assert first.slack == pytest.approx(0.0, abs=1e-15)
+
+    def test_overflow_is_recorded_on_the_condition(self, ref_pop, ref_design):
+        # float ** overflows in the tc constants at alpha = 1e200
+        config = TableConfig(tc=TcConfig(alpha=1e200))
+        by_name = {r.name: r for r in theory.comparison_conditions(ref_pop, ref_design.f,
+                                                                   config)}
+        assert by_name["t3_vs_tc"].holds is None
+        assert by_name["t3_vs_tc"].error
+        assert by_name["t3_vs_usual"].error is None
 
     def test_first_condition_never_false_on_random_frames(self, rng):
         for _ in range(60):
@@ -685,6 +670,22 @@ class TestSensitivity:
         with pytest.raises(InvalidConfig):
             theory.sensitivity(ref_pop, ref_design.f, digits=0)
 
+    @pytest.mark.parametrize("digits", [324, 10**400], ids=["324", "401-digit-count"])
+    def test_digits_whose_step_is_zero(self, ref_pop, ref_design, digits):
+        # 0.5 * 10.0**-324 is 0.0, and 10.0**-(10**400) raises OverflowError
+        with pytest.raises(InvalidConfig):
+            theory.sensitivity(ref_pop, ref_design.f, digits=digits)
+
+    def test_last_digits_with_a_nonzero_step(self, ref_pop, ref_design):
+        report = theory.sensitivity(ref_pop, ref_design.f, digits=323)
+        assert report.step > 0.0
+
+    def test_overflow_is_unstable(self, ref_pop, ref_design):
+        config = TableConfig(tc=TcConfig(alpha=1e200))
+        interval = theory.sensitivity(ref_pop, ref_design.f, config, digits=3).interval("tc")
+        assert (interval.point, interval.low, interval.high) == (None, None, None)
+        assert interval.unstable == interval.points == 77
+
     def test_unknown_interval_name(self, ref_pop, ref_design):
         with pytest.raises(KeyError):
             theory.sensitivity(ref_pop, ref_design.f, digits=3).interval("t3")
@@ -721,6 +722,16 @@ class TestSensitivity:
             got = theory._perturbed(pop, offsets)
             assert [(k, repr(v)) for k, v in vars(got).items()] == [
                 (k, repr(v)) for k, v in vars(expected).items()]
+
+    def test_overflowing_parameters_are_unstable_for_every_estimator(self, plain_pop):
+        # (cx*xbar)**2 sits just under the largest float, so the +cx axis
+        # point and the 32 corners with +cx overflow building sx2
+        xbar = math.sqrt(sys.float_info.max) / plain_pop.cx * (1.0 - 1e-5)
+        pop = dataclasses.replace(plain_pop, xbar=xbar, sx2=(plain_pop.cx * xbar) ** 2)
+        report = theory.sensitivity(pop, F_PLAIN, digits=3)
+        assert report.interval("ta").unstable == 33
+        for interval in report.intervals:
+            assert interval.unstable >= 33
 
     def test_invalid_parameters_are_unstable_for_every_estimator(self, plain_pop):
         # rho_pb + h exceeds 1 on the +rho axis point and 32 corners, where
