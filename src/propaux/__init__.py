@@ -39,7 +39,7 @@ _LAZY = {
     "montecarlo": ("DEFAULT_CONFIGS", "SimulationReport", "SyntheticSpec",
                    "draw_replicates", "enumerate_exact", "generate_population",
                    "run_experiment"),
-    "population": ("PopulationFrame", "SampleStats", "batch_stats", "central_moment",
+    "population": ("PopulationFrame", "SampleStats", "batch_stats",
                    "compute_population_params", "sample_stats"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}

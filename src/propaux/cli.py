@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from . import documents, theory
 from .config import T3_TABLE_VARIANTS, T3Config, TableConfig, integer
-from .errors import DataError, IndexOutOfRange, NumericalError, ParseError
+from .errors import DataError, IndexOutOfRange, NumericalError, ParseError, overflow_message
 from .model import Design
 
 if TYPE_CHECKING:
@@ -309,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except OverflowError as exc:  # float ``**`` raises where ``*`` gives inf
-        print(f"numerical error: overflow: {exc.args[-1]}", file=sys.stderr)
+        print(f"numerical error: {overflow_message(exc)}", file=sys.stderr)
         return 3
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -79,8 +79,15 @@ class ParamsDocument:
         n = _number(data, "n", integral=True)
         values = {name: _number(data, key, integral=name == "N")
                   for name, key in _PARAM_KEYS if key in data}
-        values.setdefault("sx2", (values["cx"] * values["xbar"]) ** 2)
-        values.setdefault("sp2", (values["cp"] * values["P"]) ** 2)
+        # derived even where the document gives it: a document whose cx*xbar
+        # or cp*p squares past the float range is refused either way
+        for name, a, b, product in (("sx2", "cx", "xbar", "cx*xbar"),
+                                    ("sp2", "cp", "P", "cp*p")):
+            try:
+                derived = (values[a] * values[b]) ** 2
+            except OverflowError:  # float ``**`` raises where ``*`` gives inf
+                raise SchemaError(f"{product} is too large: {name} overflows") from None
+            values.setdefault(name, derived)
         params = PopulationParams(**values)
         check_realizable(params)
         provenance = data.get("provenance", PROVENANCE_USER)

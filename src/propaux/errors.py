@@ -84,6 +84,13 @@ class SchemaError(DataError):
     """A data file has the wrong shape (header, missing keys, wrong types)."""
 
 
+def overflow_message(exc: OverflowError) -> str:
+    """How a float overflow reads: Python's float ``**`` raises
+    ``OverflowError`` where ``*`` would give inf, its message last in
+    ``args`` (after the errno, when there is one)."""
+    return f"overflow: {exc.args[-1]}"
+
+
 # --- numerical errors ---------------------------------------------------------
 
 class DegenerateMoments(NumericalError):

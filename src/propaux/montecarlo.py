@@ -50,7 +50,7 @@ from .errors import (
 )
 from .estimators import EstimatorConfig, evaluate_batch, resolve_config
 from .model import PopulationParams, sampling_fraction
-from .population import PopulationFrame, batch_stats, compute_population_params
+from .population import PopulationFrame, _stats, compute_population_params
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -373,8 +373,8 @@ def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] |
 
     The samples are taken in order, in chunks of ``CHUNK_ELEMENTS`` indices
     (at least one sample): ``draw(start, stop)`` returns the index rows of
-    samples ``start..stop-1``. A group of one chunk hands its statistics to
-    the kernels as they are; a larger group copies them into one buffer.
+    samples ``start..stop-1``. Those rows are sorted, distinct and in range
+    by construction, so their statistics skip ``batch_stats``' checks.
     """
     configs = tuple(configs) if configs is not None else DEFAULT_CONFIGS
     names = [cfg.name for cfg in configs]
@@ -389,16 +389,13 @@ def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] |
     # each kernel call takes a group of whole chunks, of at most a quarter of
     # CHUNK_ELEMENTS samples, so that its fixed cost spreads over more rows
     span = rows * max(1, CHUNK_ELEMENTS // 4 // rows)
-    group = np.empty((3, min(span, total))) if span > rows else None
+    group = np.empty((3, min(span, total)))
     for first in range(0, total, span):
         last = min(first + span, total)
-        if last - first <= rows:
-            stats = batch_stats(frame, draw(first, last))
-        else:
-            for start in range(first, last, rows):
-                stop = min(start + rows, last)
-                group[:, start - first:stop - first] = batch_stats(frame, draw(start, stop))
-            stats = group[:, :last - first]
+        for start in range(first, last, rows):
+            stop = min(start + rows, last)
+            group[:, start - first:stop - first] = _stats(frame, draw(start, stop))
+        stats = group[:, :last - first]
         for j, cfg in enumerate(resolved):
             values[j, first:last] = evaluate_batch(cfg, pop, *stats)[0]
 

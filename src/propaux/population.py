@@ -26,7 +26,6 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -111,49 +110,12 @@ def _check_variance(sx2_s: np.ndarray) -> None:
         raise SchemaError("sample auxiliary variance must be finite and nonnegative")
 
 
-def _power(d: np.ndarray, k: int) -> np.ndarray | float:
-    """``d**k`` for ``0 <= k <= 4`` from IEEE products alone: ``d*d``,
-    ``(d*d)*d`` and ``(d*d)*(d*d)``. Unlike numpy's vectorized ``power``,
-    whose bits (and speed, for a negative base) vary with the SIMD target,
-    a product has the same bits on every CPU."""
-    if k == 0:
-        return 1.0
-    if k == 1:
-        return d
-    d2 = d * d
-    if k == 2:
-        return d2
-    return d2 * d if k == 3 else d2 * d2
-
-
-def central_moment(frame: PopulationFrame, r: int, s: int) -> float:
-    """Divisor-N bivariate central moment ``mean((phi-P)^r * (x-xbar)^s)``.
-
-    Only integer orders with ``r + s <= 4`` are meaningful here; any other
-    order is a contract violation. The powers are the products of
-    ``_power``, so every moment ``compute_population_params`` uses has the
-    bits this function returns. A moment that overflows raises
-    ``DegenerateAuxiliary``, as ``compute_population_params`` does.
-    """
-    if any(isinstance(k, bool) or not isinstance(k, Integral) for k in (r, s)):
-        raise ValueError(f"moment order ({r!r}, {s!r}) must be two integers")
-    if r < 0 or s < 0 or r + s > 4:
-        raise ValueError(f"moment order ({r}, {s}) outside the supported range")
-    with np.errstate(over="ignore", invalid="ignore"):
-        dphi = frame.phi - frame.phi.mean()
-        dx = frame.x - frame.x.mean()
-        moment = float(np.mean(_power(dphi, r) * _power(dx, s)))
-    if not math.isfinite(moment):
-        raise DegenerateAuxiliary(f"auxiliary variable is too spread to standardize "
-                                  f"(moment ({r}, {s}) overflows)")
-    return moment
-
-
 def compute_population_params(frame: PopulationFrame) -> PopulationParams:
     """Compute the full summary-statistic vector of a population.
 
     One pass forms the deviations and takes the six moments as means of
-    their products, with the bits of ``central_moment``.
+    their IEEE products (``dx*dx``, ``(dx*dx)*dx``, ...), never of numpy's
+    vectorized ``power``, whose bits vary with the SIMD target.
 
     Raises
     ------
@@ -209,21 +171,6 @@ def compute_population_params(frame: PopulationFrame) -> PopulationParams:
     )
 
 
-def _increasing(idx: np.ndarray) -> bool:
-    """Whether every row of ``idx`` is strictly increasing.
-
-    A C-ordered batch is compared as one flat run, its pairs that straddle
-    two rows masked; a column-major one compares its contiguous columns,
-    which costs less than a flat copy would.
-    """
-    if not idx.flags.c_contiguous:
-        return bool((idx[:, 1:] > idx[:, :-1]).all())
-    flat = idx.ravel()
-    rising = flat[1:] > flat[:-1]
-    rising[idx.shape[1] - 1::idx.shape[1]] = True
-    return bool(rising.all())
-
-
 def batch_stats(frame: PopulationFrame,
                 indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sufficient statistics ``(p, xbar_s, sx2_s)`` of every row of an R×n
@@ -231,14 +178,8 @@ def batch_stats(frame: PopulationFrame,
 
     Indices must be integer-valued, distinct within a row and in range; order
     within a row is irrelevant. Every row must satisfy the ``SampleStats``
-    preconditions.
-
-    The statistics have the bits of numpy's ``mean`` and ``var`` of each
-    C-ordered row in any memory layout of ``indices``. numpy sums a row of
-    fewer than 8 terms left to right, the order it takes along the rows of a
-    column-major batch too, so exact enumeration's column-major chunks of
-    short samples keep their layout; a batch of longer samples is made
-    C-ordered first, where numpy sums it pairwise.
+    preconditions. These checks are for a caller's indices: the oracles call
+    ``_stats`` on their own draws, which are valid by construction.
     """
     idx = np.asarray(indices)
     if idx.ndim != 2 or idx.shape[1] < 2:
@@ -248,15 +189,28 @@ def batch_stats(frame: PopulationFrame,
             raise SchemaError("sample indices must be integers")
     elif idx.dtype.kind not in "iu":
         raise SchemaError(f"sample indices must be integers, got dtype {idx.dtype}")
-    # drawn rows arrive sorted, and a strictly increasing row is distinct;
-    # only a batch with some other row pays for the sort
-    if not _increasing(idx) and (np.diff(np.sort(idx, axis=1), axis=1) == 0).any():
+    if (np.diff(np.sort(idx, axis=1), axis=1) == 0).any():
         raise DuplicateIndex("sample indices must be distinct")
     if idx.size and (idx.min() < 0 or idx.max() >= frame.size):
         raise IndexOutOfRange(
             f"indices must lie in [0, {frame.size - 1}], got range "
             f"[{idx.min()}, {idx.max()}]"
         )
+    return _stats(frame, idx)
+
+
+def _stats(frame: PopulationFrame,
+           idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``batch_stats`` of an index matrix of at least two columns whose rows
+    are distinct and in range, without checking it.
+
+    The statistics have the bits of numpy's ``mean`` and ``var`` of each
+    C-ordered row in any memory layout of ``idx``. numpy sums a row of
+    fewer than 8 terms left to right, the order it takes along the rows of a
+    column-major batch too, so exact enumeration's column-major chunks of
+    short samples keep their layout; a batch of longer samples is made
+    C-ordered first, where numpy sums it pairwise.
+    """
     idx = idx.astype(np.intp, copy=False)
     n = idx.shape[1]
     if n >= 8:  # numpy's sum order of 8 or more terms follows the layout

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from operator import attrgetter
@@ -49,6 +50,7 @@ from .errors import (
     NumericalError,
     SingularSystem,
     ToolkitError,
+    overflow_message,
 )
 from .model import Design, PopulationParams
 
@@ -573,7 +575,8 @@ def comparison_conditions(pop: PopulationParams, f: float,
             return ConditionResult(name=name, candidate_mse=math.nan,
                                    reference_mse=math.nan, holds=None,
                                    slack=math.nan, guaranteed=guaranteed,
-                                   error=str(exc))
+                                   error=overflow_message(exc)
+                                   if isinstance(exc, OverflowError) else str(exc))
         return ConditionResult(name=name, candidate_mse=cand, reference_mse=ref,
                                holds=cand <= ref + tol, slack=ref - cand,
                                guaranteed=guaranteed)
@@ -666,9 +669,11 @@ def sensitivity(pop: PopulationParams, f: float, config: TableConfig | None = No
     overflow) are counted as unstable rather than aborting the scan; a point
     whose perturbed parameters are invalid is unstable for every estimator.
     """
-    if not isinstance(digits, int) or not 1 <= digits <= 323:
+    if (isinstance(digits, bool) or not isinstance(digits, numbers.Integral)
+            or not 1 <= digits <= 323):
         # from 324 digits on, the half step 0.5 * 10.0**-digits is 0.0
         raise InvalidConfig(f"digits must be an integer from 1 to 323, got {digits!r}")
+    digits = int(digits)
     rows = _table(config or TableConfig())[1:]  # p, the baseline, is 100 everywhere
     mses = [FAMILIES[kind].table_mse(cfg) for _, kind, cfg in rows]
     points = _scan_points(digits)

@@ -539,6 +539,10 @@ BOUNDARY = {
     "tc-transform-infinite-pre": (["pre", "--params", "{bad}", "--tc", "a=1e308,b=1e308",
                                    "--format", "json"],
                                   (GOLDEN / "params_n_6.json").read_bytes()),
+    # the derived sx2 = (cx*xbar)**2 and sp2 = (cp*p)**2 overflow
+    **{f"params-{key}-1e200": (["pre", "--params", "{bad}"], json.dumps(dict(
+        json.loads((GOLDEN / "params_n_6.json").read_bytes()), **{key: 1e200})).encode())
+       for key in ("xbar", "cp")},
 }
 
 

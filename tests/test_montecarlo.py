@@ -18,6 +18,7 @@ from propaux import (
     enumerate_exact,
     generate_population,
     montecarlo,
+    population,
     run_experiment,
 )
 from propaux.config import TcConfig
@@ -464,6 +465,23 @@ class TestRunExperiment:
         whole = run_experiment(frame, 50, reps=2000, seed=5)
         monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", 7 * 50)
         assert run_experiment(frame, 50, reps=2000, seed=5) == whole
+
+    def test_oracles_take_no_callers_checks(self, rng, monkeypatch):
+        # the oracles' own rows are sorted, distinct and in range, so their
+        # statistics come from the arithmetic alone, with the same bits
+        from conftest import random_frame
+        frame, small = random_frame(rng, size=80), random_frame(rng, size=12)
+        expect = [run_experiment(frame, n, reps=300, seed=3) for n in (5, 12)]
+        expect += [enumerate_exact(TINY, 3), enumerate_exact(small, 9)]
+
+        def refused(*args):
+            raise AssertionError("batch_stats checks caller input only")
+
+        monkeypatch.setattr(population, "batch_stats", refused)
+        monkeypatch.setattr(montecarlo, "batch_stats", refused, raising=False)
+        got = [run_experiment(frame, n, reps=300, seed=3) for n in (5, 12)]
+        got += [enumerate_exact(TINY, 3), enumerate_exact(small, 9)]
+        assert got == expect
 
     def test_kernels_run_once_per_group_of_chunks(self, monkeypatch):
         # 20,000 replicates of n = 50 in chunks of 1,310: groups of 12

@@ -41,8 +41,8 @@ HOMES = {
     "montecarlo": ("DEFAULT_CONFIGS", "SimulationReport", "SyntheticSpec", "draw_replicates",
                    "enumerate_exact", "generate_population", "run_experiment"),
     "population": ("Design", "PopulationFrame", "PopulationParams", "SampleStats",
-                   "batch_stats", "central_moment", "compute_population_params",
-                   "sample_stats", "sampling_fraction"),
+                   "batch_stats", "compute_population_params", "sample_stats",
+                   "sampling_fraction"),
     "theory": ("SensitivityReport", "T3Constants", "TcConstants", "TheoryReport",
                "comparison_conditions", "pre", "sensitivity", "t3_constants",
                "tc_constants", "theory_report", "var_usual"),
@@ -53,6 +53,11 @@ HOMES = {
 REGISTRY_ONLY = ("class_bias_t2", "class_bias_tb", "min_mse_tb", "t1_bias", "t1_min_mse",
                  "t1_mse", "t1_optimal", "t2_mse", "t2_optimal", "t3_bias", "t3_bias_min",
                  "tb_optimal_h1", "tc_bias")
+
+#: Names ``population`` must not define: ``compute_population_params`` is the
+#: one route to the moments, and ``batch_stats`` finds repeated indices with
+#: one sort.
+SECOND_ROUTES = ("_increasing", "_power", "central_moment")
 
 #: The names ``propaux.io`` defined when it held the JSON half too.
 IO_NAMES = ("PROVENANCE_FRAME", "PROVENANCE_USER", "ParamsDocument", "build_report_document",
@@ -167,6 +172,11 @@ class TestPublicSurface:
     def test_theory_has_one_entry_point_per_kind(self):
         for name in REGISTRY_ONLY:
             assert not hasattr(theory, name) and name not in propaux.__all__, name
+
+    def test_population_has_one_route_per_statistic(self):
+        population = importlib.import_module("propaux.population")
+        for name in SECOND_ROUTES:
+            assert not hasattr(population, name) and name not in propaux.__all__, name
 
     def test_readme_library_example_runs(self):
         """The README's Library code block runs as written, in a fresh

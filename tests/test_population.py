@@ -13,7 +13,6 @@ from propaux import (
     PopulationFrame,
     SampleStats,
     batch_stats,
-    central_moment,
     compute_population_params,
     sample_stats,
     sampling_fraction,
@@ -27,7 +26,6 @@ from propaux.errors import (
     SchemaError,
     ZeroMean,
 )
-from propaux import population
 from propaux.population import check_realizable
 
 from conftest import random_frame
@@ -97,38 +95,6 @@ class TestFrame:
         assert frame.phi.flags.owndata and frame.x.flags.owndata
 
 
-class TestCentralMoment:
-    def test_aligned_cross_moment(self):
-        assert central_moment(ALIGNED, 1, 1) == pytest.approx(0.25, abs=0)
-
-    def test_zeroth_moment_is_one(self, rng):
-        frame = random_frame(rng)
-        assert central_moment(frame, 0, 0) == 1.0
-
-    def test_matches_loop_oracle(self, rng):
-        frame = PopulationFrame(
-            np.array([1, 0, 1, 1, 0]),
-            rng.normal(5.0, 2.0, size=5),
-        )
-        for r, s in [(1, 1), (1, 2), (0, 3), (0, 4), (2, 0)]:
-            expect = loop_moment(frame.phi.tolist(), frame.x.tolist(), r, s)
-            assert central_moment(frame, r, s) == pytest.approx(expect, rel=1e-12)
-
-    def test_rejects_orders_above_four(self):
-        with pytest.raises(ValueError):
-            central_moment(ALIGNED, 2, 3)
-        with pytest.raises(ValueError):
-            central_moment(ALIGNED, -1, 0)
-
-    @pytest.mark.parametrize("r, s", [(0.5, 0), (1.0, 1), (True, 1), (0, False), ("1", 1)])
-    def test_rejects_orders_that_are_not_integers(self, r, s):
-        with pytest.raises(ValueError, match="must be two integers"):
-            central_moment(ALIGNED, r, s)
-
-    def test_accepts_numpy_integer_orders(self):
-        assert central_moment(ALIGNED, np.int64(1), np.uint8(1)) == 0.25
-
-
 class TestMomentRoute:
     """The six moments are means of IEEE products of one set of deviations,
     never numpy's vectorized ``power``, whose bits depend on the SIMD target."""
@@ -142,8 +108,12 @@ class TestMomentRoute:
 
     @pytest.mark.parametrize("frame", [LOGNORMAL, ALIGNED], ids=["lognormal", "aligned"])
     def test_central_moment_has_the_bits_the_params_use(self, frame):
-        mu = {(r, s): central_moment(frame, r, s)
-              for r, s in [(2, 0), (1, 1), (0, 2), (0, 3), (0, 4), (1, 2)]}
+        dphi = frame.phi - frame.phi.mean()
+        dx = frame.x - frame.x.mean()
+        dx2 = dx * dx
+        mu = {(2, 0): dphi * dphi, (1, 1): dphi * dx, (0, 2): dx2, (0, 3): dx2 * dx,
+              (0, 4): dx2 * dx2, (1, 2): dphi * dx2}
+        mu = {rs: float(np.mean(product)) for rs, product in mu.items()}
         params = compute_population_params(frame)
         N = frame.size
         assert params.sp2 == mu[2, 0] * N / (N - 1)
@@ -152,21 +122,6 @@ class TestMomentRoute:
         assert params.lambda03 == mu[0, 3] / mu[0, 2]**1.5
         assert params.lambda04 == mu[0, 4] / mu[0, 2]**2
         assert params.lambda12 == mu[1, 2] / (math.sqrt(mu[2, 0]) * mu[0, 2])
-
-    def test_powers_are_products(self):
-        dx = LOGNORMAL.x - LOGNORMAL.x.mean()
-        for s, power in [(2, dx * dx), (3, (dx * dx) * dx), (4, (dx * dx) * (dx * dx))]:
-            assert central_moment(LOGNORMAL, 0, s) == float(np.mean(power))
-
-    @pytest.mark.parametrize("exponent", [100, 170, 308])
-    def test_overflowing_moment_is_degenerate(self, exponent):
-        # the frames compute_population_params rejects as too spread
-        frame = PopulationFrame(np.array([1, 0, 1, 0]),
-                                np.array([1.0, 1.5, 1.7, 1.0]) * 10.0**exponent)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DegenerateAuxiliary, match="too spread to standardize"):
-                central_moment(frame, 0, 4)
 
 
 class TestPopulationParams:
@@ -405,24 +360,23 @@ class TestBatchStats:
             for name, got, want in zip(("p", "xbar_s", "sx2_s"), batch_stats(frame, batch), expect):
                 assert got.tobytes() == want.tobytes(), (layout, name)
 
-    #: Rows of three indices, each batch with whether every row is strictly
-    #: increasing and whether some row repeats an index. Every batch but the
-    #: last has a row whose first index is below the previous row's last.
+    #: Rows of three indices, each batch with whether some row repeats an
+    #: index. Every batch but the last has a row whose first index is below
+    #: the previous row's last.
     ORDERS = {
-        "increasing": ([[3, 8, 20], [0, 1, 2], [4, 25, 29]], True, False),
-        "a repeat": ([[3, 8, 20], [0, 1, 1], [4, 25, 29]], False, True),
-        "a repeat first": ([[3, 8, 20], [0, 1, 2], [4, 4, 29]], False, True),
-        "a descending pair": ([[3, 8, 20], [0, 2, 1], [4, 25, 29]], False, False),
-        "a descending last pair": ([[3, 8, 20], [0, 1, 2], [4, 29, 25]], False, False),
-        "an equal pair across rows": ([[3, 8, 20], [20, 21, 22]], True, False),
+        "increasing": ([[3, 8, 20], [0, 1, 2], [4, 25, 29]], False),
+        "a repeat": ([[3, 8, 20], [0, 1, 1], [4, 25, 29]], True),
+        "a repeat first": ([[3, 8, 20], [0, 1, 2], [4, 4, 29]], True),
+        "a descending pair": ([[3, 8, 20], [0, 2, 1], [4, 25, 29]], False),
+        "a descending last pair": ([[3, 8, 20], [0, 1, 2], [4, 29, 25]], False),
+        "an equal pair across rows": ([[3, 8, 20], [20, 21, 22]], False),
     }
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("order", ORDERS)
     def test_duplicate_check_in_every_layout(self, layout, order):
-        rows, increasing, repeats = self.ORDERS[order]
+        rows, repeats = self.ORDERS[order]
         batch = self.LAYOUTS[layout](np.array(rows))
-        assert population._increasing(batch) == increasing
         if repeats:
             with pytest.raises(DuplicateIndex):
                 batch_stats(_THIRTY, batch)
@@ -446,8 +400,6 @@ class TestBatchStats:
             else:
                 idx[row, [pos, pos + 1]] = idx[row, [pos + 1, pos]]
         batch = self.LAYOUTS[layout](idx)
-        assert population._increasing(batch) == all(
-            row == sorted(set(row)) for row in idx.tolist())
         if any(len(set(row)) < n for row in idx.tolist()):
             with pytest.raises(DuplicateIndex):
                 batch_stats(_THIRTY, batch)
@@ -500,5 +452,6 @@ class TestFrameProperties:
     @settings(max_examples=100, deadline=None)
     def test_divisor_conversion(self, frame):
         params = compute_population_params(frame)
-        mu20 = central_moment(frame, 2, 0)
+        dphi = frame.phi - frame.phi.mean()
+        mu20 = float(np.mean(dphi * dphi))
         assert mu20 == pytest.approx(params.sp2 * (frame.size - 1) / frame.size, rel=1e-12)

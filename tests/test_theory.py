@@ -550,6 +550,8 @@ class TestComparisonConditions:
         assert by_name["t3_vs_tc"].holds is None
         assert by_name["t3_vs_tc"].error
         assert by_name["t3_vs_usual"].error is None
+        # the wording ``cli.main`` prints after "numerical error: "
+        assert by_name["t3_vs_tc"].error == "overflow: Numerical result out of range"
 
     def test_first_condition_never_false_on_random_frames(self, rng):
         for _ in range(60):
@@ -669,12 +671,19 @@ class TestSensitivity:
     def test_invalid_digits(self, ref_pop, ref_design):
         with pytest.raises(InvalidConfig):
             theory.sensitivity(ref_pop, ref_design.f, digits=0)
+        with pytest.raises(InvalidConfig):  # a bool is no count, as in the oracles
+            theory.sensitivity(ref_pop, ref_design.f, digits=True)
 
     @pytest.mark.parametrize("digits", [324, 10**400], ids=["324", "401-digit-count"])
     def test_digits_whose_step_is_zero(self, ref_pop, ref_design, digits):
         # 0.5 * 10.0**-324 is 0.0, and 10.0**-(10**400) raises OverflowError
         with pytest.raises(InvalidConfig):
             theory.sensitivity(ref_pop, ref_design.f, digits=digits)
+
+    def test_numpy_integer_digits(self, ref_pop, ref_design):
+        report = theory.sensitivity(ref_pop, ref_design.f, digits=np.int64(3))
+        assert report == theory.sensitivity(ref_pop, ref_design.f, digits=3)
+        assert type(report.digits) is int
 
     def test_last_digits_with_a_nonzero_step(self, ref_pop, ref_design):
         report = theory.sensitivity(ref_pop, ref_design.f, digits=323)
