@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import documents, theory
+from . import io, theory
 from .config import T3_TABLE_VARIANTS, T3Config, TableConfig, integer
 from .errors import DataError, IndexOutOfRange, NumericalError, ParseError, overflow_message
 from .model import Design
@@ -66,9 +66,11 @@ def _subconfigs(args, kind: str | None = None) -> dict:
 
 
 def _parse_indices(spec: str, size: int) -> list[int]:
-    """The indices in a file or inline text, each in [0, size)."""
+    """The indices in a file or inline text, each in [0, size). A spec that
+    names a directory (``''`` is ``.``) is text, not a file."""
     path = Path(spec)
-    text = documents.decode_utf8(path.read_bytes(), spec) if path.exists() else spec
+    is_file = path.exists() and not path.is_dir()  # a FIFO or /dev/stdin is read too
+    text = io.decode_utf8(path.read_bytes(), spec) if is_file else spec
     parts = text.replace(",", " ").split()
     try:
         indices = [integer(part) for part in parts]
@@ -89,10 +91,9 @@ def _table_configurations(config: TableConfig, **leading) -> dict:
 
 def _write_report(args, input_path: str, configurations: dict, sections: dict) -> None:
     """Write the report envelope around ``sections`` to ``--output``."""
-    document = documents.build_report_document(
-        input_digest=documents.file_digest(input_path),
-        configurations=configurations, sections=sections)
-    documents.write_report_json(args.output, document)
+    document = io.build_report_document(input_digest=io.file_digest(input_path),
+                                        configurations=configurations, sections=sections)
+    io.write_report_json(args.output, document)
 
 
 def _census_dash(value) -> str:
@@ -103,34 +104,33 @@ def _census_dash(value) -> str:
 
 
 def _cmd_params(args) -> int:
-    from .io import read_population_csv
     from .population import compute_population_params
 
-    frame = read_population_csv(args.input)
+    frame = io.read_population_csv(args.input)
     params = compute_population_params(frame)
     n = args.n if args.n is not None else frame.size
-    doc = documents.ParamsDocument(params=params, design=Design(n=n, N=frame.size),
-                                   provenance=documents.PROVENANCE_FRAME)
-    documents.write_params_json(args.output, doc)
+    doc = io.ParamsDocument(params=params, design=Design(n=n, N=frame.size),
+                            provenance=io.PROVENANCE_FRAME)
+    io.write_params_json(args.output, doc)
     return 0
 
 
 def _cmd_theory(args) -> int:
-    doc = documents.read_params_json(args.params)
+    doc = io.read_params_json(args.params)
     config = _table_config(args)
     report = theory.theory_report(doc.params, doc.design, config)
     conditions = None
     if doc.design.f > 0.0:
-        conditions = documents.conditions_dict(
+        conditions = io.conditions_dict(
             theory.comparison_conditions(doc.params, doc.design.f, config))
     _write_report(args, args.params, _table_configurations(config),
-                  {"theory": documents.theory_report_dict(report),
+                  {"theory": io.theory_report_dict(report),
                    "comparison_conditions": conditions})
     return 0
 
 
 def _cmd_pre(args) -> int:
-    doc = documents.read_params_json(args.params)
+    doc = io.read_params_json(args.params)
     config = _table_config(args)
     report = theory.theory_report(doc.params, doc.design, config)
     names = [entry.name for entry in report.entries]
@@ -152,10 +152,9 @@ def _cmd_pre(args) -> int:
 
 def _cmd_estimate(args) -> int:
     from .estimators import EstimatorConfig, evaluate
-    from .io import read_population_csv
     from .population import compute_population_params, sample_stats
 
-    frame = read_population_csv(args.input)
+    frame = io.read_population_csv(args.input)
     pop = compute_population_params(frame)
     stats = sample_stats(frame, _parse_indices(args.indices, frame.size))
     cfg = EstimatorConfig(kind=args.estimator,
@@ -180,10 +179,9 @@ def _config_dict(cfg: EstimatorConfig) -> dict:
 
 def _cmd_simulate(args) -> int:
     from .estimators import EstimatorConfig
-    from .io import read_population_csv
     from .montecarlo import DEFAULT_CONFIGS, run_experiment
 
-    frame = read_population_csv(args.input)
+    frame = io.read_population_csv(args.input)
     given = _subconfigs(args)
     configs = [EstimatorConfig(kind=cfg.kind, params=given[cfg.kind])
                if cfg.kind in given else cfg for cfg in DEFAULT_CONFIGS]
@@ -191,16 +189,15 @@ def _cmd_simulate(args) -> int:
     _write_report(args, args.input,
                   {"n": args.n, "reps": args.reps, "seed": args.seed,
                    "estimators": [_config_dict(cfg) for cfg in configs]},
-                  {"simulation": documents.simulation_report_dict(report)})
+                  {"simulation": io.simulation_report_dict(report)})
     return 0
 
 
 def _cmd_generate(args) -> int:
-    from .io import write_population_csv
     from .montecarlo import SyntheticSpec, generate_population
 
     if args.spec:
-        raw = documents.read_json(args.spec)
+        raw = io.read_json(args.spec)
         if not isinstance(raw, dict):
             raise ParseError(f"{args.spec}: expected a JSON object")
         if "size" in raw:
@@ -213,16 +210,16 @@ def _cmd_generate(args) -> int:
     else:
         spec = SyntheticSpec(size=args.size)
     frame = generate_population(spec, seed=args.seed)
-    write_population_csv(args.output, frame)
+    io.write_population_csv(args.output, frame)
     return 0
 
 
 def _cmd_sensitivity(args) -> int:
-    doc = documents.read_params_json(args.params)
+    doc = io.read_params_json(args.params)
     config = _table_config(args)
     report = theory.sensitivity(doc.params, doc.design.f, config, digits=args.digits)
     _write_report(args, args.params, _table_configurations(config, digits=args.digits),
-                  {"sensitivity": documents.sensitivity_report_dict(report)})
+                  {"sensitivity": io.sensitivity_report_dict(report)})
     return 0
 
 

@@ -27,44 +27,47 @@ that breaks a rule.
 On both routes ``x`` is converted by CPython's ``PyOS_string_to_double``, the
 correctly rounded routine behind ``float``, so the bits are the same.
 
-Parameter documents and JSON reports are read and written by ``documents``,
-which does not import numpy; each of its names is re-exported here.
+Parameter document (JSON, lower-snake-case keys): the population summary
+statistics plus the design. A document computed from a frame carries every
+field; a hand-written document needs only
+
+    n, n_population, p, xbar, rho_pb, cp, cx, lambda12, lambda04, lambda03
+
+with ``sx2 = (cx*xbar)^2`` and ``sp2 = (cp*p)^2`` derived.
+
+A report is one JSON object: the ``build_report_document`` envelope around
+the sections that the ``*_dict`` helpers build.
+
+The module imports without numpy, so the table commands, which read and
+write only parameter documents and reports, start without it; the CSV
+functions load numpy and ``population`` when they are called.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
+from dataclasses import dataclass, fields
 from io import StringIO
 from operator import itemgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from . import __version__
 from .config import ascii_number
-from .documents import (  # noqa: F401  (re-exported)
-    PROVENANCE_FRAME,
-    PROVENANCE_USER,
-    ParamsDocument,
-    build_report_document,
-    conditions_dict,
-    decode_utf8,
-    file_digest,
-    read_json,
-    read_params_json,
-    sensitivity_report_dict,
-    simulation_report_dict,
-    theory_report_dict,
-    write_params_json,
-    write_report_json,
-)
 from .errors import ParseError, SchemaError
-from .population import PopulationFrame
+from .model import Design, PopulationParams, check_realizable
+from .theory import ConditionResult, SensitivityReport, TheoryReport
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .montecarlo import SimulationReport
+    from .population import PopulationFrame
 
 _BINARY = frozenset(("0", "1"))
-#: The 8 bytes of the ``U2`` cells ``0`` and ``1``, each read as one integer.
-_U2_ZERO, _U2_ONE = np.array(["0", "1"], dtype="U2").view(np.uint64)
 
 
 def _row_error(row: list[str], line: int) -> ParseError | None:
@@ -87,6 +90,8 @@ def _row_error(row: list[str], line: int) -> ParseError | None:
 def _columns(rows: list[list[str]]) -> tuple[np.ndarray, np.ndarray] | None:
     """The phi and x arrays of non-blank records, or None if ``_row_error``
     rejects any of them: its rules, each checked over a whole column."""
+    import numpy as np
+
     if not {2}.issuperset(map(len, rows)):
         return None
     phi_cells = list(map(str.strip, map(itemgetter(0), rows)))
@@ -104,9 +109,9 @@ def _columns(rows: list[list[str]]) -> tuple[np.ndarray, np.ndarray] | None:
     return phi, x
 
 
-def _read_canonical(path: str | Path, data: bytes) -> PopulationFrame | None:
-    """The frame of a canonical file (see the module docstring), parsed by
-    numpy's C reader, or None for any other file.
+def _read_canonical(path: str | Path, data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The phi and x arrays of a canonical file (see the module docstring),
+    parsed by numpy's C reader, or None for any other file.
 
     ``loadtxt`` is given the path, not ``data``: it streams a path in C
     chunks but would read a file object line by line in Python. So the file
@@ -116,6 +121,8 @@ def _read_canonical(path: str | Path, data: bytes) -> PopulationFrame | None:
     The tokenizer requires two fields on every non-blank line, skips blank
     lines and handles LF, CRLF and CR, as ``csv.reader`` splits such a file.
     """
+    import numpy as np
+
     path = os.path.abspath(path)
     # ``U2`` drops trailing NULs, so ``1\0`` would read as ``1``; a comma after
     # the header means some line holds data, so ``loadtxt`` does not warn
@@ -130,12 +137,14 @@ def _read_canonical(path: str | Path, data: bytes) -> PopulationFrame | None:
                              ndmin=1)
     except ValueError:
         return None
-    cells = records["phi"].view(np.uint64)  # compared as integers: a string compare is 5x slower
-    one = cells == _U2_ONE
+    # compared as integers, the 8 bytes of each ``U2`` cell: a string compare is 5x slower
+    u2_zero, u2_one = np.array(["0", "1"], dtype="U2").view(np.uint64)
+    cells = records["phi"].view(np.uint64)
+    one = cells == u2_one
     x = records["x"]  # strided; the frame keeps a C-contiguous copy
-    if records.size < 2 or not (one | (cells == _U2_ZERO)).all() or not np.isfinite(x).all():
+    if records.size < 2 or not (one | (cells == u2_zero)).all() or not np.isfinite(x).all():
         return None
-    return PopulationFrame(one, x)
+    return one, x
 
 
 def read_population_csv(path: str | Path) -> PopulationFrame:
@@ -146,11 +155,13 @@ def read_population_csv(path: str | Path) -> PopulationFrame:
     column. Only when a check fails are the records walked, one
     ``_row_error`` call each, up to the first bad one.
     """
+    from .population import PopulationFrame
+
     with open(path, "rb") as handle:
         data = handle.read()
-    frame = _read_canonical(path, data)
-    if frame is not None:
-        return frame
+    columns = _read_canonical(path, data)
+    if columns is not None:
+        return PopulationFrame(*columns)
     if not data:
         raise SchemaError(f"{path}: empty file, expected header 'phi,x'")
     stream = StringIO(decode_utf8(data, path), newline="")
@@ -178,3 +189,146 @@ def write_population_csv(path: str | Path, frame: PopulationFrame) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("phi,x\r\n")
         handle.writelines(map("{},{!r}\r\n".format, frame.phi.tolist(), frame.x.tolist()))
+
+
+_REQUIRED_KEYS = ("n", "n_population", "p", "xbar", "rho_pb", "cp", "cx",
+                  "lambda12", "lambda04", "lambda03")
+
+#: The document key of each ``PopulationParams`` field, in field order.
+_PARAM_KEYS = tuple((f.name, {"N": "n_population", "P": "p"}.get(f.name, f.name))
+                    for f in fields(PopulationParams))
+
+PROVENANCE_FRAME = "computed-from-frame"
+PROVENANCE_USER = "user-supplied"
+
+
+def _number(data: dict, key: str, *, integral: bool = False) -> float | int:
+    """A JSON number field as a float, or as an int when ``integral``: a size,
+    which ``int`` alone would read from 11.9 as 11 and from true as 1. A
+    string or ``bool`` (which Python counts as an int) is no number."""
+    value = data[key]
+    if integral and (isinstance(value, bool)
+                     or isinstance(value, float) and not value.is_integer()):
+        raise SchemaError(f"parameter document field {key!r} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"parameter document has a non-numeric field: {key!r} is {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal of over 308 digits
+        raise SchemaError(f"parameter document field {key!r} is out of range") from None
+    return int(value) if integral else number
+
+
+@dataclass(frozen=True)
+class ParamsDocument:
+    """Population parameters, design, and where the numbers came from."""
+
+    params: PopulationParams
+    design: Design
+    provenance: str = PROVENANCE_USER
+
+    def to_dict(self) -> dict:
+        return {"provenance": self.provenance, "n": self.design.n,
+                **{key: getattr(self.params, name) for name, key in _PARAM_KEYS}}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ParamsDocument":
+        if not isinstance(data, dict):
+            raise SchemaError("parameter document must be a JSON object")
+        missing = [key for key in _REQUIRED_KEYS if key not in data]
+        if missing:
+            raise SchemaError(f"parameter document is missing keys: {', '.join(missing)}")
+        n = _number(data, "n", integral=True)
+        values = {name: _number(data, key, integral=name == "N")
+                  for name, key in _PARAM_KEYS if key in data}
+        # derived even where the document gives it: a document whose cx*xbar
+        # or cp*p squares past the float range is refused either way
+        for name, a, b, product in (("sx2", "cx", "xbar", "cx*xbar"),
+                                    ("sp2", "cp", "P", "cp*p")):
+            try:
+                derived = (values[a] * values[b]) ** 2
+            except OverflowError:  # float ``**`` raises where ``*`` gives inf
+                raise SchemaError(f"{product} is too large: {name} overflows") from None
+            values.setdefault(name, derived)
+        params = PopulationParams(**values)
+        check_realizable(params)
+        provenance = data.get("provenance", PROVENANCE_USER)
+        return cls(params=params, design=Design(n=n, N=params.N), provenance=provenance)
+
+
+def decode_utf8(data: bytes, path: str | Path) -> str:
+    """The text of a file's bytes, or a ``ParseError`` at the line of the
+    first byte that is not UTF-8 (lines end in LF, CRLF or CR)."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError(f"{path} is not valid UTF-8 ({exc.reason})",
+                         line=head.count(b"\n") + 1) from None
+
+
+def read_json(path: str | Path):
+    """The JSON value of a file; a file that is not UTF-8 or not JSON, or
+    that ``json`` cannot read (an integer literal of over 4,300 digits, or
+    arrays nested past the recursion limit), is a ``ParseError``."""
+    text = decode_utf8(Path(path).read_bytes(), path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ``JSONDecodeError`` is a ``ValueError``
+        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+
+
+def read_params_json(path: str | Path) -> ParamsDocument:
+    return ParamsDocument.from_dict(read_json(path))
+
+
+def write_params_json(path: str | Path, doc: ParamsDocument) -> None:
+    write_report_json(path, doc.to_dict())
+
+
+def file_digest(path: str | Path) -> str:
+    """sha256 of the raw input bytes, recorded in every report."""
+    import hashlib  # loads OpenSSL's _hashlib, which only a digest needs
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# The report rows are flat dataclasses, so a copy of each row's ``vars()``
+# has ``asdict``'s keys, in field order, and its values, without its deep
+# copy; an entry's ``constants`` and ``formulas`` dicts are shared, not copied.
+
+
+def theory_report_dict(report: TheoryReport) -> dict:
+    return {
+        "design": {"n": report.design.n, "n_population": report.design.N,
+                   "f": report.design.f},
+        "entries": [dict(vars(entry)) for entry in report.entries],
+    }
+
+
+def simulation_report_dict(report: SimulationReport) -> dict:
+    return {**vars(report), "rows": [dict(vars(row)) for row in report.rows]}
+
+
+def sensitivity_report_dict(report: SensitivityReport) -> dict:
+    return {**vars(report), "intervals": [dict(vars(row)) for row in report.intervals]}
+
+
+def conditions_dict(conditions: tuple[ConditionResult, ...]) -> list[dict]:
+    return [dict(vars(result)) for result in conditions]
+
+
+def build_report_document(*, input_digest: str, configurations: dict,
+                          sections: dict) -> dict:
+    """Assemble the self-describing report envelope."""
+    return {
+        "tool": "propaux",
+        "tool_version": __version__,
+        "input_digest": input_digest,
+        "configurations": configurations,
+        **sections,
+    }
+
+
+def write_report_json(path: str | Path, document: dict) -> None:
+    """Write a JSON document: two-space indent and a final newline."""
+    Path(path).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")

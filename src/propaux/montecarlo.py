@@ -275,7 +275,8 @@ def generate_population(spec: SyntheticSpec, seed: int) -> PopulationFrame:
     """Deterministically generate a frame satisfying 0 < P < 1.
 
     Draws are retried with fresh attempt streams when the attribute comes out
-    constant; the retry count and the achieved moment ratios are logged.
+    constant; the retry count and the achieved moment ratios are logged. A
+    spec whose auxiliary draws overflow is an ``InvalidConfig``.
     """
     seed = _integer("seed", seed)
     for attempt in range(spec.max_retries):
@@ -284,6 +285,9 @@ def generate_population(spec: SyntheticSpec, seed: int) -> PopulationFrame:
             x = rng.lognormal(mean=spec.aux_location, sigma=spec.aux_scale, size=spec.size)
         else:
             x = rng.normal(loc=spec.aux_location, scale=spec.aux_scale, size=spec.size)
+        if not np.isfinite(x).all():
+            raise InvalidConfig(f"aux_location={spec.aux_location!r} and aux_scale="
+                                f"{spec.aux_scale!r} draw auxiliary values that overflow")
         logits = np.clip(spec.link_intercept + spec.link_slope * x, -700.0, 700.0)
         prob = 1.0 / (1.0 + np.exp(-logits))
         phi = (rng.uniform(size=spec.size) < prob).astype(np.int64)

@@ -163,6 +163,19 @@ class TestEstimateCommand:
                      "--estimator", "usual"]) == 2
         assert "cannot parse sample indices from '0,a,2'" in capsys.readouterr().err
 
+    def test_empty_indices_are_text(self, pop_csv, capsys):
+        # ``Path('')`` is the working directory, which is no index file
+        assert main(["estimate", "--input", str(pop_csv), "--indices", "",
+                     "--estimator", "ta"]) == 2
+        assert capsys.readouterr().err == (
+            "error: a sample needs at least 2 distinct indices\n")
+
+    def test_directory_indices_are_text(self, pop_csv, tmp_path, capsys):
+        assert main(["estimate", "--input", str(pop_csv), "--indices", str(tmp_path),
+                     "--estimator", "ta"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot parse sample indices from {str(tmp_path)!r}\n")
+
     def test_indices_file_that_is_not_utf8(self, pop_csv, tmp_path, capsys):
         idx = tmp_path / "indices.txt"
         idx.write_bytes(b"0,1\xff,2")

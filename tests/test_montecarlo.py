@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from collections import Counter
 from unittest.mock import patch
 
@@ -22,7 +23,7 @@ from propaux import (
     run_experiment,
 )
 from propaux.config import TcConfig
-from propaux.documents import simulation_report_dict
+from propaux.io import simulation_report_dict
 from propaux.estimators import evaluate_batch
 from propaux.errors import (
     DataError,
@@ -559,6 +560,19 @@ class TestGeneratePopulation:
     def test_numpy_integer_seed_passes(self):
         spec = SyntheticSpec(size=20)
         assert generate_population(spec, np.int64(3)) == generate_population(spec, 3)
+
+    @pytest.mark.parametrize("settings", [
+        {"aux_location": 800.0},
+        {"aux_scale": 800.0},
+        {"aux_shape": "symmetric", "aux_scale": 1e308},
+    ], ids=["location", "scale", "symmetric-scale"])
+    def test_overflowing_auxiliary_draws_are_invalid(self, settings):
+        # raised before the link is evaluated: no retries and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfig, match="aux_location=.* and aux_scale=.* "
+                                                    "draw auxiliary values that overflow"):
+                generate_population(SyntheticSpec(size=50, **settings), seed=1)
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidConfig):
