@@ -17,20 +17,22 @@ subset ``i`` also depends only on ``(i, N, n)``. Its chunks are
 column-major, one contiguous run per sample position; the batch statistics
 have the same bits in either layout. Replicates and subsets are
 evaluated in chunks of ``CHUNK_ELEMENTS`` sample indices (at least one
-sample), each chunk through one batch sufficient-statistics pass; each
-estimator kernel is called once per group of whole chunks, of at most
-``CHUNK_ELEMENTS // 4`` samples (at least one chunk), and works row by row.
-The estimates go into the run's one value matrix, a row per estimator and a
-column per sample. A failed sample is a NaN entry of that matrix; every
-other entry is finite. Aggregation runs over each row in index order. A
-report is therefore a pure function of ``(population, n, configs, reps,
-seed)``, independent of the chunking and the grouping.
+sample), each chunk through one batch sufficient-statistics pass. The
+statistics fill fixed reduction blocks of ``REDUCE_SAMPLES`` samples, whose
+edges depend only on the sample index; a chunk that straddles an edge fills
+two blocks. Each estimator kernel is called once per block and works row by
+row, so an estimate depends only on its sample; a failed sample is NaN, and
+every other estimate is finite. Each block reduces to per-estimator partials
+(see ``_partials``), merged in block order. A report is therefore a pure
+function of ``(population, n, configs, reps, seed)``, independent of the
+chunking, and memory is bounded by the chunk and the block, not by ``reps``.
 Synthetic-population generation uses the disjoint spawn keys ``(1, attempt)``
 so a shared seed never aliases replicate streams.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import logging
 import math
@@ -65,9 +67,17 @@ ENUMERATION_LIMIT = 10**7
 #: the attribute.
 MAX_RETRIES = 1000
 
-#: Sample indices evaluated per chunk; bounds the per-chunk temporaries (the
-#: run's value matrix still holds every sample).
+#: Sample indices evaluated per chunk; bounds the per-chunk temporaries.
 CHUNK_ELEMENTS = 65536
+
+#: Samples per reduction block. The estimates of block ``b``, samples ``b *
+#: REDUCE_SAMPLES`` up to the next edge, reduce to one set of partials, so
+#: this fixes the last bits of every report's aggregates.
+REDUCE_SAMPLES = 8192
+
+#: glibc ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 #: Sample indices per random stream. Part of the RNG scheme: changing it
 #: changes every seeded report.
@@ -320,7 +330,7 @@ class EstimatorRun:
     mse: float
     mse_se: float
     theory_mse: float
-    ratio: float
+    ratio: float | None
 
 
 @dataclass(frozen=True)
@@ -339,31 +349,115 @@ class SimulationReport:
         return {row.name: row for row in self.rows}[name]
 
 
-def _aggregate(resolved: Sequence[EstimatorConfig], values: np.ndarray,
+@functools.cache
+def _pin_heap() -> None:
+    """Fix glibc's malloc thresholds for the whole process, once: blocks of
+    4 MiB and up are mmapped, and the heap is trimmed only when more than
+    8 MiB is free at its top. Does nothing where ``gnu_get_libc_version`` or
+    ``mallopt`` is missing.
+
+    Left to itself, glibc sets the mmap threshold to the largest mmapped
+    block freed so far and the trim threshold to twice that. The oracles'
+    per-chunk temporaries, up to about 1 MB, then go on a heap that is
+    trimmed after every chunk and faulted in again by the next. With fixed
+    thresholds a warm run reuses its pages, and arrays of 4 MiB and up, such
+    as a large frame's columns, still go back to the system when freed.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # no process-wide symbol table
+        return
+    if not (hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt")):
+        return
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    libc.mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    libc.mallopt(_M_TRIM_THRESHOLD, 8 << 20)
+
+
+def _partials(values: np.ndarray, P: float, exact: bool) -> tuple[np.ndarray, ...]:
+    """The partials of one reduction block, a row each, one entry per
+    estimator: the count of its estimates, their sum and the sum of their
+    squared errors about ``P``, and for Monte Carlo also the mean and M2 of
+    those squared errors. Row j of the C-ordered ``values``, which this
+    overwrites, holds estimator j's estimates, NaN where the sample failed.
+    """
+    failed = np.isnan(values)
+    count = values.shape[1] - np.count_nonzero(failed, axis=1)
+    np.copyto(values, 0.0, where=failed)
+    total = values.sum(axis=1)
+    values -= P
+    values *= values
+    np.copyto(values, 0.0, where=failed)
+    sq = values.sum(axis=1)
+    if exact:
+        return count, total, sq
+    mean = sq / np.maximum(count, 1)  # 0 where the whole block failed
+    values -= mean[:, None]
+    np.copyto(values, 0.0, where=failed)
+    values *= values
+    return count, total, sq, mean, values.sum(axis=1)
+
+
+def _fsum(parts: list[float]) -> float:
+    """The correctly rounded sum of ``parts``. ``math.fsum`` raises where a
+    running sum leaves the float range (``inf + -inf``, or finite parts
+    whose sum overflows); there the left-to-right float sum gives ±inf or
+    NaN, as an overflowing numpy sum does."""
+    try:
+        return math.fsum(parts)
+    except (OverflowError, ValueError):
+        return functools.reduce(float.__add__, parts, 0.0)
+
+
+def _chan_m2(counts: list[int], means: list[float], m2s: list[float]) -> float:
+    """The M2 of the union of blocks with these counts, means and M2s, merged
+    in block order by the pairwise update of Chan, Golub & LeVeque
+    ("Algorithms for computing the sample variance", The American
+    Statistician 37(3), 1983). Empty blocks are skipped."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for nb, mb, m2b in zip(counts, means, m2s):
+        if nb == 0:
+            continue
+        if n == 0:
+            n, mean, m2 = nb, mb, m2b
+            continue
+        total = n + nb
+        delta = mb - mean
+        mean += delta * nb / total
+        m2 += m2b + delta * delta * n * nb / total
+        n = total
+    return m2
+
+
+def _aggregate(resolved: Sequence[EstimatorConfig], partials: np.ndarray, samples: int,
                pop: PopulationParams, f: float, exact: bool = False) -> list[EstimatorRun]:
-    """One row per estimator; row j of ``values`` holds its estimates, NaN
-    where the sample failed."""
+    """One row per estimator over ``samples`` samples, from the ``_partials``
+    of their reduction blocks, ``partials[b]`` those of block ``b``: the mean
+    and MSE from ``math.fsum`` over the blocks' sums, and ``mse_se`` from the
+    blocks' M2s merged in block order by Chan's update."""
     rows = []
-    for cfg, row in zip(resolved, values):
-        v = row[~np.isnan(row)]
-        count = v.size
+    for j, cfg in enumerate(resolved):
+        counts, totals, sqs, *moments = partials[:, :, j].T.tolist()
+        count = int(sum(counts))
         if count == 0:
             raise DataError(f"estimator {cfg.name} failed on every replicate")
-        sq_err = (v - pop.P)**2
-        mean = float(v.mean())
-        mse = float(np.mean(sq_err))
-        se = 0.0 if exact or count == 1 else float(np.std(sq_err, ddof=1) / math.sqrt(count))
+        mean = _fsum(totals) / count
+        mse = _fsum(sqs) / count
+        se = 0.0
+        if not exact and count > 1:
+            se = math.sqrt(_chan_m2(counts, *moments) / (count - 1)) / math.sqrt(count)
         tmse = theory.FAMILIES[cfg.kind].mse(cfg.params, pop, f)
         rows.append(EstimatorRun(
             name=cfg.name,
             replicates=count,
-            failures=row.size - count,
+            failures=samples - count,
             mean=mean,
             bias=mean - pop.P,
             mse=mse,
             mse_se=se,
             theory_mse=tmse,
-            ratio=mse / tmse if tmse > 0 else math.nan,
+            ratio=mse / tmse if tmse > 0 else None,
         ))
     return rows
 
@@ -378,8 +472,11 @@ def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] |
     The samples are taken in order, in chunks of ``CHUNK_ELEMENTS`` indices
     (at least one sample): ``draw(start, stop)`` returns the index rows of
     samples ``start..stop-1``. Those rows are sorted, distinct and in range
-    by construction, so their statistics skip ``batch_stats``' checks.
+    by construction, so their statistics skip ``batch_stats``' checks. The
+    statistics fill one reduction block at a time, and each full block is
+    evaluated and reduced to its partials.
     """
+    _pin_heap()
     configs = tuple(configs) if configs is not None else DEFAULT_CONFIGS
     names = [cfg.name for cfg in configs]
     if len(set(names)) != len(names):
@@ -387,27 +484,34 @@ def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] |
     pop = compute_population_params(frame)
     f = sampling_fraction(n, frame.size)
     resolved = [resolve_config(cfg, pop, f) for cfg in configs]
-
-    values = np.empty((len(resolved), total))
-    rows = max(1, CHUNK_ELEMENTS // n)
-    # each kernel call takes a group of whole chunks, of at most a quarter of
-    # CHUNK_ELEMENTS samples, so that its fixed cost spreads over more rows
-    span = rows * max(1, CHUNK_ELEMENTS // 4 // rows)
-    group = np.empty((3, min(span, total)))
-    for first in range(0, total, span):
-        last = min(first + span, total)
-        for start in range(first, last, rows):
-            stop = min(start + rows, last)
-            group[:, start - first:stop - first] = _stats(frame, draw(start, stop))
-        stats = group[:, :last - first]
-        for j, cfg in enumerate(resolved):
-            values[j, first:last] = evaluate_batch(cfg, pop, *stats)[0]
-
     exact = seed is None
+
+    rows = max(1, CHUNK_ELEMENTS // n)
+    block = np.empty((3, min(REDUCE_SAMPLES, total)))
+    partials = np.empty((-(-total // REDUCE_SAMPLES), 3 if exact else 5, len(resolved)))
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
+        chunk = _stats(frame, draw(start, stop))
+        pos = start
+        while pos < stop:  # a chunk that straddles block edges fills each block
+            first = pos - pos % REDUCE_SAMPLES
+            last = min(first + REDUCE_SAMPLES, total)
+            end = min(stop, last)
+            for row, stat in zip(block, chunk):
+                row[pos - first:end - first] = stat[pos - start:end - start]
+            if end == last:
+                stats = block[:, :last - first]
+                values = np.empty((len(resolved), last - first))
+                for j, cfg in enumerate(resolved):
+                    values[j] = evaluate_batch(cfg, pop, *stats)[0]
+                partials[first // REDUCE_SAMPLES] = _partials(values, pop.P, exact)
+                del values  # not held through the next chunk's draw
+            pos = end
+
     return SimulationReport(
         n=n, population_size=frame.size, sampling_fraction=f, true_p=pop.P,
         replicates=total, exact=exact, seed=seed, rng=None if exact else RNG_SCHEME,
-        rows=tuple(_aggregate(resolved, values, pop, f, exact)),
+        rows=tuple(_aggregate(resolved, partials, total, pop, f, exact)),
     )
 
 

@@ -239,12 +239,14 @@ def csv_writer_loop(path, frame):
 def loop_report(frame, n, configs=None, reps=None, seed=None):
     """``enumerate_exact`` (``reps`` None) or ``run_experiment`` by the scalar
     path: ``sample_stats`` and ``evaluate`` on one subset or replicate at a
-    time, the replicates' samples taken from ``draw_replicates``."""
+    time, the replicates' samples taken from ``draw_replicates``. The value
+    matrix is reduced one ``REDUCE_SAMPLES`` block at a time, as the
+    oracles reduce theirs."""
     from propaux import (compute_population_params, draw_replicates, evaluate,
-                         resolve_config, sample_stats, sampling_fraction)
+                         montecarlo, resolve_config, sample_stats, sampling_fraction)
     from propaux.errors import DataError
     from propaux.montecarlo import (DEFAULT_CONFIGS, RNG_SCHEME, SimulationReport,
-                                    _aggregate)
+                                    _aggregate, _partials)
 
     configs = tuple(configs) if configs is not None else DEFAULT_CONFIGS
     pop = compute_population_params(frame)
@@ -263,7 +265,10 @@ def loop_report(frame, n, configs=None, reps=None, seed=None):
                 values[j, k] = evaluate(stats, pop, cfg).value
             except DataError:
                 values[j, k] = np.nan
-    rows = _aggregate(resolved, values, pop, f, exact=exact)
+    size = montecarlo.REDUCE_SAMPLES
+    partials = np.array([_partials(values[:, first:first + size].copy(), pop.P, exact)
+                         for first in range(0, len(samples), size)])
+    rows = _aggregate(resolved, partials, len(samples), pop, f, exact=exact)
     return SimulationReport(
         n=n, population_size=frame.size, sampling_fraction=f, true_p=pop.P,
         replicates=len(samples), exact=exact, seed=None if exact else seed,

@@ -2,6 +2,9 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -227,6 +230,21 @@ class TestSimulateCommand:
         assert sim["replicates"] == 200
         assert {row["name"] for row in sim["rows"]} == {
             "p", "ta", "tb", "tc", "t1", "t2", "t3"}
+
+    def test_census_ratio_is_null(self, tmp_path):
+        # a census has mse = theory_mse = 0, so no ratio; the report is strict JSON
+        pop, out = tmp_path / "pop.csv", tmp_path / "sim.json"
+        assert main(["generate", "--size", "40", "--seed", "3", "--output", str(pop)]) == 0
+        assert main(["simulate", "--input", str(pop), "--n", "40", "--reps", "100",
+                     "--seed", "1", "--output", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        rows = json.loads(out.read_text(), parse_constant=refuse)["simulation"]["rows"]
+        assert len(rows) == 7
+        for row in rows:
+            assert row["theory_mse"] == 0.0 and row["ratio"] is None, row
 
     def test_workers_flag_is_rejected(self, pop_csv, tmp_path):
         assert main(["simulate", "--input", str(pop_csv), "--n", "6",
@@ -488,6 +506,21 @@ class TestExitCodes:
         rows = {row["name"]: row for row in json.loads(out.read_text())["simulation"]["rows"]}
         assert 0 < rows["tc"]["failures"] < 200
         assert rows["p"]["failures"] == 0
+
+    def test_overflow_repro_ends_without_traceback(self, tmp_path):
+        # the aggregates overflow (Infinity, NaN) but the run ends normally
+        pop, out = tmp_path / "pop.csv", tmp_path / "sim.json"
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        for argv in (["generate", "--size", "40", "--seed", "3", "--output", str(pop)],
+                     ["simulate", "--input", str(pop), "--n", "5", "--reps", "200",
+                      "--seed", "1", "--tc", "alpha=3000", "--output", str(out)]):
+            done = subprocess.run([sys.executable, "-m", "propaux.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+        rows = {row["name"]: row for row in json.loads(out.read_text())["simulation"]["rows"]}
+        assert (rows["tc"]["failures"], rows["tc"]["replicates"]) == (35, 165)
 
     @pytest.mark.parametrize("data, message", [
         (b"phi,x\n1,2\n0,\xff3\n", "not valid UTF-8"),

@@ -1,8 +1,14 @@
 import itertools
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -24,7 +30,7 @@ from propaux import (
 )
 from propaux.config import TcConfig
 from propaux.io import simulation_report_dict
-from propaux.estimators import evaluate_batch
+from propaux.estimators import evaluate_batch, resolve_config
 from propaux.errors import (
     DataError,
     DegenerateGeneration,
@@ -485,8 +491,9 @@ class TestRunExperiment:
         assert got == expect
 
     def test_kernels_run_once_per_group_of_chunks(self, monkeypatch):
-        # 20,000 replicates of n = 50 in chunks of 1,310: groups of 12
-        # chunks (15,720 samples), so two calls per estimator, not 16
+        # 20,000 replicates of n = 50 in chunks of 1,310 fill three reduction
+        # blocks, of 8,192, 8,192 and 3,616 samples: three calls per
+        # estimator, not 16
         calls = Counter()
 
         def counted(cfg, *args):
@@ -495,7 +502,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(montecarlo, "evaluate_batch", counted)
         run_experiment(_frame(2000), 50, reps=20_000, seed=1)
-        assert calls == {cfg.name: 2 for cfg in montecarlo.DEFAULT_CONFIGS}
+        assert calls == {cfg.name: 3 for cfg in montecarlo.DEFAULT_CONFIGS}
 
     def test_report_carries_rng_provenance(self):
         report = run_experiment(TINY, 3, reps=120, seed=8)
@@ -523,6 +530,118 @@ class TestRunExperiment:
         # the first-order regression-class MSE tracks 20000 replicates closely
         _, report = experiment
         assert abs(report.row("tb").ratio - 1.0) <= 0.10
+
+
+class TestBlockReduction:
+    """Each reduction block of ``REDUCE_SAMPLES`` samples reduces to partials,
+    merged in block order; the scalar loop reduces its matrix the same way."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(which=st.sampled_from((1, 2)), block=st.integers(1, 60),
+           chunk_rows=st.integers(1, 120), reps=st.integers(100, 250),
+           seed=st.integers(0, 2**32 - 1))
+    @example(which=2, block=7, chunk_rows=50, reps=230, seed=5)
+    @example(which=1, block=60, chunk_rows=1, reps=100, seed=0)
+    def test_monte_carlo_blocks_match_loop_under_any_chunking(self, which, block,
+                                                              chunk_rows, reps, seed):
+        # chunks that straddle one block edge or several, and partial last blocks
+        frame = TestLoopEquivalence.FRAMES[which]
+        with patch.object(montecarlo, "REDUCE_SAMPLES", block):
+            with patch.object(montecarlo, "CHUNK_ELEMENTS", chunk_rows * 4):
+                report = run_experiment(frame, 4, reps=reps, seed=seed)
+            assert report == loop_report(frame, 4, reps=reps, seed=seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(which=st.sampled_from((0, 1)), n=st.integers(2, 5), block=st.integers(1, 30),
+           chunk_rows=st.integers(1, 80))
+    @example(which=1, n=4, block=3, chunk_rows=7)
+    def test_enumeration_blocks_match_loop_under_any_chunking(self, which, n, block,
+                                                              chunk_rows):
+        frame = TestLoopEquivalence.FRAMES[which]
+        with patch.object(montecarlo, "REDUCE_SAMPLES", block):
+            with patch.object(montecarlo, "CHUNK_ELEMENTS", chunk_rows * n):
+                report = enumerate_exact(frame, n)
+            assert report == loop_report(frame, n)
+
+    def test_block_size_moves_only_the_last_bits(self):
+        frame = generate_population(SyntheticSpec(size=300), seed=4)
+        whole = run_experiment(frame, 12, reps=2000, seed=9)
+        with patch.object(montecarlo, "REDUCE_SAMPLES", 7):
+            small = run_experiment(frame, 12, reps=2000, seed=9)
+        for a, b in zip(whole.rows, small.rows):
+            assert (a.name, a.replicates, a.failures) == (b.name, b.replicates, b.failures)
+            for field in ("mean", "mse", "mse_se"):
+                assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-12)
+
+    def test_chan_merge_equals_exact_m2(self, rng):
+        x = rng.lognormal(size=1000)
+        edges = [0, 1, 1, 2, 300, 301, 777, 1000]  # one empty block
+        counts, means, m2s = [], [], []
+        for a, b in zip(edges, edges[1:]):
+            part = x[a:b]
+            counts.append(part.size)
+            means.append(float(part.mean()) if part.size else 0.0)
+            m2s.append(float(((part - part.mean())**2).sum()) if part.size else 0.0)
+        exact = [Fraction(v) for v in x.tolist()]
+        mean = sum(exact) / len(exact)
+        m2 = float(sum((v - mean)**2 for v in exact))
+        assert montecarlo._chan_m2(counts, means, m2s) == pytest.approx(m2, rel=1e-13)
+
+    def test_sums_beyond_the_float_range_do_not_raise(self):
+        assert montecarlo._fsum([0.1] * 10) == 1.0
+        assert montecarlo._fsum([1.5e308, 1.5e308, -1.0]) == math.inf
+        assert math.isnan(montecarlo._fsum([math.inf, 1.0, -math.inf]))
+        # two finite block sums whose total overflows: math.fsum raises there
+        pop = compute_population_params(TINY)
+        f = population.sampling_fraction(3, TINY.size)
+        cfg = resolve_config(montecarlo.DEFAULT_CONFIGS[0], pop, f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = montecarlo._partials(np.array([[1.5e308, np.nan]]), pop.P, False)
+            row, = montecarlo._aggregate([cfg], np.array([block, block]), 4, pop, f)
+        assert (row.replicates, row.failures, row.mean, row.mse) == (2, 2, math.inf, math.inf)
+
+
+def _glibc() -> bool:
+    return sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+
+
+class TestBoundedMemory:
+    """A run's memory is bounded by the chunk and the reduction block, and a
+    warm run reuses its heap."""
+
+    def test_peak_does_not_grow_with_reps(self):
+        # the mc-srswor recipe: N = 2000, lognormal auxiliary, n = 50
+        frame = generate_population(SyntheticSpec(size=2000), seed=1)
+        peaks = []
+        for reps in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                run_experiment(frame, 50, reps=reps, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**19, peaks
+
+    @pytest.mark.skipif(not _glibc(), reason="the heap pinning acts on glibc only")
+    def test_warm_runs_take_no_page_faults(self):
+        script = (
+            "import resource\n"
+            "from propaux import SyntheticSpec, generate_population, run_experiment\n"
+            "frame = generate_population(SyntheticSpec(size=2000), seed=1)\n"
+            "faults = []\n"
+            "for _ in range(5):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    run_experiment(frame, 50, reps=20_000, seed=1)\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(*faults[2:])\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        faults = [int(word) for word in done.stdout.split()]
+        assert max(faults) <= 64, faults
 
 
 class TestGeneratePopulation:
