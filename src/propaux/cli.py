@@ -14,7 +14,9 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -36,6 +38,23 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+#: The kinds of each command's ``--<kind>`` flags: every kind with a parameter
+#: class on ``estimate``. On the table commands ``--t3`` sets only ``gamma``.
+_TABLE_COMMANDS = ("theory", "pre", "sensitivity")
+_FAMILY_FLAGS = {"estimate": tuple(kind for kind, fam in theory.FAMILIES.items() if fam.params),
+                 **dict.fromkeys((*_TABLE_COMMANDS, "simulate"), ("tc", "t3"))}
+
+
+def _family_help(command: str, kind: str) -> str:
+    """The help of ``command``'s ``--<kind>``: the keys it may set, each with
+    its default, read from the kind's parameter class."""
+    keys = fields(theory.FAMILIES[kind].params)
+    only = command in _TABLE_COMMANDS and kind == "t3"
+    text = ", ".join(f"{key.name}={'optimal' if key.default is None else f'{key.default:g}'}"
+                     for key in keys if not only or key.name == "gamma")
+    return f"keys and defaults: {text}" + (" (only gamma can be set here)" if only else "")
+
+
 def _table_config(args) -> TableConfig:
     kwargs = _subconfigs(args)
     if "t3" in kwargs:
@@ -49,17 +68,17 @@ def _table_config(args) -> TableConfig:
 
 
 def _subconfigs(args, kind: str | None = None) -> dict:
-    """The family configurations given as ``--tc``/``--t3``/... flags, parsed
-    in ``theory.FAMILIES`` order into each kind's parameter class; with
-    ``kind``, a flag of any other family is a usage error."""
+    """The family configurations given as the command's ``_FAMILY_FLAGS``,
+    parsed in ``theory.FAMILIES`` order into each kind's parameter class;
+    with ``kind``, a flag of any other family is a usage error."""
     given = {}
-    for slot, family in theory.FAMILIES.items():
-        text = getattr(args, slot, None)
+    for slot in _FAMILY_FLAGS[args.command]:
+        text = getattr(args, slot)
         if text:
             if kind is not None and slot != kind:
                 raise CliUsageError(f"--{slot} does not apply to estimator {kind!r}")
             try:
-                given[slot] = family.params.from_kv(text)
+                given[slot] = theory.FAMILIES[slot].params.from_kv(text)
             except ValueError as exc:
                 raise CliUsageError(str(exc)) from None
     return given
@@ -228,63 +247,40 @@ def build_parser() -> _Parser:
                      description="Proportion estimation with auxiliary information")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("params", help="compute a parameter document from a frame")
-    p.add_argument("--input", required=True)
-    p.add_argument("--n", type=integer, default=None,
-                   help="intended sample size (defaults to a census)")
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_params)
+    def command(name, func, help, reads, *options, output=True):
+        """Add command ``name``: ``--<reads>``, the ``(flag, keywords)`` pairs
+        ``options``, its ``_FAMILY_FLAGS`` and ``--output``, in that order."""
+        p = sub.add_parser(name, help=help)
+        # Python 3.13's rule: in ``--indices -1,0,1``, older ones see an unknown option
+        p._negative_number_matcher = re.compile(r"-\.?\d")
+        if reads:
+            p.add_argument(f"--{reads}", required=True)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        for kind in _FAMILY_FLAGS.get(name, ()):
+            p.add_argument(f"--{kind}", metavar="KEY=VALUE,...", help=_family_help(name, kind))
+        if output:
+            p.add_argument("--output", required=True)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("theory", help="biases, MSEs, optimal constants")
-    p.add_argument("--params", required=True)
-    p.add_argument("--tc", default=None, metavar="a=1,b=0,alpha=1,beta=0")
-    p.add_argument("--t3", default=None, metavar="gamma=1,g=1,delta=1")
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_theory)
-
-    p = sub.add_parser("pre", help="percent-relative-efficiency table")
-    p.add_argument("--params", required=True)
-    p.add_argument("--tc", default=None, metavar="a=1,b=0,alpha=1,beta=0")
-    p.add_argument("--t3", default=None, metavar="gamma=1,g=1,delta=1")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.set_defaults(func=_cmd_pre)
-
-    p = sub.add_parser("estimate", help="single-sample point estimate")
-    p.add_argument("--input", required=True)
-    p.add_argument("--indices", required=True,
-                   help="file of indices, or inline like '0,3,5'")
-    p.add_argument("--estimator", required=True,
-                   choices=tuple(theory.FAMILIES))
-    p.add_argument("--tc", default=None)
-    p.add_argument("--t1", default=None)
-    p.add_argument("--t2", default=None)
-    p.add_argument("--t3", default=None)
-    p.set_defaults(func=_cmd_estimate)
-
-    p = sub.add_parser("simulate", help="seeded Monte Carlo experiment")
-    p.add_argument("--input", required=True)
-    p.add_argument("--n", type=integer, required=True)
-    p.add_argument("--reps", type=integer, required=True)
-    p.add_argument("--seed", type=integer, required=True)
-    p.add_argument("--tc", default=None)
-    p.add_argument("--t3", default=None)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("generate", help="synthetic population")
-    p.add_argument("--size", type=integer, required=True)
-    p.add_argument("--seed", type=integer, required=True)
-    p.add_argument("--spec", default=None, help="JSON file of generator settings")
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("sensitivity", help="efficiency intervals under input rounding")
-    p.add_argument("--params", required=True)
-    p.add_argument("--digits", type=integer, required=True)
-    p.add_argument("--tc", default=None)
-    p.add_argument("--t3", default=None)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_sensitivity)
+    required = {"type": integer, "required": True}
+    command("params", _cmd_params, "compute a parameter document from a frame", "input",
+            ("--n", {"type": integer, "help": "intended sample size (defaults to a census)"}))
+    command("theory", _cmd_theory, "biases, MSEs, optimal constants", "params")
+    command("pre", _cmd_pre, "percent-relative-efficiency table", "params",
+            ("--format", {"choices": ("table", "csv", "json"), "default": "table"}),
+            output=False)
+    command("estimate", _cmd_estimate, "single-sample point estimate", "input",
+            ("--indices", {"required": True, "help": "file of indices, or inline like '0,3,5'"}),
+            ("--estimator", {"required": True, "choices": tuple(theory.FAMILIES)}),
+            output=False)
+    command("simulate", _cmd_simulate, "seeded Monte Carlo experiment", "input",
+            ("--n", required), ("--reps", required), ("--seed", required))
+    command("generate", _cmd_generate, "synthetic population", None,
+            ("--size", required), ("--seed", required),
+            ("--spec", {"help": "JSON file of generator settings"}))
+    command("sensitivity", _cmd_sensitivity, "efficiency intervals under input rounding",
+            "params", ("--digits", required))
     return parser
 
 

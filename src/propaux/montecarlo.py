@@ -298,7 +298,8 @@ def generate_population(spec: SyntheticSpec, seed: int) -> PopulationFrame:
         if not np.isfinite(x).all():
             raise InvalidConfig(f"aux_location={spec.aux_location!r} and aux_scale="
                                 f"{spec.aux_scale!r} draw auxiliary values that overflow")
-        logits = np.clip(spec.link_intercept + spec.link_slope * x, -700.0, 700.0)
+        with np.errstate(over="ignore"):  # an infinite logit is clipped
+            logits = np.clip(spec.link_intercept + spec.link_slope * x, -700.0, 700.0)
         prob = 1.0 / (1.0 + np.exp(-logits))
         phi = (rng.uniform(size=spec.size) < prob).astype(np.int64)
         total = int(phi.sum())
@@ -384,19 +385,20 @@ def _partials(values: np.ndarray, P: float, exact: bool) -> tuple[np.ndarray, ..
     """
     failed = np.isnan(values)
     count = values.shape[1] - np.count_nonzero(failed, axis=1)
-    np.copyto(values, 0.0, where=failed)
-    total = values.sum(axis=1)
-    values -= P
-    values *= values
-    np.copyto(values, 0.0, where=failed)
-    sq = values.sum(axis=1)
-    if exact:
-        return count, total, sq
-    mean = sq / np.maximum(count, 1)  # 0 where the whole block failed
-    values -= mean[:, None]
-    np.copyto(values, 0.0, where=failed)
-    values *= values
-    return count, total, sq, mean, values.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the report shows the inf and NaN
+        np.copyto(values, 0.0, where=failed)
+        total = values.sum(axis=1)
+        values -= P
+        values *= values
+        np.copyto(values, 0.0, where=failed)
+        sq = values.sum(axis=1)
+        if exact:
+            return count, total, sq
+        mean = sq / np.maximum(count, 1)  # 0 where the whole block failed
+        values -= mean[:, None]
+        np.copyto(values, 0.0, where=failed)
+        values *= values
+        return count, total, sq, mean, values.sum(axis=1)
 
 
 def _fsum(parts: list[float]) -> float:

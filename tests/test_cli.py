@@ -12,7 +12,10 @@ import pytest
 
 from propaux import theory
 from propaux.cli import build_parser, main
-from propaux.io import write_params_json, ParamsDocument
+from propaux.config import TbConfig
+from propaux.estimators import EstimatorConfig, evaluate
+from propaux.io import read_population_csv, write_params_json, ParamsDocument
+from propaux.population import compute_population_params, sample_stats
 
 from _oracles import REF
 
@@ -208,6 +211,19 @@ class TestEstimateCommand:
     def test_flag_for_wrong_estimator_is_usage_error(self, pop_csv, capsys):
         assert main(["estimate", "--input", str(pop_csv), "--indices", "0,1",
                      "--estimator", "ta", "--t3", "gamma=1"]) == 1
+
+    def test_tb_flag_sets_the_slope(self, pop_csv, capsys):
+        frame = read_population_csv(pop_csv)
+        expected = evaluate(sample_stats(frame, [0, 2, 3, 5, 8]),
+                            compute_population_params(frame),
+                            EstimatorConfig(kind="tb", params=TbConfig(h1=0.1)))
+        tb = self._estimate(pop_csv, capsys, "tb", "--tb", "h1=0.1")
+        assert tb["value"].hex() == expected.value.hex()
+        assert tb["config_used"] == {"kind": "tb", "tb": {"h1": 0.1}}
+        assert main(["estimate", "--input", str(pop_csv), "--indices", "0,2,3,5,8",
+                     "--estimator", "t1", "--tb", "h1=0.1"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: --tb does not apply to estimator 't1'\n")
 
 
 class TestSimulateCommand:
@@ -519,8 +535,19 @@ class TestExitCodes:
             done = subprocess.run([sys.executable, "-m", "propaux.cli", *argv], env=env,
                                   capture_output=True, text=True, timeout=120)
             assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+            assert "RuntimeWarning" not in done.stderr, done.stderr
         rows = {row["name"]: row for row in json.loads(out.read_text())["simulation"]["rows"]}
         assert (rows["tc"]["failures"], rows["tc"]["replicates"]) == (35, 165)
+
+    def test_saturating_link_warns_nothing(self, tmp_path, capsys):
+        spec, out = tmp_path / "spec.json", tmp_path / "pop.csv"
+        spec.write_text(json.dumps({"link_slope": 1e308}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["generate", "--size", "20", "--seed", "1", "--spec", str(spec),
+                         "--output", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: no usable population after 100 attempts; "
+                                           "the link saturates the attribute\n")
 
     @pytest.mark.parametrize("data, message", [
         (b"phi,x\n1,2\n0,\xff3\n", "not valid UTF-8"),
@@ -574,7 +601,8 @@ BOUNDARY = {
                           "--estimator", "ta"], b"")
        for name, indices in (("arabic-indic-digit", "0,1,\u0663"), ("underscore", "0,1_0"),
                              ("past-int64", "0,1,99999999999999999999999"),
-                             ("past-the-frame", "0,1,12"), ("negative", "0,-1,1"))},
+                             ("past-the-frame", "0,1,12"), ("negative", "0,-1,1"),
+                             ("negative-first", "-1,0,1"))},
     **{f"digits-{name}": (["sensitivity", "--params", "{bad}", "--digits", digits,
                            "--output", "{out}"], json.dumps(REF).encode())
        for name, digits in (("324", "324"), ("401-digit-count", "1" + "0" * 400))},
@@ -765,3 +793,21 @@ class TestFamilyFlags:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert f"{name}=optimal" in err and "Traceback" not in err
         assert not (tmp_path / "out.json").exists()
+
+
+def test_family_flags_follow_one_table():
+    """Each command takes the family flags of one table, and each flag's help
+    names the keys that command lets it set."""
+    kinds = {name: [kind for command, kind in FAMILY_OPTIONS if command == name]
+             for name in _commands()}
+    with_params = [kind for kind, family in theory.FAMILIES.items() if family.params]
+    assert kinds == {"params": [], "generate": [], "estimate": with_params,
+                     **dict.fromkeys(("theory", "pre", "simulate", "sensitivity"),
+                                     ["tc", "t3"])}
+    helps = {(name, option[2:]): action.help for name, sub in _commands().items()
+             for action in sub._actions for option in action.option_strings}
+    for command in ("theory", "pre", "sensitivity"):
+        assert "q1=optimal, q2=optimal" in helps[command, "tc"]
+        assert "gamma=1" in helps[command, "t3"] and "only gamma" in helps[command, "t3"]
+        assert "delta" not in helps[command, "t3"]
+    assert "delta=1" in helps["simulate", "t3"] and "only" not in helps["simulate", "t3"]
