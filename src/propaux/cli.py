@@ -108,10 +108,20 @@ def _table_configurations(config: TableConfig, **leading) -> dict:
             "t3_variants": list(T3_TABLE_VARIANTS)}
 
 
-def _write_report(args, input_path: str, configurations: dict, sections: dict) -> None:
+def _read_input(path: str, parse) -> tuple:
+    """``parse(path, data)`` of the bytes at ``path``, and their sha256, the
+    report's ``input_digest``: one read, since a pipe such as ``/dev/stdin``
+    gives its bytes only once."""
+    data = [Path(path).read_bytes()]
+    digest = io._sha256(data[0])
+    # handed over, not shared: the CSV parser frees its copy before it splits the rows
+    return parse(path, data.pop()), digest
+
+
+def _write_report(args, digest: str, configurations: dict, sections: dict) -> None:
     """Write the report envelope around ``sections`` to ``--output``."""
-    document = io.build_report_document(input_digest=io.file_digest(input_path),
-                                        configurations=configurations, sections=sections)
+    document = io.build_report_document(input_digest=digest, configurations=configurations,
+                                        sections=sections)
     io.write_report_json(args.output, document)
 
 
@@ -135,14 +145,14 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    doc = io.read_params_json(args.params)
+    doc, digest = _read_input(args.params, io._parse_params)
     config = _table_config(args)
     report = theory.theory_report(doc.params, doc.design, config)
     conditions = None
     if doc.design.f > 0.0:
         conditions = io.conditions_dict(
             theory.comparison_conditions(doc.params, doc.design.f, config))
-    _write_report(args, args.params, _table_configurations(config),
+    _write_report(args, digest, _table_configurations(config),
                   {"theory": io.theory_report_dict(report),
                    "comparison_conditions": conditions})
     return 0
@@ -200,12 +210,12 @@ def _cmd_simulate(args) -> int:
     from .estimators import EstimatorConfig
     from .montecarlo import DEFAULT_CONFIGS, run_experiment
 
-    frame = io.read_population_csv(args.input)
+    frame, digest = _read_input(args.input, io._parse_population_csv)
     given = _subconfigs(args)
     configs = [EstimatorConfig(kind=cfg.kind, params=given[cfg.kind])
                if cfg.kind in given else cfg for cfg in DEFAULT_CONFIGS]
     report = run_experiment(frame, args.n, configs, reps=args.reps, seed=args.seed)
-    _write_report(args, args.input,
+    _write_report(args, digest,
                   {"n": args.n, "reps": args.reps, "seed": args.seed,
                    "estimators": [_config_dict(cfg) for cfg in configs]},
                   {"simulation": io.simulation_report_dict(report)})
@@ -234,10 +244,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
-    doc = io.read_params_json(args.params)
+    doc, digest = _read_input(args.params, io._parse_params)
     config = _table_config(args)
     report = theory.sensitivity(doc.params, doc.design.f, config, digits=args.digits)
-    _write_report(args, args.params, _table_configurations(config, digits=args.digits),
+    _write_report(args, digest, _table_configurations(config, digits=args.digits),
                   {"sensitivity": io.sensitivity_report_dict(report)})
     return 0
 

@@ -115,9 +115,11 @@ def _read_canonical(path: str | Path, data: bytes) -> tuple[np.ndarray, np.ndarr
 
     ``loadtxt`` is given the path, not ``data``: it streams a path in C
     chunks but would read a file object line by line in Python. So the file
-    is opened a second time, as ``file_digest`` also does. The path is made
-    absolute, because numpy would fetch a relative one that parses as a URL,
-    and a name with a suffix numpy decompresses is left to the checked route.
+    is opened a second time, and only a regular file takes this route: a
+    second open of a pipe or FIFO, such as ``/dev/stdin``, reads nothing.
+    The path is made absolute, because numpy would fetch a relative one that
+    parses as a URL, and a name with a suffix numpy decompresses is left to
+    the checked route.
     The tokenizer requires two fields on every non-blank line, skips blank
     lines and handles LF, CRLF and CR, as ``csv.reader`` splits such a file.
     """
@@ -129,7 +131,8 @@ def _read_canonical(path: str | Path, data: bytes) -> tuple[np.ndarray, np.ndarr
     if not (data.isascii() and data[:6] in (b"phi,x\n", b"phi,x\r")
             and not path.endswith((".bz2", ".gz", ".lzma", ".xz"))
             and data.find(b",", 6) > 0
-            and b'"' not in data and b"_" not in data and b"\0" not in data):
+            and b'"' not in data and b"_" not in data and b"\0" not in data
+            and os.path.isfile(path)):
         return None
     try:
         records = np.loadtxt(path, dtype=[("phi", "U2"), ("x", "f8")], delimiter=",",
@@ -155,10 +158,13 @@ def read_population_csv(path: str | Path) -> PopulationFrame:
     column. Only when a check fails are the records walked, one
     ``_row_error`` call each, up to the first bad one.
     """
+    return _parse_population_csv(path, Path(path).read_bytes())
+
+
+def _parse_population_csv(path: str | Path, data: bytes) -> PopulationFrame:
+    """``read_population_csv`` of the file's bytes ``data``, read once."""
     from .population import PopulationFrame
 
-    with open(path, "rb") as handle:
-        data = handle.read()
     columns = _read_canonical(path, data)
     if columns is not None:
         return PopulationFrame(*columns)
@@ -271,7 +277,12 @@ def read_json(path: str | Path):
     """The JSON value of a file; a file that is not UTF-8 or not JSON, or
     that ``json`` cannot read (an integer literal of over 4,300 digits, or
     arrays nested past the recursion limit), is a ``ParseError``."""
-    text = decode_utf8(Path(path).read_bytes(), path)
+    return _parse_json(path, Path(path).read_bytes())
+
+
+def _parse_json(path: str | Path, data: bytes):
+    """``read_json`` of the file's bytes ``data``, read once."""
+    text = decode_utf8(data, path)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # ``JSONDecodeError`` is a ``ValueError``
@@ -279,7 +290,12 @@ def read_json(path: str | Path):
 
 
 def read_params_json(path: str | Path) -> ParamsDocument:
-    return ParamsDocument.from_dict(read_json(path))
+    return _parse_params(path, Path(path).read_bytes())
+
+
+def _parse_params(path: str | Path, data: bytes) -> ParamsDocument:
+    """``read_params_json`` of the file's bytes ``data``, read once."""
+    return ParamsDocument.from_dict(_parse_json(path, data))
 
 
 def write_params_json(path: str | Path, doc: ParamsDocument) -> None:
@@ -288,8 +304,12 @@ def write_params_json(path: str | Path, doc: ParamsDocument) -> None:
 
 def file_digest(path: str | Path) -> str:
     """sha256 of the raw input bytes, recorded in every report."""
+    return _sha256(Path(path).read_bytes())
+
+
+def _sha256(data: bytes) -> str:
     import hashlib  # loads OpenSSL's _hashlib, which only a digest needs
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 # The report rows are flat dataclasses, so a copy of each row's ``vars()``

@@ -14,28 +14,25 @@ C is the single source of every moment below. The MSEs of ``ta``, ``tb``,
 ``t2`` regress the proportion channel on its auxiliary block, and the shared
 ``t1``/``t2`` minimum is the Schur complement of that block; ``ta`` is ``t1``
 at (alpha, beta) = (1, 0), and ``tb`` is ``t2`` at h2 = 0. The ``tc`` and
-``t3`` expansion constants are the moments of their two channels, read from
-C, and share one two-weight form for MSE and bias (``_TwoWeight``).
+``t3`` constants are the moments of their two channels, read from C as plain
+tuples, and share one two-weight system.
 
 ``FAMILIES`` is the registry of estimator kinds and the theory API: each
 kind's parameter class, report name, and its ``mse``, ``min_mse``,
-``optimum`` and ``bias``, each called as ``(cfg, pop, f)`` and each reading
-the constants ``cfg`` holds. The per-kind helpers behind them are private.
-``tc_constants`` and ``t3_constants`` take the same ``(cfg, pop, f)``;
-``var_usual`` is the baseline of ``pre``.
-
-Every ``FAMILIES`` MSE that evaluates materially negative raises
-``NegativeMse``, except ``FAMILIES["tc"].mse`` at given weights, which
-returns its value unchecked.
+``optimum`` and ``bias``, each called as ``(cfg, pop, f)``, and each one flat
+function of the kind's terms: C, or the tuple its ``_terms`` reads off C. A
+table row or a scan point forms C once and passes the terms on. Every MSE
+that evaluates materially negative raises ``NegativeMse``, except
+``FAMILIES["tc"].mse`` at given weights, which returns its value unchecked.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from operator import attrgetter
 from typing import Callable
 
@@ -83,26 +80,22 @@ def _form(c: tuple[float, ...], w0: float, w1: float, w2: float) -> float:
             + 2.0 * (w0 * w1 * c01 + w0 * w2 * c02 + w1 * w2 * c12))
 
 
-def _regression(pop: PopulationParams) -> tuple[float, float, tuple[float, ...]]:
+def _regression(c: tuple[float, ...]) -> tuple[float, float]:
     """Coefficients ``(alpha, beta)`` of the proportion channel regressed on the
-    auxiliary block of C, and C itself. They are the optimal ``t1`` exponents,
+    auxiliary block of C. They are the optimal ``t1`` exponents,
 
         alpha* = cp*(rho*(lambda04-1) - lambda03*lambda12) / (cx*gap),
         beta*  = cp*(lambda12 - rho*lambda03) / gap,
 
     with gap = (lambda04-1) - lambda03^2; the optimal ``t2`` offsets are -P
     times them, so the two families share one minimum."""
-    c = _moments(pop)
     _, c01, c02, c11, c12, c22 = c
     det = c11 * c22 - c12**2
     if det <= 0.0:
         raise DegenerateMoments(
             f"(lambda04 - 1) - lambda03^2 must be positive, got {det / c11}"
         )
-    return (c22 * c01 - c12 * c02) / det, (c11 * c02 - c12 * c01) / det, c
-
-
-# --- usual estimator ------------------------------------------------------------
+    return (c22 * c01 - c12 * c02) / det, (c11 * c02 - c12 * c01) / det
 
 
 def var_usual(pop: PopulationParams, f: float) -> float:
@@ -110,20 +103,22 @@ def var_usual(pop: PopulationParams, f: float) -> float:
     return f * pop.P**2 * pop.cp**2
 
 
-# --- power-transform form (alpha, beta): t1, and ta at (1, 0) --------------------
+# --- the forms in C: t1 (alpha, beta) and ta at (1, 0); t2 (h1, h2) and tb at h2 = 0
+# (each takes the moment tuple c; f*P^2*c00 is var_usual)
 
 
-def _power_mse(cfg, pop: PopulationParams, f: float) -> float:
+def _power_mse(cfg, pop: PopulationParams, f: float, c=None) -> float:
     """First-order MSE of the power-transform estimator, f*P^2*w'Cw at
     w = (1, -alpha, -beta)."""
-    value = f * pop.P**2 * _form(_moments(pop), 1.0, -cfg.alpha, -cfg.beta)
-    return _check_mse(value, var_usual(pop, f), "power-transform MSE")
+    c, scale = c or _moments(pop), f * pop.P**2
+    return _check_mse(scale * _form(c, 1.0, -cfg.alpha, -cfg.beta), scale * c[0],
+                      "power-transform MSE")
 
 
-def _power_bias(cfg, pop: PopulationParams, f: float) -> float:
+def _power_bias(cfg, pop: PopulationParams, f: float, c=None) -> float:
     """First-order bias of the power-transform estimator at given exponents."""
     alpha, beta = cfg.alpha, cfg.beta
-    _, c01, c02, c11, c12, c22 = _moments(pop)
+    _, c01, c02, c11, c12, c22 = c or _moments(pop)
     return f * pop.P * (
         alpha * (alpha + 1.0) / 2.0 * c11
         + beta * (beta + 1.0) / 2.0 * c22
@@ -133,98 +128,101 @@ def _power_bias(cfg, pop: PopulationParams, f: float) -> float:
     )
 
 
-def _schur_min_mse(cfg, pop: PopulationParams, f: float) -> float:
+def _schur_min_mse(cfg, pop: PopulationParams, f: float, c=None) -> float:
     """Minimum MSE of ``t1`` and ``t2``,
     f*P^2*cp^2*(1 - rho^2 - (lambda03*rho - lambda12)^2/gap):
     f*P^2 times the Schur complement of the auxiliary block of C."""
-    alpha, beta, c = _regression(pop)
-    return _check_mse(f * pop.P**2 * (c[0] - (alpha * c[1] + beta * c[2])),
-                      var_usual(pop, f), "power-transform minimum MSE")
+    c, scale = c or _moments(pop), f * pop.P**2
+    alpha, beta = _regression(c)
+    return _check_mse(scale * (c[0] - (alpha * c[1] + beta * c[2])), scale * c[0],
+                      "power-transform minimum MSE")
 
 
-# --- linear form (h1, h2): t2, and tb at h2 = 0 -----------------------------------
-
-
-def _linear_mse(cfg, pop: PopulationParams, f: float) -> float:
+def _linear_mse(cfg, pop: PopulationParams, f: float, c=None) -> float:
     """MSE of the two-channel linear member, f*w'Cw at w = (P, h1, h2)."""
-    value = f * _form(_moments(pop), pop.P, cfg.h1, cfg.h2)
-    return _check_mse(value, var_usual(pop, f), "two-channel linear MSE")
+    c, P = c or _moments(pop), pop.P
+    return _check_mse(f * _form(c, P, cfg.h1, cfg.h2), f * P**2 * c[0],
+                      "two-channel linear MSE")
 
 
-def _tb_optimum(cfg, pop: PopulationParams, f: float) -> tuple[float]:
+def _tb_optimum(cfg, pop: PopulationParams, f: float, c=None) -> tuple[float]:
     """Optimal slope of the linear regression-type member, -P*rho_pb*cp/cx."""
-    c = _moments(pop)
+    c = c or _moments(pop)
     return (-pop.P * c[1] / c[3],)
 
 
-def _tb_min_mse(cfg, pop: PopulationParams, f: float) -> float:
+def _tb_min_mse(cfg, pop: PopulationParams, f: float, c=None) -> float:
     """Class minimum MSE over mean-only transforms, f*P^2*cp^2*(1 - rho_pb^2)."""
-    c = _moments(pop)
-    value = f * pop.P**2 * (c[0] - c[1] / c[3] * c[1])
-    return _check_mse(value, var_usual(pop, f), "regression-class minimum MSE")
+    c, scale = c or _moments(pop), f * pop.P**2
+    return _check_mse(scale * (c[0] - c[1] / c[3] * c[1]), scale * c[0],
+                      "regression-class minimum MSE")
 
 
-# --- the two-weight MSE form of the tc and t3 families ----------------------------
+# --- the two-weight system of tc (q1, q2) and t3 (m1, m2) ---------------------------
+# w1*Y1 + w2*Y2 has mse = scale*(const + w'Aw - 2*b'w), A = [[a11, a12], [a12, a22]],
+# b = (b1, b2): scale*A holds the channels' second moments and scale*b is P times
+# their means, so the bias is -gap*scale/P with gap = const - b'w. The terms hold
+# (a11, a12, a22, b1, b2) from ``start`` on; the shape (start, relative, pair,
+# family) names the weights and family in errors. Relative to P^2: scale = P^2
+# and const = 1; otherwise scale = 1 and const = P^2.
+
+_TC = (3, False, "(q1, q2)", "family")
+_T3 = (0, True, "(m1, m2)", "two-term family")
+
+
+def _det(a11: float, a12: float, a22: float, pair: str) -> float:
+    """det A; a singular A has no stationary pair."""
+    det = a11 * a22 - a12**2
+    if abs(det) <= _SINGULAR_RTOL * max(abs(a11 * a22), a12**2, 1e-300):
+        raise SingularSystem(f"the {pair} optimality system is singular "
+                             "(the two channels are indistinguishable)")
+    return det
+
+
+def _pair_mse(t: tuple[float, ...], P: float, shape: tuple, w1: float, w2: float) -> float:
+    """The MSE at an arbitrary weight pair."""
+    a11, a12, a22, b1, b2 = t[shape[0]:]
+    scale, const = (P**2, 1.0) if shape[1] else (1.0, P**2)
+    return scale * (const + w1**2 * a11 + w2**2 * a22 + 2.0 * w1 * w2 * a12
+                    - 2.0 * w1 * b1 - 2.0 * w2 * b2)
+
+
+def _pair_bias(t: tuple[float, ...], P: float, shape: tuple, w1: float, w2: float) -> float:
+    """The bias at an arbitrary weight pair."""
+    _, _, _, b1, b2 = t[shape[0]:]
+    gap = (1.0 if shape[1] else P**2) - w1 * b1 - w2 * b2
+    return -P * gap if shape[1] else -gap / P
+
+
+def _pair_optimum(t: tuple[float, ...], shape: tuple) -> tuple[float, float]:
+    """The stationary weight pair A^-1 b, where the gradient vanishes."""
+    a11, a12, a22, b1, b2 = t[shape[0]:]
+    det = _det(a11, a12, a22, shape[2])
+    return (b1 * a22 - a12 * b2) / det, (a11 * b2 - b1 * a12) / det
+
+
+def _pair_min_mse(t: tuple[float, ...], P: float, shape: tuple) -> float:
+    """The minimum MSE, scale*(const - b'A^-1 b), of a positive definite A."""
+    start, relative, pair, family = shape
+    a11, a12, a22, b1, b2 = t[start:]
+    det = _det(a11, a12, a22, pair)
+    if det < 0.0:
+        raise SingularSystem(f"the {pair} quadratic form is indefinite")
+    scale, const = (P**2, 1.0) if relative else (1.0, P**2)
+    value = scale * (const - (b1**2 * a22 - 2.0 * b1 * a12 * b2 + a11 * b2**2) / det)
+    if value < 0.0:
+        raise NegativeMse(f"{family} minimum MSE evaluated negative ({value})")
+    return value
 
 
 class _TwoWeight:
-    """The first-order MSE and bias of the estimator w1*Y1 + w2*Y2,
+    """The MSE and bias at a weight pair, the stationary pair and the minimum
+    MSE of a constants object, from its ``_terms`` and ``_shape``."""
 
-        mse = scale * (const + w'Aw - 2*b'w),  A = [[a11, a12], [a12, a22]],  b = (b1, b2),
-
-    where scale*A holds the second moments of the channels Y1, Y2 and
-    scale*b is P times their means, so the bias E[w'Y] - P is -gap*scale/P
-    with gap = const - b'w. A subclass reads (a11, a12, a22, b1, b2) off an
-    instance with ``_terms``, and names its weights (``_pair``) and itself
-    (``_family``) for error messages. When ``_relative``, its constants are
-    relative to P^2: scale = P^2 and const = 1, and the bias is -P*gap;
-    otherwise scale = 1, const = P^2 and the bias is -gap/P.
-    """
-
-    def _scale_const(self, pop: PopulationParams) -> tuple[float, float]:
-        return (pop.P**2, 1.0) if self._relative else (1.0, pop.P**2)
-
-    def _system(self) -> tuple[float, ...]:
-        """(a11, a12, a22, b1, b2, det A); a singular A has no stationary pair."""
-        a11, a12, a22, b1, b2 = self._terms(self)
-        det = a11 * a22 - a12**2
-        if abs(det) <= _SINGULAR_RTOL * max(abs(a11 * a22), a12**2, 1e-300):
-            raise SingularSystem(f"the {self._pair} optimality system is singular "
-                                 "(the two channels are indistinguishable)")
-        return a11, a12, a22, b1, b2, det
-
-    def mse(self, pop: PopulationParams, w1: float, w2: float) -> float:
-        """The MSE at an arbitrary weight pair."""
-        a11, a12, a22, b1, b2 = self._terms(self)
-        scale, const = self._scale_const(pop)
-        return scale * (const + w1**2 * a11 + w2**2 * a22 + 2.0 * w1 * w2 * a12
-                        - 2.0 * w1 * b1 - 2.0 * w2 * b2)
-
-    def bias(self, pop: PopulationParams, w1: float, w2: float) -> float:
-        """The bias at an arbitrary weight pair."""
-        _, _, _, b1, b2 = self._terms(self)
-        gap = self._scale_const(pop)[1] - w1 * b1 - w2 * b2
-        return -pop.P * gap if self._relative else -gap / pop.P
-
-    def optimum(self) -> tuple[float, float]:
-        """The stationary weight pair A^-1 b, where the gradient vanishes."""
-        a11, a12, a22, b1, b2, det = self._system()
-        return (b1 * a22 - a12 * b2) / det, (a11 * b2 - b1 * a12) / det
-
-    def min_mse(self, pop: PopulationParams) -> float:
-        """The minimum MSE, scale * (const - b'A^-1 b); only a positive
-        definite A has a minimum."""
-        a11, a12, a22, b1, b2, det = self._system()
-        if det < 0.0:
-            raise SingularSystem(f"the {self._pair} quadratic form is indefinite")
-        scale, const = self._scale_const(pop)
-        value = scale * (const - (b1**2 * a22 - 2.0 * b1 * a12 * b2 + a11 * b2**2) / det)
-        if value < 0.0:
-            raise NegativeMse(f"{self._family} minimum MSE evaluated negative ({value})")
-        return value
-
-
-# --- weighted transform family (q1, q2) -----------------------------------------
+    mse = lambda self, pop, w1, w2: _pair_mse(self._terms(self), pop.P, self._shape, w1, w2)
+    bias = lambda self, pop, w1, w2: _pair_bias(self._terms(self), pop.P, self._shape, w1, w2)
+    optimum = lambda self: _pair_optimum(self._terms(self), self._shape)
+    min_mse = lambda self, pop: _pair_min_mse(self._terms(self), pop.P, self._shape)
 
 
 @dataclass(frozen=True)
@@ -250,40 +248,35 @@ class TcConstants(_TwoWeight):
     delta4: float
     delta5: float
 
-    _terms = attrgetter("delta1", "delta2", "delta3", "delta4", "delta5")
-    _pair, _family, _relative = "(q1, q2)", "family", False
+    _terms = attrgetter("theta", "bc", "ac", "delta1", "delta2", "delta3", "delta4", "delta5")
+    _shape = _TC
+
+
+def _tc_terms(cfg: TcConfig, pop: PopulationParams, f: float, c=None) -> tuple[float, ...]:
+    """``TcConstants``'s fields; C is read after the transform is checked."""
+    a, b, alpha, beta = cfg.a, cfg.b, cfg.alpha, cfg.beta
+    P, X = pop.P, pop.xbar
+    base = a * X + b
+    if not 0.0 < base < math.inf:
+        raise NonpositiveTransform(f"a*xbar + b must be positive and finite, got {base}")
+    theta = a * X / base
+    bc = theta * (alpha + beta / 2.0)
+    ac = theta**2 * (alpha * (alpha + 1.0) / 2.0 + alpha * beta / 2.0
+                     + beta**2 / 8.0 + beta / 4.0)
+    cp2, rcx, _, cx2, _, _ = c or _moments(pop)
+    return (theta, bc, ac,
+            P**2 * (1.0 + f * (cp2 - 4.0 * bc * rcx + (bc**2 + 2.0 * ac) * cx2)),
+            P * X * f * (2.0 * bc * cx2 - rcx),
+            X**2 * f * cx2,
+            P**2 * (1.0 + f * (ac * cx2 - bc * rcx)),
+            P * X * f * bc * cx2)
 
 
 def tc_constants(cfg: TcConfig, pop: PopulationParams, f: float) -> TcConstants:
     """Expansion constants for the transform ((a*X+b)/(a*x+b))^alpha * exp-tilt^beta
     that ``cfg`` picks, as the first-order moments of the channels
     Y1 = p*R and Y2 = (X - xbar)*R; its weights are not read."""
-    a, b, alpha, beta = cfg.a, cfg.b, cfg.alpha, cfg.beta
-    base = a * pop.xbar + b
-    if not 0.0 < base < math.inf:
-        raise NonpositiveTransform(f"a*xbar + b must be positive and finite, got {base}")
-    theta = a * pop.xbar / base
-    bc = theta * (alpha + beta / 2.0)
-    ac = theta**2 * (alpha * (alpha + 1.0) / 2.0 + alpha * beta / 2.0
-                     + beta**2 / 8.0 + beta / 4.0)
-    P, X = pop.P, pop.xbar
-    cp2, rcx, _, cx2, _, _ = _moments(pop)
-    return TcConstants(
-        theta=theta, bc=bc, ac=ac,
-        delta1=P**2 * (1.0 + f * (cp2 - 4.0 * bc * rcx + (bc**2 + 2.0 * ac) * cx2)),
-        delta2=P * X * f * (2.0 * bc * cx2 - rcx),
-        delta3=X**2 * f * cx2,
-        delta4=P**2 * (1.0 + f * (ac * cx2 - bc * rcx)),
-        delta5=P * X * f * bc * cx2,
-    )
-
-
-def _tc_shown(cfg, pop: PopulationParams, f: float) -> dict[str, float]:
-    tcc = tc_constants(cfg, pop, f)
-    return {"q1": cfg.q1, "q2": cfg.q2, "theta": tcc.theta, "bc": tcc.bc, "ac": tcc.ac}
-
-
-# --- two-term weighted family (m1, m2) --------------------------------------------
+    return TcConstants(*_tc_terms(cfg, pop, f))
 
 
 @dataclass(frozen=True)
@@ -303,19 +296,18 @@ class T3Constants(_TwoWeight):
     e: float
 
     _terms = attrgetter("a", "d", "c", "b", "e")
-    _pair, _family, _relative = "(m1, m2)", "two-term family", True
+    _shape = _T3
 
 
-def t3_constants(cfg: T3Config, pop: PopulationParams, f: float) -> T3Constants:
-    """Expansion constants of the two-term family at the switches (gamma, g,
-    delta) of ``cfg``; its weights are not read.
+def _t3_terms(cfg: T3Config, pop: PopulationParams, f: float, c=None) -> tuple[float, ...]:
+    """``T3Constants``'s fields in the order of its system, (a, d, c, b, e).
 
     Each channel mean pairs with the moments of its own deviation channel:
     ``b`` with the mean channel (rho_pb*cp*cx, cx^2), ``e`` with the variance
     channel (cp*lambda12, lambda04 - 1).
     """
     gamma, g, delta = cfg.gamma, cfg.g, cfg.delta
-    cp2, rcx, cl12, cx2, cl03, l4m1 = _moments(pop)
+    cp2, rcx, cl12, cx2, cl03, l4m1 = c or _moments(pop)
     a = 1.0 + f * (cp2 - 4.0 * gamma * g * rcx + gamma**2 * g * (2.0 * g + 1.0) * cx2)
     b = 1.0 - gamma * g * f * rcx + g * (g + 1.0) / 2.0 * gamma**2 * f * cx2
     c = 1.0 + f * (cp2 - 2.0 * delta * cl12
@@ -324,6 +316,13 @@ def t3_constants(cfg: T3Config, pop: PopulationParams, f: float) -> T3Constants:
                    - 2.0 * gamma * g * rcx + gamma * delta * g / 2.0 * cl03
                    + g * (g + 1.0) / 2.0 * gamma**2 * cx2)
     e = 1.0 - delta / 2.0 * f * cl12 + delta * (delta + 2.0) / 8.0 * f * l4m1
+    return a, d, c, b, e
+
+
+def t3_constants(cfg: T3Config, pop: PopulationParams, f: float) -> T3Constants:
+    """Expansion constants of the two-term family at the switches (gamma, g,
+    delta) of ``cfg``; its weights are not read."""
+    a, d, c, b, e = _t3_terms(cfg, pop, f)
     return T3Constants(a=a, b=b, c=c, d=d, e=e)
 
 
@@ -334,13 +333,10 @@ def t3_constants(cfg: T3Config, pop: PopulationParams, f: float) -> T3Constants:
 class Family:
     """One estimator kind: its configuration class ``params`` (None for
     ``usual`` and ``ta``), its report name ``label`` where that is not the
-    kind, and its first-order theory.
-
-    ``constants`` names the fields of ``params`` that default to None, which
-    have a population-optimal value. Every function takes a configuration,
-    the population and the design factor: ``mse`` returns the MSE at the
-    constants the configuration holds, ``min_mse`` the MSE at the optimum,
-    and ``optimum`` the optimal values of ``constants``.
+    kind, and its first-order theory, each part a function of ``(cfg, pop, f,
+    t=None)`` with terms ``t = _terms(cfg, pop, f, c)``: ``mse`` at the
+    constants ``cfg`` holds, ``min_mse`` at the optimum, ``bias``, and the
+    ``optimum`` of ``constants``, the fields of ``params`` that default to None.
 
     ``census`` holds the limits of ``constants`` under a census design
     (f = 0), where a family whose weight system is then singular (there is no
@@ -355,41 +351,47 @@ class Family:
     min_mse: Callable[..., float]
     params: type | None = None
     label: str | None = None
-    optimum: Callable[..., tuple[float, ...]] = lambda cfg, pop, f: ()
+    optimum: Callable[..., tuple[float, ...]] = lambda cfg, pop, f, t=None: ()
     census: tuple[float, ...] = ()
-    bias: Callable[..., float] = lambda cfg, pop, f: 0.0
+    bias: Callable[..., float] = lambda cfg, pop, f, t=None: 0.0
     shown: Callable[..., dict[str, float]] = (
-        lambda cfg, pop, f: {} if cfg is None else dict(vars(cfg)))
+        lambda cfg, t: {} if cfg is None else dict(vars(cfg)))
+    _terms: Callable[..., tuple | None] = lambda cfg, pop, f, c=None: c or _moments(pop)
     formulas: dict[str, str] = field(default_factory=dict)
     fixed_formulas: dict[str, str] = field(default_factory=dict)
     census_formulas: dict[str, str] = field(default_factory=dict)
     constants: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "constants", () if self.params is None else tuple(
-            f.name for f in fields(self.params) if f.default is None))
+        keys = () if self.params is None else fields(self.params)
+        object.__setattr__(self, "constants", tuple(k.name for k in keys if k.default is None))
 
-    def resolve(self, cfg, pop: PopulationParams, f: float):
+    def resolve(self, cfg, pop: PopulationParams, f: float, t=None):
         """``cfg`` with every ``None`` constant replaced by its optimum, or by
         its census limit when f = 0."""
         given = [getattr(cfg, name) for name in self.constants]
         if None not in given:
             return cfg
-        best = self.census if f == 0.0 and self.census else self.optimum(cfg, pop, f)
+        best = self.census if f == 0.0 and self.census else self.optimum(cfg, pop, f, t)
         return replace(cfg, **{name: limit if value is None else value
                                for name, value, limit in zip(self.constants, given, best)})
 
     def _free(self, cfg) -> bool:
         return all(getattr(cfg, name) is None for name in self.constants)
 
-    def table_mse(self, cfg) -> Callable[[PopulationParams, float], float]:
+    def table_mse(self, cfg) -> Callable[..., float]:
         """The MSE an efficiency table reports for ``cfg``, as a function of
-        the population and the design factor: the minimum when every constant
-        is free, else the MSE at the given constants (the free ones at their
-        optimum)."""
-        if self._free(cfg):
-            return partial(self.min_mse, cfg)
-        return lambda pop, f: self.mse(self.resolve(cfg, pop, f), pop, f)
+        (pop, f, c=None): the minimum when every constant is free, else the MSE
+        at the given constants (the free ones at their optimum)."""
+        terms = self._terms
+        if not self._free(cfg):
+            def given(pop, f, c=None):
+                t = terms(cfg, pop, f, c)
+                return self.mse(self.resolve(cfg, pop, f, t), pop, f, t)
+            return given
+        if self.params and len(fields(self.params)) > len(self.constants):  # reads a setting
+            return lambda pop, f, c=None: self.min_mse(cfg, pop, f, terms(cfg, pop, f, c))
+        return _least(terms, self.min_mse)
 
     def table_formulas(self, cfg) -> dict[str, str]:
         """The formulas a table row for ``cfg`` quotes: ``formulas``, updated
@@ -398,28 +400,40 @@ class Family:
         return self.formulas if self._free(cfg) else {**self.formulas, **self.fixed_formulas}
 
 
+@functools.cache
+def _least(terms: Callable, least: Callable) -> Callable[..., float]:
+    """The table MSE of a free row that reads no field of its configuration:
+    one function per minimum, so that ``t1`` and ``t2`` can share a value."""
+    return lambda pop, f, c=None: least(None, pop, f, terms(None, pop, f, c))
+
+
 _RATIO = T1Config(alpha=1.0, beta=0.0)  # the ratio estimate ta is t1 at (1, 0)
 _UNBIASED_LINEAR = "0 (linear member is first-order unbiased)"
+_usual = lambda cfg, pop, f, t=None: var_usual(pop, f)
+_ratio = lambda cfg, pop, f, c=None: _power_mse(_RATIO, pop, f, c)
+_tc = lambda cfg, pop, f, t: t or _tc_terms(cfg, pop, f)
+_t3 = lambda cfg, pop, f, t: t or _t3_terms(cfg, pop, f)
 
 FAMILIES: dict[str, Family] = {
-    "usual": Family(lambda cfg, pop, f: var_usual(pop, f),
-                    lambda cfg, pop, f: var_usual(pop, f), label="p",
+    "usual": Family(_usual, _usual, label="p", _terms=lambda cfg, pop, f, c=None: None,
                     formulas={"mse": "var_usual: f*P^2*cp^2",
                               "bias": "0 (exactly unbiased)"}),
-    "ta": Family(lambda cfg, pop, f: _power_mse(_RATIO, pop, f),
-                 lambda cfg, pop, f: _power_mse(_RATIO, pop, f),
-                 bias=lambda cfg, pop, f: _power_bias(_RATIO, pop, f),
+    "ta": Family(_ratio, _ratio, bias=lambda cfg, pop, f, c=None: _power_bias(_RATIO, pop, f, c),
                  formulas={"mse": "mse_ta: f*P^2*(cp^2+cx^2-2*rho_pb*cp*cx)",
                            "bias": "bias_ta: f*P*(cx^2-rho_pb*cp*cx)"}),
-    "tb": Family(lambda cfg, pop, f: _linear_mse(T2Config(h1=cfg.h1, h2=0.0), pop, f),
+    "tb": Family(lambda cfg, pop, f, c=None: _linear_mse(T2Config(h1=cfg.h1, h2=0.0), pop, f, c),
                  _tb_min_mse, TbConfig, optimum=_tb_optimum,
                  formulas={"mse": "min_mse_tb: f*P^2*cp^2*(1-rho_pb^2)",
                            "bias": _UNBIASED_LINEAR}),
-    "tc": Family(lambda cfg, pop, f: tc_constants(cfg, pop, f).mse(pop, cfg.q1, cfg.q2),
-                 lambda cfg, pop, f: tc_constants(cfg, pop, f).min_mse(pop),
-                 TcConfig, optimum=lambda cfg, pop, f: tc_constants(cfg, pop, f).optimum(),
-                 census=(1.0, 0.0), shown=_tc_shown,
-                 bias=lambda cfg, pop, f: tc_constants(cfg, pop, f).bias(pop, cfg.q1, cfg.q2),
+    "tc": Family(lambda cfg, pop, f, t=None: _pair_mse(_tc(cfg, pop, f, t), pop.P, _TC,
+                                                        cfg.q1, cfg.q2),
+                 lambda cfg, pop, f, t=None: _pair_min_mse(_tc(cfg, pop, f, t), pop.P, _TC),
+                 TcConfig, census=(1.0, 0.0), _terms=_tc_terms,
+                 optimum=lambda cfg, pop, f, t=None: _pair_optimum(_tc(cfg, pop, f, t), _TC),
+                 bias=lambda cfg, pop, f, t=None: _pair_bias(_tc(cfg, pop, f, t), pop.P, _TC,
+                                                             cfg.q1, cfg.q2),
+                 shown=lambda cfg, t: {"q1": cfg.q1, "q2": cfg.q2,
+                                       "theta": t[0], "bc": t[1], "ac": t[2]},
                  formulas={"mse": "tc_min_mse: P^2-(d1*d5^2+d3*d4^2-2*d2*d4*d5)/(d1*d3-d2^2)",
                            "bias": "tc_bias: P*(q1-1)+f*((q2*X*bc+q1*P*ac)*cx^2"
                                    "-q1*P*bc*rho_pb*cp*cx)"},
@@ -428,29 +442,32 @@ FAMILIES: dict[str, Family] = {
                                         "-2*q1*d4-2*q2*d5"},
                  census_formulas={"mse": "census: f=0 collapses every first-order MSE",
                                   "bias": "census"}),
-    "t1": Family(_power_mse, _schur_min_mse, T1Config,
-                 optimum=lambda cfg, pop, f: _regression(pop)[:2],
-                 bias=_power_bias,
+    "t1": Family(_power_mse, _schur_min_mse, T1Config, bias=_power_bias,
+                 optimum=lambda cfg, pop, f, c=None: _regression(c or _moments(pop)),
                  formulas={"mse": "t1_min_mse: f*P^2*cp^2*(1-rho^2-(lambda03*rho-lambda12)^2/gap)",
                            "bias": "t1_bias at the optimal exponents"}),
     "t2": Family(_linear_mse, _schur_min_mse, T2Config,
-                 optimum=lambda cfg, pop, f: tuple(-pop.P * w for w in _regression(pop)[:2]),
+                 optimum=lambda cfg, pop, f, c=None: tuple(
+                     -pop.P * w for w in _regression(c or _moments(pop))),
                  formulas={"mse": "t2_min_mse == t1_min_mse (identical closed forms)",
                            "bias": _UNBIASED_LINEAR}),
-    "t3": Family(lambda cfg, pop, f: _check_mse(t3_constants(cfg, pop, f).mse(pop, cfg.m1, cfg.m2),
-                                                pop.P**2, "two-term family MSE"),
-                 lambda cfg, pop, f: t3_constants(cfg, pop, f).min_mse(pop),
-                 T3Config, optimum=lambda cfg, pop, f: t3_constants(cfg, pop, f).optimum(),
-                 census=(0.5, 0.5),
-                 bias=lambda cfg, pop, f: t3_constants(cfg, pop, f).bias(pop, cfg.m1, cfg.m2),
-                 shown=lambda cfg, pop, f: {**vars(cfg), **vars(t3_constants(cfg, pop, f))},
+    "t3": Family(lambda cfg, pop, f, t=None: _check_mse(
+                     _pair_mse(_t3(cfg, pop, f, t), pop.P, _T3, cfg.m1, cfg.m2),
+                     pop.P**2, "two-term family MSE"),
+                 lambda cfg, pop, f, t=None: _pair_min_mse(_t3(cfg, pop, f, t), pop.P, _T3),
+                 T3Config, census=(0.5, 0.5), _terms=_t3_terms,
+                 optimum=lambda cfg, pop, f, t=None: _pair_optimum(_t3(cfg, pop, f, t), _T3),
+                 bias=lambda cfg, pop, f, t=None: _pair_bias(_t3(cfg, pop, f, t), pop.P, _T3,
+                                                             cfg.m1, cfg.m2),
+                 shown=lambda cfg, t: {**vars(cfg), "a": t[0], "b": t[3], "c": t[2],
+                                       "d": t[1], "e": t[4]},
                  formulas={"mse": "t3_min_mse: P^2*(1-(b^2*c-2*b*d*e+a*e^2)/(a*c-d^2))",
                            "bias": "t3_bias: -P*(1-m1*b-m2*e)"},
                  census_formulas={"mse": "census", "bias": "census"}),
 }
 
 
-# --- efficiency ------------------------------------------------------------------
+# --- efficiency and report ---------------------------------------------------------
 
 
 def pre(mse_baseline: float, mse: float) -> float:
@@ -458,9 +475,6 @@ def pre(mse_baseline: float, mse: float) -> float:
     if not mse > 0.0:
         raise NonpositiveMse(f"efficiency needs a positive MSE, got {mse}")
     return 100.0 * (mse_baseline / mse)
-
-
-# --- report ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -484,16 +498,13 @@ class TheoryReport:
         return {row.name: row for row in self.entries}[name]
 
 
-def _t3_label(cfg: T3Config) -> str:
-    return f"t3(g={cfg.g:g},d={cfg.delta:g})"
-
-
 def _table(config: TableConfig) -> list[tuple[str, str, object]]:
     """Name, kind and configuration of every row of an efficiency table: one
     row per kind at its default configuration, except that ``tc`` takes
     ``config.tc`` and ``t3`` has one row per switch variant."""
     given = {"tc": (config.tc,), "t3": config.t3_configs()}
-    return [(_t3_label(cfg) if kind == "t3" else family.label or kind, kind, cfg)
+    return [(f"t3(g={cfg.g:g},d={cfg.delta:g})" if kind == "t3" else family.label or kind,
+             kind, cfg)
             for kind, family in FAMILIES.items()
             for cfg in given.get(kind, (family.params and family.params(),))]
 
@@ -508,22 +519,24 @@ def theory_report(pop: PopulationParams, design: Design,
     f = design.f
     census = f == 0.0
     baseline = var_usual(pop, f)
+    try:
+        c = _moments(pop)
+    except OverflowError:  # raised again by the first row that reads C, after p's
+        c = None
     entries: list[EstimatorTheory] = []
     for name, kind, cfg in _table(config or TableConfig()):
         family = FAMILIES[kind]
         if census and family.census:
             bias, mse, constants, formulas = 0.0, 0.0, {}, family.census_formulas
-        else:
-            resolved = family.resolve(cfg, pop, f)
-            bias = family.bias(resolved, pop, f)
-            mse = family.table_mse(cfg)(pop, f)
-            constants, formulas = family.shown(resolved, pop, f), family.table_formulas(cfg)
-        entries.append(EstimatorTheory(
-            name=name, bias=bias, mse=mse,
-            pre=None if census else pre(baseline, mse),
-            constants=constants,
-            formulas={**formulas, "pre": "100*mse(p)/mse"},
-        ))
+        else:  # the row's terms, read once
+            t = family._terms(cfg, pop, f, c)
+            resolved = family.resolve(cfg, pop, f, t)
+            bias = family.bias(resolved, pop, f, t)
+            mse = (family.min_mse(cfg, pop, f, t) if family._free(cfg)
+                   else family.mse(resolved, pop, f, t))
+            constants, formulas = family.shown(resolved, t), family.table_formulas(cfg)
+        entries.append(EstimatorTheory(name, bias, mse, None if census else pre(baseline, mse),
+                                       constants, {**formulas, "pre": "100*mse(p)/mse"}))
     return TheoryReport(design=design, entries=tuple(entries))
 
 
@@ -535,8 +548,7 @@ class ConditionResult:
     """One dominance predicate ``mse_candidate <= mse_reference`` with slack.
 
     ``holds`` is None when one side could not be evaluated (for example an
-    indefinite quadratic form at a large design factor); ``error`` then says
-    why.
+    indefinite quadratic form at a large design factor); ``error`` says why.
     """
 
     name: str
@@ -564,40 +576,32 @@ def comparison_conditions(pop: PopulationParams, f: float,
     config = config or TableConfig()
     v = var_usual(pop, f)
     tol = 1e-12 * max(v, 1.0)
+    c = _moments(pop)
+    try:
+        alpha, beta = _regression(c)
+        guaranteed = f * pop.P**2 * (alpha * c[1] + beta * c[2]) >= -tol
+    except DegenerateMoments:
+        guaranteed = None
 
-    def build(name: str, candidate: Callable[[], float],
-              reference: Callable[[], float],
-              guaranteed: bool | None = None) -> ConditionResult:
+    def side(kind: str, cfg) -> float | str:
+        """The table MSE of ``cfg``, evaluated once, or the text of its error."""
         try:
-            cand = candidate()
-            ref = reference()
+            return FAMILIES[kind].table_mse(cfg)(pop, f, c)
         except (NumericalError, DataError, OverflowError) as exc:
-            return ConditionResult(name=name, candidate_mse=math.nan,
-                                   reference_mse=math.nan, holds=None,
-                                   slack=math.nan, guaranteed=guaranteed,
-                                   error=overflow_message(exc)
-                                   if isinstance(exc, OverflowError) else str(exc))
-        return ConditionResult(name=name, candidate_mse=cand, reference_mse=ref,
-                               holds=cand <= ref + tol, slack=ref - cand,
-                               guaranteed=guaranteed)
+            return overflow_message(exc) if isinstance(exc, OverflowError) else str(exc)
 
-    def first_guarantee() -> bool | None:
-        try:
-            alpha, beta, c = _regression(pop)
-        except DegenerateMoments:
-            return None
-        return f * pop.P**2 * (alpha * c[1] + beta * c[2]) >= -tol
+    def build(name: str, cand: float | str, ref: float | str,
+              guaranteed: bool | None = None) -> ConditionResult:
+        error = next((x for x in (cand, ref) if isinstance(x, str)), None)
+        if error is not None:
+            return ConditionResult(name, math.nan, math.nan, None, math.nan, guaranteed, error)
+        return ConditionResult(name, cand, ref, cand <= ref + tol, ref - cand, guaranteed)
 
-    mse_t1 = partial(FAMILIES["t1"].table_mse(T1Config()), pop, f)
-    mse_t3 = partial(FAMILIES["t3"].table_mse(config.t3_configs()[0]), pop, f)
-    mse_tc = partial(FAMILIES["tc"].table_mse(config.tc), pop, f)
-
-    return (
-        build("t1_t2_vs_usual", mse_t1, lambda: v, guaranteed=first_guarantee()),
-        build("t3_vs_usual", mse_t3, lambda: v),
-        build("t3_vs_t2", mse_t3, mse_t1),
-        build("t3_vs_tc", mse_t3, mse_tc),
-    )
+    mse_t1 = side("t1", T1Config())
+    mse_t3 = side("t3", config.t3_configs()[0])
+    mse_tc = side("tc", config.tc)
+    return (build("t1_t2_vs_usual", mse_t1, v, guaranteed), build("t3_vs_usual", mse_t3, v),
+            build("t3_vs_t2", mse_t3, mse_t1), build("t3_vs_tc", mse_t3, mse_tc))
 
 
 # --- rounding-sensitivity scan ------------------------------------------------------
@@ -631,24 +635,15 @@ _SCAN_FIELDS = ("cp", "cx", "rho_pb", "lambda03", "lambda04", "lambda12")
 def _scan_points(digits: int) -> list[tuple[float, ...]]:
     """Deterministic scan offsets: center, axis points, then all corners."""
     h = 0.5 * 10.0**-digits
-    points: list[tuple[float, ...]] = [(0.0,) * 6]
-    for i in range(6):
-        for sign in (-1.0, 1.0):
-            offsets = [0.0] * 6
-            offsets[i] = sign * h
-            points.append(tuple(offsets))
-    points.extend(
-        tuple(s * h for s in corner)
-        for corner in itertools.product((-1.0, 1.0), repeat=6)
-    )
-    return points
+    axes = [tuple(sign * h if i == axis else 0.0 for i in range(6))
+            for axis in range(6) for sign in (-1.0, 1.0)]
+    corners = [tuple(s * h for s in corner) for corner in itertools.product((-1.0, 1.0), repeat=6)]
+    return [(0.0,) * 6, *axes, *corners]
 
 
 def _perturbed(pop: PopulationParams, offsets: tuple[float, ...]) -> PopulationParams:
     """``pop`` moved by ``offsets`` along ``_SCAN_FIELDS``, with ``sx2`` and
-    ``sp2`` derived from the moved ``cx`` and ``cp``. One constructor call
-    builds and validates the point, without ``dataclasses.replace``'s walk
-    over the fields."""
+    ``sp2`` derived from the moved ``cx`` and ``cp``, in one constructor call."""
     d_cp, d_cx, d_rho, d_03, d_04, d_12 = offsets
     cp, cx = pop.cp + d_cp, pop.cx + d_cx
     return PopulationParams(N=pop.N, P=pop.P, xbar=pop.xbar, sx2=(cx * pop.xbar) ** 2,
@@ -685,18 +680,23 @@ def sensitivity(pop: PopulationParams, f: float, config: TableConfig | None = No
         except (ToolkitError, OverflowError):
             continue
         baseline = var_usual(q, f)
+        try:
+            c = _moments(q)
+        except OverflowError:  # every row reads C
+            continue
+        last = None
         for j, mse in enumerate(mses):
-            try:
-                value = pre(baseline, mse(q, f))
-            except (ToolkitError, OverflowError):
-                continue
-            found[j].append(value)
-            if k == 0:
-                center[j] = value
-    return SensitivityReport(
-        digits=digits, step=0.5 * 10.0**-digits,
-        intervals=tuple(
-            PreInterval(name=name, point=point,
-                        low=min(values, default=None), high=max(values, default=None),
-                        unstable=len(points) - len(values), points=len(points))
-            for (name, _, _), point, values in zip(rows, center, found)))
+            if mse is not last:  # t1 and t2 share one function, and one value
+                last = mse
+                try:
+                    value = pre(baseline, mse(q, f, c))
+                except (ToolkitError, OverflowError):
+                    value = None
+            if value is not None:
+                found[j].append(value)
+                if k == 0:
+                    center[j] = value
+    return SensitivityReport(digits, 0.5 * 10.0**-digits, tuple(
+        PreInterval(name, point, min(values, default=None), max(values, default=None),
+                    len(points) - len(values), len(points))
+        for (name, _, _), point, values in zip(rows, center, found)))

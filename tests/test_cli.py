@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -362,6 +363,42 @@ class TestSensitivityCommand:
         doc = json.loads(out.read_text())
         rows = {row["name"]: row for row in doc["sensitivity"]["intervals"]}
         assert f"{rows['tc']['point']:.2f}" == "189.21"
+
+
+def _run_piped(argv: list[str], data: bytes) -> subprocess.CompletedProcess:
+    """``propaux`` in a fresh interpreter from this checkout, ``data`` on stdin."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "propaux.cli", *argv], env=env, input=data,
+                          capture_output=True, timeout=120)
+
+
+class TestPipedInput:
+    """A report read from a pipe names the bytes it parsed, read once."""
+
+    @pytest.mark.parametrize("command", [["theory"], ["sensitivity", "--digits", "3"]])
+    def test_params_on_stdin(self, ref_params_path, tmp_path, command):
+        data, out = ref_params_path.read_bytes(), tmp_path / "out.json"
+        done = _run_piped([*command, "--params", "/dev/stdin", "--output", str(out)], data)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert json.loads(out.read_text())["input_digest"] == hashlib.sha256(data).hexdigest()
+        # the same report as from the file itself
+        from_file = tmp_path / "file.json"
+        assert main([*command, "--params", str(ref_params_path), "--output", str(from_file)]) == 0
+        assert out.read_bytes() == from_file.read_bytes()
+
+    def test_simulate_on_a_piped_csv(self, pop_csv, tmp_path):
+        # a canonical CSV on a pipe keeps off numpy's C reader, which would
+        # open /dev/stdin again, read nothing and warn
+        data, out = pop_csv.read_bytes(), tmp_path / "sim.json"
+        argv = ["--n", "6", "--reps", "200", "--seed", "1"]
+        done = _run_piped(["simulate", "--input", "/dev/stdin", *argv, "--output", str(out)], data)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert json.loads(out.read_text())["input_digest"] == hashlib.sha256(data).hexdigest()
+        from_file = tmp_path / "file.json"
+        assert main(["simulate", "--input", str(pop_csv), *argv, "--output", str(from_file)]) == 0
+        assert out.read_bytes() == from_file.read_bytes()
 
 
 class TestExitCodes:

@@ -572,6 +572,20 @@ class TestComparisonConditions:
         assert by_name["t3_vs_usual"].error is None
 
 
+    def test_each_side_is_evaluated_once(self, ref_pop, ref_design, monkeypatch):
+        # t3 sits on three conditions and t1 on two; each is evaluated once
+        evaluated = []
+        table_mse = theory.Family.table_mse
+
+        def counted(family, cfg):
+            mse = table_mse(family, cfg)
+            return lambda *args: evaluated.append(type(cfg).__name__) or mse(*args)
+
+        monkeypatch.setattr(theory.Family, "table_mse", counted)
+        theory.comparison_conditions(ref_pop, ref_design.f, TableConfig(tc=TcConfig(q1=1.0)))
+        assert sorted(evaluated) == ["T1Config", "T3Config", "TcConfig"]
+
+
 class TestTheoryReport:
     def test_reference_report(self, ref_pop, ref_design):
         report = theory.theory_report(ref_pop, ref_design)
@@ -644,7 +658,111 @@ class TestOneTableMse:
         assert conditions[3].candidate_mse == report.entries[6].mse
 
 
+def _scan_oracle(pop, f, config, digits):
+    """The scan as each row composed it on its own: at every point, the PRE
+    of ``FAMILIES[kind].table_mse(cfg)(q, f)``, which forms its own terms."""
+    rows = theory._table(config)[1:]
+    points = theory._scan_points(digits)
+    found, center = [[] for _ in rows], [None] * len(rows)
+    for k, offsets in enumerate(points):
+        try:
+            q = theory._perturbed(pop, offsets)
+        except (ToolkitError, OverflowError):
+            continue
+        baseline = theory.var_usual(q, f)
+        for j, (_, kind, cfg) in enumerate(rows):
+            try:
+                value = theory.pre(baseline, theory.FAMILIES[kind].table_mse(cfg)(q, f))
+            except (ToolkitError, OverflowError):
+                continue
+            found[j].append(value)
+            if k == 0:
+                center[j] = value
+    return [(name, point, min(values, default=None), max(values, default=None),
+             len(points) - len(values), len(points))
+            for (name, _, _), point, values in zip(rows, center, found)]
+
+
+def _scanned(pop, f, config, digits):
+    report = theory.sensitivity(pop, f, config, digits)
+    return [(i.name, i.point, i.low, i.high, i.unstable, i.points) for i in report.intervals]
+
+
+def _boundary_cases(plain_pop, ref_pop, ref_design):
+    """The boundary populations of ``TestSensitivity``: unstable corners,
+    overflowing and invalid points, an overflowing transform, a null step."""
+    xbar = math.sqrt(sys.float_info.max) / plain_pop.cx * (1.0 - 1e-5)
+    return [
+        (dataclasses.replace(plain_pop, rho_pb=0.0, lambda03=0.0, lambda04=2.0,
+                             lambda12=0.99999), F_PLAIN, TableConfig(), 1),
+        (dataclasses.replace(plain_pop, xbar=xbar, sx2=(plain_pop.cx * xbar) ** 2),
+         F_PLAIN, TableConfig(), 3),
+        (dataclasses.replace(plain_pop, rho_pb=1.0), F_PLAIN, TableConfig(), 3),
+        (ref_pop, ref_design.f, TableConfig(tc=TcConfig(alpha=1e200)), 3),
+        (ref_pop, ref_design.f, TableConfig(tc=TcConfig(a=-1.0, q1=1.0)), 2),
+        (ref_pop, ref_design.f, TableConfig(), 50),
+    ]
+
+
+def _outcome(mse, *args):
+    try:
+        return repr(mse(*args))
+    except (ToolkitError, OverflowError) as exc:
+        return type(exc)
+
+
+def _public_table_mse(kind, cfg, q, f):
+    """A row's table MSE through the public API alone."""
+    family = theory.FAMILIES[kind]
+    if all(getattr(cfg, name) is None for name in family.constants):
+        return family.min_mse(cfg, q, f)
+    return family.mse(family.resolve(cfg, q, f), q, f)
+
+
 class TestSensitivity:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), q1=_TC_WEIGHT, q2=_TC_WEIGHT,
+           digits=st.integers(1, 3), small_sample=st.booleans())
+    def test_scan_matches_the_per_row_composition(self, seed, q1, q2, digits, small_sample):
+        # free, half-fixed and fixed tc weights; at n = 2 many points fail
+        pop, f = well_posed_params(np.random.default_rng(seed))
+        if small_sample:
+            f = 1 / 2 - 1 / pop.N
+        config = TableConfig(tc=TcConfig(q1=q1, q2=q2))
+        assert repr(_scanned(pop, f, config, digits)) == repr(
+            _scan_oracle(pop, f, config, digits))
+
+    def test_boundary_scans_match_the_per_row_composition(self, plain_pop, ref_pop,
+                                                          ref_design):
+        for pop, f, config, digits in _boundary_cases(plain_pop, ref_pop, ref_design):
+            assert repr(_scanned(pop, f, config, digits)) == repr(
+                _scan_oracle(pop, f, config, digits))
+
+    def test_flat_rows_fail_as_the_public_api_does(self, plain_pop, ref_pop, ref_design):
+        # each row given the point's C raises the class the public API raises
+        rng = np.random.default_rng(7)
+        cases = _boundary_cases(plain_pop, ref_pop, ref_design)
+        for _ in range(6):
+            pop, _ = well_posed_params(rng)
+            cases.append((pop, 1 / 2 - 1 / pop.N, TableConfig(tc=TcConfig(q2=0.5)), 1))
+        gapless = ParamsDocument.from_dict(dict(REF, lambda03=0.0, lambda04=1.0, lambda12=0.0))
+        cases.append((gapless.params, gapless.design.f, TableConfig(), 3))
+        failed = set()
+        for pop, f, config, digits in cases:
+            for offsets in theory._scan_points(digits):
+                try:
+                    q = theory._perturbed(pop, offsets)
+                    c = theory._moments(q)
+                except (ToolkitError, OverflowError):
+                    continue
+                for _, kind, cfg in theory._table(config)[1:]:
+                    flat = _outcome(theory.FAMILIES[kind].table_mse(cfg), q, f, c)
+                    assert flat == _outcome(_public_table_mse, kind, cfg, q, f), (kind, cfg)
+                    if isinstance(flat, type):
+                        failed.add(flat.__name__)
+        assert failed == {"DegenerateMoments", "NegativeMse", "NonpositiveTransform",
+                          "OverflowError", "SingularSystem"}
+
     def test_negligible_perturbation_degenerates(self, ref_pop, ref_design):
         report = theory.sensitivity(ref_pop, ref_design.f, digits=50)
         for interval in report.intervals:
