@@ -16,7 +16,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -48,10 +47,10 @@ _FAMILY_FLAGS = {"estimate": tuple(kind for kind, fam in theory.FAMILIES.items()
 def _family_help(command: str, kind: str) -> str:
     """The help of ``command``'s ``--<kind>``: the keys it may set, each with
     its default, read from the kind's parameter class."""
-    keys = fields(theory.FAMILIES[kind].params)
+    defaults = theory.FAMILIES[kind].params._field_defaults
     only = command in _TABLE_COMMANDS and kind == "t3"
-    text = ", ".join(f"{key.name}={'optimal' if key.default is None else f'{key.default:g}'}"
-                     for key in keys if not only or key.name == "gamma")
+    text = ", ".join(f"{name}={'optimal' if default is None else f'{default:g}'}"
+                     for name, default in defaults.items() if not only or name == "gamma")
     return f"keys and defaults: {text}" + (" (only gamma can be set here)" if only else "")
 
 
@@ -59,8 +58,8 @@ def _table_config(args) -> TableConfig:
     kwargs = _subconfigs(args)
     if "t3" in kwargs:
         t3 = kwargs.pop("t3")
-        default = vars(T3Config(gamma=t3.gamma))
-        fixed = [name for name, value in vars(t3).items() if value != default[name]]
+        fixed = [name for name, value, default in zip(t3._fields, t3, T3Config(gamma=t3.gamma))
+                 if value != default]
         if fixed:
             raise CliUsageError(f"--t3 sets only gamma here; the table fixes {', '.join(fixed)}")
         kwargs["t3_gamma"] = t3.gamma
@@ -104,7 +103,7 @@ def _parse_indices(spec: str, size: int) -> list[int]:
 
 def _table_configurations(config: TableConfig, **leading) -> dict:
     """The ``configurations`` of a report on an efficiency table."""
-    return {**leading, "tc": vars(config.tc), "t3_gamma": config.t3_gamma,
+    return {**leading, "tc": config.tc._asdict(), "t3_gamma": config.t3_gamma,
             "t3_variants": list(T3_TABLE_VARIANTS)}
 
 
@@ -203,7 +202,7 @@ def _cmd_estimate(args) -> int:
 def _config_dict(cfg: EstimatorConfig) -> dict:
     if cfg.params is None:
         return {"kind": cfg.kind}
-    return {"kind": cfg.kind, cfg.kind: vars(cfg.params)}
+    return {"kind": cfg.kind, cfg.kind: cfg.params._asdict()}
 
 
 def _cmd_simulate(args) -> int:

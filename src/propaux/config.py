@@ -3,6 +3,8 @@
 Constants that admit a population-optimal value are declared as
 ``float | None`` and default to ``None``, which means "resolve to the
 population-optimal value when the population parameters are known".
+Each configuration is a ``NamedTuple``: immutable, compared as a tuple, and
+copied with changes by ``_replace``; ``from_kv`` parses its CLI flag text.
 
 ``ascii_number`` is the grammar of every number the command line reads:
 the configuration values here, the integer arguments and sample indices.
@@ -11,7 +13,7 @@ the configuration values here, the integer arguments and sample indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 
 def ascii_number(text: str, number_type: type = float) -> float | int:
@@ -40,45 +42,42 @@ def _parse_value(raw: str) -> float | None:
     return value
 
 
-class _FromKv:
-    """Mixin of the per-family configurations: parsing of CLI flag text."""
+@classmethod
+def _from_kv(cls, text: str):  # each configuration's ``from_kv``
+    """Build a config from ``key=value,key=value`` text (CLI syntax).
 
-    @classmethod
-    def from_kv(cls, text: str):
-        """Build a config from ``key=value,key=value`` text (CLI syntax).
-
-        ``optimal`` is accepted only for the fields that default to None,
-        which have a population-optimal value."""
-        kwargs = {}
-        defaults = {f.name: f.default for f in fields(cls)}
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, raw = part.partition("=")
-            key = key.strip()
-            if not sep or key not in defaults:
-                raise ValueError(f"unknown or malformed option {part!r} for {cls.__name__}")
-            try:
-                kwargs[key] = _parse_value(raw)
-            except ValueError:
-                raise ValueError(f"cannot parse value in {part!r}") from None
-            if kwargs[key] is None and defaults[key] is not None:
-                optimal = ", ".join(name for name, value in defaults.items() if value is None)
-                raise ValueError(f"{key} has no optimal value in {part!r}; "
-                                 f"{cls.__name__} resolves only {optimal}")
-        return cls(**kwargs)
+    ``optimal`` is accepted only for the fields that default to None,
+    which have a population-optimal value."""
+    kwargs = {}
+    defaults = cls._field_defaults
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        key, sep, raw = part.partition("=")
+        key = key.strip()
+        if not sep or key not in defaults:
+            raise ValueError(f"unknown or malformed option {part!r} for {cls.__name__}")
+        try:
+            kwargs[key] = _parse_value(raw)
+        except ValueError:
+            raise ValueError(f"cannot parse value in {part!r}") from None
+        if kwargs[key] is None and defaults[key] is not None:
+            optimal = ", ".join(name for name, value in defaults.items() if value is None)
+            raise ValueError(f"{key} has no optimal value in {part!r}; "
+                             f"{cls.__name__} resolves only {optimal}")
+    return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class TbConfig(_FromKv):
+class TbConfig(NamedTuple):
     """Linear regression-type member; ``h1 = None`` means the optimal slope."""
 
     h1: float | None = None
 
+    from_kv = _from_kv
 
-@dataclass(frozen=True)
-class TcConfig(_FromKv):
+
+class TcConfig(NamedTuple):
     """Ratio/exponential transform family.
 
     ``a``, ``b``, ``alpha``, ``beta`` pick the auxiliary transform; the
@@ -92,25 +91,28 @@ class TcConfig(_FromKv):
     q1: float | None = None
     q2: float | None = None
 
+    from_kv = _from_kv
 
-@dataclass(frozen=True)
-class T1Config(_FromKv):
+
+class T1Config(NamedTuple):
     """Power-transform estimator; exponents default to the optimal pair."""
 
     alpha: float | None = None
     beta: float | None = None
 
+    from_kv = _from_kv
 
-@dataclass(frozen=True)
-class T2Config(_FromKv):
+
+class T2Config(NamedTuple):
     """Linear two-channel member; offsets default to the optimal pair."""
 
     h1: float | None = None
     h2: float | None = None
 
+    from_kv = _from_kv
 
-@dataclass(frozen=True)
-class T3Config(_FromKv):
+
+class T3Config(NamedTuple):
     """Two-term weighted family.
 
     ``gamma`` shifts the ratio channel, ``g`` and ``delta`` switch the ratio
@@ -124,13 +126,14 @@ class T3Config(_FromKv):
     m1: float | None = None
     m2: float | None = None
 
+    from_kv = _from_kv
+
 
 #: (g, delta) switch pairs reported in the standard efficiency table.
 T3_TABLE_VARIANTS: tuple[tuple[float, float], ...] = ((1.0, 1.0), (1.0, -1.0), (0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class TableConfig:
+class TableConfig(NamedTuple):
     """Configuration of a full theory/efficiency report."""
 
     tc: TcConfig = TcConfig()

@@ -239,7 +239,7 @@ def evaluate_batch(cfg: EstimatorConfig, pop: PopulationParams, p: np.ndarray,
     raises for that sample. Failed rows hold NaN, and every other row is
     finite.
     """
-    if cfg.params is not None and None in vars(cfg.params).values():
+    if cfg.params is not None and None in cfg.params:
         raise InvalidConfig(f"the {cfg.kind} configuration has unresolved constants")
     values, rows = _kernel(cfg, pop, np.asarray(p, dtype=np.float64),
                            np.asarray(xbar_s, dtype=np.float64),

@@ -49,11 +49,10 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, fields
 from io import StringIO
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .config import ascii_number
@@ -201,8 +200,8 @@ _REQUIRED_KEYS = ("n", "n_population", "p", "xbar", "rho_pb", "cp", "cx",
                   "lambda12", "lambda04", "lambda03")
 
 #: The document key of each ``PopulationParams`` field, in field order.
-_PARAM_KEYS = tuple((f.name, {"N": "n_population", "P": "p"}.get(f.name, f.name))
-                    for f in fields(PopulationParams))
+_PARAM_KEYS = tuple((name, {"N": "n_population", "P": "p"}.get(name, name))
+                    for name in PopulationParams._fields)
 
 PROVENANCE_FRAME = "computed-from-frame"
 PROVENANCE_USER = "user-supplied"
@@ -225,8 +224,7 @@ def _number(data: dict, key: str, *, integral: bool = False) -> float | int:
     return int(value) if integral else number
 
 
-@dataclass(frozen=True)
-class ParamsDocument:
+class ParamsDocument(NamedTuple):
     """Population parameters, design, and where the numbers came from."""
 
     params: PopulationParams
@@ -312,16 +310,18 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# The report rows are flat dataclasses, so a copy of each row's ``vars()``
-# has ``asdict``'s keys, in field order, and its values, without its deep
+# The theory rows are flat NamedTuples and the simulation rows flat
+# dataclasses, so each row's ``_asdict()``, or a copy of its ``vars()``, has
+# its field names as keys, in field order, and its values, without a deep
 # copy; an entry's ``constants`` and ``formulas`` dicts are shared, not copied.
+# ``json`` would write a NamedTuple as an array, so none is left in a section.
 
 
 def theory_report_dict(report: TheoryReport) -> dict:
     return {
         "design": {"n": report.design.n, "n_population": report.design.N,
                    "f": report.design.f},
-        "entries": [dict(vars(entry)) for entry in report.entries],
+        "entries": [entry._asdict() for entry in report.entries],
     }
 
 
@@ -330,11 +330,11 @@ def simulation_report_dict(report: SimulationReport) -> dict:
 
 
 def sensitivity_report_dict(report: SensitivityReport) -> dict:
-    return {**vars(report), "intervals": [dict(vars(row)) for row in report.intervals]}
+    return {**report._asdict(), "intervals": [row._asdict() for row in report.intervals]}
 
 
 def conditions_dict(conditions: tuple[ConditionResult, ...]) -> list[dict]:
-    return [dict(vars(result)) for result in conditions]
+    return [result._asdict() for result in conditions]
 
 
 def build_report_document(*, input_digest: str, configurations: dict,

@@ -8,13 +8,18 @@ moments are those of ``population``, which computes them from a frame.
 Nothing here imports numpy, so the table commands (``theory``, ``pre``,
 ``sensitivity``), which need only these types and float arithmetic, start
 without it.
+
+Both are ``NamedTuple``s whose checks sit in ``__new__`` on a thin subclass:
+namedtuple's own ``_make`` and ``_replace`` build with ``tuple.__new__``, so
+each class routes ``_make``, and with it ``_replace``, through its
+constructor. Every way of making one is checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from numbers import Integral
+from typing import NamedTuple
 
 from .errors import (
     DegenerateAttribute,
@@ -27,10 +32,7 @@ from .errors import (
 _REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PopulationParams:
-    """Summary-statistic vector consumed by every closed-form expression."""
-
+class _PopulationFields(NamedTuple):
     N: int
     P: float
     xbar: float
@@ -43,9 +45,16 @@ class PopulationParams:
     lambda04: float
     lambda12: float
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if name != "N" and not math.isfinite(value):
+
+class PopulationParams(_PopulationFields):
+    """Summary-statistic vector consumed by every closed-form expression."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(cls._fields[1:], self[1:]):
+            if not math.isfinite(value):
                 raise SchemaError(f"population parameter {name} must be finite")
         if self.N < 2:
             raise SchemaError("population size must be at least 2")
@@ -66,6 +75,11 @@ class PopulationParams:
                 "lambda04 >= 1 + lambda03^2 must hold for any real distribution "
                 f"(got lambda04={self.lambda04}, lambda03={self.lambda03})"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def check_realizable(p: PopulationParams) -> None:
@@ -87,16 +101,29 @@ def check_realizable(p: PopulationParams) -> None:
                           "semidefinite")
 
 
-@dataclass(frozen=True)
-class Design:
-    """SRSWOR design: sample size, population size, and the factor f."""
-
+class _DesignFields(NamedTuple):
     n: int
     N: int
-    f: float = field(init=False)
+    f: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", sampling_fraction(self.n, self.N))
+
+class Design(_DesignFields):
+    """SRSWOR design: sample size, population size, and the factor f, which
+    the constructor derives from them. ``_make`` and ``_replace`` derive it
+    again and do not read a given f."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, N: int):
+        return super().__new__(cls, n, N, sampling_fraction(n, N))
+
+    @classmethod
+    def _make(cls, iterable):
+        n, N, _ = iterable
+        return cls(n, N)
+
+    def __getnewargs__(self):  # copy and pickle call the constructor
+        return self[:2]
 
 
 def sampling_fraction(n: int, N: int) -> float:

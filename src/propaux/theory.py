@@ -20,10 +20,13 @@ tuples, and share one two-weight system.
 ``FAMILIES`` is the registry of estimator kinds and the theory API: each
 kind's parameter class, report name, and its ``mse``, ``min_mse``,
 ``optimum`` and ``bias``, each called as ``(cfg, pop, f)``, and each one flat
-function of the kind's terms: C, or the tuple its ``_terms`` reads off C. A
+function of the kind's terms: C, or the tuple its ``terms`` reads off C. A
 table row or a scan point forms C once and passes the terms on. Every MSE
 that evaluates materially negative raises ``NegativeMse``, except
 ``FAMILIES["tc"].mse`` at given weights, which returns its value unchecked.
+
+Every record here is a ``NamedTuple``, as are the configurations and the
+model, so that importing the module loads no ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -32,9 +35,8 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .config import T1Config, T2Config, T3Config, TableConfig, TbConfig, TcConfig
 from .errors import (
@@ -215,18 +217,18 @@ def _pair_min_mse(t: tuple[float, ...], P: float, shape: tuple) -> float:
     return value
 
 
-class _TwoWeight:
-    """The MSE and bias at a weight pair, the stationary pair and the minimum
-    MSE of a constants object, from its ``_terms`` and ``_shape``."""
+#: The methods ``mse``, ``bias``, ``optimum`` and ``min_mse`` of a constants
+#: object: the MSE and bias at a weight pair, the stationary pair and the
+#: minimum MSE, from its ``_terms`` and ``_shape``.
+_TWO_WEIGHT = (
+    lambda self, pop, w1, w2: _pair_mse(self._terms(self), pop.P, self._shape, w1, w2),
+    lambda self, pop, w1, w2: _pair_bias(self._terms(self), pop.P, self._shape, w1, w2),
+    lambda self: _pair_optimum(self._terms(self), self._shape),
+    lambda self, pop: _pair_min_mse(self._terms(self), pop.P, self._shape),
+)
 
-    mse = lambda self, pop, w1, w2: _pair_mse(self._terms(self), pop.P, self._shape, w1, w2)
-    bias = lambda self, pop, w1, w2: _pair_bias(self._terms(self), pop.P, self._shape, w1, w2)
-    optimum = lambda self: _pair_optimum(self._terms(self), self._shape)
-    min_mse = lambda self, pop: _pair_min_mse(self._terms(self), pop.P, self._shape)
 
-
-@dataclass(frozen=True)
-class TcConstants(_TwoWeight):
+class TcConstants(NamedTuple):
     """Expansion constants of the weighted ratio/exponential transform family.
 
     ``theta`` locates the transform, and ``bc``/``ac`` are its first/second-order
@@ -250,6 +252,7 @@ class TcConstants(_TwoWeight):
 
     _terms = attrgetter("theta", "bc", "ac", "delta1", "delta2", "delta3", "delta4", "delta5")
     _shape = _TC
+    mse, bias, optimum, min_mse = _TWO_WEIGHT
 
 
 def _tc_terms(cfg: TcConfig, pop: PopulationParams, f: float, c=None) -> tuple[float, ...]:
@@ -279,8 +282,7 @@ def tc_constants(cfg: TcConfig, pop: PopulationParams, f: float) -> TcConstants:
     return TcConstants(*_tc_terms(cfg, pop, f))
 
 
-@dataclass(frozen=True)
-class T3Constants(_TwoWeight):
+class T3Constants(NamedTuple):
     """Quadratic-form coefficients of the two-term weighted family.
 
     ``a`` and ``c`` are the second moments of the ratio and exponential
@@ -297,6 +299,7 @@ class T3Constants(_TwoWeight):
 
     _terms = attrgetter("a", "d", "c", "b", "e")
     _shape = _T3
+    mse, bias, optimum, min_mse = _TWO_WEIGHT
 
 
 def _t3_terms(cfg: T3Config, pop: PopulationParams, f: float, c=None) -> tuple[float, ...]:
@@ -329,12 +332,11 @@ def t3_constants(cfg: T3Config, pop: PopulationParams, f: float) -> T3Constants:
 # --- the per-family table ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One estimator kind: its configuration class ``params`` (None for
     ``usual`` and ``ta``), its report name ``label`` where that is not the
     kind, and its first-order theory, each part a function of ``(cfg, pop, f,
-    t=None)`` with terms ``t = _terms(cfg, pop, f, c)``: ``mse`` at the
+    t=None)`` with terms ``t = terms(cfg, pop, f, c)``: ``mse`` at the
     constants ``cfg`` holds, ``min_mse`` at the optimum, ``bias``, and the
     ``optimum`` of ``constants``, the fields of ``params`` that default to None.
 
@@ -355,16 +357,15 @@ class Family:
     census: tuple[float, ...] = ()
     bias: Callable[..., float] = lambda cfg, pop, f, t=None: 0.0
     shown: Callable[..., dict[str, float]] = (
-        lambda cfg, t: {} if cfg is None else dict(vars(cfg)))
-    _terms: Callable[..., tuple | None] = lambda cfg, pop, f, c=None: c or _moments(pop)
-    formulas: dict[str, str] = field(default_factory=dict)
-    fixed_formulas: dict[str, str] = field(default_factory=dict)
-    census_formulas: dict[str, str] = field(default_factory=dict)
-    constants: tuple[str, ...] = field(init=False)
+        lambda cfg, t: {} if cfg is None else cfg._asdict())
+    terms: Callable[..., tuple | None] = lambda cfg, pop, f, c=None: c or _moments(pop)
+    formulas: dict[str, str] = {}
+    fixed_formulas: dict[str, str] = {}
+    census_formulas: dict[str, str] = {}
 
-    def __post_init__(self):
-        keys = () if self.params is None else fields(self.params)
-        object.__setattr__(self, "constants", tuple(k.name for k in keys if k.default is None))
+    @property
+    def constants(self) -> tuple[str, ...]:
+        return _none_defaults(self.params)
 
     def resolve(self, cfg, pop: PopulationParams, f: float, t=None):
         """``cfg`` with every ``None`` constant replaced by its optimum, or by
@@ -373,7 +374,7 @@ class Family:
         if None not in given:
             return cfg
         best = self.census if f == 0.0 and self.census else self.optimum(cfg, pop, f, t)
-        return replace(cfg, **{name: limit if value is None else value
+        return cfg._replace(**{name: limit if value is None else value
                                for name, value, limit in zip(self.constants, given, best)})
 
     def _free(self, cfg) -> bool:
@@ -383,13 +384,13 @@ class Family:
         """The MSE an efficiency table reports for ``cfg``, as a function of
         (pop, f, c=None): the minimum when every constant is free, else the MSE
         at the given constants (the free ones at their optimum)."""
-        terms = self._terms
+        terms = self.terms
         if not self._free(cfg):
             def given(pop, f, c=None):
                 t = terms(cfg, pop, f, c)
                 return self.mse(self.resolve(cfg, pop, f, t), pop, f, t)
             return given
-        if self.params and len(fields(self.params)) > len(self.constants):  # reads a setting
+        if self.params and len(self.params._fields) > len(self.constants):  # reads a setting
             return lambda pop, f, c=None: self.min_mse(cfg, pop, f, terms(cfg, pop, f, c))
         return _least(terms, self.min_mse)
 
@@ -398,6 +399,13 @@ class Family:
         by ``fixed_formulas`` when ``table_mse`` reports the MSE at given
         constants."""
         return self.formulas if self._free(cfg) else {**self.formulas, **self.fixed_formulas}
+
+
+@functools.cache
+def _none_defaults(params: type | None) -> tuple[str, ...]:
+    """The fields of a parameter class that default to None, in field order."""
+    defaults = {} if params is None else params._field_defaults
+    return tuple(name for name, value in defaults.items() if value is None)
 
 
 @functools.cache
@@ -415,7 +423,7 @@ _tc = lambda cfg, pop, f, t: t or _tc_terms(cfg, pop, f)
 _t3 = lambda cfg, pop, f, t: t or _t3_terms(cfg, pop, f)
 
 FAMILIES: dict[str, Family] = {
-    "usual": Family(_usual, _usual, label="p", _terms=lambda cfg, pop, f, c=None: None,
+    "usual": Family(_usual, _usual, label="p", terms=lambda cfg, pop, f, c=None: None,
                     formulas={"mse": "var_usual: f*P^2*cp^2",
                               "bias": "0 (exactly unbiased)"}),
     "ta": Family(_ratio, _ratio, bias=lambda cfg, pop, f, c=None: _power_bias(_RATIO, pop, f, c),
@@ -428,7 +436,7 @@ FAMILIES: dict[str, Family] = {
     "tc": Family(lambda cfg, pop, f, t=None: _pair_mse(_tc(cfg, pop, f, t), pop.P, _TC,
                                                         cfg.q1, cfg.q2),
                  lambda cfg, pop, f, t=None: _pair_min_mse(_tc(cfg, pop, f, t), pop.P, _TC),
-                 TcConfig, census=(1.0, 0.0), _terms=_tc_terms,
+                 TcConfig, census=(1.0, 0.0), terms=_tc_terms,
                  optimum=lambda cfg, pop, f, t=None: _pair_optimum(_tc(cfg, pop, f, t), _TC),
                  bias=lambda cfg, pop, f, t=None: _pair_bias(_tc(cfg, pop, f, t), pop.P, _TC,
                                                              cfg.q1, cfg.q2),
@@ -455,11 +463,11 @@ FAMILIES: dict[str, Family] = {
                      _pair_mse(_t3(cfg, pop, f, t), pop.P, _T3, cfg.m1, cfg.m2),
                      pop.P**2, "two-term family MSE"),
                  lambda cfg, pop, f, t=None: _pair_min_mse(_t3(cfg, pop, f, t), pop.P, _T3),
-                 T3Config, census=(0.5, 0.5), _terms=_t3_terms,
+                 T3Config, census=(0.5, 0.5), terms=_t3_terms,
                  optimum=lambda cfg, pop, f, t=None: _pair_optimum(_t3(cfg, pop, f, t), _T3),
                  bias=lambda cfg, pop, f, t=None: _pair_bias(_t3(cfg, pop, f, t), pop.P, _T3,
                                                              cfg.m1, cfg.m2),
-                 shown=lambda cfg, t: {**vars(cfg), "a": t[0], "b": t[3], "c": t[2],
+                 shown=lambda cfg, t: {**cfg._asdict(), "a": t[0], "b": t[3], "c": t[2],
                                        "d": t[1], "e": t[4]},
                  formulas={"mse": "t3_min_mse: P^2*(1-(b^2*c-2*b*d*e+a*e^2)/(a*c-d^2))",
                            "bias": "t3_bias: -P*(1-m1*b-m2*e)"},
@@ -477,8 +485,7 @@ def pre(mse_baseline: float, mse: float) -> float:
     return 100.0 * (mse_baseline / mse)
 
 
-@dataclass(frozen=True)
-class EstimatorTheory:
+class EstimatorTheory(NamedTuple):
     """One report row: first-order bias, MSE, efficiency, resolved constants."""
 
     name: str
@@ -489,8 +496,7 @@ class EstimatorTheory:
     formulas: dict[str, str]
 
 
-@dataclass(frozen=True)
-class TheoryReport:
+class TheoryReport(NamedTuple):
     design: Design
     entries: tuple[EstimatorTheory, ...]
 
@@ -529,7 +535,7 @@ def theory_report(pop: PopulationParams, design: Design,
         if census and family.census:
             bias, mse, constants, formulas = 0.0, 0.0, {}, family.census_formulas
         else:  # the row's terms, read once
-            t = family._terms(cfg, pop, f, c)
+            t = family.terms(cfg, pop, f, c)
             resolved = family.resolve(cfg, pop, f, t)
             bias = family.bias(resolved, pop, f, t)
             mse = (family.min_mse(cfg, pop, f, t) if family._free(cfg)
@@ -543,8 +549,7 @@ def theory_report(pop: PopulationParams, design: Design,
 # --- efficiency comparison predicates ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(NamedTuple):
     """One dominance predicate ``mse_candidate <= mse_reference`` with slack.
 
     ``holds`` is None when one side could not be evaluated (for example an
@@ -560,6 +565,10 @@ class ConditionResult:
     error: str | None = None
 
 
+#: The names of ``comparison_conditions``' results, in order.
+_CONDITIONS = ("t1_t2_vs_usual", "t3_vs_usual", "t3_vs_t2", "t3_vs_tc")
+
+
 def comparison_conditions(pop: PopulationParams, f: float,
                           config: TableConfig | None = None) -> tuple[ConditionResult, ...]:
     """Numeric evaluation of the pairwise dominance conditions.
@@ -571,12 +580,16 @@ def comparison_conditions(pop: PopulationParams, f: float,
     ``f*P^2*cp^2*(rho^2 + (lambda03*rho - lambda12)^2/gap)``, a sum of squares
     whenever the moment gap is positive. The ``guaranteed`` flag reports that
     the subtracted term is indeed nonnegative. Conditions never raise: an
-    unevaluable side is recorded on the result instead.
+    unevaluable side is recorded on the result instead, and a population
+    whose usual variance or C overflows records the overflow on every one.
     """
     config = config or TableConfig()
-    v = var_usual(pop, f)
+    try:
+        v, c = var_usual(pop, f), _moments(pop)
+    except OverflowError as exc:  # every side reads one of them
+        return tuple(ConditionResult(name, math.nan, math.nan, None, math.nan, None,
+                                     overflow_message(exc)) for name in _CONDITIONS)
     tol = 1e-12 * max(v, 1.0)
-    c = _moments(pop)
     try:
         alpha, beta = _regression(c)
         guaranteed = f * pop.P**2 * (alpha * c[1] + beta * c[2]) >= -tol
@@ -600,15 +613,14 @@ def comparison_conditions(pop: PopulationParams, f: float,
     mse_t1 = side("t1", T1Config())
     mse_t3 = side("t3", config.t3_configs()[0])
     mse_tc = side("tc", config.tc)
-    return (build("t1_t2_vs_usual", mse_t1, v, guaranteed), build("t3_vs_usual", mse_t3, v),
-            build("t3_vs_t2", mse_t3, mse_t1), build("t3_vs_tc", mse_t3, mse_tc))
+    sides = ((mse_t1, v, guaranteed), (mse_t3, v), (mse_t3, mse_t1), (mse_t3, mse_tc))
+    return tuple(build(name, *pair) for name, pair in zip(_CONDITIONS, sides))
 
 
 # --- rounding-sensitivity scan ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PreInterval:
+class PreInterval(NamedTuple):
     """Efficiency range of one estimator over the perturbation scan."""
 
     name: str
@@ -619,8 +631,7 @@ class PreInterval:
     points: int
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
+class SensitivityReport(NamedTuple):
     digits: int
     step: float
     intervals: tuple[PreInterval, ...]
@@ -679,10 +690,9 @@ def sensitivity(pop: PopulationParams, f: float, config: TableConfig | None = No
             q = _perturbed(pop, offsets)
         except (ToolkitError, OverflowError):
             continue
-        baseline = var_usual(q, f)
         try:
-            c = _moments(q)
-        except OverflowError:  # every row reads C
+            baseline, c = var_usual(q, f), _moments(q)
+        except OverflowError:  # every row reads both
             continue
         last = None
         for j, mse in enumerate(mses):

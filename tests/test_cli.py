@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -762,6 +761,22 @@ def test_overflowing_scan_points_are_unstable(tmp_path, capsys):
     assert rows["t1"]["unstable"] == 0
 
 
+def test_overflowing_usual_variance_is_unstable(tmp_path, capsys):
+    # cp**2 overflows at every scan point, in the usual variance, the PRE's baseline
+    params, out = tmp_path / "params.json", tmp_path / "out.json"
+    params.write_text(json.dumps({"n": 20, "n_population": 200, "p": 0.01, "xbar": 10.0,
+                                  "rho_pb": 0.1, "cp": 1.3408e154, "cx": 0.5, "lambda12": 0.0,
+                                  "lambda04": 3.0, "lambda03": 0.0}))
+    assert main(["sensitivity", "--params", str(params), "--digits", "3",
+                 "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    intervals = json.loads(out.read_text())["sensitivity"]["intervals"]
+    assert len(intervals) == 8
+    for row in intervals:
+        assert row == {"name": row["name"], "point": None, "low": None, "high": None,
+                       "unstable": 77, "points": 77}
+
+
 def test_out_of_range_index_is_named_as_such(pop_csv, capsys):
     assert main(["estimate", "--input", str(pop_csv), "--indices",
                  "0,1,99999999999999999999999", "--estimator", "ta"]) == 2
@@ -783,9 +798,9 @@ FAMILY_OPTIONS = [(name, option[2:]) for name, sub in _commands().items()
 
 #: (subcommand, kind, field) of every ``--<kind>`` field without a population
 #: optimum, which ``optimal`` cannot name.
-FIXED_FIELDS = [(command, kind, field.name) for command, kind in FAMILY_OPTIONS
-                for field in dataclasses.fields(theory.FAMILIES[kind].params)
-                if field.name not in theory.FAMILIES[kind].constants]
+FIXED_FIELDS = [(command, kind, field) for command, kind in FAMILY_OPTIONS
+                for field in theory.FAMILIES[kind].params._fields
+                if field not in theory.FAMILIES[kind].constants]
 
 
 def _required_argv(command: str, kind: str, pop_csv, ref_params_path, tmp_path) -> list[str]:

@@ -78,8 +78,7 @@ class TestRatio:
         assert evaluate(stats, pop, EstimatorConfig(kind="ta")).value == stats.p
 
     def test_direct_arithmetic(self, pop):
-        import dataclasses
-        pop10 = dataclasses.replace(pop, xbar=10.0, sx2=(pop.cx * 10.0) ** 2)
+        pop10 = pop._replace(xbar=10.0, sx2=(pop.cx * 10.0) ** 2)
         stats = SampleStats(n=4, p=0.5, xbar_s=8.0, sx2_s=2.0)
         assert evaluate(stats, pop10, EstimatorConfig(kind="ta")).value == pytest.approx(
             0.625, rel=1e-15)
@@ -96,8 +95,7 @@ class TestRegression:
         assert evaluate(stats, pop, EstimatorConfig(kind="tb")).value == stats.p
 
     def test_zero_correlation_is_inert(self, pop):
-        import dataclasses
-        pop0 = dataclasses.replace(pop, rho_pb=0.0)
+        pop0 = pop._replace(rho_pb=0.0)
         stats = SampleStats(n=10, p=0.3, xbar_s=pop0.xbar * 1.3, sx2_s=pop0.sx2)
         assert evaluate(stats, pop0, EstimatorConfig(kind="tb")).value == stats.p
 
@@ -301,7 +299,7 @@ class TestRegistry:
     def test_constants_are_the_none_defaults_of_the_parameter_class(self):
         for kind, family in theory.FAMILIES.items():
             free = () if family.params is None else tuple(
-                name for name, value in vars(family.params()).items() if value is None)
+                name for name, value in family.params()._asdict().items() if value is None)
             assert family.constants == free, kind
             assert EstimatorConfig(kind=kind).params == (family.params and family.params())
 

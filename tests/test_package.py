@@ -1,27 +1,31 @@
-"""The package surface: what importing it loads, and which names it exports.
+"""The package surface: what importing it loads, which names it exports, and
+the contract of its records.
 
 The table commands (`theory`, `pre`, `sensitivity`) and `import propaux` run
-without numpy. Each check below runs in a fresh interpreter, since this
-process has long imported numpy. Beside them, an AST check names any module
-of the numpy-free core that imports numpy, or a module that does, when it is
-imported. `params` is not in the core: it reads a population CSV, and the CSV
-reader and the population moments keep numpy.
+without numpy, and `import propaux.cli` loads neither `dataclasses` nor the
+`inspect` it imports. Each check below runs in a fresh interpreter, since
+this process has long imported numpy. Beside them, AST checks name any
+module of the numpy-free core that imports numpy, `dataclasses`, or a module
+that does, when it is imported. `params` is not in the core: it reads a
+population CSV, and the CSV reader and the population moments keep numpy.
 """
 
 import ast
+import copy
 import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import propaux
-from propaux import cli, io, theory
-from propaux.errors import InvalidDesign
+from propaux import Design, PopulationParams, cli, io, theory
+from propaux.errors import InvalidDesign, SchemaError
 
 from test_golden import DOCUMENT, GOLDEN
 
@@ -99,6 +103,12 @@ class TestNumpyFreeCore:
         result = fresh("import propaux.cli\nresult['hashlib'] = 'hashlib' in sys.modules")
         assert result == {"hashlib": False}
 
+    def test_cli_import_loads_no_numpy_dataclasses_or_inspect(self):
+        result = fresh("import propaux.cli\n"
+                       "result['loaded'] = [name for name in ('numpy', 'dataclasses', 'inspect')\n"
+                       "                    if name in sys.modules]")
+        assert result == {"loaded": []}
+
     @pytest.mark.parametrize("command", TABLE_COMMANDS)
     def test_table_command(self, command, tmp_path):
         """The command on the golden census document and on the README
@@ -137,11 +147,13 @@ class TestNumpyFreeCore:
                 for branch in ("body", "orelse", "handlers", "finalbody"):
                     nodes.extend(getattr(node, branch, ()))
 
-    @pytest.mark.parametrize("module", NUMPY_FREE)
-    def test_core_module_imports_no_numpy(self, module):
+    @classmethod
+    def loaded_at_import(cls, module: str) -> set[str]:
+        """The top-level modules, and the ``.sibling`` modules, that ``module``
+        imports when it is imported."""
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         loaded = set()
-        for node in self.imports_at_load(tree):
+        for node in cls.imports_at_load(tree):
             if isinstance(node, ast.Import):
                 loaded.update(alias.name.split(".")[0] for alias in node.names)
             elif node.level == 0:
@@ -151,10 +163,22 @@ class TestNumpyFreeCore:
             else:  # ``from . import x``: a sibling module, or a name of the package
                 loaded.update(f".{alias.name}" if (PACKAGE / f"{alias.name}.py").exists()
                               else ".__init__" for alias in node.names)
+        return loaded
+
+    @pytest.mark.parametrize("module", NUMPY_FREE)
+    def test_core_module_imports_no_numpy(self, module):
+        loaded = self.loaded_at_import(module)
         offending = sorted(name for name in loaded
                            if name == "numpy" or name.startswith(".")
                            and name[1:] not in NUMPY_FREE)
         assert not offending, f"propaux.{module} imports {offending} when it is imported"
+
+    @pytest.mark.parametrize("module", NUMPY_FREE)
+    def test_core_module_imports_no_dataclasses(self, module):
+        # its records are NamedTuples: ``dataclasses`` loads ``inspect``, which
+        # costs a table command more than its whole table
+        assert "dataclasses" not in self.loaded_at_import(module), (
+            f"propaux.{module} imports dataclasses when it is imported")
 
 
 class TestPublicSurface:
@@ -240,3 +264,72 @@ class TestPublicSurface:
             propaux.sampling_fraction(5.0, 10)
         with pytest.raises(InvalidDesign):
             propaux.sampling_fraction(np.float64(5), 10)
+
+
+#: A valid record of each checked class, one invalid value, and its error.
+CHECKED_RECORDS = {
+    "PopulationParams": (PopulationParams,
+                         {"N": 100, "P": 0.4, "xbar": 10.0, "sx2": 4.0, "sp2": 0.25, "cp": 1.25,
+                          "cx": 0.2, "rho_pb": 0.5, "lambda03": 0.3, "lambda04": 2.0,
+                          "lambda12": 0.1},
+                         {"rho_pb": 2.0}, SchemaError),
+    "Design": (Design, {"n": 5, "N": 10}, {"n": 1}, InvalidDesign),
+}
+
+
+def _records_in(value):
+    """Every value with ``_fields`` (a NamedTuple) inside a JSON-bound value."""
+    if hasattr(value, "_fields"):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _records_in(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _records_in(item)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", CHECKED_RECORDS)
+    def test_every_way_of_making_one_is_checked(self, name):
+        cls, good, bad, error = CHECKED_RECORDS[name]
+        record = cls(**good)
+        raised = []
+        for make in (lambda: cls(**{**good, **bad}),
+                     lambda: cls._make({**record._asdict(), **bad}.values()),
+                     lambda: record._replace(**bad)):
+            with pytest.raises(error) as info:
+                make()
+            raised.append(type(info.value))
+        assert raised == [error] * 3
+
+    def test_design_derives_f_on_every_route(self):
+        design = Design(n=5, N=10)
+        assert design._replace(n=4) == (4, 10, propaux.sampling_fraction(4, 10))
+        assert Design._make((4, 10, 0.5)).f == propaux.sampling_fraction(4, 10)
+        assert copy.copy(design) == design and type(copy.deepcopy(design)) is Design
+
+    def test_report_documents_hold_no_record(self, tmp_path, monkeypatch):
+        """``json`` writes a NamedTuple as an array: no record may reach a
+        report document, or ``estimate``'s printed payload, unconverted."""
+        assert list(_records_in({"rows": [propaux.TbConfig()]}))  # the walk finds one
+        params, pop = tmp_path / "params.json", tmp_path / "pop.csv"
+        params.write_text(DOCUMENT, encoding="utf-8")
+        assert cli.main(["generate", "--size", "40", "--seed", "3", "--output", str(pop)]) == 0
+        documents = []
+        monkeypatch.setattr(io, "write_report_json", lambda path, doc: documents.append(doc))
+        monkeypatch.setattr(cli, "json", SimpleNamespace(
+            dumps=lambda payload, **kwargs: documents.append(payload) or ""))
+        out = str(tmp_path / "out.json")
+        for argv in (["theory", "--params", str(params), "--tc", "q1=1,q2=0",
+                      "--t3", "gamma=0.5", "--output", out],
+                     ["sensitivity", "--params", str(params), "--digits", "1",
+                      "--tc", "q1=1,q2=0", "--output", out],
+                     ["estimate", "--input", str(pop), "--indices", "0,1,2,3,4",
+                      "--estimator", "t3", "--t3", "gamma=0.5"],
+                     ["simulate", "--input", str(pop), "--n", "5", "--reps", "100",
+                      "--seed", "1", "--tc", "alpha=2", "--output", out]):
+            assert cli.main(argv) == 0, argv
+        assert len(documents) == 4
+        for document in documents:
+            assert not list(_records_in(document))

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -227,7 +226,7 @@ class TestCheckRealizable:
             params = compute_population_params(PopulationFrame(phi, x))
             check_realizable(params)
             with pytest.raises(SchemaError):
-                check_realizable(replace(params, lambda12=params.lambda12 + 1e-3))
+                check_realizable(params._replace(lambda12=params.lambda12 + 1e-3))
             checked += 1
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import sys
@@ -78,12 +77,12 @@ class TestRatio:
 
     def test_breakeven_correlation(self, plain_pop):
         # at rho = cx/(2*cp) the ratio estimate ties the usual one
-        pop = dataclasses.replace(plain_pop, rho_pb=plain_pop.cx / (2 * plain_pop.cp))
+        pop = plain_pop._replace(rho_pb=plain_pop.cx / (2 * plain_pop.cp))
         assert theory.FAMILIES["ta"].mse(None, pop, F_PLAIN) == pytest.approx(
             theory.var_usual(pop, F_PLAIN), rel=1e-12)
 
     def test_inert_auxiliary_bias(self, plain_pop):
-        pop = dataclasses.replace(plain_pop, rho_pb=0.0)
+        pop = plain_pop._replace(rho_pb=0.0)
         bias = theory.FAMILIES["ta"].bias(None, pop, F_PLAIN)
         assert bias == pytest.approx(F_PLAIN * pop.P * pop.cx**2, rel=1e-12)
 
@@ -99,11 +98,11 @@ class TestRegressionClass:
         assert value == pytest.approx(511.79, abs=0.05)
 
     def test_zero_correlation_matches_usual(self, plain_pop):
-        pop = dataclasses.replace(plain_pop, rho_pb=0.0)
+        pop = plain_pop._replace(rho_pb=0.0)
         assert TB.min_mse(TbConfig(), pop, F_PLAIN) == theory.var_usual(pop, F_PLAIN)
 
     def test_perfect_correlation_vanishes(self, plain_pop):
-        pop = dataclasses.replace(plain_pop, rho_pb=1.0)
+        pop = plain_pop._replace(rho_pb=1.0)
         assert TB.min_mse(TbConfig(), pop, F_PLAIN) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -207,13 +206,13 @@ class TestTcFamily:
 
 class TestT1:
     def test_uncorrelated_variance_channel(self, plain_pop):
-        pop = dataclasses.replace(plain_pop, lambda03=0.0, lambda12=0.0)
+        pop = plain_pop._replace(lambda03=0.0, lambda12=0.0)
         alpha, beta = T1.optimum(T1Config(), pop, F_PLAIN)
         assert alpha == pytest.approx(pop.cp * pop.rho_pb / pop.cx, rel=1e-12)
         assert beta == 0.0
 
     def test_no_exploitable_correlation(self, plain_pop):
-        pop = dataclasses.replace(plain_pop, rho_pb=0.0, lambda12=0.0)
+        pop = plain_pop._replace(rho_pb=0.0, lambda12=0.0)
         alpha, beta = T1.optimum(T1Config(), pop, F_PLAIN)
         assert alpha == pytest.approx(0.0, abs=1e-15)
         assert beta == pytest.approx(0.0, abs=1e-15)
@@ -257,13 +256,13 @@ class TestT1:
 
     def test_degenerate_moments(self, plain_pop):
         # two-point auxiliary marginal: kurtosis 1, no skewness, zero gap
-        pop = dataclasses.replace(plain_pop, lambda03=0.0, lambda04=1.0)
+        pop = plain_pop._replace(lambda03=0.0, lambda04=1.0)
         with pytest.raises(DegenerateMoments):
             T1.optimum(T1Config(), pop, F_PLAIN)
 
     def test_unrealizable_parameters_raise_negative_mse(self, plain_pop):
-        pop = dataclasses.replace(plain_pop, rho_pb=0.0, lambda03=0.0,
-                                  lambda04=2.0, lambda12=1.5)
+        pop = plain_pop._replace(rho_pb=0.0, lambda03=0.0,
+                                 lambda04=2.0, lambda12=1.5)
         with pytest.raises(NegativeMse):
             T1.min_mse(T1Config(), pop, F_PLAIN)
 
@@ -290,7 +289,7 @@ class TestT2:
             assert t2 == pytest.approx(t1, rel=1e-12)
 
     def test_inert_variance_channel(self, plain_pop):
-        pop = dataclasses.replace(plain_pop, lambda03=0.0, lambda12=0.0)
+        pop = plain_pop._replace(lambda03=0.0, lambda12=0.0)
         h1, h2 = T2.optimum(T2Config(), pop, F_PLAIN)
         assert h2 == 0.0
         assert theory.FAMILIES["t2"].min_mse(T2Config(), pop, F_PLAIN) == pytest.approx(
@@ -394,7 +393,7 @@ class TestBiasReadsItsConfiguration:
         family = theory.FAMILIES[kind]
         cfg = family.resolve(family.params(), ref_pop, f)
         name = family.constants[0]
-        moved = dataclasses.replace(cfg, **{name: getattr(cfg, name) + 0.1})
+        moved = cfg._replace(**{name: getattr(cfg, name) + 0.1})
         assert family.bias(moved, ref_pop, f) != pytest.approx(
             family.bias(cfg, ref_pop, f), rel=1e-6)
 
@@ -536,7 +535,7 @@ class TestComparisonConditions:
         assert by_name["t3_vs_usual"].holds
 
     def test_zero_slack_case(self, plain_pop):
-        pop = dataclasses.replace(plain_pop, rho_pb=0.0, lambda03=0.0, lambda12=0.0)
+        pop = plain_pop._replace(rho_pb=0.0, lambda03=0.0, lambda12=0.0)
         results = theory.comparison_conditions(pop, F_PLAIN)
         first = results[0]
         assert first.holds
@@ -552,6 +551,18 @@ class TestComparisonConditions:
         assert by_name["t3_vs_usual"].error is None
         # the wording ``cli.main`` prints after "numerical error: "
         assert by_name["t3_vs_tc"].error == "overflow: Numerical result out of range"
+
+    def test_overflowing_moments_are_recorded_on_every_condition(self, plain_pop):
+        # cx**2 overflows forming C, which every side reads
+        xbar = 1e-10
+        pop = plain_pop._replace(cx=1e155, xbar=xbar, sx2=(1e155 * xbar) ** 2)
+        results = theory.comparison_conditions(pop, F_PLAIN)
+        assert [r.name for r in results] == ["t1_t2_vs_usual", "t3_vs_usual", "t3_vs_t2",
+                                             "t3_vs_tc"]
+        for result in results:
+            assert result.error == "overflow: Numerical result out of range"
+            assert result.holds is None and result.guaranteed is None
+            assert math.isnan(result.candidate_mse) and math.isnan(result.slack)
 
     def test_first_condition_never_false_on_random_frames(self, rng):
         for _ in range(60):
@@ -693,11 +704,11 @@ def _boundary_cases(plain_pop, ref_pop, ref_design):
     overflowing and invalid points, an overflowing transform, a null step."""
     xbar = math.sqrt(sys.float_info.max) / plain_pop.cx * (1.0 - 1e-5)
     return [
-        (dataclasses.replace(plain_pop, rho_pb=0.0, lambda03=0.0, lambda04=2.0,
-                             lambda12=0.99999), F_PLAIN, TableConfig(), 1),
-        (dataclasses.replace(plain_pop, xbar=xbar, sx2=(plain_pop.cx * xbar) ** 2),
+        (plain_pop._replace(rho_pb=0.0, lambda03=0.0, lambda04=2.0,
+                            lambda12=0.99999), F_PLAIN, TableConfig(), 1),
+        (plain_pop._replace(xbar=xbar, sx2=(plain_pop.cx * xbar) ** 2),
          F_PLAIN, TableConfig(), 3),
-        (dataclasses.replace(plain_pop, rho_pb=1.0), F_PLAIN, TableConfig(), 3),
+        (plain_pop._replace(rho_pb=1.0), F_PLAIN, TableConfig(), 3),
         (ref_pop, ref_design.f, TableConfig(tc=TcConfig(alpha=1e200)), 3),
         (ref_pop, ref_design.f, TableConfig(tc=TcConfig(a=-1.0, q1=1.0)), 2),
         (ref_pop, ref_design.f, TableConfig(), 50),
@@ -820,8 +831,8 @@ class TestSensitivity:
     def test_unstable_corners_are_counted_not_fatal(self, plain_pop):
         # parameters sitting on the boundary of realizability go negative at
         # some corners; the scan must record, not raise
-        pop = dataclasses.replace(plain_pop, rho_pb=0.0, lambda03=0.0,
-                                  lambda04=2.0, lambda12=0.99999)
+        pop = plain_pop._replace(rho_pb=0.0, lambda03=0.0,
+                                 lambda04=2.0, lambda12=0.99999)
         report = theory.sensitivity(pop, F_PLAIN, digits=1)
         interval = report.interval("t1")
         assert interval.unstable > 0
@@ -834,27 +845,27 @@ class TestSensitivity:
         # |rho_pb| = 1, 33 of the 77 points are invalid and must raise alike
         pop, _ = well_posed_params(np.random.default_rng(seed))
         if rho_pb is not None:
-            pop = dataclasses.replace(pop, rho_pb=rho_pb)
+            pop = pop._replace(rho_pb=rho_pb)
         for offsets in itertools.chain.from_iterable(map(theory._scan_points, (1, 2, 3))):
             moved = {name: getattr(pop, name) + d
                      for name, d in zip(theory._SCAN_FIELDS, offsets)}
             try:
-                expected = dataclasses.replace(pop, **moved, sp2=(moved["cp"] * pop.P) ** 2,
-                                               sx2=(moved["cx"] * pop.xbar) ** 2)
+                expected = pop._replace(**moved, sp2=(moved["cp"] * pop.P) ** 2,
+                                        sx2=(moved["cx"] * pop.xbar) ** 2)
             except ToolkitError as exc:
                 with pytest.raises(ToolkitError) as raised:
                     theory._perturbed(pop, offsets)
                 assert type(raised.value) is type(exc)
                 continue
             got = theory._perturbed(pop, offsets)
-            assert [(k, repr(v)) for k, v in vars(got).items()] == [
-                (k, repr(v)) for k, v in vars(expected).items()]
+            assert [(k, repr(v)) for k, v in got._asdict().items()] == [
+                (k, repr(v)) for k, v in expected._asdict().items()]
 
     def test_overflowing_parameters_are_unstable_for_every_estimator(self, plain_pop):
         # (cx*xbar)**2 sits just under the largest float, so the +cx axis
         # point and the 32 corners with +cx overflow building sx2
         xbar = math.sqrt(sys.float_info.max) / plain_pop.cx * (1.0 - 1e-5)
-        pop = dataclasses.replace(plain_pop, xbar=xbar, sx2=(plain_pop.cx * xbar) ** 2)
+        pop = plain_pop._replace(xbar=xbar, sx2=(plain_pop.cx * xbar) ** 2)
         report = theory.sensitivity(pop, F_PLAIN, digits=3)
         assert report.interval("ta").unstable == 33
         for interval in report.intervals:
@@ -863,7 +874,7 @@ class TestSensitivity:
     def test_invalid_parameters_are_unstable_for_every_estimator(self, plain_pop):
         # rho_pb + h exceeds 1 on the +rho axis point and 32 corners, where
         # the perturbed parameter vector itself is rejected
-        pop = dataclasses.replace(plain_pop, rho_pb=1.0)
+        pop = plain_pop._replace(rho_pb=1.0)
         report = theory.sensitivity(pop, F_PLAIN, digits=3)
         assert report.interval("ta").unstable == 33
         for interval in report.intervals:
