@@ -6,9 +6,9 @@ population-optimal constants, percent-relative-efficiency reporting, a
 rounding-sensitivity scan, and two independent verification oracles (exact
 subset enumeration and seeded Monte Carlo).
 
-Importing the package loads no numpy: the configurations, errors, model and
-theory are imported here, and the names of the modules that need numpy
-(``estimators``, ``montecarlo``, ``population``) are resolved on first use.
+Importing the package loads no numpy: the configurations, errors and theory
+(with the population summary and the design) are imported here, and the names
+of the modules that need numpy are resolved on first use.
 """
 
 __version__ = "0.1.0"
@@ -17,14 +17,16 @@ from importlib import import_module as _import_module
 
 from .config import T1Config, T2Config, T3Config, TableConfig, TbConfig, TcConfig
 from .errors import DataError, NumericalError, ToolkitError
-from .model import Design, PopulationParams, sampling_fraction
 from .theory import (
+    Design,
+    PopulationParams,
     SensitivityReport,
     T3Constants,
     TcConstants,
     TheoryReport,
     comparison_conditions,
     pre,
+    sampling_fraction,
     sensitivity,
     t3_constants,
     tc_constants,
@@ -44,9 +46,8 @@ _LAZY = {
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
-# the imported names and submodules, less ``model``, whose names are exported
-# one by one, and the names resolved on first use with the modules they live in
-__all__ = sorted({name for name in dir() if not name.startswith("_")} - {"model"}
+# the imported names and submodules, and the names resolved on first use
+__all__ = sorted({name for name in dir() if not name.startswith("_")}
                  | _HOME.keys() | _LAZY.keys())
 
 

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 error (singular optimality system, negative MSE). Diagnostics go to stderr;
-reports written with ``--output`` ending in ``.json`` are valid JSON.
+reports written with ``--output`` ending in ``.json`` are strict JSON.
 
 The table commands (``theory``, ``pre``, ``sensitivity``) need no numpy; the
 commands that read or make a population import its modules when they run.
@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 from . import io, theory
 from .config import T3_TABLE_VARIANTS, T3Config, TableConfig, integer
 from .errors import DataError, IndexOutOfRange, NumericalError, ParseError, overflow_message
-from .model import Design
 
 if TYPE_CHECKING:
     from .estimators import EstimatorConfig
@@ -137,7 +136,7 @@ def _cmd_params(args) -> int:
     frame = io.read_population_csv(args.input)
     params = compute_population_params(frame)
     n = args.n if args.n is not None else frame.size
-    doc = io.ParamsDocument(params=params, design=Design(n=n, N=frame.size),
+    doc = io.ParamsDocument(params=params, design=theory.Design(n=n, N=frame.size),
                             provenance=io.PROVENANCE_FRAME)
     io.write_params_json(args.output, doc)
     return 0
@@ -313,8 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     except OverflowError as exc:  # float ``**`` raises where ``*`` gives inf
         print(f"numerical error: {overflow_message(exc)}", file=sys.stderr)
         return 3
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DataError, OSError, MemoryError) as exc:  # numpy's MemoryError names the array
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -38,7 +38,6 @@ from .errors import (
     SchemaError,
     ZeroSampleMean,
 )
-from .model import PopulationParams, sampling_fraction
 from .population import SampleStats
 
 
@@ -84,7 +83,7 @@ class Estimate:
             raise SchemaError(f"estimate is not finite: {self.value}")
 
 
-def resolve_config(cfg: EstimatorConfig, pop: PopulationParams, f: float) -> EstimatorConfig:
+def resolve_config(cfg: EstimatorConfig, pop: theory.PopulationParams, f: float) -> EstimatorConfig:
     """Replace every ``None`` constant with its population-optimal value, or
     with its census limit under a census design (f = 0; see
     ``theory.Family``)."""
@@ -219,7 +218,7 @@ _KERNELS = {"usual": _usual, "ta": _ta, "tb": _tb, "tc": _tc,
             "t1": _t1, "t2": _t2, "t3": _t3}
 
 
-def _kernel(cfg: EstimatorConfig, pop: PopulationParams, p: np.ndarray,
+def _kernel(cfg: EstimatorConfig, pop: theory.PopulationParams, p: np.ndarray,
             xbar_s: np.ndarray, sx2_s: np.ndarray) -> tuple[np.ndarray, _Rows]:
     rows = _Rows(p.size)
     with np.errstate(all="ignore"):
@@ -228,7 +227,7 @@ def _kernel(cfg: EstimatorConfig, pop: PopulationParams, p: np.ndarray,
     return np.where(rows.codes == 0, values, np.nan), rows
 
 
-def evaluate_batch(cfg: EstimatorConfig, pop: PopulationParams, p: np.ndarray,
+def evaluate_batch(cfg: EstimatorConfig, pop: theory.PopulationParams, p: np.ndarray,
                    xbar_s: np.ndarray, sx2_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One estimator over many samples given as equally long arrays of
     sufficient statistics.
@@ -247,10 +246,10 @@ def evaluate_batch(cfg: EstimatorConfig, pop: PopulationParams, p: np.ndarray,
     return values, rows.codes
 
 
-def evaluate(s: SampleStats, pop: PopulationParams, cfg: EstimatorConfig) -> Estimate:
+def evaluate(s: SampleStats, pop: theory.PopulationParams, cfg: EstimatorConfig) -> Estimate:
     """The estimate of the configured kind, with its constants resolved: a
     batch of one, or the error its failure code names."""
-    cfg = resolve_config(cfg, pop, sampling_fraction(s.n, pop.N))
+    cfg = resolve_config(cfg, pop, theory.sampling_fraction(s.n, pop.N))
     values, rows = _kernel(cfg, pop, np.array([s.p]), np.array([s.xbar_s]),
                            np.array([s.sx2_s]))
     code = rows.codes[0]

@@ -56,9 +56,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .config import ascii_number
-from .errors import ParseError, SchemaError
-from .model import Design, PopulationParams, check_realizable
-from .theory import ConditionResult, SensitivityReport, TheoryReport
+from .errors import NumericalError, ParseError, SchemaError
+from .theory import (ConditionResult, Design, PopulationParams, SensitivityReport,
+                     TheoryReport, check_realizable)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -350,5 +350,26 @@ def build_report_document(*, input_digest: str, configurations: dict,
 
 
 def write_report_json(path: str | Path, document: dict) -> None:
-    """Write a JSON document: two-space indent and a final newline."""
-    Path(path).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    """Write a JSON document: two-space indent and a final newline. One that
+    holds NaN or an infinity, which JSON lacks, raises ``NumericalError``."""
+    try:
+        text = json.dumps(document, indent=2, allow_nan=False)
+    except ValueError:
+        for where, value in _non_finite(document):
+            raise NumericalError(f"the report's {where} is {value}, not a JSON number") from None
+        raise
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def _non_finite(value, where: str = ""):
+    """The place and value of each NaN or infinity in ``value``, in the order
+    json writes them; a list item is named by its ``name``, if it has one."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield where, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite(item, f"{where}.{key}" if where else str(key))
+    elif isinstance(value, (list, tuple)):
+        for k, item in enumerate(value):
+            name = item.get("name", k) if isinstance(item, dict) else k
+            yield from _non_finite(item, f"{where}[{name}]")

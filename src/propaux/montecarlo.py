@@ -51,7 +51,6 @@ from .errors import (
     TooLarge,
 )
 from .estimators import EstimatorConfig, evaluate_batch, resolve_config
-from .model import PopulationParams, sampling_fraction
 from .population import PopulationFrame, _stats, compute_population_params
 
 _LOGGER = logging.getLogger(__name__)
@@ -226,7 +225,7 @@ def draw_replicates(frame: PopulationFrame, n: int, seed: int,
                     start: int, stop: int) -> np.ndarray:
     """The samples of replicates ``start..stop-1`` of the experiment ``seed``
     (as ``run_experiment`` draws them), one sorted int64 row of unit indices each."""
-    sampling_fraction(n, frame.size)
+    theory.sampling_fraction(n, frame.size)
     seed, start, stop = _integer("seed", seed), _integer("start", start), _integer("stop", stop)
     if not 0 <= start <= stop:
         raise InvalidConfig(f"need 0 <= start <= stop, got start={start}, stop={stop}")
@@ -272,6 +271,8 @@ class SyntheticSpec:
                 raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
         if self.size < 10:
             raise InvalidConfig("synthetic population size must be at least 10")
+        if self.size >= 2**32:  # every Monte Carlo draw needs N < 2**32 (``_bounded``)
+            raise InvalidConfig(f"synthetic population size must be below 2**32, got {self.size}")
         if not 1 <= self.max_retries <= MAX_RETRIES:
             raise InvalidConfig(f"max_retries must lie in [1, {MAX_RETRIES}], "
                                 f"got {self.max_retries}")
@@ -433,7 +434,7 @@ def _chan_m2(counts: list[int], means: list[float], m2s: list[float]) -> float:
 
 
 def _aggregate(resolved: Sequence[EstimatorConfig], partials: np.ndarray, samples: int,
-               pop: PopulationParams, f: float, exact: bool = False) -> list[EstimatorRun]:
+               pop: theory.PopulationParams, f: float, exact: bool = False) -> list[EstimatorRun]:
     """One row per estimator over ``samples`` samples, from the ``_partials``
     of their reduction blocks, ``partials[b]`` those of block ``b``: the mean
     and MSE from ``math.fsum`` over the blocks' sums, and ``mse_se`` from the
@@ -484,7 +485,7 @@ def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] |
     if len(set(names)) != len(names):
         raise InvalidConfig(f"estimator labels must be unique, got {names}")
     pop = compute_population_params(frame)
-    f = sampling_fraction(n, frame.size)
+    f = theory.sampling_fraction(n, frame.size)
     resolved = [resolve_config(cfg, pop, f) for cfg in configs]
     exact = seed is None
 
@@ -559,7 +560,7 @@ def enumerate_exact(frame: PopulationFrame, n: int,
     where an estimator's precondition fails are tallied per estimator and the
     moments are taken over the remaining subsets.
     """
-    sampling_fraction(n, frame.size)
+    theory.sampling_fraction(n, frame.size)
     total = math.comb(frame.size, n)
     if total > ENUMERATION_LIMIT:
         raise TooLarge(f"{total} subsets exceed the enumeration limit {ENUMERATION_LIMIT}")
@@ -580,6 +581,6 @@ def run_experiment(frame: PopulationFrame, n: int,
         raise InvalidConfig(f"need at least 100 replicates, got {reps}")
     if reps > ENUMERATION_LIMIT:
         raise TooLarge(f"{reps} replicates exceed the sample limit {ENUMERATION_LIMIT}")
-    sampling_fraction(n, frame.size)
+    theory.sampling_fraction(n, frame.size)
     draw = functools.partial(draw_replicates, frame, n, seed)
     return _report(frame, n, configs, reps, draw, seed)

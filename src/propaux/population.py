@@ -17,7 +17,7 @@ Conventions used throughout:
   ``lambda12 = mu_12 / (sqrt(mu_20) * mu_02)``.
 
 All values are immutable after construction and safe to share across threads.
-``PopulationParams`` and ``Design``, which hold no arrays, live in ``model``.
+``PopulationParams`` and ``Design``, which hold no arrays, live in ``theory``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     ZeroMean,
 )
 # the numpy-free half of the data model, re-exported here
-from .model import Design, PopulationParams, check_realizable, sampling_fraction  # noqa: F401
+from .theory import Design, PopulationParams, check_realizable, sampling_fraction  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from propaux import theory
+from propaux import montecarlo, theory
 from propaux.cli import build_parser, main
 from propaux.config import TbConfig
 from propaux.estimators import EstimatorConfig, evaluate
@@ -261,6 +261,21 @@ class TestSimulateCommand:
         assert len(rows) == 7
         for row in rows:
             assert row["theory_mse"] == 0.0 and row["ratio"] is None, row
+
+    def test_negative_tc_theory_mse_has_no_ratio(self, tmp_path):
+        # tc's first-order MSE at given weights is not checked for sign (near its
+        # optimum weights here); the row reports it, with no ratio, as strict JSON
+        pop, out = tmp_path / "pop.csv", tmp_path / "sim.json"
+        assert main(["generate", "--size", "40", "--seed", "1", "--output", str(pop)]) == 0
+        assert main(["simulate", "--input", str(pop), "--n", "5", "--reps", "200", "--seed",
+                     "1", "--tc", "alpha=5,q1=4.771,q2=-13.907579", "--output", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        rows = json.loads(out.read_text(), parse_constant=refuse)["simulation"]["rows"]
+        tc = next(row for row in rows if row["name"] == "tc")
+        assert tc["theory_mse"] < 0.0 and tc["ratio"] is None and tc["failures"] == 0
 
     def test_workers_flag_is_rejected(self, pop_csv, tmp_path):
         assert main(["simulate", "--input", str(pop_csv), "--n", "6",
@@ -550,30 +565,32 @@ class TestExitCodes:
         assert err.startswith("error: estimate is not finite") and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_simulate_counts_overflowed_replicates(self, tmp_path):
+    def test_simulate_counts_overflowed_replicates(self, tmp_path, capsys):
+        # the replicates that did not overflow aggregate to an infinite mse,
+        # which a JSON report cannot hold (the count is pinned in test_montecarlo)
         pop, out = tmp_path / "pop.csv", tmp_path / "sim.json"
         assert main(["generate", "--size", "40", "--seed", "3", "--output", str(pop)]) == 0
         assert main(["simulate", "--input", str(pop), "--n", "5", "--reps", "200",
-                     "--seed", "1", "--tc", "alpha=3000", "--output", str(out)]) == 0
-        rows = {row["name"]: row for row in json.loads(out.read_text())["simulation"]["rows"]}
-        assert 0 < rows["tc"]["failures"] < 200
-        assert rows["p"]["failures"] == 0
+                     "--seed", "1", "--tc", "alpha=3000", "--output", str(out)]) == 3
+        assert capsys.readouterr().err == ("numerical error: the report's simulation.rows[tc]"
+                                           ".mse is inf, not a JSON number\n")
+        assert not out.exists()
 
     def test_overflow_repro_ends_without_traceback(self, tmp_path):
-        # the aggregates overflow (Infinity, NaN) but the run ends normally
+        # the aggregates overflow (Infinity, NaN): one error line, and no file
         pop, out = tmp_path / "pop.csv", tmp_path / "sim.json"
         src = str(Path(__file__).parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
-        for argv in (["generate", "--size", "40", "--seed", "3", "--output", str(pop)],
-                     ["simulate", "--input", str(pop), "--n", "5", "--reps", "200",
-                      "--seed", "1", "--tc", "alpha=3000", "--output", str(out)]):
+        for argv, code in ((["generate", "--size", "40", "--seed", "3", "--output", str(pop)], 0),
+                           (["simulate", "--input", str(pop), "--n", "5", "--reps", "200",
+                             "--seed", "1", "--tc", "alpha=3000", "--output", str(out)], 3)):
             done = subprocess.run([sys.executable, "-m", "propaux.cli", *argv], env=env,
                                   capture_output=True, text=True, timeout=120)
-            assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+            assert done.returncode == code and "Traceback" not in done.stderr, done.stderr
             assert "RuntimeWarning" not in done.stderr, done.stderr
-        rows = {row["name"]: row for row in json.loads(out.read_text())["simulation"]["rows"]}
-        assert (rows["tc"]["failures"], rows["tc"]["replicates"]) == (35, 165)
+        assert done.stderr.startswith("numerical error: ") and done.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_saturating_link_warns_nothing(self, tmp_path, capsys):
         spec, out = tmp_path / "spec.json", tmp_path / "pop.csv"
@@ -645,6 +662,9 @@ BOUNDARY = {
     **{f"reps-{name}": (["simulate", "--input", "{pop}", "--n", "5", "--reps", reps,
                          "--seed", "1", "--output", "{out}"], b"")
        for name, reps in (("1e12", "1" + "0" * 12), ("1e23", "1" + "0" * 23))},
+    # no draw samples a frame of 2**32 units or more; these would not fit in memory
+    **{f"size-{name}": (["generate", "--size", size, "--seed", "1", "--output", "{out}"], b"")
+       for name, size in (("1e15", "1" + "0" * 15), ("1e23", "1" + "0" * 23))},
     "tc-transform-infinite-estimate": (_TC_INFINITE_ARGV, _SIX_ROWS),
     "tc-transform-infinite-pre": (["pre", "--params", "{bad}", "--tc", "a=1e308,b=1e308",
                                    "--format", "json"],
@@ -704,6 +724,22 @@ def test_number_outside_the_ascii_grammar_is_usage_error(pop_csv, ref_params_pat
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 7.11 PiB for an array"),
+     "error: Unable to allocate 7.11 PiB for an array\n"),
+    (MemoryError(), "error: MemoryError\n"),
+], ids=("numpy", "bare"))
+def test_running_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, exc, line):
+    # stands in for an allocation that fails; a test never allocates for real
+    def exhausted(spec, seed):
+        raise exc
+    monkeypatch.setattr(montecarlo, "generate_population", exhausted)
+    out = tmp_path / "pop.csv"
+    assert main(["generate", "--size", "40", "--seed", "1", "--output", str(out)]) == 2
+    assert capsys.readouterr() == ("", line)
+    assert not out.exists()
+
+
 def test_infinite_transform_is_named_as_such(tmp_path, capsys):
     # the sample mean of rows 4 and 5 is 13, so a*13 + b overflows to inf
     bad = tmp_path / "bad"
@@ -714,8 +750,9 @@ def test_infinite_transform_is_named_as_such(tmp_path, capsys):
 
 
 #: First-order expressions that overflow: float ``**`` raises where ``*``
-#: would give inf. ``{params}`` is a parameter document, ``{frame}`` a
-#: 40-unit population CSV and ``{out}`` an output path.
+#: would give inf; and a report whose aggregates overflow. ``{params}`` is a
+#: parameter document, ``{frame}`` a 40-unit population CSV and ``{out}`` an
+#: output path.
 NUMERICAL = {
     "pre-tc-alpha": ["pre", "--params", "{params}", "--tc", "alpha=1e200"],
     "pre-t3-gamma": ["pre", "--params", "{params}", "--t3", "gamma=1e308"],
@@ -725,6 +762,9 @@ NUMERICAL = {
                           "--seed", "1", "--tc", "alpha=1e200", "--output", "{out}"],
     "estimate-t3-gamma": ["estimate", "--input", "{frame}", "--indices", "0,1,2,3,4",
                           "--estimator", "t3", "--t3", "gamma=1e200"],
+    # the estimates are finite, but their mse sums to inf: JSON has no Infinity
+    "simulate-tc-alpha-3000": ["simulate", "--input", "{frame}", "--n", "5", "--reps", "200",
+                               "--seed", "1", "--tc", "alpha=3000", "--output", "{out}"],
 }
 
 

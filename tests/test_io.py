@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import propaux
 import propaux.io
 from propaux import PopulationFrame, SyntheticSpec, generate_population, theory
-from propaux.errors import ParseError, SchemaError
+from propaux.errors import NumericalError, ParseError, SchemaError
 from propaux.io import (
     ParamsDocument,
     build_report_document,
@@ -28,6 +28,7 @@ from propaux.io import (
     theory_report_dict,
     write_params_json,
     write_population_csv,
+    write_report_json,
 )
 from propaux.montecarlo import run_experiment
 
@@ -532,6 +533,24 @@ class TestReportDocuments:
         report = theory.sensitivity(ref_pop, ref_design.f, digits=3)
         payload = sensitivity_report_dict(report)
         assert json.loads(json.dumps(payload)) == payload
+
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf), ids=str)
+    def test_non_finite_value_is_refused_before_the_file_is_opened(self, tmp_path, value):
+        # JSON has no NaN or Infinity; the first one is named by section, row and field
+        out = tmp_path / "report.json"
+        rows = [{"name": "p", "mse": 0.5}, {"name": "tc", "mean": 0.5, "mse": value,
+                                            "ratio": math.inf}]
+        doc = build_report_document(input_digest="0" * 64, configurations={"tc": [1.0]},
+                                    sections={"simulation": {"n": 5, "rows": rows}})
+        with pytest.raises(NumericalError) as caught:
+            write_report_json(out, doc)
+        assert str(caught.value) == (f"the report's simulation.rows[tc].mse is {value}, "
+                                     "not a JSON number")
+        assert not out.exists()
+        doc["configurations"]["tc"][0] = value  # an unnamed list item is named by its index
+        with pytest.raises(NumericalError, match=r"configurations\.tc\[0\] is "):
+            write_report_json(out, doc)
+        assert not out.exists()
 
     def test_envelope_carries_version_and_digest(self, tmp_path):
         path = tmp_path / "in.json"

@@ -427,7 +427,7 @@ class TestRunExperiment:
         report = run_experiment(frame, 5, configs, reps=200, seed=1)
         loop = loop_report(frame, 5, configs, reps=200, seed=1)
         tc = report.row("tc")
-        assert 0 < tc.failures < 200
+        assert (tc.failures, tc.replicates) == (35, 165)
         assert tc.failures == loop.row("tc").failures
         assert tc.replicates + tc.failures == 200
         assert report.row("p") == loop.row("p")
@@ -698,6 +698,15 @@ class TestGeneratePopulation:
             SyntheticSpec(size=5)
         with pytest.raises(InvalidConfig):
             SyntheticSpec(size=100, aux_shape="uniform")
+
+    def test_size_is_one_a_draw_can_sample(self):
+        # every Monte Carlo draw needs N < 2**32; constructing a spec draws nothing
+        assert SyntheticSpec(size=2**32 - 1).size == 2**32 - 1
+        with pytest.raises(InvalidConfig, match=r"^synthetic population size must be below "
+                                                r"2\*\*32, got 4294967296$"):
+            SyntheticSpec(size=2**32)
+        with pytest.raises(InvalidConfig, match="^synthetic population size must be at least 10$"):
+            SyntheticSpec(size=9)
 
     def test_no_correlation_target(self):
         # the attribute/auxiliary link is set by link_intercept/link_slope;

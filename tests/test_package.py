@@ -32,8 +32,15 @@ from test_golden import DOCUMENT, GOLDEN
 PACKAGE = Path(propaux.__file__).parent
 README = Path(__file__).parent.parent / "README.md"
 
-#: The modules that load without numpy (``__init__`` is the package itself).
-NUMPY_FREE = ("__init__", "cli", "config", "errors", "io", "model", "theory")
+#: The modules that load without numpy (``__init__`` is the package itself):
+#: every module of the package but the three that compute on arrays, so a
+#: module added to the package is checked from the start.
+NUMPY_FREE = tuple(sorted({path.stem for path in PACKAGE.glob("*.py")}
+                          - {"estimators", "montecarlo", "population"}))
+
+#: The population summary, the design and their checks, defined in ``theory``
+#: beside the moment matrix they guard.
+SUMMARY_NAMES = ("Design", "PopulationParams", "check_realizable", "sampling_fraction")
 
 #: Where each name of ``propaux.__all__`` lives. The per-kind theory
 #: functions are reached through ``theory.FAMILIES`` and are not exported.
@@ -256,6 +263,19 @@ class TestPublicSurface:
             value = getattr(io, name)
             if callable(value):
                 assert value.__module__ == "propaux.io", name
+
+    def test_theory_defines_the_population_summary_and_the_design(self):
+        """The summary, the design and their checks are ``theory``'s own, in
+        no module of their own, and ``population`` and the package re-export
+        the same objects."""
+        assert importlib.util.find_spec("propaux.model") is None
+        population = importlib.import_module("propaux.population")
+        for name in SUMMARY_NAMES:
+            value = getattr(theory, name)
+            assert value.__module__ == "propaux.theory", name
+            assert getattr(population, name) is value, name
+            if name in propaux.__all__:
+                assert getattr(propaux, name) is value, name
 
     def test_sampling_fraction_accepts_numpy_integers(self):
         assert propaux.sampling_fraction(np.int64(5), np.int64(10)) == 0.1
