@@ -20,8 +20,10 @@ tuples, and share one two-weight system.
 ``FAMILIES`` is the registry of estimator kinds and the theory API: each
 kind's parameter class, report name, and its ``mse``, ``min_mse``,
 ``optimum`` and ``bias``, each called as ``(cfg, pop, f)``, and each one flat
-function of the kind's terms: C, or the tuple its ``terms`` reads off C. A
-table row or a scan point forms C once and passes the terms on. Every MSE
+function of the kind's terms: C, or the tuple its ``terms`` reads off C.
+``Family.bind`` binds a table row to ``(cfg, pop, f)`` once, forming all
+that reads no C; a report, the comparison conditions and each point of a
+sensitivity scan then form C once and pass it to every bound row. Every MSE
 that evaluates materially negative raises ``NegativeMse``, except
 ``FAMILIES["tc"].mse`` at given weights, which returns its value unchecked.
 
@@ -38,7 +40,7 @@ import functools
 import itertools
 import math
 import numbers
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Callable, NamedTuple
 
 from .config import T1Config, T2Config, T3Config, TableConfig, TbConfig, TcConfig
@@ -98,33 +100,41 @@ class PopulationParams(_PopulationFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(cls._fields[1:], self[1:]):
-            if not math.isfinite(value):
-                raise SchemaError(f"population parameter {name} must be finite")
-        if self.N < 2:
-            raise SchemaError("population size must be at least 2")
-        if not 0.0 < self.P < 1.0:
-            raise DegenerateAttribute(f"proportion must lie strictly in (0, 1), got {self.P}")
-        # cx = sqrt(sx2)/xbar carries the sign of the auxiliary mean; the
-        # cross-moment identities need the signed value
-        if self.sx2 <= 0.0 or self.cx == 0.0:
-            raise DegenerateAuxiliary("auxiliary variance must be strictly positive")
-        if self.xbar == 0.0:
-            raise ZeroMean("auxiliary population mean must be nonzero")
-        if self.sp2 <= 0.0 or self.cp <= 0.0:
-            raise DegenerateAttribute("attribute variance must be strictly positive")
-        if abs(self.rho_pb) > 1.0 + 1e-12:
-            raise SchemaError(f"|rho_pb| must not exceed 1, got {self.rho_pb}")
-        if self.lambda04 - 1.0 - self.lambda03**2 < -_REL_TOL:
-            raise SchemaError(
-                "lambda04 >= 1 + lambda03^2 must hold for any real distribution "
-                f"(got lambda04={self.lambda04}, lambda03={self.lambda03})"
-            )
+        _check_fields(*self)
         return self
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+def _check_fields(N, P, xbar, sx2, sp2, cp, cx, rho_pb, lambda03, lambda04, lambda12) -> None:
+    """The rules of every ``PopulationParams``, and of every point a
+    sensitivity scan moves it to, in their order."""
+    values = (P, xbar, sx2, sp2, cp, cx, rho_pb, lambda03, lambda04, lambda12)
+    if not all(map(math.isfinite, values)):
+        name = next(name for name, value in zip(_PopulationFields._fields[1:], values)
+                    if not math.isfinite(value))
+        raise SchemaError(f"population parameter {name} must be finite")
+    if N < 2:
+        raise SchemaError("population size must be at least 2")
+    if not 0.0 < P < 1.0:
+        raise DegenerateAttribute(f"proportion must lie strictly in (0, 1), got {P}")
+    # cx = sqrt(sx2)/xbar carries the sign of the auxiliary mean; the
+    # cross-moment identities need the signed value
+    if sx2 <= 0.0 or cx == 0.0:
+        raise DegenerateAuxiliary("auxiliary variance must be strictly positive")
+    if xbar == 0.0:
+        raise ZeroMean("auxiliary population mean must be nonzero")
+    if sp2 <= 0.0 or cp <= 0.0:
+        raise DegenerateAttribute("attribute variance must be strictly positive")
+    if abs(rho_pb) > 1.0 + 1e-12:
+        raise SchemaError(f"|rho_pb| must not exceed 1, got {rho_pb}")
+    if lambda04 - 1.0 - lambda03**2 < -_REL_TOL:
+        raise SchemaError(
+            "lambda04 >= 1 + lambda03^2 must hold for any real distribution "
+            f"(got lambda04={lambda04}, lambda03={lambda03})"
+        )
 
 
 def check_realizable(p: PopulationParams) -> None:
@@ -183,11 +193,13 @@ def sampling_fraction(n: int, N: int) -> float:
     return 1.0 / n - 1.0 / N
 
 
-def _moments(pop: PopulationParams) -> tuple[float, float, float, float, float, float]:
+def _matrix(cp, cx, rho_pb, lambda03, lambda04, lambda12) -> tuple[float, ...]:
     """The upper triangle ``(c00, c01, c02, c11, c12, c22)`` of C = Sigma/f."""
-    cp, cx = pop.cp, pop.cx
-    return (cp**2, pop.rho_pb * cp * cx, cp * pop.lambda12,
-            cx**2, cx * pop.lambda03, pop.lambda04 - 1.0)
+    return (cp**2, rho_pb * cp * cx, cp * lambda12, cx**2, cx * lambda03, lambda04 - 1.0)
+
+
+def _moments(pop: PopulationParams) -> tuple[float, float, float, float, float, float]:
+    return _matrix(*pop[5:])  # cp, cx, rho_pb, lambda03, lambda04, lambda12
 
 
 def _form(c: tuple[float, ...], w0: float, w1: float, w2: float) -> float:
@@ -221,15 +233,16 @@ def var_usual(pop: PopulationParams, f: float) -> float:
 
 
 # --- the forms in C: t1 (alpha, beta) and ta at (1, 0); t2 (h1, h2) and tb at h2 = 0
-# (each takes the moment tuple c; f*P^2*c00 is var_usual)
+# (each takes the moment tuple c; f*P^2*c00 is var_usual). ``_power_at`` and the
+# ``_*_least`` take (cfg, pop, f) and return an MSE as a function of C, f*P^2 formed once.
 
 
-def _power_mse(cfg, pop: PopulationParams, f: float, c=None) -> float:
+def _power_at(cfg, pop: PopulationParams, f: float) -> Callable[[tuple], float]:
     """First-order MSE of the power-transform estimator, f*P^2*w'Cw at
-    w = (1, -alpha, -beta)."""
-    c, scale = c or _moments(pop), f * pop.P**2
-    return _check_mse(scale * _form(c, 1.0, -cfg.alpha, -cfg.beta), scale * c[0],
-                      "power-transform MSE")
+    w = (1, -alpha, -beta), as a function of C."""
+    scale, w1, w2 = f * pop.P**2, -cfg.alpha, -cfg.beta
+    return lambda c: _check_mse(scale * _form(c, 1.0, w1, w2), scale * c[0],
+                                "power-transform MSE")
 
 
 def _power_bias(cfg, pop: PopulationParams, f: float, c=None) -> float:
@@ -245,14 +258,17 @@ def _power_bias(cfg, pop: PopulationParams, f: float, c=None) -> float:
     )
 
 
-def _schur_min_mse(cfg, pop: PopulationParams, f: float, c=None) -> float:
+def _schur_least(cfg, pop: PopulationParams, f: float) -> Callable[[tuple], float]:
     """Minimum MSE of ``t1`` and ``t2``,
     f*P^2*cp^2*(1 - rho^2 - (lambda03*rho - lambda12)^2/gap):
     f*P^2 times the Schur complement of the auxiliary block of C."""
-    c, scale = c or _moments(pop), f * pop.P**2
-    alpha, beta = _regression(c)
-    return _check_mse(scale * (c[0] - (alpha * c[1] + beta * c[2])), scale * c[0],
-                      "power-transform minimum MSE")
+    scale = f * pop.P**2
+
+    def least(c):
+        alpha, beta = _regression(c)
+        return _check_mse(scale * (c[0] - (alpha * c[1] + beta * c[2])), scale * c[0],
+                          "power-transform minimum MSE")
+    return least
 
 
 def _linear_mse(cfg, pop: PopulationParams, f: float, c=None) -> float:
@@ -268,11 +284,11 @@ def _tb_optimum(cfg, pop: PopulationParams, f: float, c=None) -> tuple[float]:
     return (-pop.P * c[1] / c[3],)
 
 
-def _tb_min_mse(cfg, pop: PopulationParams, f: float, c=None) -> float:
+def _tb_least(cfg, pop: PopulationParams, f: float) -> Callable[[tuple], float]:
     """Class minimum MSE over mean-only transforms, f*P^2*cp^2*(1 - rho_pb^2)."""
-    c, scale = c or _moments(pop), f * pop.P**2
-    return _check_mse(scale * (c[0] - c[1] / c[3] * c[1]), scale * c[0],
-                      "regression-class minimum MSE")
+    scale = f * pop.P**2
+    return lambda c: _check_mse(scale * (c[0] - c[1] / c[3] * c[1]), scale * c[0],
+                                "regression-class minimum MSE")
 
 
 # --- the two-weight system of tc (q1, q2) and t3 (m1, m2) ---------------------------
@@ -370,8 +386,9 @@ class TcConstants(NamedTuple):
     mse, bias, optimum, min_mse = _TWO_WEIGHT
 
 
-def _tc_terms(cfg: TcConfig, pop: PopulationParams, f: float, c=None) -> tuple[float, ...]:
-    """``TcConstants``'s fields; C is read after the transform is checked."""
+def _tc_terms(cfg: TcConfig, pop: PopulationParams, f: float) -> Callable[[tuple], tuple]:
+    """``TcConstants``'s fields as a function of C. The transform is checked,
+    and every product that reads no C is formed, here."""
     a, b, alpha, beta = cfg.a, cfg.b, cfg.alpha, cfg.beta
     P, X = pop.P, pop.xbar
     base = a * X + b
@@ -381,20 +398,26 @@ def _tc_terms(cfg: TcConfig, pop: PopulationParams, f: float, c=None) -> tuple[f
     bc = theta * (alpha + beta / 2.0)
     ac = theta**2 * (alpha * (alpha + 1.0) / 2.0 + alpha * beta / 2.0
                      + beta**2 / 8.0 + beta / 4.0)
-    cp2, rcx, _, cx2, _, _ = c or _moments(pop)
-    return (theta, bc, ac,
-            P**2 * (1.0 + f * (cp2 - 4.0 * bc * rcx + (bc**2 + 2.0 * ac) * cx2)),
-            P * X * f * (2.0 * bc * cx2 - rcx),
-            X**2 * f * cx2,
-            P**2 * (1.0 + f * (ac * cx2 - bc * rcx)),
-            P * X * f * bc * cx2)
+    P2, bc4, bc2, bc2ac = P**2, 4.0 * bc, 2.0 * bc, bc**2 + 2.0 * ac
+    PXf, X2f = P * X * f, X**2 * f
+    PXfbc = PXf * bc
+
+    def terms(c):
+        cp2, rcx, _, cx2, _, _ = c
+        return (theta, bc, ac,
+                P2 * (1.0 + f * (cp2 - bc4 * rcx + bc2ac * cx2)),
+                PXf * (bc2 * cx2 - rcx),
+                X2f * cx2,
+                P2 * (1.0 + f * (ac * cx2 - bc * rcx)),
+                PXfbc * cx2)
+    return terms
 
 
 def tc_constants(cfg: TcConfig, pop: PopulationParams, f: float) -> TcConstants:
     """Expansion constants for the transform ((a*X+b)/(a*x+b))^alpha * exp-tilt^beta
     that ``cfg`` picks, as the first-order moments of the channels
     Y1 = p*R and Y2 = (X - xbar)*R; its weights are not read."""
-    return TcConstants(*_tc_terms(cfg, pop, f))
+    return TcConstants(*_tc(cfg, pop, f, None))
 
 
 class T3Constants(NamedTuple):
@@ -417,30 +440,35 @@ class T3Constants(NamedTuple):
     mse, bias, optimum, min_mse = _TWO_WEIGHT
 
 
-def _t3_terms(cfg: T3Config, pop: PopulationParams, f: float, c=None) -> tuple[float, ...]:
-    """``T3Constants``'s fields in the order of its system, (a, d, c, b, e).
+def _t3_terms(cfg: T3Config, pop: PopulationParams, f: float) -> Callable[[tuple], tuple]:
+    """``T3Constants``'s fields in the order of its system, (a, d, c, b, e), as
+    a function of C; every product of the switches and f is formed here.
 
     Each channel mean pairs with the moments of its own deviation channel:
     ``b`` with the mean channel (rho_pb*cp*cx, cx^2), ``e`` with the variance
     channel (cp*lambda12, lambda04 - 1).
     """
     gamma, g, delta = cfg.gamma, cfg.g, cfg.delta
-    cp2, rcx, cl12, cx2, cl03, l4m1 = c or _moments(pop)
-    a = 1.0 + f * (cp2 - 4.0 * gamma * g * rcx + gamma**2 * g * (2.0 * g + 1.0) * cx2)
-    b = 1.0 - gamma * g * f * rcx + g * (g + 1.0) / 2.0 * gamma**2 * f * cx2
-    c = 1.0 + f * (cp2 - 2.0 * delta * cl12
-                   + (delta**2 + delta * (delta + 2.0)) * l4m1 / 4.0)
-    d = 1.0 + f * (cp2 - delta * cl12 + delta * (delta + 2.0) / 8.0 * l4m1
-                   - 2.0 * gamma * g * rcx + gamma * delta * g / 2.0 * cl03
-                   + g * (g + 1.0) / 2.0 * gamma**2 * cx2)
-    e = 1.0 - delta / 2.0 * f * cl12 + delta * (delta + 2.0) / 8.0 * f * l4m1
-    return a, d, c, b, e
+    a1, a2 = 4.0 * gamma * g, gamma**2 * g * (2.0 * g + 1.0)
+    b1, d5 = gamma * g * f, g * (g + 1.0) / 2.0 * gamma**2
+    c1, c2 = 2.0 * delta, delta**2 + delta * (delta + 2.0)
+    d2, d3, d4 = delta * (delta + 2.0) / 8.0, 2.0 * gamma * g, gamma * delta * g / 2.0
+    b2, e1, e2 = d5 * f, delta / 2.0 * f, d2 * f
+
+    def terms(c):
+        cp2, rcx, cl12, cx2, cl03, l4m1 = c
+        return (1.0 + f * (cp2 - a1 * rcx + a2 * cx2),
+                1.0 + f * (cp2 - delta * cl12 + d2 * l4m1 - d3 * rcx + d4 * cl03 + d5 * cx2),
+                1.0 + f * (cp2 - c1 * cl12 + c2 * l4m1 / 4.0),
+                1.0 - b1 * rcx + b2 * cx2,
+                1.0 - e1 * cl12 + e2 * l4m1)
+    return terms
 
 
 def t3_constants(cfg: T3Config, pop: PopulationParams, f: float) -> T3Constants:
     """Expansion constants of the two-term family at the switches (gamma, g,
     delta) of ``cfg``; its weights are not read."""
-    a, d, c, b, e = _t3_terms(cfg, pop, f)
+    a, d, c, b, e = _t3(cfg, pop, f, None)
     return T3Constants(a=a, b=b, c=c, d=d, e=e)
 
 
@@ -450,10 +478,12 @@ def t3_constants(cfg: T3Config, pop: PopulationParams, f: float) -> T3Constants:
 class Family(NamedTuple):
     """One estimator kind: its configuration class ``params`` (None for
     ``usual`` and ``ta``), its report name ``label`` where that is not the
-    kind, and its first-order theory, each part a function of ``(cfg, pop, f,
-    t=None)`` with terms ``t = terms(cfg, pop, f, c)``: ``mse`` at the
-    constants ``cfg`` holds, ``min_mse`` at the optimum, ``bias``, and the
-    ``optimum`` of ``constants``, the fields of ``params`` that default to None.
+    kind, and its first-order theory. ``mse`` at the constants ``cfg`` holds,
+    ``min_mse`` at the optimum, ``bias``, and the ``optimum`` of
+    ``constants`` (the fields of ``params`` that default to None) are
+    functions of ``(cfg, pop, f, t=None)`` with terms t: C itself, or the
+    tuple ``terms(cfg, pop, f)(c)`` reads off C. ``least(cfg, pop, f)`` is the
+    minimum as a function of t.
 
     ``census`` holds the limits of ``constants`` under a census design
     (f = 0), where a family whose weight system is then singular (there is no
@@ -465,7 +495,7 @@ class Family(NamedTuple):
     """
 
     mse: Callable[..., float]
-    min_mse: Callable[..., float]
+    least: Callable[..., Callable[[tuple], float]]
     params: type | None = None
     label: str | None = None
     optimum: Callable[..., tuple[float, ...]] = lambda cfg, pop, f, t=None: ()
@@ -473,7 +503,7 @@ class Family(NamedTuple):
     bias: Callable[..., float] = lambda cfg, pop, f, t=None: 0.0
     shown: Callable[..., dict[str, float]] = (
         lambda cfg, t: {} if cfg is None else cfg._asdict())
-    terms: Callable[..., tuple | None] = lambda cfg, pop, f, c=None: c or _moments(pop)
+    terms: Callable[..., Callable[[tuple], tuple]] = lambda cfg, pop, f: _same
     formulas: dict[str, str] = {}
     fixed_formulas: dict[str, str] = {}
     census_formulas: dict[str, str] = {}
@@ -481,6 +511,11 @@ class Family(NamedTuple):
     @property
     def constants(self) -> tuple[str, ...]:
         return _none_defaults(self.params)
+
+    def min_mse(self, cfg, pop: PopulationParams, f: float, t=None) -> float:
+        """The MSE with every constant of ``constants`` at its optimum."""
+        least = self.least(cfg, pop, f)
+        return least(t or self.terms(cfg, pop, f)(_moments(pop)))
 
     def resolve(self, cfg, pop: PopulationParams, f: float, t=None):
         """``cfg`` with every ``None`` constant replaced by its optimum, or by
@@ -495,23 +530,22 @@ class Family(NamedTuple):
     def _free(self, cfg) -> bool:
         return all(getattr(cfg, name) is None for name in self.constants)
 
-    def table_mse(self, cfg) -> Callable[..., float]:
-        """The MSE an efficiency table reports for ``cfg``, as a function of
-        (pop, f, c=None): the minimum when every constant is free, else the MSE
-        at the given constants (the free ones at their optimum)."""
-        terms = self.terms
-        if not self._free(cfg):
-            def given(pop, f, c=None):
-                t = terms(cfg, pop, f, c)
-                return self.mse(self.resolve(cfg, pop, f, t), pop, f, t)
-            return given
-        if self.params and len(self.params._fields) > len(self.constants):  # reads a setting
-            return lambda pop, f, c=None: self.min_mse(cfg, pop, f, terms(cfg, pop, f, c))
-        return _least(terms, self.min_mse)
+    def bind(self, cfg, pop: PopulationParams, f: float) -> tuple[Callable, Callable]:
+        """The efficiency-table row of ``cfg``, bound to ``(pop, f)``: the pair
+        ``(terms, mse)``, where ``terms(c)`` reads the row's terms off the
+        moment tuple c and ``mse(terms(c))`` is the MSE the table reports
+        there: the minimum when every constant is free, else the MSE at the
+        given constants (the free ones at their optimum). Whatever reads no C
+        is formed here, once."""
+        terms = self.terms(cfg, pop, f)
+        if self._free(cfg):
+            return terms, self.least(cfg, pop, f)
+        mse, resolve = self.mse, self.resolve
+        return terms, lambda t: mse(resolve(cfg, pop, f, t), pop, f, t)
 
     def table_formulas(self, cfg) -> dict[str, str]:
         """The formulas a table row for ``cfg`` quotes: ``formulas``, updated
-        by ``fixed_formulas`` when ``table_mse`` reports the MSE at given
+        by ``fixed_formulas`` when ``bind`` reports the MSE at given
         constants."""
         return self.formulas if self._free(cfg) else {**self.formulas, **self.fixed_formulas}
 
@@ -523,35 +557,36 @@ def _none_defaults(params: type | None) -> tuple[str, ...]:
     return tuple(name for name, value in defaults.items() if value is None)
 
 
-@functools.cache
-def _least(terms: Callable, least: Callable) -> Callable[..., float]:
-    """The table MSE of a free row that reads no field of its configuration:
-    one function per minimum, so that ``t1`` and ``t2`` can share a value."""
-    return lambda pop, f, c=None: least(None, pop, f, terms(None, pop, f, c))
+def _pair_least(shape: tuple) -> Callable[..., Callable[[tuple], float]]:
+    """The ``least`` of a two-weight family of this shape."""
+    return lambda cfg, pop, f: lambda t, P=pop.P: _pair_min_mse(t, P, shape)
 
 
 _RATIO = T1Config(alpha=1.0, beta=0.0)  # the ratio estimate ta is t1 at (1, 0)
 _UNBIASED_LINEAR = "0 (linear member is first-order unbiased)"
+_same = lambda c: c  # the terms of a form in C
 _usual = lambda cfg, pop, f, t=None: var_usual(pop, f)
+_usual_least = lambda cfg, pop, f: lambda c, scale=f * pop.P**2: scale * c[0]
+_power_mse = lambda cfg, pop, f, c=None: _power_at(cfg, pop, f)(c or _moments(pop))
 _ratio = lambda cfg, pop, f, c=None: _power_mse(_RATIO, pop, f, c)
-_tc = lambda cfg, pop, f, t: t or _tc_terms(cfg, pop, f)
-_t3 = lambda cfg, pop, f, t: t or _t3_terms(cfg, pop, f)
+_tc = lambda cfg, pop, f, t: t or _tc_terms(cfg, pop, f)(_moments(pop))
+_t3 = lambda cfg, pop, f, t: t or _t3_terms(cfg, pop, f)(_moments(pop))
 
 FAMILIES: dict[str, Family] = {
-    "usual": Family(_usual, _usual, label="p", terms=lambda cfg, pop, f, c=None: None,
+    "usual": Family(_usual, _usual_least, label="p",
                     formulas={"mse": "var_usual: f*P^2*cp^2",
                               "bias": "0 (exactly unbiased)"}),
-    "ta": Family(_ratio, _ratio, bias=lambda cfg, pop, f, c=None: _power_bias(_RATIO, pop, f, c),
+    "ta": Family(_ratio, lambda cfg, pop, f: _power_at(_RATIO, pop, f),
+                 bias=lambda cfg, pop, f, c=None: _power_bias(_RATIO, pop, f, c),
                  formulas={"mse": "mse_ta: f*P^2*(cp^2+cx^2-2*rho_pb*cp*cx)",
                            "bias": "bias_ta: f*P*(cx^2-rho_pb*cp*cx)"}),
     "tb": Family(lambda cfg, pop, f, c=None: _linear_mse(T2Config(h1=cfg.h1, h2=0.0), pop, f, c),
-                 _tb_min_mse, TbConfig, optimum=_tb_optimum,
+                 _tb_least, TbConfig, optimum=_tb_optimum,
                  formulas={"mse": "min_mse_tb: f*P^2*cp^2*(1-rho_pb^2)",
                            "bias": _UNBIASED_LINEAR}),
     "tc": Family(lambda cfg, pop, f, t=None: _pair_mse(_tc(cfg, pop, f, t), pop.P, _TC,
                                                         cfg.q1, cfg.q2),
-                 lambda cfg, pop, f, t=None: _pair_min_mse(_tc(cfg, pop, f, t), pop.P, _TC),
-                 TcConfig, census=(1.0, 0.0), terms=_tc_terms,
+                 _pair_least(_TC), TcConfig, census=(1.0, 0.0), terms=_tc_terms,
                  optimum=lambda cfg, pop, f, t=None: _pair_optimum(_tc(cfg, pop, f, t), _TC),
                  bias=lambda cfg, pop, f, t=None: _pair_bias(_tc(cfg, pop, f, t), pop.P, _TC,
                                                              cfg.q1, cfg.q2),
@@ -565,11 +600,11 @@ FAMILIES: dict[str, Family] = {
                                         "-2*q1*d4-2*q2*d5"},
                  census_formulas={"mse": "census: f=0 collapses every first-order MSE",
                                   "bias": "census"}),
-    "t1": Family(_power_mse, _schur_min_mse, T1Config, bias=_power_bias,
+    "t1": Family(_power_mse, _schur_least, T1Config, bias=_power_bias,
                  optimum=lambda cfg, pop, f, c=None: _regression(c or _moments(pop)),
                  formulas={"mse": "t1_min_mse: f*P^2*cp^2*(1-rho^2-(lambda03*rho-lambda12)^2/gap)",
                            "bias": "t1_bias at the optimal exponents"}),
-    "t2": Family(_linear_mse, _schur_min_mse, T2Config,
+    "t2": Family(_linear_mse, _schur_least, T2Config,
                  optimum=lambda cfg, pop, f, c=None: tuple(
                      -pop.P * w for w in _regression(c or _moments(pop))),
                  formulas={"mse": "t2_min_mse == t1_min_mse (identical closed forms)",
@@ -577,8 +612,7 @@ FAMILIES: dict[str, Family] = {
     "t3": Family(lambda cfg, pop, f, t=None: _check_mse(
                      _pair_mse(_t3(cfg, pop, f, t), pop.P, _T3, cfg.m1, cfg.m2),
                      pop.P**2, "two-term family MSE"),
-                 lambda cfg, pop, f, t=None: _pair_min_mse(_t3(cfg, pop, f, t), pop.P, _T3),
-                 T3Config, census=(0.5, 0.5), terms=_t3_terms,
+                 _pair_least(_T3), T3Config, census=(0.5, 0.5), terms=_t3_terms,
                  optimum=lambda cfg, pop, f, t=None: _pair_optimum(_t3(cfg, pop, f, t), _T3),
                  bias=lambda cfg, pop, f, t=None: _pair_bias(_t3(cfg, pop, f, t), pop.P, _T3,
                                                              cfg.m1, cfg.m2),
@@ -642,19 +676,20 @@ def theory_report(pop: PopulationParams, design: Design,
     baseline = var_usual(pop, f)
     try:
         c = _moments(pop)
-    except OverflowError:  # raised again by the first row that reads C, after p's
-        c = None
+    except OverflowError:  # p's row, the first, reads c00 alone and fails first
+        if not census:
+            pre(baseline, baseline)
+        raise
     entries: list[EstimatorTheory] = []
     for name, kind, cfg in _table(config or TableConfig()):
         family = FAMILIES[kind]
         if census and family.census:
             bias, mse, constants, formulas = 0.0, 0.0, {}, family.census_formulas
-        else:  # the row's terms, read once
-            t = family.terms(cfg, pop, f, c)
+        else:  # the row bound once, its terms read once
+            terms, mse_at = family.bind(cfg, pop, f)
+            t = terms(c)
             resolved = family.resolve(cfg, pop, f, t)
-            bias = family.bias(resolved, pop, f, t)
-            mse = (family.min_mse(cfg, pop, f, t) if family._free(cfg)
-                   else family.mse(resolved, pop, f, t))
+            bias, mse = family.bias(resolved, pop, f, t), mse_at(t)
             constants, formulas = family.shown(resolved, t), family.table_formulas(cfg)
         entries.append(EstimatorTheory(name, bias, mse, None if census else pre(baseline, mse),
                                        constants, {**formulas, "pre": "100*mse(p)/mse"}))
@@ -689,7 +724,7 @@ def comparison_conditions(pop: PopulationParams, f: float,
     """Numeric evaluation of the pairwise dominance conditions.
 
     Each side is the MSE the efficiency table reports for that row
-    (``Family.table_mse``), so fixed ``tc`` weights are compared as given.
+    (``Family.bind``), so fixed ``tc`` weights are compared as given.
     The first condition (power-transform/two-channel class against the usual
     estimator) carries an analytic guarantee: its slack equals
     ``f*P^2*cp^2*(rho^2 + (lambda03*rho - lambda12)^2/gap)``, a sum of squares
@@ -714,7 +749,8 @@ def comparison_conditions(pop: PopulationParams, f: float,
     def side(kind: str, cfg) -> float | str:
         """The table MSE of ``cfg``, evaluated once, or the text of its error."""
         try:
-            return FAMILIES[kind].table_mse(cfg)(pop, f, c)
+            terms, mse = FAMILIES[kind].bind(cfg, pop, f)
+            return mse(terms(c))
         except (NumericalError, DataError, OverflowError) as exc:
             return overflow_message(exc) if isinstance(exc, OverflowError) else str(exc)
 
@@ -755,27 +791,14 @@ class SensitivityReport(NamedTuple):
         return {row.name: row for row in self.intervals}[name]
 
 
-_SCAN_FIELDS = ("cp", "cx", "rho_pb", "lambda03", "lambda04", "lambda12")
-
-
-def _scan_points(digits: int) -> list[tuple[float, ...]]:
+@functools.cache
+def _scan_points(digits: int) -> tuple[tuple[float, ...], ...]:
     """Deterministic scan offsets: center, axis points, then all corners."""
     h = 0.5 * 10.0**-digits
     axes = [tuple(sign * h if i == axis else 0.0 for i in range(6))
             for axis in range(6) for sign in (-1.0, 1.0)]
     corners = [tuple(s * h for s in corner) for corner in itertools.product((-1.0, 1.0), repeat=6)]
-    return [(0.0,) * 6, *axes, *corners]
-
-
-def _perturbed(pop: PopulationParams, offsets: tuple[float, ...]) -> PopulationParams:
-    """``pop`` moved by ``offsets`` along ``_SCAN_FIELDS``, with ``sx2`` and
-    ``sp2`` derived from the moved ``cx`` and ``cp``, in one constructor call."""
-    d_cp, d_cx, d_rho, d_03, d_04, d_12 = offsets
-    cp, cx = pop.cp + d_cp, pop.cx + d_cx
-    return PopulationParams(N=pop.N, P=pop.P, xbar=pop.xbar, sx2=(cx * pop.xbar) ** 2,
-                            sp2=(cp * pop.P) ** 2, cp=cp, cx=cx, rho_pb=pop.rho_pb + d_rho,
-                            lambda03=pop.lambda03 + d_03, lambda04=pop.lambda04 + d_04,
-                            lambda12=pop.lambda12 + d_12)
+    return ((0.0,) * 6, *axes, *corners)
 
 
 def sensitivity(pop: PopulationParams, f: float, config: TableConfig | None = None,
@@ -784,37 +807,49 @@ def sensitivity(pop: PopulationParams, f: float, config: TableConfig | None = No
 
     Each of (cp, cx, rho_pb, lambda03, lambda04, lambda12) is perturbed within
     plus/minus half a unit of its last reported digit (``0.5 * 10**-digits``),
-    independently (axis points) and jointly (corners). Each point takes the
-    MSE the efficiency table reports (``Family.table_mse``). Points where a
-    theory expression fails (negative MSE, singular system, invalid moments,
-    overflow) are counted as unstable rather than aborting the scan; a point
-    whose perturbed parameters are invalid is unstable for every estimator.
+    independently (axis points) and jointly (corners). Each row is bound once
+    (``Family.bind``) and takes, at each point, the MSE the efficiency table
+    reports. Points where a theory expression fails (negative MSE, singular
+    system, invalid moments, overflow) are counted as unstable rather than
+    aborting the scan; a point whose moved fields, or the ``sx2`` and ``sp2``
+    derived from them, break a rule of ``PopulationParams`` is unstable for
+    every estimator.
     """
     if (isinstance(digits, bool) or not isinstance(digits, numbers.Integral)
             or not 1 <= digits <= 323):
         # from 324 digits on, the half step 0.5 * 10.0**-digits is 0.0
         raise InvalidConfig(f"digits must be an integer from 1 to 323, got {digits!r}")
     digits = int(digits)
-    rows = _table(config or TableConfig())[1:]  # p, the baseline, is 100 everywhere
-    mses = [FAMILIES[kind].table_mse(cfg) for _, kind, cfg in rows]
+    rows = _table(config or TableConfig())
+    bound, minima = [], {}
+    for j, (_, kind, cfg) in enumerate(rows):
+        family = FAMILIES[kind]
+        try:
+            terms, mse = family.bind(cfg, pop, f)
+        except (ToolkitError, OverflowError):  # reads no C: unstable at every point
+            continue
+        if family._free(cfg) and len(cfg or ()) == len(family.constants):  # no setting read:
+            mse = minima.setdefault(family.least, mse)  # t1 and t2 share one minimum
+        bound.append((j, terms, mse))
+    (_, _, base), *bound = bound  # p, the baseline, is 100 everywhere
     points = _scan_points(digits)
     found: list[list[float]] = [[] for _ in rows]
     center: list[float | None] = [None] * len(rows)
+    (N, P, xbar), moments = pop[:3], pop[5:]
     for k, offsets in enumerate(points):
+        moved = tuple(map(add, moments, offsets))
+        cp, cx = moved[:2]
         try:
-            q = _perturbed(pop, offsets)
+            _check_fields(N, P, xbar, (cx * xbar) ** 2, (cp * P) ** 2, *moved)
+            c = _matrix(*moved)
         except (ToolkitError, OverflowError):
             continue
-        try:
-            baseline, c = var_usual(q, f), _moments(q)
-        except OverflowError:  # every row reads both
-            continue
-        last = None
-        for j, mse in enumerate(mses):
-            if mse is not last:  # t1 and t2 share one function, and one value
+        baseline, last = base(c), None
+        for j, terms, mse in bound:
+            if mse is not last:  # and so is computed once for t1 and t2
                 last = mse
                 try:
-                    value = pre(baseline, mse(q, f, c))
+                    value = pre(baseline, mse(terms(c)))
                 except (ToolkitError, OverflowError):
                     value = None
             if value is not None:
@@ -824,4 +859,4 @@ def sensitivity(pop: PopulationParams, f: float, config: TableConfig | None = No
     return SensitivityReport(digits, 0.5 * 10.0**-digits, tuple(
         PreInterval(name, point, min(values, default=None), max(values, default=None),
                     len(points) - len(values), len(points))
-        for (name, _, _), point, values in zip(rows, center, found)))
+        for (name, _, _), point, values in zip(rows[1:], center[1:], found[1:])))

@@ -93,6 +93,15 @@ for ends, text in (("", POPULATION), ("_crlf", POPULATION_CRLF)):
     for suffix, flags in (("", []), ("_n_6", ["--n", "6"])):
         CASES[f"params{ends}{suffix}.json"] = ["params", *flags]
         POPULATIONS[f"params{ends}{suffix}.json"] = text
+#: Table commands on the 16-unit population's moments at n = 6 (the golden
+#: ``params_n_6.json``, read after it is written): half-fixed tc weights, and
+#: a t3 shift.
+DOCUMENTS = {}
+for suffix, flags in (("_tc_q2_half", ["--tc", "q2=0.5"]),
+                      ("_t3_gamma_half", ["--t3", "gamma=0.5"])):
+    for name in ("theory", "sensitivity"):
+        CASES[f"{name}_n_6{suffix}.json"] = COMMANDS[f"{name}.json"] + flags
+        DOCUMENTS[f"{name}_n_6{suffix}.json"] = "params_n_6.json"
 
 
 def run(name: str) -> bytes:
@@ -105,7 +114,8 @@ def run(name: str) -> bytes:
             Path(source[1]).write_bytes(POPULATIONS.get(name, POPULATION).encode("utf-8"))
         else:
             source = ["--params", str(Path(tmp) / "params.json")]
-            Path(source[1]).write_text(DOCUMENT, encoding="utf-8")
+            document = (GOLDEN / DOCUMENTS[name]).read_bytes() if name in DOCUMENTS else None
+            Path(source[1]).write_bytes(document or DOCUMENT.encode("utf-8"))
         out = Path(tmp) / "out.json"
         argv = [argv[0], *source, *argv[1:]]
         if argv[0] not in ("pre", "estimate"):

@@ -586,13 +586,13 @@ class TestComparisonConditions:
     def test_each_side_is_evaluated_once(self, ref_pop, ref_design, monkeypatch):
         # t3 sits on three conditions and t1 on two; each is evaluated once
         evaluated = []
-        table_mse = theory.Family.table_mse
+        bind = theory.Family.bind
 
-        def counted(family, cfg):
-            mse = table_mse(family, cfg)
-            return lambda *args: evaluated.append(type(cfg).__name__) or mse(*args)
+        def counted(family, cfg, pop, f):
+            terms, mse = bind(family, cfg, pop, f)
+            return terms, lambda t: evaluated.append(type(cfg).__name__) or mse(t)
 
-        monkeypatch.setattr(theory.Family, "table_mse", counted)
+        monkeypatch.setattr(theory.Family, "bind", counted)
         theory.comparison_conditions(ref_pop, ref_design.f, TableConfig(tc=TcConfig(q1=1.0)))
         assert sorted(evaluated) == ["T1Config", "T3Config", "TcConfig"]
 
@@ -644,6 +644,16 @@ class TestTheoryReport:
         with pytest.raises(KeyError):
             theory.theory_report(ref_pop, ref_design).entry("t3")
 
+    def test_the_usual_row_fails_before_c_is_formed(self):
+        # var_usual underflows to 0 and cx**2 overflows: p's row, which comes
+        # first, raises; under a census it has no PRE, and C raises
+        pop = PopulationParams(N=100, P=1e-170, xbar=1e-150, sx2=1e10, sp2=0.25, cp=1.0,
+                               cx=1e155, rho_pb=0.0, lambda03=0.0, lambda04=2.0, lambda12=0.0)
+        with pytest.raises(NonpositiveMse):
+            theory.theory_report(pop, Design(n=10, N=100))
+        with pytest.raises(OverflowError):
+            theory.theory_report(pop, Design(n=100, N=100))
+
 
 _TC_WEIGHT = st.one_of(st.none(), st.floats(min_value=-1.0, max_value=2.0))
 
@@ -669,21 +679,139 @@ class TestOneTableMse:
         assert conditions[3].candidate_mse == report.entries[6].mse
 
 
+def _flat_tc_terms(cfg, pop, f, c):
+    """``tc``'s terms as one flat expression each, nothing formed ahead of C."""
+    a, b, alpha, beta = cfg.a, cfg.b, cfg.alpha, cfg.beta
+    P, X = pop.P, pop.xbar
+    base = a * X + b
+    if not 0.0 < base < math.inf:
+        raise theory.NonpositiveTransform(base)
+    theta = a * X / base
+    bc = theta * (alpha + beta / 2.0)
+    ac = theta**2 * (alpha * (alpha + 1.0) / 2.0 + alpha * beta / 2.0
+                     + beta**2 / 8.0 + beta / 4.0)
+    cp2, rcx, _, cx2, _, _ = c
+    return (theta, bc, ac,
+            P**2 * (1.0 + f * (cp2 - 4.0 * bc * rcx + (bc**2 + 2.0 * ac) * cx2)),
+            P * X * f * (2.0 * bc * cx2 - rcx),
+            X**2 * f * cx2,
+            P**2 * (1.0 + f * (ac * cx2 - bc * rcx)),
+            P * X * f * bc * cx2)
+
+
+def _flat_t3_terms(cfg, pop, f, c):
+    """``t3``'s terms (a, d, c, b, e) as one flat expression each."""
+    gamma, g, delta = cfg.gamma, cfg.g, cfg.delta
+    cp2, rcx, cl12, cx2, cl03, l4m1 = c
+    return (1.0 + f * (cp2 - 4.0 * gamma * g * rcx + gamma**2 * g * (2.0 * g + 1.0) * cx2),
+            1.0 + f * (cp2 - delta * cl12 + delta * (delta + 2.0) / 8.0 * l4m1
+                       - 2.0 * gamma * g * rcx + gamma * delta * g / 2.0 * cl03
+                       + g * (g + 1.0) / 2.0 * gamma**2 * cx2),
+            1.0 + f * (cp2 - 2.0 * delta * cl12
+                       + (delta**2 + delta * (delta + 2.0)) * l4m1 / 4.0),
+            1.0 - gamma * g * f * rcx + g * (g + 1.0) / 2.0 * gamma**2 * f * cx2,
+            1.0 - delta / 2.0 * f * cl12 + delta * (delta + 2.0) / 8.0 * f * l4m1)
+
+
+_SETTING = st.floats(min_value=-3.0, max_value=3.0)
+
+
+class TestBoundTermsKeepTheirBits:
+    # a binding forms the products that read no C ahead of it; each is a
+    # left-associated prefix of the flat expression, so every bit stays
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), a=_SETTING, b=_SETTING, alpha=_SETTING,
+           beta=_SETTING, small_sample=st.booleans())
+    def test_tc(self, seed, a, b, alpha, beta, small_sample):
+        pop, f = well_posed_params(np.random.default_rng(seed))
+        f = 1 / 2 - 1 / pop.N if small_sample else f
+        cfg, c = TcConfig(a=a, b=b, alpha=alpha, beta=beta), theory._moments(pop)
+        assert (_outcome(lambda: theory._tc_terms(cfg, pop, f)(c))
+                == _outcome(_flat_tc_terms, cfg, pop, f, c))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), gamma=_SETTING, g=_SETTING, delta=_SETTING,
+           small_sample=st.booleans())
+    def test_t3(self, seed, gamma, g, delta, small_sample):
+        pop, f = well_posed_params(np.random.default_rng(seed))
+        f = 1 / 2 - 1 / pop.N if small_sample else f
+        cfg, c = T3Config(gamma=gamma, g=g, delta=delta), theory._moments(pop)
+        assert repr(theory._t3_terms(cfg, pop, f)(c)) == repr(_flat_t3_terms(cfg, pop, f, c))
+
+
+class TestEachRowIsBoundOnce:
+    @pytest.fixture
+    def bound(self, monkeypatch):
+        """The (kind, configuration) of every ``Family.bind`` call, and the
+        count of ``PopulationParams`` constructions, from here on."""
+        calls, built = [], []
+        kinds = {id(family): kind for kind, family in theory.FAMILIES.items()}
+        bind, new = theory.Family.bind, theory.PopulationParams.__new__
+
+        def counted_bind(family, cfg, pop, f):
+            calls.append((kinds[id(family)], cfg))
+            return bind(family, cfg, pop, f)
+
+        def counted_new(cls, *args, **kwargs):
+            built.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(theory.Family, "bind", counted_bind)
+        monkeypatch.setattr(theory.PopulationParams, "__new__", counted_new)
+        return calls, built
+
+    CONFIG = TableConfig(tc=TcConfig(q1=1.0), t3_gamma=0.5)
+
+    def rows(self):
+        return sorted((kind, cfg) for _, kind, cfg in theory._table(self.CONFIG))
+
+    def test_a_scan_binds_each_row_once_and_builds_no_point(self, bound, ref_pop,
+                                                            ref_design):
+        calls, built = bound
+        report = theory.sensitivity(ref_pop, ref_design.f, self.CONFIG, digits=3)
+        assert sorted(calls) == self.rows()
+        assert built == []
+        assert all(interval.points == 77 for interval in report.intervals)
+
+    def test_the_report_binds_each_row_once(self, bound, ref_pop, ref_design):
+        calls, _ = bound
+        theory.theory_report(ref_pop, ref_design, self.CONFIG)
+        assert sorted(calls) == self.rows()
+
+    def test_the_conditions_bind_each_side_once(self, bound, ref_pop, ref_design):
+        calls, _ = bound
+        theory.comparison_conditions(ref_pop, ref_design.f, self.CONFIG)
+        assert sorted(calls) == [("t1", T1Config()), ("t3", self.CONFIG.t3_configs()[0]),
+                                 ("tc", self.CONFIG.tc)]
+
+
+def _point(pop, offsets):
+    """``pop`` moved by ``offsets`` along the six fields C is formed from,
+    with ``sx2`` and ``sp2`` derived from the moved ``cx`` and ``cp``, through
+    the checked constructor."""
+    moved = {name: getattr(pop, name) + d
+             for name, d in zip(("cp", "cx", "rho_pb", "lambda03", "lambda04", "lambda12"),
+                                offsets)}
+    return pop._replace(**moved, sp2=(moved["cp"] * pop.P) ** 2,
+                        sx2=(moved["cx"] * pop.xbar) ** 2)
+
+
 def _scan_oracle(pop, f, config, digits):
-    """The scan as each row composed it on its own: at every point, the PRE
-    of ``FAMILIES[kind].table_mse(cfg)(q, f)``, which forms its own terms."""
+    """The scan as each row composed it on its own through the public API: at
+    every point built by the checked constructor, the PRE of the row's table
+    MSE (``_public_table_mse``), which forms its own terms."""
     rows = theory._table(config)[1:]
     points = theory._scan_points(digits)
     found, center = [[] for _ in rows], [None] * len(rows)
     for k, offsets in enumerate(points):
         try:
-            q = theory._perturbed(pop, offsets)
+            q = _point(pop, offsets)
         except (ToolkitError, OverflowError):
             continue
         baseline = theory.var_usual(q, f)
         for j, (_, kind, cfg) in enumerate(rows):
             try:
-                value = theory.pre(baseline, theory.FAMILIES[kind].table_mse(cfg)(q, f))
+                value = theory.pre(baseline, _public_table_mse(kind, cfg, q, f))
             except (ToolkitError, OverflowError):
                 continue
             found[j].append(value)
@@ -730,6 +858,13 @@ def _public_table_mse(kind, cfg, q, f):
     return family.mse(family.resolve(cfg, q, f), q, f)
 
 
+def _bound_table_mse(kind, cfg, pop, f, c):
+    """A row's table MSE at the moment tuple c, bound to ``(pop, f)`` as a
+    scan binds it."""
+    terms, mse = theory.FAMILIES[kind].bind(cfg, pop, f)
+    return mse(terms(c))
+
+
 class TestSensitivity:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), q1=_TC_WEIGHT, q2=_TC_WEIGHT,
@@ -750,7 +885,8 @@ class TestSensitivity:
                 _scan_oracle(pop, f, config, digits))
 
     def test_flat_rows_fail_as_the_public_api_does(self, plain_pop, ref_pop, ref_design):
-        # each row given the point's C raises the class the public API raises
+        # each row bound to the center and given a point's C returns the value,
+        # or raises the class, that the public API gives at that point
         rng = np.random.default_rng(7)
         cases = _boundary_cases(plain_pop, ref_pop, ref_design)
         for _ in range(6):
@@ -762,12 +898,12 @@ class TestSensitivity:
         for pop, f, config, digits in cases:
             for offsets in theory._scan_points(digits):
                 try:
-                    q = theory._perturbed(pop, offsets)
+                    q = _point(pop, offsets)
                     c = theory._moments(q)
                 except (ToolkitError, OverflowError):
                     continue
                 for _, kind, cfg in theory._table(config)[1:]:
-                    flat = _outcome(theory.FAMILIES[kind].table_mse(cfg), q, f, c)
+                    flat = _outcome(_bound_table_mse, kind, cfg, pop, f, c)
                     assert flat == _outcome(_public_table_mse, kind, cfg, q, f), (kind, cfg)
                     if isinstance(flat, type):
                         failed.add(flat.__name__)
@@ -838,28 +974,38 @@ class TestSensitivity:
         assert interval.unstable > 0
         assert interval.points == 77
 
-    @given(seed=st.integers(0, 2**32 - 1), rho_pb=st.sampled_from((None, 1.0, -1.0)))
+    @given(seed=st.integers(0, 2**32 - 1),
+           case=st.sampled_from(("drawn", "rho_pb=1", "rho_pb=-1", "overflowing xbar")))
     @settings(max_examples=30, deadline=None)
-    def test_scan_points_match_dataclasses_replace(self, seed, rho_pb):
-        # the construction _perturbed replaced, kept as the oracle; at
-        # |rho_pb| = 1, 33 of the 77 points are invalid and must raise alike
-        pop, _ = well_posed_params(np.random.default_rng(seed))
-        if rho_pb is not None:
-            pop = pop._replace(rho_pb=rho_pb)
-        for offsets in itertools.chain.from_iterable(map(theory._scan_points, (1, 2, 3))):
-            moved = {name: getattr(pop, name) + d
-                     for name, d in zip(theory._SCAN_FIELDS, offsets)}
-            try:
-                expected = pop._replace(**moved, sp2=(moved["cp"] * pop.P) ** 2,
-                                        sx2=(moved["cx"] * pop.xbar) ** 2)
-            except ToolkitError as exc:
-                with pytest.raises(ToolkitError) as raised:
-                    theory._perturbed(pop, offsets)
-                assert type(raised.value) is type(exc)
-                continue
-            got = theory._perturbed(pop, offsets)
-            assert [(k, repr(v)) for k, v in got._asdict().items()] == [
-                (k, repr(v)) for k, v in expected._asdict().items()]
+    def test_points_for_every_row_are_those_the_constructor_accepts(self, seed, case):
+        # a scan forms C, and so evaluates its rows, at exactly the points
+        # whose moved fields the checked constructor accepts, from the same
+        # bits; at every other point each row is unstable. At |rho_pb| = 1, 33
+        # of the 77 points are invalid; at the overflowing xbar, building sx2
+        # overflows at 33.
+        pop, f = well_posed_params(np.random.default_rng(seed))
+        if case.startswith("rho_pb"):
+            pop = pop._replace(rho_pb=float(case[7:]))
+        elif case == "overflowing xbar":
+            xbar = math.sqrt(sys.float_info.max) / pop.cx * (1.0 - 1e-5)
+            pop = pop._replace(xbar=xbar, sx2=(pop.cx * xbar) ** 2)
+        formed = []
+        matrix = theory._matrix
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(theory, "_matrix", lambda *moved: formed.append(moved) or matrix(*moved))
+            for digits in (1, 2, 3):
+                expected = []
+                for offsets in theory._scan_points(digits):
+                    try:
+                        expected.append(_point(pop, offsets)[5:])
+                    except (ToolkitError, OverflowError):
+                        continue
+                formed.clear()
+                report = theory.sensitivity(pop, f, digits=digits)
+                assert repr(formed) == repr(expected)
+                invalid = 77 - len(expected)
+                assert case == "drawn" or invalid >= 33
+                assert min(interval.unstable for interval in report.intervals) >= invalid
 
     def test_overflowing_parameters_are_unstable_for_every_estimator(self, plain_pop):
         # (cx*xbar)**2 sits just under the largest float, so the +cx axis
