@@ -21,15 +21,11 @@ from .theory import (
     Design,
     PopulationParams,
     SensitivityReport,
-    T3Constants,
-    TcConstants,
     TheoryReport,
     comparison_conditions,
     pre,
     sampling_fraction,
     sensitivity,
-    t3_constants,
-    tc_constants,
     theory_report,
     var_usual,
 )

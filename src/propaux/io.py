@@ -300,12 +300,8 @@ def write_params_json(path: str | Path, doc: ParamsDocument) -> None:
     write_report_json(path, doc.to_dict())
 
 
-def file_digest(path: str | Path) -> str:
-    """sha256 of the raw input bytes, recorded in every report."""
-    return _sha256(Path(path).read_bytes())
-
-
 def _sha256(data: bytes) -> str:
+    """sha256 of the raw input bytes, recorded in every report."""
     import hashlib  # loads OpenSSL's _hashlib, which only a digest needs
     return hashlib.sha256(data).hexdigest()
 

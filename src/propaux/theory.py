@@ -40,7 +40,7 @@ import functools
 import itertools
 import math
 import numbers
-from operator import add, attrgetter
+from operator import add
 from typing import Callable, NamedTuple
 
 from .config import T1Config, T2Config, T3Config, TableConfig, TbConfig, TcConfig
@@ -294,13 +294,13 @@ def _tb_least(cfg, pop: PopulationParams, f: float) -> Callable[[tuple], float]:
 # --- the two-weight system of tc (q1, q2) and t3 (m1, m2) ---------------------------
 # w1*Y1 + w2*Y2 has mse = scale*(const + w'Aw - 2*b'w), A = [[a11, a12], [a12, a22]],
 # b = (b1, b2): scale*A holds the channels' second moments and scale*b is P times
-# their means, so the bias is -gap*scale/P with gap = const - b'w. The terms hold
-# (a11, a12, a22, b1, b2) from ``start`` on; the shape (start, relative, pair,
-# family) names the weights and family in errors. Relative to P^2: scale = P^2
-# and const = 1; otherwise scale = 1 and const = P^2.
+# their means, so the bias is -gap*scale/P with gap = const - b'w. The terms begin
+# with (a11, a12, a22, b1, b2); the shape (relative, pair, family) names the weights
+# and family in errors. Relative to P^2: scale = P^2 and const = 1; otherwise
+# scale = 1 and const = P^2.
 
-_TC = (3, False, "(q1, q2)", "family")
-_T3 = (0, True, "(m1, m2)", "two-term family")
+_TC = (False, "(q1, q2)", "family")
+_T3 = (True, "(m1, m2)", "two-term family")
 
 
 def _det(a11: float, a12: float, a22: float, pair: str) -> float:
@@ -314,30 +314,30 @@ def _det(a11: float, a12: float, a22: float, pair: str) -> float:
 
 def _pair_mse(t: tuple[float, ...], P: float, shape: tuple, w1: float, w2: float) -> float:
     """The MSE at an arbitrary weight pair."""
-    a11, a12, a22, b1, b2 = t[shape[0]:]
-    scale, const = (P**2, 1.0) if shape[1] else (1.0, P**2)
+    a11, a12, a22, b1, b2 = t[:5]
+    scale, const = (P**2, 1.0) if shape[0] else (1.0, P**2)
     return scale * (const + w1**2 * a11 + w2**2 * a22 + 2.0 * w1 * w2 * a12
                     - 2.0 * w1 * b1 - 2.0 * w2 * b2)
 
 
 def _pair_bias(t: tuple[float, ...], P: float, shape: tuple, w1: float, w2: float) -> float:
     """The bias at an arbitrary weight pair."""
-    _, _, _, b1, b2 = t[shape[0]:]
-    gap = (1.0 if shape[1] else P**2) - w1 * b1 - w2 * b2
-    return -P * gap if shape[1] else -gap / P
+    b1, b2 = t[3:5]
+    gap = (1.0 if shape[0] else P**2) - w1 * b1 - w2 * b2
+    return -P * gap if shape[0] else -gap / P
 
 
 def _pair_optimum(t: tuple[float, ...], shape: tuple) -> tuple[float, float]:
     """The stationary weight pair A^-1 b, where the gradient vanishes."""
-    a11, a12, a22, b1, b2 = t[shape[0]:]
-    det = _det(a11, a12, a22, shape[2])
+    a11, a12, a22, b1, b2 = t[:5]
+    det = _det(a11, a12, a22, shape[1])
     return (b1 * a22 - a12 * b2) / det, (a11 * b2 - b1 * a12) / det
 
 
 def _pair_min_mse(t: tuple[float, ...], P: float, shape: tuple) -> float:
     """The minimum MSE, scale*(const - b'A^-1 b), of a positive definite A."""
-    start, relative, pair, family = shape
-    a11, a12, a22, b1, b2 = t[start:]
+    relative, pair, family = shape
+    a11, a12, a22, b1, b2 = t[:5]
     det = _det(a11, a12, a22, pair)
     if det < 0.0:
         raise SingularSystem(f"the {pair} quadratic form is indefinite")
@@ -348,47 +348,22 @@ def _pair_min_mse(t: tuple[float, ...], P: float, shape: tuple) -> float:
     return value
 
 
-#: The methods ``mse``, ``bias``, ``optimum`` and ``min_mse`` of a constants
-#: object: the MSE and bias at a weight pair, the stationary pair and the
-#: minimum MSE, from its ``_terms`` and ``_shape``.
-_TWO_WEIGHT = (
-    lambda self, pop, w1, w2: _pair_mse(self._terms(self), pop.P, self._shape, w1, w2),
-    lambda self, pop, w1, w2: _pair_bias(self._terms(self), pop.P, self._shape, w1, w2),
-    lambda self: _pair_optimum(self._terms(self), self._shape),
-    lambda self, pop: _pair_min_mse(self._terms(self), pop.P, self._shape),
-)
-
-
-class TcConstants(NamedTuple):
-    """Expansion constants of the weighted ratio/exponential transform family.
+def _tc_terms(cfg: TcConfig, pop: PopulationParams, f: float) -> Callable[[tuple], tuple]:
+    """The terms of the weighted ratio/exponential transform family at the
+    transform ((a*X+b)/(a*x+b))^alpha * exp-tilt^beta that ``cfg`` picks (its
+    weights are not read), as a function of C: ``(d1, d2, d3, d4, d5, theta,
+    bc, ac)``. The transform is checked, and every product that reads no C is
+    formed, here.
 
     ``theta`` locates the transform, and ``bc``/``ac`` are its first/second-order
     expansion coefficients: the transform is R = 1 - bc*e1 + ac*e1^2 in the
     relative deviation e1 of the sample mean. The estimator is q1*Y1 + q2*Y2
-    with the channels Y1 = p*R and Y2 = (X - xbar)*R, and ``delta1..delta5``
-    are their moments: d1 = E[Y1^2], d2 = E[Y1*Y2], d3 = E[Y2^2],
-    d4 = P*E[Y1] and d5 = P*E[Y2], so that
+    with the channels Y1 = p*R and Y2 = (X - xbar)*R, and ``d1..d5`` are their
+    moments: d1 = E[Y1^2], d2 = E[Y1*Y2], d3 = E[Y2^2], d4 = P*E[Y1] and
+    d5 = P*E[Y2], so that
 
         mse(q1, q2) = P^2 + q1^2*d1 + q2^2*d3 + 2*q1*q2*d2 - 2*q1*d4 - 2*q2*d5.
     """
-
-    theta: float
-    bc: float
-    ac: float
-    delta1: float
-    delta2: float
-    delta3: float
-    delta4: float
-    delta5: float
-
-    _terms = attrgetter("theta", "bc", "ac", "delta1", "delta2", "delta3", "delta4", "delta5")
-    _shape = _TC
-    mse, bias, optimum, min_mse = _TWO_WEIGHT
-
-
-def _tc_terms(cfg: TcConfig, pop: PopulationParams, f: float) -> Callable[[tuple], tuple]:
-    """``TcConstants``'s fields as a function of C. The transform is checked,
-    and every product that reads no C is formed, here."""
     a, b, alpha, beta = cfg.a, cfg.b, cfg.alpha, cfg.beta
     P, X = pop.P, pop.xbar
     base = a * X + b
@@ -404,45 +379,24 @@ def _tc_terms(cfg: TcConfig, pop: PopulationParams, f: float) -> Callable[[tuple
 
     def terms(c):
         cp2, rcx, _, cx2, _, _ = c
-        return (theta, bc, ac,
-                P2 * (1.0 + f * (cp2 - bc4 * rcx + bc2ac * cx2)),
+        return (P2 * (1.0 + f * (cp2 - bc4 * rcx + bc2ac * cx2)),
                 PXf * (bc2 * cx2 - rcx),
                 X2f * cx2,
                 P2 * (1.0 + f * (ac * cx2 - bc * rcx)),
-                PXfbc * cx2)
+                PXfbc * cx2,
+                theta, bc, ac)
     return terms
 
 
-def tc_constants(cfg: TcConfig, pop: PopulationParams, f: float) -> TcConstants:
-    """Expansion constants for the transform ((a*X+b)/(a*x+b))^alpha * exp-tilt^beta
-    that ``cfg`` picks, as the first-order moments of the channels
-    Y1 = p*R and Y2 = (X - xbar)*R; its weights are not read."""
-    return TcConstants(*_tc(cfg, pop, f, None))
-
-
-class T3Constants(NamedTuple):
-    """Quadratic-form coefficients of the two-term weighted family.
+def _t3_terms(cfg: T3Config, pop: PopulationParams, f: float) -> Callable[[tuple], tuple]:
+    """The terms ``(a, d, c, b, e)`` of the two-term weighted family at the
+    switches (gamma, g, delta) of ``cfg`` (its weights are not read), as a
+    function of C; every product of the switches and f is formed here.
 
     ``a`` and ``c`` are the second moments of the ratio and exponential
     channels, ``d`` their cross moment, ``b`` and ``e`` the channel means:
 
         mse(m1, m2) = P^2 * (1 + m1^2*a + m2^2*c + 2*m1*m2*d - 2*m1*b - 2*m2*e).
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-
-    _terms = attrgetter("a", "d", "c", "b", "e")
-    _shape = _T3
-    mse, bias, optimum, min_mse = _TWO_WEIGHT
-
-
-def _t3_terms(cfg: T3Config, pop: PopulationParams, f: float) -> Callable[[tuple], tuple]:
-    """``T3Constants``'s fields in the order of its system, (a, d, c, b, e), as
-    a function of C; every product of the switches and f is formed here.
 
     Each channel mean pairs with the moments of its own deviation channel:
     ``b`` with the mean channel (rho_pb*cp*cx, cx^2), ``e`` with the variance
@@ -463,13 +417,6 @@ def _t3_terms(cfg: T3Config, pop: PopulationParams, f: float) -> Callable[[tuple
                 1.0 - b1 * rcx + b2 * cx2,
                 1.0 - e1 * cl12 + e2 * l4m1)
     return terms
-
-
-def t3_constants(cfg: T3Config, pop: PopulationParams, f: float) -> T3Constants:
-    """Expansion constants of the two-term family at the switches (gamma, g,
-    delta) of ``cfg``; its weights are not read."""
-    a, d, c, b, e = _t3(cfg, pop, f, None)
-    return T3Constants(a=a, b=b, c=c, d=d, e=e)
 
 
 # --- the per-family table ----------------------------------------------------------
@@ -519,10 +466,12 @@ class Family(NamedTuple):
 
     def resolve(self, cfg, pop: PopulationParams, f: float, t=None):
         """``cfg`` with every ``None`` constant replaced by its optimum, or by
-        its census limit when f = 0."""
+        its census limit when f = 0. The terms t are read either way, so a
+        census rejects what they reject (``tc``'s transform) as any design does."""
         given = [getattr(cfg, name) for name in self.constants]
         if None not in given:
             return cfg
+        t = t or self.terms(cfg, pop, f)(_moments(pop))
         best = self.census if f == 0.0 and self.census else self.optimum(cfg, pop, f, t)
         return cfg._replace(**{name: limit if value is None else value
                                for name, value, limit in zip(self.constants, given, best)})
@@ -591,7 +540,7 @@ FAMILIES: dict[str, Family] = {
                  bias=lambda cfg, pop, f, t=None: _pair_bias(_tc(cfg, pop, f, t), pop.P, _TC,
                                                              cfg.q1, cfg.q2),
                  shown=lambda cfg, t: {"q1": cfg.q1, "q2": cfg.q2,
-                                       "theta": t[0], "bc": t[1], "ac": t[2]},
+                                       "theta": t[5], "bc": t[6], "ac": t[7]},
                  formulas={"mse": "tc_min_mse: P^2-(d1*d5^2+d3*d4^2-2*d2*d4*d5)/(d1*d3-d2^2)",
                            "bias": "tc_bias: P*(q1-1)+f*((q2*X*bc+q1*P*ac)*cx^2"
                                    "-q1*P*bc*rho_pb*cp*cx)"},
@@ -683,11 +632,13 @@ def theory_report(pop: PopulationParams, design: Design,
     entries: list[EstimatorTheory] = []
     for name, kind, cfg in _table(config or TableConfig()):
         family = FAMILIES[kind]
+        # the row bound once and its terms read once, on a census too, so that
+        # a census rejects what the terms reject (see ``Family.resolve``)
+        terms, mse_at = family.bind(cfg, pop, f)
+        t = terms(c)
         if census and family.census:
             bias, mse, constants, formulas = 0.0, 0.0, {}, family.census_formulas
-        else:  # the row bound once, its terms read once
-            terms, mse_at = family.bind(cfg, pop, f)
-            t = terms(c)
+        else:
             resolved = family.resolve(cfg, pop, f, t)
             bias, mse = family.bias(resolved, pop, f, t), mse_at(t)
             constants, formulas = family.shown(resolved, t), family.table_formulas(cfg)

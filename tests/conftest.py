@@ -86,14 +86,16 @@ def well_posed_params(rng: np.random.Generator) -> tuple[PopulationParams, float
         pop = random_params(rng)
         f = 1 / max(5, pop.N // 6) - 1 / pop.N
         try:
-            t3c = theory.t3_constants(T3Config(), pop, f)
-            if t3c.a * t3c.c - t3c.d**2 <= 1e-6:
+            t3, tc = theory.FAMILIES["t3"], theory.FAMILIES["tc"]
+            t = t3.terms(T3Config(), pop, f)(theory._moments(pop))
+            a, d, c = t[:3]
+            if a * c - d**2 <= 1e-6:
                 continue
-            t3c.optimum()
-            t3c.min_mse(pop)
-            tcc = theory.tc_constants(TcConfig(), pop, f)
-            tcc.optimum()
-            tcc.min_mse(pop)
+            t3.optimum(T3Config(), pop, f, t)
+            t3.min_mse(T3Config(), pop, f, t)
+            t = tc.terms(TcConfig(), pop, f)(theory._moments(pop))
+            tc.optimum(TcConfig(), pop, f, t)
+            tc.min_mse(TcConfig(), pop, f, t)
             theory.FAMILIES["t1"].optimum(T1Config(), pop, f)
         except theory.ToolkitError:
             continue

@@ -90,8 +90,7 @@ class TestCriterion2TableReproduction:
             assert abs(pre_t1 - 513.92) <= 1.5
             assert abs(pre_t2 - 513.92) <= 1.5
 
-            constants = theory.tc_constants(TcConfig(), ref_pop, f)
-            pre_tc = theory.pre(baseline, constants.min_mse(ref_pop))
+            pre_tc = theory.pre(baseline, theory.FAMILIES["tc"].min_mse(TcConfig(), ref_pop, f))
             assert 505.0 <= pre_tc <= 525.0
 
     def test_t3_sensitivity_interval(self, ref_doc, tmp_path):
@@ -165,14 +164,14 @@ class TestCriterion4Stationarity:
                 assert_stationary(lambda v: T2.mse(T2Config(v[0], v[1]), pop, f),
                                   [h1, h2])
 
-                constants = theory.tc_constants(TcConfig(), pop, f)
-                q1, q2 = constants.optimum()
-                assert_stationary(lambda v: constants.mse(pop, v[0], v[1]),
+                tc = theory.FAMILIES["tc"]
+                q1, q2 = tc.optimum(TcConfig(), pop, f)
+                assert_stationary(lambda v: tc.mse(TcConfig(q1=v[0], q2=v[1]), pop, f),
                                   [q1, q2])
 
-                t3c = theory.t3_constants(T3Config(), pop, f)
-                m1, m2 = t3c.optimum()
-                assert_stationary(lambda v: t3c.mse(pop, v[0], v[1]),
+                t3 = theory.FAMILIES["t3"]
+                m1, m2 = t3.optimum(T3Config(), pop, f)
+                assert_stationary(lambda v: t3.mse(T3Config(m1=v[0], m2=v[1]), pop, f),
                                   [m1, m2])
 
             # the closed-form minimum dominates a dense grid around it

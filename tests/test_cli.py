@@ -669,6 +669,13 @@ BOUNDARY = {
     "tc-transform-infinite-pre": (["pre", "--params", "{bad}", "--tc", "a=1e308,b=1e308",
                                    "--format", "json"],
                                   (GOLDEN / "params_n_6.json").read_bytes()),
+    # a census (n = N) rejects the transforms that every other design rejects
+    **{f"census-{command}-tc-{setting}": ([*argv, "--tc", setting],
+                                         (GOLDEN / "params.json").read_bytes())
+       for command, argv in (("pre", ["pre", "--params", "{bad}"]), ("theory", _PARAMS_ARGV))
+       for setting in ("a=0", "a=-1")},
+    "census-simulate-tc-a=0": (["simulate", "--input", "{pop}", "--n", "12", "--reps", "100",
+                                "--seed", "1", "--tc", "a=0", "--output", "{out}"], b""),
     # the derived sx2 = (cx*xbar)**2 and sp2 = (cp*p)**2 overflow
     **{f"params-{key}-1e200": (["pre", "--params", "{bad}"], json.dumps(dict(
         json.loads((GOLDEN / "params_n_6.json").read_bytes()), **{key: 1e200})).encode())
@@ -749,10 +756,20 @@ def test_infinite_transform_is_named_as_such(tmp_path, capsys):
         "error: a*mean + b must stay positive and finite (population inf, sample inf)\n")
 
 
+@pytest.mark.parametrize("n", ["6", "12"])
+def test_a_census_names_the_transform(pop_csv, tmp_path, capsys, n):
+    # the transform error is the same at n < N and on a census (n = N = 12)
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", str(pop_csv), "--n", n, "--reps", "100", "--seed", "1",
+                 "--tc", "a=0", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: a*xbar + b must be positive and finite, got 0.0\n"
+    assert not out.exists()
+
+
 #: First-order expressions that overflow: float ``**`` raises where ``*``
 #: would give inf; and a report whose aggregates overflow. ``{params}`` is a
-#: parameter document, ``{frame}`` a 40-unit population CSV and ``{out}`` an
-#: output path.
+#: parameter document, ``{census}`` one with n = N, ``{frame}`` a 40-unit
+#: population CSV and ``{out}`` an output path.
 NUMERICAL = {
     "pre-tc-alpha": ["pre", "--params", "{params}", "--tc", "alpha=1e200"],
     "pre-t3-gamma": ["pre", "--params", "{params}", "--t3", "gamma=1e308"],
@@ -765,6 +782,12 @@ NUMERICAL = {
     # the estimates are finite, but their mse sums to inf: JSON has no Infinity
     "simulate-tc-alpha-3000": ["simulate", "--input", "{frame}", "--n", "5", "--reps", "200",
                                "--seed", "1", "--tc", "alpha=3000", "--output", "{out}"],
+    # a census overflows where every other design does
+    "pre-tc-alpha-census": ["pre", "--params", "{census}", "--tc", "alpha=1e300"],
+    "theory-t3-gamma-census": ["theory", "--params", "{census}", "--t3", "gamma=1e308",
+                               "--output", "{out}"],
+    "simulate-t3-gamma-census": ["simulate", "--input", "{frame}", "--n", "40", "--reps", "100",
+                                 "--seed", "1", "--t3", "gamma=1e308", "--output", "{out}"],
 }
 
 
@@ -778,7 +801,8 @@ def frame_csv(tmp_path_factory):
 @pytest.mark.parametrize("argv", NUMERICAL.values(), ids=NUMERICAL)
 def test_overflow_exits_3_with_one_error_line(frame_csv, tmp_path, capsys, argv):
     out = tmp_path / "out"
-    paths = {"params": GOLDEN / "params_n_6.json", "frame": frame_csv, "out": out}
+    paths = {"params": GOLDEN / "params_n_6.json", "census": GOLDEN / "params.json",
+             "frame": frame_csv, "out": out}
     try:
         code = main([arg.format(**paths) for arg in argv])
     except Exception as exc:  # noqa: BLE001  (the point is that none escapes)

@@ -147,8 +147,7 @@ class TestTcFamily:
         stats = balanced_sample(pop)
         estimate = evaluate(stats, pop, cfg)
         f = sampling_fraction(stats.n, pop.N)
-        constants = theory.tc_constants(TcConfig(), pop, f)
-        q1, q2 = constants.optimum()
+        q1, q2 = theory.FAMILIES["tc"].optimum(TcConfig(), pop, f)
         assert estimate.config_used.params.q1 == pytest.approx(q1, rel=1e-15)
         assert estimate.config_used.params.q2 == pytest.approx(q2, rel=1e-15)
 
@@ -222,8 +221,7 @@ class TestT3:
         stats = balanced_sample(pop)
         estimate = evaluate(stats, pop, EstimatorConfig(kind="t3"))
         f = sampling_fraction(stats.n, pop.N)
-        constants = theory.t3_constants(T3Config(), pop, f)
-        m1, m2 = constants.optimum()
+        m1, m2 = theory.FAMILIES["t3"].optimum(T3Config(), pop, f)
         assert estimate.config_used.params.m1 == pytest.approx(m1, rel=1e-15)
         assert estimate.config_used.params.m2 == pytest.approx(m2, rel=1e-15)
 

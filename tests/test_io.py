@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import json
 import math
 import sys
@@ -20,7 +21,6 @@ from propaux.errors import NumericalError, ParseError, SchemaError
 from propaux.io import (
     ParamsDocument,
     build_report_document,
-    file_digest,
     read_params_json,
     read_population_csv,
     sensitivity_report_dict,
@@ -552,21 +552,27 @@ class TestReportDocuments:
             write_report_json(out, doc)
         assert not out.exists()
 
-    def test_envelope_carries_version_and_digest(self, tmp_path):
-        path = tmp_path / "in.json"
-        path.write_text("{}")
-        doc = build_report_document(input_digest=file_digest(path),
-                                    configurations={"digits": 3},
-                                    sections={"sensitivity": None})
+    @staticmethod
+    def written_digest(tmp_path, text: str) -> str:
+        """The ``input_digest`` of the report ``theory`` writes for a parameter
+        document of the bytes ``text``."""
+        from propaux.cli import main
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text(text)
+        assert main(["theory", "--params", str(path), "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
         assert doc["tool"] == "propaux"
         assert doc["tool_version"]
-        assert len(doc["input_digest"]) == 64
+        return doc["input_digest"]
+
+    def test_envelope_carries_version_and_digest(self, tmp_path):
+        text = json.dumps(REF)
+        digest = self.written_digest(tmp_path, text)
+        assert len(digest) == 64
+        assert digest == hashlib.sha256(text.encode()).hexdigest()
 
     def test_digest_tracks_bytes(self, tmp_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text("{}")
-        b.write_text("{}")
-        assert file_digest(a) == file_digest(b)
-        b.write_text("{} ")
-        assert file_digest(a) != file_digest(b)
+        text = json.dumps(REF)
+        a = self.written_digest(tmp_path, text)
+        assert self.written_digest(tmp_path, text) == a
+        assert self.written_digest(tmp_path, text + " ") != a

@@ -54,16 +54,17 @@ HOMES = {
     "population": ("Design", "PopulationFrame", "PopulationParams", "SampleStats",
                    "batch_stats", "compute_population_params", "sample_stats",
                    "sampling_fraction"),
-    "theory": ("SensitivityReport", "T3Constants", "TcConstants", "TheoryReport",
-               "comparison_conditions", "pre", "sensitivity", "t3_constants",
-               "tc_constants", "theory_report", "var_usual"),
+    "theory": ("SensitivityReport", "TheoryReport", "comparison_conditions", "pre",
+               "sensitivity", "theory_report", "var_usual"),
 }
 
 #: The per-kind closed forms that ``theory.FAMILIES`` is the only route to,
-#: and the class-bias forms, whose biases are the ``FAMILIES`` biases.
-REGISTRY_ONLY = ("class_bias_t2", "class_bias_tb", "min_mse_tb", "t1_bias", "t1_min_mse",
-                 "t1_mse", "t1_optimal", "t2_mse", "t2_optimal", "t3_bias", "t3_bias_min",
-                 "tb_optimal_h1", "tc_bias")
+#: the class-bias forms, whose biases are the ``FAMILIES`` biases, and the
+#: second route to the two-weight form of ``FAMILIES["tc"]`` and ``["t3"]``.
+REGISTRY_ONLY = ("T3Constants", "TcConstants", "_TWO_WEIGHT", "class_bias_t2",
+                 "class_bias_tb", "min_mse_tb", "t1_bias", "t1_min_mse", "t1_mse",
+                 "t1_optimal", "t2_mse", "t2_optimal", "t3_bias", "t3_bias_min", "t3_constants",
+                 "tb_optimal_h1", "tc_bias", "tc_constants")
 
 #: Names ``population`` must not define: ``compute_population_params`` is the
 #: one route to the moments, and ``batch_stats`` finds repeated indices with
@@ -72,10 +73,9 @@ SECOND_ROUTES = ("_increasing", "_power", "central_moment")
 
 #: The names ``propaux.io`` defined when it held the JSON half too.
 IO_NAMES = ("PROVENANCE_FRAME", "PROVENANCE_USER", "ParamsDocument", "build_report_document",
-            "conditions_dict", "file_digest", "read_json", "read_params_json",
-            "read_population_csv", "sensitivity_report_dict", "simulation_report_dict",
-            "theory_report_dict", "write_params_json", "write_population_csv",
-            "write_report_json")
+            "conditions_dict", "read_json", "read_params_json", "read_population_csv",
+            "sensitivity_report_dict", "simulation_report_dict", "theory_report_dict",
+            "write_params_json", "write_population_csv", "write_report_json")
 
 TABLE_COMMANDS = {
     "theory": ["theory", "--output", "{out}"],

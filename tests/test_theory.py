@@ -53,7 +53,13 @@ def plain_pop() -> PopulationParams:
 
 F_PLAIN = 1 / 20 - 1 / 100
 
-TB, T1, T2 = (theory.FAMILIES[kind] for kind in ("tb", "t1", "t2"))
+TB, T1, T2, TC, T3 = (theory.FAMILIES[kind] for kind in ("tb", "t1", "t2", "tc", "t3"))
+
+
+def pair_terms(family, cfg, pop, f) -> tuple:
+    """The terms of a two-weight family at ``cfg``, read off the population's C:
+    the system (a11, a12, a22, b1, b2) first, then (for tc) theta, bc and ac."""
+    return family.terms(cfg, pop, f)(theory._moments(pop))
 
 
 class TestVarUsual:
@@ -108,100 +114,95 @@ class TestRegressionClass:
 
 class TestTcFamily:
     def test_plain_ratio_transform(self, ref_pop, ref_design):
-        tc = theory.tc_constants(TcConfig(), ref_pop, ref_design.f)
-        assert tc.theta == 1.0
-        assert tc.bc == 1.0
-        assert tc.ac == 1.0
+        theta, bc, ac = pair_terms(TC, TcConfig(), ref_pop, ref_design.f)[5:]
+        assert theta == 1.0
+        assert bc == 1.0
+        assert ac == 1.0
 
     def test_inert_transform(self, ref_pop, ref_design):
-        tc = theory.tc_constants(TcConfig(alpha=0.0), ref_pop, ref_design.f)
-        assert tc.bc == 0.0
-        assert tc.ac == 0.0
+        d1, _, _, _, _, _, bc, ac = pair_terms(TC, TcConfig(alpha=0.0), ref_pop, ref_design.f)
+        assert bc == 0.0
+        assert ac == 0.0
         # with R = 1, E[Y1^2] = E[p^2] = P^2*(1 + f*cp^2)
-        assert tc.delta1 - ref_pop.P**2 == pytest.approx(
+        assert d1 - ref_pop.P**2 == pytest.approx(
             ref_pop.P**2 * ref_design.f * ref_pop.cp**2, rel=1e-13)
 
     def test_reference_deltas_match_rational_oracle(self, ref_pop, ref_design):
-        tc = theory.tc_constants(TcConfig(), ref_pop, ref_design.f)
+        t = pair_terms(TC, TcConfig(), ref_pop, ref_design.f)
         expect = rational_tc_deltas()
-        for name in ("delta1", "delta2", "delta3", "delta4", "delta5"):
-            assert getattr(tc, name) == pytest.approx(float(expect[name]), rel=1e-12), name
+        for name, value in zip(("delta1", "delta2", "delta3", "delta4", "delta5"), t):
+            assert value == pytest.approx(float(expect[name]), rel=1e-12), name
 
     def test_reference_min_mse_and_pre(self, ref_pop, ref_design):
-        tc = theory.tc_constants(TcConfig(), ref_pop, ref_design.f)
-        mse = tc.min_mse(ref_pop)
+        mse = TC.min_mse(TcConfig(), ref_pop, ref_design.f)
         assert mse == pytest.approx(float(rational_tc_min_mse()), rel=1e-12)
         value = theory.pre(theory.var_usual(ref_pop, ref_design.f), mse)
         assert 505.0 <= value <= 525.0
 
     def test_optimal_q_is_stationary(self, ref_pop, ref_design):
-        tc = theory.tc_constants(TcConfig(), ref_pop, ref_design.f)
-        q1, q2 = tc.optimum()
-        fn = lambda q: tc.mse(ref_pop, q[0], q[1])
+        f = ref_design.f
+        q1, q2 = TC.optimum(TcConfig(), ref_pop, f)
+        fn = lambda q: TC.mse(TcConfig(q1=q[0], q2=q[1]), ref_pop, f)
         assert_stationary(fn, [q1, q2])
         assert all(abs(g) <= 1e-8 for g in fd_gradient(fn, [q1, q2]))
 
     def test_optimal_q_beats_grid(self, ref_pop, ref_design):
-        tc = theory.tc_constants(TcConfig(), ref_pop, ref_design.f)
-        q1, q2 = tc.optimum()
-        best = tc.min_mse(ref_pop)
+        f = ref_design.f
+        d1, d2, d3, d4, d5 = pair_terms(TC, TcConfig(), ref_pop, f)[:5]
+        q1, q2 = TC.optimum(TcConfig(), ref_pop, f)
+        best = TC.min_mse(TcConfig(), ref_pop, f)
         # 401x401 grid spanning half the optimum in each coordinate
         q1s = np.linspace(q1 - 0.5 * abs(q1), q1 + 0.5 * abs(q1), 401)
         q2s = np.linspace(q2 - 0.5 * abs(q2), q2 + 0.5 * abs(q2), 401)
         g1, g2 = np.meshgrid(q1s, q2s)
         surface = (ref_pop.P**2
-                   + g1**2 * tc.delta1 + g2**2 * tc.delta3 + 2 * g1 * g2 * tc.delta2
-                   - 2 * g1 * tc.delta4 - 2 * g2 * tc.delta5)
+                   + g1**2 * d1 + g2**2 * d3 + 2 * g1 * g2 * d2
+                   - 2 * g1 * d4 - 2 * g2 * d5)
         assert surface.min() >= best - 1e-12
 
     def test_substitution_closure(self, ref_pop, ref_design):
-        tc = theory.tc_constants(TcConfig(), ref_pop, ref_design.f)
-        q1, q2 = tc.optimum()
-        assert tc.mse(ref_pop, q1, q2) == pytest.approx(
-            tc.min_mse(ref_pop), rel=1e-10)
+        f = ref_design.f
+        q1, q2 = TC.optimum(TcConfig(), ref_pop, f)
+        assert TC.mse(TcConfig(q1=q1, q2=q2), ref_pop, f) == pytest.approx(
+            TC.min_mse(TcConfig(), ref_pop, f), rel=1e-10)
 
-    def test_decoupled_system(self, ref_pop):
-        tc = theory.TcConstants(theta=1.0, bc=1.0, ac=1.0, delta1=2.0, delta2=0.0, delta3=1.5,
-                                delta4=0.5, delta5=0.0)
-        q1, q2 = tc.optimum()
+    # hand-built systems (d1, d2, d3, d4, d5)
+    def test_decoupled_system(self):
+        q1, q2 = theory._pair_optimum((2.0, 0.0, 1.5, 0.5, 0.0), theory._TC)
         assert q1 == pytest.approx(0.5 / 2.0, rel=1e-15)
         assert q2 == 0.0
 
     def test_no_linear_terms_gives_p_squared(self, ref_pop):
-        tc = theory.TcConstants(theta=1.0, bc=1.0, ac=1.0, delta1=2.0, delta2=0.1, delta3=1.5,
-                                delta4=0.0, delta5=0.0)
-        assert tc.min_mse(ref_pop) == pytest.approx(ref_pop.P**2, rel=1e-15)
+        value = theory._pair_min_mse((2.0, 0.1, 1.5, 0.0, 0.0), ref_pop.P, theory._TC)
+        assert value == pytest.approx(ref_pop.P**2, rel=1e-15)
 
-    def test_singular_system(self, ref_pop):
-        tc = theory.TcConstants(theta=1.0, bc=1.0, ac=1.0, delta1=1.0, delta2=1.0, delta3=1.0,
-                                delta4=0.5, delta5=0.5)
+    def test_singular_system(self):
         with pytest.raises(SingularSystem):
-            tc.optimum()
+            theory._pair_optimum((1.0, 1.0, 1.0, 0.5, 0.5), theory._TC)
 
     def test_indefinite_form_has_no_minimum(self, ref_pop):
         # d1*d3 - d2^2 = -3: the stationary pair is a saddle point
-        tc = theory.TcConstants(theta=1.0, bc=1.0, ac=1.0, delta1=1.0, delta2=2.0, delta3=1.0,
-                                delta4=0.5, delta5=0.5)
-        assert tc.optimum() == pytest.approx((1 / 6, 1 / 6), rel=1e-15)
+        t = (1.0, 2.0, 1.0, 0.5, 0.5)
+        assert theory._pair_optimum(t, theory._TC) == pytest.approx((1 / 6, 1 / 6), rel=1e-15)
         with pytest.raises(SingularSystem):
-            tc.min_mse(ref_pop)
+            theory._pair_min_mse(t, ref_pop.P, theory._TC)
 
     def test_ratio_config_bias_reduction(self, ref_pop, ref_design):
         f = ref_design.f
-        tc = theory.tc_constants(TcConfig(), ref_pop, f)
-        bias = theory.FAMILIES["tc"].bias(TcConfig(q1=1.0, q2=0.0), ref_pop, f)
-        expect = f * ref_pop.P * (tc.ac * ref_pop.cx**2
-                                  - tc.bc * ref_pop.rho_pb * ref_pop.cp * ref_pop.cx)
+        bc, ac = pair_terms(TC, TcConfig(), ref_pop, f)[6:]
+        bias = TC.bias(TcConfig(q1=1.0, q2=0.0), ref_pop, f)
+        expect = f * ref_pop.P * (ac * ref_pop.cx**2
+                                  - bc * ref_pop.rho_pb * ref_pop.cp * ref_pop.cx)
         assert bias == pytest.approx(expect, rel=1e-12)
 
     def test_nonpositive_transform(self, ref_pop, ref_design):
         with pytest.raises(theory.NonpositiveTransform):
-            theory.tc_constants(TcConfig(a=-1.0), ref_pop, ref_design.f)
+            pair_terms(TC, TcConfig(a=-1.0), ref_pop, ref_design.f)
 
     @pytest.mark.parametrize("a, b", [(1e308, 1e308), (math.inf, 0.0), (math.nan, 1.0)])
     def test_transform_that_is_not_finite(self, ref_pop, ref_design, a, b):
         with pytest.raises(theory.NonpositiveTransform, match="positive and finite"):
-            theory.tc_constants(TcConfig(a=a, b=b), ref_pop, ref_design.f)
+            pair_terms(TC, TcConfig(a=a, b=b), ref_pop, ref_design.f)
 
 
 class TestT1:
@@ -309,81 +310,79 @@ class TestT2:
 
 class TestT3:
     def test_inert_switches(self, ref_pop, ref_design):
-        c = theory.t3_constants(T3Config(g=0.0, delta=0.0), ref_pop, ref_design.f)
+        a, d, c, b, e = pair_terms(T3, T3Config(g=0.0, delta=0.0), ref_pop, ref_design.f)
         shrink = 1.0 + ref_design.f * ref_pop.cp**2
-        assert c.a == pytest.approx(shrink, rel=1e-15)
-        assert c.c == pytest.approx(shrink, rel=1e-15)
-        assert c.d == pytest.approx(shrink, rel=1e-15)
-        assert c.b == 1.0
-        assert c.e == 1.0
+        assert a == pytest.approx(shrink, rel=1e-15)
+        assert c == pytest.approx(shrink, rel=1e-15)
+        assert d == pytest.approx(shrink, rel=1e-15)
+        assert b == 1.0
+        assert e == 1.0
 
     def test_zero_gamma_kills_ratio_channel(self, ref_pop, ref_design):
-        c = theory.t3_constants(T3Config(gamma=0.0), ref_pop, ref_design.f)
-        assert c.b == 1.0
-        assert c.a == pytest.approx(1.0 + ref_design.f * ref_pop.cp**2, rel=1e-15)
+        a, _, _, b, _ = pair_terms(T3, T3Config(gamma=0.0), ref_pop, ref_design.f)
+        assert b == 1.0
+        assert a == pytest.approx(1.0 + ref_design.f * ref_pop.cp**2, rel=1e-15)
 
     def test_reference_constants_match_rational_oracle(self, ref_pop, ref_design):
-        c = theory.t3_constants(T3Config(), ref_pop, ref_design.f)
+        a, d, c, b, e = pair_terms(T3, T3Config(), ref_pop, ref_design.f)
         expect = rational_t3_constants()
-        for value, target in zip((c.a, c.b, c.c, c.d, c.e), expect):
+        for value, target in zip((a, b, c, d, e), expect):
             assert value == pytest.approx(float(target), rel=1e-13)
 
     def test_reference_min_mse_matches_rational_oracle(self, ref_pop, ref_design):
-        c = theory.t3_constants(T3Config(), ref_pop, ref_design.f)
-        assert c.min_mse(ref_pop) == pytest.approx(
+        assert T3.min_mse(T3Config(), ref_pop, ref_design.f) == pytest.approx(
             float(rational_t3_min_mse()), rel=1e-11)
 
     def test_optimal_m_is_stationary(self, ref_pop, ref_design):
-        c = theory.t3_constants(T3Config(), ref_pop, ref_design.f)
-        m1, m2 = c.optimum()
-        fn = lambda v: c.mse(ref_pop, v[0], v[1])
+        f = ref_design.f
+        m1, m2 = T3.optimum(T3Config(), ref_pop, f)
+        fn = lambda v: T3.mse(T3Config(m1=v[0], m2=v[1]), ref_pop, f)
         assert_stationary(fn, [m1, m2])
         assert all(abs(g) <= 1e-8 for g in fd_gradient(fn, [m1, m2]))
 
     def test_bias_at_optimum_equals_negative_mse_over_p(self, ref_pop, ref_design):
         f = ref_design.f
         t3 = theory.FAMILIES["t3"]
-        c = theory.t3_constants(T3Config(), ref_pop, f)
-        mse = c.min_mse(ref_pop)
+        mse = t3.min_mse(T3Config(), ref_pop, f)
         bias = t3.bias(t3.resolve(T3Config(), ref_pop, f), ref_pop, f)
         assert bias == pytest.approx(-mse / ref_pop.P, rel=1e-12)
-        m1, m2 = c.optimum()
+        m1, m2 = t3.optimum(T3Config(), ref_pop, f)
         assert t3.bias(T3Config(m1=m1, m2=m2), ref_pop, f) == pytest.approx(bias, rel=1e-10)
 
     def test_bias_at_given_weights(self, ref_pop, ref_design):
-        c = theory.t3_constants(T3Config(), ref_pop, ref_design.f)
-        bias = theory.FAMILIES["t3"].bias(T3Config(m1=0.6, m2=0.4), ref_pop, ref_design.f)
-        assert bias == pytest.approx(-ref_pop.P * (1.0 - 0.6 * c.b - 0.4 * c.e), rel=1e-15)
+        _, _, _, b, e = pair_terms(T3, T3Config(), ref_pop, ref_design.f)
+        bias = T3.bias(T3Config(m1=0.6, m2=0.4), ref_pop, ref_design.f)
+        assert bias == pytest.approx(-ref_pop.P * (1.0 - 0.6 * b - 0.4 * e), rel=1e-15)
         assert bias == pytest.approx(0.0011250, abs=5e-8)
 
     def test_rank_deficient_system(self):
-        c = theory.T3Constants(a=1.2, b=0.9, c=1.2, d=1.2, e=0.9)
+        # the hand-built system (a, d, c, b, e)
         with pytest.raises(SingularSystem):
-            c.optimum()
+            theory._pair_optimum((1.2, 1.2, 1.2, 0.9, 0.9), theory._T3)
 
     def test_inert_case_is_flagged_singular(self, ref_pop, ref_design):
-        c = theory.t3_constants(T3Config(g=0.0, delta=0.0), ref_pop, ref_design.f)
         with pytest.raises(SingularSystem):
-            c.optimum()
+            T3.optimum(T3Config(g=0.0, delta=0.0), ref_pop, ref_design.f)
 
     def test_inert_case_shrinkage_line(self, ref_pop, ref_design):
         # with both channels inert any split of the optimal total weight
         # m1 + m2 = 1/(1 + f*cp^2) reaches the same shrinkage MSE
-        c = theory.t3_constants(T3Config(g=0.0, delta=0.0), ref_pop, ref_design.f)
+        inert = T3Config(g=0.0, delta=0.0)
         shrink = 1.0 + ref_design.f * ref_pop.cp**2
         total = 1.0 / shrink
         expect = ref_pop.P**2 * ref_design.f * ref_pop.cp**2 / shrink
         for m1 in (-0.25, 0.0, 0.4, total, 1.0):
-            value = c.mse(ref_pop, m1, total - m1)
+            value = T3.mse(inert._replace(m1=m1, m2=total - m1), ref_pop, ref_design.f)
             assert value == pytest.approx(expect, rel=1e-9)
 
     def test_inert_routes_agree(self, ref_pop, ref_design):
-        # building the constants directly gives the same shrinkage value
+        # building the system (a, d, c, b, e) directly gives the same shrinkage value
         shrink = 1.0 + ref_design.f * ref_pop.cp**2
-        c = theory.T3Constants(a=shrink, b=1.0, c=shrink, d=shrink, e=1.0)
+        t = (shrink, shrink, shrink, 1.0, 1.0)
         total = 1.0 / shrink
         expect = ref_pop.P**2 * ref_design.f * ref_pop.cp**2 / shrink
-        assert c.mse(ref_pop, total, 0.0) == pytest.approx(expect, rel=1e-12)
+        assert theory._pair_mse(t, ref_pop.P, theory._T3, total, 0.0) == pytest.approx(
+            expect, rel=1e-12)
 
 
 class TestBiasReadsItsConfiguration:
@@ -691,12 +690,12 @@ def _flat_tc_terms(cfg, pop, f, c):
     ac = theta**2 * (alpha * (alpha + 1.0) / 2.0 + alpha * beta / 2.0
                      + beta**2 / 8.0 + beta / 4.0)
     cp2, rcx, _, cx2, _, _ = c
-    return (theta, bc, ac,
-            P**2 * (1.0 + f * (cp2 - 4.0 * bc * rcx + (bc**2 + 2.0 * ac) * cx2)),
+    return (P**2 * (1.0 + f * (cp2 - 4.0 * bc * rcx + (bc**2 + 2.0 * ac) * cx2)),
             P * X * f * (2.0 * bc * cx2 - rcx),
             X**2 * f * cx2,
             P**2 * (1.0 + f * (ac * cx2 - bc * rcx)),
-            P * X * f * bc * cx2)
+            P * X * f * bc * cx2,
+            theta, bc, ac)
 
 
 def _flat_t3_terms(cfg, pop, f, c):
@@ -1042,13 +1041,10 @@ class TestRationalMinima:
                                  (theory.FAMILIES["t2"].min_mse(T2Config(), pop, f),
                                   rational_t1_min_mse(m))):
                 assert abs(Fraction(value) - exact) <= Fraction(1e-12) * scale
-            tc = theory.tc_constants(TcConfig(), pop, f)
-            t3c = theory.t3_constants(T3Config(), pop, f)
-            for value, exact, (a11, a12, a22) in (
-                    (tc.min_mse(pop), rational_tc_min_mse(m),
-                     (tc.delta1, tc.delta2, tc.delta3)),
-                    (t3c.min_mse(pop), rational_t3_min_mse(m=m),
-                     (t3c.a, t3c.d, t3c.c))):
+            for family, exact in ((TC, rational_tc_min_mse(m)),
+                                  (T3, rational_t3_min_mse(m=m))):
+                t = pair_terms(family, family.params(), pop, f)
+                value, (a11, a12, a22) = family.min_mse(family.params(), pop, f, t), t[:3]
                 condition = abs(a11 * a22) / (a11 * a22 - a12**2)
                 assert abs(Fraction(value) - exact) <= (
                     Fraction(1e-14) * Fraction(pop.P)**2 * Fraction(condition))
@@ -1066,12 +1062,10 @@ class TestStationaritySweep:
             h1, h2 = T2.optimum(T2Config(), pop, f)
             assert_stationary(lambda v: T2.mse(T2Config(v[0], v[1]), pop, f), [h1, h2])
             if pop.xbar > 0:
-                tc = theory.tc_constants(TcConfig(), pop, f)
-                q1, q2 = tc.optimum()
-                assert_stationary(lambda v: tc.mse(pop, v[0], v[1]),
+                q1, q2 = TC.optimum(TcConfig(), pop, f)
+                assert_stationary(lambda v: TC.mse(TcConfig(q1=v[0], q2=v[1]), pop, f),
                                   [q1, q2])
                 checked_tc += 1
-            t3c = theory.t3_constants(T3Config(), pop, f)
-            m1, m2 = t3c.optimum()
-            assert_stationary(lambda v: t3c.mse(pop, v[0], v[1]), [m1, m2])
+            m1, m2 = T3.optimum(T3Config(), pop, f)
+            assert_stationary(lambda v: T3.mse(T3Config(m1=v[0], m2=v[1]), pop, f), [m1, m2])
         assert checked_tc > 0
