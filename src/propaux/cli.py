@@ -106,14 +106,14 @@ def _table_configurations(config: TableConfig, **leading) -> dict:
             "t3_variants": list(T3_TABLE_VARIANTS)}
 
 
-def _read_input(path: str, parse) -> tuple:
-    """``parse(path, data)`` of the bytes at ``path``, and their sha256, the
-    report's ``input_digest``: one read, since a pipe such as ``/dev/stdin``
-    gives its bytes only once."""
+def _read_input(path: str, read) -> tuple:
+    """``read(path, data)`` of the bytes ``data`` at ``path``, and their
+    sha256, the report's ``input_digest``: one read, since a pipe such as
+    ``/dev/stdin`` gives its bytes only once."""
     data = [Path(path).read_bytes()]
     digest = io._sha256(data[0])
     # handed over, not shared: the CSV parser frees its copy before it splits the rows
-    return parse(path, data.pop()), digest
+    return read(path, data.pop()), digest
 
 
 def _write_report(args, digest: str, configurations: dict, sections: dict) -> None:
@@ -143,7 +143,7 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    doc, digest = _read_input(args.params, io._parse_params)
+    doc, digest = _read_input(args.params, io.read_params_json)
     config = _table_config(args)
     report = theory.theory_report(doc.params, doc.design, config)
     conditions = None
@@ -208,7 +208,7 @@ def _cmd_simulate(args) -> int:
     from .estimators import EstimatorConfig
     from .montecarlo import DEFAULT_CONFIGS, run_experiment
 
-    frame, digest = _read_input(args.input, io._parse_population_csv)
+    frame, digest = _read_input(args.input, io.read_population_csv)
     given = _subconfigs(args)
     configs = [EstimatorConfig(kind=cfg.kind, params=given[cfg.kind])
                if cfg.kind in given else cfg for cfg in DEFAULT_CONFIGS]
@@ -242,7 +242,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
-    doc, digest = _read_input(args.params, io._parse_params)
+    doc, digest = _read_input(args.params, io.read_params_json)
     config = _table_config(args)
     report = theory.sensitivity(doc.params, doc.design.f, config, digits=args.digits)
     _write_report(args, digest, _table_configurations(config, digits=args.digits),

@@ -149,21 +149,22 @@ def _read_canonical(path: str | Path, data: bytes) -> tuple[np.ndarray, np.ndarr
     return one, x
 
 
-def read_population_csv(path: str | Path) -> PopulationFrame:
+def read_population_csv(path: str | Path, data: bytes | None = None) -> PopulationFrame:
     """Read a population frame, reporting failures with 1-based line numbers.
+
+    ``data`` is the file's bytes when the caller has already read them (a
+    pipe such as ``/dev/stdin`` gives them only once); when omitted they are
+    read from ``path``. Either way the same bytes are parsed the same way.
 
     A canonical file is parsed in C by ``_read_canonical``. Any other file,
     and any file that route turns down, is checked and converted column by
     column. Only when a check fails are the records walked, one
     ``_row_error`` call each, up to the first bad one.
     """
-    return _parse_population_csv(path, Path(path).read_bytes())
-
-
-def _parse_population_csv(path: str | Path, data: bytes) -> PopulationFrame:
-    """``read_population_csv`` of the file's bytes ``data``, read once."""
     from .population import PopulationFrame
 
+    if data is None:
+        data = Path(path).read_bytes()
     columns = _read_canonical(path, data)
     if columns is not None:
         return PopulationFrame(*columns)
@@ -271,29 +272,21 @@ def decode_utf8(data: bytes, path: str | Path) -> str:
                          line=head.count(b"\n") + 1) from None
 
 
-def read_json(path: str | Path):
-    """The JSON value of a file; a file that is not UTF-8 or not JSON, or
-    that ``json`` cannot read (an integer literal of over 4,300 digits, or
-    arrays nested past the recursion limit), is a ``ParseError``."""
-    return _parse_json(path, Path(path).read_bytes())
-
-
-def _parse_json(path: str | Path, data: bytes):
-    """``read_json`` of the file's bytes ``data``, read once."""
-    text = decode_utf8(data, path)
+def read_json(path: str | Path, data: bytes | None = None):
+    """The JSON value of a file, of its bytes ``data`` if given (see
+    ``read_population_csv``); a file that is not UTF-8 or not JSON, or that
+    ``json`` cannot read (an integer literal of over 4,300 digits, or arrays
+    nested past the recursion limit), is a ``ParseError``."""
+    text = decode_utf8(Path(path).read_bytes() if data is None else data, path)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # ``JSONDecodeError`` is a ``ValueError``
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
 
 
-def read_params_json(path: str | Path) -> ParamsDocument:
-    return _parse_params(path, Path(path).read_bytes())
-
-
-def _parse_params(path: str | Path, data: bytes) -> ParamsDocument:
-    """``read_params_json`` of the file's bytes ``data``, read once."""
-    return ParamsDocument.from_dict(_parse_json(path, data))
+def read_params_json(path: str | Path, data: bytes | None = None) -> ParamsDocument:
+    """The parameter document of a file, or of its bytes ``data`` if given."""
+    return ParamsDocument.from_dict(read_json(path, data))
 
 
 def write_params_json(path: str | Path, doc: ParamsDocument) -> None:

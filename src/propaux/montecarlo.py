@@ -433,14 +433,16 @@ def _chan_m2(counts: list[int], means: list[float], m2s: list[float]) -> float:
     return m2
 
 
-def _aggregate(resolved: Sequence[EstimatorConfig], partials: np.ndarray, samples: int,
-               pop: theory.PopulationParams, f: float, exact: bool = False) -> list[EstimatorRun]:
+def _aggregate(resolved: Sequence[EstimatorConfig], theory_mses: Sequence[float],
+               partials: np.ndarray, samples: int, pop: theory.PopulationParams,
+               exact: bool = False) -> list[EstimatorRun]:
     """One row per estimator over ``samples`` samples, from the ``_partials``
     of their reduction blocks, ``partials[b]`` those of block ``b``: the mean
     and MSE from ``math.fsum`` over the blocks' sums, and ``mse_se`` from the
-    blocks' M2s merged in block order by Chan's update."""
+    blocks' M2s merged in block order by Chan's update. ``theory_mses[j]`` is
+    the first-order MSE of ``resolved[j]``."""
     rows = []
-    for j, cfg in enumerate(resolved):
+    for j, (cfg, tmse) in enumerate(zip(resolved, theory_mses)):
         counts, totals, sqs, *moments = partials[:, :, j].T.tolist()
         count = int(sum(counts))
         if count == 0:
@@ -450,7 +452,6 @@ def _aggregate(resolved: Sequence[EstimatorConfig], partials: np.ndarray, sample
         se = 0.0
         if not exact and count > 1:
             se = math.sqrt(_chan_m2(counts, *moments) / (count - 1)) / math.sqrt(count)
-        tmse = theory.FAMILIES[cfg.kind].mse(cfg.params, pop, f)
         rows.append(EstimatorRun(
             name=cfg.name,
             replicates=count,
@@ -487,6 +488,9 @@ def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] |
     pop = compute_population_params(frame)
     f = theory.sampling_fraction(n, frame.size)
     resolved = [resolve_config(cfg, pop, f) for cfg in configs]
+    # before the first draw: the theory names a transform it rejects, where
+    # the kernels would only fail on every sample
+    theory_mses = [theory.FAMILIES[cfg.kind].mse(cfg.params, pop, f) for cfg in resolved]
     exact = seed is None
 
     rows = max(1, CHUNK_ELEMENTS // n)
@@ -514,7 +518,7 @@ def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] |
     return SimulationReport(
         n=n, population_size=frame.size, sampling_fraction=f, true_p=pop.P,
         replicates=total, exact=exact, seed=seed, rng=None if exact else RNG_SCHEME,
-        rows=tuple(_aggregate(resolved, partials, total, pop, f, exact)),
+        rows=tuple(_aggregate(resolved, theory_mses, partials, total, pop, exact)),
     )
 
 

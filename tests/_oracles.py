@@ -243,7 +243,8 @@ def loop_report(frame, n, configs=None, reps=None, seed=None):
     matrix is reduced one ``REDUCE_SAMPLES`` block at a time, as the
     oracles reduce theirs."""
     from propaux import (compute_population_params, draw_replicates, evaluate,
-                         montecarlo, resolve_config, sample_stats, sampling_fraction)
+                         montecarlo, resolve_config, sample_stats, sampling_fraction,
+                         theory)
     from propaux.errors import DataError
     from propaux.montecarlo import (DEFAULT_CONFIGS, RNG_SCHEME, SimulationReport,
                                     _aggregate, _partials)
@@ -252,6 +253,7 @@ def loop_report(frame, n, configs=None, reps=None, seed=None):
     pop = compute_population_params(frame)
     f = sampling_fraction(n, frame.size)
     resolved = [resolve_config(cfg, pop, f) for cfg in configs]
+    theory_mses = [theory.FAMILIES[cfg.kind].mse(cfg.params, pop, f) for cfg in resolved]
     exact = reps is None
     if exact:
         samples = list(itertools.combinations(range(frame.size), n))
@@ -268,7 +270,7 @@ def loop_report(frame, n, configs=None, reps=None, seed=None):
     size = montecarlo.REDUCE_SAMPLES
     partials = np.array([_partials(values[:, first:first + size].copy(), pop.P, exact)
                          for first in range(0, len(samples), size)])
-    rows = _aggregate(resolved, partials, len(samples), pop, f, exact=exact)
+    rows = _aggregate(resolved, theory_mses, partials, len(samples), pop, exact=exact)
     return SimulationReport(
         n=n, population_size=frame.size, sampling_fraction=f, true_p=pop.P,
         replicates=len(samples), exact=exact, seed=None if exact else seed,

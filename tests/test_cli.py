@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from propaux import montecarlo, theory
+from propaux import io, montecarlo, theory
 from propaux.cli import build_parser, main
 from propaux.config import TbConfig
 from propaux.estimators import EstimatorConfig, evaluate
@@ -414,6 +414,66 @@ class TestPipedInput:
         assert main(["simulate", "--input", str(pop_csv), *argv, "--output", str(from_file)]) == 0
         assert out.read_bytes() == from_file.read_bytes()
 
+    def test_pre_on_stdin(self, ref_params_path, capsys):
+        done = _run_piped(["pre", "--params", "/dev/stdin"], ref_params_path.read_bytes())
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert main(["pre", "--params", str(ref_params_path)]) == 0
+        assert done.stdout.decode() == capsys.readouterr().out
+
+    def test_params_on_a_piped_csv(self, pop_csv, tmp_path):
+        out, from_file = tmp_path / "piped.json", tmp_path / "file.json"
+        done = _run_piped(["params", "--input", "/dev/stdin", "--output", str(out)],
+                          pop_csv.read_bytes())
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert main(["params", "--input", str(pop_csv), "--output", str(from_file)]) == 0
+        assert out.read_bytes() == from_file.read_bytes()
+
+
+#: Each command with one input file, ``{params}`` a parameter document,
+#: ``{frame}`` a population CSV or ``{spec}`` a generator spec: its argv, the
+#: one public reader that parses the file, and which file it is.
+ONE_ROUTE = {
+    "theory": (["theory", "--params", "{params}", "--output", "{out}"],
+               "read_params_json", "params"),
+    "sensitivity": (["sensitivity", "--params", "{params}", "--digits", "3",
+                     "--output", "{out}"], "read_params_json", "params"),
+    "pre": (["pre", "--params", "{params}"], "read_params_json", "params"),
+    "simulate": (["simulate", "--input", "{frame}", "--n", "6", "--reps", "100", "--seed", "1",
+                  "--output", "{out}"], "read_population_csv", "frame"),
+    "params": (["params", "--input", "{frame}", "--output", "{out}"],
+               "read_population_csv", "frame"),
+    "estimate": (["estimate", "--input", "{frame}", "--indices", "0,3,5", "--estimator", "ta"],
+                 "read_population_csv", "frame"),
+    "generate": (["generate", "--size", "20", "--seed", "1", "--spec", "{spec}",
+                  "--output", "{out}"], "read_json", "spec"),
+}
+
+
+@pytest.mark.parametrize("name", ONE_ROUTE)
+def test_every_command_parses_through_the_public_readers(name, ref_params_path, pop_csv,
+                                                        tmp_path, monkeypatch):
+    """One call of one public ``io`` reader per input file, counted where a
+    reader is not called from inside another (``read_params_json`` parses
+    through ``read_json``)."""
+    calls, depth = [], [0]
+    for reader in ("read_population_csv", "read_params_json", "read_json"):
+        def spy(path, *args, real=getattr(io, reader), reader=reader):
+            if not depth[0]:
+                calls.append((reader, str(path)))
+            depth[0] += 1
+            try:
+                return real(path, *args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(io, reader, spy)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"aux_scale": 0.5}))
+    paths = {"params": str(ref_params_path), "frame": str(pop_csv), "spec": str(spec),
+             "out": str(tmp_path / "out")}
+    argv, reader, source = ONE_ROUTE[name]
+    assert main([arg.format(**paths) for arg in argv]) == 0
+    assert calls == [(reader, paths[source])]
+
 
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, capsys):
@@ -762,6 +822,21 @@ def test_a_census_names_the_transform(pop_csv, tmp_path, capsys, n):
     out = tmp_path / "out"
     assert main(["simulate", "--input", str(pop_csv), "--n", n, "--reps", "100", "--seed", "1",
                  "--tc", "a=0", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: a*xbar + b must be positive and finite, got 0.0\n"
+    assert not out.exists()
+
+
+def test_fixed_weights_name_the_transform_before_the_first_draw(tmp_path, capsys, monkeypatch):
+    # with q1 and q2 fixed no constant is solved for, so only the theory reads the transform
+    frame = tmp_path / "pop.csv"
+    assert main(["generate", "--size", "20", "--seed", "1", "--output", str(frame)]) == 0
+
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(montecarlo, "_stats", no_draw)
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", str(frame), "--n", "6", "--reps", "100", "--seed", "1",
+                 "--tc", "a=0,q1=1,q2=0", "--output", str(out)]) == 2
     assert capsys.readouterr().err == "error: a*xbar + b must be positive and finite, got 0.0\n"
     assert not out.exists()
 

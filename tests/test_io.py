@@ -21,6 +21,7 @@ from propaux.errors import NumericalError, ParseError, SchemaError
 from propaux.io import (
     ParamsDocument,
     build_report_document,
+    read_json,
     read_params_json,
     read_population_csv,
     sensitivity_report_dict,
@@ -34,6 +35,19 @@ from propaux.montecarlo import run_experiment
 
 from _oracles import REF, csv_loop, csv_writer_loop
 from test_golden import POPULATION
+
+
+#: Population files that are not UTF-8, and the line of the first bad byte.
+CSV_NOT_UTF8 = [
+    (b"phi,x\n1,2\n0,\xff3\n", 3),
+    (b"phi,x\r\n1,2\r\n\r\n0,\"3\xc3\"\r\n", 4),
+    (b"phi,x\r1,\xe92\r0,3\r", 2),
+    (b"ph\x80i,x\n1,2\n0,3\n", 1),
+]
+#: Parameter documents that are not UTF-8, and the line of the first bad byte.
+JSON_NOT_UTF8 = [(b'{"n": 5, \xff}', 1), (b'{\r\n"n": 5,\r\n"p": "\xc3"}', 3), (b'{\r\r\x80}', 3)]
+#: JSON that ``json`` cannot read.
+JSON_UNREADABLE = {"deep": "[" * 100_000, "5001-digits": '{"xbar": 1' + "0" * 5000 + "}"}
 
 
 class TestPopulationCsv:
@@ -81,12 +95,7 @@ class TestPopulationCsv:
         write_population_csv(path, frame)
         assert read_population_csv(path) == frame
 
-    @pytest.mark.parametrize("data, line", [
-        (b"phi,x\n1,2\n0,\xff3\n", 3),
-        (b"phi,x\r\n1,2\r\n\r\n0,\"3\xc3\"\r\n", 4),
-        (b"phi,x\r1,\xe92\r0,3\r", 2),
-        (b"ph\x80i,x\n1,2\n0,3\n", 1),
-    ])
+    @pytest.mark.parametrize("data, line", CSV_NOT_UTF8)
     def test_invalid_utf8_reports_file_and_line(self, tmp_path, data, line):
         path = tmp_path / "pop.csv"
         path.write_bytes(data)
@@ -430,6 +439,51 @@ class TestColumnarReader:
         assert lines_run(500) == lines_run(5)
 
 
+def either(read, path):
+    """What ``read(path)`` returns, or its error's class and message."""
+    try:
+        return read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+#: Every population file this module builds, as bytes.
+CSV_FILES = {**{name: text.encode() for name, text in PARITY.items()},
+             **{name: text.encode() for name, (text, _, _) in PLAIN_X_ONLY.items()},
+             **{f"not-utf8-{k}": data for k, (data, _) in enumerate(CSV_NOT_UTF8)}}
+#: Parameter documents, well formed or not, as bytes.
+JSON_FILES = {
+    "ref": json.dumps(REF).encode(),
+    "ref-indented-crlf": json.dumps(REF, indent=2).replace("\n", "\r\n").encode(),
+    "not-an-object": b"[1, 2]",
+    "missing-key": json.dumps({k: v for k, v in REF.items() if k != "rho_pb"}).encode(),
+    "non-numeric": json.dumps(dict(REF, cp="big")).encode(),
+    "broken": b"{not json",
+    "empty": b"",
+    **{f"not-utf8-{k}": data for k, (data, _) in enumerate(JSON_NOT_UTF8)},
+    **{name: text.encode() for name, text in JSON_UNREADABLE.items()},
+}
+
+
+class TestBytesGiven:
+    """A reader given the file's bytes parses them as it parses the file:
+    the same value, or the same error."""
+
+    @pytest.mark.parametrize("data", CSV_FILES.values(), ids=CSV_FILES)
+    def test_population_csv(self, tmp_path, data):
+        path = tmp_path / "pop.csv"
+        path.write_bytes(data)
+        given = outcome(lambda p: read_population_csv(p, p.read_bytes()), path)
+        assert given == outcome(read_population_csv, path)
+
+    @pytest.mark.parametrize("read", [read_json, read_params_json])
+    @pytest.mark.parametrize("data", JSON_FILES.values(), ids=JSON_FILES)
+    def test_json(self, tmp_path, read, data):
+        path = tmp_path / "params.json"
+        path.write_bytes(data)
+        assert either(lambda p: read(p, p.read_bytes()), path) == either(read, path)
+
+
 class TestParamsDocument:
     def test_user_supplied_derives_variances(self):
         doc = ParamsDocument.from_dict(dict(REF))
@@ -496,8 +550,7 @@ class TestParamsDocument:
         with pytest.raises(SchemaError, match=f"field '{key}' is out of range"):
             ParamsDocument.from_dict(dict(REF, **{key: 10 ** 400}))
 
-    @pytest.mark.parametrize("data, line", [
-        (b'{"n": 5, \xff}', 1), (b'{\r\n"n": 5,\r\n"p": "\xc3"}', 3), (b'{\r\r\x80}', 3)])
+    @pytest.mark.parametrize("data, line", JSON_NOT_UTF8)
     def test_json_that_is_not_utf8(self, tmp_path, data, line):
         path = tmp_path / "params.json"
         path.write_bytes(data)
@@ -506,8 +559,7 @@ class TestParamsDocument:
         assert info.value.line == line
         assert str(path) in str(info.value)
 
-    @pytest.mark.parametrize("text", [
-        "[" * 100_000, '{"xbar": 1' + "0" * 5000 + "}"], ids=("deep", "5001-digits"))
+    @pytest.mark.parametrize("text", JSON_UNREADABLE.values(), ids=JSON_UNREADABLE)
     def test_json_that_json_cannot_read(self, tmp_path, text):
         path = tmp_path / "params.json"
         path.write_text(text)

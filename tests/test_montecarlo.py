@@ -27,6 +27,7 @@ from propaux import (
     montecarlo,
     population,
     run_experiment,
+    theory,
 )
 from propaux.config import TcConfig
 from propaux.io import simulation_report_dict
@@ -36,6 +37,7 @@ from propaux.errors import (
     DegenerateGeneration,
     InvalidConfig,
     InvalidDesign,
+    NonpositiveTransform,
     TooLarge,
 )
 
@@ -281,6 +283,15 @@ class TestEnumeration:
             for reps in (limit + 1, 10**12, 10**23):
                 with pytest.raises(TooLarge):
                     run_experiment(TINY, 2, reps=reps)
+
+    def test_a_transform_the_theory_rejects_stops_before_the_first_draw(self):
+        # fixed weights leave no free constant, so only the theory MSE reads the transform
+        frame = generate_population(SyntheticSpec(size=20), seed=1)
+        cfg = EstimatorConfig(kind="tc", params=TcConfig(a=0, q1=1, q2=0))
+        with patch.object(montecarlo, "_stats", side_effect=AssertionError("a sample was drawn")):
+            with pytest.raises(NonpositiveTransform,
+                               match=r"^a\*xbar \+ b must be positive and finite, got 0\.0$"):
+                enumerate_exact(frame, 6, [cfg])
 
     def test_rejects_oversized_enumerations(self):
         rng = np.random.default_rng(0)
@@ -595,9 +606,10 @@ class TestBlockReduction:
         pop = compute_population_params(TINY)
         f = population.sampling_fraction(3, TINY.size)
         cfg = resolve_config(montecarlo.DEFAULT_CONFIGS[0], pop, f)
+        tmse = theory.FAMILIES[cfg.kind].mse(cfg.params, pop, f)
         with np.errstate(over="ignore", invalid="ignore"):
             block = montecarlo._partials(np.array([[1.5e308, np.nan]]), pop.P, False)
-            row, = montecarlo._aggregate([cfg], np.array([block, block]), 4, pop, f)
+            row, = montecarlo._aggregate([cfg], [tmse], np.array([block, block]), 4, pop)
         assert (row.replicates, row.failures, row.mean, row.mse) == (2, 2, math.inf, math.inf)
 
 

@@ -71,6 +71,11 @@ REGISTRY_ONLY = ("T3Constants", "TcConstants", "_TWO_WEIGHT", "class_bias_t2",
 #: one sort.
 SECOND_ROUTES = ("_increasing", "_power", "central_moment")
 
+#: Names ``io`` must not define: ``read_population_csv``, ``read_params_json``
+#: and ``read_json`` also take bytes the caller has read, so no private twin
+#: parses them.
+IO_SECOND_ROUTES = ("_parse_json", "_parse_params", "_parse_population_csv")
+
 #: The names ``propaux.io`` defined when it held the JSON half too.
 IO_NAMES = ("PROVENANCE_FRAME", "PROVENANCE_USER", "ParamsDocument", "build_report_document",
             "conditions_dict", "read_json", "read_params_json", "read_population_csv",
@@ -208,6 +213,10 @@ class TestPublicSurface:
         population = importlib.import_module("propaux.population")
         for name in SECOND_ROUTES:
             assert not hasattr(population, name) and name not in propaux.__all__, name
+
+    def test_io_has_one_reader_per_format(self):
+        for name in IO_SECOND_ROUTES:
+            assert not hasattr(io, name), name
 
     def test_readme_library_example_runs(self):
         """The README's Library code block runs as written, in a fresh
