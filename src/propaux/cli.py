@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
 error (singular optimality system, negative MSE). Diagnostics go to stderr;
-reports written with ``--output`` ending in ``.json`` are strict JSON.
+every JSON document a command writes or prints is strict JSON, encoded by
+``io.dumps``.
 
 The table commands (``theory``, ``pre``, ``sensitivity``) need no numpy; the
 commands that read or make a population import its modules when they run.
@@ -13,9 +14,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import re
 import sys
+from io import StringIO
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -106,23 +107,6 @@ def _table_configurations(config: TableConfig, **leading) -> dict:
             "t3_variants": list(T3_TABLE_VARIANTS)}
 
 
-def _read_input(path: str, read) -> tuple:
-    """``read(path, data)`` of the bytes ``data`` at ``path``, and their
-    sha256, the report's ``input_digest``: one read, since a pipe such as
-    ``/dev/stdin`` gives its bytes only once."""
-    data = [Path(path).read_bytes()]
-    digest = io._sha256(data[0])
-    # handed over, not shared: the CSV parser frees its copy before it splits the rows
-    return read(path, data.pop()), digest
-
-
-def _write_report(args, digest: str, configurations: dict, sections: dict) -> None:
-    """Write the report envelope around ``sections`` to ``--output``."""
-    document = io.build_report_document(input_digest=digest, configurations=configurations,
-                                        sections=sections)
-    io.write_report_json(args.output, document)
-
-
 def _census_dash(value) -> str:
     return "—" if value is None else f"{value:.2f}"
 
@@ -143,16 +127,17 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    doc, digest = _read_input(args.params, io.read_params_json)
+    doc, digest = io.read_input(args.params, io.read_params_json)
     config = _table_config(args)
     report = theory.theory_report(doc.params, doc.design, config)
     conditions = None
     if doc.design.f > 0.0:
         conditions = io.conditions_dict(
             theory.comparison_conditions(doc.params, doc.design.f, config))
-    _write_report(args, digest, _table_configurations(config),
-                  {"theory": io.theory_report_dict(report),
-                   "comparison_conditions": conditions})
+    io.write_report(args.output, input_digest=digest,
+                    configurations=_table_configurations(config),
+                    sections={"theory": io.theory_report_dict(report),
+                              "comparison_conditions": conditions})
     return 0
 
 
@@ -162,18 +147,19 @@ def _cmd_pre(args) -> int:
     report = theory.theory_report(doc.params, doc.design, config)
     names = [entry.name for entry in report.entries]
     values = [entry.pre for entry in report.entries]
+    cells = [_census_dash(value) for value in values]
     if args.format == "json":
-        payload = {name: value for name, value in zip(names, values)}
-        print(json.dumps(payload, indent=2))
+        text = io.dumps(dict(zip(names, values))) + "\n"
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(names)
-        writer.writerow([_census_dash(value) for value in values])
+        buffer = StringIO()
+        csv.writer(buffer).writerows([names, cells])
+        text = buffer.getvalue()
     else:
-        cells = [_census_dash(value) for value in values]
         widths = [max(len(n), len(c)) for n, c in zip(names, cells)]
-        print("  ".join(n.rjust(w) for n, w in zip(names, widths)))
-        print("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
+        text = "".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n"
+                       for row in (names, cells))
+    # one write: a stdout that cannot encode a census dash gets no partial table
+    sys.stdout.write(text)
     return 0
 
 
@@ -194,7 +180,7 @@ def _cmd_estimate(args) -> int:
                    "sx2_s": stats.sx2_s},
         "config_used": _config_dict(estimate.config_used),
     }
-    print(json.dumps(payload, indent=2))
+    print(io.dumps(payload))
     return 0
 
 
@@ -208,15 +194,15 @@ def _cmd_simulate(args) -> int:
     from .estimators import EstimatorConfig
     from .montecarlo import DEFAULT_CONFIGS, run_experiment
 
-    frame, digest = _read_input(args.input, io.read_population_csv)
+    frame, digest = io.read_input(args.input, io.read_population_csv)
     given = _subconfigs(args)
     configs = [EstimatorConfig(kind=cfg.kind, params=given[cfg.kind])
                if cfg.kind in given else cfg for cfg in DEFAULT_CONFIGS]
     report = run_experiment(frame, args.n, configs, reps=args.reps, seed=args.seed)
-    _write_report(args, digest,
-                  {"n": args.n, "reps": args.reps, "seed": args.seed,
-                   "estimators": [_config_dict(cfg) for cfg in configs]},
-                  {"simulation": io.simulation_report_dict(report)})
+    io.write_report(args.output, input_digest=digest,
+                    configurations={"n": args.n, "reps": args.reps, "seed": args.seed,
+                                    "estimators": [_config_dict(cfg) for cfg in configs]},
+                    sections={"simulation": io.simulation_report_dict(report)})
     return 0
 
 
@@ -242,11 +228,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
-    doc, digest = _read_input(args.params, io.read_params_json)
+    doc, digest = io.read_input(args.params, io.read_params_json)
     config = _table_config(args)
     report = theory.sensitivity(doc.params, doc.design.f, config, digits=args.digits)
-    _write_report(args, digest, _table_configurations(config, digits=args.digits),
-                  {"sensitivity": io.sensitivity_report_dict(report)})
+    io.write_report(args.output, input_digest=digest,
+                    configurations=_table_configurations(config, digits=args.digits),
+                    sections={"sensitivity": io.sensitivity_report_dict(report)})
     return 0
 
 
@@ -312,7 +299,9 @@ def main(argv: list[str] | None = None) -> int:
     except OverflowError as exc:  # float ``**`` raises where ``*`` gives inf
         print(f"numerical error: {overflow_message(exc)}", file=sys.stderr)
         return 3
-    except (DataError, OSError, MemoryError) as exc:  # numpy's MemoryError names the array
+    # numpy's MemoryError names the array; a UnicodeEncodeError is a stdout
+    # that cannot encode a census dash
+    except (DataError, OSError, MemoryError, UnicodeEncodeError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -35,8 +35,9 @@ field; a hand-written document needs only
 
 with ``sx2 = (cx*xbar)^2`` and ``sp2 = (cp*p)^2`` derived.
 
-A report is one JSON object: the ``build_report_document`` envelope around
-the sections that the ``*_dict`` helpers build.
+A report is one JSON object, which ``write_report`` writes: the envelope
+around the sections that the ``*_dict`` helpers build. ``dumps`` encodes
+every JSON document the program writes or prints.
 
 The module imports without numpy, so the table commands, which read and
 write only parameter documents and reports, start without it; the CSV
@@ -293,16 +294,21 @@ def write_params_json(path: str | Path, doc: ParamsDocument) -> None:
     write_report_json(path, doc.to_dict())
 
 
-def _sha256(data: bytes) -> str:
-    """sha256 of the raw input bytes, recorded in every report."""
+def read_input(path: str | Path, read) -> tuple:
+    """``read(path, data)`` of the bytes ``data`` at ``path``, and their
+    sha256, a report's ``input_digest``: one read, since a pipe such as
+    ``/dev/stdin`` gives its bytes only once."""
     import hashlib  # loads OpenSSL's _hashlib, which only a digest needs
-    return hashlib.sha256(data).hexdigest()
+
+    data = [Path(path).read_bytes()]
+    digest = hashlib.sha256(data[0]).hexdigest()
+    # handed over, not shared: the CSV parser frees its copy before it splits the rows
+    return read(path, data.pop()), digest
 
 
-# The theory rows are flat NamedTuples and the simulation rows flat
-# dataclasses, so each row's ``_asdict()``, or a copy of its ``vars()``, has
-# its field names as keys, in field order, and its values, without a deep
-# copy; an entry's ``constants`` and ``formulas`` dicts are shared, not copied.
+# Every report row is a flat NamedTuple, so each row's ``_asdict()`` has its
+# field names as keys, in field order, and its values, without a deep copy;
+# an entry's ``constants`` and ``formulas`` dicts are shared, not copied.
 # ``json`` would write a NamedTuple as an array, so none is left in a section.
 
 
@@ -315,7 +321,7 @@ def theory_report_dict(report: TheoryReport) -> dict:
 
 
 def simulation_report_dict(report: SimulationReport) -> dict:
-    return {**vars(report), "rows": [dict(vars(row)) for row in report.rows]}
+    return {**report._asdict(), "rows": [row._asdict() for row in report.rows]}
 
 
 def sensitivity_report_dict(report: SensitivityReport) -> dict:
@@ -326,28 +332,30 @@ def conditions_dict(conditions: tuple[ConditionResult, ...]) -> list[dict]:
     return [result._asdict() for result in conditions]
 
 
-def build_report_document(*, input_digest: str, configurations: dict,
-                          sections: dict) -> dict:
-    """Assemble the self-describing report envelope."""
-    return {
-        "tool": "propaux",
-        "tool_version": __version__,
-        "input_digest": input_digest,
-        "configurations": configurations,
-        **sections,
-    }
-
-
-def write_report_json(path: str | Path, document: dict) -> None:
-    """Write a JSON document: two-space indent and a final newline. One that
-    holds NaN or an infinity, which JSON lacks, raises ``NumericalError``."""
+def dumps(document) -> str:
+    """The strict JSON text of a document, in two-space indent. One that
+    holds NaN or an infinity, which JSON lacks, raises ``NumericalError``
+    naming the first."""
     try:
-        text = json.dumps(document, indent=2, allow_nan=False)
+        return json.dumps(document, indent=2, allow_nan=False)
     except ValueError:
         for where, value in _non_finite(document):
             raise NumericalError(f"the report's {where} is {value}, not a JSON number") from None
         raise
-    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def write_report_json(path: str | Path, document: dict) -> None:
+    """Write a JSON document (see ``dumps``) and a final newline; nothing is
+    written when it cannot be encoded."""
+    Path(path).write_text(dumps(document) + "\n", encoding="utf-8")
+
+
+def write_report(path: str | Path, *, input_digest: str, configurations: dict,
+                 sections: dict) -> None:
+    """Write the self-describing report envelope around ``sections``."""
+    write_report_json(path, {"tool": "propaux", "tool_version": __version__,
+                             "input_digest": input_digest,
+                             "configurations": configurations, **sections})
 
 
 def _non_finite(value, where: str = ""):

@@ -39,7 +39,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -320,8 +320,7 @@ def generate_population(spec: SyntheticSpec, seed: int) -> PopulationFrame:
     )
 
 
-@dataclass(frozen=True)
-class EstimatorRun:
+class EstimatorRun(NamedTuple):
     """Aggregated result of one estimator across replicates or subsets."""
 
     name: str
@@ -335,8 +334,7 @@ class EstimatorRun:
     ratio: float | None
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     n: int
     population_size: int
     sampling_fraction: float

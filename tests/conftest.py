@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,14 @@ from propaux import Design, PopulationFrame, PopulationParams, compute_populatio
 from propaux.io import ParamsDocument
 
 from _oracles import REF
+
+
+def checkout_env() -> dict:
+    """A copy of this process's environment in which a fresh interpreter
+    imports ``propaux`` from this checkout's ``src``."""
+    src = str(Path(__file__).parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 @pytest.fixture(scope="session")

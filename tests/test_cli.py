@@ -2,10 +2,10 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 import warnings
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import pytest
@@ -18,6 +18,7 @@ from propaux.io import read_population_csv, write_params_json, ParamsDocument
 from propaux.population import compute_population_params, sample_stats
 
 from _oracles import REF
+from conftest import checkout_env
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -131,6 +132,19 @@ class TestPreCommand:
         main(["params", "--input", str(pop_csv), "--output", str(params)])
         assert main(["pre", "--params", str(params)]) == 0
         assert "—" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ("table", "csv"))
+    def test_census_on_an_ascii_stdout_is_one_error_line(self, capsys, monkeypatch, fmt):
+        # the census cells are dashes; nothing of the table reaches a stdout
+        # that cannot encode them
+        stdout = TextIOWrapper(BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["pre", "--params", str(GOLDEN / "params.json"), "--format", fmt]) == 2
+        stdout.flush()
+        assert stdout.buffer.getvalue() == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'ascii' codec can't encode character '\\u2014'"), err
+        assert err.count("\n") == 1
 
     def test_output_is_deterministic(self, ref_params_path, capsys):
         main(["pre", "--params", str(ref_params_path)])
@@ -381,11 +395,8 @@ class TestSensitivityCommand:
 
 def _run_piped(argv: list[str], data: bytes) -> subprocess.CompletedProcess:
     """``propaux`` in a fresh interpreter from this checkout, ``data`` on stdin."""
-    src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-m", "propaux.cli", *argv], env=env, input=data,
-                          capture_output=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", "propaux.cli", *argv], env=checkout_env(),
+                          input=data, capture_output=True, timeout=120)
 
 
 class TestPipedInput:
@@ -639,9 +650,7 @@ class TestExitCodes:
     def test_overflow_repro_ends_without_traceback(self, tmp_path):
         # the aggregates overflow (Infinity, NaN): one error line, and no file
         pop, out = tmp_path / "pop.csv", tmp_path / "sim.json"
-        src = str(Path(__file__).parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        env = checkout_env()
         for argv, code in ((["generate", "--size", "40", "--seed", "3", "--output", str(pop)], 0),
                            (["simulate", "--input", str(pop), "--n", "5", "--reps", "200",
                              "--seed", "1", "--tc", "alpha=3000", "--output", str(out)], 3)):

@@ -17,7 +17,6 @@ and review the diff.
 import contextlib
 import io
 import math
-import os
 import re
 import subprocess
 import sys
@@ -30,6 +29,7 @@ import pytest
 from propaux import cli
 from propaux.cli import main
 
+from conftest import checkout_env
 from test_population import LOGNORMAL_X
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -166,11 +166,9 @@ def dispatch_targets() -> list[str]:
 def cli_output(argv: list[str], population: str, **env: str) -> bytes:
     """The ``--output`` bytes of ``propaux <argv>`` on ``population``, run in
     a fresh interpreter with ``env`` added to a copy of this one's."""
-    src = str(Path(__file__).parent.parent / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    inherited = {key: value for key, value in os.environ.items()
+    inherited = {key: value for key, value in checkout_env().items()
                  if key not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
-    env = inherited | {"PYTHONPATH": path} | env
+    env = inherited | env
     with tempfile.TemporaryDirectory() as tmp:
         source, out = Path(tmp) / "population.csv", Path(tmp) / "out.json"
         source.write_text(population, encoding="utf-8")

@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import os
 import platform
 import subprocess
 import sys
@@ -42,6 +41,7 @@ from propaux.errors import (
 )
 
 from _oracles import binomial_se, floyd_loop, loop_report
+from conftest import checkout_env
 
 
 TINY = PopulationFrame(np.array([1, 0, 0, 1, 0, 1]),
@@ -646,10 +646,7 @@ class TestBoundedMemory:
             "    run_experiment(frame, 50, reps=20_000, seed=1)\n"
             "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
             "print(*faults[2:])\n")
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
+        done = subprocess.run([sys.executable, "-c", script], env=checkout_env(),
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         faults = [int(word) for word in done.stdout.split()]

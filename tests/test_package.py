@@ -14,11 +14,9 @@ import ast
 import copy
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +25,7 @@ import propaux
 from propaux import Design, PopulationParams, cli, io, theory
 from propaux.errors import InvalidDesign, SchemaError
 
+from conftest import checkout_env
 from test_golden import DOCUMENT, GOLDEN
 
 PACKAGE = Path(propaux.__file__).parent
@@ -76,11 +75,24 @@ SECOND_ROUTES = ("_increasing", "_power", "central_moment")
 #: parses them.
 IO_SECOND_ROUTES = ("_parse_json", "_parse_params", "_parse_population_csv")
 
-#: The names ``propaux.io`` defined when it held the JSON half too.
-IO_NAMES = ("PROVENANCE_FRAME", "PROVENANCE_USER", "ParamsDocument", "build_report_document",
-            "conditions_dict", "read_json", "read_params_json", "read_population_csv",
+#: Names ``io`` must not define: ``write_report`` builds and writes the report
+#: envelope, and ``read_input`` digests the bytes it hands to a reader.
+IO_SECOND_WRITERS = ("_sha256", "build_report_document")
+
+#: Names ``cli`` must not define, for the same reason.
+CLI_SECOND_WRITERS = ("_read_input", "_write_report")
+
+#: The names of ``propaux.io``: every file format, and the one JSON encoder.
+IO_NAMES = ("PROVENANCE_FRAME", "PROVENANCE_USER", "ParamsDocument", "conditions_dict",
+            "dumps", "read_input", "read_json", "read_params_json", "read_population_csv",
             "sensitivity_report_dict", "simulation_report_dict", "theory_report_dict",
-            "write_params_json", "write_population_csv", "write_report_json")
+            "write_params_json", "write_population_csv", "write_report", "write_report_json")
+
+#: Every record a report section is built from: each is a NamedTuple, which
+#: the ``*_dict`` helpers read with ``_asdict()``.
+REPORT_ROWS = ("theory.EstimatorTheory", "theory.TheoryReport", "theory.ConditionResult",
+               "theory.PreInterval", "theory.SensitivityReport", "montecarlo.EstimatorRun",
+               "montecarlo.SimulationReport")
 
 TABLE_COMMANDS = {
     "theory": ["theory", "--output", "{out}"],
@@ -95,11 +107,9 @@ def fresh(code: str, *args: str) -> dict:
     """Run ``code`` in a fresh interpreter that imports the package from this
     checkout; ``code`` leaves its findings in the dict ``result``, which
     comes back decoded."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
     script = ("import json, sys\nresult = {}\n" + code
               + "\nprint('\\n' + json.dumps(result))\n")
-    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *args], env=checkout_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -217,6 +227,25 @@ class TestPublicSurface:
     def test_io_has_one_reader_per_format(self):
         for name in IO_SECOND_ROUTES:
             assert not hasattr(io, name), name
+
+    def test_io_owns_the_one_output_path(self):
+        for name in IO_SECOND_WRITERS:
+            assert not hasattr(io, name), name
+        for name in CLI_SECOND_WRITERS:
+            assert not hasattr(cli, name), name
+
+    def test_cli_encodes_through_io_alone(self):
+        """``cli`` imports no ``json`` and reaches no private ``io`` name: every
+        document it writes or prints is encoded by ``io.dumps``."""
+        tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "json" not in imported
+        private = sorted(node.attr for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                         and isinstance(node.value, ast.Name) and node.value.id == "io")
+        assert not private, private
 
     def test_readme_library_example_runs(self):
         """The README's Library code block runs as written, in a fresh
@@ -338,17 +367,22 @@ class TestRecords:
         assert Design._make((4, 10, 0.5)).f == propaux.sampling_fraction(4, 10)
         assert copy.copy(design) == design and type(copy.deepcopy(design)) is Design
 
+    @pytest.mark.parametrize("path", REPORT_ROWS)
+    def test_every_report_row_is_a_named_tuple(self, path):
+        module, name = path.split(".")
+        cls = getattr(importlib.import_module(f"propaux.{module}"), name)
+        assert issubclass(cls, tuple) and hasattr(cls, "_fields"), path
+
     def test_report_documents_hold_no_record(self, tmp_path, monkeypatch):
         """``json`` writes a NamedTuple as an array: no record may reach a
-        report document, or ``estimate``'s printed payload, unconverted."""
+        document that ``io.dumps`` encodes, written or printed, unconverted."""
         assert list(_records_in({"rows": [propaux.TbConfig()]}))  # the walk finds one
         params, pop = tmp_path / "params.json", tmp_path / "pop.csv"
         params.write_text(DOCUMENT, encoding="utf-8")
         assert cli.main(["generate", "--size", "40", "--seed", "3", "--output", str(pop)]) == 0
-        documents = []
-        monkeypatch.setattr(io, "write_report_json", lambda path, doc: documents.append(doc))
-        monkeypatch.setattr(cli, "json", SimpleNamespace(
-            dumps=lambda payload, **kwargs: documents.append(payload) or ""))
+        documents, dumps = [], io.dumps
+        monkeypatch.setattr(io, "dumps", lambda document: documents.append(document)
+                            or dumps(document))
         out = str(tmp_path / "out.json")
         for argv in (["theory", "--params", str(params), "--tc", "q1=1,q2=0",
                       "--t3", "gamma=0.5", "--output", out],
@@ -357,8 +391,10 @@ class TestRecords:
                      ["estimate", "--input", str(pop), "--indices", "0,1,2,3,4",
                       "--estimator", "t3", "--t3", "gamma=0.5"],
                      ["simulate", "--input", str(pop), "--n", "5", "--reps", "100",
-                      "--seed", "1", "--tc", "alpha=2", "--output", out]):
+                      "--seed", "1", "--tc", "alpha=2", "--output", out],
+                     ["pre", "--params", str(params), "--format", "json", "--tc", "q1=1,q2=0"],
+                     ["params", "--input", str(pop), "--n", "5", "--output", out]):
             assert cli.main(argv) == 0, argv
-        assert len(documents) == 4
+        assert len(documents) == 6
         for document in documents:
             assert not list(_records_in(document))
