@@ -587,16 +587,9 @@ class TestReportDocuments:
         payload = sensitivity_report_dict(report)
         assert json.loads(json.dumps(payload)) == payload
 
-    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf), ids=str)
-    @pytest.mark.parametrize("encode", (
-        lambda out, **parts: dumps({"configurations": parts["configurations"],
-                                    **parts["sections"]}),
-        lambda out, **parts: write_report(out, input_digest="0" * 64, **parts),
-    ), ids=("dumps", "write_report"))
-    def test_non_finite_value_is_refused_before_the_file_is_opened(self, tmp_path, value,
-                                                                   encode):
+    @staticmethod
+    def check_non_finite_refused(out, value, encode):
         # JSON has no NaN or Infinity; the first one is named by section, row and field
-        out = tmp_path / "report.json"
         rows = [{"name": "p", "mse": 0.5}, {"name": "tc", "mean": 0.5, "mse": value,
                                             "ratio": math.inf}]
         parts = {"configurations": {"tc": [1.0]},
@@ -610,6 +603,19 @@ class TestReportDocuments:
         with pytest.raises(NumericalError, match=r"configurations\.tc\[0\] is "):
             encode(out, **parts)
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf), ids=str)
+    def test_non_finite_value_is_refused_before_the_file_is_opened(self, tmp_path, value):
+        self.check_non_finite_refused(
+            tmp_path / "report.json", value,
+            lambda out, **parts: write_report(out, input_digest="0" * 64, **parts))
+
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf), ids=str)
+    def test_dumps_refuses_a_non_finite_value(self, tmp_path, value):
+        self.check_non_finite_refused(
+            tmp_path / "report.json", value,
+            lambda out, **parts: dumps({"configurations": parts["configurations"],
+                                        **parts["sections"]}))
 
     @staticmethod
     def written_digest(tmp_path, text: str) -> str:
