@@ -12,17 +12,18 @@ algorithm fails the contract test instead of silently moving seeded reports.
 A shorter draw from a block stream gives a prefix of the rows of a longer
 one, so the sample of replicate ``i`` depends only on ``(seed, i, N, n)``.
 Exact enumeration takes the subsets in lexicographic order, the order of
-``itertools.combinations``; each chunk unranks its own range of ranks, so
-subset ``i`` also depends only on ``(i, N, n)``. Its chunks are
-column-major, one contiguous run per sample position; the batch statistics
-have the same bits in either layout. Replicates and subsets are
-evaluated in chunks of ``CHUNK_ELEMENTS`` sample indices (at least one
-sample), each chunk through one batch sufficient-statistics pass. The
-statistics fill fixed reduction blocks of ``REDUCE_SAMPLES`` samples, whose
-edges depend only on the sample index; a chunk that straddles an edge fills
-two blocks. Each estimator kernel is called once per block and works row by
-row, so an estimate depends only on its sample; a failed sample is NaN, and
-every other estimate is finite. Each block reduces to per-estimator partials
+``itertools.combinations``; each chunk unranks its own first and last ranks
+and expands the subsets between them, or past n = N/2 their complements,
+so subset ``i`` also depends only on ``(i, N, n)``. Its chunks are
+column-major, one contiguous run per sample position, and row-major past
+N/2; the batch statistics have the same bits in either layout. Replicates
+and subsets are evaluated in chunks of ``CHUNK_ELEMENTS`` sample indices
+(at least one sample), each chunk through one batch sufficient-statistics
+pass. The statistics fill fixed reduction blocks of ``REDUCE_SAMPLES``
+samples, whose edges depend only on the sample index; a chunk that
+straddles an edge fills two blocks. Each estimator kernel is called once
+per block and works row by row, so an estimate depends only on its sample;
+a failed sample is NaN, and every other estimate is finite. Each block reduces to per-estimator partials
 (see ``_partials``), merged in block order. A report is therefore a pure
 function of ``(population, n, configs, reps, seed)``, independent of the
 chunking, and memory is bounded by the chunk and the block, not by ``reps``.
@@ -32,6 +33,7 @@ so a shared seed never aliases replicate streams.
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import functools
 import logging
@@ -384,18 +386,22 @@ def _partials(values: np.ndarray, P: float, exact: bool) -> tuple[np.ndarray, ..
     """
     failed = np.isnan(values)
     count = values.shape[1] - np.count_nonzero(failed, axis=1)
+    # the failed samples lie between the first and the last row that has one
+    rows = np.flatnonzero(count < values.shape[1])
+    span = slice(rows[0], rows[-1] + 1) if rows.size else slice(0)
+    failed, holed = failed[span], values[span]
     with np.errstate(over="ignore", invalid="ignore"):  # the report shows the inf and NaN
-        np.copyto(values, 0.0, where=failed)
+        np.copyto(holed, 0.0, where=failed)
         total = values.sum(axis=1)
         values -= P
         values *= values
-        np.copyto(values, 0.0, where=failed)
+        np.copyto(holed, 0.0, where=failed)
         sq = values.sum(axis=1)
         if exact:
             return count, total, sq
         mean = sq / np.maximum(count, 1)  # 0 where the whole block failed
         values -= mean[:, None]
-        np.copyto(values, 0.0, where=failed)
+        np.copyto(holed, 0.0, where=failed)
         values *= values
         return count, total, sq, mean, values.sum(axis=1)
 
@@ -520,36 +526,104 @@ def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] |
     )
 
 
+def _children(prev: np.ndarray, lo: int, hi: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """One level of a prefix expansion: the last values of the children of
+    the prefixes whose last values are ``prev``, in order, and the edges of
+    each prefix's block of children, its start and, last, the total. A
+    prefix ending in e has the children e+1 .. ``top``, except that the
+    first child of the first prefix is ``lo`` and the last child of the last
+    prefix is ``hi``."""
+    sizes = top - prev
+    sizes[0] = top + 1 - lo
+    sizes[-1] -= top - hi
+    edges = np.zeros(prev.size + 1, dtype=np.intp)
+    np.cumsum(sizes, out=edges[1:])
+    shift = prev - edges[:-1]  # a block's first value less its start
+    shift += 1
+    shift[0] = lo
+    level = np.repeat(shift, sizes)
+    level += np.arange(level.size)
+    return level, edges
+
+
 def _lex_subsets(N: int, n: int) -> Callable[[int, int], np.ndarray]:
     """``draw(start, stop)``: the n-subsets of ``range(N)`` of lexicographic
     ranks ``start..stop-1``, the order of ``itertools.combinations``, one
-    sorted row each. The rows are the transpose of a C-ordered n×R array,
-    so each sample position is one contiguous run.
+    sorted row each.
 
-    Lexicographic rank r of subset c is colexicographic rank C(N, n)-1-r of
-    the reflected subset N-1-c, which the combinatorial number system
-    unranks greedily, largest element first (Knuth, TAOCP 7.2.1.3): that
-    gives c in ascending order. The search table is built once: row j-1
-    holds C(c, j) for c in j-1 .. j-1+N-n, so n * (N-n+1) entries, each at
-    most C(N-1, n) < C(N, n). Needs ``C(N, n) < 2**63``, which
+    A chunk is drawn by prefix expansion of m-subsets, m = min(n, N-n).
+    Only its first and last are unranked: lexicographic rank r of subset c
+    is colexicographic rank C(N, m)-1-r of the reflected subset N-1-c, which
+    the combinatorial number system unranks greedily, largest element first
+    (Knuth, TAOCP 7.2.1.3), each element by ``bisect`` in one row of a
+    binomial table built once: row j-1 holds C(c, j) for c in j-1 ..
+    j-1+N-m, each at most C(N-1, m) < C(N, m). The j-prefixes of the chunk's
+    subsets are the consecutive j-subsets of ``range(N-m+j)`` from the first
+    subset's prefix to the last's, so level j is level j-1's last values
+    repeated by their numbers of children (``_children``), plus the offset
+    within each block. Column j-1 is level j repeated by the number of
+    subsets under each of its prefixes. When m = n the rows are the
+    transpose of a C-ordered n×R array, so each sample position is one
+    contiguous run.
+
+    When n > N-n, m = N-n and the expansion draws complements. Complementing
+    reverses lexicographic order, so ranks ``start..stop-1`` are the
+    complements of ranks C(N, n)-stop .. C(N, n)-start-1, in reverse, and
+    one boolean mask turns them into C-ordered rows. The expansion thus runs
+    at most min(n, N-n) levels. Needs ``C(N, n) < 2**63``, which
     ``enumerate_exact``'s ``ENUMERATION_LIMIT`` ensures.
     """
-    last = math.comb(N, n) - 1
-    table = np.zeros((n, N - n + 1), dtype=np.int64)
-    table[0] = np.arange(N - n + 1)
-    for j in range(2, n + 1):
+    m = min(n, N - n)
+    total = math.comb(N, n)
+    table = np.zeros((m, N - m + 1), dtype=np.int64)
+    if m:
+        table[0] = np.arange(N - m + 1)
+    for j in range(2, m + 1):
         # C(j-1+t, j) is the sum of C(k, j-1) over k < j-1+t
         np.cumsum(table[j - 2, 1:], out=table[j - 1, 1:])
 
+    def unrank(rank: int) -> list[int]:
+        rank = total - 1 - rank
+        subset = []
+        for i in range(m):
+            step = table[m - 1 - i]
+            k = bisect.bisect_right(step, rank) - 1
+            rank -= int(step[k])
+            subset.append(N - m + i - k)
+        return subset
+
+    def expand(lo: int, hi: int) -> np.ndarray:
+        """The m-subsets of ranks ``lo..hi``, one per column of a C-ordered
+        m×R array."""
+        rows = hi - lo + 1
+        if not m:
+            return np.empty((0, rows), dtype=np.intp)
+        first, last = unrank(lo), unrank(hi)
+        levels = [(np.full(1, -1), None)]  # the empty prefix, as if it ended in -1
+        for j in range(m):
+            levels.append(_children(levels[-1][0], first[j], last[j], N - m + j))
+        # allocated once the expansion's temporaries are gone
+        out = np.empty((m, rows), dtype=np.intp)
+        out[m - 1], pos = levels.pop()
+        for j in range(m - 2, -1, -1):
+            # pos: where the subsets under each (j+1)-prefix start, and the end
+            level, edges = levels.pop()
+            out[j] = np.repeat(level, pos[1:] - pos[:-1])
+            pos = pos[edges]
+        return out
+
     def draw(start: int, stop: int) -> np.ndarray:
-        rank = np.arange(last - start, last - stop, -1, dtype=np.int64)
-        cols = np.empty((n, stop - start), dtype=np.intp)
-        for i in range(n):
-            step = table[n - 1 - i]
-            k = np.searchsorted(step, rank, side="right") - 1
-            rank -= step[k]
-            np.subtract(N - n + i, k, out=cols[i])
-        return cols.T
+        if m == n:
+            return expand(start, stop - 1).T
+        rows = stop - start
+        # flat indices into a rows×N mask: row r lacks complement rows-1-r
+        lacks = expand(total - stop, total - start - 1)
+        lacks += np.arange((rows - 1) * N, -1, -N)
+        keep = np.ones(rows * N, dtype=bool)
+        keep[lacks] = False
+        out = np.flatnonzero(keep).reshape(rows, n)
+        out -= np.arange(0, rows * N, N)[:, None]
+        return out
 
     return draw
 
@@ -563,6 +637,7 @@ def enumerate_exact(frame: PopulationFrame, n: int,
     moments are taken over the remaining subsets.
     """
     theory.sampling_fraction(n, frame.size)
+    n = _integer("n", n)  # the report holds a Python int, which JSON encodes
     total = math.comb(frame.size, n)
     if total > ENUMERATION_LIMIT:
         raise TooLarge(f"{total} subsets exceed the enumeration limit {ENUMERATION_LIMIT}")
@@ -584,5 +659,6 @@ def run_experiment(frame: PopulationFrame, n: int,
     if reps > ENUMERATION_LIMIT:
         raise TooLarge(f"{reps} replicates exceed the sample limit {ENUMERATION_LIMIT}")
     theory.sampling_fraction(n, frame.size)
+    n = _integer("n", n)
     draw = functools.partial(draw_replicates, frame, n, seed)
     return _report(frame, n, configs, reps, draw, seed)

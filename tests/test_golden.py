@@ -1,7 +1,7 @@
 """The CLI contract bytes of `theory`, `sensitivity` and `pre` on the README
-parameter document, and of `params`, a seeded `simulate` and single-sample
-`estimate` runs on a small fixed population, pinned against files under
-``tests/golden/``.
+parameter document, of `params`, a seeded `simulate` and single-sample
+`estimate` runs on a small fixed population, and of two exact enumeration
+reports, pinned against files under ``tests/golden/``.
 
 Every number of `theory`, `sensitivity` and `pre` is pure-Python float
 arithmetic, so those bytes are portable. The `simulate` file also pins the
@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from propaux import cli
+from propaux import SyntheticSpec, cli, enumerate_exact, generate_population
 from propaux.cli import main
+from propaux.io import dumps, simulation_report_dict
 
 from conftest import checkout_env
 from test_population import LOGNORMAL_X
@@ -104,6 +105,22 @@ for suffix, flags in (("_tc_q2_half", ["--tc", "q2=0.5"]),
         DOCUMENTS[f"{name}_n_6{suffix}.json"] = "params_n_6.json"
 
 
+#: Exact enumeration reports on generated frames, ``(size, n, seed)``: at
+#: n = 6 of 20 the sample mean of x is at most 0 on 361 of the 38,760
+#: subsets, where tc, t1 and t3 fail; n = 12 of 14 is past N/2, where the
+#: subsets are the complements of 2-subsets.
+EXACT = {"enumerate_20_6.json": (20, 6, 6), "enumerate_14_12.json": (14, 12, 1)}
+EXACT_SPEC = dict(aux_shape="symmetric", aux_location=0.7, aux_scale=1.0,
+                  link_intercept=0.0, link_slope=1.5)
+
+
+def exact_report(name: str) -> bytes:
+    """The JSON bytes of the ``enumerate_exact`` report of case ``name``."""
+    size, n, seed = EXACT[name]
+    frame = generate_population(SyntheticSpec(size=size, **EXACT_SPEC), seed=seed)
+    return (dumps(simulation_report_dict(enumerate_exact(frame, n))) + "\n").encode("utf-8")
+
+
 def run(name: str) -> bytes:
     """The bytes the command of case ``name`` writes: its ``--output`` file,
     else its stdout."""
@@ -129,6 +146,11 @@ def run(name: str) -> bytes:
 @pytest.mark.parametrize("name", CASES)
 def test_output_matches_golden_file(name):
     assert run(name) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_exact_report_matches_golden_file(name):
+    assert exact_report(name) == (GOLDEN / name).read_bytes()
 
 
 def test_one_parser_serves_every_call_of_a_process(monkeypatch, tmp_path, capsys):
@@ -222,9 +244,9 @@ def changes(old: bytes | None, new: bytes) -> str:
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name in CASES:
+    for name in [*CASES, *EXACT]:
         path = GOLDEN / name
         old = path.read_bytes() if path.exists() else None
-        new = run(name)
+        new = run(name) if name in CASES else exact_report(name)
         path.write_bytes(new)
         print(f"wrote {path}: {changes(old, new)}")

@@ -29,7 +29,7 @@ from propaux import (
     theory,
 )
 from propaux.config import TcConfig
-from propaux.io import simulation_report_dict
+from propaux.io import dumps, simulation_report_dict
 from propaux.estimators import evaluate_batch, resolve_config
 from propaux.errors import (
     DataError,
@@ -109,6 +109,17 @@ class TestDraw:
 
 def _frame(size: int) -> PopulationFrame:
     return PopulationFrame(np.arange(size) % 2, np.arange(1.0, size + 1.0))
+
+
+@st.composite
+def lex_ranges(draw) -> tuple[int, int, int, int]:
+    """``(N, n, start, stop)``: a range of the lexicographic ranks of the
+    n-subsets of ``range(N)``, N <= 16."""
+    N = draw(st.integers(2, 16))
+    n = draw(st.integers(2, N))
+    total = math.comb(N, n)
+    start = draw(st.integers(0, total - 1))
+    return N, n, start, draw(st.integers(start + 1, total))
 
 
 class TestBlockDraw:
@@ -346,6 +357,22 @@ class TestEnumeration:
             expect = itertools.islice(itertools.combinations(range(N), n), start, start + 500)
             assert draw(start, start + 500).tolist() == [list(c) for c in expect], start
 
+    @settings(max_examples=200, deadline=None)
+    @given(lex_ranges())
+    @example((16, 8, 0, 12870))  # n = N/2, expanded directly
+    @example((16, 9, 100, 11440))  # just past N/2: complements of 7-subsets
+    @example((15, 7, 6000, 6435))
+    @example((15, 8, 0, 1))
+    @example((16, 15, 3, 16))
+    @example((16, 16, 0, 1))  # the census, whose complement is empty
+    def test_subset_rows_are_combinations_on_both_sides_of_half(self, case):
+        N, n, start, stop = case
+        drawn = montecarlo._lex_subsets(N, n)(start, stop)
+        expect = itertools.islice(itertools.combinations(range(N), n), start, stop)
+        assert drawn.tolist() == [list(c) for c in expect]
+        # an expanded chunk is column-major, a chunk of complements row-major
+        assert (drawn.T if 2 * n <= N else drawn).flags.c_contiguous
+
     @settings(max_examples=25, deadline=None)
     @given(which=st.sampled_from((0, 1)), n=st.integers(2, 5),
            chunk_rows=st.integers(1, 80))
@@ -407,6 +434,15 @@ class TestLoopEquivalence:
         frame = generate_population(SyntheticSpec(size=size), seed=size)
         assert enumerate_exact(frame, n) == loop_report(frame, n)
 
+    @pytest.mark.parametrize("n", (13, 12, 8, 6))
+    def test_enumeration_on_both_sides_of_half_matches_loop(self, n):
+        # n = N-1, N-2 and N/2+1 enumerate complements, N/2-1 subsets; at
+        # n = 6 tc, t1 and t3 fail on 9 subsets
+        frame = generate_population(SyntheticSpec(
+            size=14, aux_shape="symmetric", aux_location=0.7, aux_scale=1.0,
+            link_intercept=0.0, link_slope=1.5), seed=1)
+        assert enumerate_exact(frame, n) == loop_report(frame, n)
+
     @pytest.mark.parametrize("index", range(len(FRAMES)))
     def test_monte_carlo_matches_loop(self, index):
         frame = self.FRAMES[index]
@@ -459,6 +495,24 @@ class TestRunExperiment:
         assert json.loads(json.dumps(simulation_report_dict(report)))["seed"] == 8
         drawn = draw_replicates(TINY, 3, np.int64(8), np.int32(2), np.int64(9))
         assert np.array_equal(drawn, draw_replicates(TINY, 3, 8, 2, 9))
+
+    @pytest.mark.parametrize("oracle", ("exact", "monte-carlo"))
+    @pytest.mark.parametrize("dtype", (np.int64, np.int32))
+    def test_numpy_integer_sample_size_gives_a_writable_report(self, oracle, dtype):
+        def report(n):
+            if oracle == "exact":
+                return enumerate_exact(TINY, n)
+            return run_experiment(TINY, n, reps=100, seed=1)
+        got = report(dtype(3))
+        assert got == report(3)
+        assert type(got.n) is int and type(got.sampling_fraction) is float
+        assert json.loads(dumps(simulation_report_dict(got)))["n"] == 3
+
+    @pytest.mark.parametrize("oracle", (enumerate_exact, run_experiment))
+    @pytest.mark.parametrize("n", (True, np.bool_(True), 3.0))
+    def test_a_sample_size_that_is_no_integer_is_an_invalid_design(self, oracle, n):
+        with pytest.raises(InvalidDesign):
+            oracle(TINY, n)
 
     def test_same_seed_is_bit_identical(self, rng):
         from conftest import random_frame
@@ -633,6 +687,22 @@ class TestBoundedMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2**19, peaks
+
+    def test_a_chunk_of_subsets_is_drawn_small(self, monkeypatch):
+        # one 10,922-subset chunk of C(20, 6), the exact-enum chunk: only its
+        # ends are unranked, so it takes no binary search, and it peaks no
+        # higher than the 854 KiB that one search per sample position took
+        monkeypatch.setattr(np, "searchsorted", None)
+        draw = montecarlo._lex_subsets(20, 6)
+        rows = montecarlo.CHUNK_ELEMENTS // 6
+        draw(rows, 2 * rows)
+        tracemalloc.start()
+        try:
+            draw(rows, 2 * rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 854 * 1024, peak
 
     @pytest.mark.skipif(not _glibc(), reason="the heap pinning acts on glibc only")
     def test_warm_runs_take_no_page_faults(self):
