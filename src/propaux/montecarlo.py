@@ -13,17 +13,18 @@ A shorter draw from a block stream gives a prefix of the rows of a longer
 one, so the sample of replicate ``i`` depends only on ``(seed, i, N, n)``.
 Exact enumeration takes the subsets in lexicographic order, the order of
 ``itertools.combinations``; each chunk unranks its own first and last ranks
-and expands the subsets between them, or past n = N/2 their complements,
-so subset ``i`` also depends only on ``(i, N, n)``. Its chunks are
-column-major, one contiguous run per sample position, and row-major past
-N/2; the batch statistics have the same bits in either layout. Replicates
-and subsets are evaluated in chunks of ``CHUNK_ELEMENTS`` sample indices
-(at least one sample), each chunk through one batch sufficient-statistics
-pass. The statistics fill fixed reduction blocks of ``REDUCE_SAMPLES``
-samples, whose edges depend only on the sample index; a chunk that
-straddles an edge fills two blocks. Each estimator kernel is called once
-per block and works row by row, so an estimate depends only on its sample;
-a failed sample is NaN, and every other estimate is finite. Each block reduces to per-estimator partials
+and expands the subsets between them, or, for subsets that leave out at
+most ``_COMPLEMENT_MAX`` elements, their complements, so subset ``i`` also
+depends only on ``(i, N, n)``. Its chunks are column-major, one contiguous
+run per sample position, and row-major when drawn as complements; the batch
+statistics have the same bits in either layout. Replicates and subsets are
+evaluated in chunks of ``CHUNK_ELEMENTS`` sample indices (at least one
+sample), each chunk through one batch sufficient-statistics pass. The
+statistics fill fixed reduction blocks of ``REDUCE_SAMPLES`` samples, whose
+edges depend only on the sample index; a chunk that straddles an edge fills
+two blocks. Each estimator kernel is called once per block and works row by
+row, so an estimate depends only on its sample; a failed sample is NaN, and
+every other estimate is finite. Each block reduces to per-estimator partials
 (see ``_partials``), merged in block order. A report is therefore a pure
 function of ``(population, n, configs, reps, seed)``, independent of the
 chunking, and memory is bounded by the chunk and the block, not by ``reps``.
@@ -36,6 +37,7 @@ from __future__ import annotations
 import bisect
 import ctypes
 import functools
+import itertools
 import logging
 import math
 import numbers
@@ -75,6 +77,16 @@ CHUNK_ELEMENTS = 65536
 #: REDUCE_SAMPLES`` up to the next edge, reduce to one set of partials, so
 #: this fixes the last bits of every report's aggregates.
 REDUCE_SAMPLES = 8192
+
+#: Most elements an enumerated subset may leave out for its chunks to be
+#: drawn as complements (see ``_lex_subsets``). Rows that leave out few
+#: elements differ over long runs of positions, so their direct expansion
+#: takes up to N levels; the complements of more elements share shorter
+#: prefixes, and each needs a mask of N entries. Timed per chunk at every
+#: n > N/2 for N = 4 .. 26, and at N-n <= 13 up to N = 20,000, complements
+#: were 1.02-1.7x faster at 4 left out (from N = 10), 1.2x and more at 1
+#: to 3 (from N = 8), within 30% either way at 5, and 1.1-8x slower from 6.
+_COMPLEMENT_MAX = 4
 
 #: glibc ``mallopt`` parameter numbers (``malloc.h``).
 _M_TRIM_THRESHOLD = -1
@@ -386,22 +398,18 @@ def _partials(values: np.ndarray, P: float, exact: bool) -> tuple[np.ndarray, ..
     """
     failed = np.isnan(values)
     count = values.shape[1] - np.count_nonzero(failed, axis=1)
-    # the failed samples lie between the first and the last row that has one
-    rows = np.flatnonzero(count < values.shape[1])
-    span = slice(rows[0], rows[-1] + 1) if rows.size else slice(0)
-    failed, holed = failed[span], values[span]
     with np.errstate(over="ignore", invalid="ignore"):  # the report shows the inf and NaN
-        np.copyto(holed, 0.0, where=failed)
+        np.copyto(values, 0.0, where=failed)
         total = values.sum(axis=1)
         values -= P
         values *= values
-        np.copyto(holed, 0.0, where=failed)
+        np.copyto(values, 0.0, where=failed)
         sq = values.sum(axis=1)
         if exact:
             return count, total, sq
         mean = sq / np.maximum(count, 1)  # 0 where the whole block failed
         values -= mean[:, None]
-        np.copyto(holed, 0.0, where=failed)
+        np.copyto(values, 0.0, where=failed)
         values *= values
         return count, total, sq, mean, values.sum(axis=1)
 
@@ -528,20 +536,21 @@ def _report(frame: PopulationFrame, n: int, configs: Sequence[EstimatorConfig] |
 
 def _children(prev: np.ndarray, lo: int, hi: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     """One level of a prefix expansion: the last values of the children of
-    the prefixes whose last values are ``prev``, in order, and the edges of
-    each prefix's block of children, its start and, last, the total. A
-    prefix ending in e has the children e+1 .. ``top``, except that the
-    first child of the first prefix is ``lo`` and the last child of the last
-    prefix is ``hi``."""
+    the two or more prefixes whose last values are ``prev``, in order, and
+    the edges of each prefix's block of children, its start and, last, the
+    total. A prefix ending in e has the children e+1 .. ``top``, except that
+    the first child of the first prefix is ``lo`` and the last child of the
+    last prefix is ``hi``."""
     sizes = top - prev
     sizes[0] = top + 1 - lo
     sizes[-1] -= top - hi
     edges = np.zeros(prev.size + 1, dtype=np.intp)
-    np.cumsum(sizes, out=edges[1:])
-    shift = prev - edges[:-1]  # a block's first value less its start
-    shift += 1
+    edges[1:] = sizes.cumsum()
+    # a block's first value less its start: top+1 less its end in between
+    shift = np.subtract(top + 1, edges[1:])
+    shift[-1] = hi + 1 - int(edges[-1])
     shift[0] = lo
-    level = np.repeat(shift, sizes)
+    level = shift.repeat(sizes)
     level += np.arange(level.size)
     return level, edges
 
@@ -551,78 +560,83 @@ def _lex_subsets(N: int, n: int) -> Callable[[int, int], np.ndarray]:
     ranks ``start..stop-1``, the order of ``itertools.combinations``, one
     sorted row each.
 
-    A chunk is drawn by prefix expansion of m-subsets, m = min(n, N-n).
-    Only its first and last are unranked: lexicographic rank r of subset c
-    is colexicographic rank C(N, m)-1-r of the reflected subset N-1-c, which
-    the combinatorial number system unranks greedily, largest element first
-    (Knuth, TAOCP 7.2.1.3), each element by ``bisect`` in one row of a
-    binomial table built once: row j-1 holds C(c, j) for c in j-1 ..
-    j-1+N-m, each at most C(N-1, m) < C(N, m). The j-prefixes of the chunk's
-    subsets are the consecutive j-subsets of ``range(N-m+j)`` from the first
-    subset's prefix to the last's, so level j is level j-1's last values
-    repeated by their numbers of children (``_children``), plus the offset
-    within each block. Column j-1 is level j repeated by the number of
-    subsets under each of its prefixes. When m = n the rows are the
-    transpose of a C-ordered n×R array, so each sample position is one
+    A chunk is drawn by prefix expansion of m-subsets: m = n, or m = N-n for
+    subsets that leave out at most ``_COMPLEMENT_MAX`` elements, fewer than
+    they hold. Only its first and last are unranked: lexicographic rank r of
+    subset c is colexicographic rank C(N, m)-1-r of the reflected subset
+    N-1-c, which the combinatorial number system unranks greedily, largest
+    element first (Knuth, TAOCP 7.2.1.3), each element by ``bisect`` in one
+    row of a binomial table of Python ints built once: row j-1 holds C(c, j)
+    for c in j-1 .. j-1+N-m. The j-prefixes of the chunk's subsets are the
+    consecutive j-subsets of ``range(N-m+j)`` from the first subset's prefix
+    to the last's. Those two share a prefix of p elements, the first p
+    columns. Level p+1 is a range, and each later level j is level j-1's
+    last values repeated by their numbers of children (``_children``), plus
+    the offset within each block. Column j-1 is level j repeated by the
+    number of subsets under each of its prefixes. When m = n the rows are
+    the transpose of a C-ordered n×R array, so each sample position is one
     contiguous run.
 
-    When n > N-n, m = N-n and the expansion draws complements. Complementing
-    reverses lexicographic order, so ranks ``start..stop-1`` are the
-    complements of ranks C(N, n)-stop .. C(N, n)-start-1, in reverse, and
-    one boolean mask turns them into C-ordered rows. The expansion thus runs
-    at most min(n, N-n) levels. Needs ``C(N, n) < 2**63``, which
-    ``enumerate_exact``'s ``ENUMERATION_LIMIT`` ensures.
+    When m = N-n the expansion draws complements. Complementing reverses
+    lexicographic order, so ranks ``start..stop-1`` are the complements of
+    ranks C(N, n)-stop .. C(N, n)-start-1, in reverse, and one boolean mask
+    turns them into C-ordered rows.
     """
-    m = min(n, N - n)
+    m = N - n if N - n <= min(_COMPLEMENT_MAX, n - 1) else n
     total = math.comb(N, n)
-    table = np.zeros((m, N - m + 1), dtype=np.int64)
-    if m:
-        table[0] = np.arange(N - m + 1)
-    for j in range(2, m + 1):
+    rows = [range(N - m + 1)]
+    for _ in range(1, m):
         # C(j-1+t, j) is the sum of C(k, j-1) over k < j-1+t
-        np.cumsum(table[j - 2, 1:], out=table[j - 1, 1:])
+        rows.append([0, *itertools.accumulate(rows[-1][1:])])
 
     def unrank(rank: int) -> list[int]:
         rank = total - 1 - rank
         subset = []
         for i in range(m):
-            step = table[m - 1 - i]
+            step = rows[m - 1 - i]
             k = bisect.bisect_right(step, rank) - 1
-            rank -= int(step[k])
+            rank -= step[k]
             subset.append(N - m + i - k)
         return subset
 
     def expand(lo: int, hi: int) -> np.ndarray:
         """The m-subsets of ranks ``lo..hi``, one per column of a C-ordered
         m×R array."""
-        rows = hi - lo + 1
-        if not m:
-            return np.empty((0, rows), dtype=np.intp)
         first, last = unrank(lo), unrank(hi)
-        levels = [(np.full(1, -1), None)]  # the empty prefix, as if it ended in -1
-        for j in range(m):
-            levels.append(_children(levels[-1][0], first[j], last[j], N - m + j))
+        p = 0
+        while p < m and first[p] == last[p]:
+            p += 1
+        levels = []
+        if p < m:
+            level = np.arange(first[p], last[p] + 1)
+            for j in range(p + 1, m):
+                child, edges = _children(level, first[j], last[j], N - m + j)
+                levels.append((level, edges))
+                level = child
         # allocated once the expansion's temporaries are gone
-        out = np.empty((m, rows), dtype=np.intp)
-        out[m - 1], pos = levels.pop()
-        for j in range(m - 2, -1, -1):
-            # pos: where the subsets under each (j+1)-prefix start, and the end
-            level, edges = levels.pop()
-            out[j] = np.repeat(level, pos[1:] - pos[:-1])
-            pos = pos[edges]
+        out = np.empty((m, hi - lo + 1), dtype=np.intp)
+        if p:
+            out[:p] = np.array(first[:p], dtype=np.intp)[:, None]
+        if p < m:
+            out[m - 1] = level
+            pos = None  # where the subsets under each prefix start, and the end
+            for j in range(m - 2, p - 1, -1):
+                level, edges = levels.pop()
+                pos = edges if pos is None else pos[edges]
+                out[j] = level.repeat(pos[1:] - pos[:-1])
         return out
 
     def draw(start: int, stop: int) -> np.ndarray:
         if m == n:
             return expand(start, stop - 1).T
-        rows = stop - start
-        # flat indices into a rows×N mask: row r lacks complement rows-1-r
+        count = stop - start
+        # flat indices into a count×N mask: row r lacks complement count-1-r
         lacks = expand(total - stop, total - start - 1)
-        lacks += np.arange((rows - 1) * N, -1, -N)
-        keep = np.ones(rows * N, dtype=bool)
+        lacks += np.arange((count - 1) * N, -1, -N)
+        keep = np.ones(count * N, dtype=bool)
         keep[lacks] = False
-        out = np.flatnonzero(keep).reshape(rows, n)
-        out -= np.arange(0, rows * N, N)[:, None]
+        out = np.flatnonzero(keep).reshape(count, n)
+        out -= np.arange(0, count * N, N)[:, None]
         return out
 
     return draw

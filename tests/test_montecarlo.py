@@ -111,17 +111,6 @@ def _frame(size: int) -> PopulationFrame:
     return PopulationFrame(np.arange(size) % 2, np.arange(1.0, size + 1.0))
 
 
-@st.composite
-def lex_ranges(draw) -> tuple[int, int, int, int]:
-    """``(N, n, start, stop)``: a range of the lexicographic ranks of the
-    n-subsets of ``range(N)``, N <= 16."""
-    N = draw(st.integers(2, 16))
-    n = draw(st.integers(2, N))
-    total = math.comb(N, n)
-    start = draw(st.integers(0, total - 1))
-    return N, n, start, draw(st.integers(start + 1, total))
-
-
 class TestBlockDraw:
     """The vectorized block draw against the textbook sampler, and the
     determinism contract of block streams."""
@@ -335,18 +324,22 @@ class TestEnumeration:
         for row in report.rows:
             assert 0.85 <= row.ratio <= 1.15, (row.name, row.ratio)
 
-    @pytest.mark.parametrize("N", range(2, 15))
+    @pytest.mark.parametrize("N", range(2, 17))
     def test_subset_rows_follow_combinations(self, N):
         # every n, cut at random chunk edges: each chunk holds the subsets
-        # of its lexicographic ranks, in itertools.combinations order
+        # of its lexicographic ranks, in itertools.combinations order, and
+        # is column-major, or row-major when drawn as complements
         rng = np.random.default_rng(N)
         for n in range(2, N + 1):
             total = math.comb(N, n)
             draw = montecarlo._lex_subsets(N, n)
+            complements = N - n <= min(montecarlo._COMPLEMENT_MAX, n - 1)
             edges = np.unique(np.concatenate(([0, total], rng.integers(0, total + 1, 6))))
             for start, stop in zip(edges[:-1].tolist(), edges[1:].tolist()):
                 expect = itertools.islice(itertools.combinations(range(N), n), start, stop)
-                assert draw(start, stop).tolist() == [list(c) for c in expect], (n, start)
+                drawn = draw(start, stop)
+                assert drawn.tolist() == [list(c) for c in expect], (n, start)
+                assert (drawn if complements else drawn.T).flags.c_contiguous, (n, start)
 
     def test_subset_rows_of_a_long_search_table(self):
         # C(4473, 2) = 10,001,628 subsets, just past ENUMERATION_LIMIT: a
@@ -356,22 +349,6 @@ class TestEnumeration:
         for start in (0, 4471, total // 2 - 7, total - 500):
             expect = itertools.islice(itertools.combinations(range(N), n), start, start + 500)
             assert draw(start, start + 500).tolist() == [list(c) for c in expect], start
-
-    @settings(max_examples=200, deadline=None)
-    @given(lex_ranges())
-    @example((16, 8, 0, 12870))  # n = N/2, expanded directly
-    @example((16, 9, 100, 11440))  # just past N/2: complements of 7-subsets
-    @example((15, 7, 6000, 6435))
-    @example((15, 8, 0, 1))
-    @example((16, 15, 3, 16))
-    @example((16, 16, 0, 1))  # the census, whose complement is empty
-    def test_subset_rows_are_combinations_on_both_sides_of_half(self, case):
-        N, n, start, stop = case
-        drawn = montecarlo._lex_subsets(N, n)(start, stop)
-        expect = itertools.islice(itertools.combinations(range(N), n), start, stop)
-        assert drawn.tolist() == [list(c) for c in expect]
-        # an expanded chunk is column-major, a chunk of complements row-major
-        assert (drawn.T if 2 * n <= N else drawn).flags.c_contiguous
 
     @settings(max_examples=25, deadline=None)
     @given(which=st.sampled_from((0, 1)), n=st.integers(2, 5),
@@ -427,20 +404,20 @@ class TestLoopEquivalence:
         frame = self.FRAMES[index]
         assert enumerate_exact(frame, 4) == loop_report(frame, 4)
 
-    @pytest.mark.parametrize("size, n", [(12, 9), (131, 130)])
-    def test_enumeration_of_long_samples_matches_loop(self, size, n):
-        # numpy sums a row of 8 or more terms in 8 accumulators and one of
-        # more than 128 by halves; the column-major chunks take that order
-        frame = generate_population(SyntheticSpec(size=size), seed=size)
-        assert enumerate_exact(frame, n) == loop_report(frame, n)
+    #: A frame whose mean of x is at most 0 on 9 of its 6-subsets.
+    MIXED = SyntheticSpec(size=14, aux_shape="symmetric", aux_location=0.7,
+                          aux_scale=1.0, link_intercept=0.0, link_slope=1.5)
 
-    @pytest.mark.parametrize("n", (13, 12, 8, 6))
-    def test_enumeration_on_both_sides_of_half_matches_loop(self, n):
-        # n = N-1, N-2 and N/2+1 enumerate complements, N/2-1 subsets; at
-        # n = 6 tc, t1 and t3 fail on 9 subsets
-        frame = generate_population(SyntheticSpec(
-            size=14, aux_shape="symmetric", aux_location=0.7, aux_scale=1.0,
-            link_intercept=0.0, link_slope=1.5), seed=1)
+    @pytest.mark.parametrize("spec, seed, n", [
+        (SyntheticSpec(size=12), 12, 9), (SyntheticSpec(size=131), 131, 130),
+        (MIXED, 1, 13), (MIXED, 1, 12), (MIXED, 1, 10), (MIXED, 1, 9), (MIXED, 1, 6),
+    ], ids=["12-9", "131-130", "14-13", "14-12", "14-10", "14-9", "14-6"])
+    def test_enumeration_of_long_samples_matches_loop(self, spec, seed, n):
+        # numpy sums a row of 8 or more terms in 8 accumulators and one of
+        # more than 128 by halves; the column-major chunks take that order.
+        # Of 14, n = 13, 12 and 10 enumerate complements, 9 and 6 subsets,
+        # and at n = 6 tc, t1 and t3 fail on 9 subsets
+        frame = generate_population(spec, seed=seed)
         assert enumerate_exact(frame, n) == loop_report(frame, n)
 
     @pytest.mark.parametrize("index", range(len(FRAMES)))
