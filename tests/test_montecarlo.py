@@ -410,13 +410,14 @@ class TestLoopEquivalence:
 
     @pytest.mark.parametrize("spec, seed, n", [
         (SyntheticSpec(size=12), 12, 9), (SyntheticSpec(size=131), 131, 130),
-        (MIXED, 1, 13), (MIXED, 1, 12), (MIXED, 1, 10), (MIXED, 1, 9), (MIXED, 1, 6),
-    ], ids=["12-9", "131-130", "14-13", "14-12", "14-10", "14-9", "14-6"])
+        (MIXED, 1, 13), (MIXED, 1, 12), (MIXED, 1, 10), (MIXED, 1, 9), (MIXED, 1, 8),
+        (MIXED, 1, 6),
+    ], ids=["12-9", "131-130", "14-13", "14-12", "14-10", "14-9", "14-8", "14-6"])
     def test_enumeration_of_long_samples_matches_loop(self, spec, seed, n):
         # numpy sums a row of 8 or more terms in 8 accumulators and one of
         # more than 128 by halves; the column-major chunks take that order.
-        # Of 14, n = 13, 12 and 10 enumerate complements, 9 and 6 subsets,
-        # and at n = 6 tc, t1 and t3 fail on 9 subsets
+        # Of 14, n = 13, 12 and 10 enumerate complements, 9, 8 and 6
+        # subsets, and at n = 6 tc, t1 and t3 fail on 9 subsets
         frame = generate_population(spec, seed=seed)
         assert enumerate_exact(frame, n) == loop_report(frame, n)
 
